@@ -1,8 +1,8 @@
 """Command-line front end: synth, features, train, run, grow, report.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error. The DROPOUTLAB_SEED
-environment variable overrides the default --seed of every subcommand;
-an explicit flag wins over both.
+environment variable, which must be an integer, overrides the default --seed
+of every subcommand; an explicit flag wins over both.
 """
 
 from __future__ import annotations
@@ -42,11 +42,12 @@ from .linear import baseline_demographics, predict_proba, save_model, train_logr
 from .paradigms import PARADIGMS, run_experiment, week_date
 
 
-def _default_seed() -> int:
+def _seed(text: str) -> int:
     try:
-        return int(os.environ.get("DROPOUTLAB_SEED", "0"))
+        return int(text)
     except ValueError:
-        return 0
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not an integer (from --seed or DROPOUTLAB_SEED)") from None
 
 
 def _positive_int(text: str) -> int:
@@ -84,6 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
         "grow networks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    env_seed = os.environ.get("DROPOUTLAB_SEED", "0")  # argparse applies _seed if --seed is absent
     fmt = argparse.ArgumentDefaultsHelpFormatter
 
     p = sub.add_parser("synth", formatter_class=fmt,
@@ -94,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="course count for the built-in config (ignored with --config)")
     p.add_argument("--students", type=_positive_int, default=400,
                    help="students per course for the built-in config")
-    p.add_argument("--seed", type=int, default=_default_seed(),
+    p.add_argument("--seed", type=_seed, default=env_seed,
                    help="master seed (env DROPOUTLAB_SEED overrides this default)")
     p.add_argument("--out", type=Path, required=True, help="output directory")
 
@@ -154,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--momentum", type=float, default=0.0, help="SGD momentum")
     p.add_argument("--class-weighting", action="store_true",
                    help="weight each class by n/(2*n_class)")
-    p.add_argument("--seed", type=int, default=_default_seed(),
+    p.add_argument("--seed", type=_seed, default=env_seed,
                    help="master seed (env DROPOUTLAB_SEED overrides this default)")
     p.add_argument("--out-dir", type=Path, required=True,
                    help="directory for growth.csv and best_model.json")

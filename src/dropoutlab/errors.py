@@ -63,6 +63,10 @@ class EmptyListError(DropoutLabError):
     pass
 
 
+class ConvergenceWarning(UserWarning):
+    """A solver stopped before reaching its tolerance; its last iterate is returned."""
+
+
 # --- network growth ---
 
 class BadShapeError(DropoutLabError):

@@ -114,9 +114,9 @@ def aggregate(rows: Iterable[EvalRow]) -> tuple[EvalAggregate, ...]:
 class EvalReport:
     """All cell results of one experiment plus their weekly aggregates.
 
-    skipped records cells where AUC was undefined (single-class weeks) as
-    (paradigm, course_id, week, reason); they are excluded from aggregates
-    rather than imputed.
+    skipped records cells that produced no AUC (a single-class week, or no
+    source course to transfer from) as (paradigm, course_id, week, reason);
+    they are excluded from aggregates rather than imputed.
     """
 
     rows: tuple[EvalRow, ...]
@@ -183,7 +183,7 @@ def render_summary(report: EvalReport) -> str:
                     else f"{a.mean_auc:.4f} ({a.sem:.4f})".rjust(col_w))
         lines.append(row)
     lines.append("")
-    lines.append(f"rows: {len(report.rows)}   skipped single-class cells: {len(report.skipped)}")
+    lines.append(f"rows: {len(report.rows)}   skipped cells: {len(report.skipped)}")
     for paradigm, course_id, week, reason in report.skipped:
         lines.append(f"  skipped {paradigm} {course_id} w{week:+d}: {reason}")
     return "\n".join(lines) + "\n"

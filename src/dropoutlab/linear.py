@@ -1,9 +1,15 @@
 """L2-regularized logistic regression, hyperplane averaging, and the two baselines.
 
-The trainer is deterministic full-batch gradient descent: steepest-descent
-steps sized by a Barzilai-Borwein estimate and guarded by Armijo backtracking,
-run to a gradient-norm tolerance. No randomness anywhere, so retraining on
-identical inputs is bit-reproducible.
+The trainer is damped Newton (IRLS): each iteration solves the regularized
+Hessian system for the Newton direction and takes the first of the steps
+1, 1/2, 1/4, ... that passes an Armijo test, until the gradient norm falls
+below a tolerance. No randomness anywhere, so retraining on identical inputs
+is bit-reproducible.
+
+Non-convergence warns rather than fails: a fit that stops short of the
+tolerance returns its last iterate and emits a ConvergenceWarning naming the
+iteration count and the final gradient norm (escalate it with a warnings
+filter where a hard failure is wanted).
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -21,6 +28,7 @@ from scipy.special import expit
 from .dataset import CourseData, LabelSet, derive_labels
 from .errors import (
     BadValueError,
+    ConvergenceWarning,
     EmptyListError,
     NonFiniteLossError,
     SchemaMismatchError,
@@ -28,9 +36,9 @@ from .errors import (
 )
 from .features import (
     DEFAULT_SCHEMA,
+    DEMOGRAPHIC_BLOCKS,
     FeatureMatrix,
     NormStats,
-    days_since_last_action,
     encode_demographics,
     norm_stats_from_dict,
     norm_stats_to_dict,
@@ -75,7 +83,7 @@ class LinearModel:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Gradient-descent controls; tolerance scales with the number of examples."""
+    """Damped-Newton controls; tolerance scales with the number of examples."""
 
     tol_per_example: float = 1e-6
     max_iter: int = 10_000
@@ -100,77 +108,77 @@ def loss_and_grad(
     return loss, grad_w, grad_b
 
 
-def _loss_along(
-    z: np.ndarray, dz: np.ndarray, y: np.ndarray,
-    w_sq: float, w_dot_d: float, d_sq: float, s: float, C: float,
-) -> float:
-    """Objective at step length s along a fixed direction, without a matvec."""
-    zs = z + s * dz
-    reg = 0.5 / C * (w_sq + 2.0 * s * w_dot_d + s * s * d_sq)
-    return float(np.sum(np.logaddexp(0.0, zs) - y * zs)) + reg
-
-
 def _minimize(
     X: np.ndarray, y: np.ndarray, C: float, opt: OptimizerConfig
 ) -> tuple[np.ndarray, float, int, bool]:
-    """Run the descent from the origin; returns (w, b, iterations, converged)."""
+    """Damped Newton from the origin; returns (w, b, iterations, converged).
+
+    Only columns that are nonzero in some row enter the Newton system, so an
+    all-zero column keeps a weight of exactly 0 (its optimum).
+    """
     n, p = X.shape
     tol = opt.tol_per_example * n
-    w = np.zeros(p)
-    b = 0.0
+    active = np.flatnonzero(np.any(X != 0.0, axis=0))
+    Xa = np.column_stack([X[:, active], np.ones(n)])  # last column: intercept
+    ridge = np.append(np.full(len(active), 1.0 / C), 0.0)  # intercept unregularized
+
+    def objective(z: np.ndarray, theta: np.ndarray) -> float:
+        w = theta[:-1]
+        return float(np.sum(np.logaddexp(0.0, z) - y * z)) + 0.5 / C * float(w @ w)
+
+    theta = np.zeros(Xa.shape[1])
     z = np.zeros(n)
-    loss = float(np.sum(np.logaddexp(0.0, z) - y * z))
-    r = expit(z) - y
-    gw = X.T @ r + w / C
-    gb = float(np.sum(r))
-    prev_dw = prev_db = None
-    prev_gw = prev_gb = None
-    step = 1.0
-    for it in range(opt.max_iter):
-        g_norm = math.sqrt(float(gw @ gw) + gb * gb)
-        if g_norm <= tol:
-            return w, b, it, True
-        dw, db = -gw, -gb
-        # Barzilai-Borwein step estimate from the last accepted move
-        if prev_dw is not None:
-            s_dot_s = float(prev_dw @ prev_dw) + prev_db * prev_db
-            s_dot_yv = float(prev_dw @ (gw - prev_gw)) + prev_db * (gb - prev_gb)
-            if s_dot_yv > 0 and math.isfinite(s_dot_yv):
-                step = min(max(s_dot_s / s_dot_yv, 1e-12), 1e12)
-        dz = X @ dw + db
-        w_sq = float(w @ w)
-        w_dot_d = float(w @ dw)
-        d_sq = float(dw @ dw)
-        slope = -(g_norm * g_norm)  # directional derivative along -g
-        s = step
-        accepted = False
+    loss = objective(z, theta)
+    it = 0
+    while True:
+        mu = expit(z)
+        g = Xa.T @ (mu - y) + ridge * theta
+        g_norm = math.sqrt(float(g @ g))
+        if not math.isfinite(g_norm):
+            raise NonFiniteLossError(f"gradient diverged at iteration {it}")
+        if g_norm <= tol or it == opt.max_iter:
+            break
+        # mu * expit(-z), not mu * (1 - mu): stays positive where 1 - mu rounds to 0
+        H = (Xa.T * (mu * expit(-z))) @ Xa + np.diag(ridge)
+        d = np.linalg.solve(H, -g)
+        dz = Xa @ d
+        slope = float(g @ d)
+        s = 1.0
         for _ in range(opt.max_backtracks):
-            cand = _loss_along(z, dz, y, w_sq, w_dot_d, d_sq, s, C)
+            cand = objective(z + s * dz, theta + s * d)
             if math.isfinite(cand) and cand <= loss + opt.armijo_c * s * slope:
-                accepted = True
                 break
             s *= opt.backtrack
-        if not accepted:
-            return w, b, it, False  # step underflow: numerically stationary
-        prev_dw, prev_db = s * dw, s * db
-        prev_gw, prev_gb = gw.copy(), gb
-        w = w + prev_dw
-        b = b + prev_db
+        else:
+            break  # no step lowers the loss: numerically stationary
+        theta = theta + s * d
         z = z + s * dz
         loss = cand
-        if not math.isfinite(loss):
-            raise NonFiniteLossError(f"loss diverged at iteration {it}")
-        r = expit(z) - y
-        gw = X.T @ r + w / C
-        gb = float(np.sum(r))
-        step = s
-    g_norm = math.sqrt(float(gw @ gw) + gb * gb)
-    return w, b, opt.max_iter, bool(g_norm <= tol)
+        it += 1
+    w = np.zeros(p)
+    w[active] = theta[:-1]
+    return w, float(theta[-1]), it, g_norm <= tol
 
 
-def _check_binary(y: np.ndarray) -> None:
-    if len(y) == 0 or np.all(y == y[0]):
+def _fit(
+    X: np.ndarray, y: np.ndarray, C: float, opt: OptimizerConfig | None
+) -> tuple[np.ndarray, float]:
+    """Check the inputs, run _minimize, and warn if it stopped short of the tolerance."""
+    if C <= 0:
+        raise BadValueError(f"C {C} must be positive")
+    if len(y) == 0:
+        raise SingleClassError("no training rows")
+    if np.all(y == y[0]):
         raise SingleClassError("training labels contain a single class")
+    opt = opt or OptimizerConfig()
+    w, b, iterations, converged = _minimize(X, y, C, opt)
+    if not converged:
+        _, gw, gb = loss_and_grad(w, b, X, y, C)
+        g_norm = math.sqrt(float(gw @ gw) + gb * gb)
+        warnings.warn(f"logistic fit did not converge (iterations={iterations}, gradient "
+                      f"norm {g_norm:.3g} > tolerance {opt.tol_per_example * len(y):.3g})",
+                      ConvergenceWarning, stacklevel=3)
+    return w, b
 
 
 def train_logreg(
@@ -185,14 +193,7 @@ def train_logreg(
     norm is carried on the model purely as a record of how X was produced;
     pass the stats used so deployment can reproduce the transform.
     """
-    if C <= 0:
-        raise BadValueError(f"C {C} must be positive")
-    opt = opt or OptimizerConfig()
-    yv = y.vector(X.student_ids)
-    if len(yv) == 0:
-        raise SingleClassError("no training rows")
-    _check_binary(yv)
-    w, b, _, _ = _minimize(X.values, yv, C, opt)
+    w, b = _fit(X.values, y.vector(X.student_ids), C, opt)
     return LinearModel(weights=w, intercept=b, reg_C=C, norm=norm)
 
 
@@ -238,6 +239,15 @@ def average_hyperplanes(models: Sequence[LinearModel]) -> LinearModel:
     return LinearModel(weights=weights, intercept=intercept, reg_C=models[0].reg_C, norm=None)
 
 
+# Schema columns of the demographic dummies, in encode_demographics order.
+_DEMO_COLS = np.array([i for blk in DEMOGRAPHIC_BLOCKS for i in DEFAULT_SCHEMA.blocks[blk]])
+
+
+def _demographic_matrix(course: CourseData) -> np.ndarray:
+    by_id = {s.student_id: s for s in course.students}
+    return np.array([encode_demographics(by_id[sid]) for sid in course.student_ids])
+
+
 def baseline_demographics(
     course: CourseData,
     y: LabelSet | None = None,
@@ -251,32 +261,15 @@ def baseline_demographics(
     """
     if y is None:
         y = derive_labels(course)
-    if C <= 0:
-        raise BadValueError(f"C {C} must be positive")
-    opt = opt or OptimizerConfig()
-    by_id = {s.student_id: s for s in course.students}
-    demo = np.array([encode_demographics(by_id[sid]) for sid in course.student_ids])
-    yv = y.vector(course.student_ids)
-    if len(yv) == 0:
-        raise SingleClassError("no training rows")
-    _check_binary(yv)
-    w33, b, _, _ = _minimize(demo, yv, C, opt)
+    w_demo, b = _fit(_demographic_matrix(course), y.vector(course.student_ids), C, opt)
     weights = np.zeros(DEFAULT_SCHEMA.width)
-    demo_cols = [i for blk in
-                 ("age_dummies", "loe_dummies", "gender_dummies", "continent_dummies")
-                 for i in DEFAULT_SCHEMA.blocks[blk]]
-    weights[demo_cols] = w33
+    weights[_DEMO_COLS] = w_demo
     return LinearModel(weights=weights, intercept=b, reg_C=C, norm=None)
 
 
 def score_demographics(m: LinearModel, course: CourseData) -> ScoredStudents:
     """Apply a demographics-only model to a course roster (no activity read)."""
-    by_id = {s.student_id: s for s in course.students}
-    demo_cols = [i for blk in
-                 ("age_dummies", "loe_dummies", "gender_dummies", "continent_dummies")
-                 for i in DEFAULT_SCHEMA.blocks[blk]]
-    demo = np.array([encode_demographics(by_id[sid]) for sid in course.student_ids])
-    z = demo @ m.weights[demo_cols] + m.intercept
+    z = _demographic_matrix(course) @ m.weights[_DEMO_COLS] + m.intercept
     return ScoredStudents(course.student_ids, expit(z))
 
 

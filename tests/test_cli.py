@@ -49,6 +49,18 @@ class TestExitCodes:
                   "--out-dir", str(tmp_path)])
         assert e.value.code == 2
 
+    def test_bad_env_seed_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("DROPOUTLAB_SEED", "abc")
+        with pytest.raises(SystemExit) as e:
+            main(["synth", "--out", str(tmp_path / "c"), "--courses", "1",
+                  "--students", "10"])
+        assert e.value.code == 2
+        assert "DROPOUTLAB_SEED" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
+        # an explicit --seed never reads the environment
+        assert main(["synth", "--out", str(tmp_path / "c"), "--courses", "1",
+                     "--students", "10", "--seed", "3"]) == 0
+
     def test_runtime_failure_is_one(self, tmp_path, capsys):
         rc = main(["features", "--course-dir", str(tmp_path / "missing"),
                    "--out", str(tmp_path / "m.csv")])

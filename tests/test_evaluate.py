@@ -205,6 +205,16 @@ class TestReport:
         assert paths["rows"].read_bytes() == b"paradigm,course_id,week,auc,n_students,n_positives\r\n"
         assert paths["aggregate"].read_bytes() == b"paradigm,week,mean_auc,sem,n_courses\r\n"
 
+    def test_summary_counts_skips_of_every_reason(self, tmp_path):
+        skipped = (("post_hoc", "B1x", 0, "single class"),
+                   ("same_field", "HCCx", -1,
+                    "no other Humanities course to train same_field for 'HCCx'"))
+        report = EvalReport.from_rows(_report_fixture().rows, skipped=skipped)
+        text = emit_report(report, tmp_path)["summary"].read_text()
+        assert "skipped cells: 2\n" in text
+        assert "single-class cells" not in text
+        assert "  skipped same_field HCCx w-1: no other Humanities" in text
+
     def test_row_invariants_enforced(self):
         with pytest.raises(Exception):
             EvalRow("post_hoc", "A1x", 0, 1.5, 0.5, 10, 2)

@@ -1,14 +1,17 @@
 """Logistic regression: gradients, optimality, averaging, baselines."""
 
 import datetime
+import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 from scipy.special import expit
 
 from dropoutlab.dataset import LabelSet, StudentDemographics, course_from_records, derive_labels
 from dropoutlab.errors import (
     BadValueError,
+    ConvergenceWarning,
     EmptyListError,
     SchemaMismatchError,
     SingleClassError,
@@ -20,11 +23,13 @@ from dropoutlab.features import (
     FeatureMatrix,
     apply_zscore,
     build_matrix,
+    encode_demographics,
     fit_zscore,
 )
 from dropoutlab.linear import (
     LinearModel,
     OptimizerConfig,
+    _minimize,
     average_hyperplanes,
     baseline_demographics,
     baseline_recency,
@@ -146,6 +151,70 @@ class TestTraining:
         loose = train_logreg(m, labels, C=1e2)
         assert np.linalg.norm(tight.weights) < 1e-2
         assert np.linalg.norm(loose.weights) > np.linalg.norm(tight.weights) * 10
+
+    def test_nonconvergence_warns(self):
+        rng = np.random.default_rng(3)
+        X, y = _rand_problem(rng, 80, 5)
+        m, labels = _labelled_matrix(X, y.astype(int))
+        one_step = OptimizerConfig(max_iter=1)
+        with pytest.warns(ConvergenceWarning, match=r"iterations=1, gradient norm \S+ > "):
+            train_logreg(m, labels, opt=one_step)
+        with pytest.warns(ConvergenceWarning, match=r"iterations=1"):
+            baseline_demographics(_demographic_course(), opt=one_step)
+
+    def test_converged_fit_does_not_warn(self):
+        rng = np.random.default_rng(3)
+        X, y = _rand_problem(rng, 80, 5)
+        m, labels = _labelled_matrix(X, y.astype(int))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ConvergenceWarning)
+            train_logreg(m, labels)
+            baseline_demographics(_demographic_course())
+
+
+class TestNewtonSolver:
+    def test_few_iterations_on_well_posed_problems(self):
+        rng = np.random.default_rng(23)
+        for trial in range(20):
+            n = int(rng.integers(30, 400))
+            p = int(rng.integers(1, 12))
+            X, y = _rand_problem(rng, n, p)
+            C = float(rng.choice([0.01, 0.1, 1.0, 10.0, 100.0]))
+            _, _, iterations, converged = _minimize(X, y, C, OptimizerConfig())
+            assert converged and iterations <= 25, (trial, iterations)
+
+    def test_matches_lbfgs_oracle(self):
+        # The default stop (gradient norm <= 1e-6 * n) bounds the gradient, not
+        # the distance to the optimum, so both solvers run to a tight tolerance.
+        rng = np.random.default_rng(20261017)
+        for trial in range(10):
+            n = int(rng.integers(40, 200))
+            p = int(rng.integers(1, 9))
+            X, y = _rand_problem(rng, n, p)
+            C = float(rng.choice([0.1, 1.0, 10.0]))
+            w, b, _, converged = _minimize(X, y, C, OptimizerConfig(tol_per_example=1e-12))
+            assert converged
+
+            def f(theta):
+                loss, gw, gb = loss_and_grad(theta[:-1], theta[-1], X, y, C)
+                return loss, np.append(gw, gb)
+
+            oracle = minimize(f, np.zeros(p + 1), jac=True, method="L-BFGS-B",
+                              options={"ftol": 0.0, "gtol": 1e-10, "maxiter": 10_000})
+            assert np.max(np.abs(np.append(w, b) - oracle.x)) < 1e-6, trial
+
+    def test_collinear_demographics_with_zero_columns(self):
+        course = _demographic_course()
+        demo = np.array([encode_demographics(s) for s in course.students])
+        y = derive_labels(course).vector(tuple(s.student_id for s in course.students))
+        # every dummy block sums to 1 per row, like the intercept column
+        with_intercept = np.column_stack([demo, np.ones(len(demo))])
+        assert np.linalg.matrix_rank(with_intercept) < with_intercept.shape[1]
+        zero_cols = ~np.any(demo != 0.0, axis=0)
+        assert zero_cols.any()
+        w, _, iterations, converged = _minimize(demo, y, 1.0, OptimizerConfig())
+        assert converged and iterations <= 25
+        assert np.all(w[zero_cols] == 0.0)
 
 
 class TestPrediction:
