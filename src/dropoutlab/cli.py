@@ -8,13 +8,12 @@ of every subcommand; an explicit flag wins over both.
 from __future__ import annotations
 
 import argparse
+import csv
 import datetime
 import json
 import os
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from .dataset import (
     CorpusConfig,
@@ -28,18 +27,10 @@ from .dataset import (
 )
 from .deepnet import GrowthPlan, SgdConfig, grow_and_train, save_mlp, write_growth_csv
 from .errors import BadConfigError, DropoutLabError
-from .evaluate import auc_values, emit_report, EvalReport, EvalRow
-from .features import (
-    apply_percentile,
-    apply_zscore,
-    build_matrix,
-    fit_percentile,
-    fit_zscore,
-    save_norm_stats,
-    write_matrix,
-)
-from .linear import baseline_demographics, predict_proba, save_model, train_logreg
-from .paradigms import PARADIGMS, run_experiment, week_date
+from .evaluate import ROWS_COLUMNS, SKIPPED_COLUMNS, EvalReport, EvalRow, auc_values, emit_report
+from .features import build_matrix, normalize, save_norm_stats, split_rows, write_matrix
+from .linear import baseline_demographics, predict_proba, save_model, score_demographics
+from .paradigms import PARADIGMS, fit_course_model, run_experiment, week_date
 
 
 def _seed(text: str) -> int:
@@ -75,6 +66,15 @@ def _iso_date(text: str) -> datetime.date:
         return datetime.date.fromisoformat(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a YYYY-MM-DD date") from None
+
+
+# grow's option defaults, which are also a manifest growth_plan's keys and defaults;
+# the seed (grow's --seed, a growth_plan's "seed") is handled apart.
+_GROWTH_DEFAULTS = {
+    "week": -1, "split": 0.5, "norm": "zscore", "width_from": 2, "width_to": 15,
+    "depth_from": 2, "depth_to": 10, "fixed_width": 5, "learning_rate": 0.1, "epochs": 20,
+    "minibatch_size": 10, "anneal": 1e-3, "momentum": 0.0, "class_weighting": False,
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -134,32 +134,30 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("grow", formatter_class=fmt,
                        help="width/depth sweep with function-preserving growth")
     p.add_argument("--course-dir", type=Path, required=True)
-    p.add_argument("--week", type=int, default=-1,
+    p.add_argument("--week", type=int,
                    help="week index of the feature snapshot (0 = full-points date)")
-    p.add_argument("--split", type=float, default=0.5,
-                   help="held-out test fraction")
-    p.add_argument("--norm", choices=("zscore", "percentile"), default="zscore",
+    p.add_argument("--split", type=float, help="held-out test fraction")
+    p.add_argument("--norm", choices=("zscore", "percentile"),
                    help="normalization fit on the training split")
-    p.add_argument("--width-from", type=_positive_int, default=2, help="first width")
-    p.add_argument("--width-to", type=_positive_int, default=15, help="last width")
-    p.add_argument("--depth-from", type=_positive_int, default=2, help="first depth")
-    p.add_argument("--depth-to", type=_positive_int, default=10, help="last depth")
-    p.add_argument("--fixed-width", type=_positive_int, default=5,
+    p.add_argument("--width-from", type=_positive_int, help="first width")
+    p.add_argument("--width-to", type=_positive_int, help="last width")
+    p.add_argument("--depth-from", type=_positive_int, help="first depth")
+    p.add_argument("--depth-to", type=_positive_int, help="last depth")
+    p.add_argument("--fixed-width", type=_positive_int,
                    help="hidden width used throughout the depth sweep")
-    p.add_argument("--learning-rate", type=_positive_float, default=0.1,
-                   help="initial SGD learning rate")
-    p.add_argument("--epochs", type=_positive_int, default=20, help="SGD epochs")
-    p.add_argument("--minibatch-size", type=_positive_int, default=10,
-                   help="SGD minibatch size")
-    p.add_argument("--anneal", type=float, default=1e-3,
+    p.add_argument("--learning-rate", type=_positive_float, help="initial SGD learning rate")
+    p.add_argument("--epochs", type=_positive_int, help="SGD epochs")
+    p.add_argument("--minibatch-size", type=_positive_int, help="SGD minibatch size")
+    p.add_argument("--anneal", type=float,
                    help="per-minibatch learning-rate anneal factor")
-    p.add_argument("--momentum", type=float, default=0.0, help="SGD momentum")
+    p.add_argument("--momentum", type=float, help="SGD momentum")
     p.add_argument("--class-weighting", action="store_true",
                    help="weight each class by n/(2*n_class)")
     p.add_argument("--seed", type=_seed, default=env_seed,
                    help="master seed (env DROPOUTLAB_SEED overrides this default)")
     p.add_argument("--out-dir", type=Path, required=True,
                    help="directory for growth.csv and best_model.json")
+    p.set_defaults(**_GROWTH_DEFAULTS)  # shown by --help, and used for growth_plan keys
 
     p = sub.add_parser("report", formatter_class=fmt,
                        help="recompute aggregates and summary from a rows CSV")
@@ -206,12 +204,8 @@ def cmd_features(args) -> int:
     as_of = _snapshot_date(course, args.week, args.as_of)
     m = build_matrix(course, as_of)
     stats = None
-    if args.norm == "zscore":
-        stats = fit_zscore(m)
-        m = apply_zscore(m, stats)
-    elif args.norm == "percentile":
-        stats = fit_percentile(m)
-        m = apply_percentile(m, stats)
+    if args.norm != "none":
+        stats, (m,) = normalize(m, [m], args.norm)
     args.out.parent.mkdir(parents=True, exist_ok=True)
     write_matrix(m, args.out)
     if stats is not None:
@@ -228,15 +222,9 @@ def cmd_train(args) -> int:
     labels = derive_labels(course)
     if args.kind == "baseline1":
         model = baseline_demographics(course, labels, args.reg_c)
-        from .linear import score_demographics
-
         scored = score_demographics(model, course)
     else:
-        as_of = week_date(course.meta, args.week)
-        m = build_matrix(course, as_of)
-        stats = fit_zscore(m)
-        z = apply_zscore(m, stats)
-        model = train_logreg(z, labels, args.reg_c, norm=stats)
+        model, z = fit_course_model(course, week_date(course.meta, args.week), args.reg_c)
         scored = predict_proba(model, z)
     args.out.parent.mkdir(parents=True, exist_ok=True)
     save_model(model, args.out)
@@ -245,7 +233,25 @@ def cmd_train(args) -> int:
     return 0
 
 
+_MANIFEST_REQUIRED = ("master_seed", "corpus_config_path", "paradigms", "output_dir")
+_MANIFEST_OPTIONAL = ("reg_C", "holdout", "jobs", "growth_plan")
+
+
+def _reject_unknown_keys(where: str, doc: dict, known) -> None:
+    unknown = sorted(set(doc) - set(known))
+    if unknown:
+        raise BadConfigError(f"{where}: unknown key {unknown[0]!r}")
+
+
+def _checked(where: str, key: str, value, ok, expected: str):
+    """value when it is a JSON number (not a bool) that passes ok; else BadConfigError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not ok(value):
+        raise BadConfigError(f"{where}: {key} must be {expected}, got {value!r}")
+    return value
+
+
 def _read_manifest(path: Path) -> dict:
+    """The manifest, its values checked and the defaults of jobs, reg_C and holdout filled in."""
     if not path.exists():
         raise BadConfigError(f"manifest not found: {path}")
     with open(path, encoding="utf-8") as f:
@@ -255,61 +261,69 @@ def _read_manifest(path: Path) -> dict:
             raise BadConfigError(f"{path}: not valid JSON ({e})") from None
     if not isinstance(doc, dict):
         raise BadConfigError(f"{path}: manifest must be a JSON object")
-    for key in ("master_seed", "corpus_config_path", "paradigms", "output_dir"):
+    _reject_unknown_keys(f"{path}: manifest", doc, _MANIFEST_REQUIRED + _MANIFEST_OPTIONAL)
+    for key in _MANIFEST_REQUIRED:
         if key not in doc:
             raise BadConfigError(f"{path}: manifest missing key {key!r}")
-    if not doc["paradigms"]:
-        raise BadConfigError(f"{path}: paradigms list must be non-empty")
-    return doc
+    if not isinstance(doc["paradigms"], list) or not doc["paradigms"]:
+        raise BadConfigError(f"{path}: paradigms must be a non-empty list")
+    return dict(
+        doc,
+        master_seed=_checked(path, "master_seed", doc["master_seed"],
+                             lambda v: isinstance(v, int), "an integer"),
+        jobs=_checked(path, "jobs", doc.get("jobs", 1),
+                      lambda v: isinstance(v, int) and v >= 1, "an integer >= 1"),
+        reg_C=_checked(path, "reg_C", doc.get("reg_C", 1.0), lambda v: v > 0, "> 0"),
+        holdout=_checked(path, "holdout", doc.get("holdout", 0.0),
+                         lambda v: 0 <= v < 1, "in [0, 1)"),
+    )
 
 
-def _growth_from_manifest(doc: dict) -> tuple[GrowthPlan, SgdConfig, int, float, str]:
-    g = doc.get("growth_plan") or {}
+def _growth_setup(g: dict, where: str) -> tuple[GrowthPlan, SgdConfig, int, float, str]:
+    """Sweep plan, SGD settings, week, split and norm from values named as grow's options."""
+    split = _checked(where, "split", g["split"], lambda v: 0 < v < 1, "in (0, 1)")
+    if g["norm"] not in ("zscore", "percentile"):
+        raise BadConfigError(f"{where}: norm must be 'zscore' or 'percentile', got {g['norm']!r}")
     plan = GrowthPlan(
-        width_sweep=tuple(range(int(g.get("width_from", 2)), int(g.get("width_to", 15)) + 1)),
-        depth_sweep=tuple(range(int(g.get("depth_from", 2)), int(g.get("depth_to", 10)) + 1)),
-        fixed_width=int(g.get("fixed_width", 5)),
+        width_sweep=tuple(range(g["width_from"], g["width_to"] + 1)),
+        depth_sweep=tuple(range(g["depth_from"], g["depth_to"] + 1)),
+        fixed_width=g["fixed_width"],
     )
     cfg = SgdConfig(
-        learning_rate=float(g.get("learning_rate", 0.1)),
-        epochs=int(g.get("epochs", 20)),
-        minibatch_size=int(g.get("minibatch_size", 10)),
-        anneal_factor=float(g.get("anneal", 1e-3)),
-        momentum=float(g.get("momentum", 0.0)),
-        class_weighting=bool(g.get("class_weighting", False)),
-        seed=int(g.get("seed", doc["master_seed"])),
+        learning_rate=float(g["learning_rate"]),
+        epochs=g["epochs"],
+        minibatch_size=g["minibatch_size"],
+        anneal_factor=float(g["anneal"]),
+        momentum=float(g["momentum"]),
+        class_weighting=g["class_weighting"],
+        seed=g["seed"],
     )
-    return plan, cfg, int(g.get("week", -1)), float(g.get("split", 0.5)), str(g.get("norm", "zscore"))
+    return plan, cfg, g["week"], float(split), g["norm"]
+
+
+def _growth_from_manifest(doc: dict, path: Path) -> tuple[GrowthPlan, SgdConfig, int, float, str]:
+    g = doc["growth_plan"]
+    if not isinstance(g, dict):
+        raise BadConfigError(f"{path}: growth_plan must be a JSON object")
+    _reject_unknown_keys(f"{path}: growth_plan", g, [*_GROWTH_DEFAULTS, "seed"])
+    for key, value in g.items():
+        kind = type(_GROWTH_DEFAULTS.get(key, 0))  # the seed is an integer
+        if type(value) not in ((int, float) if kind is float else (kind,)):  # JSON 1 is a float too
+            raise BadConfigError(f"{path}: growth_plan.{key} must be a {kind.__name__}, "
+                                 f"got {value!r}")
+    return _growth_setup({**_GROWTH_DEFAULTS, "seed": doc["master_seed"], **g},
+                         f"{path}: growth_plan")
 
 
 def _split_for_growth(course, week, split, norm, seed):
-    """Seeded train/test split of one course's feature matrix at a week."""
-    from .features import FeatureMatrix
-
-    as_of = week_date(course.meta, week)
-    m = build_matrix(course, as_of)
+    """Seeded train/test split of one course's feature matrix at a week, normalized on train."""
+    m = build_matrix(course, week_date(course.meta, week))
+    train_rows, test_rows = split_rows(m.n_rows, split, seed)
+    m_train = m.take(train_rows)
+    _, (m_train, m_test) = normalize(m_train, [m_train, m.take(test_rows)], norm)
     y = derive_labels(course)
-    rng = np.random.default_rng(seed)
-    n = m.n_rows
-    n_test = int(round(split * n))
-    if not (0 < n_test < n):
-        raise BadConfigError(f"split {split} leaves an empty side for n={n}")
-    order = rng.permutation(n)
-    test_rows = np.sort(order[:n_test])
-    train_rows = np.sort(order[n_test:])
-    m_train = FeatureMatrix(m.schema, tuple(m.student_ids[i] for i in train_rows),
-                            m.values[train_rows], as_of)
-    m_test = FeatureMatrix(m.schema, tuple(m.student_ids[i] for i in test_rows),
-                           m.values[test_rows], as_of)
-    if norm == "percentile":
-        stats = fit_percentile(m_train)
-        m_train, m_test = apply_percentile(m_train, stats), apply_percentile(m_test, stats)
-    else:
-        stats = fit_zscore(m_train)
-        m_train, m_test = apply_zscore(m_train, stats), apply_zscore(m_test, stats)
-    y_train = y.vector(m_train.student_ids)
-    y_test = y.vector(m_test.student_ids)
-    return m_train.values, y_train, m_test.values, y_test
+    return (m_train.values, y.vector(m_train.student_ids),
+            m_test.values, y.vector(m_test.student_ids))
 
 
 def _grow_course_choice(corpus) -> object:
@@ -329,6 +343,8 @@ def cmd_run(args) -> int:
                 file=sys.stderr,
             )
             return 2
+    # parsed before any work, so a bad plan fails before an output is written
+    sweep = None if doc.get("growth_plan") is None else _growth_from_manifest(doc, args.manifest)
     base = args.manifest.parent
     config_path = Path(doc["corpus_config_path"])
     if not config_path.is_absolute():
@@ -337,20 +353,19 @@ def cmd_run(args) -> int:
     out_dir = Path(doc["output_dir"])
     if not out_dir.is_absolute():
         out_dir = base / out_dir
-    seed = int(doc["master_seed"])
-    jobs = args.jobs if args.jobs is not None else int(doc.get("jobs", 1))
+    seed = doc["master_seed"]
     corpus = synthesize_corpus(config, seed)
     report = run_experiment(
         corpus,
         doc["paradigms"],
-        C=float(doc.get("reg_C", 1.0)),
-        holdout=float(doc.get("holdout", 0.0)),
+        C=float(doc["reg_C"]),
+        holdout=float(doc["holdout"]),
         seed=seed,
-        jobs=jobs,
+        jobs=args.jobs if args.jobs is not None else doc["jobs"],
     )
-    paths = emit_report(report, out_dir)
-    if doc.get("growth_plan") is not None:
-        plan, cfg, week, split, norm = _growth_from_manifest(doc)
+    emit_report(report, out_dir)
+    if sweep is not None:
+        plan, cfg, week, split, norm = sweep
         course = _grow_course_choice(corpus)
         Xtr, ytr, Xte, yte = _split_for_growth(course, week, split, norm, cfg.seed)
         growth = grow_and_train(Xtr, ytr, Xte, yte, plan, cfg)
@@ -364,24 +379,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_grow(args) -> int:
-    if not (0.0 < args.split < 1.0):
-        raise BadConfigError(f"--split {args.split} must be in (0, 1)")
+    plan, cfg, week, split, norm = _growth_setup(vars(args), "grow")
     course = load_course_dir(args.course_dir)
-    plan = GrowthPlan(
-        width_sweep=tuple(range(args.width_from, args.width_to + 1)),
-        depth_sweep=tuple(range(args.depth_from, args.depth_to + 1)),
-        fixed_width=args.fixed_width,
-    )
-    cfg = SgdConfig(
-        learning_rate=args.learning_rate,
-        epochs=args.epochs,
-        minibatch_size=args.minibatch_size,
-        anneal_factor=args.anneal,
-        momentum=args.momentum,
-        class_weighting=args.class_weighting,
-        seed=args.seed,
-    )
-    Xtr, ytr, Xte, yte = _split_for_growth(course, args.week, args.split, args.norm, args.seed)
+    Xtr, ytr, Xte, yte = _split_for_growth(course, week, split, norm, cfg.seed)
     report = grow_and_train(Xtr, ytr, Xte, yte, plan, cfg)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     write_growth_csv(report, args.out_dir / "growth.csv")
@@ -392,15 +392,22 @@ def cmd_grow(args) -> int:
     return 0
 
 
-def cmd_report(args) -> int:
-    import csv
+def _read_records(path: Path, columns: tuple[str, ...]) -> list[dict]:
+    """The records of a CSV written by emit_report, after checking its header."""
+    if not path.exists():
+        raise BadConfigError(f"file not found: {path}")
+    with open(path, newline="", encoding="utf-8") as f:
+        reader = csv.DictReader(f)
+        if tuple(reader.fieldnames or ()) != columns:
+            raise BadConfigError(f"{path}: expected the columns {','.join(columns)}")
+        return list(reader)
 
-    if not args.rows.exists():
-        raise BadConfigError(f"rows file not found: {args.rows}")
-    rows = []
-    with open(args.rows, newline="", encoding="utf-8") as f:
-        for rec in csv.DictReader(f):
-            rows.append(EvalRow(
+
+def cmd_report(args) -> int:
+    skipped_path = args.rows.parent / "skipped.csv"
+    try:
+        rows = [
+            EvalRow(
                 paradigm=rec["paradigm"],
                 course_id=rec["course_id"],
                 week=int(rec["week"]),
@@ -408,9 +415,14 @@ def cmd_report(args) -> int:
                 accuracy=0.0,  # not serialized in rows.csv
                 n_students=int(rec["n_students"]),
                 n_positives=int(rec["n_positives"]),
-            ))
-    report = EvalReport.from_rows(rows)
-    paths = emit_report(report, args.out_dir)
+            )
+            for rec in _read_records(args.rows, ROWS_COLUMNS)
+        ]
+        skipped = [(rec["paradigm"], rec["course_id"], int(rec["week"]), rec["reason"])
+                   for rec in _read_records(skipped_path, SKIPPED_COLUMNS)]
+    except ValueError as e:
+        raise BadConfigError(f"non-numeric value in {args.rows} or {skipped_path} ({e})") from None
+    paths = emit_report(EvalReport.from_rows(rows, skipped), args.out_dir)
     print(f"wrote {paths['aggregate']} and {paths['summary']}")
     return 0
 

@@ -8,6 +8,7 @@ at smaller sizes.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import time
@@ -28,6 +29,7 @@ from .errors import (
     ShrinkNotAllowedError,
     SingleClassError,
 )
+from .evaluate import auc_values, raw_accuracy
 from .features import FeatureMatrix
 
 N_CLASSES = 2
@@ -407,8 +409,6 @@ def run_cell(
     phase "width": teacher widened to value units via net2wider.
     phase "depth": teacher deepened by one identity layer; value = target h.
     """
-    from .evaluate import auc_values, raw_accuracy
-
     t0 = time.perf_counter()
     if phase == "baseline":
         net = init_softmax(input_dim, seed)
@@ -493,8 +493,6 @@ def grow_and_train(
 
 
 def write_growth_csv(report: GrowthReport, path: str | Path) -> None:
-    import csv
-
     with open(path, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
         w.writerow(("phase", "w", "h", "auc", "accuracy", "train_seconds", "seed"))

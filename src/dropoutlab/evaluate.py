@@ -8,10 +8,20 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .dataset import LabelSet
 from .errors import BadValueError, EmptyListError, SingleClassError
+
+
+def _midranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of x; tied values share the mean of the ranks they span."""
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])  # first index of each tie run
+    ends = np.r_[starts[1:], len(xs)]
+    ranks = np.empty(len(xs))
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
 
 
 def auc_values(scores, labels) -> float:
@@ -24,13 +34,15 @@ def auc_values(scores, labels) -> float:
     labels = np.asarray(labels)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise BadValueError("scores and labels must be aligned 1-D arrays")
+    if not np.all(np.isfinite(scores)):
+        raise BadValueError("scores must be finite")
     n_pos = int(np.sum(labels == 1))
     n_neg = int(np.sum(labels == 0))
     if n_pos == 0 or n_neg == 0:
         raise SingleClassError(
             f"AUC undefined with {n_pos} positives and {n_neg} negatives"
         )
-    ranks = rankdata(scores, method="average")
+    ranks = _midranks(scores)
     rank_sum = float(np.sum(ranks[labels == 1]))
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
@@ -133,28 +145,37 @@ class EvalReport:
         return cls(ordered, aggregate(ordered), tuple(sorted(skipped)))
 
 
+ROWS_COLUMNS = ("paradigm", "course_id", "week", "auc", "n_students", "n_positives")
+SKIPPED_COLUMNS = ("paradigm", "course_id", "week", "reason")
+
+
 def _fmt(v: float) -> str:
     return repr(float(v))
 
 
 def emit_report(report: EvalReport, out_dir: str | Path) -> dict[str, Path]:
-    """Write rows.csv, aggregate.csv, and a fixed-width summary grid.
+    """Write rows.csv, skipped.csv, aggregate.csv, and a fixed-width summary grid.
 
     Byte-deterministic for a fixed report: stable ordering, repr floats, no
-    timestamps.
+    timestamps. skipped.csv is header-only when no cell was skipped.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {
         "rows": out / "rows.csv",
+        "skipped": out / "skipped.csv",
         "aggregate": out / "aggregate.csv",
         "summary": out / "summary.txt",
     }
     with open(paths["rows"], "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
-        w.writerow(("paradigm", "course_id", "week", "auc", "n_students", "n_positives"))
+        w.writerow(ROWS_COLUMNS)
         for r in report.rows:
             w.writerow((r.paradigm, r.course_id, r.week, _fmt(r.auc), r.n_students, r.n_positives))
+    with open(paths["skipped"], "w", newline="", encoding="utf-8") as f:
+        w = csv.writer(f)
+        w.writerow(SKIPPED_COLUMNS)
+        w.writerows(report.skipped)
     with open(paths["aggregate"], "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
         w.writerow(("paradigm", "week", "mean_auc", "sem", "n_courses"))

@@ -24,7 +24,6 @@ from .errors import (
     EmptyMatrixError,
     MissingColumnError,
     SchemaMismatchError,
-    UnknownStudentError,
 )
 
 _AGE_EDGES = tuple(range(10, 61, 5))  # 10, 15, ..., 60
@@ -104,6 +103,24 @@ class FeatureMatrix:
     def block(self, name: str) -> np.ndarray:
         r = self.schema.blocks[name]
         return self.values[:, r.start:r.stop]
+
+    def take(self, rows: np.ndarray) -> "FeatureMatrix":
+        """The matrix of the given row indices, in that order, ids kept aligned."""
+        return FeatureMatrix(self.schema, tuple(self.student_ids[i] for i in rows),
+                             self.values[rows], self.as_of)
+
+
+def split_rows(n: int, test_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded (train_rows, test_rows) of range(n), each sorted.
+
+    round(test_fraction * n) rows go to the test side, drawn by one
+    default_rng(seed).permutation(n); a side left empty is an error.
+    """
+    n_test = int(round(test_fraction * n))
+    if not (0 < n_test < n):
+        raise BadValueError(f"test fraction {test_fraction} leaves an empty side for n={n}")
+    order = np.random.default_rng(seed).permutation(n)
+    return np.sort(order[n_test:]), np.sort(order[:n_test])
 
 
 def _age_bin(yob: int | None) -> int:

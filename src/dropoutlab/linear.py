@@ -23,7 +23,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .dataset import CourseData, LabelSet, derive_labels
 from .errors import (
@@ -39,6 +38,8 @@ from .features import (
     DEMOGRAPHIC_BLOCKS,
     FeatureMatrix,
     NormStats,
+    check_as_of,
+    cumulative_all,
     encode_demographics,
     norm_stats_from_dict,
     norm_stats_to_dict,
@@ -92,6 +93,12 @@ class OptimizerConfig:
     max_backtracks: int = 60
 
 
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    """Logistic function 1 / (1 + exp(-z)); exp only ever sees -|z|, so it never overflows."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+
+
 def loss_and_grad(
     w: np.ndarray, b: float, X: np.ndarray, y: np.ndarray, C: float
 ) -> tuple[float, np.ndarray, float]:
@@ -102,7 +109,7 @@ def loss_and_grad(
     """
     z = X @ w + b
     loss = float(np.sum(np.logaddexp(0.0, z) - y * z)) + 0.5 / C * float(w @ w)
-    r = expit(z) - y
+    r = _sigmoid(z) - y
     grad_w = X.T @ r + w / C
     grad_b = float(np.sum(r))
     return loss, grad_w, grad_b
@@ -131,15 +138,15 @@ def _minimize(
     loss = objective(z, theta)
     it = 0
     while True:
-        mu = expit(z)
+        mu = _sigmoid(z)
         g = Xa.T @ (mu - y) + ridge * theta
         g_norm = math.sqrt(float(g @ g))
         if not math.isfinite(g_norm):
             raise NonFiniteLossError(f"gradient diverged at iteration {it}")
         if g_norm <= tol or it == opt.max_iter:
             break
-        # mu * expit(-z), not mu * (1 - mu): stays positive where 1 - mu rounds to 0
-        H = (Xa.T * (mu * expit(-z))) @ Xa + np.diag(ridge)
+        # mu * _sigmoid(-z), not mu * (1 - mu): stays positive where 1 - mu rounds to 0
+        H = (Xa.T * (mu * _sigmoid(-z))) @ Xa + np.diag(ridge)
         d = np.linalg.solve(H, -g)
         dz = Xa @ d
         slope = float(g @ d)
@@ -206,7 +213,7 @@ def predict_proba(m: LinearModel, X: FeatureMatrix) -> ScoredStudents:
     if m.norm is not None and m.norm.names != X.schema.names:
         raise SchemaMismatchError("model was trained on a different schema")
     z = X.values @ m.weights + m.intercept
-    return ScoredStudents(X.student_ids, expit(z))
+    return ScoredStudents(X.student_ids, _sigmoid(z))
 
 
 def decision_values(m: LinearModel, X: FeatureMatrix) -> np.ndarray:
@@ -270,13 +277,11 @@ def baseline_demographics(
 def score_demographics(m: LinearModel, course: CourseData) -> ScoredStudents:
     """Apply a demographics-only model to a course roster (no activity read)."""
     z = _demographic_matrix(course) @ m.weights[_DEMO_COLS] + m.intercept
-    return ScoredStudents(course.student_ids, expit(z))
+    return ScoredStudents(course.student_ids, _sigmoid(z))
 
 
 def baseline_recency(course: CourseData, as_of) -> ScoredStudents:
     """Recency ranking (Baseline 2): score = -days_since_last_action, no training."""
-    from .features import check_as_of, cumulative_all
-
     off = check_as_of(course, as_of)
     _, dsla = cumulative_all(course, off)
     return ScoredStudents(course.student_ids, -dsla)

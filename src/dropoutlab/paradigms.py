@@ -19,7 +19,7 @@ from __future__ import annotations
 import datetime
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -37,18 +37,12 @@ from .errors import (
     BeforeLaunchError,
     InvalidParadigmError,
     SingleClassError,
-    UnknownStudentError,
     WindowOutOfRangeError,
 )
 from .evaluate import EvalReport, EvalRow, auc_values, raw_accuracy
-from .features import (
-    apply_percentile,
-    apply_zscore,
-    build_matrix,
-    fit_percentile,
-    fit_zscore,
-)
+from .features import FeatureMatrix, apply_zscore, build_matrix, normalize, split_rows
 from .linear import (
+    LinearModel,
     OptimizerConfig,
     ScoredStudents,
     average_hyperplanes,
@@ -99,22 +93,7 @@ def prediction_weeks(meta: CourseMeta, kind: str) -> list[int]:
     return list(range(w_lo, 1))
 
 
-@dataclass(frozen=True)
-class ProxyLabelSet:
-    """Persistence stand-in labels: 1 iff the student acted during week w-1."""
-
-    course_id: str
-    week: int
-    labels: Mapping[str, int]
-
-    def vector(self, student_ids: Sequence[str]) -> np.ndarray:
-        try:
-            return np.array([self.labels[s] for s in student_ids], dtype=np.float64)
-        except KeyError as e:
-            raise UnknownStudentError(f"no proxy label for student {e.args[0]!r}") from None
-
-
-def proxy_labels(course: CourseData, w: int) -> ProxyLabelSet:
+def proxy_labels(course: CourseData, w: int) -> LabelSet:
     """Label every student by activity (nevents > 0) in the 7 days before week w.
 
     The window [week_date(w)-7, week_date(w)-1] must lie inside
@@ -136,7 +115,7 @@ def proxy_labels(course: CourseData, w: int) -> ProxyLabelSet:
     active = np.zeros(course.n_students, dtype=bool)
     active[table.student_index[mask]] = True
     labels = {sid: int(active[i]) for i, sid in enumerate(course.student_ids)}
-    return ProxyLabelSet(meta.course_id, w, labels)
+    return LabelSet(meta.course_id, labels)
 
 
 @dataclass(frozen=True)
@@ -194,45 +173,31 @@ def make_spec(corpus: Sequence[CourseData], kind: str, target_id: str) -> Paradi
 
 
 def _validate_spec(corpus: Sequence[CourseData], spec: ParadigmSpec) -> dict[str, CourseData]:
-    by_id = _corpus_index(corpus)
-    if spec.kind not in PARADIGMS:
-        raise InvalidParadigmError(f"unknown paradigm {spec.kind!r}")
-    if spec.target_course not in by_id:
-        raise InvalidParadigmError(f"target course {spec.target_course!r} not in corpus")
-    for cid in spec.source_courses:
-        if cid not in by_id:
-            raise InvalidParadigmError(f"source course {cid!r} not in corpus")
-    if spec.kind == "same_field":
-        if len(spec.source_courses) != 1:
-            raise InvalidParadigmError("same_field takes exactly one source course")
-        expected = largest_same_field_source(corpus, spec.target_course)
-        if spec.source_courses[0] != expected:
-            raise InvalidParadigmError(
-                f"same_field source must be the largest same-field course "
-                f"({expected!r}), got {spec.source_courses[0]!r}"
-            )
-    elif spec.kind == "multi_course":
-        expected_set = set(by_id) - {spec.target_course}
-        if set(spec.source_courses) != expected_set or not expected_set:
-            raise InvalidParadigmError(
-                "multi_course sources must be every other corpus course"
-            )
-    elif spec.source_courses:
-        raise InvalidParadigmError(f"{spec.kind} takes no source courses")
-    return by_id
+    """The corpus index, once spec matches what make_spec resolves (source order aside)."""
+    expected = make_spec(corpus, spec.kind, spec.target_course)
+    if sorted(spec.source_courses) != sorted(expected.source_courses):
+        raise InvalidParadigmError(
+            f"{spec.kind} for {spec.target_course!r} takes source courses "
+            f"{expected.source_courses}, got {spec.source_courses}"
+        )
+    return _corpus_index(corpus)
 
 
-def _train_on_course(
-    course: CourseData, w: int, C: float, opt: OptimizerConfig | None
-):
-    """Post-hoc-style model for one course at its own week w (clamped to launch)."""
-    wd = course.meta.t100_date + datetime.timedelta(days=7 * w)
-    wd = max(wd, course.meta.launch_date)
-    m = build_matrix(course, wd)
-    stats = fit_zscore(m)
-    z = apply_zscore(m, stats)
-    model = train_logreg(z, derive_labels(course), C, opt, norm=stats)
-    return model, stats
+def fit_course_model(
+    course: CourseData, as_of: datetime.date, C: float = 1.0, opt: OptimizerConfig | None = None
+) -> tuple[LinearModel, FeatureMatrix]:
+    """Logistic model on the course's z-scored features at as_of and its own labels.
+
+    Returns the model (carrying the zscore stats) and the matrix it was fit on.
+    """
+    m = build_matrix(course, as_of)
+    stats, (z,) = normalize(m, [m], "zscore")
+    return train_logreg(z, derive_labels(course), C, opt, norm=stats), z
+
+
+def _source_date(meta: CourseMeta, w: int) -> datetime.date:
+    """A source course's own week-w date, clamped to its launch."""
+    return max(meta.t100_date + datetime.timedelta(days=7 * w), meta.launch_date)
 
 
 def insitu_scores(
@@ -251,10 +216,8 @@ def insitu_scores(
     trained on persistence proxy labels from week w-1.
     """
     shadow = CourseData(meta, students, activity, {})
-    wd = week_date(meta, w)
-    m = build_matrix(shadow, wd)
-    stats = fit_percentile(m)
-    p = apply_percentile(m, stats)
+    m = build_matrix(shadow, week_date(meta, w))
+    stats, (p,) = normalize(m, [m], "percentile")
     proxy = proxy_labels(shadow, w)
     model = train_logreg(p, proxy, C, opt, norm=stats)
     return predict_proba(model, p)
@@ -284,47 +247,27 @@ def run_paradigm(
     wd = week_date(target.meta, w)
 
     if spec.kind == "post_hoc":
+        if holdout <= 0.0:
+            model, z = fit_course_model(target, wd, C, opt)
+            return predict_proba(model, z)
         m = build_matrix(target, wd)
-        labels = derive_labels(target)
-        if holdout > 0.0:
-            if not (0.0 < holdout < 1.0):
-                raise BadValueError(f"holdout {holdout} must be in (0, 1)")
-            rng = np.random.default_rng(seed)
-            n = m.n_rows
-            n_test = int(round(holdout * n))
-            order = rng.permutation(n)
-            test_rows = np.sort(order[:n_test])
-            train_rows = np.sort(order[n_test:])
-            from .features import FeatureMatrix
-
-            m_train = FeatureMatrix(
-                m.schema, tuple(m.student_ids[i] for i in train_rows),
-                m.values[train_rows], m.as_of,
-            )
-            m_test = FeatureMatrix(
-                m.schema, tuple(m.student_ids[i] for i in test_rows),
-                m.values[test_rows], m.as_of,
-            )
-            stats = fit_zscore(m_train)
-            model = train_logreg(apply_zscore(m_train, stats), labels, C, opt, norm=stats)
-            return predict_proba(model, apply_zscore(m_test, stats))
-        stats = fit_zscore(m)
-        z = apply_zscore(m, stats)
-        model = train_logreg(z, labels, C, opt, norm=stats)
-        return predict_proba(model, z)
+        train_rows, test_rows = split_rows(m.n_rows, holdout, seed)
+        m_train = m.take(train_rows)
+        stats, (z_train, z_test) = normalize(m_train, [m_train, m.take(test_rows)], "zscore")
+        model = train_logreg(z_train, derive_labels(target), C, opt, norm=stats)
+        return predict_proba(model, z_test)
 
     if spec.kind == "same_field":
         source = by_id[spec.source_courses[0]]
-        model, stats = _train_on_course(source, w, C, opt)
-        m_t = build_matrix(target, wd)
-        return predict_proba(model, apply_zscore(m_t, stats))
+        model, _ = fit_course_model(source, _source_date(source.meta, w), C, opt)
+        return predict_proba(model, apply_zscore(build_matrix(target, wd), model.norm))
 
     if spec.kind == "multi_course":
-        models = [_train_on_course(by_id[cid], w, C, opt)[0] for cid in spec.source_courses]
-        avg = average_hyperplanes(models)
+        models = [fit_course_model(by_id[cid], _source_date(by_id[cid].meta, w), C, opt)[0]
+                  for cid in spec.source_courses]
         m_t = build_matrix(target, wd)
-        stats_t = fit_zscore(m_t)
-        return predict_proba(avg, apply_zscore(m_t, stats_t))
+        _, (z_t,) = normalize(m_t, [m_t], "zscore")
+        return predict_proba(average_hyperplanes(models), z_t)
 
     if spec.kind == "in_situ":
         return insitu_scores(target.meta, target.students, target.activity, w, C, opt)

@@ -1,10 +1,15 @@
 """Command-line behavior: exit codes, defaults, determinism, manifests."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dropoutlab
 from dropoutlab.cli import build_parser, main
 
 
@@ -279,6 +284,30 @@ class TestRun:
         assert len(lines) == 1 + 1 + 2 + 1
 
 
+class TestStrictManifest:
+    @pytest.mark.parametrize("overrides,named", [
+        ({"reg_c": 0.001}, "reg_c"),
+        ({"master_seed": "13"}, "master_seed"),
+        ({"paradigms": "post_hoc"}, "paradigms"),
+        ({"growth_plan": {"epoch": 1}}, "epoch"),
+        ({"jobs": 0}, "jobs"),
+        ({"jobs": 1.5}, "jobs"),
+        ({"reg_C": 0}, "reg_C"),
+        ({"holdout": 1.0}, "holdout"),
+        ({"holdout": -0.1}, "holdout"),
+        ({"growth_plan": {"split": 1.0}}, "split"),
+        ({"growth_plan": {"norm": "minmax"}}, "norm"),
+        ({"growth_plan": {"class_weighting": "false"}}, "class_weighting"),
+        ({"growth_plan": {"epochs": 2.7}}, "epochs"),
+        ({"growth_plan": {"seed": True}}, "seed"),
+    ])
+    def test_bad_manifest_rejected_before_any_output(self, tmp_path, capsys, overrides, named):
+        manifest = _write_manifest(tmp_path, **overrides)
+        assert main(["run", "--manifest", str(manifest)]) == 1
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out" / "rows.csv").exists()
+
+
 class TestGrowCommand:
     def test_sweep_and_best_model(self, course_dir, tmp_path):
         from dropoutlab.deepnet import load_mlp
@@ -311,6 +340,30 @@ class TestReportCommand:
         for name in ("rows.csv", "aggregate.csv", "summary.txt"):
             assert (re_out / name).read_bytes() == (out / name).read_bytes()
 
+    def test_round_trip_keeps_skipped_cells(self, tmp_path):
+        manifest = _write_manifest(tmp_path, paradigms=["post_hoc", "same_field"])
+        (tmp_path / "config.json").write_text(json.dumps({"courses": [
+            {"course_id": "MAx", "field": "STEM", "n_students": 60,
+             "weeks_to_t100": 4, "weeks_total": 5},
+            {"course_id": "HAx", "field": "Hum", "n_students": 50,
+             "weeks_to_t100": 4, "weeks_total": 5},
+        ]}))
+        assert main(["run", "--manifest", str(manifest)]) == 0
+        out = tmp_path / "out"
+        assert "skipped cells: 0" not in (out / "summary.txt").read_text()
+        assert main(["report", "--rows", str(out / "rows.csv"),
+                     "--out-dir", str(tmp_path / "re")]) == 0
+        for name in ("rows.csv", "skipped.csv", "aggregate.csv", "summary.txt"):
+            assert (tmp_path / "re" / name).read_bytes() == (out / name).read_bytes()
+
+    def test_missing_skipped_file_is_runtime_error(self, tmp_path, capsys):
+        manifest = _write_manifest(tmp_path)
+        assert main(["run", "--manifest", str(manifest)]) == 0
+        (tmp_path / "out" / "skipped.csv").unlink()
+        assert main(["report", "--rows", str(tmp_path / "out" / "rows.csv"),
+                     "--out-dir", str(tmp_path / "re")]) == 1
+        assert "skipped.csv" in capsys.readouterr().err
+
     def test_missing_rows_is_runtime_error(self, tmp_path):
         assert main(["report", "--rows", str(tmp_path / "no.csv"),
                      "--out-dir", str(tmp_path)]) == 1
@@ -328,3 +381,13 @@ class TestParserShape:
             parser.parse_args(["features", "--course-dir", "c", "--out", "m",
                                "--week", "-1", "--as-of", "2014-02-01"])
         assert e.value.code == 2
+
+
+class TestRuntimeDependencies:
+    def test_cli_import_loads_no_scipy(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(dropoutlab.__file__).parents[1]))
+        code = ("import sys, dropoutlab.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=60).stdout
+        assert out.strip() == "[]"

@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 
 from dropoutlab.dataset import LabelSet
-from dropoutlab.errors import EmptyListError, SingleClassError
+from dropoutlab.errors import BadValueError, EmptyListError, SingleClassError
 from dropoutlab.evaluate import (
     EvalReport,
     EvalRow,
+    _midranks,
     aggregate,
     auc,
     auc_values,
@@ -84,6 +86,17 @@ class TestAucExamples:
 
 
 class TestAucAgainstOracle:
+    def test_midranks_match_scipy_average_ranks(self):
+        rng = np.random.default_rng(20261018)
+        for _ in range(200):
+            n = int(rng.integers(1, 300))
+            scores = rng.integers(0, int(rng.integers(1, 20)), size=n) * 0.25
+            assert np.array_equal(_midranks(scores), rankdata(scores, method="average"))
+
+    def test_non_finite_scores_rejected(self):
+        with pytest.raises(BadValueError):
+            auc_values(np.array([0.2, np.nan, 0.7]), np.array([0, 1, 1]))
+
     def test_matches_pair_count_oracle(self):
         rng = np.random.default_rng(20260816)
         worst = 0.0
@@ -203,6 +216,7 @@ class TestReport:
     def test_empty_report_header_only(self, tmp_path):
         paths = emit_report(EvalReport.from_rows([]), tmp_path)
         assert paths["rows"].read_bytes() == b"paradigm,course_id,week,auc,n_students,n_positives\r\n"
+        assert paths["skipped"].read_bytes() == b"paradigm,course_id,week,reason\r\n"
         assert paths["aggregate"].read_bytes() == b"paradigm,week,mean_auc,sem,n_courses\r\n"
 
     def test_summary_counts_skips_of_every_reason(self, tmp_path):

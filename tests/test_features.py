@@ -24,6 +24,7 @@ from dropoutlab.features import (
     normalize,
     percentile_columns,
     save_norm_stats,
+    split_rows,
     write_matrix,
 )
 
@@ -205,6 +206,29 @@ class TestBuildMatrix:
             FeatureMatrix(DEFAULT_SCHEMA, ("a",), np.zeros((1, 65)), LAUNCH)
         with pytest.raises(BadValueError):
             FeatureMatrix(DEFAULT_SCHEMA, ("a",), np.full((1, 66), np.nan), LAUNCH)
+
+
+class TestSplit:
+    @pytest.mark.parametrize("n,fraction,seed", [(60, 0.25, 3), (101, 0.5, 0), (7, 0.3, 42)])
+    def test_reproduces_seeded_permutation_split(self, n, fraction, seed):
+        order = np.random.default_rng(seed).permutation(n)
+        n_test = int(round(fraction * n))
+        train, test = split_rows(n, fraction, seed)
+        assert np.array_equal(train, np.sort(order[n_test:]))
+        assert np.array_equal(test, np.sort(order[:n_test]))
+
+    @pytest.mark.parametrize("n,fraction",
+                             [(10, 0.0), (10, 0.04), (10, 0.96), (10, 1.0), (10, 1.5), (1, 0.5)])
+    def test_empty_side_rejected(self, n, fraction):
+        with pytest.raises(BadValueError):
+            split_rows(n, fraction, 0)
+
+    def test_take_keeps_ids_and_rows_aligned(self):
+        m = _matrix_from_columns([10.0, 11.0, 12.0, 13.0], [0.0, 1.0, 2.0, 3.0])
+        sub = m.take(np.array([3, 1]))
+        assert sub.student_ids == ("m03", "m01")
+        assert np.array_equal(sub.values, m.values[[3, 1]])
+        assert sub.schema is m.schema and sub.as_of == m.as_of
 
 
 def _matrix_from_columns(col33, col65, extra_rows=None):

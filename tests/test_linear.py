@@ -30,6 +30,7 @@ from dropoutlab.linear import (
     LinearModel,
     OptimizerConfig,
     _minimize,
+    _sigmoid,
     average_hyperplanes,
     baseline_demographics,
     baseline_recency,
@@ -233,6 +234,16 @@ class TestPrediction:
         s = predict_proba(model, m).scores
         assert np.all(np.isfinite(s))
         assert s[0] == 1.0 and s[1] < 1e-300
+
+    def test_sigmoid_matches_scipy_expit(self):
+        z = np.linspace(-800.0, 800.0, 200_001)
+        assert np.max(np.abs(_sigmoid(z) - expit(z))) <= 2.3e-16
+
+    def test_sigmoid_never_overflows(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = _sigmoid(np.array([-1000.0, 1000.0]))
+        assert s[0] == 0.0 and s[1] == 1.0
 
     def test_monotone_in_decision_value(self):
         rng = np.random.default_rng(11)

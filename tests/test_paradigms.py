@@ -103,7 +103,7 @@ class TestProxyLabels:
     def test_every_student_labeled(self):
         p = proxy_labels(_window_course(), 0)
         assert set(p.labels) == {"wa", "wb", "wc", "wd", "we"}
-        assert p.week == 0
+        assert p.course_id == "WINx"
 
     def test_earlier_week(self):
         labels = proxy_labels(_window_course(), -3).labels  # window days 0..6
@@ -208,6 +208,17 @@ class TestSourceSelection:
         with pytest.raises(InvalidParadigmError):
             run_paradigm(handmade_corpus,
                          ParadigmSpec("post_hoc", "HCAx", ("HCBx",)), 0)
+
+    def test_repeated_source_rejected(self, handmade_corpus):
+        with pytest.raises(InvalidParadigmError):
+            run_paradigm(handmade_corpus,
+                         ParadigmSpec("multi_course", "HCBx", ("HCAx", "HCCx", "HCDx", "HCAx")), 0)
+
+    def test_source_order_ignored(self, handmade_corpus):
+        spec = make_spec(handmade_corpus, "multi_course", "HCBx")
+        shuffled = ParadigmSpec("multi_course", "HCBx", spec.source_courses[::-1])
+        assert np.array_equal(run_paradigm(handmade_corpus, shuffled, 0).scores,
+                              run_paradigm(handmade_corpus, spec, 0).scores)
 
 
 class TestPostHoc:
