@@ -155,14 +155,6 @@ class ActivityTable:
     def __len__(self) -> int:
         return len(self.day)
 
-    @staticmethod
-    def empty() -> "ActivityTable":
-        return ActivityTable(
-            np.zeros(0, dtype=np.int32),
-            np.zeros(0, dtype=np.int32),
-            np.zeros((0, len(CLICKSTREAM_FEATURES))),
-        )
-
 
 @dataclass(frozen=True)
 class CourseData:
@@ -196,15 +188,6 @@ class CourseData:
     @property
     def n_students(self) -> int:
         return len(self.students)
-
-    def student_row(self, student_id: str) -> int:
-        """Index of a student in the sorted-id order used by matrices and tables."""
-        i = np.searchsorted(np.asarray(self.student_ids, dtype=object), student_id)
-        if i >= len(self.student_ids) or self.student_ids[i] != student_id:
-            raise UnknownStudentError(
-                f"course {self.meta.course_id!r}: no student {student_id!r}"
-            )
-        return int(i)
 
     def day_offset(self, date: datetime.date) -> int:
         return (date - self.meta.launch_date).days
@@ -370,7 +353,8 @@ def load_course(
     """Load one course from its four CSV tables.
 
     Raises MissingColumnError / BadDateError / NegativeCounterError /
-    DuplicateStudentDayError with the offending file, row, and column named.
+    DuplicateStudentDayError with the offending file, row, and column named;
+    a grades.csv row for an unknown or already graded student is rejected too.
     """
     meta = load_course_meta(meta_path)
     students = load_demographics(demographics_path)
@@ -418,6 +402,12 @@ def load_course(
 
     grades: dict[str, float] = {}
     for lineno, (sid, cell) in enumerate(_read_rows(grades_path, _GRADE_COLUMNS), start=2):
+        if sid not in index:
+            raise UnknownStudentError(
+                f"{grades_path}:{lineno}: student {sid!r} not in demographics"
+            )
+        if sid in grades:
+            raise BadValueError(f"{grades_path}:{lineno}: duplicate record for student {sid!r}")
         try:
             g = float(cell)
         except ValueError:

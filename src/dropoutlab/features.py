@@ -17,7 +17,14 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dataset import CLICKSTREAM_FEATURES, CONTINENTS, GENDERS, LOE_LEVELS, CourseData
+from .dataset import (
+    CLICKSTREAM_FEATURES,
+    CONTINENTS,
+    GENDERS,
+    LOE_LEVELS,
+    CourseData,
+    StudentDemographics,
+)
 from .errors import (
     BadDateError,
     BadValueError,
@@ -26,7 +33,7 @@ from .errors import (
     SchemaMismatchError,
 )
 
-_AGE_EDGES = tuple(range(10, 61, 5))  # 10, 15, ..., 60
+_AGE_EDGES = np.arange(10, 61, 5)  # 10, 15, ..., 60; ages are as of 2012
 _AGE_NAMES = (
     ("age_lt10",)
     + tuple(f"age_{lo}_{lo + 5}" for lo in range(10, 60, 5))
@@ -100,10 +107,6 @@ class FeatureMatrix:
     def n_rows(self) -> int:
         return len(self.student_ids)
 
-    def block(self, name: str) -> np.ndarray:
-        r = self.schema.blocks[name]
-        return self.values[:, r.start:r.stop]
-
     def take(self, rows: np.ndarray) -> "FeatureMatrix":
         """The matrix of the given row indices, in that order, ids kept aligned."""
         return FeatureMatrix(self.schema, tuple(self.student_ids[i] for i in rows),
@@ -123,32 +126,31 @@ def split_rows(n: int, test_fraction: float, seed: int) -> tuple[np.ndarray, np.
     return np.sort(order[n_test:]), np.sort(order[:n_test])
 
 
-def _age_bin(yob: int | None) -> int:
-    if yob is None:
-        return len(_AGE_NAMES) - 1
-    age = 2012 - yob
-    if age < _AGE_EDGES[0]:
-        return 0
-    if age >= _AGE_EDGES[-1]:
-        return len(_AGE_NAMES) - 2
-    return 1 + (int(age) - _AGE_EDGES[0]) // 5
+def _roster(course: CourseData) -> list[StudentDemographics]:
+    """The course's students in student-id order, the row order of every matrix."""
+    return sorted(course.students, key=lambda s: s.student_id)
 
 
-def encode_demographics(d) -> np.ndarray:
-    """One-hot encode one student's demographics into a 33-vector.
+def demographic_dummies(course: CourseData) -> np.ndarray:
+    """One-hot demographics of every student, shape (n_students, 33), rows in id order.
 
     Each block carries an explicit null slot, so every block contributes
-    exactly one 1 regardless of non-response.
+    exactly one 1 per row regardless of non-response.
     """
-    out = np.zeros(len(_AGE_NAMES) + len(_LOE_NAMES) + len(_GENDER_NAMES) + len(_CONTINENT_NAMES))
-    off = 0
-    out[_age_bin(d.yob)] = 1.0
-    off += len(_AGE_NAMES)
-    out[off + (LOE_LEVELS.index(d.loe) if d.loe is not None else len(LOE_LEVELS))] = 1.0
-    off += len(_LOE_NAMES)
-    out[off + (GENDERS.index(d.gender) if d.gender is not None else len(GENDERS))] = 1.0
-    off += len(_GENDER_NAMES)
-    out[off + (CONTINENTS.index(d.continent) if d.continent is not None else len(CONTINENTS))] = 1.0
+    students = _roster(course)
+    # clamping yob into [0, 4024] keeps every age bin and makes any int a finite float
+    yob = np.array([np.nan if s.yob is None else s.yob if 0 <= s.yob <= 4024 else 4024 * (s.yob > 0)
+                    for s in students], dtype=np.float64)
+    slots = [np.where(np.isnan(yob), len(_AGE_NAMES) - 1,
+                      np.searchsorted(_AGE_EDGES, 2012 - yob, side="right"))]
+    for attr, levels in (("loe", LOE_LEVELS), ("gender", GENDERS), ("continent", CONTINENTS)):
+        index = {v: k for k, v in enumerate(levels)}  # None falls through to the null slot
+        slots.append(np.array([index.get(getattr(s, attr), len(levels)) for s in students],
+                              dtype=np.intp))
+    out = np.zeros((len(students), DEFAULT_SCHEMA.blocks[DEMOGRAPHIC_BLOCKS[-1]].stop))
+    rows = np.arange(len(students))
+    for block, slot in zip(DEMOGRAPHIC_BLOCKS, slots):
+        out[rows, DEFAULT_SCHEMA.blocks[block].start + slot] = 1.0
     return out
 
 
@@ -159,31 +161,6 @@ def check_as_of(course: CourseData, as_of: datetime.date) -> int:
             f"[{course.meta.launch_date}, {course.meta.end_date}]"
         )
     return course.day_offset(as_of)
-
-
-def cumulative_clickstream(course: CourseData, student_id: str, as_of: datetime.date) -> np.ndarray:
-    """Sum each counter over every activity day with date <= as_of."""
-    off = check_as_of(course, as_of)
-    row = course.student_row(student_id)
-    table = course.activity
-    mask = (table.student_index == row) & (table.day <= off)
-    return table.values[mask].sum(axis=0)
-
-
-def days_since_last_action(course: CourseData, student_id: str, as_of: datetime.date) -> float:
-    """Whole days since the latest day with nevents > 0, at or before as_of.
-
-    A student with no qualifying activity gets days-since-launch + 1, which is
-    strictly staler than any student who acted on launch day.
-    """
-    off = check_as_of(course, as_of)
-    row = course.student_row(student_id)
-    table = course.activity
-    nevents = table.values[:, CLICKSTREAM_FEATURES.index("nevents")]
-    mask = (table.student_index == row) & (table.day <= off) & (nevents > 0)
-    if not np.any(mask):
-        return float(off + 1)
-    return float(off - table.day[mask].max())
 
 
 def cumulative_all(course: CourseData, off: int) -> tuple[np.ndarray, np.ndarray]:
@@ -207,13 +184,11 @@ def build_matrix(course: CourseData, as_of: datetime.date) -> FeatureMatrix:
     n = course.n_students
     schema = DEFAULT_SCHEMA
     values = np.zeros((n, schema.width))
-    by_id = {s.student_id: s for s in course.students}
-    demo_width = schema.blocks["clickstream_cumulative"].start
-    for i, sid in enumerate(course.student_ids):
-        values[i, :demo_width] = encode_demographics(by_id[sid])
-        values[i, schema.blocks["precourse_survey"].start] = float(
-            by_id[sid].took_precourse_survey
-        )
+    demo = demographic_dummies(course)
+    values[:, :demo.shape[1]] = demo
+    values[:, schema.blocks["precourse_survey"].start] = [
+        s.took_precourse_survey for s in _roster(course)
+    ]
     cum, dsla = cumulative_all(course, off)
     r = schema.blocks["clickstream_cumulative"]
     values[:, r.start:r.stop] = cum

@@ -40,7 +40,7 @@ from .features import (
     NormStats,
     check_as_of,
     cumulative_all,
-    encode_demographics,
+    demographic_dummies,
     norm_stats_from_dict,
     norm_stats_to_dict,
 )
@@ -246,13 +246,8 @@ def average_hyperplanes(models: Sequence[LinearModel]) -> LinearModel:
     return LinearModel(weights=weights, intercept=intercept, reg_C=models[0].reg_C, norm=None)
 
 
-# Schema columns of the demographic dummies, in encode_demographics order.
+# Schema columns of the demographic dummies, in demographic_dummies order.
 _DEMO_COLS = np.array([i for blk in DEMOGRAPHIC_BLOCKS for i in DEFAULT_SCHEMA.blocks[blk]])
-
-
-def _demographic_matrix(course: CourseData) -> np.ndarray:
-    by_id = {s.student_id: s for s in course.students}
-    return np.array([encode_demographics(by_id[sid]) for sid in course.student_ids])
 
 
 def baseline_demographics(
@@ -268,7 +263,7 @@ def baseline_demographics(
     """
     if y is None:
         y = derive_labels(course)
-    w_demo, b = _fit(_demographic_matrix(course), y.vector(course.student_ids), C, opt)
+    w_demo, b = _fit(demographic_dummies(course), y.vector(course.student_ids), C, opt)
     weights = np.zeros(DEFAULT_SCHEMA.width)
     weights[_DEMO_COLS] = w_demo
     return LinearModel(weights=weights, intercept=b, reg_C=C, norm=None)
@@ -276,7 +271,7 @@ def baseline_demographics(
 
 def score_demographics(m: LinearModel, course: CourseData) -> ScoredStudents:
     """Apply a demographics-only model to a course roster (no activity read)."""
-    z = _demographic_matrix(course) @ m.weights[_DEMO_COLS] + m.intercept
+    z = demographic_dummies(course) @ m.weights[_DEMO_COLS] + m.intercept
     return ScoredStudents(course.student_ids, _sigmoid(z))
 
 

@@ -12,13 +12,17 @@ every enrolled student at each eligible week:
                certification labels are structurally out of reach
   baseline1    demographics-only logistic regression
   baseline2    recency ranking, no learning
+
+A paradigm's source courses are never passed in: source_courses derives
+them from (corpus, kind, target), and run_paradigm(corpus, kind, target_id, w)
+scores one cell. run_experiment scores every cell and records a cell that
+cannot be scored (no source course, a single-class training set) as skipped.
 """
 
 from __future__ import annotations
 
 import datetime
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -118,15 +122,6 @@ def proxy_labels(course: CourseData, w: int) -> LabelSet:
     return LabelSet(meta.course_id, labels)
 
 
-@dataclass(frozen=True)
-class ParadigmSpec:
-    """One paradigm instance: what to score and which courses may train it."""
-
-    kind: str
-    target_course: str
-    source_courses: tuple[str, ...] = ()
-
-
 def _corpus_index(corpus: Sequence[CourseData]) -> dict[str, CourseData]:
     by_id = {c.meta.course_id: c for c in corpus}
     if len(by_id) != len(corpus):
@@ -149,8 +144,10 @@ def largest_same_field_source(corpus: Sequence[CourseData], target_id: str) -> s
     return best.meta.course_id
 
 
-def make_spec(corpus: Sequence[CourseData], kind: str, target_id: str) -> ParadigmSpec:
-    """Resolve the source courses a paradigm uses for a given target."""
+def source_courses(corpus: Sequence[CourseData], kind: str, target_id: str) -> tuple[str, ...]:
+    """The courses a paradigm trains on for a given target: the largest other
+    same-field course for same_field, every other course (sorted) for
+    multi_course, none for the rest."""
     by_id = _corpus_index(corpus)
     if kind not in PARADIGMS:
         raise InvalidParadigmError(f"unknown paradigm {kind!r}")
@@ -163,24 +160,13 @@ def make_spec(corpus: Sequence[CourseData], kind: str, target_id: str) -> Paradi
                 f"no other {by_id[target_id].meta.field} course to train same_field "
                 f"for {target_id!r}"
             )
-        return ParadigmSpec(kind, target_id, (source,))
+        return (source,)
     if kind == "multi_course":
         sources = tuple(sorted(cid for cid in by_id if cid != target_id))
         if not sources:
             raise InvalidParadigmError("multi_course needs at least one other course")
-        return ParadigmSpec(kind, target_id, sources)
-    return ParadigmSpec(kind, target_id)
-
-
-def _validate_spec(corpus: Sequence[CourseData], spec: ParadigmSpec) -> dict[str, CourseData]:
-    """The corpus index, once spec matches what make_spec resolves (source order aside)."""
-    expected = make_spec(corpus, spec.kind, spec.target_course)
-    if sorted(spec.source_courses) != sorted(expected.source_courses):
-        raise InvalidParadigmError(
-            f"{spec.kind} for {spec.target_course!r} takes source courses "
-            f"{expected.source_courses}, got {spec.source_courses}"
-        )
-    return _corpus_index(corpus)
+        return sources
+    return ()
 
 
 def fit_course_model(
@@ -225,7 +211,8 @@ def insitu_scores(
 
 def run_paradigm(
     corpus: Sequence[CourseData],
-    spec: ParadigmSpec,
+    kind: str,
+    target_id: str,
     w: int,
     C: float = 1.0,
     opt: OptimizerConfig | None = None,
@@ -234,19 +221,19 @@ def run_paradigm(
 ) -> ScoredStudents:
     """Score the target course's students at week w under one paradigm.
 
-    holdout (post_hoc only) trains on a seeded (1 - holdout) fraction and
-    returns scores for the held-out students alone; 0 keeps the literal
-    same-population regime.
+    The source courses follow from (corpus, kind, target_id); see
+    source_courses. holdout (post_hoc only) trains on a seeded (1 - holdout)
+    fraction and returns scores for the held-out students alone; 0 keeps the
+    literal same-population regime.
     """
-    by_id = _validate_spec(corpus, spec)
-    target = by_id[spec.target_course]
-    if w not in prediction_weeks(target.meta, spec.kind):
-        raise WindowOutOfRangeError(
-            f"week {w} not eligible for {spec.kind} on {spec.target_course!r}"
-        )
+    sources = source_courses(corpus, kind, target_id)
+    by_id = _corpus_index(corpus)
+    target = by_id[target_id]
+    if w not in prediction_weeks(target.meta, kind):
+        raise WindowOutOfRangeError(f"week {w} not eligible for {kind} on {target_id!r}")
     wd = week_date(target.meta, w)
 
-    if spec.kind == "post_hoc":
+    if kind == "post_hoc":
         if holdout <= 0.0:
             model, z = fit_course_model(target, wd, C, opt)
             return predict_proba(model, z)
@@ -257,29 +244,29 @@ def run_paradigm(
         model = train_logreg(z_train, derive_labels(target), C, opt, norm=stats)
         return predict_proba(model, z_test)
 
-    if spec.kind == "same_field":
-        source = by_id[spec.source_courses[0]]
+    if kind == "same_field":
+        source = by_id[sources[0]]
         model, _ = fit_course_model(source, _source_date(source.meta, w), C, opt)
         return predict_proba(model, apply_zscore(build_matrix(target, wd), model.norm))
 
-    if spec.kind == "multi_course":
+    if kind == "multi_course":
         models = [fit_course_model(by_id[cid], _source_date(by_id[cid].meta, w), C, opt)[0]
-                  for cid in spec.source_courses]
+                  for cid in sources]
         m_t = build_matrix(target, wd)
         _, (z_t,) = normalize(m_t, [m_t], "zscore")
         return predict_proba(average_hyperplanes(models), z_t)
 
-    if spec.kind == "in_situ":
+    if kind == "in_situ":
         return insitu_scores(target.meta, target.students, target.activity, w, C, opt)
 
-    if spec.kind == "baseline1":
+    if kind == "baseline1":
         model = baseline_demographics(target, derive_labels(target), C, opt)
         return score_demographics(model, target)
 
-    if spec.kind == "baseline2":
+    if kind == "baseline2":
         return baseline_recency(target, wd)
 
-    raise InvalidParadigmError(f"unknown paradigm {spec.kind!r}")
+    raise InvalidParadigmError(f"unknown paradigm {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -303,27 +290,22 @@ def _run_course_cells(args) -> tuple[list[tuple], list[tuple]]:
     labels = derive_labels(target)
     rows: list[tuple] = []
     skipped: list[tuple] = []
-    try:
-        spec = make_spec(corpus, kind, target_id)
-    except InvalidParadigmError as e:
-        for w in prediction_weeks(target.meta, kind):
-            skipped.append((kind, target_id, w, str(e)))
-        return rows, skipped
     cached_scores: ScoredStudents | None = None
     for w in prediction_weeks(target.meta, kind):
         try:
             if kind == "baseline1":
                 # week-independent: demographics never change, reuse the scores
                 if cached_scores is None:
-                    cached_scores = run_paradigm(corpus, spec, w, C, holdout=holdout, seed=seed)
+                    cached_scores = run_paradigm(corpus, kind, target_id, w, C,
+                                                 holdout=holdout, seed=seed)
                 scored = cached_scores
             else:
-                scored = run_paradigm(corpus, spec, w, C, holdout=holdout, seed=seed)
+                scored = run_paradigm(corpus, kind, target_id, w, C, holdout=holdout, seed=seed)
             y = labels.vector(scored.student_ids)
             a = auc_values(scored.scores, y)
             acc = raw_accuracy(scored.scores, y)
             rows.append((kind, target_id, w, a, acc, len(y), int(y.sum())))
-        except SingleClassError as e:
+        except (SingleClassError, InvalidParadigmError) as e:  # e.g. no same-field source
             skipped.append((kind, target_id, w, str(e)))
     return rows, skipped
 
@@ -340,13 +322,16 @@ def run_experiment(
 
     Cells are independent; jobs > 1 fans (paradigm, course) tasks across
     processes. Assembly order is fixed, so the report is identical for any
-    jobs value.
+    jobs value. A kind listed twice is rejected: its rows would enter every
+    aggregate twice.
     """
     if len(corpus) == 0:
         raise BadValueError("corpus must be non-empty")
-    for kind in paradigm_kinds:
+    for i, kind in enumerate(paradigm_kinds):
         if kind not in PARADIGMS:
             raise InvalidParadigmError(f"unknown paradigm {kind!r}")
+        if kind in paradigm_kinds[:i]:
+            raise InvalidParadigmError(f"paradigm {kind!r} is listed more than once")
     corpus = list(corpus)
     course_ids = sorted(c.meta.course_id for c in corpus)
     tasks = [

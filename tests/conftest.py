@@ -15,6 +15,7 @@ from dropoutlab.dataset import (
     course_from_records,
     synthesize_corpus,
 )
+from dropoutlab.features import check_as_of
 
 LAUNCH = datetime.date(2014, 1, 6)
 
@@ -42,6 +43,33 @@ def make_meta(course_id="TSTx", launch=LAUNCH, weeks_to_t100=8, weeks_total=10,
 
 def day(offset, launch=LAUNCH):
     return launch + datetime.timedelta(days=offset)
+
+
+# Per-student oracles for the whole-course snapshot (build_matrix, baseline_recency):
+# one student's activity rows, read straight from the table.
+
+def cumulative_clickstream(course, student_id, as_of):
+    """Sum each counter over every activity day with date <= as_of."""
+    off = check_as_of(course, as_of)
+    table = course.activity
+    mask = (table.student_index == course.student_ids.index(student_id)) & (table.day <= off)
+    return table.values[mask].sum(axis=0)
+
+
+def days_since_last_action(course, student_id, as_of):
+    """Whole days since the latest day with nevents > 0, at or before as_of.
+
+    A student with no qualifying activity gets days-since-launch + 1, which is
+    strictly staler than any student who acted on launch day.
+    """
+    off = check_as_of(course, as_of)
+    table = course.activity
+    nevents = table.values[:, CLICKSTREAM_FEATURES.index("nevents")]
+    mask = ((table.student_index == course.student_ids.index(student_id))
+            & (table.day <= off) & (nevents > 0))
+    if not np.any(mask):
+        return float(off + 1)
+    return float(off - table.day[mask].max())
 
 
 @pytest.fixture

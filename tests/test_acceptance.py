@@ -46,7 +46,7 @@ from dropoutlab.linear import (
     predict_proba,
     train_logreg,
 )
-from dropoutlab.paradigms import insitu_scores, make_spec, run_experiment, run_paradigm
+from dropoutlab.paradigms import insitu_scores, run_experiment, run_paradigm
 
 
 def _verdict(num, name, ok, detail=""):
@@ -286,9 +286,8 @@ def test_criterion_7_in_situ_blind_to_labels():
     direct_a = insitu_scores(course.meta, course.students, course.activity, -1)
     direct_b = insitu_scores(corrupted.meta, corrupted.students,
                              corrupted.activity, -1)
-    spec = make_spec([course], "in_situ", "BLNDx")
-    via_a = run_paradigm([course], spec, -1)
-    via_b = run_paradigm([corrupted], spec, -1)
+    via_a = run_paradigm([course], "in_situ", "BLNDx", -1)
+    via_b = run_paradigm([corrupted], "in_situ", "BLNDx", -1)
     same = (np.array_equal(direct_a.scores, direct_b.scores)
             and np.array_equal(via_a.scores, via_b.scores)
             and direct_a.student_ids == direct_b.student_ids)

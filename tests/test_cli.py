@@ -84,6 +84,19 @@ class TestExitCodes:
         assert rc == 2
         assert "tarot" in capsys.readouterr().err
 
+    def test_repeated_manifest_paradigm_is_one(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"courses": [
+            {"course_id": "Ax", "n_students": 30}, {"course_id": "Bx", "n_students": 30}]}))
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({
+            "master_seed": 0, "corpus_config_path": "c.json",
+            "paradigms": ["baseline2", "baseline2"], "output_dir": "out"}))
+        rc = main(["run", "--manifest", str(manifest)])
+        assert rc == 1
+        assert "'baseline2'" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "rows.csv").exists()
+
     def test_missing_manifest_is_one(self, tmp_path, capsys):
         rc = main(["run", "--manifest", str(tmp_path / "nope.json")])
         assert rc == 1

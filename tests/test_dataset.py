@@ -117,9 +117,6 @@ class TestActivityRecords:
 class TestCourseData:
     def test_student_ids_sorted(self, tiny_course):
         assert list(tiny_course.student_ids) == sorted(tiny_course.student_ids)
-        assert tiny_course.student_row("s03") == 3
-        with pytest.raises(UnknownStudentError):
-            tiny_course.student_row("ghost")
 
     def test_duplicate_student_rejected(self):
         meta = make_meta()
@@ -251,6 +248,18 @@ class TestCsvRoundTrip:
         self._write_course_files(tmp_path, [])
         (tmp_path / "grades.csv").write_text("student_id,final_grade\r\ns0,1.2\r\n")
         with pytest.raises(BadValueError, match=r"grades\.csv:2"):
+            load_course_dir(tmp_path)
+
+    def test_repeated_grade_row_rejected(self, tmp_path):
+        self._write_course_files(tmp_path, [])
+        (tmp_path / "grades.csv").write_text("student_id,final_grade\r\ns0,0.08\r\ns0,0.99\r\n")
+        with pytest.raises(BadValueError, match=r"grades\.csv:3.*s0"):
+            load_course_dir(tmp_path)
+
+    def test_unknown_grade_student_rejected(self, tmp_path):
+        self._write_course_files(tmp_path, [])
+        (tmp_path / "grades.csv").write_text("student_id,final_grade\r\ns0,0.8\r\nsX,0.9\r\n")
+        with pytest.raises(UnknownStudentError, match=r"grades\.csv:3.*sX"):
             load_course_dir(tmp_path)
 
     def test_survey_must_be_binary(self, tmp_path):

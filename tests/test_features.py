@@ -1,11 +1,18 @@
 """Feature schema, demographic encoding, cumulative counters, normalization."""
 
 import datetime
+import itertools
 
 import numpy as np
 import pytest
 
-from dropoutlab.dataset import StudentDemographics, course_from_records
+from dropoutlab.dataset import (
+    CONTINENTS,
+    GENDERS,
+    LOE_LEVELS,
+    StudentDemographics,
+    course_from_records,
+)
 from dropoutlab.errors import BadDateError, BadValueError, SchemaMismatchError
 from dropoutlab.features import (
     DEFAULT_SCHEMA,
@@ -14,9 +21,7 @@ from dropoutlab.features import (
     apply_zscore,
     build_matrix,
     check_as_of,
-    cumulative_clickstream,
-    days_since_last_action,
-    encode_demographics,
+    demographic_dummies,
     fit_percentile,
     fit_zscore,
     load_matrix,
@@ -28,7 +33,14 @@ from dropoutlab.features import (
     write_matrix,
 )
 
-from conftest import LAUNCH, counters, day, make_meta
+from conftest import (
+    LAUNCH,
+    counters,
+    cumulative_clickstream,
+    day,
+    days_since_last_action,
+    make_meta,
+)
 
 
 class TestSchema:
@@ -61,13 +73,44 @@ def _dummy_name(v):
     return DEFAULT_SCHEMA.names[int(np.argmax(v))]
 
 
+def _one_student_dummies(s):
+    """The 33 dummies of one student: demographic_dummies of a one-student course."""
+    return demographic_dummies(course_from_records(make_meta(), [s], [], {}))[0]
+
+
+def _reference_dummies(s):
+    """Per-student loop encoding of the 33 dummies, the reference for demographic_dummies."""
+    v = np.zeros(33)
+    if s.yob is None:
+        v[12] = 1.0
+    else:
+        age = 2012 - s.yob
+        v[0 if age < 10 else 11 if age >= 60 else 1 + (age - 10) // 5] = 1.0
+    for off, value, levels in ((13, s.loe, LOE_LEVELS), (21, s.gender, GENDERS),
+                               (25, s.continent, CONTINENTS)):
+        v[off + (len(levels) if value is None else levels.index(value))] = 1.0
+    return v
+
+
+def _cum(course, sid, as_of):
+    """One student's cumulative counters: their clickstream columns of build_matrix."""
+    m = build_matrix(course, as_of)
+    return m.values[m.student_ids.index(sid), list(DEFAULT_SCHEMA.blocks["clickstream_cumulative"])]
+
+
+def _recency(course, sid, as_of):
+    """One student's days since last action: their recency column of build_matrix."""
+    m = build_matrix(course, as_of)
+    return m.values[m.student_ids.index(sid), DEFAULT_SCHEMA.blocks["days_since_last_action"].start]
+
+
 class TestAgeBinning:
     def test_reference_ages(self):
         # 2012 - 1990 = 22 falls in [20, 25)
-        v = encode_demographics(StudentDemographics("s", yob=1990))
+        v = _one_student_dummies(StudentDemographics("s", yob=1990))
         assert _dummy_name(v[:13] * 1.0) == "age_20_25"
         # 2012 - 1997 = 15 falls in [15, 20)
-        v = encode_demographics(StudentDemographics("s", yob=1997))
+        v = _one_student_dummies(StudentDemographics("s", yob=1997))
         assert _dummy_name(v[:13]) == "age_15_20"
 
     def test_bin_edges_half_open(self):
@@ -75,11 +118,11 @@ class TestAgeBinning:
                  1997: "age_15_20", 1953: "age_55_60", 1952: "age_ge60",
                  1900: "age_ge60"}
         for yob, name in cases.items():
-            v = encode_demographics(StudentDemographics("s", yob=yob))
+            v = _one_student_dummies(StudentDemographics("s", yob=yob))
             assert _dummy_name(v[:13]) == name, yob
 
     def test_null_yob(self):
-        v = encode_demographics(StudentDemographics("s"))
+        v = _one_student_dummies(StudentDemographics("s"))
         assert _dummy_name(v[:13]) == "age_null"
 
 
@@ -91,7 +134,7 @@ class TestDemographicEncoding:
                                 continent="Oceania", took_precourse_survey=True),
             StudentDemographics("s", loe="JuniorHigh", gender="Female"),
         ):
-            v = encode_demographics(s)
+            v = _one_student_dummies(s)
             assert v.shape == (33,)
             assert v[:13].sum() == 1.0
             assert v[13:21].sum() == 1.0
@@ -102,40 +145,50 @@ class TestDemographicEncoding:
     def test_named_slots(self):
         s = StudentDemographics("s", yob=1980, loe="Master", gender="Male",
                                 continent="SouthAmerica")
-        v = encode_demographics(s)
+        v = _one_student_dummies(s)
         names = {DEFAULT_SCHEMA.names[i] for i in np.nonzero(v)[0]}
         assert names == {"age_30_35", "loe_master", "gender_male",
                          "continent_southamerica"}
+
+    def test_matches_per_student_reference(self):
+        yobs = (None, -10**400, 1700, 1900, 1952, 1953, 1980, 1997, 1998, 2002, 2003, 2020,
+                10**400)
+        students = [StudentDemographics(f"s{k:04d}", yob=y, loe=l, gender=g, continent=c)
+                    for k, (y, l, g, c) in enumerate(itertools.product(
+                        yobs, (None,) + LOE_LEVELS, (None,) + GENDERS, (None,) + CONTINENTS))]
+        course = course_from_records(make_meta(), students[::-1], [], {})
+        expect = np.array([_reference_dummies(s) for s in students])  # ids ascend with k
+        assert np.array_equal(demographic_dummies(course), expect)
 
 
 class TestCumulativeCounters:
     def test_inclusive_prefix_sum(self, tiny_course):
         # s00 active on days 0, 2, 9
-        c0 = cumulative_clickstream(tiny_course, "s00", day(0))
-        c2 = cumulative_clickstream(tiny_course, "s00", day(2))
-        c9 = cumulative_clickstream(tiny_course, "s00", day(9))
+        c0 = _cum(tiny_course, "s00", day(0))
+        c2 = _cum(tiny_course, "s00", day(2))
+        c9 = _cum(tiny_course, "s00", day(9))
         k = list(counters())
         assert c0[k.index("nevents")] == 10.0
         assert c2[k.index("nevents")] == 15.0
         assert c9[k.index("nevents")] == 22.0
         assert c2[k.index("nproblems_answered")] == 6.0
         # day 1 sits between activity days: same totals as day 0
-        c1 = cumulative_clickstream(tiny_course, "s00", day(1))
+        c1 = _cum(tiny_course, "s00", day(1))
         assert np.array_equal(c1, c0)
 
     def test_later_activity_excluded(self, tiny_course):
-        c = cumulative_clickstream(tiny_course, "s03", day(5))
+        c = _cum(tiny_course, "s03", day(5))
         k = list(counters())
         assert c[k.index("nproblems_answered")] == 3.0  # day 20 row not yet visible
 
     def test_inactive_student_all_zero(self, tiny_course):
-        c = cumulative_clickstream(tiny_course, "s02", day(30))
+        c = _cum(tiny_course, "s02", day(30))
         assert np.all(c == 0.0)
 
     def test_monotone_in_time(self, tiny_course):
         prev = None
         for off in range(0, 35, 7):
-            c = cumulative_clickstream(tiny_course, "s00", day(off))
+            c = _cum(tiny_course, "s00", day(off))
             if prev is not None:
                 assert np.all(c >= prev)
             prev = c
@@ -143,16 +196,16 @@ class TestCumulativeCounters:
 
 class TestRecency:
     def test_same_day_action(self, tiny_course):
-        assert days_since_last_action(tiny_course, "s00", day(9)) == 0.0
+        assert _recency(tiny_course, "s00", day(9)) == 0.0
 
     def test_days_elapsed(self, tiny_course):
-        assert days_since_last_action(tiny_course, "s00", day(12)) == 3.0
-        assert days_since_last_action(tiny_course, "s01", day(12)) == 12.0
+        assert _recency(tiny_course, "s00", day(12)) == 3.0
+        assert _recency(tiny_course, "s01", day(12)) == 12.0
 
     def test_never_active_sentinel(self, tiny_course):
         # one day beyond the longest possible silence
-        assert days_since_last_action(tiny_course, "s02", day(9)) == 10.0
-        assert days_since_last_action(tiny_course, "s02", day(0)) == 1.0
+        assert _recency(tiny_course, "s02", day(9)) == 10.0
+        assert _recency(tiny_course, "s02", day(0)) == 1.0
 
     def test_as_of_bounds(self, tiny_course):
         with pytest.raises(BadDateError):

@@ -22,18 +22,17 @@ from dropoutlab.features import apply_zscore, build_matrix, fit_zscore
 from dropoutlab.linear import predict_proba, train_logreg
 from dropoutlab.paradigms import (
     PARADIGMS,
-    ParadigmSpec,
     insitu_scores,
     largest_same_field_source,
-    make_spec,
     prediction_weeks,
     proxy_labels,
     run_experiment,
     run_paradigm,
+    source_courses,
     week_date,
 )
 
-from conftest import counters, day, make_meta
+from conftest import counters, day, days_since_last_action, make_meta
 
 
 class TestWeekIndexing:
@@ -183,54 +182,34 @@ class TestSourceSelection:
         assert largest_same_field_source(handmade_corpus, "HCCx") is None
 
     def test_make_spec_same_field(self, handmade_corpus):
-        spec = make_spec(handmade_corpus, "same_field", "HCAx")
-        assert spec.source_courses == ("HCBx",)
+        assert source_courses(handmade_corpus, "same_field", "HCAx") == ("HCBx",)
         with pytest.raises(InvalidParadigmError):
-            make_spec(handmade_corpus, "same_field", "HCCx")
+            source_courses(handmade_corpus, "same_field", "HCCx")
 
     def test_make_spec_multi_course(self, handmade_corpus):
-        spec = make_spec(handmade_corpus, "multi_course", "HCBx")
-        assert spec.source_courses == ("HCAx", "HCCx", "HCDx")
+        assert source_courses(handmade_corpus, "multi_course", "HCBx") == ("HCAx", "HCCx", "HCDx")
 
     def test_make_spec_rejects_unknowns(self, handmade_corpus):
         with pytest.raises(InvalidParadigmError):
-            make_spec(handmade_corpus, "psychic", "HCAx")
+            source_courses(handmade_corpus, "psychic", "HCAx")
         with pytest.raises(InvalidParadigmError):
-            make_spec(handmade_corpus, "post_hoc", "GHOSTx")
+            source_courses(handmade_corpus, "post_hoc", "GHOSTx")
 
-    def test_doctored_specs_rejected(self, handmade_corpus):
-        with pytest.raises(InvalidParadigmError):
-            run_paradigm(handmade_corpus,
-                         ParadigmSpec("same_field", "HCAx", ("HCDx",)), 0)
-        with pytest.raises(InvalidParadigmError):
-            run_paradigm(handmade_corpus,
-                         ParadigmSpec("multi_course", "HCAx", ("HCBx",)), 0)
-        with pytest.raises(InvalidParadigmError):
-            run_paradigm(handmade_corpus,
-                         ParadigmSpec("post_hoc", "HCAx", ("HCBx",)), 0)
-
-    def test_repeated_source_rejected(self, handmade_corpus):
-        with pytest.raises(InvalidParadigmError):
-            run_paradigm(handmade_corpus,
-                         ParadigmSpec("multi_course", "HCBx", ("HCAx", "HCCx", "HCDx", "HCAx")), 0)
-
-    def test_source_order_ignored(self, handmade_corpus):
-        spec = make_spec(handmade_corpus, "multi_course", "HCBx")
-        shuffled = ParadigmSpec("multi_course", "HCBx", spec.source_courses[::-1])
-        assert np.array_equal(run_paradigm(handmade_corpus, shuffled, 0).scores,
-                              run_paradigm(handmade_corpus, spec, 0).scores)
+    def test_run_paradigm_without_source_rejected(self, handmade_corpus):
+        with pytest.raises(InvalidParadigmError, match="no other Hum course"):
+            run_paradigm(handmade_corpus, "same_field", "HCCx", 0)
+        with pytest.raises(InvalidParadigmError, match="at least one other course"):
+            run_paradigm(handmade_corpus[:1], "multi_course", "HCAx", 0)
 
 
 class TestPostHoc:
     def test_separable_course_perfect_auc(self, separable_course):
-        spec = make_spec([separable_course], "post_hoc", "SEPx")
-        scored = run_paradigm([separable_course], spec, 0)
+        scored = run_paradigm([separable_course], "post_hoc", "SEPx", 0)
         assert auc(scored, derive_labels(separable_course)) == 1.0
 
     def test_scores_match_manual_pipeline(self, handmade_corpus):
         target = handmade_corpus[0]
-        spec = make_spec(handmade_corpus, "post_hoc", "HCAx")
-        scored = run_paradigm(handmade_corpus, spec, -1)
+        scored = run_paradigm(handmade_corpus, "post_hoc", "HCAx", -1)
         m = build_matrix(target, week_date(target.meta, -1))
         stats = fit_zscore(m)
         z = apply_zscore(m, stats)
@@ -238,39 +217,34 @@ class TestPostHoc:
         assert np.array_equal(scored.scores, predict_proba(model, z).scores)
 
     def test_ineligible_week_rejected(self, handmade_corpus):
-        spec = make_spec(handmade_corpus, "post_hoc", "HCAx")
         with pytest.raises(WindowOutOfRangeError):
-            run_paradigm(handmade_corpus, spec, -4)  # gap 28 allows only -3..0
+            run_paradigm(handmade_corpus, "post_hoc", "HCAx", -4)  # gap 28 allows only -3..0
         with pytest.raises(WindowOutOfRangeError):
-            run_paradigm(handmade_corpus, spec, 1)
+            run_paradigm(handmade_corpus, "post_hoc", "HCAx", 1)
 
     def test_holdout_scores_only_held_out(self, handmade_corpus):
-        spec = make_spec(handmade_corpus, "post_hoc", "HCBx")
-        scored = run_paradigm(handmade_corpus, spec, 0, holdout=0.25, seed=3)
+        scored = run_paradigm(handmade_corpus, "post_hoc", "HCBx", 0, holdout=0.25, seed=3)
         assert len(scored.student_ids) == round(0.25 * 60)
         full = set(handmade_corpus[1].student_ids)
         assert set(scored.student_ids) < full
 
     def test_holdout_deterministic_per_seed(self, handmade_corpus):
-        spec = make_spec(handmade_corpus, "post_hoc", "HCBx")
-        a = run_paradigm(handmade_corpus, spec, 0, holdout=0.3, seed=5)
-        b = run_paradigm(handmade_corpus, spec, 0, holdout=0.3, seed=5)
-        c = run_paradigm(handmade_corpus, spec, 0, holdout=0.3, seed=6)
+        a = run_paradigm(handmade_corpus, "post_hoc", "HCBx", 0, holdout=0.3, seed=5)
+        b = run_paradigm(handmade_corpus, "post_hoc", "HCBx", 0, holdout=0.3, seed=5)
+        c = run_paradigm(handmade_corpus, "post_hoc", "HCBx", 0, holdout=0.3, seed=6)
         assert a.student_ids == b.student_ids
         assert np.array_equal(a.scores, b.scores)
         assert a.student_ids != c.student_ids
 
     def test_bad_holdout_rejected(self, handmade_corpus):
-        spec = make_spec(handmade_corpus, "post_hoc", "HCAx")
         with pytest.raises(BadValueError):
-            run_paradigm(handmade_corpus, spec, 0, holdout=1.5)
+            run_paradigm(handmade_corpus, "post_hoc", "HCAx", 0, holdout=1.5)
 
 
 class TestTransfer:
     def test_same_field_deploys_source_statistics(self, handmade_corpus):
         target, source = handmade_corpus[0], handmade_corpus[1]
-        spec = make_spec(handmade_corpus, "same_field", "HCAx")
-        scored = run_paradigm(handmade_corpus, spec, 0)
+        scored = run_paradigm(handmade_corpus, "same_field", "HCAx", 0)
         m_s = build_matrix(source, week_date(source.meta, 0))
         stats_s = fit_zscore(m_s)
         model = train_logreg(apply_zscore(m_s, stats_s), derive_labels(source),
@@ -286,8 +260,7 @@ class TestTransfer:
             _mini_course("CLTx", "STEM", 30, weeks_to_t100=6, seed=5),
             _mini_course("CLSx", "STEM", 40, weeks_to_t100=3, seed=6),
         ]
-        spec = make_spec(corpus, "same_field", "CLTx")
-        scored = run_paradigm(corpus, spec, -5)
+        scored = run_paradigm(corpus, "same_field", "CLTx", -5)
         source = corpus[1]
         m_s = build_matrix(source, source.meta.launch_date)
         stats_s = fit_zscore(m_s)
@@ -302,10 +275,9 @@ class TestTransfer:
         from dropoutlab.linear import average_hyperplanes
 
         target = handmade_corpus[1]
-        spec = make_spec(handmade_corpus, "multi_course", "HCBx")
-        scored = run_paradigm(handmade_corpus, spec, 0)
+        scored = run_paradigm(handmade_corpus, "multi_course", "HCBx", 0)
         models = []
-        for cid in spec.source_courses:
+        for cid in source_courses(handmade_corpus, "multi_course", "HCBx"):
             src = next(c for c in handmade_corpus if c.meta.course_id == cid)
             m_s = build_matrix(src, week_date(src.meta, 0))
             stats_s = fit_zscore(m_s)
@@ -331,16 +303,14 @@ class TestTransfer:
         assert avg.intercept == model.intercept
 
     def test_transfer_beats_chance_on_synthetic(self, small_corpus):
-        spec = make_spec(small_corpus, "same_field", small_corpus[0].meta.course_id)
-        scored = run_paradigm(small_corpus, spec, 0)
+        scored = run_paradigm(small_corpus, "same_field", small_corpus[0].meta.course_id, 0)
         assert auc(scored, derive_labels(small_corpus[0])) > 0.6
 
 
 class TestInSitu:
     def test_matches_direct_call(self, small_corpus):
         c = small_corpus[0]
-        spec = make_spec(small_corpus, "in_situ", c.meta.course_id)
-        scored = run_paradigm(small_corpus, spec, -1)
+        scored = run_paradigm(small_corpus, "in_situ", c.meta.course_id, -1)
         direct = insitu_scores(c.meta, c.students, c.activity, -1)
         assert scored.student_ids == direct.student_ids
         assert np.array_equal(scored.scores, direct.scores)
@@ -352,9 +322,8 @@ class TestInSitu:
             {sid: 1.0 - g for sid, g in c.final_grade.items()},
         )
         corpus = [flipped] + list(small_corpus[1:])
-        spec = make_spec(corpus, "in_situ", c.meta.course_id)
-        a = run_paradigm(small_corpus, spec, -1)
-        b = run_paradigm(corpus, spec, -1)
+        a = run_paradigm(small_corpus, "in_situ", c.meta.course_id, -1)
+        b = run_paradigm(corpus, "in_situ", c.meta.course_id, -1)
         assert np.array_equal(a.scores, b.scores)
 
     def test_still_predictive_of_certification(self, small_corpus):
@@ -365,17 +334,13 @@ class TestInSitu:
 
 class TestBaselines:
     def test_baseline1_week_independent(self, small_corpus):
-        spec = make_spec(small_corpus, "baseline1", small_corpus[0].meta.course_id)
-        a = run_paradigm(small_corpus, spec, 0)
-        b = run_paradigm(small_corpus, spec, -3)
+        a = run_paradigm(small_corpus, "baseline1", small_corpus[0].meta.course_id, 0)
+        b = run_paradigm(small_corpus, "baseline1", small_corpus[0].meta.course_id, -3)
         assert np.array_equal(a.scores, b.scores)
 
     def test_baseline2_is_negated_recency(self, handmade_corpus):
-        from dropoutlab.features import days_since_last_action
-
         target = handmade_corpus[0]
-        spec = make_spec(handmade_corpus, "baseline2", "HCAx")
-        scored = run_paradigm(handmade_corpus, spec, -1)
+        scored = run_paradigm(handmade_corpus, "baseline2", "HCAx", -1)
         wd = week_date(target.meta, -1)
         for sid, s in zip(scored.student_ids, scored.scores):
             assert s == -days_since_last_action(target, sid, wd)
@@ -421,6 +386,10 @@ class TestHarness:
     def test_unknown_kind_rejected(self, handmade_corpus):
         with pytest.raises(InvalidParadigmError):
             run_experiment(handmade_corpus, ("post_hoc", "tea_leaves"))
+
+    def test_repeated_kind_rejected(self, handmade_corpus):
+        with pytest.raises(InvalidParadigmError, match="'baseline2'"):
+            run_experiment(handmade_corpus, ("baseline2", "post_hoc", "baseline2"))
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(BadValueError):
