@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import csv
 import datetime
+import math
+from array import array
 from dataclasses import dataclass, field, fields as dc_fields
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
@@ -158,20 +160,47 @@ class ActivityTable:
 
 @dataclass(frozen=True)
 class CourseData:
-    """Everything known about one course: metadata, roster, activity, final grades."""
+    """Everything known about one course: metadata, roster, activity, final grades.
+
+    The roster is also held as read-only columns in student-id order (the row
+    order of every feature matrix), derived once when the course is built:
+    yob (float64, NaN for a non-response), loe, gender and continent (intp
+    index into LOE_LEVELS, GENDERS and CONTINENTS, or len(levels) for a
+    non-response) and took_precourse_survey (float64 0/1).
+    """
 
     meta: CourseMeta
     students: tuple[StudentDemographics, ...]
     activity: ActivityTable
     final_grade: Mapping[str, float]
     student_ids: tuple[str, ...] = field(init=False)
+    yob: np.ndarray = field(init=False, repr=False, compare=False)
+    loe: np.ndarray = field(init=False, repr=False, compare=False)
+    gender: np.ndarray = field(init=False, repr=False, compare=False)
+    continent: np.ndarray = field(init=False, repr=False, compare=False)
+    took_precourse_survey: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        ids = sorted(s.student_id for s in self.students)
+        roster = sorted(self.students, key=lambda s: s.student_id)
+        ids = [s.student_id for s in roster]
         if len(set(ids)) != len(ids):
             dup = next(a for a, b in zip(ids, ids[1:]) if a == b)
             raise BadValueError(f"course {self.meta.course_id!r}: duplicate student_id {dup!r}")
         object.__setattr__(self, "student_ids", tuple(ids))
+        # clamping yob into [0, 4024] keeps every age bin and makes any int a finite float
+        columns = {
+            "yob": np.array([np.nan if s.yob is None else s.yob if 0 <= s.yob <= 4024
+                             else 4024 * (s.yob > 0) for s in roster], dtype=np.float64),
+            "took_precourse_survey": np.array([s.took_precourse_survey for s in roster],
+                                              dtype=np.float64),
+        }
+        for attr, levels in (("loe", LOE_LEVELS), ("gender", GENDERS), ("continent", CONTINENTS)):
+            index = {v: k for k, v in enumerate(levels)}  # None falls through to the null slot
+            columns[attr] = np.array([index.get(getattr(s, attr), len(levels)) for s in roster],
+                                     dtype=np.intp)
+        for attr, column in columns.items():
+            column.flags.writeable = False
+            object.__setattr__(self, attr, column)
         if len(self.activity) and (
             self.activity.student_index.min() < 0
             or self.activity.student_index.max() >= len(ids)
@@ -261,7 +290,8 @@ _ACTIVITY_COLUMNS = ("student_id", "date") + CLICKSTREAM_FEATURES
 _GRADE_COLUMNS = ("student_id", "final_grade")
 
 
-def _read_rows(path: str | Path, expected: Sequence[str]) -> list[list[str]]:
+def _read_rows(path: str | Path, expected: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
+    """Yield (line number, cells in expected order) for each non-blank row after the header."""
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
@@ -273,14 +303,13 @@ def _read_rows(path: str | Path, expected: Sequence[str]) -> list[list[str]]:
             if col not in header:
                 raise MissingColumnError(f"{path}: missing column {col!r}")
         pos = [header.index(c) for c in expected]
-        rows = []
-        for lineno, raw in enumerate(reader, start=2):
+        for raw in reader:
             if not raw:
                 continue
             if len(raw) < len(header):
-                raise BadValueError(f"{path}:{lineno}: expected {len(header)} cells, got {len(raw)}")
-            rows.append([raw[p] for p in pos])
-    return rows
+                raise BadValueError(
+                    f"{path}:{reader.line_num}: expected {len(header)} cells, got {len(raw)}")
+            yield reader.line_num, [raw[p] for p in pos]
 
 
 def _parse_date(cell: str, where: str) -> datetime.date:
@@ -291,19 +320,19 @@ def _parse_date(cell: str, where: str) -> datetime.date:
 
 
 def load_course_meta(path: str | Path) -> CourseMeta:
-    rows = _read_rows(path, _META_COLUMNS)
+    rows = list(_read_rows(path, _META_COLUMNS))
     if len(rows) != 1:
         raise BadValueError(f"{path}: expected exactly one course row, got {len(rows)}")
-    cid, launch, end, t100, thr, fld = rows[0]
+    lineno, (cid, launch, end, t100, thr, fld) = rows[0]
     try:
         threshold = float(thr)
     except ValueError:
-        raise BadValueError(f"{path}: bad cert_threshold {thr!r}") from None
+        raise BadValueError(f"{path}:{lineno}: bad cert_threshold {thr!r}") from None
     return CourseMeta(
         course_id=cid,
-        launch_date=_parse_date(launch, f"{path} launch_date"),
-        end_date=_parse_date(end, f"{path} end_date"),
-        t100_date=_parse_date(t100, f"{path} t100_date"),
+        launch_date=_parse_date(launch, f"{path}:{lineno} launch_date"),
+        end_date=_parse_date(end, f"{path}:{lineno} end_date"),
+        t100_date=_parse_date(t100, f"{path}:{lineno} t100_date"),
         cert_threshold=threshold,
         field=fld,
     )
@@ -326,8 +355,7 @@ def _parse_enum(cell: str, allowed: Sequence[str]) -> str | None:
 
 def load_demographics(path: str | Path) -> list[StudentDemographics]:
     out = []
-    for lineno, row in enumerate(_read_rows(path, _DEMO_COLUMNS), start=2):
-        sid, yob, loe, gender, continent, survey = row
+    for lineno, (sid, yob, loe, gender, continent, survey) in _read_rows(path, _DEMO_COLUMNS):
         survey = survey.strip()
         if survey not in ("0", "1"):
             raise BadValueError(f"{path}:{lineno}: precourse_survey must be 0 or 1, got {survey!r}")
@@ -361,13 +389,10 @@ def load_course(
     ids = sorted(s.student_id for s in students)
     index = {sid: i for i, sid in enumerate(ids)}
 
-    rows = _read_rows(activity_path, _ACTIVITY_COLUMNS)
-    sidx = np.zeros(len(rows), dtype=np.int32)
-    day = np.zeros(len(rows), dtype=np.int32)
-    values = np.zeros((len(rows), len(CLICKSTREAM_FEATURES)))
+    # parsed straight into packed arrays: no list of every row's cells is kept
+    sidx, day, values = array("i"), array("i"), array("d")
     seen: set[tuple[int, int]] = set()
-    for r, row in enumerate(rows):
-        lineno = r + 2
+    for lineno, row in _read_rows(activity_path, _ACTIVITY_COLUMNS):
         sid = row[0]
         if sid not in index:
             raise UnknownStudentError(
@@ -385,23 +410,22 @@ def load_course(
                 f"{activity_path}:{lineno}: duplicate record for ({sid}, {date})"
             )
         seen.add(key)
-        sidx[r], day[r] = key
-        for k, name in enumerate(CLICKSTREAM_FEATURES):
-            cell = row[2 + k]
+        sidx.append(key[0])
+        day.append(d)
+        for name, cell in zip(CLICKSTREAM_FEATURES, row[2:]):
             try:
                 v = float(cell)
             except ValueError:
                 raise BadValueError(
                     f"{activity_path}:{lineno}: column {name!r}: not a number: {cell!r}"
                 ) from None
-            if not np.isfinite(v) or v < 0:
-                raise NegativeCounterError(
-                    f"{activity_path}:{lineno}: column {name!r}: value {cell} must be >= 0"
-                )
-            values[r, k] = v
+            if not math.isfinite(v) or v < 0:
+                raise NegativeCounterError(f"{activity_path}:{lineno}: column {name!r}: "
+                                           f"value {cell} must be finite and >= 0")
+            values.append(v)
 
     grades: dict[str, float] = {}
-    for lineno, (sid, cell) in enumerate(_read_rows(grades_path, _GRADE_COLUMNS), start=2):
+    for lineno, (sid, cell) in _read_rows(grades_path, _GRADE_COLUMNS):
         if sid not in index:
             raise UnknownStudentError(
                 f"{grades_path}:{lineno}: student {sid!r} not in demographics"
@@ -416,7 +440,9 @@ def load_course(
             raise BadValueError(f"{grades_path}:{lineno}: final_grade {g} not in [0, 1]")
         grades[sid] = g
 
-    return CourseData(meta, tuple(students), ActivityTable(sidx, day, values), grades)
+    table = ActivityTable(np.asarray(sidx), np.asarray(day),
+                          np.asarray(values).reshape(-1, len(CLICKSTREAM_FEATURES)))
+    return CourseData(meta, tuple(students), table, grades)
 
 
 def _fmt_number(v: float) -> str:

@@ -4,6 +4,12 @@ Every student becomes a 66-column row: 33 demographic dummy variables (age,
 level of education, gender, continent, each with an explicit null slot), the
 31 clickstream counters accumulated through the as-of date, a 0/1 pre-course
 survey flag, and a recency column (days since last action).
+
+A snapshot does no per-student Python work. The demographic dummies and the
+survey flag come from the roster columns CourseData derives once per course
+(yob, loe, gender, continent, took_precourse_survey, in student-id order);
+the counters and recency come from one pass over the activity rows kept at
+the as-of date (cumulative_all).
 """
 
 from __future__ import annotations
@@ -23,7 +29,6 @@ from .dataset import (
     GENDERS,
     LOE_LEVELS,
     CourseData,
-    StudentDemographics,
 )
 from .errors import (
     BadDateError,
@@ -126,30 +131,18 @@ def split_rows(n: int, test_fraction: float, seed: int) -> tuple[np.ndarray, np.
     return np.sort(order[n_test:]), np.sort(order[:n_test])
 
 
-def _roster(course: CourseData) -> list[StudentDemographics]:
-    """The course's students in student-id order, the row order of every matrix."""
-    return sorted(course.students, key=lambda s: s.student_id)
-
-
 def demographic_dummies(course: CourseData) -> np.ndarray:
     """One-hot demographics of every student, shape (n_students, 33), rows in id order.
 
-    Each block carries an explicit null slot, so every block contributes
-    exactly one 1 per row regardless of non-response.
+    Reads the course's roster columns. Each block carries an explicit null
+    slot, so every block contributes exactly one 1 per row regardless of
+    non-response.
     """
-    students = _roster(course)
-    # clamping yob into [0, 4024] keeps every age bin and makes any int a finite float
-    yob = np.array([np.nan if s.yob is None else s.yob if 0 <= s.yob <= 4024 else 4024 * (s.yob > 0)
-                    for s in students], dtype=np.float64)
-    slots = [np.where(np.isnan(yob), len(_AGE_NAMES) - 1,
-                      np.searchsorted(_AGE_EDGES, 2012 - yob, side="right"))]
-    for attr, levels in (("loe", LOE_LEVELS), ("gender", GENDERS), ("continent", CONTINENTS)):
-        index = {v: k for k, v in enumerate(levels)}  # None falls through to the null slot
-        slots.append(np.array([index.get(getattr(s, attr), len(levels)) for s in students],
-                              dtype=np.intp))
-    out = np.zeros((len(students), DEFAULT_SCHEMA.blocks[DEMOGRAPHIC_BLOCKS[-1]].stop))
-    rows = np.arange(len(students))
-    for block, slot in zip(DEMOGRAPHIC_BLOCKS, slots):
+    age = np.where(np.isnan(course.yob), len(_AGE_NAMES) - 1,
+                   np.searchsorted(_AGE_EDGES, 2012 - course.yob, side="right"))
+    out = np.zeros((course.n_students, DEFAULT_SCHEMA.blocks[DEMOGRAPHIC_BLOCKS[-1]].stop))
+    rows = np.arange(course.n_students)
+    for block, slot in zip(DEMOGRAPHIC_BLOCKS, (age, course.loe, course.gender, course.continent)):
         out[rows, DEFAULT_SCHEMA.blocks[block].start + slot] = 1.0
     return out
 
@@ -164,17 +157,26 @@ def check_as_of(course: CourseData, as_of: datetime.date) -> int:
 
 
 def cumulative_all(course: CourseData, off: int) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized cumulative counters and recency for every student at day offset off."""
+    """Cumulative counters and recency for every student at day offset off.
+
+    Each counter is one bincount over the rows kept at off: it adds a student's
+    rows in row order from 0.0, the order and bits of a scatter-add
+    (np.add.reduceat does not: it adds the pairwise sum of a segment's other
+    rows to its first). Rows are sorted by (student, day), so each student's
+    kept rows form one run, and recency is the day of the run's last row with
+    nevents > 0; a student without one gets off + 1.
+    """
     n = course.n_students
     table = course.activity
-    cum = np.zeros((n, len(CLICKSTREAM_FEATURES)))
-    last = np.full(n, -np.inf)
-    mask = table.day <= off
-    idx = table.student_index[mask]
-    np.add.at(cum, idx, table.values[mask])
-    acted = table.values[mask, CLICKSTREAM_FEATURES.index("nevents")] > 0
-    np.maximum.at(last, idx[acted], table.day[mask][acted])
-    dsla = np.where(np.isfinite(last), off - last, off + 1).astype(np.float64)
+    kept = table.day <= off
+    idx = table.student_index[kept]
+    values = table.values[kept]
+    cum = np.column_stack([np.bincount(idx, weights=column, minlength=n) for column in values.T])
+    acted = values[:, CLICKSTREAM_FEATURES.index("nevents")] > 0
+    ran, day = idx[acted], table.day[kept][acted]
+    last = np.flatnonzero(np.diff(ran, append=-1))  # the last acted row of each run
+    dsla = np.full(n, off + 1.0)
+    dsla[ran[last]] = off - day[last]
     return cum, dsla
 
 
@@ -186,9 +188,7 @@ def build_matrix(course: CourseData, as_of: datetime.date) -> FeatureMatrix:
     values = np.zeros((n, schema.width))
     demo = demographic_dummies(course)
     values[:, :demo.shape[1]] = demo
-    values[:, schema.blocks["precourse_survey"].start] = [
-        s.took_precourse_survey for s in _roster(course)
-    ]
+    values[:, schema.blocks["precourse_survey"].start] = course.took_precourse_survey
     cum, dsla = cumulative_all(course, off)
     r = schema.blocks["clickstream_cumulative"]
     values[:, r.start:r.stop] = cum

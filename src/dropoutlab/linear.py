@@ -128,6 +128,7 @@ def _minimize(
     active = np.flatnonzero(np.any(X != 0.0, axis=0))
     Xa = np.column_stack([X[:, active], np.ones(n)])  # last column: intercept
     ridge = np.append(np.full(len(active), 1.0 / C), 0.0)  # intercept unregularized
+    ridge_diag = np.diag(ridge)
 
     def objective(z: np.ndarray, theta: np.ndarray) -> float:
         w = theta[:-1]
@@ -146,7 +147,7 @@ def _minimize(
         if g_norm <= tol or it == opt.max_iter:
             break
         # mu * _sigmoid(-z), not mu * (1 - mu): stays positive where 1 - mu rounds to 0
-        H = (Xa.T * (mu * _sigmoid(-z))) @ Xa + np.diag(ridge)
+        H = (Xa.T * (mu * _sigmoid(-z))) @ Xa + ridge_diag
         d = np.linalg.solve(H, -g)
         dz = Xa @ d
         slope = float(g @ d)

@@ -9,6 +9,9 @@ from dropoutlab.dataset import (
     ActivityDay,
     ActivityTable,
     CLICKSTREAM_FEATURES,
+    CONTINENTS,
+    GENDERS,
+    LOE_LEVELS,
     CorpusConfig,
     CourseMeta,
     StudentDemographics,
@@ -19,6 +22,7 @@ from dropoutlab.dataset import (
     default_corpus_config,
     derive_labels,
     load_course_dir,
+    load_course_meta,
     load_demographics,
     synthesize_corpus,
     synthesize_course,
@@ -136,6 +140,28 @@ class TestCourseData:
         with pytest.raises(BadDateError):
             course_from_records(meta, [StudentDemographics("a")], [late], {})
 
+    def test_roster_columns_in_id_order(self):
+        students = [
+            StudentDemographics("b", yob=1990, loe="Master", gender="Female",
+                                continent="Asia", took_precourse_survey=True),
+            StudentDemographics("a"),
+            StudentDemographics("c", yob=-10**400, loe="Elementary", gender="Male",
+                                continent="Europe"),
+            StudentDemographics("d", yob=10**400),
+        ]
+        course = course_from_records(make_meta(), students, [], {})
+        assert np.isnan(course.yob[0]) and course.yob[1:].tolist() == [1990.0, 0.0, 4024.0]
+        assert course.loe.tolist() == [len(LOE_LEVELS), LOE_LEVELS.index("Master"), 0,
+                                       len(LOE_LEVELS)]
+        assert course.gender.tolist() == [len(GENDERS), GENDERS.index("Female"), 0,
+                                          len(GENDERS)]
+        assert course.continent.tolist() == [len(CONTINENTS), CONTINENTS.index("Asia"), 0,
+                                             len(CONTINENTS)]
+        assert course.took_precourse_survey.tolist() == [0.0, 1.0, 0.0, 0.0]
+        assert course.yob.dtype == np.float64 and course.loe.dtype == np.intp
+        with pytest.raises(ValueError):
+            course.loe[0] = 0
+
     def test_activity_days_round_trip(self, tiny_course):
         days = list(tiny_course.activity_days())
         assert len(days) == 8
@@ -223,6 +249,47 @@ class TestCsvRoundTrip:
     def test_negative_counter_names_column(self, tmp_path):
         self._write_course_files(tmp_path, [self._row("s0", "2014-01-07", nvideo=-2)])
         with pytest.raises(NegativeCounterError, match=r"activity\.csv:2.*nvideo"):
+            load_course_dir(tmp_path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-1"])
+    def test_non_finite_or_negative_counter_named(self, tmp_path, cell):
+        row = self._row("s0", "2014-01-07", nevents=1, nvideo=7).replace(",7.0,", f",{cell},")
+        self._write_course_files(tmp_path, [self._row("s0", "2014-01-06"), row])
+        with pytest.raises(NegativeCounterError,
+                           match=rf"activity\.csv:3: column 'nvideo': value {cell} "):
+            load_course_dir(tmp_path)
+
+    def test_meta_error_line_counts_blank_lines(self, tmp_path):
+        p = tmp_path / "course_meta.csv"
+        p.write_text("course_id,launch_date,end_date,t100_date,cert_threshold,field\r\n\r\n"
+                     "Tx,2014-01-06,2014-03-17,2014-03-03,high,STEM\r\n")
+        with pytest.raises(BadValueError, match=r"course_meta\.csv:3: bad cert_threshold"):
+            load_course_meta(p)
+
+    def test_demographics_error_line_counts_blank_lines(self, tmp_path):
+        p = tmp_path / "demographics.csv"
+        p.write_text("student_id,yob,loe,gender,continent,precourse_survey\r\n\r\n"
+                     "s0,1990,Bachelor,Female,Europe,1\r\n\r\n\r\n"
+                     "s1,1990,Bachelor,Female,Europe,yes\r\n")
+        with pytest.raises(BadValueError, match=r"demographics\.csv:6: precourse_survey"):
+            load_demographics(p)
+
+    def test_activity_error_line_counts_blank_lines(self, tmp_path):
+        self._write_course_files(tmp_path, ["", self._row("s0", "2014-01-07"), "",
+                                            self._row("s0", "06/01/2014")])
+        with pytest.raises(BadDateError, match=r"activity\.csv:5 date"):
+            load_course_dir(tmp_path)
+
+    def test_grades_error_line_counts_blank_lines(self, tmp_path):
+        self._write_course_files(tmp_path, [])
+        (tmp_path / "grades.csv").write_text("student_id,final_grade\r\n\r\ns0,1.5\r\n")
+        with pytest.raises(BadValueError, match=r"grades\.csv:3: final_grade 1\.5"):
+            load_course_dir(tmp_path)
+
+    def test_short_row_line_counts_blank_lines(self, tmp_path):
+        self._write_course_files(tmp_path, [])
+        (tmp_path / "grades.csv").write_text("student_id,final_grade\r\n\r\ns0\r\n")
+        with pytest.raises(BadValueError, match=r"grades\.csv:3: expected 2 cells, got 1"):
             load_course_dir(tmp_path)
 
     def test_non_numeric_counter(self, tmp_path):

@@ -7,9 +7,12 @@ import numpy as np
 import pytest
 
 from dropoutlab.dataset import (
+    CLICKSTREAM_FEATURES,
     CONTINENTS,
     GENDERS,
     LOE_LEVELS,
+    ActivityTable,
+    CourseData,
     StudentDemographics,
     course_from_records,
 )
@@ -21,6 +24,7 @@ from dropoutlab.features import (
     apply_zscore,
     build_matrix,
     check_as_of,
+    cumulative_all,
     demographic_dummies,
     fit_percentile,
     fit_zscore,
@@ -192,6 +196,83 @@ class TestCumulativeCounters:
             if prev is not None:
                 assert np.all(c >= prev)
             prev = c
+
+
+_NEVENTS = CLICKSTREAM_FEATURES.index("nevents")
+
+
+def _scatter_reference(course, off):
+    """Counters by np.add.at and recency by np.maximum.at: the bitwise reference."""
+    table = course.activity
+    cum = np.zeros((course.n_students, len(CLICKSTREAM_FEATURES)))
+    last = np.full(course.n_students, -np.inf)
+    mask = table.day <= off
+    idx = table.student_index[mask]
+    np.add.at(cum, idx, table.values[mask])
+    acted = table.values[mask, _NEVENTS] > 0
+    np.maximum.at(last, idx[acted], table.day[mask][acted])
+    return cum, np.where(np.isfinite(last), off - last, off + 1).astype(np.float64)
+
+
+def _random_course(seed, n_students=30, first_day=3):
+    """Runs of up to 68 days per student, from first_day on, with non-integer counters.
+
+    Student 0 has no rows, every row of student 1 has nevents == 0, other rows
+    have nevents == 0 at random, and some counters are -0.0.
+    """
+    rng = np.random.default_rng(seed)
+    end = make_meta().end_date
+    n_days = (end - LAUNCH).days + 1
+    pool = np.arange(first_day, n_days)
+    runs = [[]] + [np.sort(rng.choice(pool, size=int(rng.integers(1, len(pool) + 1)),
+                                      replace=False)) for _ in range(n_students - 1)]
+    sidx = np.repeat(np.arange(n_students), [len(r) for r in runs])
+    days = np.concatenate([np.asarray(r, dtype=np.int64) for r in runs])
+    values = rng.random((len(days), len(CLICKSTREAM_FEATURES)))
+    values *= 10.0 ** rng.uniform(-3, 6, values.shape)
+    values[rng.random(values.shape) < 0.05] = -0.0
+    values[(rng.random(len(days)) < 0.3) | (sidx == 1), _NEVENTS] = 0.0
+    students = [StudentDemographics(f"s{k:03d}") for k in range(n_students)]
+    return CourseData(make_meta(), tuple(students), ActivityTable(sidx, days, values), {})
+
+
+class TestCumulativeAllOracle:
+    """cumulative_all gives the same bits as the scatter it replaced."""
+
+    def _assert_bitwise(self, course, off):
+        cum, dsla = cumulative_all(course, off)
+        ref_cum, ref_dsla = _scatter_reference(course, off)
+        assert cum.tobytes() == ref_cum.tobytes()
+        assert dsla.tobytes() == ref_dsla.tobytes()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_runs(self, seed):
+        course = _random_course(seed)
+        span = (course.meta.end_date - course.meta.launch_date).days
+        lengths = np.bincount(course.activity.student_index, minlength=course.n_students)
+        assert lengths[0] == 0 and len(set(lengths[1:].tolist())) > 5
+        assert np.all(course.activity.values[course.activity.student_index == 1, _NEVENTS] == 0)
+        for off in (0, 2, 3, 17, 40, span - 1, span):  # 0 and 2 keep no row
+            self._assert_bitwise(course, off)
+        cum, dsla = cumulative_all(course, 2)
+        assert not cum.any() and np.all(dsla == 3.0)
+
+    def test_one_row_table(self):
+        values = np.full((1, len(CLICKSTREAM_FEATURES)), 0.1)
+        students = tuple(StudentDemographics(f"s{k}") for k in range(3))
+        course = CourseData(make_meta(), students,
+                            ActivityTable(np.array([1]), np.array([4]), values), {})
+        for off in (0, 3, 4, 70):
+            self._assert_bitwise(course, off)
+        cum, dsla = cumulative_all(course, 9)
+        assert cum[1].tolist() == values[0].tolist() and dsla.tolist() == [10.0, 5.0, 10.0]
+
+    def test_empty_table(self):
+        students = (StudentDemographics("s0"),)
+        course = CourseData(make_meta(), students,
+                            ActivityTable(np.zeros(0, np.int32), np.zeros(0, np.int32),
+                                          np.zeros((0, len(CLICKSTREAM_FEATURES)))), {})
+        self._assert_bitwise(course, 5)
 
 
 class TestRecency:
