@@ -12,7 +12,6 @@ from pathlib import Path
 
 from dropoutlab.dataset import (
     SynthConfig,
-    derive_labels,
     load_course_dir,
     synthesize_course,
     write_course,
@@ -28,10 +27,9 @@ print(f"course {meta.course_id} ({meta.field})")
 print(f"  launch {meta.launch_date}, full-points date {meta.t100_date}, ends {meta.end_date}")
 print(f"  {course.n_students} students, {len(course.activity)} student-day activity rows")
 
-# labels: 1 iff the final grade reaches the certification threshold;
-# a student with no grade row counts as grade 0
-labels = derive_labels(course)
-n_cert = sum(labels.labels.values())
+# labels, in student-id order: 1 iff the final grade reaches the
+# certification threshold; a student with no grade row counts as grade 0
+n_cert = int(course.certified.sum())
 print(f"  certification threshold {meta.cert_threshold}: {n_cert} certify, "
       f"{course.n_students - n_cert} drop out")
 

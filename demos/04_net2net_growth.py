@@ -13,7 +13,7 @@ import datetime
 
 import numpy as np
 
-from dropoutlab.dataset import SynthConfig, derive_labels, synthesize_course
+from dropoutlab.dataset import SynthConfig, synthesize_course
 from dropoutlab.deepnet import (
     GrowthPlan,
     SgdConfig,
@@ -28,10 +28,9 @@ from dropoutlab.features import apply_zscore, build_matrix, fit_zscore
 
 # start with a trained 3-unit network on synthetic course features
 course = synthesize_course(SynthConfig(course_id="GROWx", n_students=240), seed=9)
-labels = derive_labels(course)
 m = build_matrix(course, course.meta.t100_date - datetime.timedelta(days=7))
 z = apply_zscore(m, fit_zscore(m))
-y = labels.vector(z.student_ids)
+y = course.certified  # in student-id order, the row order of z
 teacher = train_sgd(init_mlp(66, [3], seed=0), z.values, y, SgdConfig(epochs=5, seed=0))
 
 # widen 3 -> 8: outputs match the teacher to floating-point noise

@@ -20,7 +20,6 @@ from .dataset import (
     corpus_config_from_dict,
     corpus_config_to_dict,
     default_corpus_config,
-    derive_labels,
     load_course_dir,
     synthesize_corpus,
     write_course,
@@ -219,16 +218,15 @@ def cmd_features(args) -> int:
 
 def cmd_train(args) -> int:
     course = load_course_dir(args.course_dir)
-    labels = derive_labels(course)
     if args.kind == "baseline1":
-        model = baseline_demographics(course, labels, args.reg_c)
+        model = baseline_demographics(course, args.reg_c)
         scored = score_demographics(model, course)
     else:
         model, z = fit_course_model(course, week_date(course.meta, args.week), args.reg_c)
         scored = predict_proba(model, z)
     args.out.parent.mkdir(parents=True, exist_ok=True)
     save_model(model, args.out)
-    a = auc_values(scored.scores, labels.vector(scored.student_ids))
+    a = auc_values(scored.scores, course.certified)
     print(f"wrote {args.out} (training AUC {a:.4f})")
     return 0
 
@@ -321,17 +319,13 @@ def _split_for_growth(course, week, split, norm, seed):
     train_rows, test_rows = split_rows(m.n_rows, split, seed)
     m_train = m.take(train_rows)
     _, (m_train, m_test) = normalize(m_train, [m_train, m.take(test_rows)], norm)
-    y = derive_labels(course)
-    return (m_train.values, y.vector(m_train.student_ids),
-            m_test.values, y.vector(m_test.student_ids))
+    return (m_train.values, course.certified[train_rows],
+            m_test.values, course.certified[test_rows])
 
 
 def _grow_course_choice(corpus) -> object:
     """The course with the most certifiers (ties: lexicographic course_id)."""
-    def certifiers(c):
-        return int(derive_labels(c).vector(c.student_ids).sum())
-
-    return min(corpus, key=lambda c: (-certifiers(c), c.meta.course_id))
+    return min(corpus, key=lambda c: (-int(c.certified.sum()), c.meta.course_id))
 
 
 def cmd_run(args) -> int:
@@ -412,7 +406,6 @@ def cmd_report(args) -> int:
                 course_id=rec["course_id"],
                 week=int(rec["week"]),
                 auc=float(rec["auc"]),
-                accuracy=0.0,  # not serialized in rows.csv
                 n_students=int(rec["n_students"]),
                 n_positives=int(rec["n_positives"]),
             )

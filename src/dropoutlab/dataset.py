@@ -1,4 +1,4 @@
-"""Course/student/activity data model, CSV ingestion, labels, and the synthetic generator."""
+"""Course/student/activity data model, CSV ingestion, and the synthetic generator."""
 
 from __future__ import annotations
 
@@ -166,7 +166,9 @@ class CourseData:
     order of every feature matrix), derived once when the course is built:
     yob (float64, NaN for a non-response), loe, gender and continent (intp
     index into LOE_LEVELS, GENDERS and CONTINENTS, or len(levels) for a
-    non-response) and took_precourse_survey (float64 0/1).
+    non-response) and took_precourse_survey (float64 0/1). certified
+    (float64 0/1) is the certification label: 1 iff the final grade reaches
+    cert_threshold, where a student with no grade counts as grade 0.
     """
 
     meta: CourseMeta
@@ -179,6 +181,7 @@ class CourseData:
     gender: np.ndarray = field(init=False, repr=False, compare=False)
     continent: np.ndarray = field(init=False, repr=False, compare=False)
     took_precourse_survey: np.ndarray = field(init=False, repr=False, compare=False)
+    certified: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         roster = sorted(self.students, key=lambda s: s.student_id)
@@ -193,6 +196,8 @@ class CourseData:
                              else 4024 * (s.yob > 0) for s in roster], dtype=np.float64),
             "took_precourse_survey": np.array([s.took_precourse_survey for s in roster],
                                               dtype=np.float64),
+            "certified": np.array([self.final_grade.get(sid, 0.0) >= self.meta.cert_threshold
+                                   for sid in ids], dtype=np.float64),
         }
         for attr, levels in (("loe", LOE_LEVELS), ("gender", GENDERS), ("continent", CONTINENTS)):
             index = {v: k for k, v in enumerate(levels)}  # None falls through to the null slot
@@ -251,33 +256,6 @@ def course_from_records(
         day[r] = (rec.date - meta.launch_date).days
         values[r] = [rec.counters[k] for k in CLICKSTREAM_FEATURES]
     return CourseData(meta, tuple(students), ActivityTable(sidx, day, values), dict(final_grade))
-
-
-@dataclass(frozen=True)
-class LabelSet:
-    """Binary certification outcome per student: 1 = certified, 0 = dropout."""
-
-    course_id: str
-    labels: Mapping[str, int]
-
-    def vector(self, student_ids: Sequence[str]) -> np.ndarray:
-        try:
-            return np.array([self.labels[s] for s in student_ids], dtype=np.float64)
-        except KeyError as e:
-            raise UnknownStudentError(f"no label for student {e.args[0]!r}") from None
-
-
-def derive_labels(course: CourseData) -> LabelSet:
-    """Certification labels: 1 iff final grade >= the course threshold.
-
-    A student with no recorded grade is treated as grade 0 and therefore
-    labeled 0. Payment / ID-verification status plays no role.
-    """
-    thr = course.meta.cert_threshold
-    labels = {
-        sid: int(course.final_grade.get(sid, 0.0) >= thr) for sid in course.student_ids
-    }
-    return LabelSet(course.meta.course_id, labels)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dataset import LabelSet
 from .errors import (
     BadConfigError,
     BadLayerError,
@@ -30,7 +29,6 @@ from .errors import (
     SingleClassError,
 )
 from .evaluate import auc_values, raw_accuracy
-from .features import FeatureMatrix
 
 N_CLASSES = 2
 
@@ -124,20 +122,6 @@ class GrowthPlan:
             raise BadConfigError(f"fixed_width {self.fixed_width} must be >= 1")
 
 
-def _as_values(X) -> np.ndarray:
-    if isinstance(X, FeatureMatrix):
-        return X.values
-    return np.asarray(X, dtype=np.float64)
-
-
-def _as_labels(y, X) -> np.ndarray:
-    if isinstance(y, LabelSet):
-        if not isinstance(X, FeatureMatrix):
-            raise BadValueError("aligning a LabelSet requires a FeatureMatrix")
-        return y.vector(X.student_ids)
-    return np.asarray(y, dtype=np.float64)
-
-
 def init_mlp(input_dim: int, widths: Sequence[int], seed: int) -> MlpModel:
     """Fresh network with the given hidden widths and a 2-class output layer.
 
@@ -186,7 +170,7 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 def forward(m: MlpModel, X) -> np.ndarray:
     """Class probability matrix (n, 2); rows sum to 1 within 1e-12."""
-    values = _as_values(X)
+    values = np.asarray(X, dtype=np.float64)
     if values.ndim != 2 or values.shape[1] != m.input_dim:
         raise SchemaMismatchError(
             f"input has {values.shape[-1] if values.ndim == 2 else '?'} columns, "
@@ -225,8 +209,8 @@ def _batch_loss_and_grads(m, Xb, yb, class_w):
 
 def dataset_loss(m: MlpModel, X, y, class_weighting: bool = False) -> float:
     """Mean (optionally class-weighted) cross-entropy over a whole dataset."""
-    values = _as_values(X)
-    yv = _as_labels(y, X)
+    values = np.asarray(X, dtype=np.float64)
+    yv = np.asarray(y, dtype=np.float64)
     class_w = _class_weights(yv, class_weighting)
     loss, _ = _batch_loss_and_grads(m, values, yv, class_w)
     return loss
@@ -256,8 +240,8 @@ def train_sgd(m: MlpModel, X, y, cfg: SgdConfig, log: TrainLog | None = None) ->
     cfg.learning_rate * (1 + cfg.anneal_factor) ** (-k). Epochs reshuffle with
     the seeded generator; a remainder batch is trained short.
     """
-    values = _as_values(X)
-    yv = _as_labels(y, X)
+    values = np.asarray(X, dtype=np.float64)
+    yv = np.asarray(y, dtype=np.float64)
     if values.ndim != 2 or values.shape[1] != m.input_dim:
         raise SchemaMismatchError(f"input width {values.shape} vs network {m.input_dim}")
     if len(yv) != len(values):
@@ -429,7 +413,7 @@ def run_cell(
     trained = train_sgd(net, X_train, y_train, replace(cfg, seed=seed))
     seconds = time.perf_counter() - t0
     scores = predict_scores(trained, X_test)
-    yv = _as_labels(y_test, X_test)
+    yv = np.asarray(y_test, dtype=np.float64)
     row = GrowthRow(
         phase=phase, w=w_rec, h=h_rec,
         auc=auc_values(scores, yv),
@@ -454,7 +438,7 @@ def grow_and_train(
     """
     plan = plan or GrowthPlan()
     cfg = cfg or SgdConfig()
-    input_dim = _as_values(X_train).shape[1]
+    input_dim = np.shape(X_train)[1]
     rows: list[GrowthRow] = []
     models: dict[tuple[str, int, int], MlpModel] = {}
 

@@ -9,7 +9,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dataset import LabelSet
 from .errors import BadValueError, EmptyListError, SingleClassError
 
 
@@ -47,12 +46,6 @@ def auc_values(scores, labels) -> float:
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def auc(scored, labels: LabelSet) -> float:
-    """AUC of a ScoredStudents against certification labels, aligned by id."""
-    y = labels.vector(scored.student_ids)
-    return auc_values(np.asarray(scored.scores, dtype=np.float64), y)
-
-
 def sem(values: Sequence[float]) -> float:
     """Standard error of the mean: sample std (n-1 denominator) over sqrt(n)."""
     values = np.asarray(list(values), dtype=np.float64)
@@ -74,21 +67,18 @@ def raw_accuracy(scores, labels, threshold: float = 0.5) -> float:
 
 @dataclass(frozen=True)
 class EvalRow:
-    """AUC and accuracy for one (paradigm, course, week) cell."""
+    """AUC for one (paradigm, course, week) cell."""
 
     paradigm: str
     course_id: str
     week: int
     auc: float
-    accuracy: float
     n_students: int
     n_positives: int
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.auc <= 1.0):
             raise BadValueError(f"auc {self.auc} outside [0, 1]")
-        if not (0.0 <= self.accuracy <= 1.0):
-            raise BadValueError(f"accuracy {self.accuracy} outside [0, 1]")
         if self.n_positives > self.n_students:
             raise BadValueError(
                 f"n_positives {self.n_positives} exceeds n_students {self.n_students}"

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import CourseData, LabelSet, derive_labels
+from .dataset import CourseData
 from .errors import (
     BadValueError,
     ConvergenceWarning,
@@ -174,6 +174,9 @@ def _fit(
     """Check the inputs, run _minimize, and warn if it stopped short of the tolerance."""
     if C <= 0:
         raise BadValueError(f"C {C} must be positive")
+    y = np.asarray(y, dtype=np.float64)
+    if y.shape != (len(X),):
+        raise BadValueError(f"labels of shape {y.shape} do not align with {len(X)} rows")
     if len(y) == 0:
         raise SingleClassError("no training rows")
     if np.all(y == y[0]):
@@ -191,17 +194,18 @@ def _fit(
 
 def train_logreg(
     X: FeatureMatrix,
-    y: LabelSet,
+    y: np.ndarray,
     C: float = 1.0,
     opt: OptimizerConfig | None = None,
     norm: NormStats | None = None,
 ) -> LinearModel:
     """Fit the logistic hyperplane on an already-normalized matrix.
 
-    norm is carried on the model purely as a record of how X was produced;
-    pass the stats used so deployment can reproduce the transform.
+    y holds the 0/1 labels of X's rows, in row order. norm is carried on the
+    model purely as a record of how X was produced; pass the stats used so
+    deployment can reproduce the transform.
     """
-    w, b = _fit(X.values, y.vector(X.student_ids), C, opt)
+    w, b = _fit(X.values, y, C, opt)
     return LinearModel(weights=w, intercept=b, reg_C=C, norm=norm)
 
 
@@ -215,15 +219,6 @@ def predict_proba(m: LinearModel, X: FeatureMatrix) -> ScoredStudents:
         raise SchemaMismatchError("model was trained on a different schema")
     z = X.values @ m.weights + m.intercept
     return ScoredStudents(X.student_ids, _sigmoid(z))
-
-
-def decision_values(m: LinearModel, X: FeatureMatrix) -> np.ndarray:
-    """Raw logits w.x + b (same ordering as predict_proba scores)."""
-    if len(m.weights) != X.schema.width:
-        raise SchemaMismatchError(
-            f"model has {len(m.weights)} weights, matrix has {X.schema.width} columns"
-        )
-    return X.values @ m.weights + m.intercept
 
 
 def average_hyperplanes(models: Sequence[LinearModel]) -> LinearModel:
@@ -252,19 +247,14 @@ _DEMO_COLS = np.array([i for blk in DEMOGRAPHIC_BLOCKS for i in DEFAULT_SCHEMA.b
 
 
 def baseline_demographics(
-    course: CourseData,
-    y: LabelSet | None = None,
-    C: float = 1.0,
-    opt: OptimizerConfig | None = None,
+    course: CourseData, C: float = 1.0, opt: OptimizerConfig | None = None
 ) -> LinearModel:
-    """Demographics-only logistic regression (Baseline 1).
+    """Demographics-only logistic regression (Baseline 1) on the course's certification labels.
 
     Trains on the raw 33 dummy columns; every other weight is exactly zero, so
     activity can never influence the score.
     """
-    if y is None:
-        y = derive_labels(course)
-    w_demo, b = _fit(demographic_dummies(course), y.vector(course.student_ids), C, opt)
+    w_demo, b = _fit(demographic_dummies(course), course.certified, C, opt)
     weights = np.zeros(DEFAULT_SCHEMA.width)
     weights[_DEMO_COLS] = w_demo
     return LinearModel(weights=weights, intercept=b, reg_C=C, norm=None)

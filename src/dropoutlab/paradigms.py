@@ -32,18 +32,17 @@ from .dataset import (
     ActivityTable,
     CourseData,
     CourseMeta,
-    LabelSet,
     StudentDemographics,
-    derive_labels,
 )
 from .errors import (
     BadValueError,
     BeforeLaunchError,
     InvalidParadigmError,
     SingleClassError,
+    UnknownStudentError,
     WindowOutOfRangeError,
 )
-from .evaluate import EvalReport, EvalRow, auc_values, raw_accuracy
+from .evaluate import EvalReport, EvalRow, auc_values
 from .features import FeatureMatrix, apply_zscore, build_matrix, normalize, split_rows
 from .linear import (
     LinearModel,
@@ -62,8 +61,9 @@ PARADIGMS: tuple[str, ...] = (
 )
 
 # Minimum days of data since launch before a paradigm can produce a model:
-# post_hoc wants the first week of activity on record; in_situ needs a week of
-# features plus the week that supplies proxy labels.
+# post_hoc wants the first week of activity on record; in_situ wants a week of
+# activity before its proxy window, the 7 days before week_date(w). The week-w
+# snapshot in_situ trains on runs through that window.
 _MIN_DAYS: dict[str, int] = {
     "post_hoc": 7,
     "same_field": 0,
@@ -97,8 +97,9 @@ def prediction_weeks(meta: CourseMeta, kind: str) -> list[int]:
     return list(range(w_lo, 1))
 
 
-def proxy_labels(course: CourseData, w: int) -> LabelSet:
-    """Label every student by activity (nevents > 0) in the 7 days before week w.
+def proxy_labels(course: CourseData, w: int) -> np.ndarray:
+    """Persistence labels in student-id order: 1.0 for activity (nevents > 0)
+    in the 7 days before week w, else 0.0.
 
     The window [week_date(w)-7, week_date(w)-1] must lie inside
     [launch_date, t100_date].
@@ -116,10 +117,9 @@ def proxy_labels(course: CourseData, w: int) -> LabelSet:
     table = course.activity
     nevents = table.values[:, CLICKSTREAM_FEATURES.index("nevents")]
     mask = (table.day >= lo_off) & (table.day <= hi_off) & (nevents > 0)
-    active = np.zeros(course.n_students, dtype=bool)
-    active[table.student_index[mask]] = True
-    labels = {sid: int(active[i]) for i, sid in enumerate(course.student_ids)}
-    return LabelSet(meta.course_id, labels)
+    active = np.zeros(course.n_students)
+    active[table.student_index[mask]] = 1.0
+    return active
 
 
 def _corpus_index(corpus: Sequence[CourseData]) -> dict[str, CourseData]:
@@ -178,7 +178,7 @@ def fit_course_model(
     """
     m = build_matrix(course, as_of)
     stats, (z,) = normalize(m, [m], "zscore")
-    return train_logreg(z, derive_labels(course), C, opt, norm=stats), z
+    return train_logreg(z, course.certified, C, opt, norm=stats), z
 
 
 def _source_date(meta: CourseMeta, w: int) -> datetime.date:
@@ -197,15 +197,15 @@ def insitu_scores(
     """Score a live course at week w using only data available at week w.
 
     Takes the course apart on purpose: no grade table is accepted, so
-    certification labels cannot influence this path. Features through week w
-    are percentile-normalized against the same population and the model is
-    trained on persistence proxy labels from week w-1.
+    certification labels cannot influence this path. The model is trained on
+    the week-w snapshot, percentile-normalized against the same population,
+    with the persistence proxy labels of the 7 days before week w; that
+    snapshot contains the proxy window. The same snapshot is then scored.
     """
     shadow = CourseData(meta, students, activity, {})
     m = build_matrix(shadow, week_date(meta, w))
     stats, (p,) = normalize(m, [m], "percentile")
-    proxy = proxy_labels(shadow, w)
-    model = train_logreg(p, proxy, C, opt, norm=stats)
+    model = train_logreg(p, proxy_labels(shadow, w), C, opt, norm=stats)
     return predict_proba(model, p)
 
 
@@ -241,7 +241,7 @@ def run_paradigm(
         train_rows, test_rows = split_rows(m.n_rows, holdout, seed)
         m_train = m.take(train_rows)
         stats, (z_train, z_test) = normalize(m_train, [m_train, m.take(test_rows)], "zscore")
-        model = train_logreg(z_train, derive_labels(target), C, opt, norm=stats)
+        model = train_logreg(z_train, target.certified[train_rows], C, opt, norm=stats)
         return predict_proba(model, z_test)
 
     if kind == "same_field":
@@ -260,7 +260,7 @@ def run_paradigm(
         return insitu_scores(target.meta, target.students, target.activity, w, C, opt)
 
     if kind == "baseline1":
-        model = baseline_demographics(target, derive_labels(target), C, opt)
+        model = baseline_demographics(target, C, opt)
         return score_demographics(model, target)
 
     if kind == "baseline2":
@@ -272,6 +272,23 @@ def run_paradigm(
 # ---------------------------------------------------------------------------
 # Experiment harness
 # ---------------------------------------------------------------------------
+
+def roster_rows(course: CourseData, student_ids: Sequence[str]) -> np.ndarray:
+    """Row of each given student in the course roster (student-id order).
+
+    One searchsorted over the sorted roster, checked for exact matches; an id
+    that is not on the roster raises UnknownStudentError.
+    """
+    roster = np.array(course.student_ids, dtype=object)
+    ids = np.array(student_ids, dtype=object)
+    rows = np.searchsorted(roster, ids)
+    found = rows < len(roster)
+    found[found] = roster[rows[found]] == ids[found]
+    if not found.all():
+        raise UnknownStudentError(
+            f"student {ids[~found][0]!r} is not on the roster of {course.meta.course_id!r}")
+    return rows
+
 
 _WORKER_CORPUS: list[CourseData] | None = None
 
@@ -287,7 +304,6 @@ def _run_course_cells(args) -> tuple[list[tuple], list[tuple]]:
     corpus = _WORKER_CORPUS
     by_id = _corpus_index(corpus)
     target = by_id[target_id]
-    labels = derive_labels(target)
     rows: list[tuple] = []
     skipped: list[tuple] = []
     cached_scores: ScoredStudents | None = None
@@ -301,10 +317,10 @@ def _run_course_cells(args) -> tuple[list[tuple], list[tuple]]:
                 scored = cached_scores
             else:
                 scored = run_paradigm(corpus, kind, target_id, w, C, holdout=holdout, seed=seed)
-            y = labels.vector(scored.student_ids)
-            a = auc_values(scored.scores, y)
-            acc = raw_accuracy(scored.scores, y)
-            rows.append((kind, target_id, w, a, acc, len(y), int(y.sum())))
+            y = target.certified
+            if scored.student_ids != target.student_ids:  # post_hoc's held-out students
+                y = y[roster_rows(target, scored.student_ids)]
+            rows.append((kind, target_id, w, auc_values(scored.scores, y), len(y), int(y.sum())))
         except (SingleClassError, InvalidParadigmError) as e:  # e.g. no same-field source
             skipped.append((kind, target_id, w, str(e)))
     return rows, skipped

@@ -72,6 +72,32 @@ def days_since_last_action(course, student_id, as_of):
     return float(off - table.day[mask].max())
 
 
+# Per-student label oracles for CourseData.certified and paradigms.proxy_labels.
+
+def certification_labels(course):
+    """{student_id: 0/1}: 1 iff the final grade (0.0 when absent) >= cert_threshold."""
+    thr = course.meta.cert_threshold
+    return {sid: int(course.final_grade.get(sid, 0.0) >= thr) for sid in course.student_ids}
+
+
+def persistence_labels(course, w):
+    """{student_id: 0/1}: 1 iff the student has a day with nevents > 0 in the 7 days
+    before week w (t100_date + 7w), read one student at a time."""
+    wd = course.day_offset(course.meta.t100_date) + 7 * w
+    table = course.activity
+    nevents = table.values[:, CLICKSTREAM_FEATURES.index("nevents")]
+    out = {}
+    for i, sid in enumerate(course.student_ids):
+        days = table.day[(table.student_index == i) & (nevents > 0)]
+        out[sid] = int(any(wd - 7 <= d <= wd - 1 for d in days.tolist()))
+    return out
+
+
+def as_vector(labels, course):
+    """An oracle's {student_id: 0/1} as a float64 vector in roster order."""
+    return np.array([labels[sid] for sid in course.student_ids], dtype=np.float64)
+
+
 @pytest.fixture
 def tiny_course():
     """Six students with hand-checkable activity and grades.

@@ -18,7 +18,6 @@ from dropoutlab.dataset import (
     SynthConfig,
     course_from_records,
     default_corpus_config,
-    derive_labels,
     synthesize_corpus,
     synthesize_course,
 )
@@ -214,11 +213,10 @@ def test_criterion_3_gradients_match_finite_differences():
 
 def test_criterion_4_logreg_agrees_with_softmax_net():
     course = synthesize_course(SynthConfig(course_id="FIXx", n_students=500), 4242)
-    labels = derive_labels(course)
     m = build_matrix(course, course.meta.t100_date)
     z = apply_zscore(m, fit_zscore(m))
-    yv = labels.vector(z.student_ids)
-    model = train_logreg(z, labels, C=1.0)
+    yv = course.certified
+    model = train_logreg(z, yv, C=1.0)
     a_lr = auc_values(predict_proba(model, z).scores, yv)
     net = train_sgd(init_softmax(66, seed=0), z.values, yv, SgdConfig(seed=0))
     a_net = auc_values(predict_scores(net, z.values), yv)
@@ -301,11 +299,10 @@ def test_criterion_7_in_situ_blind_to_labels():
 
 def test_criterion_8_growth_sweep_and_xor():
     course = synthesize_course(SynthConfig(course_id="GRWx", n_students=160), 77)
-    labels = derive_labels(course)
     wd = course.meta.t100_date - datetime.timedelta(days=7)
     m = build_matrix(course, wd)
     z = apply_zscore(m, fit_zscore(m))
-    yv = labels.vector(z.student_ids)
+    yv = course.certified
     rng = np.random.default_rng(5)
     order = rng.permutation(len(yv))
     te, tr = np.sort(order[:80]), np.sort(order[80:])

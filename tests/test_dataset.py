@@ -20,7 +20,6 @@ from dropoutlab.dataset import (
     corpus_config_to_dict,
     course_from_records,
     default_corpus_config,
-    derive_labels,
     load_course_dir,
     load_course_meta,
     load_demographics,
@@ -38,8 +37,9 @@ from dropoutlab.errors import (
     NegativeCounterError,
     UnknownStudentError,
 )
+from dropoutlab.paradigms import roster_rows
 
-from conftest import LAUNCH, counters, day, make_meta
+from conftest import LAUNCH, as_vector, certification_labels, counters, day, make_meta
 
 
 class TestCourseMeta:
@@ -172,19 +172,26 @@ class TestCourseData:
 
 class TestLabels:
     def test_threshold_inclusive(self, tiny_course):
-        labels = derive_labels(tiny_course)
-        assert labels.labels == {"s00": 1, "s01": 0, "s02": 0, "s03": 1, "s04": 0, "s05": 0}
+        labels = dict(zip(tiny_course.student_ids, tiny_course.certified.tolist()))
+        assert labels == {"s00": 1, "s01": 0, "s02": 0, "s03": 1, "s04": 0, "s05": 0}
 
     def test_missing_grade_is_dropout(self, tiny_course):
         # s04 has no grades row at all
-        assert derive_labels(tiny_course).labels["s04"] == 0
+        assert tiny_course.certified[tiny_course.student_ids.index("s04")] == 0
 
     def test_vector_alignment(self, tiny_course):
-        labels = derive_labels(tiny_course)
-        v = labels.vector(("s03", "s00", "s01"))
+        v = tiny_course.certified[roster_rows(tiny_course, ("s03", "s00", "s01"))]
         assert v.tolist() == [1.0, 1.0, 0.0]
         with pytest.raises(UnknownStudentError):
-            labels.vector(("nobody",))
+            roster_rows(tiny_course, ("nobody",))
+
+    def test_certified_matches_per_student_oracle(self, tiny_course, small_corpus):
+        for course in (tiny_course, *small_corpus):
+            expect = as_vector(certification_labels(course), course)
+            assert course.certified.tobytes() == expect.tobytes()
+            assert course.certified.dtype == np.float64
+        with pytest.raises(ValueError):
+            tiny_course.certified[0] = 1.0
 
 
 class TestCsvRoundTrip:
@@ -201,7 +208,7 @@ class TestCsvRoundTrip:
         # absent grade rows load back as the 0.0 they imply
         for sid in tiny_course.student_ids:
             assert loaded.final_grade[sid] == tiny_course.final_grade.get(sid, 0.0)
-        assert derive_labels(loaded).labels == derive_labels(tiny_course).labels
+        assert loaded.certified.tobytes() == tiny_course.certified.tobytes()
 
     def test_write_is_byte_deterministic(self, tiny_course, tmp_path):
         p1 = write_course(tiny_course, tmp_path / "a")
@@ -418,7 +425,7 @@ class TestSynthesis:
 
     def test_some_students_certify_and_some_drop(self, small_corpus):
         for course in small_corpus:
-            y = derive_labels(course).vector(course.student_ids)
+            y = course.certified
             assert 0 < y.sum() < len(y)
 
     def test_corpus_courses_use_child_seeds(self):

@@ -4,20 +4,17 @@ import numpy as np
 import pytest
 from scipy.stats import rankdata
 
-from dropoutlab.dataset import LabelSet
 from dropoutlab.errors import BadValueError, EmptyListError, SingleClassError
 from dropoutlab.evaluate import (
     EvalReport,
     EvalRow,
     _midranks,
     aggregate,
-    auc,
     auc_values,
     emit_report,
     raw_accuracy,
     sem,
 )
-from dropoutlab.linear import ScoredStudents
 
 
 def pair_count_auc(scores, labels):
@@ -78,11 +75,6 @@ class TestAucExamples:
             auc_values(np.array([0.1, 0.2]), np.array([1, 1]))
         with pytest.raises(SingleClassError):
             auc_values(np.array([0.1, 0.2]), np.array([0, 0]))
-
-    def test_scored_students_wrapper_aligns_by_id(self):
-        scored = ScoredStudents(("a", "b", "c"), np.array([0.2, 0.9, 0.5]))
-        labels = LabelSet("X", {"a": 0, "b": 1, "c": 0, "unscored": 1})
-        assert auc(scored, labels) == 1.0
 
 
 class TestAucAgainstOracle:
@@ -163,10 +155,10 @@ class TestRawAccuracy:
 
 def _report_fixture():
     rows = [
-        EvalRow("post_hoc", "B1x", -1, 0.9, 0.8, 100, 20),
-        EvalRow("post_hoc", "A1x", -1, 0.8, 0.7, 50, 10),
-        EvalRow("post_hoc", "A1x", 0, 0.95, 0.9, 50, 10),
-        EvalRow("baseline2", "A1x", 0, 0.7, 0.5, 50, 10),
+        EvalRow("post_hoc", "B1x", -1, 0.9, 100, 20),
+        EvalRow("post_hoc", "A1x", -1, 0.8, 50, 10),
+        EvalRow("post_hoc", "A1x", 0, 0.95, 50, 10),
+        EvalRow("baseline2", "A1x", 0, 0.7, 50, 10),
     ]
     return EvalReport.from_rows(rows, skipped=(("post_hoc", "B1x", 0, "single class"),))
 
@@ -230,7 +222,7 @@ class TestReport:
         assert "  skipped same_field HCCx w-1: no other Humanities" in text
 
     def test_row_invariants_enforced(self):
-        with pytest.raises(Exception):
-            EvalRow("post_hoc", "A1x", 0, 1.5, 0.5, 10, 2)
-        with pytest.raises(Exception):
-            EvalRow("post_hoc", "A1x", 0, 0.5, 0.5, 10, 11)
+        with pytest.raises(BadValueError):
+            EvalRow("post_hoc", "A1x", 0, 1.5, 10, 2)
+        with pytest.raises(BadValueError):
+            EvalRow("post_hoc", "A1x", 0, 0.5, 10, 11)

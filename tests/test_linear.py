@@ -8,7 +8,7 @@ import pytest
 from scipy.optimize import minimize
 from scipy.special import expit
 
-from dropoutlab.dataset import LabelSet, StudentDemographics, course_from_records, derive_labels
+from dropoutlab.dataset import StudentDemographics, course_from_records
 from dropoutlab.errors import (
     BadValueError,
     ConvergenceWarning,
@@ -34,7 +34,6 @@ from dropoutlab.linear import (
     average_hyperplanes,
     baseline_demographics,
     baseline_recency,
-    decision_values,
     load_model,
     loss_and_grad,
     predict_proba,
@@ -52,7 +51,7 @@ def _labelled_matrix(values, labels):
     vals = np.zeros((len(values), 66))
     vals[:, : np.shape(values)[1]] = values
     m = FeatureMatrix(DEFAULT_SCHEMA, ids, vals, LAUNCH)
-    return m, LabelSet("Qx", dict(zip(ids, labels)))
+    return m, np.asarray(labels, dtype=np.float64)
 
 
 def _rand_problem(rng, n, p):
@@ -119,6 +118,12 @@ class TestTraining:
         with pytest.raises(SingleClassError):
             train_logreg(m, labels)
 
+    def test_label_length_must_match_rows(self):
+        m, labels = _labelled_matrix(np.array([[1.0], [-1.0], [2.0]]), [1, 0, 1])
+        for y in (labels[:2], np.append(labels, 0.0), labels[:, None]):
+            with pytest.raises(BadValueError, match="do not align with 3 rows"):
+                train_logreg(m, y)
+
     def test_bad_c_rejected(self):
         m, labels = _labelled_matrix(np.array([[1.0], [-1.0]]), [1, 0])
         with pytest.raises(BadValueError):
@@ -135,9 +140,8 @@ class TestTraining:
             full[:, :p] = X
             ids = tuple(f"q{i:03d}" for i in range(n))
             m = FeatureMatrix(DEFAULT_SCHEMA, ids, full, LAUNCH)
-            labels = LabelSet("Qx", dict(zip(ids, y.astype(int))))
             C = float(rng.choice([0.1, 1.0, 10.0]))
-            model = train_logreg(m, labels, C=C, opt=opt)
+            model = train_logreg(m, y, C=C, opt=opt)
             loss, gw, gb = loss_and_grad(model.weights, model.intercept,
                                          full, y, C)
             assert np.sqrt(gw @ gw + gb * gb) <= opt.tol_per_example * n * 1.001
@@ -207,7 +211,7 @@ class TestNewtonSolver:
     def test_collinear_demographics_with_zero_columns(self):
         course = _demographic_course()
         demo = demographic_dummies(course)
-        y = derive_labels(course).vector(course.student_ids)
+        y = course.certified
         # every dummy block sums to 1 per row, like the intercept column
         with_intercept = np.column_stack([demo, np.ones(len(demo))])
         assert np.linalg.matrix_rank(with_intercept) < with_intercept.shape[1]
@@ -223,7 +227,7 @@ class TestPrediction:
         m, labels = _labelled_matrix(np.array([[-1.0], [0.0], [2.0]]), [0, 0, 1])
         model = LinearModel(weights=np.eye(66)[0] * 3.0, intercept=-1.0, reg_C=1.0)
         scored = predict_proba(model, m)
-        dv = decision_values(model, m)
+        dv = m.values @ model.weights + model.intercept
         assert dv == pytest.approx([-4.0, -1.0, 5.0])
         assert scored.scores == pytest.approx(expit(dv))
         assert scored.student_ids == m.student_ids
@@ -251,7 +255,7 @@ class TestPrediction:
         ids = tuple(f"q{i:03d}" for i in range(30))
         m = FeatureMatrix(DEFAULT_SCHEMA, ids, vals, LAUNCH)
         model = LinearModel(weights=rng.standard_normal(66), intercept=0.3, reg_C=1.0)
-        dv = decision_values(model, m)
+        dv = m.values @ model.weights + model.intercept
         s = predict_proba(model, m).scores
         assert np.array_equal(np.argsort(dv), np.argsort(s))
 
@@ -341,7 +345,7 @@ class TestBaselines:
         m_ = DEFAULT_SCHEMA.names.index("gender_male")
         assert model.weights[f] > model.weights[m_]
         scored = score_demographics(model, course)
-        y = derive_labels(course).vector(scored.student_ids)
+        y = course.certified
         mean_pos = scored.scores[y == 1].mean()
         mean_neg = scored.scores[y == 0].mean()
         assert mean_pos > mean_neg
@@ -381,7 +385,7 @@ class TestModelSerialization:
         m = build_matrix(tiny_course, day(9))
         stats = fit_zscore(m)
         z = apply_zscore(m, stats)
-        model = train_logreg(z, derive_labels(tiny_course), C=1.0, norm=stats)
+        model = train_logreg(z, tiny_course.certified, C=1.0, norm=stats)
         p = tmp_path / "model.json"
         save_model(model, p)
         back = load_model(p)

@@ -9,15 +9,15 @@ from dropoutlab.dataset import (
     ActivityDay,
     StudentDemographics,
     course_from_records,
-    derive_labels,
 )
 from dropoutlab.errors import (
     BadValueError,
     BeforeLaunchError,
     InvalidParadigmError,
+    UnknownStudentError,
     WindowOutOfRangeError,
 )
-from dropoutlab.evaluate import auc
+from dropoutlab.evaluate import auc_values
 from dropoutlab.features import apply_zscore, build_matrix, fit_zscore
 from dropoutlab.linear import predict_proba, train_logreg
 from dropoutlab.paradigms import (
@@ -26,13 +26,22 @@ from dropoutlab.paradigms import (
     largest_same_field_source,
     prediction_weeks,
     proxy_labels,
+    roster_rows,
     run_experiment,
     run_paradigm,
     source_courses,
     week_date,
 )
 
-from conftest import counters, day, days_since_last_action, make_meta
+from conftest import (
+    as_vector,
+    certification_labels,
+    counters,
+    day,
+    days_since_last_action,
+    make_meta,
+    persistence_labels,
+)
 
 
 class TestWeekIndexing:
@@ -94,19 +103,34 @@ def _window_course():
     return course_from_records(meta, students, records, {})
 
 
+def _proxy_by_id(course, w):
+    return dict(zip(course.student_ids, proxy_labels(course, w).tolist()))
+
+
 class TestProxyLabels:
     def test_window_boundaries(self):
-        labels = proxy_labels(_window_course(), 0).labels
+        labels = _proxy_by_id(_window_course(), 0)
         assert labels == {"wa": 1, "wb": 0, "wc": 1, "wd": 0, "we": 0}
 
     def test_every_student_labeled(self):
-        p = proxy_labels(_window_course(), 0)
-        assert set(p.labels) == {"wa", "wb", "wc", "wd", "we"}
-        assert p.course_id == "WINx"
+        course = _window_course()
+        p = proxy_labels(course, 0)
+        assert course.student_ids == ("wa", "wb", "wc", "wd", "we")
+        assert p.shape == (5,) and p.dtype == np.float64
+        assert set(p.tolist()) <= {0.0, 1.0}
 
     def test_earlier_week(self):
-        labels = proxy_labels(_window_course(), -3).labels  # window days 0..6
+        labels = _proxy_by_id(_window_course(), -3)  # window days 0..6
         assert labels == {"wa": 0, "wb": 1, "wc": 0, "wd": 0, "we": 0}
+
+    def test_matches_per_student_oracle(self, tiny_course, small_corpus):
+        for course in (_window_course(), tiny_course, *small_corpus):
+            gap = (course.meta.t100_date - course.meta.launch_date).days
+            weeks = range(-(gap // 7) + 1, 1)  # every window inside [launch, t100]
+            assert len(weeks) >= 3
+            for w in weeks:
+                expect = as_vector(persistence_labels(course, w), course)
+                assert proxy_labels(course, w).tobytes() == expect.tobytes(), (course, w)
 
     def test_window_must_fit(self):
         course = _window_course()
@@ -117,13 +141,13 @@ class TestProxyLabels:
 
     def test_activity_outside_window_irrelevant(self):
         course = _window_course()
-        base = proxy_labels(course, 0).labels
+        base = _proxy_by_id(course, 0)
         extra = list(course.activity_days()) + [
             ActivityDay("we", day(19), counters(nevents=50)),
             ActivityDay("wb", day(30), counters(nevents=50)),
         ]
         bumped = course_from_records(course.meta, course.students, extra, {})
-        assert proxy_labels(bumped, 0).labels == base
+        assert _proxy_by_id(bumped, 0) == base
 
     def test_zero_event_rows_do_not_count(self):
         course = _window_course()
@@ -131,7 +155,7 @@ class TestProxyLabels:
             ActivityDay("we", day(24), counters(nvideo=4))  # nevents stays 0
         ]
         bumped = course_from_records(course.meta, course.students, extra, {})
-        assert proxy_labels(bumped, 0).labels["we"] == 0
+        assert _proxy_by_id(bumped, 0)["we"] == 0
 
 
 def _mini_course(course_id, field, n, weeks_to_t100=4, launch=None, seed=0):
@@ -205,7 +229,7 @@ class TestSourceSelection:
 class TestPostHoc:
     def test_separable_course_perfect_auc(self, separable_course):
         scored = run_paradigm([separable_course], "post_hoc", "SEPx", 0)
-        assert auc(scored, derive_labels(separable_course)) == 1.0
+        assert auc_values(scored.scores, separable_course.certified) == 1.0
 
     def test_scores_match_manual_pipeline(self, handmade_corpus):
         target = handmade_corpus[0]
@@ -213,7 +237,7 @@ class TestPostHoc:
         m = build_matrix(target, week_date(target.meta, -1))
         stats = fit_zscore(m)
         z = apply_zscore(m, stats)
-        model = train_logreg(z, derive_labels(target), 1.0, norm=stats)
+        model = train_logreg(z, target.certified, 1.0, norm=stats)
         assert np.array_equal(scored.scores, predict_proba(model, z).scores)
 
     def test_ineligible_week_rejected(self, handmade_corpus):
@@ -247,7 +271,7 @@ class TestTransfer:
         scored = run_paradigm(handmade_corpus, "same_field", "HCAx", 0)
         m_s = build_matrix(source, week_date(source.meta, 0))
         stats_s = fit_zscore(m_s)
-        model = train_logreg(apply_zscore(m_s, stats_s), derive_labels(source),
+        model = train_logreg(apply_zscore(m_s, stats_s), source.certified,
                              1.0, norm=stats_s)
         m_t = build_matrix(target, week_date(target.meta, 0))
         expect = predict_proba(model, apply_zscore(m_t, stats_s))
@@ -264,7 +288,7 @@ class TestTransfer:
         source = corpus[1]
         m_s = build_matrix(source, source.meta.launch_date)
         stats_s = fit_zscore(m_s)
-        model = train_logreg(apply_zscore(m_s, stats_s), derive_labels(source),
+        model = train_logreg(apply_zscore(m_s, stats_s), source.certified,
                              1.0, norm=stats_s)
         target = corpus[0]
         m_t = build_matrix(target, week_date(target.meta, -5))
@@ -282,7 +306,7 @@ class TestTransfer:
             m_s = build_matrix(src, week_date(src.meta, 0))
             stats_s = fit_zscore(m_s)
             models.append(train_logreg(apply_zscore(m_s, stats_s),
-                                       derive_labels(src), 1.0, norm=stats_s))
+                                       src.certified, 1.0, norm=stats_s))
         avg = average_hyperplanes(models)
         m_t = build_matrix(target, week_date(target.meta, 0))
         expect = predict_proba(avg, apply_zscore(m_t, fit_zscore(m_t)))
@@ -297,14 +321,14 @@ class TestTransfer:
 
         m_s = build_matrix(corpus[1], week_date(corpus[1].meta, 0))
         stats = fit_zscore(m_s)
-        model = train_logreg(apply_zscore(m_s, stats), derive_labels(corpus[1]), 1.0)
+        model = train_logreg(apply_zscore(m_s, stats), corpus[1].certified, 1.0)
         avg = average_hyperplanes([model])
         assert np.array_equal(avg.weights, model.weights)
         assert avg.intercept == model.intercept
 
     def test_transfer_beats_chance_on_synthetic(self, small_corpus):
         scored = run_paradigm(small_corpus, "same_field", small_corpus[0].meta.course_id, 0)
-        assert auc(scored, derive_labels(small_corpus[0])) > 0.6
+        assert auc_values(scored.scores, small_corpus[0].certified) > 0.6
 
 
 class TestInSitu:
@@ -329,7 +353,7 @@ class TestInSitu:
     def test_still_predictive_of_certification(self, small_corpus):
         c = small_corpus[0]
         scored = insitu_scores(c.meta, c.students, c.activity, 0)
-        assert auc(scored, derive_labels(c)) > 0.7
+        assert auc_values(scored.scores, c.certified) > 0.7
 
 
 class TestBaselines:
@@ -394,3 +418,31 @@ class TestHarness:
     def test_empty_corpus_rejected(self):
         with pytest.raises(BadValueError):
             run_experiment([], ("post_hoc",))
+
+    def test_holdout_rows_scored_against_held_out_labels(self, handmade_corpus):
+        report = run_experiment(handmade_corpus, ("post_hoc",), holdout=0.25, seed=3)
+        assert report.rows
+        for r in report.rows:
+            course = next(c for c in handmade_corpus if c.meta.course_id == r.course_id)
+            scored = run_paradigm(handmade_corpus, "post_hoc", r.course_id, r.week,
+                                  holdout=0.25, seed=3)
+            by_id = certification_labels(course)
+            y = np.array([by_id[sid] for sid in scored.student_ids], dtype=np.float64)
+            assert (r.n_students, r.n_positives) == (len(y), int(y.sum()))
+            assert r.auc == auc_values(scored.scores, y)
+
+
+class TestRosterRows:
+    def test_rows_of_a_shuffled_subset(self, small_corpus):
+        course = small_corpus[0]
+        rows = np.random.default_rng(1).permutation(course.n_students)[:40]
+        ids = tuple(course.student_ids[i] for i in rows)
+        assert np.array_equal(roster_rows(course, ids), rows)
+        assert roster_rows(course, ()).shape == (0,)
+
+    @pytest.mark.parametrize("stranger", ["", "zzz", "s000", "s00000\x00", "S00000"])
+    def test_unknown_id_rejected(self, small_corpus, stranger):
+        course = small_corpus[0]
+        assert course.student_ids[0] == "s00000"
+        with pytest.raises(UnknownStudentError, match="not on the roster"):
+            roster_rows(course, (course.student_ids[3], stranger))
