@@ -207,15 +207,6 @@ def _batch_loss_and_grads(m, Xb, yb, class_w):
     return loss, grads
 
 
-def dataset_loss(m: MlpModel, X, y, class_weighting: bool = False) -> float:
-    """Mean (optionally class-weighted) cross-entropy over a whole dataset."""
-    values = np.asarray(X, dtype=np.float64)
-    yv = np.asarray(y, dtype=np.float64)
-    class_w = _class_weights(yv, class_weighting)
-    loss, _ = _batch_loss_and_grads(m, values, yv, class_w)
-    return loss
-
-
 def _class_weights(y: np.ndarray, enabled: bool) -> np.ndarray:
     if not enabled:
         return np.ones(N_CLASSES)

@@ -15,14 +15,24 @@ every enrolled student at each eligible week:
 
 A paradigm's source courses are never passed in: source_courses derives
 them from (corpus, kind, target), and run_paradigm(corpus, kind, target_id, w)
-scores one cell. run_experiment scores every cell and records a cell that
-cannot be scored (no source course, a single-class training set) as skipped.
+scores one cell, fitting only the models that cell reads.
+
+run_experiment scores every cell in two phases. The fit phase derives the
+model keys the cells read: a (course, date) model for post_hoc at holdout 0
+and for each same_field and multi_course source, and one baseline1 model per
+course. It fits each key once into a table that holds models only, never a
+feature matrix. The score phase runs one task per (paradigm, course) against
+that table. in_situ and post_hoc with holdout > 0 train inside their cells
+and never read it. With jobs > 1, one process pool runs the table's fits and
+then the tasks. A cell that cannot be scored (no source course, a
+single-class training set) is recorded as skipped.
 """
 
 from __future__ import annotations
 
 import datetime
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from typing import Sequence
 
 import numpy as np
@@ -209,6 +219,99 @@ def insitu_scores(
     return predict_proba(model, p)
 
 
+# A model-table key: (course_id, as_of) names the course's logistic model on
+# its z-scored snapshot at as_of, (course_id, None) its baseline1 model.
+ModelKey = tuple[str, datetime.date | None]
+
+
+def _cell_keys(
+    corpus: Sequence[CourseData], kind: str, target_id: str, w: int, holdout: float
+) -> tuple[ModelKey, ...]:
+    """The model-table keys one cell reads, in the order it reads them.
+
+    Checks the cell first, so an unknown paradigm or target, a missing source
+    course or an ineligible week raises before any model is fit. in_situ,
+    baseline2 and post_hoc with holdout > 0 read no key.
+    """
+    sources = source_courses(corpus, kind, target_id)
+    by_id = _corpus_index(corpus)
+    target = by_id[target_id]
+    if w not in prediction_weeks(target.meta, kind):
+        raise WindowOutOfRangeError(f"week {w} not eligible for {kind} on {target_id!r}")
+    if kind == "post_hoc" and holdout <= 0.0:
+        return ((target_id, week_date(target.meta, w)),)
+    if kind == "baseline1":
+        return ((target_id, None),)
+    return tuple((cid, _source_date(by_id[cid].meta, w)) for cid in sources)
+
+
+def _fit_model(
+    course: CourseData, as_of: datetime.date | None, C: float, opt: OptimizerConfig | None
+) -> LinearModel | SingleClassError:
+    """The model a table key names. A single-class training set is kept as its
+    error, without the traceback that would hold the fit's feature matrices."""
+    try:
+        if as_of is None:
+            return baseline_demographics(course, C, opt)
+        return fit_course_model(course, as_of, C, opt)[0]
+    except SingleClassError as e:
+        return e.with_traceback(None)
+
+
+def _score_cell(
+    corpus: Sequence[CourseData],
+    kind: str,
+    target_id: str,
+    w: int,
+    models: dict[ModelKey, LinearModel | SingleClassError],
+    C: float,
+    opt: OptimizerConfig | None,
+    holdout: float,
+    seed: int,
+) -> ScoredStudents:
+    """Score one cell from the fitted models of its keys.
+
+    The first key whose fit failed, in source order, re-raises its error.
+    """
+    fitted = []
+    for key in _cell_keys(corpus, kind, target_id, w, holdout):
+        model = models[key]
+        if isinstance(model, SingleClassError):
+            raise model.with_traceback(None)
+        fitted.append(model)
+    target = _corpus_index(corpus)[target_id]
+    wd = week_date(target.meta, w)
+
+    if kind == "same_field" or (kind == "post_hoc" and holdout <= 0.0):
+        # one course model, deployed with the z-score stats it was fit with
+        (model,) = fitted
+        return predict_proba(model, apply_zscore(build_matrix(target, wd), model.norm))
+
+    if kind == "post_hoc":  # holdout > 0
+        m = build_matrix(target, wd)
+        train_rows, test_rows = split_rows(m.n_rows, holdout, seed)
+        m_train = m.take(train_rows)
+        stats, (z_train, z_test) = normalize(m_train, [m_train, m.take(test_rows)], "zscore")
+        model = train_logreg(z_train, target.certified[train_rows], C, opt, norm=stats)
+        return predict_proba(model, z_test)
+
+    if kind == "multi_course":
+        m_t = build_matrix(target, wd)
+        _, (z_t,) = normalize(m_t, [m_t], "zscore")
+        return predict_proba(average_hyperplanes(fitted), z_t)
+
+    if kind == "in_situ":
+        return insitu_scores(target.meta, target.students, target.activity, w, C, opt)
+
+    if kind == "baseline1":
+        return score_demographics(fitted[0], target)
+
+    if kind == "baseline2":
+        return baseline_recency(target, wd)
+
+    raise InvalidParadigmError(f"unknown paradigm {kind!r}")
+
+
 def run_paradigm(
     corpus: Sequence[CourseData],
     kind: str,
@@ -224,49 +327,13 @@ def run_paradigm(
     The source courses follow from (corpus, kind, target_id); see
     source_courses. holdout (post_hoc only) trains on a seeded (1 - holdout)
     fraction and returns scores for the held-out students alone; 0 keeps the
-    literal same-population regime.
+    literal same-population regime. Only the models this one cell reads are
+    fit, through the same keys as run_experiment's table.
     """
-    sources = source_courses(corpus, kind, target_id)
+    keys = _cell_keys(corpus, kind, target_id, w, holdout)
     by_id = _corpus_index(corpus)
-    target = by_id[target_id]
-    if w not in prediction_weeks(target.meta, kind):
-        raise WindowOutOfRangeError(f"week {w} not eligible for {kind} on {target_id!r}")
-    wd = week_date(target.meta, w)
-
-    if kind == "post_hoc":
-        if holdout <= 0.0:
-            model, z = fit_course_model(target, wd, C, opt)
-            return predict_proba(model, z)
-        m = build_matrix(target, wd)
-        train_rows, test_rows = split_rows(m.n_rows, holdout, seed)
-        m_train = m.take(train_rows)
-        stats, (z_train, z_test) = normalize(m_train, [m_train, m.take(test_rows)], "zscore")
-        model = train_logreg(z_train, target.certified[train_rows], C, opt, norm=stats)
-        return predict_proba(model, z_test)
-
-    if kind == "same_field":
-        source = by_id[sources[0]]
-        model, _ = fit_course_model(source, _source_date(source.meta, w), C, opt)
-        return predict_proba(model, apply_zscore(build_matrix(target, wd), model.norm))
-
-    if kind == "multi_course":
-        models = [fit_course_model(by_id[cid], _source_date(by_id[cid].meta, w), C, opt)[0]
-                  for cid in sources]
-        m_t = build_matrix(target, wd)
-        _, (z_t,) = normalize(m_t, [m_t], "zscore")
-        return predict_proba(average_hyperplanes(models), z_t)
-
-    if kind == "in_situ":
-        return insitu_scores(target.meta, target.students, target.activity, w, C, opt)
-
-    if kind == "baseline1":
-        model = baseline_demographics(target, C, opt)
-        return score_demographics(model, target)
-
-    if kind == "baseline2":
-        return baseline_recency(target, wd)
-
-    raise InvalidParadigmError(f"unknown paradigm {kind!r}")
+    models = {key: _fit_model(by_id[key[0]], key[1], C, opt) for key in keys}
+    return _score_cell(corpus, kind, target_id, w, models, C, opt, holdout, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -293,30 +360,56 @@ def roster_rows(course: CourseData, student_ids: Sequence[str]) -> np.ndarray:
 _WORKER_CORPUS: list[CourseData] | None = None
 
 
-def _init_worker(corpus: list[CourseData]) -> None:
+def _init_worker(corpus: list[CourseData] | None) -> None:
     global _WORKER_CORPUS
     _WORKER_CORPUS = corpus
 
 
+@contextmanager
+def _corpus_map(corpus: list[CourseData], jobs: int):
+    """A map(fn, items) over workers that hold the corpus: one process pool
+    when jobs > 1, this process otherwise. The corpus is dropped on exit."""
+    if jobs > 1:
+        with ProcessPoolExecutor(
+            max_workers=jobs, initializer=_init_worker, initargs=(corpus,)
+        ) as pool:
+            yield lambda fn, items: list(pool.map(fn, items))
+        return
+    _init_worker(corpus)
+    try:
+        yield lambda fn, items: [fn(item) for item in items]
+    finally:
+        _init_worker(None)
+
+
+def _fit_table_entry(args) -> LinearModel | SingleClassError:
+    (course_id, as_of), C = args
+    return _fit_model(_corpus_index(_WORKER_CORPUS)[course_id], as_of, C, None)
+
+
+def _task_keys(
+    corpus: list[CourseData], kind: str, target_id: str, holdout: float
+) -> list[ModelKey]:
+    """The distinct table keys of one (paradigm, course) task's weekly cells."""
+    keys: dict[ModelKey, None] = {}
+    for w in prediction_weeks(_corpus_index(corpus)[target_id].meta, kind):
+        try:
+            keys.update(dict.fromkeys(_cell_keys(corpus, kind, target_id, w, holdout)))
+        except InvalidParadigmError:  # no source course: the cell is skipped when scored
+            pass
+    return list(keys)
+
+
 def _run_course_cells(args) -> tuple[list[tuple], list[tuple]]:
     """All weekly cells for one (paradigm, course): rows plus skipped records."""
-    kind, target_id, C, holdout, seed = args
+    kind, target_id, C, holdout, seed, models = args
     corpus = _WORKER_CORPUS
-    by_id = _corpus_index(corpus)
-    target = by_id[target_id]
+    target = _corpus_index(corpus)[target_id]
     rows: list[tuple] = []
     skipped: list[tuple] = []
-    cached_scores: ScoredStudents | None = None
     for w in prediction_weeks(target.meta, kind):
         try:
-            if kind == "baseline1":
-                # week-independent: demographics never change, reuse the scores
-                if cached_scores is None:
-                    cached_scores = run_paradigm(corpus, kind, target_id, w, C,
-                                                 holdout=holdout, seed=seed)
-                scored = cached_scores
-            else:
-                scored = run_paradigm(corpus, kind, target_id, w, C, holdout=holdout, seed=seed)
+            scored = _score_cell(corpus, kind, target_id, w, models, C, None, holdout, seed)
             y = target.certified
             if scored.student_ids != target.student_ids:  # post_hoc's held-out students
                 y = y[roster_rows(target, scored.student_ids)]
@@ -336,10 +429,15 @@ def run_experiment(
 ) -> EvalReport:
     """Every course x paradigm x eligible week, scored against true labels.
 
-    Cells are independent; jobs > 1 fans (paradigm, course) tasks across
-    processes. Assembly order is fixed, so the report is identical for any
-    jobs value. A kind listed twice is rejected: its rows would enter every
-    aggregate twice.
+    Two phases. The fit phase derives every model key the cells read and
+    fits each once into a table of models (no feature matrices); a key whose
+    training set has a single class keeps its error, and every cell that
+    reads it is skipped with that reason. The score phase runs each
+    (paradigm, course) task against its keys' models. jobs > 1 runs both
+    phases on one process pool: first the table's keys, then the tasks. The
+    table lives only for this call, and assembly order is fixed, so the
+    report is identical for any jobs value. A kind listed twice is rejected:
+    its rows would enter every aggregate twice.
     """
     if len(corpus) == 0:
         raise BadValueError("corpus must be non-empty")
@@ -350,19 +448,15 @@ def run_experiment(
             raise InvalidParadigmError(f"paradigm {kind!r} is listed more than once")
     corpus = list(corpus)
     course_ids = sorted(c.meta.course_id for c in corpus)
-    tasks = [
-        (kind, cid, C, holdout, seed)
-        for kind in paradigm_kinds
-        for cid in course_ids
-    ]
-    if jobs <= 1:
-        _init_worker(corpus)
-        results = [_run_course_cells(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_init_worker, initargs=(corpus,)
-        ) as pool:
-            results = list(pool.map(_run_course_cells, tasks))
+    tasks = [(kind, cid) for kind in paradigm_kinds for cid in course_ids]
+    task_keys = [_task_keys(corpus, kind, cid, holdout) for kind, cid in tasks]
+    keys = list(dict.fromkeys(key for ks in task_keys for key in ks))
+    with _corpus_map(corpus, jobs) as corpus_map:
+        table = dict(zip(keys, corpus_map(_fit_table_entry, [(key, C) for key in keys])))
+        results = corpus_map(_run_course_cells, [
+            (kind, cid, C, holdout, seed, {key: table[key] for key in ks})
+            for (kind, cid), ks in zip(tasks, task_keys)
+        ])
     rows: list[EvalRow] = []
     skipped: list[tuple] = []
     for cell_rows, cell_skipped in results:

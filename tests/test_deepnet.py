@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from dropoutlab.deepnet import (
+    N_CLASSES,
     GrowthPlan,
     MlpModel,
     SgdConfig,
     TrainLog,
     _batch_loss_and_grads,
-    dataset_loss,
     forward,
     grow_and_train,
     init_mlp,
@@ -35,6 +35,12 @@ from dropoutlab.errors import (
     ShrinkNotAllowedError,
     SingleClassError,
 )
+
+
+def dataset_loss(m, X, y):
+    """Mean unweighted cross-entropy over a whole dataset, as one batch."""
+    loss, _ = _batch_loss_and_grads(m, X, y, np.ones(N_CLASSES))
+    return loss
 
 
 def _toy_data(rng, n=40, p=6):

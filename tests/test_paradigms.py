@@ -5,6 +5,7 @@ import datetime
 import numpy as np
 import pytest
 
+from dropoutlab import linear, paradigms
 from dropoutlab.dataset import (
     ActivityDay,
     StudentDemographics,
@@ -14,6 +15,7 @@ from dropoutlab.errors import (
     BadValueError,
     BeforeLaunchError,
     InvalidParadigmError,
+    SingleClassError,
     UnknownStudentError,
     WindowOutOfRangeError,
 )
@@ -158,8 +160,9 @@ class TestProxyLabels:
         assert _proxy_by_id(bumped, 0)["we"] == 0
 
 
-def _mini_course(course_id, field, n, weeks_to_t100=4, launch=None, seed=0):
-    """Synthetic-free small course: half the students persist and certify."""
+def _mini_course(course_id, field, n, weeks_to_t100=4, launch=None, seed=0, certify=True):
+    """Synthetic-free small course: half the students persist and, unless
+    certify is False, certify."""
     from conftest import LAUNCH
 
     launch = launch or LAUNCH
@@ -179,7 +182,7 @@ def _mini_course(course_id, field, n, weeks_to_t100=4, launch=None, seed=0):
                 records.append(ActivityDay(sid, day(d, launch),
                                            counters(nevents=2 + (i + d) % 4,
                                                     nproblems_answered=1)))
-        grades[sid] = 0.9 if persists else 0.1
+        grades[sid] = 0.9 if persists and certify else 0.1
     return course_from_records(meta, students, records, grades)
 
 
@@ -430,6 +433,104 @@ class TestHarness:
             y = np.array([by_id[sid] for sid in scored.student_ids], dtype=np.float64)
             assert (r.n_students, r.n_positives) == (len(y), int(y.sum()))
             assert r.auc == auc_values(scored.scores, y)
+
+
+def _expected_course_model_keys(corpus):
+    """(course_id, date) of every course model the six paradigms read, from the
+    schedule alone: post_hoc at the target's week dates, and each same_field
+    and multi_course source at its own week-w date, clamped to its launch."""
+    by_id = {c.meta.course_id: c for c in corpus}
+
+    def own_date(cid, w):
+        meta = by_id[cid].meta
+        return max(meta.t100_date + datetime.timedelta(days=7 * w), meta.launch_date)
+
+    keys = set()
+    for c in corpus:
+        cid = c.meta.course_id
+        keys |= {(cid, week_date(c.meta, w)) for w in prediction_weeks(c.meta, "post_hoc")}
+        same = largest_same_field_source(corpus, cid)
+        if same is not None:
+            keys |= {(same, own_date(same, w)) for w in prediction_weeks(c.meta, "same_field")}
+        for w in prediction_weeks(c.meta, "multi_course"):
+            keys |= {(s, own_date(s, w)) for s in by_id if s != cid}
+    return keys
+
+
+def _outcomes(report):
+    """{(paradigm, course_id, week): AUC, or the reason the cell was skipped}."""
+    out = {(r.paradigm, r.course_id, r.week): r.auc for r in report.rows}
+    out.update({(k, cid, w): reason for k, cid, w, reason in report.skipped})
+    return out
+
+
+class TestModelTable:
+    @pytest.mark.parametrize("corpus_name", ["handmade_corpus", "small_corpus"])
+    def test_each_model_fit_once(self, corpus_name, request, monkeypatch):
+        corpus = request.getfixturevalue(corpus_name)
+        solves, course_fits = [], []
+        minimize, fit_course_model = linear._minimize, paradigms.fit_course_model
+
+        def counting_minimize(*args):
+            solves.append(args)
+            return minimize(*args)
+
+        def recording_fit(course, as_of, *args):
+            course_fits.append((course.meta.course_id, as_of))
+            return fit_course_model(course, as_of, *args)
+
+        monkeypatch.setattr(linear, "_minimize", counting_minimize)
+        monkeypatch.setattr(paradigms, "fit_course_model", recording_fit)
+        report = run_experiment(corpus, PARADIGMS, jobs=1)
+        assert {r.paradigm for r in report.rows} == set(PARADIGMS)
+        assert len(course_fits) == len(set(course_fits)), "a course model was fit twice"
+        keys = _expected_course_model_keys(corpus)
+        assert set(course_fits) == keys
+        in_situ_cells = sum(len(prediction_weeks(c.meta, "in_situ")) for c in corpus)
+        assert len(solves) == len(keys) + len(corpus) + in_situ_cells
+
+    def test_jobs_do_not_change_results_for_any_paradigm(self, handmade_corpus):
+        a = run_experiment(handmade_corpus, PARADIGMS, jobs=1)
+        b = run_experiment(handmade_corpus, PARADIGMS, jobs=2)
+        assert {r.paradigm for r in a.rows} == set(PARADIGMS)
+        assert a == b
+
+    @pytest.mark.parametrize("corpus_name", ["handmade_corpus", "small_corpus"])
+    def test_cells_match_standalone_run_paradigm(self, corpus_name, request):
+        corpus = request.getfixturevalue(corpus_name)
+        report = run_experiment(corpus, PARADIGMS)
+        assert {r.paradigm for r in report.rows} == set(PARADIGMS)
+        by_id = {c.meta.course_id: c for c in corpus}
+        standalone = {}
+        for kind, cid, w in _outcomes(report):
+            try:
+                scored = run_paradigm(corpus, kind, cid, w)
+                standalone[kind, cid, w] = auc_values(scored.scores, by_id[cid].certified)
+            except (SingleClassError, InvalidParadigmError) as e:
+                standalone[kind, cid, w] = str(e)
+        assert standalone == _outcomes(report)
+
+    def test_single_class_course_skips_the_cells_that_train_on_it(self):
+        corpus = [
+            _mini_course("SCAx", "STEM", 40, seed=1),
+            _mini_course("SCBx", "STEM", 60, seed=2, certify=False),
+            _mini_course("SCCx", "Hum", 50, seed=3),
+        ]
+        assert corpus[1].certified.sum() == 0
+        report = run_experiment(corpus, PARADIGMS)
+
+        def cells(kind, cid):
+            return {(kind, cid, w) for w in prediction_weeks(corpus[0].meta, kind)}
+
+        trains_on_scbx = (cells("post_hoc", "SCBx") | cells("baseline1", "SCBx")
+                          | cells("same_field", "SCAx")  # SCBx is SCAx's same-field source
+                          | cells("multi_course", "SCAx") | cells("multi_course", "SCCx"))
+        single_class = {key for key, reason in _outcomes(report).items()
+                        if reason == "training labels contain a single class"}
+        assert single_class == trains_on_scbx
+        assert not [r for r in report.rows if r.paradigm == "multi_course"]
+        assert {(r.paradigm, r.course_id) for r in report.rows} >= {
+            ("post_hoc", "SCAx"), ("post_hoc", "SCCx"), ("baseline1", "SCCx")}
 
 
 class TestRosterRows:
