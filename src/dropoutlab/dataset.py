@@ -80,67 +80,87 @@ class CourseMeta:
             )
 
 
-@dataclass(frozen=True)
-class StudentDemographics:
-    """Self-reported demographics; None marks a non-response, distinct from any category."""
-
-    student_id: str
-    yob: int | None = None
-    loe: str | None = None
-    gender: str | None = None
-    continent: str | None = None
-    took_precourse_survey: bool = False
-
-    def __post_init__(self) -> None:
-        if self.loe is not None and self.loe not in LOE_LEVELS:
-            raise BadValueError(f"student {self.student_id!r}: unknown loe {self.loe!r}")
-        if self.gender is not None and self.gender not in GENDERS:
-            raise BadValueError(f"student {self.student_id!r}: unknown gender {self.gender!r}")
-        if self.continent is not None and self.continent not in CONTINENTS:
-            raise BadValueError(f"student {self.student_id!r}: unknown continent {self.continent!r}")
+# The levels of each categorical roster column; the column holds each
+# student's index into its levels, or len(levels) for a non-response.
+_LEVELS: dict[str, tuple[str, ...]] = {
+    "loe": LOE_LEVELS, "gender": GENDERS, "continent": CONTINENTS,
+}
 
 
-@dataclass(frozen=True)
-class ActivityDay:
-    """One student's clickstream counters for one calendar day."""
+class Roster:
+    """The self-reported demographics of one course, as read-only columns.
 
-    student_id: str
-    date: datetime.date
-    counters: Mapping[str, float]
+    Rows follow sorted student ids, the row order of every feature matrix:
+    the columns may be given in any student order and are sorted together.
+    yob is float64, NaN for a non-response, clamped into [0, 4024] so that
+    every age bin stays reachable; loe, gender and continent are intp indices
+    into LOE_LEVELS, GENDERS and CONTINENTS, len(levels) for a non-response;
+    took_precourse_survey is float64 0/1.
+    """
 
-    def __post_init__(self) -> None:
-        missing = [k for k in CLICKSTREAM_FEATURES if k not in self.counters]
-        if missing:
-            raise MissingColumnError(
-                f"activity record ({self.student_id}, {self.date}): missing counter {missing[0]!r}"
-            )
-        for name in CLICKSTREAM_FEATURES:
-            v = self.counters[name]
-            if not np.isfinite(v) or v < 0:
-                raise NegativeCounterError(
-                    f"activity record ({self.student_id}, {self.date}): "
-                    f"counter {name!r} = {v} must be finite and >= 0"
-                )
+    __slots__ = ("student_ids", "yob", "loe", "gender", "continent", "took_precourse_survey")
+
+    def __init__(self, student_ids: Sequence[str], yob, loe, gender, continent,
+                 took_precourse_survey):
+        ids = tuple(student_ids)
+        order = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
+        self.student_ids = tuple(ids[i] for i in order)
+        dup = next((a for a, b in zip(self.student_ids, self.student_ids[1:]) if a == b), None)
+        if dup is not None:
+            raise BadValueError(f"duplicate student_id {dup!r}")
+        given = (yob, loe, gender, continent, took_precourse_survey)
+        for name, values in zip(self.__slots__[1:], given):
+            column = np.asarray(values, dtype=np.intp if name in _LEVELS else np.float64)
+            if column.shape != (len(ids),):
+                raise BadValueError(f"roster column {name!r} has shape {column.shape}, "
+                                    f"expected ({len(ids)},)")
+            column = column[order]
+            if name == "yob":
+                column = np.clip(column, 0.0, 4024.0)  # NaN stays a non-response
+            else:
+                n_codes = len(_LEVELS[name]) + 1 if name in _LEVELS else 2  # the survey is 0/1
+                ok = np.isin(column, np.arange(n_codes))
+                if not ok.all():
+                    k = int(np.argmin(ok))
+                    raise BadValueError(
+                        f"student {self.student_ids[k]!r}: bad {name} {column[k]}")
+            column.flags.writeable = False
+            setattr(self, name, column)
+
+    def __len__(self) -> int:
+        return len(self.student_ids)
 
 
 class ActivityTable:
     """Columnar store for per-day activity records.
 
     Rows are sorted by (student index, day offset); student indices refer to the
-    owning course's lexicographically sorted student-id list, day offsets count
-    from the course launch date. Arrays are read-only once built.
+    owning course's roster, day offsets count from the course launch date.
+    values holds the CLICKSTREAM_FEATURES counters of each row, every one
+    finite and >= 0. Arrays are read-only once built.
     """
 
     __slots__ = ("student_index", "day", "values")
 
     def __init__(self, student_index: np.ndarray, day: np.ndarray, values: np.ndarray):
         n = len(student_index)
+        if values.ndim == 2 and values.shape[1] != len(CLICKSTREAM_FEATURES):
+            raise MissingColumnError(f"activity values have {values.shape[1]} counter columns, "
+                                     f"expected {len(CLICKSTREAM_FEATURES)}")
         if len(day) != n or values.shape != (n, len(CLICKSTREAM_FEATURES)):
             raise BadValueError("activity table arrays are inconsistent")
         order = np.lexsort((day, student_index))
         self.student_index = np.ascontiguousarray(student_index[order], dtype=np.int32)
         self.day = np.ascontiguousarray(day[order], dtype=np.int32)
         self.values = np.ascontiguousarray(values[order], dtype=np.float64)
+        # min() is NaN if any value is, and NaN >= 0 is False
+        if n and not (self.values.min() >= 0.0 and self.values.max() < np.inf):
+            pos, k = np.argwhere(~(np.isfinite(self.values) & (self.values >= 0.0)))[0]
+            raise NegativeCounterError(
+                f"activity row (student index {self.student_index[pos]}, day offset "
+                f"{self.day[pos]}): counter {CLICKSTREAM_FEATURES[k]!r} = {self.values[pos, k]} "
+                f"must be finite and >= 0"
+            )
         if n > 1:
             same = (self.student_index[1:] == self.student_index[:-1]) & (
                 self.day[1:] == self.day[:-1]
@@ -162,53 +182,25 @@ class ActivityTable:
 class CourseData:
     """Everything known about one course: metadata, roster, activity, final grades.
 
-    The roster is also held as read-only columns in student-id order (the row
-    order of every feature matrix), derived once when the course is built:
-    yob (float64, NaN for a non-response), loe, gender and continent (intp
-    index into LOE_LEVELS, GENDERS and CONTINENTS, or len(levels) for a
-    non-response) and took_precourse_survey (float64 0/1). certified
-    (float64 0/1) is the certification label: 1 iff the final grade reaches
-    cert_threshold, where a student with no grade counts as grade 0.
+    certified (float64 0/1, read-only, in roster order) is the certification
+    label, derived once when the course is built: 1 iff the final grade
+    reaches cert_threshold, where a student with no grade counts as grade 0.
     """
 
     meta: CourseMeta
-    students: tuple[StudentDemographics, ...]
+    roster: Roster
     activity: ActivityTable
     final_grade: Mapping[str, float]
-    student_ids: tuple[str, ...] = field(init=False)
-    yob: np.ndarray = field(init=False, repr=False, compare=False)
-    loe: np.ndarray = field(init=False, repr=False, compare=False)
-    gender: np.ndarray = field(init=False, repr=False, compare=False)
-    continent: np.ndarray = field(init=False, repr=False, compare=False)
-    took_precourse_survey: np.ndarray = field(init=False, repr=False, compare=False)
     certified: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        roster = sorted(self.students, key=lambda s: s.student_id)
-        ids = [s.student_id for s in roster]
-        if len(set(ids)) != len(ids):
-            dup = next(a for a, b in zip(ids, ids[1:]) if a == b)
-            raise BadValueError(f"course {self.meta.course_id!r}: duplicate student_id {dup!r}")
-        object.__setattr__(self, "student_ids", tuple(ids))
-        # clamping yob into [0, 4024] keeps every age bin and makes any int a finite float
-        columns = {
-            "yob": np.array([np.nan if s.yob is None else s.yob if 0 <= s.yob <= 4024
-                             else 4024 * (s.yob > 0) for s in roster], dtype=np.float64),
-            "took_precourse_survey": np.array([s.took_precourse_survey for s in roster],
-                                              dtype=np.float64),
-            "certified": np.array([self.final_grade.get(sid, 0.0) >= self.meta.cert_threshold
-                                   for sid in ids], dtype=np.float64),
-        }
-        for attr, levels in (("loe", LOE_LEVELS), ("gender", GENDERS), ("continent", CONTINENTS)):
-            index = {v: k for k, v in enumerate(levels)}  # None falls through to the null slot
-            columns[attr] = np.array([index.get(getattr(s, attr), len(levels)) for s in roster],
-                                     dtype=np.intp)
-        for attr, column in columns.items():
-            column.flags.writeable = False
-            object.__setattr__(self, attr, column)
+        certified = np.array([self.final_grade.get(sid, 0.0) >= self.meta.cert_threshold
+                              for sid in self.roster.student_ids], dtype=np.float64)
+        certified.flags.writeable = False
+        object.__setattr__(self, "certified", certified)
         if len(self.activity) and (
             self.activity.student_index.min() < 0
-            or self.activity.student_index.max() >= len(ids)
+            or self.activity.student_index.max() >= len(self.roster)
         ):
             raise UnknownStudentError(
                 f"course {self.meta.course_id!r}: activity references an unknown student index"
@@ -221,41 +213,10 @@ class CourseData:
 
     @property
     def n_students(self) -> int:
-        return len(self.students)
+        return len(self.roster)
 
     def day_offset(self, date: datetime.date) -> int:
         return (date - self.meta.launch_date).days
-
-    def activity_days(self) -> Iterator[ActivityDay]:
-        """Materialize row-level activity records (sorted by student id, then date)."""
-        for i in range(len(self.activity)):
-            sid = self.student_ids[self.activity.student_index[i]]
-            date = self.meta.launch_date + datetime.timedelta(days=int(self.activity.day[i]))
-            row = self.activity.values[i]
-            yield ActivityDay(sid, date, dict(zip(CLICKSTREAM_FEATURES, row.tolist())))
-
-
-def course_from_records(
-    meta: CourseMeta,
-    students: Sequence[StudentDemographics],
-    records: Sequence[ActivityDay],
-    final_grade: Mapping[str, float],
-) -> CourseData:
-    """Assemble a CourseData from row-level pieces, validating all invariants."""
-    ids = sorted(s.student_id for s in students)
-    index = {sid: i for i, sid in enumerate(ids)}
-    sidx = np.zeros(len(records), dtype=np.int32)
-    day = np.zeros(len(records), dtype=np.int32)
-    values = np.zeros((len(records), len(CLICKSTREAM_FEATURES)))
-    for r, rec in enumerate(records):
-        if rec.student_id not in index:
-            raise UnknownStudentError(
-                f"activity record ({rec.student_id}, {rec.date}): student not in demographics"
-            )
-        sidx[r] = index[rec.student_id]
-        day[r] = (rec.date - meta.launch_date).days
-        values[r] = [rec.counters[k] for k in CLICKSTREAM_FEATURES]
-    return CourseData(meta, tuple(students), ActivityTable(sidx, day, values), dict(final_grade))
 
 
 # ---------------------------------------------------------------------------
@@ -316,38 +277,37 @@ def load_course_meta(path: str | Path) -> CourseMeta:
     )
 
 
-def _parse_optional_int(cell: str) -> int | None:
-    cell = cell.strip()
-    if not cell:
-        return None
+def _parse_yob(cell: str) -> float:
+    """An integer year of birth as a float; NaN (a non-response) if the cell is no integer.
+
+    float() of an integer too large for a float is +-inf, which the Roster clamps.
+    """
     try:
-        return int(cell)
+        int(cell)
     except ValueError:
-        return None
+        return math.nan
+    return float(cell)
 
 
-def _parse_enum(cell: str, allowed: Sequence[str]) -> str | None:
-    cell = cell.strip()
-    return cell if cell in allowed else None
-
-
-def load_demographics(path: str | Path) -> list[StudentDemographics]:
-    out = []
-    for lineno, (sid, yob, loe, gender, continent, survey) in _read_rows(path, _DEMO_COLUMNS):
-        survey = survey.strip()
-        if survey not in ("0", "1"):
-            raise BadValueError(f"{path}:{lineno}: precourse_survey must be 0 or 1, got {survey!r}")
-        out.append(
-            StudentDemographics(
-                student_id=sid,
-                yob=_parse_optional_int(yob),
-                loe=_parse_enum(loe, LOE_LEVELS),
-                gender=_parse_enum(gender, GENDERS),
-                continent=_parse_enum(continent, CONTINENTS),
-                took_precourse_survey=survey == "1",
-            )
-        )
-    return out
+def load_demographics(path: str | Path) -> Roster:
+    """The roster of a demographics table; an unknown category is a non-response."""
+    lines: dict[str, int] = {}
+    yob, survey = [], []
+    codes: dict[str, list[int]] = {name: [] for name in _LEVELS}
+    for lineno, (sid, y, *cells, took) in _read_rows(path, _DEMO_COLUMNS):
+        took = took.strip()
+        if took not in ("0", "1"):
+            raise BadValueError(f"{path}:{lineno}: precourse_survey must be 0 or 1, got {took!r}")
+        if sid in lines:
+            raise BadValueError(f"{path}:{lineno}: duplicate student_id {sid!r} "
+                                f"(first on line {lines[sid]})")
+        lines[sid] = lineno
+        yob.append(_parse_yob(y.strip()))
+        for (name, levels), cell in zip(_LEVELS.items(), cells):
+            cell = cell.strip()
+            codes[name].append(levels.index(cell) if cell in levels else len(levels))
+        survey.append(took == "1")
+    return Roster(list(lines), yob, took_precourse_survey=survey, **codes)
 
 
 def load_course(
@@ -363,9 +323,8 @@ def load_course(
     a grades.csv row for an unknown or already graded student is rejected too.
     """
     meta = load_course_meta(meta_path)
-    students = load_demographics(demographics_path)
-    ids = sorted(s.student_id for s in students)
-    index = {sid: i for i, sid in enumerate(ids)}
+    roster = load_demographics(demographics_path)
+    index = {sid: i for i, sid in enumerate(roster.student_ids)}
 
     # parsed straight into packed arrays: no list of every row's cells is kept
     sidx, day, values = array("i"), array("i"), array("d")
@@ -420,7 +379,7 @@ def load_course(
 
     table = ActivityTable(np.asarray(sidx), np.asarray(day),
                           np.asarray(values).reshape(-1, len(CLICKSTREAM_FEATURES)))
-    return CourseData(meta, tuple(students), table, grades)
+    return CourseData(meta, roster, table, grades)
 
 
 def _fmt_number(v: float) -> str:
@@ -450,27 +409,26 @@ def write_course(course: CourseData, out_dir: str | Path) -> dict[str, Path]:
     with open(paths["demographics"], "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
         w.writerow(_DEMO_COLUMNS)
-        for s in sorted(course.students, key=lambda s: s.student_id):
-            w.writerow([
-                s.student_id,
-                "" if s.yob is None else s.yob,
-                "" if s.loe is None else s.loe,
-                "" if s.gender is None else s.gender,
-                "" if s.continent is None else s.continent,
-                int(s.took_precourse_survey),
-            ])
+        r = course.roster
+        w.writerows(zip(
+            r.student_ids,
+            ["" if math.isnan(v) else _fmt_number(v) for v in r.yob.tolist()],
+            *(np.array(levels + ("",), dtype=object)[getattr(r, name)]
+              for name, levels in _LEVELS.items()),
+            r.took_precourse_survey.astype(int).tolist(),
+        ))
     with open(paths["activity"], "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
         w.writerow(_ACTIVITY_COLUMNS)
         table = course.activity
         for i in range(len(table)):
-            sid = course.student_ids[table.student_index[i]]
+            sid = course.roster.student_ids[table.student_index[i]]
             date = meta.launch_date + datetime.timedelta(days=int(table.day[i]))
             w.writerow([sid, date.isoformat()] + [_fmt_number(v) for v in table.values[i]])
     with open(paths["grades"], "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
         w.writerow(_GRADE_COLUMNS)
-        for sid in course.student_ids:
+        for sid in course.roster.student_ids:
             w.writerow([sid, _fmt_number(course.final_grade.get(sid, 0.0))])
     return paths
 
@@ -584,28 +542,20 @@ _BASE_RATES = np.array([
 _HIGHER_ED = ("Bachelor", "Master", "Professional")
 
 
-def _synth_demographics(cfg: SynthConfig, rng: np.random.Generator) -> list[StudentDemographics]:
+def _synth_roster(cfg: SynthConfig, rng: np.random.Generator) -> Roster:
+    """Draw the roster; zero-padded ids keep the draw order sorted."""
     n = cfg.n_students
     width = max(5, len(str(max(n - 1, 0))))
     yob_null = rng.random(n) < 0.12
-    age = np.clip(np.rint(rng.normal(32.0, 11.0, n)), 8, 80).astype(int)
-    loe_pick = rng.choice(len(LOE_LEVELS) + 1, size=n,
-                          p=[0.02, 0.03, 0.20, 0.10, 0.33, 0.20, 0.04, 0.08])
-    gender_pick = rng.choice(len(GENDERS) + 1, size=n, p=[0.46, 0.41, 0.03, 0.10])
-    cont_pick = rng.choice(len(CONTINENTS) + 1, size=n,
+    age = np.clip(np.rint(rng.normal(32.0, 11.0, n)), 8, 80)
+    loe = rng.choice(len(LOE_LEVELS) + 1, size=n,
+                     p=[0.02, 0.03, 0.20, 0.10, 0.33, 0.20, 0.04, 0.08])
+    gender = rng.choice(len(GENDERS) + 1, size=n, p=[0.46, 0.41, 0.03, 0.10])
+    continent = rng.choice(len(CONTINENTS) + 1, size=n,
                            p=[0.20, 0.03, 0.07, 0.25, 0.05, 0.22, 0.08, 0.10])
     survey = rng.random(n) < cfg.survey_rate
-    out = []
-    for i in range(n):
-        out.append(StudentDemographics(
-            student_id=f"s{i:0{width}d}",
-            yob=None if yob_null[i] else int(2012 - age[i]),
-            loe=None if loe_pick[i] == len(LOE_LEVELS) else LOE_LEVELS[loe_pick[i]],
-            gender=None if gender_pick[i] == len(GENDERS) else GENDERS[gender_pick[i]],
-            continent=None if cont_pick[i] == len(CONTINENTS) else CONTINENTS[cont_pick[i]],
-            took_precourse_survey=bool(survey[i]),
-        ))
-    return out
+    return Roster([f"s{i:0{width}d}" for i in range(n)], np.where(yob_null, np.nan, 2012 - age),
+                  loe, gender, continent, survey)
 
 
 def synthesize_course(config: SynthConfig, seed: int) -> CourseData:
@@ -614,18 +564,16 @@ def synthesize_course(config: SynthConfig, seed: int) -> CourseData:
     rng = np.random.default_rng(seed)
     meta = config.meta
     n = config.n_students
-    students = _synth_demographics(config, rng)
+    roster = _synth_roster(config, rng)
 
     # Latent engagement: Beta draw plus weak demographic nudges, clipped to [0, 1].
     e0 = rng.beta(config.engagement_alpha, config.engagement_beta, n) if n else np.zeros(0)
-    edu = np.array([s.loe in _HIGHER_ED for s in students], dtype=float)
-    prime_age = np.array(
-        [s.yob is not None and 25 <= 2012 - s.yob < 50 for s in students], dtype=float
-    )
-    survey = np.array([s.took_precourse_survey for s in students], dtype=float)
+    edu = np.isin(roster.loe, [LOE_LEVELS.index(v) for v in _HIGHER_ED])
+    age = 2012 - roster.yob  # NaN, a non-response, fails both comparisons
+    prime_age = (25 <= age) & (age < 50)
     e0 = np.clip(
         e0 + config.education_boost * edu + config.age_boost * prime_age
-        + config.survey_boost * survey,
+        + config.survey_boost * roster.took_precourse_survey,
         0.0, 1.0,
     )
     jitter = rng.uniform(1.0 - config.decay_spread, 1.0 + config.decay_spread, n)
@@ -649,10 +597,10 @@ def synthesize_course(config: SynthConfig, seed: int) -> CourseData:
     answered = np.zeros((n, n_days))
     answered[rows] = values[:, CLICKSTREAM_INDEX["nproblems_answered"]]
     grade = np.clip(answered.sum(axis=1) / config.problems_for_full_grade, 0.0, 1.0)
-    final_grade = {students[i].student_id: float(grade[i]) for i in range(n)}
+    final_grade = dict(zip(roster.student_ids, grade.tolist()))
 
     table = ActivityTable(rows[0].astype(np.int32), rows[1].astype(np.int32), values)
-    return CourseData(meta, tuple(students), table, final_grade)
+    return CourseData(meta, roster, table, final_grade)
 
 
 def synthesize_corpus(config: CorpusConfig, seed: int) -> list[CourseData]:

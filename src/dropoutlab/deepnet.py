@@ -12,7 +12,7 @@ import csv
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -214,17 +214,7 @@ def _class_weights(y: np.ndarray, enabled: bool) -> np.ndarray:
     return len(y) / (N_CLASSES * counts)
 
 
-@dataclass
-class TrainLog:
-    """What the optimizer did: update counter, schedule state, per-epoch loss."""
-
-    steps: int = 0
-    final_lr: float = 0.0
-    initial_loss: float = 0.0
-    epoch_loss: list[float] = field(default_factory=list)
-
-
-def train_sgd(m: MlpModel, X, y, cfg: SgdConfig, log: TrainLog | None = None) -> MlpModel:
+def train_sgd(m: MlpModel, X, y, cfg: SgdConfig) -> MlpModel:
     """Annealed minibatch SGD on mean cross-entropy; deterministic per cfg.seed.
 
     Update k (0-based across the whole run) uses learning rate
@@ -244,13 +234,10 @@ def train_sgd(m: MlpModel, X, y, cfg: SgdConfig, log: TrainLog | None = None) ->
     layers = [(W.copy(), b.copy()) for W, b in m.layers]
     velocity = [(np.zeros_like(W), np.zeros_like(b)) for W, b in layers]
     work = MlpModel(tuple((W, b) for W, b in layers))
-    if log is not None:
-        log.initial_loss, _ = _batch_loss_and_grads(work, values, yv, class_w)
     k = 0
     n = len(values)
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
-        epoch_losses = []
         for start in range(0, n, cfg.minibatch_size):
             batch = order[start:start + cfg.minibatch_size]
             loss, grads = _batch_loss_and_grads(work, values[batch], yv[batch], class_w)
@@ -269,12 +256,6 @@ def train_sgd(m: MlpModel, X, y, cfg: SgdConfig, log: TrainLog | None = None) ->
                     W -= lr * gW
                     b -= lr * gb
             k += 1
-            epoch_losses.append(loss)
-        if log is not None:
-            log.epoch_loss.append(float(np.mean(epoch_losses)))
-    if log is not None:
-        log.steps = k
-        log.final_lr = cfg.learning_rate * (1.0 + cfg.anneal_factor) ** (-k)
     return MlpModel(tuple((W, b) for W, b in layers))
 
 
@@ -491,9 +472,12 @@ def mlp_to_dict(m: MlpModel) -> dict:
 
 def mlp_from_dict(doc: dict) -> MlpModel:
     layers = []
-    for entry in doc["layers"]:
+    for k, entry in enumerate(doc["layers"]):
         shape = tuple(entry["shape"])
-        W = np.asarray(entry["weights"], dtype=np.float64).reshape(shape)
+        W = np.asarray(entry["weights"], dtype=np.float64)
+        if len(shape) != 2 or W.shape != (math.prod(shape),):
+            raise BadValueError(f"layer {k}: {W.size} weights do not fill the shape {shape}")
+        W = W.reshape(shape)
         b = np.asarray(entry["bias"], dtype=np.float64)
         layers.append((W, b))
     return MlpModel(tuple(layers))
@@ -506,5 +490,10 @@ def save_mlp(m: MlpModel, path: str | Path) -> None:
 
 
 def load_mlp(path: str | Path) -> MlpModel:
+    """Read a network written by save_mlp (grow's best_model.json)."""
     with open(path, encoding="utf-8") as f:
-        return mlp_from_dict(json.load(f))
+        doc = json.load(f)
+    try:
+        return mlp_from_dict(doc)
+    except BadValueError as e:
+        raise BadValueError(f"{path}: {e}") from None

@@ -118,7 +118,8 @@ class EvalReport:
 
     skipped records cells that produced no AUC (a single-class week, or no
     source course to transfer from) as (paradigm, course_id, week, reason);
-    they are excluded from aggregates rather than imputed.
+    they are excluded from aggregates rather than imputed. Each
+    (paradigm, course_id, week) cell appears once, as a row or as skipped.
     """
 
     rows: tuple[EvalRow, ...]
@@ -132,7 +133,13 @@ class EvalReport:
         skipped: Iterable[tuple[str, str, int, str]] = (),
     ) -> "EvalReport":
         ordered = tuple(sorted(rows, key=lambda r: (r.paradigm, r.course_id, r.week)))
-        return cls(ordered, aggregate(ordered), tuple(sorted(skipped)))
+        skipped = tuple(sorted(skipped))
+        seen: set[tuple[str, str, int]] = set()
+        for cell in [(r.paradigm, r.course_id, r.week) for r in ordered] + [s[:3] for s in skipped]:
+            if cell in seen:
+                raise BadValueError(f"cell (paradigm, course_id, week) {cell} is listed twice")
+            seen.add(cell)
+        return cls(ordered, aggregate(ordered), skipped)
 
 
 ROWS_COLUMNS = ("paradigm", "course_id", "week", "auc", "n_students", "n_positives")

@@ -6,10 +6,10 @@ level of education, gender, continent, each with an explicit null slot), the
 survey flag, and a recency column (days since last action).
 
 A snapshot does no per-student Python work. The demographic dummies and the
-survey flag come from the roster columns CourseData derives once per course
-(yob, loe, gender, continent, took_precourse_survey, in student-id order);
-the counters and recency come from one pass over the activity rows kept at
-the as-of date (cumulative_all).
+survey flag come from the course's Roster columns (yob, loe, gender,
+continent, took_precourse_survey, in student-id order); the counters and
+recency come from one pass over the activity rows kept at the as-of date
+(cumulative_all).
 """
 
 from __future__ import annotations
@@ -138,11 +138,12 @@ def demographic_dummies(course: CourseData) -> np.ndarray:
     slot, so every block contributes exactly one 1 per row regardless of
     non-response.
     """
-    age = np.where(np.isnan(course.yob), len(_AGE_NAMES) - 1,
-                   np.searchsorted(_AGE_EDGES, 2012 - course.yob, side="right"))
-    out = np.zeros((course.n_students, DEFAULT_SCHEMA.blocks[DEMOGRAPHIC_BLOCKS[-1]].stop))
-    rows = np.arange(course.n_students)
-    for block, slot in zip(DEMOGRAPHIC_BLOCKS, (age, course.loe, course.gender, course.continent)):
+    r = course.roster
+    age = np.where(np.isnan(r.yob), len(_AGE_NAMES) - 1,
+                   np.searchsorted(_AGE_EDGES, 2012 - r.yob, side="right"))
+    out = np.zeros((len(r), DEFAULT_SCHEMA.blocks[DEMOGRAPHIC_BLOCKS[-1]].stop))
+    rows = np.arange(len(r))
+    for block, slot in zip(DEMOGRAPHIC_BLOCKS, (age, r.loe, r.gender, r.continent)):
         out[rows, DEFAULT_SCHEMA.blocks[block].start + slot] = 1.0
     return out
 
@@ -188,12 +189,12 @@ def build_matrix(course: CourseData, as_of: datetime.date) -> FeatureMatrix:
     values = np.zeros((n, schema.width))
     demo = demographic_dummies(course)
     values[:, :demo.shape[1]] = demo
-    values[:, schema.blocks["precourse_survey"].start] = course.took_precourse_survey
+    values[:, schema.blocks["precourse_survey"].start] = course.roster.took_precourse_survey
     cum, dsla = cumulative_all(course, off)
     r = schema.blocks["clickstream_cumulative"]
     values[:, r.start:r.stop] = cum
     values[:, schema.blocks["days_since_last_action"].start] = dsla
-    return FeatureMatrix(schema, course.student_ids, values, as_of)
+    return FeatureMatrix(schema, course.roster.student_ids, values, as_of)
 
 
 @dataclass(frozen=True)
@@ -333,6 +334,8 @@ def load_matrix(path: str | Path, as_of: datetime.date) -> FeatureMatrix:
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
+            if len(row) != len(header):
+                raise BadValueError(f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}")
             ids.append(row[0])
             try:
                 rows.append([float(c) for c in row[1:]])
@@ -353,8 +356,16 @@ def norm_stats_to_dict(stats: NormStats) -> dict:
     return doc
 
 
+_NORM_KEYS = {"zscore": ("mean", "std"), "percentile": ("columns", "references")}
+
+
 def norm_stats_from_dict(doc: dict) -> NormStats:
     kind = doc.get("kind")
+    if kind not in _NORM_KEYS:
+        raise BadValueError(f"unknown normalization kind {kind!r}")
+    for key in _NORM_KEYS[kind]:
+        if key not in doc:
+            raise BadValueError(f"{kind} stats need {key!r}")
     names = tuple(doc.get("names", ()))
     if kind == "zscore":
         return NormStats(
@@ -363,14 +374,12 @@ def norm_stats_from_dict(doc: dict) -> NormStats:
             mean=np.asarray(doc["mean"], dtype=np.float64),
             std=np.asarray(doc["std"], dtype=np.float64),
         )
-    if kind == "percentile":
-        return NormStats(
-            kind="percentile",
-            names=names,
-            norm_columns=tuple(int(c) for c in doc["columns"]),
-            references=tuple(np.asarray(r, dtype=np.float64) for r in doc["references"]),
-        )
-    raise BadValueError(f"unknown normalization kind {kind!r}")
+    return NormStats(
+        kind="percentile",
+        names=names,
+        norm_columns=tuple(int(c) for c in doc["columns"]),
+        references=tuple(np.asarray(r, dtype=np.float64) for r in doc["references"]),
+    )
 
 
 def save_norm_stats(stats: NormStats, path: str | Path) -> None:
@@ -381,6 +390,7 @@ def save_norm_stats(stats: NormStats, path: str | Path) -> None:
 
 
 def load_norm_stats(path: str | Path) -> NormStats:
+    """Read stats written by save_norm_stats (the .norm.json beside a features matrix)."""
     with open(path, encoding="utf-8") as f:
         doc = json.load(f)
     try:

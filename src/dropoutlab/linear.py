@@ -263,14 +263,14 @@ def baseline_demographics(
 def score_demographics(m: LinearModel, course: CourseData) -> ScoredStudents:
     """Apply a demographics-only model to a course roster (no activity read)."""
     z = demographic_dummies(course) @ m.weights[_DEMO_COLS] + m.intercept
-    return ScoredStudents(course.student_ids, _sigmoid(z))
+    return ScoredStudents(course.roster.student_ids, _sigmoid(z))
 
 
 def baseline_recency(course: CourseData, as_of) -> ScoredStudents:
     """Recency ranking (Baseline 2): score = -days_since_last_action, no training."""
     off = check_as_of(course, as_of)
     _, dsla = cumulative_all(course, off)
-    return ScoredStudents(course.student_ids, -dsla)
+    return ScoredStudents(course.roster.student_ids, -dsla)
 
 
 # ---------------------------------------------------------------------------
@@ -295,14 +295,18 @@ def save_model(m: LinearModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> LinearModel:
+    """Read a model written by save_model (train's model JSON)."""
     with open(path, encoding="utf-8") as f:
         doc = json.load(f)
     if doc.get("schema_hash") != schema_hash():
         raise SchemaMismatchError(f"{path}: model schema does not match this feature schema")
-    norm = doc.get("norm")
+    try:
+        norm = None if doc.get("norm") is None else norm_stats_from_dict(doc["norm"])
+    except BadValueError as e:
+        raise BadValueError(f"{path}: {e}") from None
     return LinearModel(
         weights=np.asarray(doc["weights"], dtype=np.float64),
         intercept=float(doc["intercept"]),
         reg_C=float(doc["C"]),
-        norm=None if norm is None else norm_stats_from_dict(norm),
+        norm=norm,
     )

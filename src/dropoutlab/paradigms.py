@@ -37,13 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import (
-    CLICKSTREAM_FEATURES,
-    ActivityTable,
-    CourseData,
-    CourseMeta,
-    StudentDemographics,
-)
+from .dataset import CLICKSTREAM_FEATURES, ActivityTable, CourseData, CourseMeta, Roster
 from .errors import (
     BadValueError,
     BeforeLaunchError,
@@ -56,7 +50,6 @@ from .evaluate import EvalReport, EvalRow, auc_values
 from .features import FeatureMatrix, apply_zscore, build_matrix, normalize, split_rows
 from .linear import (
     LinearModel,
-    OptimizerConfig,
     ScoredStudents,
     average_hyperplanes,
     baseline_demographics,
@@ -180,7 +173,7 @@ def source_courses(corpus: Sequence[CourseData], kind: str, target_id: str) -> t
 
 
 def fit_course_model(
-    course: CourseData, as_of: datetime.date, C: float = 1.0, opt: OptimizerConfig | None = None
+    course: CourseData, as_of: datetime.date, C: float = 1.0
 ) -> tuple[LinearModel, FeatureMatrix]:
     """Logistic model on the course's z-scored features at as_of and its own labels.
 
@@ -188,7 +181,7 @@ def fit_course_model(
     """
     m = build_matrix(course, as_of)
     stats, (z,) = normalize(m, [m], "zscore")
-    return train_logreg(z, course.certified, C, opt, norm=stats), z
+    return train_logreg(z, course.certified, C, norm=stats), z
 
 
 def _source_date(meta: CourseMeta, w: int) -> datetime.date:
@@ -197,12 +190,7 @@ def _source_date(meta: CourseMeta, w: int) -> datetime.date:
 
 
 def insitu_scores(
-    meta: CourseMeta,
-    students: tuple[StudentDemographics, ...],
-    activity: ActivityTable,
-    w: int,
-    C: float = 1.0,
-    opt: OptimizerConfig | None = None,
+    meta: CourseMeta, roster: Roster, activity: ActivityTable, w: int, C: float = 1.0
 ) -> ScoredStudents:
     """Score a live course at week w using only data available at week w.
 
@@ -212,10 +200,10 @@ def insitu_scores(
     with the persistence proxy labels of the 7 days before week w; that
     snapshot contains the proxy window. The same snapshot is then scored.
     """
-    shadow = CourseData(meta, students, activity, {})
+    shadow = CourseData(meta, roster, activity, {})
     m = build_matrix(shadow, week_date(meta, w))
     stats, (p,) = normalize(m, [m], "percentile")
-    model = train_logreg(p, proxy_labels(shadow, w), C, opt, norm=stats)
+    model = train_logreg(p, proxy_labels(shadow, w), C, norm=stats)
     return predict_proba(model, p)
 
 
@@ -246,14 +234,14 @@ def _cell_keys(
 
 
 def _fit_model(
-    course: CourseData, as_of: datetime.date | None, C: float, opt: OptimizerConfig | None
+    course: CourseData, as_of: datetime.date | None, C: float
 ) -> LinearModel | SingleClassError:
     """The model a table key names. A single-class training set is kept as its
     error, without the traceback that would hold the fit's feature matrices."""
     try:
         if as_of is None:
-            return baseline_demographics(course, C, opt)
-        return fit_course_model(course, as_of, C, opt)[0]
+            return baseline_demographics(course, C)
+        return fit_course_model(course, as_of, C)[0]
     except SingleClassError as e:
         return e.with_traceback(None)
 
@@ -265,7 +253,6 @@ def _score_cell(
     w: int,
     models: dict[ModelKey, LinearModel | SingleClassError],
     C: float,
-    opt: OptimizerConfig | None,
     holdout: float,
     seed: int,
 ) -> ScoredStudents:
@@ -292,7 +279,7 @@ def _score_cell(
         train_rows, test_rows = split_rows(m.n_rows, holdout, seed)
         m_train = m.take(train_rows)
         stats, (z_train, z_test) = normalize(m_train, [m_train, m.take(test_rows)], "zscore")
-        model = train_logreg(z_train, target.certified[train_rows], C, opt, norm=stats)
+        model = train_logreg(z_train, target.certified[train_rows], C, norm=stats)
         return predict_proba(model, z_test)
 
     if kind == "multi_course":
@@ -301,7 +288,7 @@ def _score_cell(
         return predict_proba(average_hyperplanes(fitted), z_t)
 
     if kind == "in_situ":
-        return insitu_scores(target.meta, target.students, target.activity, w, C, opt)
+        return insitu_scores(target.meta, target.roster, target.activity, w, C)
 
     if kind == "baseline1":
         return score_demographics(fitted[0], target)
@@ -318,7 +305,6 @@ def run_paradigm(
     target_id: str,
     w: int,
     C: float = 1.0,
-    opt: OptimizerConfig | None = None,
     holdout: float = 0.0,
     seed: int = 0,
 ) -> ScoredStudents:
@@ -332,8 +318,8 @@ def run_paradigm(
     """
     keys = _cell_keys(corpus, kind, target_id, w, holdout)
     by_id = _corpus_index(corpus)
-    models = {key: _fit_model(by_id[key[0]], key[1], C, opt) for key in keys}
-    return _score_cell(corpus, kind, target_id, w, models, C, opt, holdout, seed)
+    models = {key: _fit_model(by_id[key[0]], key[1], C) for key in keys}
+    return _score_cell(corpus, kind, target_id, w, models, C, holdout, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +332,7 @@ def roster_rows(course: CourseData, student_ids: Sequence[str]) -> np.ndarray:
     One searchsorted over the sorted roster, checked for exact matches; an id
     that is not on the roster raises UnknownStudentError.
     """
-    roster = np.array(course.student_ids, dtype=object)
+    roster = np.array(course.roster.student_ids, dtype=object)
     ids = np.array(student_ids, dtype=object)
     rows = np.searchsorted(roster, ids)
     found = rows < len(roster)
@@ -384,7 +370,7 @@ def _corpus_map(corpus: list[CourseData], jobs: int):
 
 def _fit_table_entry(args) -> LinearModel | SingleClassError:
     (course_id, as_of), C = args
-    return _fit_model(_corpus_index(_WORKER_CORPUS)[course_id], as_of, C, None)
+    return _fit_model(_corpus_index(_WORKER_CORPUS)[course_id], as_of, C)
 
 
 def _task_keys(
@@ -409,9 +395,9 @@ def _run_course_cells(args) -> tuple[list[tuple], list[tuple]]:
     skipped: list[tuple] = []
     for w in prediction_weeks(target.meta, kind):
         try:
-            scored = _score_cell(corpus, kind, target_id, w, models, C, None, holdout, seed)
+            scored = _score_cell(corpus, kind, target_id, w, models, C, holdout, seed)
             y = target.certified
-            if scored.student_ids != target.student_ids:  # post_hoc's held-out students
+            if scored.student_ids != target.roster.student_ids:  # post_hoc's held-out students
                 y = y[roster_rows(target, scored.student_ids)]
             rows.append((kind, target_id, w, auc_values(scored.scores, y), len(y), int(y.sum())))
         except (SingleClassError, InvalidParadigmError) as e:  # e.g. no same-field source

@@ -1,23 +1,95 @@
 """Shared course builders and corpus fixtures."""
 
 import datetime
+from typing import Mapping, NamedTuple
 
 import numpy as np
 import pytest
 
 from dropoutlab.dataset import (
-    ActivityDay,
     CLICKSTREAM_FEATURES,
+    CONTINENTS,
+    GENDERS,
+    LOE_LEVELS,
+    ActivityTable,
     CorpusConfig,
+    CourseData,
     CourseMeta,
-    StudentDemographics,
+    Roster,
     SynthConfig,
-    course_from_records,
     synthesize_corpus,
 )
 from dropoutlab.features import check_as_of
 
 LAUNCH = datetime.date(2014, 1, 6)
+
+
+# Row-level course builders: tests write a course as one Student per roster row
+# and one Record per (student, day) of activity, and make_course turns them
+# into the columns CourseData holds.
+
+class Student(NamedTuple):
+    """One roster row; None marks a non-response."""
+
+    student_id: str
+    yob: int | None = None
+    loe: str | None = None
+    gender: str | None = None
+    continent: str | None = None
+    took_precourse_survey: bool = False
+
+
+class Record(NamedTuple):
+    """One student's clickstream counters for one calendar day."""
+
+    student_id: str
+    date: datetime.date
+    counters: Mapping[str, float]
+
+
+def make_roster(students):
+    """A Roster of Student rows in any order; an unknown category name raises ValueError."""
+    def codes(levels, values):
+        return [len(levels) if v is None else levels.index(v) for v in values]
+
+    # a yob is converted as a demographics.csv cell is read: an int beyond the
+    # float range becomes +-inf, which the Roster clamps like any other yob
+    return Roster(
+        [s.student_id for s in students],
+        [np.nan if s.yob is None else float(str(s.yob)) for s in students],
+        codes(LOE_LEVELS, [s.loe for s in students]),
+        codes(GENDERS, [s.gender for s in students]),
+        codes(CONTINENTS, [s.continent for s in students]),
+        [s.took_precourse_survey for s in students],
+    )
+
+
+def make_course(meta, students, records=(), final_grade=None):
+    """A CourseData from a Roster (or Student rows) and Record rows.
+
+    A record of a student not on the roster gets an out-of-range student
+    index, so CourseData's own check rejects it.
+    """
+    roster = students if isinstance(students, Roster) else make_roster(students)
+    index = {sid: i for i, sid in enumerate(roster.student_ids)}
+    table = ActivityTable(
+        np.array([index.get(r.student_id, len(index)) for r in records], dtype=np.int32),
+        np.array([(r.date - meta.launch_date).days for r in records], dtype=np.int32),
+        np.array([[r.counters[k] for k in CLICKSTREAM_FEATURES] for r in records],
+                 dtype=np.float64).reshape(len(records), len(CLICKSTREAM_FEATURES)),
+    )
+    return CourseData(meta, roster, table, dict(final_grade or {}))
+
+
+def records_of(course):
+    """The Record rows of a course's activity table, sorted by student id, then date."""
+    table = course.activity
+    return [
+        Record(course.roster.student_ids[i], course.meta.launch_date + datetime.timedelta(days=d),
+               dict(zip(CLICKSTREAM_FEATURES, row)))
+        for i, d, row in zip(table.student_index.tolist(), table.day.tolist(),
+                             table.values.tolist())
+    ]
 
 
 def counters(**overrides):
@@ -52,7 +124,7 @@ def cumulative_clickstream(course, student_id, as_of):
     """Sum each counter over every activity day with date <= as_of."""
     off = check_as_of(course, as_of)
     table = course.activity
-    mask = (table.student_index == course.student_ids.index(student_id)) & (table.day <= off)
+    mask = (table.student_index == course.roster.student_ids.index(student_id)) & (table.day <= off)
     return table.values[mask].sum(axis=0)
 
 
@@ -65,7 +137,7 @@ def days_since_last_action(course, student_id, as_of):
     off = check_as_of(course, as_of)
     table = course.activity
     nevents = table.values[:, CLICKSTREAM_FEATURES.index("nevents")]
-    mask = ((table.student_index == course.student_ids.index(student_id))
+    mask = ((table.student_index == course.roster.student_ids.index(student_id))
             & (table.day <= off) & (nevents > 0))
     if not np.any(mask):
         return float(off + 1)
@@ -77,7 +149,7 @@ def days_since_last_action(course, student_id, as_of):
 def certification_labels(course):
     """{student_id: 0/1}: 1 iff the final grade (0.0 when absent) >= cert_threshold."""
     thr = course.meta.cert_threshold
-    return {sid: int(course.final_grade.get(sid, 0.0) >= thr) for sid in course.student_ids}
+    return {sid: int(course.final_grade.get(sid, 0.0) >= thr) for sid in course.roster.student_ids}
 
 
 def persistence_labels(course, w):
@@ -87,7 +159,7 @@ def persistence_labels(course, w):
     table = course.activity
     nevents = table.values[:, CLICKSTREAM_FEATURES.index("nevents")]
     out = {}
-    for i, sid in enumerate(course.student_ids):
+    for i, sid in enumerate(course.roster.student_ids):
         days = table.day[(table.student_index == i) & (nevents > 0)]
         out[sid] = int(any(wd - 7 <= d <= wd - 1 for d in days.tolist()))
     return out
@@ -95,7 +167,7 @@ def persistence_labels(course, w):
 
 def as_vector(labels, course):
     """An oracle's {student_id: 0/1} as a float64 vector in roster order."""
-    return np.array([labels[sid] for sid in course.student_ids], dtype=np.float64)
+    return np.array([labels[sid] for sid in course.roster.student_ids], dtype=np.float64)
 
 
 @pytest.fixture
@@ -108,30 +180,30 @@ def tiny_course():
     """
     meta = make_meta(weeks_to_t100=4, weeks_total=5)
     students = [
-        StudentDemographics("s00", yob=1990, loe="Bachelor", gender="Female",
-                            continent="Europe", took_precourse_survey=True),
-        StudentDemographics("s01", yob=1997, loe="HighSchool", gender="Male",
-                            continent="Asia"),
-        StudentDemographics("s02"),
-        StudentDemographics("s03", yob=1955, loe="Master", gender="Other",
-                            continent="SouthAmerica", took_precourse_survey=True),
-        StudentDemographics("s04", yob=2005, loe="Elementary", gender="Female",
-                            continent="Africa"),
-        StudentDemographics("s05", yob=1980, loe="Professional", gender="Male",
-                            continent="NorthAmerica"),
+        Student("s00", yob=1990, loe="Bachelor", gender="Female",
+                continent="Europe", took_precourse_survey=True),
+        Student("s01", yob=1997, loe="HighSchool", gender="Male",
+                continent="Asia"),
+        Student("s02"),
+        Student("s03", yob=1955, loe="Master", gender="Other",
+                continent="SouthAmerica", took_precourse_survey=True),
+        Student("s04", yob=2005, loe="Elementary", gender="Female",
+                continent="Africa"),
+        Student("s05", yob=1980, loe="Professional", gender="Male",
+                continent="NorthAmerica"),
     ]
     records = [
-        ActivityDay("s00", day(0), counters(nevents=10, nvideo=3, nproblems_answered=4, sum_dt=120)),
-        ActivityDay("s00", day(2), counters(nevents=5, nforum_posts=1, nproblems_answered=2)),
-        ActivityDay("s00", day(9), counters(nevents=7, nvideo=2, max_dt=300)),
-        ActivityDay("s01", day(0), counters(nevents=2, nshow_answer=1)),
-        ActivityDay("s03", day(1), counters(nevents=4, nproblems_answered=3)),
-        ActivityDay("s03", day(20), counters(nevents=6, nproblems_answered=5)),
-        ActivityDay("s04", day(3), counters(nevents=1)),
-        ActivityDay("s05", day(27), counters(nevents=9, nvideo=4)),
+        Record("s00", day(0), counters(nevents=10, nvideo=3, nproblems_answered=4, sum_dt=120)),
+        Record("s00", day(2), counters(nevents=5, nforum_posts=1, nproblems_answered=2)),
+        Record("s00", day(9), counters(nevents=7, nvideo=2, max_dt=300)),
+        Record("s01", day(0), counters(nevents=2, nshow_answer=1)),
+        Record("s03", day(1), counters(nevents=4, nproblems_answered=3)),
+        Record("s03", day(20), counters(nevents=6, nproblems_answered=5)),
+        Record("s04", day(3), counters(nevents=1)),
+        Record("s05", day(27), counters(nevents=9, nvideo=4)),
     ]
     grades = {"s00": 0.91, "s01": 0.05, "s02": 0.0, "s03": 0.7, "s05": 0.42}
-    return course_from_records(meta, students, records, grades)
+    return make_course(meta, students, records, grades)
 
 
 @pytest.fixture
@@ -141,15 +213,15 @@ def separable_course():
     students, records, grades = [], [], {}
     for i in range(40):
         sid = f"p{i:03d}"
-        students.append(StudentDemographics(sid, yob=1985))
+        students.append(Student(sid, yob=1985))
         if i < 20:
             for d in range(0, 56, 3):
-                records.append(ActivityDay(sid, day(d), counters(nevents=5 + i % 3,
-                                                                 nproblems_answered=2)))
+                records.append(Record(sid, day(d), counters(nevents=5 + i % 3,
+                                                            nproblems_answered=2)))
             grades[sid] = 0.9
         else:
             grades[sid] = 0.1
-    return course_from_records(meta, students, records, grades)
+    return make_course(meta, students, records, grades)
 
 
 def _corpus_config(n_courses, n_students, fields):

@@ -15,8 +15,8 @@ from scipy.stats import spearmanr
 
 from dropoutlab.cli import main as cli_main
 from dropoutlab.dataset import (
+    CourseData,
     SynthConfig,
-    course_from_records,
     default_corpus_config,
     synthesize_corpus,
     synthesize_course,
@@ -277,12 +277,10 @@ def test_criterion_6_post_hoc_improves_with_time(flagship_report):
 
 def test_criterion_7_in_situ_blind_to_labels():
     course = synthesize_course(SynthConfig(course_id="BLNDx", n_students=400), 7)
-    corrupted = course_from_records(
-        course.meta, course.students, list(course.activity_days()),
-        {sid: 1.0 - g for sid, g in course.final_grade.items()},
-    )
-    direct_a = insitu_scores(course.meta, course.students, course.activity, -1)
-    direct_b = insitu_scores(corrupted.meta, corrupted.students,
+    corrupted = CourseData(course.meta, course.roster, course.activity,
+                           {sid: 1.0 - g for sid, g in course.final_grade.items()})
+    direct_a = insitu_scores(course.meta, course.roster, course.activity, -1)
+    direct_b = insitu_scores(corrupted.meta, corrupted.roster,
                              corrupted.activity, -1)
     via_a = run_paradigm([course], "in_situ", "BLNDx", -1)
     via_b = run_paradigm([corrupted], "in_situ", "BLNDx", -1)

@@ -377,6 +377,17 @@ class TestReportCommand:
                      "--out-dir", str(tmp_path / "re")]) == 1
         assert "skipped.csv" in capsys.readouterr().err
 
+    def test_repeated_row_is_runtime_error(self, tmp_path, capsys):
+        manifest = _write_manifest(tmp_path, paradigms=["baseline1"])
+        assert main(["run", "--manifest", str(manifest)]) == 0
+        rows = tmp_path / "out" / "rows.csv"
+        lines = rows.read_bytes().splitlines(keepends=True)
+        assert lines[1].startswith(b"baseline1,MAx,-4,")
+        rows.write_bytes(b"".join(lines[:2] + lines[1:]))
+        assert main(["report", "--rows", str(rows), "--out-dir", str(tmp_path / "re")]) == 1
+        assert "('baseline1', 'MAx', -4)" in capsys.readouterr().err
+        assert not (tmp_path / "re").exists()
+
     def test_missing_rows_is_runtime_error(self, tmp_path):
         assert main(["report", "--rows", str(tmp_path / "no.csv"),
                      "--out-dir", str(tmp_path)]) == 1

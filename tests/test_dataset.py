@@ -6,19 +6,18 @@ import numpy as np
 import pytest
 
 from dropoutlab.dataset import (
-    ActivityDay,
     ActivityTable,
     CLICKSTREAM_FEATURES,
+    CLICKSTREAM_INDEX,
     CONTINENTS,
     GENDERS,
     LOE_LEVELS,
     CorpusConfig,
     CourseMeta,
-    StudentDemographics,
+    Roster,
     SynthConfig,
     corpus_config_from_dict,
     corpus_config_to_dict,
-    course_from_records,
     default_corpus_config,
     load_course_dir,
     load_course_meta,
@@ -39,7 +38,34 @@ from dropoutlab.errors import (
 )
 from dropoutlab.paradigms import roster_rows
 
-from conftest import LAUNCH, as_vector, certification_labels, counters, day, make_meta
+from conftest import (
+    LAUNCH,
+    Record,
+    Student,
+    as_vector,
+    certification_labels,
+    counters,
+    day,
+    make_course,
+    make_meta,
+    records_of,
+)
+
+_ROSTER_COLUMNS = ("yob", "loe", "gender", "continent", "took_precourse_survey")
+
+
+def _assert_same_roster(a, b):
+    assert a.student_ids == b.student_ids
+    for name in _ROSTER_COLUMNS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y, equal_nan=True), name
+
+
+def _one_row_table(**overrides):
+    """An ActivityTable of one row whose counters are counters(**overrides)."""
+    c = counters(**overrides)
+    return ActivityTable(np.array([0]), np.array([0]),
+                         np.array([[c[k] for k in CLICKSTREAM_FEATURES]]))
 
 
 class TestCourseMeta:
@@ -67,35 +93,66 @@ class TestCourseMeta:
             make_meta(field="Astrology")
 
 
-class TestStudentDemographics:
-    def test_enums_validated(self):
-        with pytest.raises(BadValueError):
-            StudentDemographics("s0", loe="Kindergarten")
-        with pytest.raises(BadValueError):
-            StudentDemographics("s0", gender="X")
-        with pytest.raises(BadValueError):
-            StudentDemographics("s0", continent="Atlantis")
+def _null_roster(**codes):
+    """A one-student roster of non-responses, with the given column values."""
+    columns = dict(yob=[np.nan], loe=[len(LOE_LEVELS)], gender=[len(GENDERS)],
+                   continent=[len(CONTINENTS)], took_precourse_survey=[0.0])
+    columns.update({name: [v] for name, v in codes.items()})
+    return Roster(["s0"], **columns)
+
+
+class TestRoster:
+    def test_codes_validated(self):
+        for name, levels in (("loe", LOE_LEVELS), ("gender", GENDERS), ("continent", CONTINENTS)):
+            for code in (-1, len(levels) + 1):
+                with pytest.raises(BadValueError, match=rf"'s0': bad {name} {code}"):
+                    _null_roster(**{name: code})
+
+    def test_survey_must_be_binary(self):
+        with pytest.raises(BadValueError, match="took_precourse_survey"):
+            _null_roster(took_precourse_survey=0.5)
 
     def test_all_null_is_fine(self):
-        s = StudentDemographics("s0")
-        assert s.yob is None and s.loe is None
-        assert s.took_precourse_survey is False
+        r = _null_roster()
+        assert np.isnan(r.yob[0]) and r.loe[0] == len(LOE_LEVELS)
+        assert r.took_precourse_survey[0] == 0.0 and len(r) == 1
+
+    def test_columns_must_align(self):
+        with pytest.raises(BadValueError, match="'gender'"):
+            Roster(["a", "b"], [1990, 1991], [0, 0], [0], [0, 0], [0, 0])
+
+    def test_duplicate_student_rejected(self):
+        with pytest.raises(BadValueError, match="'a'"):
+            Roster(["a", "b", "a"], [np.nan] * 3, [0] * 3, [0] * 3, [0] * 3, [0] * 3)
 
 
 class TestActivityRecords:
     def test_missing_counter(self):
         c = counters()
-        del c["nvideo"]
+        values = np.array([[c[k] for k in CLICKSTREAM_FEATURES]])
         with pytest.raises(MissingColumnError):
-            ActivityDay("s0", LAUNCH, c)
+            ActivityTable(np.array([0]), np.array([0]),
+                          np.delete(values, CLICKSTREAM_INDEX["nvideo"], axis=1))
 
     def test_negative_counter(self):
-        with pytest.raises(NegativeCounterError):
-            ActivityDay("s0", LAUNCH, counters(nforum=-1))
+        with pytest.raises(NegativeCounterError, match="'nforum'"):
+            _one_row_table(nforum=-1)
 
     def test_non_finite_counter(self):
-        with pytest.raises(NegativeCounterError):
-            ActivityDay("s0", LAUNCH, counters(sum_dt=float("nan")))
+        with pytest.raises(NegativeCounterError, match="'sum_dt'"):
+            _one_row_table(sum_dt=float("nan"))
+        with pytest.raises(NegativeCounterError, match="'sum_dt'"):
+            _one_row_table(sum_dt=float("inf"))
+
+    def test_counter_check_names_the_row(self):
+        values = np.zeros((3, len(CLICKSTREAM_FEATURES)))
+        values[0, CLICKSTREAM_INDEX["nvideo"]] = -2.0  # the row of (student 1, day 4)
+        with pytest.raises(NegativeCounterError,
+                           match=r"student index 1, day offset 4\): counter 'nvideo' = -2\.0"):
+            ActivityTable(np.array([1, 0, 0]), np.array([4, 1, 2]), values)
+
+    def test_negative_zero_is_zero(self):
+        assert len(_one_row_table(nvideo=-0.0)) == 1
 
     def test_table_sorts_rows(self):
         t = ActivityTable(
@@ -120,64 +177,67 @@ class TestActivityRecords:
 
 class TestCourseData:
     def test_student_ids_sorted(self, tiny_course):
-        assert list(tiny_course.student_ids) == sorted(tiny_course.student_ids)
+        assert list(tiny_course.roster.student_ids) == sorted(tiny_course.roster.student_ids)
 
     def test_duplicate_student_rejected(self):
         meta = make_meta()
         with pytest.raises(BadValueError):
-            course_from_records(meta, [StudentDemographics("a"), StudentDemographics("a")],
-                                [], {})
+            make_course(meta, [Student("a"), Student("a")],
+                        [], {})
 
     def test_activity_must_reference_roster(self):
         meta = make_meta()
-        rec = ActivityDay("ghost", LAUNCH, counters(nevents=1))
+        rec = Record("ghost", LAUNCH, counters(nevents=1))
         with pytest.raises(UnknownStudentError):
-            course_from_records(meta, [StudentDemographics("a")], [rec], {})
+            make_course(meta, [Student("a")], [rec], {})
 
     def test_activity_date_range_enforced(self):
         meta = make_meta(weeks_to_t100=1, weeks_total=2)
-        late = ActivityDay("a", day(15), counters(nevents=1))
+        late = Record("a", day(15), counters(nevents=1))
         with pytest.raises(BadDateError):
-            course_from_records(meta, [StudentDemographics("a")], [late], {})
+            make_course(meta, [Student("a")], [late], {})
 
     def test_roster_columns_in_id_order(self):
-        students = [
-            StudentDemographics("b", yob=1990, loe="Master", gender="Female",
-                                continent="Asia", took_precourse_survey=True),
-            StudentDemographics("a"),
-            StudentDemographics("c", yob=-10**400, loe="Elementary", gender="Male",
-                                continent="Europe"),
-            StudentDemographics("d", yob=10**400),
+        students = [  # the two extreme yob values are clamped into [0, 4024]
+            Student("b", yob=1990, loe="Master", gender="Female",
+                    continent="Asia", took_precourse_survey=True),
+            Student("a"),
+            Student("c", yob=-10**400, loe="Elementary", gender="Male",
+                    continent="Europe"),
+            Student("d", yob=10**400),
         ]
-        course = course_from_records(make_meta(), students, [], {})
-        assert np.isnan(course.yob[0]) and course.yob[1:].tolist() == [1990.0, 0.0, 4024.0]
-        assert course.loe.tolist() == [len(LOE_LEVELS), LOE_LEVELS.index("Master"), 0,
-                                       len(LOE_LEVELS)]
-        assert course.gender.tolist() == [len(GENDERS), GENDERS.index("Female"), 0,
-                                          len(GENDERS)]
-        assert course.continent.tolist() == [len(CONTINENTS), CONTINENTS.index("Asia"), 0,
-                                             len(CONTINENTS)]
-        assert course.took_precourse_survey.tolist() == [0.0, 1.0, 0.0, 0.0]
-        assert course.yob.dtype == np.float64 and course.loe.dtype == np.intp
+        r = make_course(make_meta(), students, [], {}).roster
+        assert r.student_ids == ("a", "b", "c", "d")
+        assert np.isnan(r.yob[0]) and r.yob[1:].tolist() == [1990.0, 0.0, 4024.0]
+        assert r.loe.tolist() == [len(LOE_LEVELS), LOE_LEVELS.index("Master"), 0,
+                                  len(LOE_LEVELS)]
+        assert r.gender.tolist() == [len(GENDERS), GENDERS.index("Female"), 0,
+                                     len(GENDERS)]
+        assert r.continent.tolist() == [len(CONTINENTS), CONTINENTS.index("Asia"), 0,
+                                        len(CONTINENTS)]
+        assert r.took_precourse_survey.tolist() == [0.0, 1.0, 0.0, 0.0]
+        assert r.yob.dtype == np.float64 and r.loe.dtype == np.intp
         with pytest.raises(ValueError):
-            course.loe[0] = 0
+            r.loe[0] = 0
 
-    def test_activity_days_round_trip(self, tiny_course):
-        days = list(tiny_course.activity_days())
+    def test_records_round_trip(self, tiny_course):
+        days = records_of(tiny_course)
         assert len(days) == 8
         first = days[0]
         assert first.student_id == "s00" and first.date == day(0)
         assert first.counters["nevents"] == 10.0
+        rebuilt = make_course(tiny_course.meta, tiny_course.roster, days, tiny_course.final_grade)
+        assert rebuilt.activity.values.tobytes() == tiny_course.activity.values.tobytes()
 
 
 class TestLabels:
     def test_threshold_inclusive(self, tiny_course):
-        labels = dict(zip(tiny_course.student_ids, tiny_course.certified.tolist()))
+        labels = dict(zip(tiny_course.roster.student_ids, tiny_course.certified.tolist()))
         assert labels == {"s00": 1, "s01": 0, "s02": 0, "s03": 1, "s04": 0, "s05": 0}
 
     def test_missing_grade_is_dropout(self, tiny_course):
         # s04 has no grades row at all
-        assert tiny_course.certified[tiny_course.student_ids.index("s04")] == 0
+        assert tiny_course.certified[tiny_course.roster.student_ids.index("s04")] == 0
 
     def test_vector_alignment(self, tiny_course):
         v = tiny_course.certified[roster_rows(tiny_course, ("s03", "s00", "s01"))]
@@ -199,14 +259,11 @@ class TestCsvRoundTrip:
         write_course(tiny_course, tmp_path)
         loaded = load_course_dir(tmp_path)
         assert loaded.meta == tiny_course.meta
-        assert loaded.student_ids == tiny_course.student_ids
-        by_id = {s.student_id: s for s in loaded.students}
-        for s in tiny_course.students:
-            assert by_id[s.student_id] == s
+        _assert_same_roster(loaded.roster, tiny_course.roster)
         assert np.array_equal(loaded.activity.values, tiny_course.activity.values)
         assert np.array_equal(loaded.activity.day, tiny_course.activity.day)
         # absent grade rows load back as the 0.0 they imply
-        for sid in tiny_course.student_ids:
+        for sid in tiny_course.roster.student_ids:
             assert loaded.final_grade[sid] == tiny_course.final_grade.get(sid, 0.0)
         assert loaded.certified.tobytes() == tiny_course.certified.tobytes()
 
@@ -347,9 +404,32 @@ class TestCsvRoundTrip:
         p = tmp_path / "demographics.csv"
         p.write_text("student_id,yob,loe,gender,continent,precourse_survey\r\n"
                      "s0,n/a,PhD,female,Mars,0\r\n")
-        s = load_demographics(p)[0]
-        assert s.yob is None and s.loe is None
-        assert s.gender is None and s.continent is None
+        r = load_demographics(p)
+        assert np.isnan(r.yob[0]) and r.loe[0] == len(LOE_LEVELS)
+        assert r.gender[0] == len(GENDERS) and r.continent[0] == len(CONTINENTS)
+
+    def test_yob_clamped_on_load(self, tmp_path):
+        p = tmp_path / "demographics.csv"
+        cells = ["-" + "9" * 400, "-5", "0", "1990", "4024", "4025", "1" + "0" * 400, "19.5"]
+        p.write_text("student_id,yob,loe,gender,continent,precourse_survey\r\n" + "".join(
+            f"s{k},{cell},,,,0\r\n" for k, cell in enumerate(cells)))
+        r = load_demographics(p)
+        assert r.yob[:7].tolist() == [0.0, 0.0, 0.0, 1990.0, 4024.0, 4024.0, 4024.0]
+        assert np.isnan(r.yob[7])  # not an integer: a non-response
+
+    def test_loaded_yob_written_clamped(self, tiny_course, tmp_path):
+        write_course(tiny_course, tmp_path)
+        p = tmp_path / "demographics.csv"
+        p.write_text(p.read_text().replace("s00,1990,", "s00,99999,"))
+        write_course(load_course_dir(tmp_path), tmp_path / "again")
+        assert "s00,4024," in (tmp_path / "again" / "demographics.csv").read_text()
+
+    def test_duplicate_student_names_line(self, tmp_path):
+        p = tmp_path / "demographics.csv"
+        p.write_text("student_id,yob,loe,gender,continent,precourse_survey\r\n"
+                     "s0,,,,,0\r\ns1,,,,,0\r\ns0,,,,,1\r\n")
+        with pytest.raises(BadValueError, match=r"demographics\.csv:4: duplicate student_id 's0'"):
+            load_demographics(p)
 
 
 class TestSynthConfig:
@@ -389,10 +469,10 @@ class TestSynthesis:
         cfg = SynthConfig(course_id="Sx", n_students=60)
         a = synthesize_course(cfg, 7)
         b = synthesize_course(cfg, 7)
-        assert a.student_ids == b.student_ids
+        assert a.roster.student_ids == b.roster.student_ids
         assert np.array_equal(a.activity.values, b.activity.values)
         assert a.final_grade == b.final_grade
-        assert tuple(a.students) == tuple(b.students)
+        _assert_same_roster(a.roster, b.roster)
 
     def test_different_seeds_differ(self):
         cfg = SynthConfig(course_id="Sx", n_students=60)
@@ -403,8 +483,8 @@ class TestSynthesis:
     def test_student_ids_shape(self):
         c = synthesize_course(SynthConfig(course_id="Sx", n_students=30), 0)
         assert c.n_students == 30
-        assert c.student_ids[0] == "s00000"
-        assert all(len(s) == len(c.student_ids[0]) for s in c.student_ids)
+        assert c.roster.student_ids[0] == "s00000"
+        assert all(len(s) == len(c.roster.student_ids[0]) for s in c.roster.student_ids)
 
     def test_grades_in_unit_interval(self):
         c = synthesize_course(SynthConfig(course_id="Sx", n_students=80), 3)

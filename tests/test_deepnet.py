@@ -1,5 +1,7 @@
 """MLP forward/backward, SGD schedule, function-preserving growth, the sweep."""
 
+import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +12,6 @@ from dropoutlab.deepnet import (
     GrowthPlan,
     MlpModel,
     SgdConfig,
-    TrainLog,
     _batch_loss_and_grads,
     forward,
     grow_and_train,
@@ -31,6 +32,7 @@ from dropoutlab.errors import (
     BadConfigError,
     BadLayerError,
     BadShapeError,
+    BadValueError,
     SchemaMismatchError,
     ShrinkNotAllowedError,
     SingleClassError,
@@ -41,6 +43,29 @@ def dataset_loss(m, X, y):
     """Mean unweighted cross-entropy over a whole dataset, as one batch."""
     loss, _ = _batch_loss_and_grads(m, X, y, np.ones(N_CLASSES))
     return loss
+
+
+def reference_sgd(m, X, y, cfg):
+    """Minibatch SGD written out as SgdConfig documents it, without momentum or
+    class weighting: each epoch draws one permutation from default_rng(cfg.seed),
+    batches of minibatch_size rows follow it with a short remainder batch, and
+    update k (from 0) steps by learning_rate * (1 + anneal_factor) ** -k.
+
+    Returns the trained network and the size of every batch, in update order.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    layers = [(W.copy(), b.copy()) for W, b in m.layers]
+    sizes = []
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(X))
+        for start in range(0, len(X), cfg.minibatch_size):
+            batch = order[start:start + cfg.minibatch_size]
+            _, grads = _batch_loss_and_grads(MlpModel(tuple(layers)), X[batch], y[batch],
+                                             np.ones(N_CLASSES))
+            lr = cfg.learning_rate * (1.0 + cfg.anneal_factor) ** (-len(sizes))
+            layers = [(W - lr * gW, b - lr * gb) for (W, b), (gW, gb) in zip(layers, grads)]
+            sizes.append(len(batch))
+    return MlpModel(tuple(layers)), sizes
 
 
 def _toy_data(rng, n=40, p=6):
@@ -175,10 +200,11 @@ class TestBackprop:
         rng = np.random.default_rng(5)
         X, y = _toy_data(rng, n=60)
         net = init_mlp(6, [8], seed=1)
-        log = TrainLog()
-        trained = train_sgd(net, X, y, SgdConfig(epochs=10, seed=1), log=log)
-        assert dataset_loss(trained, X, y) < log.initial_loss
-        assert log.epoch_loss[-1] < log.epoch_loss[0]
+        trained = train_sgd(net, X, y, SgdConfig(epochs=10, seed=1))
+        one_epoch = train_sgd(net, X, y, SgdConfig(epochs=1, seed=1))
+        loss = dataset_loss(trained, X, y)
+        assert loss < dataset_loss(net, X, y)
+        assert loss < dataset_loss(one_epoch, X, y)
 
 
 class TestSgd:
@@ -217,14 +243,16 @@ class TestSgd:
         for (W0, b0), (W1, b1) in zip(before, net.layers):
             assert np.array_equal(W0, W1) and np.array_equal(b0, b1)
 
-    def test_annealed_schedule_exact(self):
+    def test_matches_reference_loop_bitwise(self):
         rng = np.random.default_rng(8)
         X, y = _toy_data(rng, n=25)
         cfg = SgdConfig(epochs=3, minibatch_size=10, anneal_factor=1e-3, seed=0)
-        log = TrainLog()
-        train_sgd(init_mlp(6, [4], seed=0), X, y, cfg, log=log)
-        assert log.steps == 9  # ceil(25/10) = 3 updates per epoch
-        assert log.final_lr == 0.1 * (1 + 1e-3) ** (-9)
+        net = init_mlp(6, [4], seed=0)
+        expect, sizes = reference_sgd(net, X, y, cfg)
+        assert sizes == [10, 10, 5] * 3  # ceil(25/10) = 3 updates per epoch
+        got = train_sgd(net, X, y, cfg)
+        for (W, b), (We, be) in zip(got.layers, expect.layers):
+            assert W.tobytes() == We.tobytes() and b.tobytes() == be.tobytes()
 
     def test_single_class_rejected(self):
         X = np.zeros((4, 3))
@@ -444,6 +472,16 @@ class TestMlpSerialization:
         assert np.array_equal(forward(back, X), forward(m, X))
         for (Wa, ba), (Wb, bb) in zip(m.layers, back.layers):
             assert np.array_equal(Wa, Wb) and np.array_equal(ba, bb)
+
+    def test_short_layer_names_file(self, tmp_path):
+        p = tmp_path / "net.json"
+        save_mlp(init_mlp(6, [5], seed=8), p)
+        doc = json.loads(p.read_text())
+        del doc["layers"][1]["weights"][-1]
+        p.write_text(json.dumps(doc))
+        with pytest.raises(BadValueError,
+                           match=rf"{re.escape(str(p))}: layer 1: 9 weights do not fill the shape \(5, 2\)"):
+            load_mlp(p)
 
     def test_dict_form_row_major(self):
         W = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])

@@ -221,6 +221,16 @@ class TestReport:
         assert "single-class cells" not in text
         assert "  skipped same_field HCCx w-1: no other Humanities" in text
 
+    def test_repeated_cell_rejected(self):
+        rows = _report_fixture().rows
+        with pytest.raises(BadValueError, match=r"\('post_hoc', 'A1x', -1\)"):
+            EvalReport.from_rows(rows + rows[1:2])
+        with pytest.raises(BadValueError, match=r"\('post_hoc', 'A1x', 0\)"):  # scored and skipped
+            EvalReport.from_rows(rows, skipped=(("post_hoc", "A1x", 0, "single class"),))
+        skipped = (("post_hoc", "B1x", 0, "single class"),) * 2
+        with pytest.raises(BadValueError, match=r"\('post_hoc', 'B1x', 0\)"):
+            EvalReport.from_rows(rows, skipped=skipped)
+
     def test_row_invariants_enforced(self):
         with pytest.raises(BadValueError):
             EvalRow("post_hoc", "A1x", 0, 1.5, 10, 2)

@@ -2,6 +2,8 @@
 
 import datetime
 import itertools
+import json
+import re
 
 import numpy as np
 import pytest
@@ -13,8 +15,7 @@ from dropoutlab.dataset import (
     LOE_LEVELS,
     ActivityTable,
     CourseData,
-    StudentDemographics,
-    course_from_records,
+    Roster,
 )
 from dropoutlab.errors import BadDateError, BadValueError, SchemaMismatchError
 from dropoutlab.features import (
@@ -39,11 +40,15 @@ from dropoutlab.features import (
 
 from conftest import (
     LAUNCH,
+    Student,
     counters,
     cumulative_clickstream,
     day,
     days_since_last_action,
+    make_course,
     make_meta,
+    make_roster,
+    records_of,
 )
 
 
@@ -79,7 +84,7 @@ def _dummy_name(v):
 
 def _one_student_dummies(s):
     """The 33 dummies of one student: demographic_dummies of a one-student course."""
-    return demographic_dummies(course_from_records(make_meta(), [s], [], {}))[0]
+    return demographic_dummies(make_course(make_meta(), [s], [], {}))[0]
 
 
 def _reference_dummies(s):
@@ -111,10 +116,10 @@ def _recency(course, sid, as_of):
 class TestAgeBinning:
     def test_reference_ages(self):
         # 2012 - 1990 = 22 falls in [20, 25)
-        v = _one_student_dummies(StudentDemographics("s", yob=1990))
+        v = _one_student_dummies(Student("s", yob=1990))
         assert _dummy_name(v[:13] * 1.0) == "age_20_25"
         # 2012 - 1997 = 15 falls in [15, 20)
-        v = _one_student_dummies(StudentDemographics("s", yob=1997))
+        v = _one_student_dummies(Student("s", yob=1997))
         assert _dummy_name(v[:13]) == "age_15_20"
 
     def test_bin_edges_half_open(self):
@@ -122,21 +127,21 @@ class TestAgeBinning:
                  1997: "age_15_20", 1953: "age_55_60", 1952: "age_ge60",
                  1900: "age_ge60"}
         for yob, name in cases.items():
-            v = _one_student_dummies(StudentDemographics("s", yob=yob))
+            v = _one_student_dummies(Student("s", yob=yob))
             assert _dummy_name(v[:13]) == name, yob
 
     def test_null_yob(self):
-        v = _one_student_dummies(StudentDemographics("s"))
+        v = _one_student_dummies(Student("s"))
         assert _dummy_name(v[:13]) == "age_null"
 
 
 class TestDemographicEncoding:
     def test_each_group_one_hot(self):
         for s in (
-            StudentDemographics("s"),
-            StudentDemographics("s", yob=1985, loe="Associate", gender="Other",
-                                continent="Oceania", took_precourse_survey=True),
-            StudentDemographics("s", loe="JuniorHigh", gender="Female"),
+            Student("s"),
+            Student("s", yob=1985, loe="Associate", gender="Other",
+                    continent="Oceania", took_precourse_survey=True),
+            Student("s", loe="JuniorHigh", gender="Female"),
         ):
             v = _one_student_dummies(s)
             assert v.shape == (33,)
@@ -147,8 +152,8 @@ class TestDemographicEncoding:
             assert set(np.unique(v)) <= {0.0, 1.0}
 
     def test_named_slots(self):
-        s = StudentDemographics("s", yob=1980, loe="Master", gender="Male",
-                                continent="SouthAmerica")
+        s = Student("s", yob=1980, loe="Master", gender="Male",
+                    continent="SouthAmerica")
         v = _one_student_dummies(s)
         names = {DEFAULT_SCHEMA.names[i] for i in np.nonzero(v)[0]}
         assert names == {"age_30_35", "loe_master", "gender_male",
@@ -157,10 +162,10 @@ class TestDemographicEncoding:
     def test_matches_per_student_reference(self):
         yobs = (None, -10**400, 1700, 1900, 1952, 1953, 1980, 1997, 1998, 2002, 2003, 2020,
                 10**400)
-        students = [StudentDemographics(f"s{k:04d}", yob=y, loe=l, gender=g, continent=c)
+        students = [Student(f"s{k:04d}", yob=y, loe=l, gender=g, continent=c)
                     for k, (y, l, g, c) in enumerate(itertools.product(
                         yobs, (None,) + LOE_LEVELS, (None,) + GENDERS, (None,) + CONTINENTS))]
-        course = course_from_records(make_meta(), students[::-1], [], {})
+        course = make_course(make_meta(), students[::-1], [], {})
         expect = np.array([_reference_dummies(s) for s in students])  # ids ascend with k
         assert np.array_equal(demographic_dummies(course), expect)
 
@@ -232,8 +237,8 @@ def _random_course(seed, n_students=30, first_day=3):
     values *= 10.0 ** rng.uniform(-3, 6, values.shape)
     values[rng.random(values.shape) < 0.05] = -0.0
     values[(rng.random(len(days)) < 0.3) | (sidx == 1), _NEVENTS] = 0.0
-    students = [StudentDemographics(f"s{k:03d}") for k in range(n_students)]
-    return CourseData(make_meta(), tuple(students), ActivityTable(sidx, days, values), {})
+    roster = make_roster([Student(f"s{k:03d}") for k in range(n_students)])
+    return CourseData(make_meta(), roster, ActivityTable(sidx, days, values), {})
 
 
 class TestCumulativeAllOracle:
@@ -259,8 +264,8 @@ class TestCumulativeAllOracle:
 
     def test_one_row_table(self):
         values = np.full((1, len(CLICKSTREAM_FEATURES)), 0.1)
-        students = tuple(StudentDemographics(f"s{k}") for k in range(3))
-        course = CourseData(make_meta(), students,
+        roster = make_roster([Student(f"s{k}") for k in range(3)])
+        course = CourseData(make_meta(), roster,
                             ActivityTable(np.array([1]), np.array([4]), values), {})
         for off in (0, 3, 4, 70):
             self._assert_bitwise(course, off)
@@ -268,8 +273,8 @@ class TestCumulativeAllOracle:
         assert cum[1].tolist() == values[0].tolist() and dsla.tolist() == [10.0, 5.0, 10.0]
 
     def test_empty_table(self):
-        students = (StudentDemographics("s0"),)
-        course = CourseData(make_meta(), students,
+        roster = make_roster([Student("s0")])
+        course = CourseData(make_meta(), roster,
                             ActivityTable(np.zeros(0, np.int32), np.zeros(0, np.int32),
                                           np.zeros((0, len(CLICKSTREAM_FEATURES)))), {})
         self._assert_bitwise(course, 5)
@@ -300,7 +305,7 @@ class TestBuildMatrix:
     def test_shape_and_row_order(self, tiny_course):
         m = build_matrix(tiny_course, day(9))
         assert m.values.shape == (6, 66)
-        assert m.student_ids == tiny_course.student_ids
+        assert m.student_ids == tiny_course.roster.student_ids
         assert m.as_of == day(9)
 
     def test_rows_match_per_student_helpers(self, tiny_course):
@@ -324,12 +329,11 @@ class TestBuildMatrix:
         assert np.array_equal(a.values, b.values)
 
     def test_roster_order_irrelevant(self, tiny_course):
-        shuffled = course_from_records(
-            tiny_course.meta,
-            tuple(reversed(tiny_course.students)),
-            list(tiny_course.activity_days()),
-            tiny_course.final_grade,
-        )
+        r = tiny_course.roster
+        reversed_roster = Roster(r.student_ids[::-1], r.yob[::-1], r.loe[::-1], r.gender[::-1],
+                                 r.continent[::-1], r.took_precourse_survey[::-1])
+        shuffled = make_course(tiny_course.meta, reversed_roster, records_of(tiny_course),
+                               tiny_course.final_grade)
         a = build_matrix(tiny_course, day(9))
         b = build_matrix(shuffled, day(9))
         assert a.student_ids == b.student_ids
@@ -485,6 +489,28 @@ class TestSerialization:
         p.write_text(text.replace("cum_avg_dt", "avg_dt", 1))
         with pytest.raises(SchemaMismatchError):
             load_matrix(p, day(9))
+
+    def test_short_matrix_row_names_file_and_line(self, tiny_course, tmp_path):
+        p = tmp_path / "m.csv"
+        write_matrix(build_matrix(tiny_course, day(9)), p)
+        lines = p.read_text().splitlines(keepends=True)
+        lines[3] = lines[3].rsplit(",", 1)[0] + "\n"  # one cell short
+        p.write_text("".join(lines))
+        with pytest.raises(BadValueError, match=rf"{re.escape(str(p))}:4: expected 67 cells, got 66"):
+            load_matrix(p, day(9))
+
+    @pytest.mark.parametrize("kind,key", [("zscore", "mean"), ("zscore", "std"),
+                                          ("percentile", "columns"),
+                                          ("percentile", "references")])
+    def test_norm_stats_missing_key_names_file(self, tiny_course, tmp_path, kind, key):
+        m = build_matrix(tiny_course, day(9))
+        p = tmp_path / "stats.json"
+        save_norm_stats(normalize(m, [m], kind)[0], p)
+        doc = json.loads(p.read_text())
+        del doc[key]
+        p.write_text(json.dumps(doc))
+        with pytest.raises(BadValueError, match=rf"{re.escape(str(p))}: {kind} stats need '{key}'"):
+            load_norm_stats(p)
 
     def test_norm_stats_round_trip(self, tiny_course, tmp_path):
         m = build_matrix(tiny_course, day(9))

@@ -8,7 +8,6 @@ import pytest
 from scipy.optimize import minimize
 from scipy.special import expit
 
-from dropoutlab.dataset import StudentDemographics, course_from_records
 from dropoutlab.errors import (
     BadValueError,
     ConvergenceWarning,
@@ -43,7 +42,7 @@ from dropoutlab.linear import (
     train_logreg,
 )
 
-from conftest import LAUNCH, counters, day, make_meta
+from conftest import LAUNCH, Student, counters, day, make_course, make_meta
 
 
 def _labelled_matrix(values, labels):
@@ -324,9 +323,9 @@ def _demographic_course(n=120, seed=0):
         sid = f"d{i:03d}"
         gender = "Female" if i % 2 == 0 else "Male"
         p = 0.8 if gender == "Female" else 0.2
-        students.append(StudentDemographics(sid, yob=1985, gender=gender))
+        students.append(Student(sid, yob=1985, gender=gender))
         grades[sid] = 0.9 if rng.random() < p else 0.1
-    return course_from_records(meta, students, [], grades)
+    return make_course(meta, students, [], grades)
 
 
 class TestBaselines:
@@ -352,10 +351,10 @@ class TestBaselines:
 
     def test_identical_demographics_identical_scores(self):
         meta = make_meta(course_id="SAMEx")
-        students = [StudentDemographics(f"u{i}", yob=1990, loe="Bachelor")
+        students = [Student(f"u{i}", yob=1990, loe="Bachelor")
                     for i in range(6)]
         grades = {f"u{i}": (0.9 if i < 3 else 0.0) for i in range(6)}
-        course = course_from_records(meta, students, [], grades)
+        course = make_course(meta, students, [], grades)
         scored = score_demographics(baseline_demographics(course), course)
         assert np.all(scored.scores == scored.scores[0])
 
@@ -404,6 +403,20 @@ class TestModelSerialization:
         doc["schema_hash"] = "0" * 64
         p.write_text(json.dumps(doc))
         with pytest.raises(SchemaMismatchError):
+            load_model(p)
+
+    def test_norm_missing_key_names_file(self, tiny_course, tmp_path):
+        import json
+
+        m = build_matrix(tiny_course, day(9))
+        stats = fit_zscore(m)
+        model = train_logreg(apply_zscore(m, stats), tiny_course.certified, norm=stats)
+        p = tmp_path / "model.json"
+        save_model(model, p)
+        doc = json.loads(p.read_text())
+        del doc["norm"]["mean"]
+        p.write_text(json.dumps(doc))
+        with pytest.raises(BadValueError, match="model.json: zscore stats need 'mean'"):
             load_model(p)
 
     def test_hash_tracks_names(self):

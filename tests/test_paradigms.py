@@ -6,11 +6,7 @@ import numpy as np
 import pytest
 
 from dropoutlab import linear, paradigms
-from dropoutlab.dataset import (
-    ActivityDay,
-    StudentDemographics,
-    course_from_records,
-)
+from dropoutlab.dataset import CourseData
 from dropoutlab.errors import (
     BadValueError,
     BeforeLaunchError,
@@ -36,13 +32,17 @@ from dropoutlab.paradigms import (
 )
 
 from conftest import (
+    Record,
+    Student,
     as_vector,
     certification_labels,
     counters,
     day,
     days_since_last_action,
+    make_course,
     make_meta,
     persistence_labels,
+    records_of,
 )
 
 
@@ -94,19 +94,19 @@ class TestWeekIndexing:
 def _window_course():
     """t100 at day 28; activity placed around the w=0 window [21, 27]."""
     meta = make_meta(course_id="WINx", weeks_to_t100=4, weeks_total=5)
-    students = [StudentDemographics(s) for s in ("wa", "wb", "wc", "wd", "we")]
+    students = [Student(s) for s in ("wa", "wb", "wc", "wd", "we")]
     records = [
-        ActivityDay("wa", day(21), counters(nevents=3)),
-        ActivityDay("wb", day(20), counters(nevents=5)),
-        ActivityDay("wc", day(27), counters(nevents=1)),
-        ActivityDay("wd", day(28), counters(nevents=9)),
-        ActivityDay("wb", day(3), counters(nevents=2)),
+        Record("wa", day(21), counters(nevents=3)),
+        Record("wb", day(20), counters(nevents=5)),
+        Record("wc", day(27), counters(nevents=1)),
+        Record("wd", day(28), counters(nevents=9)),
+        Record("wb", day(3), counters(nevents=2)),
     ]
-    return course_from_records(meta, students, records, {})
+    return make_course(meta, students, records, {})
 
 
 def _proxy_by_id(course, w):
-    return dict(zip(course.student_ids, proxy_labels(course, w).tolist()))
+    return dict(zip(course.roster.student_ids, proxy_labels(course, w).tolist()))
 
 
 class TestProxyLabels:
@@ -117,7 +117,7 @@ class TestProxyLabels:
     def test_every_student_labeled(self):
         course = _window_course()
         p = proxy_labels(course, 0)
-        assert course.student_ids == ("wa", "wb", "wc", "wd", "we")
+        assert course.roster.student_ids == ("wa", "wb", "wc", "wd", "we")
         assert p.shape == (5,) and p.dtype == np.float64
         assert set(p.tolist()) <= {0.0, 1.0}
 
@@ -144,19 +144,19 @@ class TestProxyLabels:
     def test_activity_outside_window_irrelevant(self):
         course = _window_course()
         base = _proxy_by_id(course, 0)
-        extra = list(course.activity_days()) + [
-            ActivityDay("we", day(19), counters(nevents=50)),
-            ActivityDay("wb", day(30), counters(nevents=50)),
+        extra = records_of(course) + [
+            Record("we", day(19), counters(nevents=50)),
+            Record("wb", day(30), counters(nevents=50)),
         ]
-        bumped = course_from_records(course.meta, course.students, extra, {})
+        bumped = make_course(course.meta, course.roster, extra, {})
         assert _proxy_by_id(bumped, 0) == base
 
     def test_zero_event_rows_do_not_count(self):
         course = _window_course()
-        extra = list(course.activity_days()) + [
-            ActivityDay("we", day(24), counters(nvideo=4))  # nevents stays 0
+        extra = records_of(course) + [
+            Record("we", day(24), counters(nvideo=4))  # nevents stays 0
         ]
-        bumped = course_from_records(course.meta, course.students, extra, {})
+        bumped = make_course(course.meta, course.roster, extra, {})
         assert _proxy_by_id(bumped, 0)["we"] == 0
 
 
@@ -174,16 +174,16 @@ def _mini_course(course_id, field, n, weeks_to_t100=4, launch=None, seed=0, cert
     horizon = 7 * weeks_to_t100
     for i in range(n):
         sid = f"{course_id}_{i:03d}"
-        students.append(StudentDemographics(sid, yob=1985))
+        students.append(Student(sid, yob=1985))
         persists = i % 2 == 0
         span = horizon if persists else max(2, horizon // 5)
         for d in range(0, span, 2):
             if rng.random() < 0.8:
-                records.append(ActivityDay(sid, day(d, launch),
-                                           counters(nevents=2 + (i + d) % 4,
-                                                    nproblems_answered=1)))
+                records.append(Record(sid, day(d, launch),
+                                      counters(nevents=2 + (i + d) % 4,
+                                               nproblems_answered=1)))
         grades[sid] = 0.9 if persists and certify else 0.1
-    return course_from_records(meta, students, records, grades)
+    return make_course(meta, students, records, grades)
 
 
 @pytest.fixture(scope="module")
@@ -252,7 +252,7 @@ class TestPostHoc:
     def test_holdout_scores_only_held_out(self, handmade_corpus):
         scored = run_paradigm(handmade_corpus, "post_hoc", "HCBx", 0, holdout=0.25, seed=3)
         assert len(scored.student_ids) == round(0.25 * 60)
-        full = set(handmade_corpus[1].student_ids)
+        full = set(handmade_corpus[1].roster.student_ids)
         assert set(scored.student_ids) < full
 
     def test_holdout_deterministic_per_seed(self, handmade_corpus):
@@ -338,16 +338,14 @@ class TestInSitu:
     def test_matches_direct_call(self, small_corpus):
         c = small_corpus[0]
         scored = run_paradigm(small_corpus, "in_situ", c.meta.course_id, -1)
-        direct = insitu_scores(c.meta, c.students, c.activity, -1)
+        direct = insitu_scores(c.meta, c.roster, c.activity, -1)
         assert scored.student_ids == direct.student_ids
         assert np.array_equal(scored.scores, direct.scores)
 
     def test_blind_to_certification_labels(self, small_corpus):
         c = small_corpus[0]
-        flipped = course_from_records(
-            c.meta, c.students, list(c.activity_days()),
-            {sid: 1.0 - g for sid, g in c.final_grade.items()},
-        )
+        flipped = CourseData(c.meta, c.roster, c.activity,
+                             {sid: 1.0 - g for sid, g in c.final_grade.items()})
         corpus = [flipped] + list(small_corpus[1:])
         a = run_paradigm(small_corpus, "in_situ", c.meta.course_id, -1)
         b = run_paradigm(corpus, "in_situ", c.meta.course_id, -1)
@@ -355,7 +353,7 @@ class TestInSitu:
 
     def test_still_predictive_of_certification(self, small_corpus):
         c = small_corpus[0]
-        scored = insitu_scores(c.meta, c.students, c.activity, 0)
+        scored = insitu_scores(c.meta, c.roster, c.activity, 0)
         assert auc_values(scored.scores, c.certified) > 0.7
 
 
@@ -537,13 +535,13 @@ class TestRosterRows:
     def test_rows_of_a_shuffled_subset(self, small_corpus):
         course = small_corpus[0]
         rows = np.random.default_rng(1).permutation(course.n_students)[:40]
-        ids = tuple(course.student_ids[i] for i in rows)
+        ids = tuple(course.roster.student_ids[i] for i in rows)
         assert np.array_equal(roster_rows(course, ids), rows)
         assert roster_rows(course, ()).shape == (0,)
 
     @pytest.mark.parametrize("stranger", ["", "zzz", "s000", "s00000\x00", "S00000"])
     def test_unknown_id_rejected(self, small_corpus, stranger):
         course = small_corpus[0]
-        assert course.student_ids[0] == "s00000"
+        assert course.roster.student_ids[0] == "s00000"
         with pytest.raises(UnknownStudentError, match="not on the roster"):
-            roster_rows(course, (course.student_ids[3], stranger))
+            roster_rows(course, (course.roster.student_ids[3], stranger))
