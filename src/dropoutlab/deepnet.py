@@ -71,12 +71,15 @@ class MlpModel:
 
 @dataclass(frozen=True)
 class SgdConfig:
-    """Minibatch SGD controls.
+    """Minibatch SGD controls for train_sgd, which needs 0/1 labels.
 
     The learning rate before update k (counting from 0) is
-    learning_rate * (1 + anneal_factor) ** (-k): one multiplicative anneal
-    step per minibatch. class_weighting scales each example's loss by
-    n / (2 * n_class) of its class.
+    lr_k = learning_rate * (1 + anneal_factor) ** (-k): one multiplicative
+    anneal step per minibatch. Update k computes the gradient g of the batch
+    loss (the step _batch_loss_and_grads computes) and moves the parameters by
+    -lr_k * g, or with momentum > 0 by -lr_k * v, where the velocity
+    v = momentum * v + g starts at 0. class_weighting scales each example's
+    loss by n / (2 * n_class) of its class.
     """
 
     learning_rate: float = 0.1
@@ -149,17 +152,12 @@ def init_softmax(input_dim: int, seed: int) -> MlpModel:
     return MlpModel(((rng.uniform(-a, a, size=(input_dim, N_CLASSES)), np.zeros(N_CLASSES)),))
 
 
-def _forward_cached(m: MlpModel, X: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Activations and pre-activations per layer; last entry is the logits."""
-    acts = [X]
-    pre = []
+def _logits(m: MlpModel, X: np.ndarray) -> np.ndarray:
     a = X
     for k, (W, b) in enumerate(m.layers):
         z = a @ W + b
-        pre.append(z)
         a = np.maximum(z, 0.0) if k < len(m.layers) - 1 else z
-        acts.append(a)
-    return acts, pre
+    return a
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -176,8 +174,7 @@ def forward(m: MlpModel, X) -> np.ndarray:
             f"input has {values.shape[-1] if values.ndim == 2 else '?'} columns, "
             f"network expects {m.input_dim}"
         )
-    acts, _ = _forward_cached(m, values)
-    return _softmax(acts[-1])
+    return _softmax(_logits(m, values))
 
 
 def predict_scores(m: MlpModel, X) -> np.ndarray:
@@ -185,25 +182,103 @@ def predict_scores(m: MlpModel, X) -> np.ndarray:
     return forward(m, X)[:, 1]
 
 
+# ---------------------------------------------------------------------------
+# Training: one step kernel over flat parameter and gradient buffers
+# ---------------------------------------------------------------------------
+
+def _layer_views(flat: np.ndarray, m: MlpModel) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(W, b) views into flat, laid out layer by layer like m's parameters."""
+    views, o = [], 0
+    for W, b in m.layers:
+        views.append((flat[o:o + W.size].reshape(W.shape), flat[o + W.size:o + W.size + b.size]))
+        o += W.size + b.size
+    return views
+
+
+def _flat_copy(m: MlpModel) -> np.ndarray:
+    return np.concatenate([a.ravel() for layer in m.layers for a in layer], dtype=np.float64)
+
+
+def _step_buffers(m: MlpModel, nb: int):
+    """Work arrays for a batch of nb rows: each layer's output and each hidden
+    layer's backpropagated delta."""
+    widths = [W.shape[1] for W, _ in m.layers]
+    return [np.empty((nb, w)) for w in widths], [np.empty((nb, w)) for w in widths[:-1]]
+
+
+def _batch_targets(y: np.ndarray, class_w: np.ndarray, batch_size: int):
+    """Per-row targets for 0/1 labels y in training order, cut into batches of
+    batch_size rows (the last one short): one-hot labels, loss weights, gradient
+    scales (loss weight over the size of the row's batch, as a column), and the
+    flat index of the row's true-class logit within its batch."""
+    yi = y.astype(np.intp)
+    pos = np.arange(len(y))
+    size = np.minimum(batch_size, len(y) - pos // batch_size * batch_size)
+    w = class_w[yi]
+    return (np.column_stack((1.0 - y, y)), w, (w / size)[:, None],
+            N_CLASSES * (pos % batch_size) + yi)
+
+
+def _step(params, grads, bufs, Xb, onehot, w, scale, pick) -> float:
+    """Mean weighted cross-entropy of one batch; fills grads when it is finite.
+
+    params and grads are (W, b) views into flat buffers, bufs comes from
+    _step_buffers for len(Xb) rows, and (onehot, w, scale, pick) are the
+    batch's rows of _batch_targets. np.dot(..., out=) makes the same BLAS call
+    as the @ operator, with less overhead per call.
+    """
+    outs, deltas = bufs
+    last = len(params) - 1
+    a = Xb
+    for k, (W, b) in enumerate(params):
+        z = outs[k]
+        np.dot(a, W, out=z)
+        np.add(z, b, out=z)
+        if k < last:
+            np.maximum(z, 0.0, out=z)
+        a = z
+    np.subtract(a, np.maximum.reduce(a, axis=1, keepdims=True), out=a)
+    picked = a.take(pick)
+    np.exp(a, out=a)
+    norm = np.add.reduce(a, axis=1)
+    terms = np.log(norm)
+    terms -= picked
+    terms *= w
+    loss = float(np.add.reduce(terms)) / len(terms)
+    if not math.isfinite(loss):
+        return loss
+    delta = np.divide(a, norm[:, None], out=a)
+    delta -= onehot
+    delta *= scale
+    for k in range(last, -1, -1):
+        gW, gb = grads[k]
+        inp = outs[k - 1] if k else Xb
+        np.dot(inp.T, delta, out=gW)
+        np.add.reduce(delta, axis=0, out=gb)
+        if k:
+            back = deltas[k - 1]
+            np.dot(delta, params[k][0].T, out=back)
+            # inp, a ReLU output, is spent: its sign is the 0/1 mask of active units
+            np.multiply(back, np.sign(inp, out=inp), out=back)
+            delta = back
+    return loss
+
+
 def _batch_loss_and_grads(m, Xb, yb, class_w):
-    """Mean weighted cross-entropy over the batch and its parameter gradients."""
-    acts, pre = _forward_cached(m, Xb)
-    logits = acts[-1]
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=1))
-    idx = yb.astype(int)
-    n = len(yb)
-    ex_w = class_w[idx]
-    loss = float(np.mean(ex_w * (log_norm - shifted[np.arange(n), idx])))
-    probs = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
-    delta = probs
-    delta[np.arange(n), idx] -= 1.0
-    delta *= (ex_w / n)[:, None]
-    grads = [None] * len(m.layers)
-    for k in range(len(m.layers) - 1, -1, -1):
-        grads[k] = (acts[k].T @ delta, delta.sum(axis=0))
-        if k > 0:
-            delta = (delta @ m.layers[k][0].T) * (pre[k - 1] > 0)
+    """Mean weighted cross-entropy of one batch and its (dW, db) per layer.
+
+    Runs the step train_sgd takes, into freshly allocated buffers, so the
+    gradient checked here is the one training uses. yb holds 0/1 labels.
+    Raises NonFiniteLossError when the loss is not finite.
+    """
+    Xb = np.ascontiguousarray(Xb, dtype=np.float64)
+    yb = np.asarray(yb, dtype=np.float64)
+    flat = _flat_copy(m)
+    grads = _layer_views(np.empty_like(flat), m)
+    loss = _step(_layer_views(flat, m), grads, _step_buffers(m, len(yb)), Xb,
+                 *_batch_targets(yb, class_w, len(yb)))
+    if not math.isfinite(loss):
+        raise NonFiniteLossError("batch loss is not finite")
     return loss, grads
 
 
@@ -217,46 +292,51 @@ def _class_weights(y: np.ndarray, enabled: bool) -> np.ndarray:
 def train_sgd(m: MlpModel, X, y, cfg: SgdConfig) -> MlpModel:
     """Annealed minibatch SGD on mean cross-entropy; deterministic per cfg.seed.
 
-    Update k (0-based across the whole run) uses learning rate
-    cfg.learning_rate * (1 + cfg.anneal_factor) ** (-k). Epochs reshuffle with
-    the seeded generator; a remainder batch is trained short.
+    y must hold 0/1 labels of both classes. Update k (0-based across the whole
+    run) uses learning rate cfg.learning_rate * (1 + cfg.anneal_factor) ** (-k).
+    Epochs reshuffle with the seeded generator; a remainder batch is trained
+    short. Each update takes the step _batch_loss_and_grads computes, on a
+    flat copy of m's parameters; m itself is not changed.
     """
-    values = np.asarray(X, dtype=np.float64)
+    values = np.ascontiguousarray(X, dtype=np.float64)
     yv = np.asarray(y, dtype=np.float64)
     if values.ndim != 2 or values.shape[1] != m.input_dim:
         raise SchemaMismatchError(f"input width {values.shape} vs network {m.input_dim}")
     if len(yv) != len(values):
         raise BadValueError("labels must align with rows")
+    if not np.all((yv == 0.0) | (yv == 1.0)):
+        raise BadValueError("training labels must be 0 or 1")
     if len(yv) == 0 or np.all(yv == yv[0]):
         raise SingleClassError("training labels contain a single class")
     class_w = _class_weights(yv, cfg.class_weighting)
     rng = np.random.default_rng(cfg.seed)
-    layers = [(W.copy(), b.copy()) for W, b in m.layers]
-    velocity = [(np.zeros_like(W), np.zeros_like(b)) for W, b in layers]
-    work = MlpModel(tuple((W, b) for W, b in layers))
+    flat = _flat_copy(m)
+    gflat = np.empty_like(flat)
+    velocity = np.zeros_like(flat) if cfg.momentum > 0 else None
+    params, grads = _layer_views(flat, m), _layer_views(gflat, m)
+    n, mb = len(values), cfg.minibatch_size
+    bufs = {nb: _step_buffers(m, nb) for nb in {min(mb, n), n % mb} if nb}
+    batches = [(s, s + mb, bufs[min(mb, n - s)]) for s in range(0, n, mb)]
     k = 0
-    n = len(values)
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
-        for start in range(0, n, cfg.minibatch_size):
-            batch = order[start:start + cfg.minibatch_size]
-            loss, grads = _batch_loss_and_grads(work, values[batch], yv[batch], class_w)
+        Xo = values[order]
+        onehot, w, scale, pick = _batch_targets(yv[order], class_w, mb)
+        for start, stop, buf in batches:
+            loss = _step(params, grads, buf, Xo[start:stop], onehot[start:stop],
+                         w[start:stop], scale[start:stop], pick[start:stop])
             if not math.isfinite(loss):
                 raise NonFiniteLossError(f"training loss diverged at update {k}")
             lr = cfg.learning_rate * (1.0 + cfg.anneal_factor) ** (-k)
-            for (W, b), (gW, gb), (vW, vb) in zip(layers, grads, velocity):
-                if cfg.momentum > 0:
-                    vW *= cfg.momentum
-                    vW += gW
-                    vb *= cfg.momentum
-                    vb += gb
-                    W -= lr * vW
-                    b -= lr * vb
-                else:
-                    W -= lr * gW
-                    b -= lr * gb
+            if velocity is not None:
+                velocity *= cfg.momentum
+                velocity += gflat
+                np.multiply(velocity, lr, out=gflat)
+            else:
+                gflat *= lr
+            flat -= gflat
             k += 1
-    return MlpModel(tuple((W, b) for W, b in layers))
+    return MlpModel(tuple(params))
 
 
 # ---------------------------------------------------------------------------
@@ -490,10 +570,14 @@ def save_mlp(m: MlpModel, path: str | Path) -> None:
 
 
 def load_mlp(path: str | Path) -> MlpModel:
-    """Read a network written by save_mlp (grow's best_model.json)."""
-    with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
+    """Read a network written by save_mlp (grow's best_model.json).
+
+    A file that is not such a network raises BadValueError naming it.
+    """
     try:
-        return mlp_from_dict(doc)
-    except BadValueError as e:
+        with open(path, encoding="utf-8") as f:
+            return mlp_from_dict(json.load(f))
+    except KeyError as e:
+        raise BadValueError(f"{path}: missing key {e}") from None
+    except (TypeError, ValueError, BadShapeError, BadValueError) as e:
         raise BadValueError(f"{path}: {e}") from None

@@ -295,18 +295,23 @@ def save_model(m: LinearModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> LinearModel:
-    """Read a model written by save_model (train's model JSON)."""
-    with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
-    if doc.get("schema_hash") != schema_hash():
-        raise SchemaMismatchError(f"{path}: model schema does not match this feature schema")
+    """Read a model written by save_model (train's model JSON).
+
+    A file that is not such a model raises BadValueError naming it; one
+    written for another feature schema raises SchemaMismatchError.
+    """
     try:
-        norm = None if doc.get("norm") is None else norm_stats_from_dict(doc["norm"])
-    except BadValueError as e:
+        with open(path, encoding="utf-8") as f:
+            doc = json.load(f)
+        if doc.get("schema_hash") != schema_hash():
+            raise SchemaMismatchError(f"{path}: model schema does not match this feature schema")
+        return LinearModel(
+            weights=np.asarray(doc["weights"], dtype=np.float64),
+            intercept=float(doc["intercept"]),
+            reg_C=float(doc["C"]),
+            norm=None if doc.get("norm") is None else norm_stats_from_dict(doc["norm"]),
+        )
+    except KeyError as e:
+        raise BadValueError(f"{path}: missing key {e}") from None
+    except (AttributeError, TypeError, ValueError, BadValueError) as e:
         raise BadValueError(f"{path}: {e}") from None
-    return LinearModel(
-        weights=np.asarray(doc["weights"], dtype=np.float64),
-        intercept=float(doc["intercept"]),
-        reg_C=float(doc["C"]),
-        norm=norm,
-    )

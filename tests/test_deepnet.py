@@ -33,6 +33,7 @@ from dropoutlab.errors import (
     BadLayerError,
     BadShapeError,
     BadValueError,
+    NonFiniteLossError,
     SchemaMismatchError,
     ShrinkNotAllowedError,
     SingleClassError,
@@ -46,23 +47,32 @@ def dataset_loss(m, X, y):
 
 
 def reference_sgd(m, X, y, cfg):
-    """Minibatch SGD written out as SgdConfig documents it, without momentum or
-    class weighting: each epoch draws one permutation from default_rng(cfg.seed),
-    batches of minibatch_size rows follow it with a short remainder batch, and
-    update k (from 0) steps by learning_rate * (1 + anneal_factor) ** -k.
+    """Minibatch SGD written out as SgdConfig documents it: each epoch draws one
+    permutation from default_rng(cfg.seed), batches of minibatch_size rows follow
+    it with a short remainder batch, and update k (from 0) steps by
+    lr_k = learning_rate * (1 + anneal_factor) ** -k times the batch gradient,
+    or with momentum times the velocity v = momentum * v + g (v starts at 0).
+    With class_weighting each example's loss is scaled by n / (2 * n_class).
 
     Returns the trained network and the size of every batch, in update order.
     """
     rng = np.random.default_rng(cfg.seed)
+    counts = np.bincount(y.astype(int), minlength=N_CLASSES)
+    class_w = len(y) / (N_CLASSES * counts) if cfg.class_weighting else np.ones(N_CLASSES)
     layers = [(W.copy(), b.copy()) for W, b in m.layers]
+    velocity = [(np.zeros_like(W), np.zeros_like(b)) for W, b in layers]
     sizes = []
     for _ in range(cfg.epochs):
         order = rng.permutation(len(X))
         for start in range(0, len(X), cfg.minibatch_size):
             batch = order[start:start + cfg.minibatch_size]
             _, grads = _batch_loss_and_grads(MlpModel(tuple(layers)), X[batch], y[batch],
-                                             np.ones(N_CLASSES))
+                                             class_w)
             lr = cfg.learning_rate * (1.0 + cfg.anneal_factor) ** (-len(sizes))
+            if cfg.momentum > 0:
+                velocity = [(cfg.momentum * vW + gW, cfg.momentum * vb + gb)
+                            for (vW, vb), (gW, gb) in zip(velocity, grads)]
+                grads = velocity
             layers = [(W - lr * gW, b - lr * gb) for (W, b), (gW, gb) in zip(layers, grads)]
             sizes.append(len(batch))
     return MlpModel(tuple(layers)), sizes
@@ -253,6 +263,41 @@ class TestSgd:
         got = train_sgd(net, X, y, cfg)
         for (W, b), (We, be) in zip(got.layers, expect.layers):
             assert W.tobytes() == We.tobytes() and b.tobytes() == be.tobytes()
+
+    @pytest.mark.parametrize("class_weighting", [False, True])
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    @pytest.mark.parametrize("minibatch_size", [1, 7, 40])
+    @pytest.mark.parametrize("widths", [[], [4], [4, 3, 5, 4]], ids=["h0", "h1", "h4"])
+    def test_every_config_path_matches_reference(self, widths, minibatch_size, momentum,
+                                                 class_weighting):
+        rng = np.random.default_rng(8)
+        X, y = _toy_data(rng, n=25)
+        cfg = SgdConfig(epochs=2, minibatch_size=minibatch_size, momentum=momentum,
+                        class_weighting=class_weighting, seed=3)
+        net = init_mlp(6, widths, seed=0) if widths else init_softmax(6, seed=0)
+        before = [(W.tobytes(), b.tobytes()) for W, b in net.layers]
+        expect, sizes = reference_sgd(net, X, y, cfg)
+        assert len(sizes) == 2 * -(-25 // minibatch_size)
+        got = train_sgd(net, X, y, cfg)
+        for (W, b), (We, be) in zip(got.layers, expect.layers):
+            assert W.tobytes() == We.tobytes() and b.tobytes() == be.tobytes()
+        assert [(W.tobytes(), b.tobytes()) for W, b in net.layers] == before
+
+    @pytest.mark.parametrize("bad", [2.0, 0.5, -1.0, np.nan])
+    def test_labels_outside_zero_one_rejected(self, bad):
+        rng = np.random.default_rng(8)
+        X, y = _toy_data(rng, n=25)
+        y[3] = bad
+        with pytest.raises(BadValueError, match="labels must be 0 or 1"):
+            train_sgd(init_mlp(6, [4], seed=0), X, y, SgdConfig(epochs=1))
+
+    def test_divergence_reported_at_its_update(self):
+        rng = np.random.default_rng(8)
+        X, y = _toy_data(rng, n=25)
+        cfg = SgdConfig(learning_rate=1e10, epochs=2, seed=0)
+        with np.errstate(all="ignore"):
+            with pytest.raises(NonFiniteLossError, match=r"diverged at update 1$"):
+                train_sgd(init_mlp(6, [4], seed=0), X * 1e200, y, cfg)
 
     def test_single_class_rejected(self):
         X = np.zeros((4, 3))
@@ -481,6 +526,22 @@ class TestMlpSerialization:
         p.write_text(json.dumps(doc))
         with pytest.raises(BadValueError,
                            match=rf"{re.escape(str(p))}: layer 1: 9 weights do not fill the shape \(5, 2\)"):
+            load_mlp(p)
+
+    def test_missing_layers_names_file(self, tmp_path):
+        p = tmp_path / "net.json"
+        p.write_text(json.dumps({"shape": [6, 2]}))
+        with pytest.raises(BadValueError, match=rf"{re.escape(str(p))}: missing key 'layers'"):
+            load_mlp(p)
+
+    def test_short_bias_names_file(self, tmp_path):
+        p = tmp_path / "net.json"
+        save_mlp(init_mlp(3, [2], seed=8), p)
+        doc = json.loads(p.read_text())
+        del doc["layers"][0]["bias"][-1]
+        p.write_text(json.dumps(doc))
+        with pytest.raises(BadValueError,
+                           match=rf"{re.escape(str(p))}: layer 0: weight \(3, 2\) and bias \(1,\)"):
             load_mlp(p)
 
     def test_dict_form_row_major(self):

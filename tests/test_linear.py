@@ -405,6 +405,20 @@ class TestModelSerialization:
         with pytest.raises(SchemaMismatchError):
             load_model(p)
 
+    def test_malformed_model_names_file(self, tmp_path):
+        import json
+
+        p = tmp_path / "model.json"
+        save_model(LinearModel(weights=np.zeros(66), intercept=0.0, reg_C=1.0), p)
+        doc = json.loads(p.read_text())
+        del doc["weights"]
+        p.write_text(json.dumps(doc))
+        with pytest.raises(BadValueError, match="model.json: missing key 'weights'"):
+            load_model(p)
+        p.write_text("[1, 2]")
+        with pytest.raises(BadValueError, match="model.json: 'list' object"):
+            load_model(p)
+
     def test_norm_missing_key_names_file(self, tiny_course, tmp_path):
         import json
 
