@@ -7,6 +7,7 @@ import datetime
 import math
 from array import array
 from dataclasses import dataclass, field, fields as dc_fields
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
@@ -229,8 +230,11 @@ _ACTIVITY_COLUMNS = ("student_id", "date") + CLICKSTREAM_FEATURES
 _GRADE_COLUMNS = ("student_id", "final_grade")
 
 
-def _read_rows(path: str | Path, expected: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
-    """Yield (line number, cells in expected order) for each non-blank row after the header."""
+def _read_rows(path: str | Path, expected: Sequence[str]) -> Iterator[tuple[int, Sequence[str]]]:
+    """Yield (line number, cells in expected order) for each non-blank row after the header.
+
+    A row with more or fewer cells than the header is rejected.
+    """
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
@@ -241,14 +245,14 @@ def _read_rows(path: str | Path, expected: Sequence[str]) -> Iterator[tuple[int,
         for col in expected:
             if col not in header:
                 raise MissingColumnError(f"{path}: missing column {col!r}")
-        pos = [header.index(c) for c in expected]
+        pick = None if header == list(expected) else itemgetter(*(header.index(c) for c in expected))
         for raw in reader:
             if not raw:
                 continue
-            if len(raw) < len(header):
+            if len(raw) != len(header):
                 raise BadValueError(
                     f"{path}:{reader.line_num}: expected {len(header)} cells, got {len(raw)}")
-            yield reader.line_num, [raw[p] for p in pos]
+            yield reader.line_num, raw if pick is None else pick(raw)
 
 
 def _parse_date(cell: str, where: str) -> datetime.date:
@@ -310,6 +314,19 @@ def load_demographics(path: str | Path) -> Roster:
     return Roster(list(lines), yob, took_precourse_survey=survey, **codes)
 
 
+def _activity_day(cell: str, meta: CourseMeta, where: str) -> int:
+    """The day offset of an activity date cell inside [launch, end]."""
+    date = _parse_date(cell, f"{where} date")
+    if date < meta.launch_date or date > meta.end_date:
+        raise BadDateError(f"{where}: date {date} outside [{meta.launch_date}, {meta.end_date}]")
+    return (date - meta.launch_date).days
+
+
+def _cell(path: str | Path, lineno: int, column: int) -> str:
+    """The text of one cell, re-read from the file; only error messages need it."""
+    return next(row for n, row in _read_rows(path, _ACTIVITY_COLUMNS) if n == lineno)[column]
+
+
 def load_course(
     meta_path: str | Path,
     demographics_path: str | Path,
@@ -321,45 +338,59 @@ def load_course(
     Raises MissingColumnError / BadDateError / NegativeCounterError /
     DuplicateStudentDayError with the offending file, row, and column named;
     a grades.csv row for an unknown or already graded student is rejected too.
+
+    When activity.csv has several faults, the per-row ones (a short or long
+    row, an unknown student, a bad or out-of-range date, a counter that is not
+    a number) are raised in file order as the scan meets them. A counter that
+    is not finite and >= 0 and a repeated (student, day) are found after the
+    scan; of those two, the one on the earlier line is raised, the repeat when
+    both are on one line.
     """
     meta = load_course_meta(meta_path)
     roster = load_demographics(demographics_path)
     index = {sid: i for i, sid in enumerate(roster.student_ids)}
 
-    # parsed straight into packed arrays: no list of every row's cells is kept
-    sidx, day, values = array("i"), array("i"), array("d")
-    seen: set[tuple[int, int]] = set()
+    # counters go straight into a packed array: no list of every row's cells is kept
+    sidx, day, lines, values = [], [], [], array("d")
+    offsets: dict[str, int] = {}  # each distinct date cell is parsed and checked once
     for lineno, row in _read_rows(activity_path, _ACTIVITY_COLUMNS):
-        sid = row[0]
-        if sid not in index:
+        i = index.get(row[0])
+        if i is None:
             raise UnknownStudentError(
-                f"{activity_path}:{lineno}: student {sid!r} not in demographics"
+                f"{activity_path}:{lineno}: student {row[0]!r} not in demographics"
             )
-        date = _parse_date(row[1], f"{activity_path}:{lineno} date")
-        d = (date - meta.launch_date).days
-        if d < 0 or date > meta.end_date:
-            raise BadDateError(
-                f"{activity_path}:{lineno}: date {date} outside [{meta.launch_date}, {meta.end_date}]"
-            )
-        key = (index[sid], d)
-        if key in seen:
-            raise DuplicateStudentDayError(
-                f"{activity_path}:{lineno}: duplicate record for ({sid}, {date})"
-            )
-        seen.add(key)
-        sidx.append(key[0])
+        d = offsets.get(row[1])
+        if d is None:
+            d = offsets[row[1]] = _activity_day(row[1], meta, f"{activity_path}:{lineno}")
+        sidx.append(i)
         day.append(d)
-        for name, cell in zip(CLICKSTREAM_FEATURES, row[2:]):
-            try:
-                v = float(cell)
-            except ValueError:
-                raise BadValueError(
-                    f"{activity_path}:{lineno}: column {name!r}: not a number: {cell!r}"
-                ) from None
-            if not math.isfinite(v) or v < 0:
-                raise NegativeCounterError(f"{activity_path}:{lineno}: column {name!r}: "
-                                           f"value {cell} must be finite and >= 0")
-            values.append(v)
+        lines.append(lineno)
+        try:
+            values.extend(map(float, row[2:]))
+        except ValueError:
+            k, cell = next((k, c) for k, c in enumerate(row[2:]) if not _is_number(c))
+            raise BadValueError(f"{activity_path}:{lineno}: column {CLICKSTREAM_FEATURES[k]!r}: "
+                                f"not a number: {cell!r}") from None
+
+    counts = np.asarray(values).reshape(len(lines), len(CLICKSTREAM_FEATURES))
+    students, days = np.array(sidx, dtype=np.int32), np.array(day, dtype=np.int32)
+    ok = np.isfinite(counts) & (counts >= 0.0)
+    bad = np.flatnonzero(~ok.all(axis=1))
+    keys = students.astype(np.int64) * ((meta.end_date - meta.launch_date).days + 1) + days
+    repeat = np.ones(len(keys), dtype=bool)
+    repeat[np.unique(keys, return_index=True)[1]] = False
+    repeat = np.flatnonzero(repeat)
+    if len(repeat) and (not len(bad) or repeat[0] <= bad[0]):
+        r = repeat[0]
+        date = meta.launch_date + datetime.timedelta(days=int(days[r]))
+        raise DuplicateStudentDayError(f"{activity_path}:{lines[r]}: duplicate record for "
+                                       f"({roster.student_ids[students[r]]}, {date})")
+    if len(bad):
+        r = bad[0]
+        k = int(np.argmin(ok[r]))
+        cell = _cell(activity_path, lines[r], 2 + k)
+        raise NegativeCounterError(f"{activity_path}:{lines[r]}: column "
+                                   f"{CLICKSTREAM_FEATURES[k]!r}: value {cell} must be finite and >= 0")
 
     grades: dict[str, float] = {}
     for lineno, (sid, cell) in _read_rows(grades_path, _GRADE_COLUMNS):
@@ -377,15 +408,46 @@ def load_course(
             raise BadValueError(f"{grades_path}:{lineno}: final_grade {g} not in [0, 1]")
         grades[sid] = g
 
-    table = ActivityTable(np.asarray(sidx), np.asarray(day),
-                          np.asarray(values).reshape(-1, len(CLICKSTREAM_FEATURES)))
-    return CourseData(meta, roster, table, grades)
+    return CourseData(meta, roster, ActivityTable(students, days, counts), grades)
+
+
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
 
 
 def _fmt_number(v: float) -> str:
     if float(v).is_integer():
         return str(int(v))
     return repr(float(v))
+
+
+# The text of each integral value in [0, 1024), looked up instead of formatted.
+_SMALL_INTS = np.array([str(i) for i in range(1024)], dtype=object)
+_WRITE_BLOCK = 256  # activity rows formatted at a time: few cell objects are alive at once
+
+
+def _format_numbers(values: np.ndarray) -> np.ndarray:
+    """_fmt_number over an array: an object array of cells that csv.writer writes alike.
+
+    An integral value below 2**63 in magnitude becomes its decimal string (from
+    a table when small) or a Python int; every other value a Python float,
+    whose str is its repr. An integral float beyond int64 goes through
+    _fmt_number.
+    """
+    ints = (np.abs(values) < 2.0**63) & (values == np.floor(values))
+    small = ints & (values >= 0.0) & (values < len(_SMALL_INTS))
+    cells = np.empty(values.shape, dtype=object)
+    cells[small] = _SMALL_INTS[values[small].astype(np.intp)]
+    rest = ints & ~small
+    cells[rest] = values[rest].astype(np.int64)
+    cells[~ints] = values[~ints]
+    huge = np.isfinite(values) & (np.abs(values) >= 2.0**63)
+    cells[huge] = [_fmt_number(v) for v in values[huge].tolist()]
+    return cells
 
 
 def write_course(course: CourseData, out_dir: str | Path) -> dict[str, Path]:
@@ -399,6 +461,7 @@ def write_course(course: CourseData, out_dir: str | Path) -> dict[str, Path]:
         "activity": out / "activity.csv",
         "grades": out / "grades.csv",
     }
+    r = course.roster
     with open(paths["meta"], "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
         w.writerow(_META_COLUMNS)
@@ -409,10 +472,10 @@ def write_course(course: CourseData, out_dir: str | Path) -> dict[str, Path]:
     with open(paths["demographics"], "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
         w.writerow(_DEMO_COLUMNS)
-        r = course.roster
+        yob = _format_numbers(r.yob)
+        yob[np.isnan(r.yob)] = ""
         w.writerows(zip(
-            r.student_ids,
-            ["" if math.isnan(v) else _fmt_number(v) for v in r.yob.tolist()],
+            r.student_ids, yob.tolist(),
             *(np.array(levels + ("",), dtype=object)[getattr(r, name)]
               for name, levels in _LEVELS.items()),
             r.took_precourse_survey.astype(int).tolist(),
@@ -421,15 +484,24 @@ def write_course(course: CourseData, out_dir: str | Path) -> dict[str, Path]:
         w = csv.writer(f)
         w.writerow(_ACTIVITY_COLUMNS)
         table = course.activity
-        for i in range(len(table)):
-            sid = course.roster.student_ids[table.student_index[i]]
-            date = meta.launch_date + datetime.timedelta(days=int(table.day[i]))
-            w.writerow([sid, date.isoformat()] + [_fmt_number(v) for v in table.values[i]])
+        ids = np.array(r.student_ids, dtype=object)
+        span = (meta.end_date - meta.launch_date).days
+        dates = np.array([(meta.launch_date + datetime.timedelta(days=d)).isoformat()
+                          for d in range(span + 1)], dtype=object)
+        block = np.empty((_WRITE_BLOCK, len(_ACTIVITY_COLUMNS)), dtype=object)
+        for lo in range(0, len(table), _WRITE_BLOCK):
+            rows = block[:min(_WRITE_BLOCK, len(table) - lo)]
+            hi = lo + len(rows)
+            rows[:, 0] = ids[table.student_index[lo:hi]]
+            rows[:, 1] = dates[table.day[lo:hi]]
+            rows[:, 2:] = _format_numbers(table.values[lo:hi])
+            w.writerows(rows.tolist())
     with open(paths["grades"], "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
         w.writerow(_GRADE_COLUMNS)
-        for sid in course.roster.student_ids:
-            w.writerow([sid, _fmt_number(course.final_grade.get(sid, 0.0))])
+        grades = np.array([course.final_grade.get(sid, 0.0) for sid in r.student_ids],
+                          dtype=np.float64)
+        w.writerows(zip(r.student_ids, _format_numbers(grades).tolist()))
     return paths
 
 

@@ -304,6 +304,10 @@ def train_sgd(m: MlpModel, X, y, cfg: SgdConfig) -> MlpModel:
         raise SchemaMismatchError(f"input width {values.shape} vs network {m.input_dim}")
     if len(yv) != len(values):
         raise BadValueError("labels must align with rows")
+    finite = np.isfinite(values)
+    if not finite.all():
+        r, c = np.argwhere(~finite)[0]
+        raise BadValueError(f"training row {r}, column {c}: feature {values[r, c]} is not finite")
     if not np.all((yv == 0.0) | (yv == 1.0)):
         raise BadValueError("training labels must be 0 or 1")
     if len(yv) == 0 or np.all(yv == yv[0]):

@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import datetime
 import json
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -313,8 +314,8 @@ def write_matrix(m: FeatureMatrix, path: str | Path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
         w.writerow(("student_id",) + m.schema.names)
-        for i, sid in enumerate(m.student_ids):
-            w.writerow([sid] + [repr(float(v)) for v in m.values[i]])
+        # csv.writer writes a float as its repr; a row at a time keeps few floats alive
+        w.writerows([sid, *row.tolist()] for sid, row in zip(m.student_ids, m.values))
 
 
 def load_matrix(path: str | Path, as_of: datetime.date) -> FeatureMatrix:
@@ -330,7 +331,7 @@ def load_matrix(path: str | Path, as_of: datetime.date) -> FeatureMatrix:
         if tuple(header[1:]) != DEFAULT_SCHEMA.names:
             raise SchemaMismatchError(f"{path}: columns do not match the feature schema")
         ids = []
-        rows = []
+        values = array("d")
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -338,11 +339,11 @@ def load_matrix(path: str | Path, as_of: datetime.date) -> FeatureMatrix:
                 raise BadValueError(f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}")
             ids.append(row[0])
             try:
-                rows.append([float(c) for c in row[1:]])
+                values.extend(map(float, row[1:]))
             except ValueError:
                 raise BadValueError(f"{path}:{lineno}: non-numeric feature value") from None
-    values = np.array(rows, dtype=np.float64) if rows else np.zeros((0, DEFAULT_SCHEMA.width))
-    return FeatureMatrix(DEFAULT_SCHEMA, tuple(ids), values, as_of)
+    return FeatureMatrix(DEFAULT_SCHEMA, tuple(ids),
+                         np.array(values).reshape(len(ids), DEFAULT_SCHEMA.width), as_of)
 
 
 def norm_stats_to_dict(stats: NormStats) -> dict:

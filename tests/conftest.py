@@ -1,6 +1,9 @@
-"""Shared course builders and corpus fixtures."""
+"""Shared course builders, reference implementations and corpus fixtures."""
 
+import csv
 import datetime
+import math
+from pathlib import Path
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -17,7 +20,17 @@ from dropoutlab.dataset import (
     CourseMeta,
     Roster,
     SynthConfig,
+    load_course_meta,
+    load_demographics,
     synthesize_corpus,
+)
+from dropoutlab.errors import (
+    BadDateError,
+    BadValueError,
+    DuplicateStudentDayError,
+    MissingColumnError,
+    NegativeCounterError,
+    UnknownStudentError,
 )
 from dropoutlab.features import check_as_of
 
@@ -168,6 +181,138 @@ def persistence_labels(course, w):
 def as_vector(labels, course):
     """An oracle's {student_id: 0/1} as a float64 vector in roster order."""
     return np.array([labels[sid] for sid in course.roster.student_ids], dtype=np.float64)
+
+
+# Reference course CSV writer and loader: one row and one cell at a time, as
+# dataset.write_course and dataset.load_course worked before they became
+# column-wise. The column-wise code must write the same bytes and load the
+# same arrays, and raise the same error for a file with one fault.
+
+_REF_LEVELS = {"loe": LOE_LEVELS, "gender": GENDERS, "continent": CONTINENTS}
+_REF_ACTIVITY = ("student_id", "date") + CLICKSTREAM_FEATURES
+
+
+def _ref_fmt_number(v):
+    if float(v).is_integer():
+        return str(int(v))
+    return repr(float(v))
+
+
+def reference_write_course(course, out_dir):
+    """The four course CSV files, formatted one cell at a time."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    meta, r = course.meta, course.roster
+    with open(out / "course_meta.csv", "w", newline="", encoding="utf-8") as f:
+        w = csv.writer(f)
+        w.writerow(("course_id", "launch_date", "end_date", "t100_date", "cert_threshold", "field"))
+        w.writerow([meta.course_id, meta.launch_date.isoformat(), meta.end_date.isoformat(),
+                    meta.t100_date.isoformat(), _ref_fmt_number(meta.cert_threshold), meta.field])
+    with open(out / "demographics.csv", "w", newline="", encoding="utf-8") as f:
+        w = csv.writer(f)
+        w.writerow(("student_id", "yob", "loe", "gender", "continent", "precourse_survey"))
+        for i, sid in enumerate(r.student_ids):
+            yob = r.yob[i]
+            w.writerow([sid, "" if math.isnan(yob) else _ref_fmt_number(yob)]
+                       + [(levels + ("",))[getattr(r, name)[i]]
+                          for name, levels in _REF_LEVELS.items()]
+                       + [int(r.took_precourse_survey[i])])
+    with open(out / "activity.csv", "w", newline="", encoding="utf-8") as f:
+        w = csv.writer(f)
+        w.writerow(_REF_ACTIVITY)
+        table = course.activity
+        for i in range(len(table)):
+            sid = r.student_ids[table.student_index[i]]
+            date = meta.launch_date + datetime.timedelta(days=int(table.day[i]))
+            w.writerow([sid, date.isoformat()] + [_ref_fmt_number(v) for v in table.values[i]])
+    with open(out / "grades.csv", "w", newline="", encoding="utf-8") as f:
+        w = csv.writer(f)
+        w.writerow(("student_id", "final_grade"))
+        for sid in r.student_ids:
+            w.writerow([sid, _ref_fmt_number(course.final_grade.get(sid, 0.0))])
+
+
+def _ref_rows(path, expected):
+    """(line number, cells in expected order) of each non-blank row after the header.
+
+    A row with more or fewer cells than the header is rejected.
+    """
+    path = Path(path)
+    with open(path, newline="", encoding="utf-8") as f:
+        reader = csv.reader(f)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise MissingColumnError(f"{path}: empty file, expected header {list(expected)}") from None
+        for col in expected:
+            if col not in header:
+                raise MissingColumnError(f"{path}: missing column {col!r}")
+        pos = [header.index(c) for c in expected]
+        for raw in reader:
+            if not raw:
+                continue
+            if len(raw) != len(header):
+                raise BadValueError(
+                    f"{path}:{reader.line_num}: expected {len(header)} cells, got {len(raw)}")
+            yield reader.line_num, [raw[p] for p in pos]
+
+
+def _ref_date(cell, where):
+    try:
+        return datetime.date.fromisoformat(cell)
+    except ValueError:
+        raise BadDateError(f"{where}: bad date {cell!r} (expected YYYY-MM-DD)") from None
+
+
+def reference_load_course(course_dir):
+    """A course directory read one row and one cell at a time, every check in file order."""
+    d = Path(course_dir)
+    meta = load_course_meta(d / "course_meta.csv")
+    roster = load_demographics(d / "demographics.csv")
+    index = {sid: i for i, sid in enumerate(roster.student_ids)}
+    activity_path, grades_path = d / "activity.csv", d / "grades.csv"
+    sidx, days, values, seen = [], [], [], set()
+    for lineno, row in _ref_rows(activity_path, _REF_ACTIVITY):
+        sid = row[0]
+        if sid not in index:
+            raise UnknownStudentError(f"{activity_path}:{lineno}: student {sid!r} not in demographics")
+        date = _ref_date(row[1], f"{activity_path}:{lineno} date")
+        off = (date - meta.launch_date).days
+        if off < 0 or date > meta.end_date:
+            raise BadDateError(
+                f"{activity_path}:{lineno}: date {date} outside [{meta.launch_date}, {meta.end_date}]")
+        key = (index[sid], off)
+        if key in seen:
+            raise DuplicateStudentDayError(f"{activity_path}:{lineno}: duplicate record for ({sid}, {date})")
+        seen.add(key)
+        sidx.append(key[0])
+        days.append(off)
+        for name, cell in zip(CLICKSTREAM_FEATURES, row[2:]):
+            try:
+                v = float(cell)
+            except ValueError:
+                raise BadValueError(
+                    f"{activity_path}:{lineno}: column {name!r}: not a number: {cell!r}") from None
+            if not math.isfinite(v) or v < 0:
+                raise NegativeCounterError(f"{activity_path}:{lineno}: column {name!r}: "
+                                           f"value {cell} must be finite and >= 0")
+            values.append(v)
+    grades = {}
+    for lineno, (sid, cell) in _ref_rows(grades_path, ("student_id", "final_grade")):
+        if sid not in index:
+            raise UnknownStudentError(f"{grades_path}:{lineno}: student {sid!r} not in demographics")
+        if sid in grades:
+            raise BadValueError(f"{grades_path}:{lineno}: duplicate record for student {sid!r}")
+        try:
+            g = float(cell)
+        except ValueError:
+            raise BadValueError(f"{grades_path}:{lineno}: bad final_grade {cell!r}") from None
+        if not (0.0 <= g <= 1.0):
+            raise BadValueError(f"{grades_path}:{lineno}: final_grade {g} not in [0, 1]")
+        grades[sid] = g
+    table = ActivityTable(np.array(sidx, dtype=np.int32), np.array(days, dtype=np.int32),
+                          np.array(values, dtype=np.float64).reshape(-1, len(CLICKSTREAM_FEATURES)))
+    return CourseData(meta, roster, table, grades)
 
 
 @pytest.fixture

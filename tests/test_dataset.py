@@ -356,6 +356,45 @@ class TestCsvRoundTrip:
         with pytest.raises(BadValueError, match=r"grades\.csv:3: expected 2 cells, got 1"):
             load_course_dir(tmp_path)
 
+    def test_long_meta_row_rejected(self, tmp_path):
+        p = tmp_path / "course_meta.csv"
+        p.write_text("course_id,launch_date,end_date,t100_date,cert_threshold,field\r\n"
+                     "Tx,2014-01-06,2014-03-17,2014-03-03,0.7,STEM,extra\r\n")
+        with pytest.raises(BadValueError, match=r"course_meta\.csv:2: expected 6 cells, got 7"):
+            load_course_meta(p)
+
+    def test_long_demographics_row_rejected(self, tmp_path):
+        p = tmp_path / "demographics.csv"
+        p.write_text("student_id,yob,loe,gender,continent,precourse_survey\r\n"
+                     "s0,1990,Bachelor,Female,Europe,1\r\ns1,1990,,,,0,\r\n")
+        with pytest.raises(BadValueError, match=r"demographics\.csv:3: expected 6 cells, got 7"):
+            load_demographics(p)
+
+    def test_long_activity_row_rejected(self, tmp_path):
+        self._write_course_files(tmp_path, [self._row("s0", "2014-01-07"), "",
+                                            self._row("s0", "2014-01-08") + ",999"])
+        with pytest.raises(BadValueError, match=r"activity\.csv:4: expected 33 cells, got 34"):
+            load_course_dir(tmp_path)
+
+    def test_long_grades_row_rejected(self, tmp_path):
+        self._write_course_files(tmp_path, [])
+        (tmp_path / "grades.csv").write_text("student_id,final_grade\r\ns0,0.8,extra\r\n")
+        with pytest.raises(BadValueError, match=r"grades\.csv:2: expected 2 cells, got 3"):
+            load_course_dir(tmp_path)
+
+    def test_reordered_columns_load(self, tiny_course, tmp_path):
+        """A table whose columns come in another order loads the same course."""
+        write_course(tiny_course, tmp_path)
+        for name in ("course_meta.csv", "demographics.csv", "activity.csv", "grades.csv"):
+            p = tmp_path / name
+            rows = [line.split(",") for line in p.read_text().splitlines()]
+            p.write_text("".join(",".join(row[::-1]) + "\n" for row in rows))
+        loaded = load_course_dir(tmp_path)
+        assert loaded.meta == tiny_course.meta
+        _assert_same_roster(loaded.roster, tiny_course.roster)
+        assert loaded.activity.values.tobytes() == tiny_course.activity.values.tobytes()
+        assert loaded.certified.tobytes() == tiny_course.certified.tobytes()
+
     def test_non_numeric_counter(self, tmp_path):
         row = self._row("s0", "2014-01-07").replace(",0.0", ",abc", 1)
         self._write_course_files(tmp_path, [row])

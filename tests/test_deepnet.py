@@ -299,6 +299,14 @@ class TestSgd:
             with pytest.raises(NonFiniteLossError, match=r"diverged at update 1$"):
                 train_sgd(init_mlp(6, [4], seed=0), X * 1e200, y, cfg)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_feature_rejected_before_training(self, bad):
+        rng = np.random.default_rng(8)
+        X, y = _toy_data(rng, n=20)
+        X[13, 4] = bad
+        with pytest.raises(BadValueError, match=rf"training row 13, column 4: feature {bad} is not finite"):
+            train_sgd(init_mlp(6, [4], seed=0), X, y, SgdConfig(epochs=1, seed=0))
+
     def test_single_class_rejected(self):
         X = np.zeros((4, 3))
         with pytest.raises(SingleClassError):

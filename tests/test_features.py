@@ -499,6 +499,26 @@ class TestSerialization:
         with pytest.raises(BadValueError, match=rf"{re.escape(str(p))}:4: expected 67 cells, got 66"):
             load_matrix(p, day(9))
 
+    def test_matrix_error_line_counts_blank_lines(self, tiny_course, tmp_path):
+        p = tmp_path / "m.csv"
+        write_matrix(build_matrix(tiny_course, day(9)), p)
+        lines = p.read_text().splitlines(keepends=True)
+        lines[2] = "\n" + lines[2].replace(",", ",x", 1)  # a blank line, then a bad cell
+        p.write_text("".join(lines))
+        with pytest.raises(BadValueError, match=rf"{re.escape(str(p))}:4: non-numeric feature value"):
+            load_matrix(p, day(9))
+
+    def test_matrix_bytes_are_reprs(self, tiny_course, tmp_path):
+        m = build_matrix(tiny_course, day(9))
+        stats, (z,) = normalize(m, [m], "zscore")
+        p = tmp_path / "m.csv"
+        write_matrix(z, p)
+        rows = p.read_bytes().decode("utf-8").split("\r\n")
+        assert rows[0] == ",".join(("student_id",) + z.schema.names) and rows[-1] == ""
+        assert rows[1:-1] == [",".join([sid] + [repr(float(v)) for v in z.values[i]])
+                              for i, sid in enumerate(z.student_ids)]
+        assert load_matrix(p, day(9)).values.tobytes() == z.values.tobytes()
+
     @pytest.mark.parametrize("kind,key", [("zscore", "mean"), ("zscore", "std"),
                                           ("percentile", "columns"),
                                           ("percentile", "references")])
