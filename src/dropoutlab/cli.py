@@ -222,7 +222,8 @@ def cmd_train(args) -> int:
         model = baseline_demographics(course, args.reg_c)
         scored = score_demographics(model, course)
     else:
-        model, z = fit_course_model(course, week_date(course.meta, args.week), args.reg_c)
+        m = build_matrix(course, week_date(course.meta, args.week))
+        model, z = fit_course_model(course, m, args.reg_c)
         scored = predict_proba(model, z)
     args.out.parent.mkdir(parents=True, exist_ok=True)
     save_model(model, args.out)

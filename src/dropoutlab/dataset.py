@@ -93,10 +93,11 @@ class Roster:
 
     Rows follow sorted student ids, the row order of every feature matrix:
     the columns may be given in any student order and are sorted together.
-    yob is float64, NaN for a non-response, clamped into [0, 4024] so that
-    every age bin stays reachable; loe, gender and continent are intp indices
-    into LOE_LEVELS, GENDERS and CONTINENTS, len(levels) for a non-response;
-    took_precourse_survey is float64 0/1.
+    yob is float64, NaN for a non-response, else a whole year clamped into
+    [0, 4024] so that every age bin stays reachable; a finite fractional year
+    is rejected, as demographics.csv reads only whole years back. loe, gender
+    and continent are intp indices into LOE_LEVELS, GENDERS and CONTINENTS,
+    len(levels) for a non-response; took_precourse_survey is float64 0/1.
     """
 
     __slots__ = ("student_ids", "yob", "loe", "gender", "continent", "took_precourse_survey")
@@ -117,7 +118,14 @@ class Roster:
                                     f"expected ({len(ids)},)")
             column = column[order]
             if name == "yob":
-                column = np.clip(column, 0.0, 4024.0)  # NaN stays a non-response
+                # a written roster reads back one NaN, and +0.0 for -0.0
+                column = np.where(np.isnan(column), np.nan, column)
+                fractional = np.isfinite(column) & (column != np.floor(column))
+                if fractional.any():
+                    k = int(np.argmax(fractional))
+                    raise BadValueError(
+                        f"student {self.student_ids[k]!r}: yob {column[k]} is not a whole year")
+                column = np.clip(column, 0.0, 4024.0) + 0.0
             else:
                 n_codes = len(_LEVELS[name]) + 1 if name in _LEVELS else 2  # the survey is 0/1
                 ok = np.isin(column, np.arange(n_codes))

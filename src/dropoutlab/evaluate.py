@@ -16,8 +16,11 @@ def _midranks(x: np.ndarray) -> np.ndarray:
     """1-based ranks of x; tied values share the mean of the ranks they span."""
     order = np.argsort(x, kind="stable")
     xs = x[order]
-    starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])  # first index of each tie run
-    ends = np.r_[starts[1:], len(xs)]
+    edges = np.empty(len(xs) + 1, dtype=bool)  # where a tie run starts, and the end
+    edges[0] = edges[-1] = True
+    np.not_equal(xs[1:], xs[:-1], out=edges[1:-1])
+    bounds = np.flatnonzero(edges)
+    starts, ends = bounds[:-1], bounds[1:]
     ranks = np.empty(len(xs))
     ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
     return ranks

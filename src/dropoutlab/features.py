@@ -8,8 +8,10 @@ survey flag, and a recency column (days since last action).
 A snapshot does no per-student Python work. The demographic dummies and the
 survey flag come from the course's Roster columns (yob, loe, gender,
 continent, took_precourse_survey, in student-id order); the counters and
-recency come from one pass over the activity rows kept at the as-of date
-(cumulative_all).
+recency come from a walk over the activity rows (snapshots). A walk yields
+one course's snapshots at ascending dates and reads each row once, so a
+caller that needs several dates of one course pays for one pass over its
+activity; build_matrix is the walk's one-date case.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import json
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -29,6 +31,7 @@ from .dataset import (
     CONTINENTS,
     GENDERS,
     LOE_LEVELS,
+    ActivityTable,
     CourseData,
 )
 from .errors import (
@@ -38,6 +41,7 @@ from .errors import (
     MissingColumnError,
     SchemaMismatchError,
 )
+from .evaluate import _midranks
 
 _AGE_EDGES = np.arange(10, 61, 5)  # 10, 15, ..., 60; ages are as of 2012
 _AGE_NAMES = (
@@ -158,44 +162,65 @@ def check_as_of(course: CourseData, as_of: datetime.date) -> int:
     return course.day_offset(as_of)
 
 
-def cumulative_all(course: CourseData, off: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cumulative counters and recency for every student at day offset off.
+_NEVENTS = CLICKSTREAM_FEATURES.index("nevents")
 
-    Each counter is one bincount over the rows kept at off: it adds a student's
-    rows in row order from 0.0, the order and bits of a scatter-add
-    (np.add.reduceat does not: it adds the pairwise sum of a segment's other
-    rows to its first). Rows are sorted by (student, day), so each student's
-    kept rows form one run, and recency is the day of the run's last row with
-    nevents > 0; a student without one gets off + 1.
+
+def snapshots(course: CourseData, dates: Sequence[datetime.date]) -> Iterator[FeatureMatrix]:
+    """The course's feature matrix at each date of an ascending sequence, from one walk.
+
+    Every date is checked, and a date earlier than the one before it is a
+    BadValueError, before the first matrix is built. The walk keeps each
+    student's cumulative counters and last active day; each step adds only
+    the activity rows since the previous date, one np.add.at per counter.
+    Rows are sorted by (student, day), so a student's sum receives the same
+    additions in the same order, from 0.0, as a single scatter over every row
+    kept at the date: each matrix has the bits of a one-date build.
     """
+    offs = [check_as_of(course, d) for d in dates]
+    for prev, off, d in zip(offs, offs[1:], dates[1:]):
+        if off < prev:
+            raise BadValueError(f"snapshot dates must ascend: {d} follows a later date")
+    return _walk(course, dates, offs)
+
+
+def _walk(
+    course: CourseData, dates: Sequence[datetime.date], offs: list[int]
+) -> Iterator[FeatureMatrix]:
     n = course.n_students
+    schema = DEFAULT_SCHEMA
+    base = np.zeros((n, schema.width))
+    base[:, :schema.blocks[DEMOGRAPHIC_BLOCKS[-1]].stop] = demographic_dummies(course)
+    base[:, schema.blocks["precourse_survey"].start] = course.roster.took_precourse_survey
+    counters = schema.blocks["clickstream_cumulative"]
+    recency = schema.blocks["days_since_last_action"].start
     table = course.activity
-    kept = table.day <= off
-    idx = table.student_index[kept]
-    values = table.values[kept]
-    cum = np.column_stack([np.bincount(idx, weights=column, minlength=n) for column in values.T])
-    acted = values[:, CLICKSTREAM_FEATURES.index("nevents")] > 0
-    ran, day = idx[acted], table.day[kept][acted]
-    last = np.flatnonzero(np.diff(ran, append=-1))  # the last acted row of each run
-    dsla = np.full(n, off + 1.0)
-    dsla[ran[last]] = off - day[last]
-    return cum, dsla
+    cum = np.zeros((len(CLICKSTREAM_FEATURES), n))  # one contiguous row per counter
+    last = np.full(n, -1)  # the last day with nevents > 0, -1 for none yet
+    done = -1  # the last day offset whose rows are added
+    for as_of, off in zip(dates, offs):
+        _add_rows(table, np.flatnonzero((table.day > done) & (table.day <= off)), cum, last)
+        done = off
+        m = base.copy()
+        m[:, counters.start:counters.stop] = cum.T
+        m[:, recency] = np.where(last >= 0, off - last, off + 1)  # never active: off + 1
+        yield FeatureMatrix(schema, course.roster.student_ids, m, as_of)
+
+
+def _add_rows(table: ActivityTable, rows: np.ndarray, cum: np.ndarray, last: np.ndarray) -> None:
+    """Add activity rows, later than every row added before, to the running
+    counters (one np.add.at per counter) and last active days of a walk."""
+    idx, values = table.student_index[rows], table.values[rows]
+    for total, column in zip(cum, values.T):
+        np.add.at(total, idx, column)
+    acted = values[:, _NEVENTS] > 0
+    ran, day = idx[acted], table.day[rows][acted]
+    end = np.flatnonzero(np.diff(ran, append=-1))  # each student's last acted row
+    last[ran[end]] = day[end]
 
 
 def build_matrix(course: CourseData, as_of: datetime.date) -> FeatureMatrix:
-    """Assemble the full 66-column matrix for every enrolled student."""
-    off = check_as_of(course, as_of)
-    n = course.n_students
-    schema = DEFAULT_SCHEMA
-    values = np.zeros((n, schema.width))
-    demo = demographic_dummies(course)
-    values[:, :demo.shape[1]] = demo
-    values[:, schema.blocks["precourse_survey"].start] = course.roster.took_precourse_survey
-    cum, dsla = cumulative_all(course, off)
-    r = schema.blocks["clickstream_cumulative"]
-    values[:, r.start:r.stop] = cum
-    values[:, schema.blocks["days_since_last_action"].start] = dsla
-    return FeatureMatrix(schema, course.roster.student_ids, values, as_of)
+    """Assemble the full 66-column matrix for every enrolled student: the one-date walk."""
+    return next(snapshots(course, [as_of]))
 
 
 @dataclass(frozen=True)
@@ -291,6 +316,20 @@ def apply_percentile(m: FeatureMatrix, stats: NormStats) -> FeatureMatrix:
         lo = np.searchsorted(ref, values[:, j], side="left")
         hi = np.searchsorted(ref, values[:, j], side="right")
         values[:, j] = (lo + 0.5 * (hi - lo)) / len(ref)
+    return FeatureMatrix(m.schema, m.student_ids, values, m.as_of)
+
+
+def percentile_within(m: FeatureMatrix) -> FeatureMatrix:
+    """apply_percentile(m, fit_percentile(m)), bit for bit: each row ranked against its own matrix.
+
+    Against its own column, a value's count below plus half its count equal
+    is its mid-rank less one half, so each count-like column becomes
+    (mid-rank - 0.5) / n from one rank pass, the one AUC uses.
+    """
+    _require_rows(m)
+    values = m.values.copy()
+    for j in percentile_columns(m.schema):
+        values[:, j] = (_midranks(values[:, j]) - 0.5) / m.n_rows
     return FeatureMatrix(m.schema, m.student_ids, values, m.as_of)
 
 

@@ -38,8 +38,6 @@ from .features import (
     DEMOGRAPHIC_BLOCKS,
     FeatureMatrix,
     NormStats,
-    check_as_of,
-    cumulative_all,
     demographic_dummies,
     norm_stats_from_dict,
     norm_stats_to_dict,
@@ -266,11 +264,10 @@ def score_demographics(m: LinearModel, course: CourseData) -> ScoredStudents:
     return ScoredStudents(course.roster.student_ids, _sigmoid(z))
 
 
-def baseline_recency(course: CourseData, as_of) -> ScoredStudents:
-    """Recency ranking (Baseline 2): score = -days_since_last_action, no training."""
-    off = check_as_of(course, as_of)
-    _, dsla = cumulative_all(course, off)
-    return ScoredStudents(course.roster.student_ids, -dsla)
+def baseline_recency(m: FeatureMatrix) -> ScoredStudents:
+    """Recency ranking (Baseline 2) of a snapshot: score = -days_since_last_action, no training."""
+    recency = m.schema.blocks["days_since_last_action"].start
+    return ScoredStudents(m.student_ids, -m.values[:, recency])
 
 
 # ---------------------------------------------------------------------------

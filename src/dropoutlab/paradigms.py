@@ -17,15 +17,18 @@ A paradigm's source courses are never passed in: source_courses derives
 them from (corpus, kind, target), and run_paradigm(corpus, kind, target_id, w)
 scores one cell, fitting only the models that cell reads.
 
-run_experiment scores every cell in two phases. The fit phase derives the
-model keys the cells read: a (course, date) model for post_hoc at holdout 0
-and for each same_field and multi_course source, and one baseline1 model per
-course. It fits each key once into a table that holds models only, never a
-feature matrix. The score phase runs one task per (paradigm, course) against
-that table. in_situ and post_hoc with holdout > 0 train inside their cells
-and never read it. With jobs > 1, one process pool runs the table's fits and
-then the tasks. A cell that cannot be scored (no source course, a
-single-class training set) is recorded as skipped.
+run_experiment scores every cell in two phases, each one task per course.
+The fit phase derives the model keys the cells read: a (course, date) model
+for post_hoc at holdout 0 and for each same_field and multi_course source,
+and one baseline1 model per course. A course's task fits its keys once, in
+date order over one walk of its snapshots, into a table that holds models
+only, never a feature matrix. The score phase walks each target course's
+eligible weeks once: a week's snapshot is built once and z-scored at most
+once, and every paradigm scored that week reads it. in_situ and post_hoc
+with holdout > 0 train inside their cells and never read the table. With
+jobs > 1, one process pool runs the fit tasks and then the score tasks. A
+cell that cannot be scored (no source course, a single-class training set)
+is recorded as skipped.
 """
 
 from __future__ import annotations
@@ -33,7 +36,8 @@ from __future__ import annotations
 import datetime
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from typing import Sequence
+from functools import cached_property
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -47,7 +51,15 @@ from .errors import (
     WindowOutOfRangeError,
 )
 from .evaluate import EvalReport, EvalRow, auc_values
-from .features import FeatureMatrix, apply_zscore, build_matrix, normalize, split_rows
+from .features import (
+    FeatureMatrix,
+    apply_zscore,
+    build_matrix,
+    normalize,
+    percentile_within,
+    snapshots,
+    split_rows,
+)
 from .linear import (
     LinearModel,
     ScoredStudents,
@@ -173,13 +185,16 @@ def source_courses(corpus: Sequence[CourseData], kind: str, target_id: str) -> t
 
 
 def fit_course_model(
-    course: CourseData, as_of: datetime.date, C: float = 1.0
+    course: CourseData, m: FeatureMatrix, C: float = 1.0
 ) -> tuple[LinearModel, FeatureMatrix]:
-    """Logistic model on the course's z-scored features at as_of and its own labels.
+    """Logistic model on a snapshot of the course, z-scored, and the course's own labels.
 
-    Returns the model (carrying the zscore stats) and the matrix it was fit on.
+    m is the course's feature matrix at some date (build_matrix, or one step
+    of snapshots). Returns the model (carrying the zscore stats) and the
+    z-scored matrix it was fit on.
     """
-    m = build_matrix(course, as_of)
+    if m.student_ids != course.roster.student_ids:
+        raise BadValueError(f"the snapshot's rows are not the roster of {course.meta.course_id!r}")
     stats, (z,) = normalize(m, [m], "zscore")
     return train_logreg(z, course.certified, C, norm=stats), z
 
@@ -190,21 +205,32 @@ def _source_date(meta: CourseMeta, w: int) -> datetime.date:
 
 
 def insitu_scores(
-    meta: CourseMeta, roster: Roster, activity: ActivityTable, w: int, C: float = 1.0
+    meta: CourseMeta,
+    roster: Roster,
+    activity: ActivityTable,
+    w: int,
+    C: float = 1.0,
+    snapshot: FeatureMatrix | None = None,
 ) -> ScoredStudents:
     """Score a live course at week w using only data available at week w.
 
     Takes the course apart on purpose: no grade table is accepted, so
-    certification labels cannot influence this path. The model is trained on
-    the week-w snapshot, percentile-normalized against the same population,
-    with the persistence proxy labels of the 7 days before week w; that
-    snapshot contains the proxy window. The same snapshot is then scored.
+    certification labels cannot influence this path. snapshot is the week-w
+    feature matrix when the caller has built it (a run builds each week's
+    once for every paradigm); it holds features only. Without it, the
+    snapshot is built from the roster and activity. The model is trained on
+    that snapshot, percentile-normalized against itself, with the persistence
+    proxy labels of the 7 days before week w; the snapshot contains the
+    proxy window. The same snapshot is then scored.
     """
     shadow = CourseData(meta, roster, activity, {})
-    m = build_matrix(shadow, week_date(meta, w))
-    stats, (p,) = normalize(m, [m], "percentile")
-    model = train_logreg(p, proxy_labels(shadow, w), C, norm=stats)
-    return predict_proba(model, p)
+    wd = week_date(meta, w)
+    if snapshot is None:
+        snapshot = build_matrix(shadow, wd)
+    elif snapshot.as_of != wd or snapshot.student_ids != roster.student_ids:
+        raise BadValueError(f"course {meta.course_id!r}: the snapshot is not the roster's at {wd}")
+    p = percentile_within(snapshot)
+    return predict_proba(train_logreg(p, proxy_labels(shadow, w), C), p)
 
 
 # A model-table key: (course_id, as_of) names the course's logistic model on
@@ -233,17 +259,42 @@ def _cell_keys(
     return tuple((cid, _source_date(by_id[cid].meta, w)) for cid in sources)
 
 
-def _fit_model(
-    course: CourseData, as_of: datetime.date | None, C: float
-) -> LinearModel | SingleClassError:
-    """The model a table key names. A single-class training set is kept as its
-    error, without the traceback that would hold the fit's feature matrices."""
+def _kept(fit: Callable[[], LinearModel]) -> LinearModel | SingleClassError:
+    """fit(), or its single-class error without the traceback that would hold
+    the fit's feature matrices."""
     try:
-        if as_of is None:
-            return baseline_demographics(course, C)
-        return fit_course_model(course, as_of, C)[0]
+        return fit()
     except SingleClassError as e:
         return e.with_traceback(None)
+
+
+def _fit_course_keys(
+    course: CourseData, dates: Sequence[datetime.date | None], C: float
+) -> dict[ModelKey, LinearModel | SingleClassError]:
+    """The models of one course's table keys, (course_id, as_of) for as_of in dates.
+
+    None names the baseline1 model. The dated models are fit in ascending
+    date order over one walk of the course's snapshots.
+    """
+    cid = course.meta.course_id
+    models: dict[ModelKey, LinearModel | SingleClassError] = {}
+    if None in dates:
+        models[cid, None] = _kept(lambda: baseline_demographics(course, C))
+    for m in snapshots(course, sorted(d for d in dates if d is not None)):
+        models[cid, m.as_of] = _kept(lambda: fit_course_model(course, m, C)[0])
+    return models
+
+
+class _Week:
+    """One target week's raw snapshot (None where no cell reads one) and,
+    computed on first use, its own z-score."""
+
+    def __init__(self, m: FeatureMatrix | None):
+        self.m = m
+
+    @cached_property
+    def z(self) -> FeatureMatrix:
+        return normalize(self.m, [self.m], "zscore")[1][0]
 
 
 def _score_cell(
@@ -255,8 +306,9 @@ def _score_cell(
     C: float,
     holdout: float,
     seed: int,
+    week: _Week,
 ) -> ScoredStudents:
-    """Score one cell from the fitted models of its keys.
+    """Score one cell from the fitted models of its keys and the target's week.
 
     The first key whose fit failed, in source order, re-raises its error.
     """
@@ -267,34 +319,35 @@ def _score_cell(
             raise model.with_traceback(None)
         fitted.append(model)
     target = _corpus_index(corpus)[target_id]
-    wd = week_date(target.meta, w)
 
-    if kind == "same_field" or (kind == "post_hoc" and holdout <= 0.0):
+    if kind == "post_hoc" and holdout <= 0.0:
+        # the course model's z-score stats were fit on this very snapshot,
+        # so the week's own z-score has the bits of applying them
+        return predict_proba(fitted[0], week.z)
+
+    if kind == "same_field":
         # one course model, deployed with the z-score stats it was fit with
         (model,) = fitted
-        return predict_proba(model, apply_zscore(build_matrix(target, wd), model.norm))
+        return predict_proba(model, apply_zscore(week.m, model.norm))
 
     if kind == "post_hoc":  # holdout > 0
-        m = build_matrix(target, wd)
-        train_rows, test_rows = split_rows(m.n_rows, holdout, seed)
-        m_train = m.take(train_rows)
-        stats, (z_train, z_test) = normalize(m_train, [m_train, m.take(test_rows)], "zscore")
+        train_rows, test_rows = split_rows(week.m.n_rows, holdout, seed)
+        m_train = week.m.take(train_rows)
+        stats, (z_train, z_test) = normalize(m_train, [m_train, week.m.take(test_rows)], "zscore")
         model = train_logreg(z_train, target.certified[train_rows], C, norm=stats)
         return predict_proba(model, z_test)
 
     if kind == "multi_course":
-        m_t = build_matrix(target, wd)
-        _, (z_t,) = normalize(m_t, [m_t], "zscore")
-        return predict_proba(average_hyperplanes(fitted), z_t)
+        return predict_proba(average_hyperplanes(fitted), week.z)
 
     if kind == "in_situ":
-        return insitu_scores(target.meta, target.roster, target.activity, w, C)
+        return insitu_scores(target.meta, target.roster, target.activity, w, C, week.m)
 
     if kind == "baseline1":
         return score_demographics(fitted[0], target)
 
     if kind == "baseline2":
-        return baseline_recency(target, wd)
+        return baseline_recency(week.m)
 
     raise InvalidParadigmError(f"unknown paradigm {kind!r}")
 
@@ -318,8 +371,12 @@ def run_paradigm(
     """
     keys = _cell_keys(corpus, kind, target_id, w, holdout)
     by_id = _corpus_index(corpus)
-    models = {key: _fit_model(by_id[key[0]], key[1], C) for key in keys}
-    return _score_cell(corpus, kind, target_id, w, models, C, holdout, seed)
+    models: dict[ModelKey, LinearModel | SingleClassError] = {}
+    for cid, as_of in keys:  # a cell reads at most one key per course
+        models.update(_fit_course_keys(by_id[cid], [as_of], C))
+    target = by_id[target_id]
+    week = _Week(None if kind == "baseline1" else build_matrix(target, week_date(target.meta, w)))
+    return _score_cell(corpus, kind, target_id, w, models, C, holdout, seed, week)
 
 
 # ---------------------------------------------------------------------------
@@ -368,15 +425,15 @@ def _corpus_map(corpus: list[CourseData], jobs: int):
         _init_worker(None)
 
 
-def _fit_table_entry(args) -> LinearModel | SingleClassError:
-    (course_id, as_of), C = args
-    return _fit_model(_corpus_index(_WORKER_CORPUS)[course_id], as_of, C)
+def _fit_course_entry(args) -> dict[ModelKey, LinearModel | SingleClassError]:
+    course_id, dates, C = args
+    return _fit_course_keys(_corpus_index(_WORKER_CORPUS)[course_id], dates, C)
 
 
 def _task_keys(
     corpus: list[CourseData], kind: str, target_id: str, holdout: float
 ) -> list[ModelKey]:
-    """The distinct table keys of one (paradigm, course) task's weekly cells."""
+    """The distinct table keys of one (paradigm, course) pair's weekly cells."""
     keys: dict[ModelKey, None] = {}
     for w in prediction_weeks(_corpus_index(corpus)[target_id].meta, kind):
         try:
@@ -386,23 +443,35 @@ def _task_keys(
     return list(keys)
 
 
-def _run_course_cells(args) -> tuple[list[tuple], list[tuple]]:
-    """All weekly cells for one (paradigm, course): rows plus skipped records."""
-    kind, target_id, C, holdout, seed, models = args
+def _score_course(args) -> dict[str, tuple[list[tuple], list[tuple]]]:
+    """Every weekly cell of one target course, per paradigm: rows plus skipped records.
+
+    One walk over the weeks where some paradigm reads a snapshot builds each
+    week's snapshot once; every paradigm scored that week reads it.
+    """
+    kinds, target_id, C, holdout, seed, models = args
     corpus = _WORKER_CORPUS
     target = _corpus_index(corpus)[target_id]
-    rows: list[tuple] = []
-    skipped: list[tuple] = []
-    for w in prediction_weeks(target.meta, kind):
-        try:
-            scored = _score_cell(corpus, kind, target_id, w, models, C, holdout, seed)
-            y = target.certified
-            if scored.student_ids != target.roster.student_ids:  # post_hoc's held-out students
-                y = y[roster_rows(target, scored.student_ids)]
-            rows.append((kind, target_id, w, auc_values(scored.scores, y), len(y), int(y.sum())))
-        except (SingleClassError, InvalidParadigmError) as e:  # e.g. no same-field source
-            skipped.append((kind, target_id, w, str(e)))
-    return rows, skipped
+    weeks = {kind: set(prediction_weeks(target.meta, kind)) for kind in kinds}
+    read = sorted({w for kind in kinds if kind != "baseline1" for w in weeks[kind]})
+    walk = snapshots(target, [week_date(target.meta, w) for w in read])
+    out: dict[str, tuple[list[tuple], list[tuple]]] = {kind: ([], []) for kind in kinds}
+    for w in sorted(set().union(*weeks.values())):
+        week = _Week(next(walk) if w in read else None)
+        for kind in kinds:
+            if w not in weeks[kind]:
+                continue
+            rows, skipped = out[kind]
+            try:
+                scored = _score_cell(corpus, kind, target_id, w, models, C, holdout, seed, week)
+                y = target.certified
+                if scored.student_ids != target.roster.student_ids:  # post_hoc's held-out students
+                    y = y[roster_rows(target, scored.student_ids)]
+                auc = auc_values(scored.scores, y)
+                rows.append((kind, target_id, w, auc, len(y), int(y.sum())))
+            except (SingleClassError, InvalidParadigmError) as e:  # e.g. no same-field source
+                skipped.append((kind, target_id, w, str(e)))
+    return out
 
 
 def run_experiment(
@@ -415,15 +484,18 @@ def run_experiment(
 ) -> EvalReport:
     """Every course x paradigm x eligible week, scored against true labels.
 
-    Two phases. The fit phase derives every model key the cells read and
-    fits each once into a table of models (no feature matrices); a key whose
-    training set has a single class keeps its error, and every cell that
-    reads it is skipped with that reason. The score phase runs each
-    (paradigm, course) task against its keys' models. jobs > 1 runs both
-    phases on one process pool: first the table's keys, then the tasks. The
-    table lives only for this call, and assembly order is fixed, so the
-    report is identical for any jobs value. A kind listed twice is rejected:
-    its rows would enter every aggregate twice.
+    Two phases of one task per course. The fit phase derives every model key
+    the cells read; a course's task fits its keys once, in date order over
+    one walk of its snapshots, into a table of models (no feature matrices).
+    A key whose training set has a single class keeps its error, and every
+    cell that reads it is skipped with that reason. The score phase walks
+    each target course's weeks once and scores every paradigm's cell of a
+    week from one snapshot, z-scored at most once, and its keys' models.
+    jobs > 1 runs both phases on one process pool: first the fit tasks, then
+    the score tasks. The table lives only for this call, and rows and skipped
+    cells are assembled in (paradigm, course, week) order, so the report is
+    identical for any jobs value. A kind listed twice is rejected: its rows
+    would enter every aggregate twice.
     """
     if len(corpus) == 0:
         raise BadValueError("corpus must be non-empty")
@@ -433,19 +505,28 @@ def run_experiment(
         if kind in paradigm_kinds[:i]:
             raise InvalidParadigmError(f"paradigm {kind!r} is listed more than once")
     corpus = list(corpus)
+    kinds = tuple(paradigm_kinds)
     course_ids = sorted(c.meta.course_id for c in corpus)
-    tasks = [(kind, cid) for kind in paradigm_kinds for cid in course_ids]
-    task_keys = [_task_keys(corpus, kind, cid, holdout) for kind, cid in tasks]
-    keys = list(dict.fromkeys(key for ks in task_keys for key in ks))
+    course_keys = {cid: list(dict.fromkeys(key for kind in kinds
+                                           for key in _task_keys(corpus, kind, cid, holdout)))
+                   for cid in course_ids}
+    dates: dict[str, list[datetime.date | None]] = {}
+    for cid, as_of in dict.fromkeys(key for keys in course_keys.values() for key in keys):
+        dates.setdefault(cid, []).append(as_of)
     with _corpus_map(corpus, jobs) as corpus_map:
-        table = dict(zip(keys, corpus_map(_fit_table_entry, [(key, C) for key in keys])))
-        results = corpus_map(_run_course_cells, [
-            (kind, cid, C, holdout, seed, {key: table[key] for key in ks})
-            for (kind, cid), ks in zip(tasks, task_keys)
+        table: dict[ModelKey, LinearModel | SingleClassError] = {}
+        for models in corpus_map(_fit_course_entry, [(cid, dates[cid], C) for cid in sorted(dates)]):
+            table.update(models)
+        results = corpus_map(_score_course, [
+            (kinds, cid, C, holdout, seed, {key: table[key] for key in course_keys[cid]})
+            for cid in course_ids
         ])
+    by_course = dict(zip(course_ids, results))
     rows: list[EvalRow] = []
     skipped: list[tuple] = []
-    for cell_rows, cell_skipped in results:
-        rows.extend(EvalRow(*r) for r in cell_rows)
-        skipped.extend(cell_skipped)
+    for kind in kinds:
+        for cid in course_ids:
+            cell_rows, cell_skipped = by_course[cid][kind]
+            rows.extend(EvalRow(*r) for r in cell_rows)
+            skipped.extend(cell_skipped)
     return EvalReport.from_rows(rows, skipped)

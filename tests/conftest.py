@@ -130,6 +130,31 @@ def day(offset, launch=LAUNCH):
     return launch + datetime.timedelta(days=offset)
 
 
+def cumulative_all(course, off):
+    """Cumulative counters and recency for every student at day offset off, built
+    from nothing: the per-date reference for every step of features.snapshots.
+
+    Each counter is one bincount over the rows kept at off: it adds a student's
+    rows in row order from 0.0, the order and bits of a scatter-add
+    (np.add.reduceat does not: it adds the pairwise sum of a segment's other
+    rows to its first). Rows are sorted by (student, day), so each student's
+    kept rows form one run, and recency is the day of the run's last row with
+    nevents > 0; a student without one gets off + 1.
+    """
+    n = course.n_students
+    table = course.activity
+    kept = table.day <= off
+    idx = table.student_index[kept]
+    values = table.values[kept]
+    cum = np.column_stack([np.bincount(idx, weights=column, minlength=n) for column in values.T])
+    acted = values[:, CLICKSTREAM_FEATURES.index("nevents")] > 0
+    ran, day = idx[acted], table.day[kept][acted]
+    last = np.flatnonzero(np.diff(ran, append=-1))  # the last acted row of each run
+    dsla = np.full(n, off + 1.0)
+    dsla[ran[last]] = off - day[last]
+    return cum, dsla
+
+
 # Per-student oracles for the whole-course snapshot (build_matrix, baseline_recency):
 # one student's activity rows, read straight from the table.
 

@@ -13,6 +13,7 @@ from dropoutlab.dataset import (
     GENDERS,
     LOE_LEVELS,
     CorpusConfig,
+    CourseData,
     CourseMeta,
     Roster,
     SynthConfig,
@@ -124,6 +125,29 @@ class TestRoster:
     def test_duplicate_student_rejected(self):
         with pytest.raises(BadValueError, match="'a'"):
             Roster(["a", "b", "a"], [np.nan] * 3, [0] * 3, [0] * 3, [0] * 3, [0] * 3)
+
+    def test_fractional_yob_rejected(self):
+        with pytest.raises(BadValueError, match="'s1': yob 1990.5 is not a whole year"):
+            Roster(["s0", "s1"], [1991.0, 1990.5], [0, 0], [0, 0], [0, 0], [0, 0])
+
+    @pytest.mark.parametrize("yob", [
+        1990.0, 1990.5, 0.0, -0.0, -3.0, -2.5, 0.25, 5e-324, 2012.999999, 4024.0, 4024.5,
+        5000.0, 2.0 ** 52 + 1, 1e300, -1e300, np.inf, -np.inf, np.nan, -np.nan,
+        np.array([0x7FF0000000000001], dtype=np.uint64).view(np.float64)[0],  # a NaN payload
+    ])
+    def test_every_accepted_yob_survives_write_and_load(self, yob, tmp_path):
+        try:
+            roster = Roster(["s0", "s1"], [yob, 1991.0], [0, 0], [0, 0], [0, 0], [0, 0])
+        except BadValueError as e:
+            assert np.isfinite(yob) and yob != np.floor(yob)
+            assert "'s0'" in str(e)
+            return
+        assert not (np.isfinite(yob) and yob != np.floor(yob))
+        empty = ActivityTable(np.zeros(0, np.int32), np.zeros(0, np.int32),
+                              np.zeros((0, len(CLICKSTREAM_FEATURES))))
+        write_course(CourseData(make_meta(), roster, empty, {}), tmp_path)
+        back = load_demographics(tmp_path / "demographics.csv")
+        assert back.yob.tobytes() == roster.yob.tobytes()
 
 
 class TestActivityRecords:

@@ -84,6 +84,8 @@ class TestAucAgainstOracle:
             n = int(rng.integers(1, 300))
             scores = rng.integers(0, int(rng.integers(1, 20)), size=n) * 0.25
             assert np.array_equal(_midranks(scores), rankdata(scores, method="average"))
+        assert _midranks(np.zeros(0)).shape == (0,)
+        assert _midranks(np.array([3.5])).tolist() == [1.0]
 
     def test_non_finite_scores_rejected(self):
         with pytest.raises(BadValueError):

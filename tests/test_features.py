@@ -17,7 +17,7 @@ from dropoutlab.dataset import (
     CourseData,
     Roster,
 )
-from dropoutlab.errors import BadDateError, BadValueError, SchemaMismatchError
+from dropoutlab.errors import BadDateError, BadValueError, EmptyMatrixError, SchemaMismatchError
 from dropoutlab.features import (
     DEFAULT_SCHEMA,
     FeatureMatrix,
@@ -25,7 +25,6 @@ from dropoutlab.features import (
     apply_zscore,
     build_matrix,
     check_as_of,
-    cumulative_all,
     demographic_dummies,
     fit_percentile,
     fit_zscore,
@@ -33,7 +32,9 @@ from dropoutlab.features import (
     load_norm_stats,
     normalize,
     percentile_columns,
+    percentile_within,
     save_norm_stats,
+    snapshots,
     split_rows,
     write_matrix,
 )
@@ -42,6 +43,7 @@ from conftest import (
     LAUNCH,
     Student,
     counters,
+    cumulative_all,
     cumulative_clickstream,
     day,
     days_since_last_action,
@@ -241,14 +243,26 @@ def _random_course(seed, n_students=30, first_day=3):
     return CourseData(make_meta(), roster, ActivityTable(sidx, days, values), {})
 
 
+_COUNTERS = DEFAULT_SCHEMA.blocks["clickstream_cumulative"]
+_RECENCY = DEFAULT_SCHEMA.blocks["days_since_last_action"].start
+
+
+def _walked(m):
+    """A snapshot's counter block and recency column, as contiguous arrays."""
+    return (np.ascontiguousarray(m.values[:, _COUNTERS.start:_COUNTERS.stop]),
+            np.ascontiguousarray(m.values[:, _RECENCY]))
+
+
 class TestCumulativeAllOracle:
-    """cumulative_all gives the same bits as the scatter it replaced."""
+    """build_matrix's counters and recency have the bits of the per-date oracle
+    cumulative_all, which has the bits of the np.add.at scatter."""
 
     def _assert_bitwise(self, course, off):
-        cum, dsla = cumulative_all(course, off)
+        cum, dsla = _walked(build_matrix(course, day(off)))
+        oracle_cum, oracle_dsla = cumulative_all(course, off)
         ref_cum, ref_dsla = _scatter_reference(course, off)
-        assert cum.tobytes() == ref_cum.tobytes()
-        assert dsla.tobytes() == ref_dsla.tobytes()
+        assert cum.tobytes() == oracle_cum.tobytes() == ref_cum.tobytes()
+        assert dsla.tobytes() == oracle_dsla.tobytes() == ref_dsla.tobytes()
 
     @pytest.mark.parametrize("seed", range(5))
     def test_random_runs(self, seed):
@@ -259,7 +273,7 @@ class TestCumulativeAllOracle:
         assert np.all(course.activity.values[course.activity.student_index == 1, _NEVENTS] == 0)
         for off in (0, 2, 3, 17, 40, span - 1, span):  # 0 and 2 keep no row
             self._assert_bitwise(course, off)
-        cum, dsla = cumulative_all(course, 2)
+        cum, dsla = _walked(build_matrix(course, day(2)))
         assert not cum.any() and np.all(dsla == 3.0)
 
     def test_one_row_table(self):
@@ -269,7 +283,7 @@ class TestCumulativeAllOracle:
                             ActivityTable(np.array([1]), np.array([4]), values), {})
         for off in (0, 3, 4, 70):
             self._assert_bitwise(course, off)
-        cum, dsla = cumulative_all(course, 9)
+        cum, dsla = _walked(build_matrix(course, day(9)))
         assert cum[1].tolist() == values[0].tolist() and dsla.tolist() == [10.0, 5.0, 10.0]
 
     def test_empty_table(self):
@@ -278,6 +292,61 @@ class TestCumulativeAllOracle:
                             ActivityTable(np.zeros(0, np.int32), np.zeros(0, np.int32),
                                           np.zeros((0, len(CLICKSTREAM_FEATURES)))), {})
         self._assert_bitwise(course, 5)
+
+
+class TestSnapshotWalk:
+    """Every step of one walk has the bits of the per-date oracles at its date."""
+
+    def _assert_walk(self, course, offs):
+        dates = [day(off) for off in offs]
+        walk = list(snapshots(course, dates))
+        assert [m.as_of for m in walk] == dates
+        for off, m in zip(offs, walk):
+            cum, dsla = _walked(m)
+            oracle_cum, oracle_dsla = cumulative_all(course, off)
+            ref_cum, ref_dsla = _scatter_reference(course, off)
+            assert cum.tobytes() == oracle_cum.tobytes() == ref_cum.tobytes()
+            assert dsla.tobytes() == oracle_dsla.tobytes() == ref_dsla.tobytes()
+            assert m.values.tobytes() == build_matrix(course, day(off)).values.tobytes()
+            assert m.student_ids == course.roster.student_ids
+        return walk
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_runs(self, seed):
+        # counters over nine decades, -0.0, rows with nevents == 0, a student
+        # without rows; the walk starts before the first activity (day 3),
+        # repeats a date and ends on the last day
+        course = _random_course(seed)
+        span = (course.meta.end_date - course.meta.launch_date).days
+        self._assert_walk(course, (0, 2, 2, 3, 17, 40, 41, span - 1, span, span))
+        self._assert_walk(course, (5, span))
+        self._assert_walk(course, range(span + 1))
+
+    def test_same_date_twice_gives_equal_copies(self):
+        course = _random_course(0)
+        a, b = snapshots(course, [day(30), day(30)])
+        assert a.values.tobytes() == b.values.tobytes() and a.values is not b.values
+
+    def test_one_row_and_empty_tables(self):
+        values = np.full((1, len(CLICKSTREAM_FEATURES)), 0.1)
+        roster = make_roster([Student(f"s{k}") for k in range(3)])
+        one = CourseData(make_meta(), roster, ActivityTable(np.array([1]), np.array([4]), values), {})
+        self._assert_walk(one, (0, 3, 4, 4, 70))
+        empty = CourseData(make_meta(), make_roster([Student("s0")]),
+                           ActivityTable(np.zeros(0, np.int32), np.zeros(0, np.int32),
+                                         np.zeros((0, len(CLICKSTREAM_FEATURES)))), {})
+        self._assert_walk(empty, (0, 5, 70))
+
+    def test_empty_date_list(self):
+        assert list(snapshots(_random_course(0), [])) == []
+
+    def test_descending_dates_rejected_before_any_build(self, tiny_course):
+        with pytest.raises(BadValueError, match="ascend"):
+            snapshots(tiny_course, [day(3), day(9), day(8)])
+
+    def test_dates_outside_the_course_rejected_before_any_build(self, tiny_course):
+        with pytest.raises(BadDateError):
+            snapshots(tiny_course, [day(3), tiny_course.meta.end_date + datetime.timedelta(days=1)])
 
 
 class TestRecency:
@@ -414,6 +483,24 @@ class TestZscore:
 
 
 class TestPercentile:
+    def test_within_has_the_bits_of_fit_and_apply(self, small_corpus):
+        rng = np.random.default_rng(12)
+        course = small_corpus[0]
+        matrices = [build_matrix(course, course.meta.launch_date),
+                    build_matrix(course, course.meta.t100_date)]
+        for n in (1, 2, 7, 150):
+            values = rng.integers(0, 4, size=(n, DEFAULT_SCHEMA.width)) * rng.choice([0.5, 1e-7, 3e5])
+            values[rng.random(values.shape) < 0.2] = -0.0
+            matrices.append(FeatureMatrix(DEFAULT_SCHEMA, tuple(f"s{i}" for i in range(n)),
+                                          values, LAUNCH))
+        for m in matrices:
+            assert (percentile_within(m).values.tobytes()
+                    == apply_percentile(m, fit_percentile(m)).values.tobytes())
+
+    def test_within_rejects_an_empty_matrix(self):
+        with pytest.raises(EmptyMatrixError):
+            percentile_within(FeatureMatrix(DEFAULT_SCHEMA, (), np.zeros((0, 66)), LAUNCH))
+
     def test_mid_rank_examples(self):
         train = _matrix_from_columns([10.0, 20.0, 30.0], [0.0, 0.0, 0.0])
         stats = fit_percentile(train)

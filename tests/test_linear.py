@@ -359,7 +359,7 @@ class TestBaselines:
         assert np.all(scored.scores == scored.scores[0])
 
     def test_recency_ordering(self, tiny_course):
-        scored = baseline_recency(tiny_course, day(12))
+        scored = baseline_recency(build_matrix(tiny_course, day(12)))
         by_id = dict(zip(scored.student_ids, scored.scores))
         # s00 acted on day 9, s01 on day 0, s02 never
         assert by_id["s00"] == -3.0

@@ -1,6 +1,7 @@
 """Week indexing, proxy labels, the six deployment paradigms, the harness."""
 
 import datetime
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -342,6 +343,17 @@ class TestInSitu:
         assert scored.student_ids == direct.student_ids
         assert np.array_equal(scored.scores, direct.scores)
 
+    def test_given_snapshot_scores_as_built(self, small_corpus):
+        c = small_corpus[0]
+        direct = insitu_scores(c.meta, c.roster, c.activity, -1)
+        given = insitu_scores(c.meta, c.roster, c.activity, -1,
+                              snapshot=build_matrix(c, week_date(c.meta, -1)))
+        assert np.array_equal(given.scores, direct.scores)
+        for wrong in (build_matrix(c, week_date(c.meta, 0)),
+                      build_matrix(c, week_date(c.meta, -1)).take(np.arange(10))):
+            with pytest.raises(BadValueError, match="snapshot"):
+                insitu_scores(c.meta, c.roster, c.activity, -1, snapshot=wrong)
+
     def test_blind_to_certification_labels(self, small_corpus):
         c = small_corpus[0]
         flipped = CourseData(c.meta, c.roster, c.activity,
@@ -462,6 +474,24 @@ def _outcomes(report):
     return out
 
 
+def _single_class_corpus():
+    """Three courses; nobody certifies in SCBx, SCAx's same-field source."""
+    return [
+        _mini_course("SCAx", "STEM", 40, seed=1),
+        _mini_course("SCBx", "STEM", 60, seed=2, certify=False),
+        _mini_course("SCCx", "Hum", 50, seed=3),
+    ]
+
+
+class TestFitCourseModel:
+    def test_snapshot_of_another_roster_rejected(self, small_corpus, tiny_course):
+        c = small_corpus[0]
+        for wrong in (build_matrix(tiny_course, tiny_course.meta.t100_date),
+                      build_matrix(c, c.meta.t100_date).take(np.arange(10))):
+            with pytest.raises(BadValueError, match="roster"):
+                paradigms.fit_course_model(c, wrong)
+
+
 class TestModelTable:
     @pytest.mark.parametrize("corpus_name", ["handmade_corpus", "small_corpus"])
     def test_each_model_fit_once(self, corpus_name, request, monkeypatch):
@@ -473,9 +503,9 @@ class TestModelTable:
             solves.append(args)
             return minimize(*args)
 
-        def recording_fit(course, as_of, *args):
-            course_fits.append((course.meta.course_id, as_of))
-            return fit_course_model(course, as_of, *args)
+        def recording_fit(course, m, *args):
+            course_fits.append((course.meta.course_id, m.as_of))
+            return fit_course_model(course, m, *args)
 
         monkeypatch.setattr(linear, "_minimize", counting_minimize)
         monkeypatch.setattr(paradigms, "fit_course_model", recording_fit)
@@ -486,6 +516,29 @@ class TestModelTable:
         assert set(course_fits) == keys
         in_situ_cells = sum(len(prediction_weeks(c.meta, "in_situ")) for c in corpus)
         assert len(solves) == len(keys) + len(corpus) + in_situ_cells
+
+    def test_each_snapshot_built_at_most_twice(self, small_corpus, monkeypatch):
+        # once by its course's fit task and once by its target course's score task
+        builds, walk, build = [], paradigms.snapshots, paradigms.build_matrix
+
+        def counting_walk(course, dates):
+            for m in walk(course, dates):
+                builds.append((course.meta.course_id, m.as_of))
+                yield m
+
+        def counting_build(course, as_of):
+            builds.append((course.meta.course_id, as_of))
+            return build(course, as_of)
+
+        monkeypatch.setattr(paradigms, "snapshots", counting_walk)
+        monkeypatch.setattr(paradigms, "build_matrix", counting_build)
+        report = run_experiment(small_corpus, PARADIGMS, jobs=1)
+        assert {r.paradigm for r in report.rows} == set(PARADIGMS)
+        counts = Counter(builds)
+        assert max(counts.values()) <= 2, counts.most_common(3)
+        weeks = {(c.meta.course_id, week_date(c.meta, w)) for c in small_corpus
+                 for kind in PARADIGMS for w in prediction_weeks(c.meta, kind)}
+        assert weeks <= set(counts)
 
     def test_jobs_do_not_change_results_for_any_paradigm(self, handmade_corpus):
         a = run_experiment(handmade_corpus, PARADIGMS, jobs=1)
@@ -509,11 +562,7 @@ class TestModelTable:
         assert standalone == _outcomes(report)
 
     def test_single_class_course_skips_the_cells_that_train_on_it(self):
-        corpus = [
-            _mini_course("SCAx", "STEM", 40, seed=1),
-            _mini_course("SCBx", "STEM", 60, seed=2, certify=False),
-            _mini_course("SCCx", "Hum", 50, seed=3),
-        ]
+        corpus = _single_class_corpus()
         assert corpus[1].certified.sum() == 0
         report = run_experiment(corpus, PARADIGMS)
 
@@ -529,6 +578,19 @@ class TestModelTable:
         assert not [r for r in report.rows if r.paradigm == "multi_course"]
         assert {(r.paradigm, r.course_id) for r in report.rows} >= {
             ("post_hoc", "SCAx"), ("post_hoc", "SCCx"), ("baseline1", "SCCx")}
+
+    def test_one_task_per_course_jobs_at_holdout(self):
+        # three courses give each phase three tasks: jobs=3 fills the pool, jobs=4 overfills it
+        corpus = _single_class_corpus()
+        a = run_experiment(corpus, PARADIGMS, holdout=0.3, jobs=1)
+        assert {r.paradigm for r in a.rows} == {"post_hoc", "in_situ", "baseline1", "baseline2"}
+        assert {reason for *_, reason in a.skipped} >= {
+            "training labels contain a single class", "no other Hum course to train same_field "
+            "for 'SCCx'"}
+        for jobs in (3, 4):
+            b = run_experiment(corpus, PARADIGMS, holdout=0.3, jobs=jobs)
+            assert a.rows == b.rows and a.aggregates == b.aggregates
+            assert a.skipped == b.skipped
 
 
 class TestRosterRows:
