@@ -278,7 +278,11 @@ def _read_manifest(path: Path) -> dict:
     )
 
 
-def _growth_setup(g: dict, where: str) -> tuple[GrowthPlan, SgdConfig, int, float, str]:
+# A parsed sweep: plan, SGD settings, week, split and norm.
+_Sweep = tuple[GrowthPlan, SgdConfig, int, float, str]
+
+
+def _growth_setup(g: dict, where: str) -> _Sweep:
     """Sweep plan, SGD settings, week, split and norm from values named as grow's options."""
     split = _checked(where, "split", g["split"], lambda v: 0 < v < 1, "in (0, 1)")
     if g["norm"] not in ("zscore", "percentile"):
@@ -300,7 +304,7 @@ def _growth_setup(g: dict, where: str) -> tuple[GrowthPlan, SgdConfig, int, floa
     return plan, cfg, g["week"], float(split), g["norm"]
 
 
-def _growth_from_manifest(doc: dict, path: Path) -> tuple[GrowthPlan, SgdConfig, int, float, str]:
+def _growth_from_manifest(doc: dict, path: Path) -> _Sweep:
     g = doc["growth_plan"]
     if not isinstance(g, dict):
         raise BadConfigError(f"{path}: growth_plan must be a JSON object")
@@ -322,6 +326,18 @@ def _split_for_growth(course, week, split, norm, seed):
     _, (m_train, m_test) = normalize(m_train, [m_train, m.take(test_rows)], norm)
     return (m_train.values, course.certified[train_rows],
             m_test.values, course.certified[test_rows])
+
+
+def _grow_and_save(course, sweep: _Sweep, out_dir: Path):
+    """Run the sweep on the course's growth split and write growth.csv and
+    best_model.json to out_dir; returns the sweep's report."""
+    plan, cfg, week, split, norm = sweep
+    # the split returns arrays only, so the raw matrix is freed before training
+    report = grow_and_train(*_split_for_growth(course, week, split, norm, cfg.seed), plan, cfg)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_growth_csv(report, out_dir / "growth.csv")
+    save_mlp(report.best_model(), out_dir / "best_model.json")
+    return report
 
 
 def _grow_course_choice(corpus) -> object:
@@ -360,27 +376,18 @@ def cmd_run(args) -> int:
     )
     emit_report(report, out_dir)
     if sweep is not None:
-        plan, cfg, week, split, norm = sweep
         course = _grow_course_choice(corpus)
-        Xtr, ytr, Xte, yte = _split_for_growth(course, week, split, norm, cfg.seed)
-        growth = grow_and_train(Xtr, ytr, Xte, yte, plan, cfg)
-        write_growth_csv(growth, out_dir / "growth.csv")
-        save_mlp(growth.best_model(), out_dir / "best_model.json")
-        print(f"growth sweep on {course.meta.course_id}: best {growth.best().phase} "
-              f"w={growth.best().w} h={growth.best().h} auc={growth.best().auc:.4f}")
+        best = _grow_and_save(course, sweep, out_dir).best()
+        print(f"growth sweep on {course.meta.course_id}: best {best.phase} "
+              f"w={best.w} h={best.h} auc={best.auc:.4f}")
     print(f"wrote report to {out_dir} ({len(report.rows)} rows, "
           f"{len(report.skipped)} skipped cells)")
     return 0
 
 
 def cmd_grow(args) -> int:
-    plan, cfg, week, split, norm = _growth_setup(vars(args), "grow")
-    course = load_course_dir(args.course_dir)
-    Xtr, ytr, Xte, yte = _split_for_growth(course, week, split, norm, cfg.seed)
-    report = grow_and_train(Xtr, ytr, Xte, yte, plan, cfg)
-    args.out_dir.mkdir(parents=True, exist_ok=True)
-    write_growth_csv(report, args.out_dir / "growth.csv")
-    save_mlp(report.best_model(), args.out_dir / "best_model.json")
+    sweep = _growth_setup(vars(args), "grow")
+    report = _grow_and_save(load_course_dir(args.course_dir), sweep, args.out_dir)
     best = report.best()
     print(f"wrote {args.out_dir / 'growth.csv'} ({len(report.rows)} rows); "
           f"best {best.phase} w={best.w} h={best.h} auc={best.auc:.4f}")

@@ -3,7 +3,11 @@
 Every student becomes a 66-column row: 33 demographic dummy variables (age,
 level of education, gender, continent, each with an explicit null slot), the
 31 clickstream counters accumulated through the as-of date, a 0/1 pre-course
-survey flag, and a recency column (days since last action).
+survey flag, and a recency column (days since last action). This one layout
+is a set of module constants: FEATURE_NAMES (WIDTH of them), BLOCKS (block
+name -> column range, in order) and PERCENTILE_COLUMNS. Matrices and stats
+carry no layout of their own; the readers (load_matrix, load_norm_stats and
+norm_stats_from_dict) check a file against it.
 
 A snapshot does no per-student Python work. The demographic dummies and the
 survey flag come from the course's Roster columns (yob, loe, gender,
@@ -22,7 +26,7 @@ import json
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -54,26 +58,7 @@ _GENDER_NAMES = tuple(f"gender_{v.lower()}" for v in GENDERS) + ("gender_null",)
 _CONTINENT_NAMES = tuple(f"continent_{v.lower()}" for v in CONTINENTS) + ("continent_null",)
 
 
-@dataclass(frozen=True)
-class FeatureSchema:
-    """Ordered column names plus the partition of columns into named blocks."""
-
-    names: tuple[str, ...]
-    blocks: Mapping[str, range]
-
-    def __post_init__(self) -> None:
-        if len(set(self.names)) != len(self.names):
-            raise BadValueError("feature names must be unique")
-        covered = sorted(i for r in self.blocks.values() for i in r)
-        if covered != list(range(len(self.names))):
-            raise BadValueError("blocks must partition the columns exactly")
-
-    @property
-    def width(self) -> int:
-        return len(self.names)
-
-
-def _build_default_schema() -> FeatureSchema:
+def _layout() -> tuple[tuple[str, ...], dict[str, range]]:
     names: list[str] = []
     blocks: dict[str, range] = {}
     for block, cols in (
@@ -87,27 +72,28 @@ def _build_default_schema() -> FeatureSchema:
     ):
         blocks[block] = range(len(names), len(names) + len(cols))
         names.extend(cols)
-    return FeatureSchema(tuple(names), blocks)
+    return tuple(names), blocks
 
 
-DEFAULT_SCHEMA: FeatureSchema = _build_default_schema()
-
-# Columns eligible for percentile normalization: counts and the recency column.
-_PERCENTILE_BLOCKS = ("clickstream_cumulative", "days_since_last_action")
+# The one feature layout: ordered column names and the named blocks that partition them.
+FEATURE_NAMES, BLOCKS = _layout()
+WIDTH = len(FEATURE_NAMES)
 DEMOGRAPHIC_BLOCKS = ("age_dummies", "loe_dummies", "gender_dummies", "continent_dummies")
+# Columns eligible for percentile normalization: the counters and the recency column.
+PERCENTILE_COLUMNS = (tuple(BLOCKS["clickstream_cumulative"])
+                      + tuple(BLOCKS["days_since_last_action"]))
 
 
 @dataclass(frozen=True)
 class FeatureMatrix:
     """Feature rows for one course snapshot; rows follow sorted student ids."""
 
-    schema: FeatureSchema
     student_ids: tuple[str, ...]
     values: np.ndarray
     as_of: datetime.date
 
     def __post_init__(self) -> None:
-        expected = (len(self.student_ids), self.schema.width)
+        expected = (len(self.student_ids), WIDTH)
         if self.values.shape != expected:
             raise BadValueError(f"matrix shape {self.values.shape} != {expected}")
         if self.values.size and not np.all(np.isfinite(self.values)):
@@ -119,8 +105,8 @@ class FeatureMatrix:
 
     def take(self, rows: np.ndarray) -> "FeatureMatrix":
         """The matrix of the given row indices, in that order, ids kept aligned."""
-        return FeatureMatrix(self.schema, tuple(self.student_ids[i] for i in rows),
-                             self.values[rows], self.as_of)
+        return FeatureMatrix(tuple(self.student_ids[i] for i in rows), self.values[rows],
+                             self.as_of)
 
 
 def split_rows(n: int, test_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -146,10 +132,10 @@ def demographic_dummies(course: CourseData) -> np.ndarray:
     r = course.roster
     age = np.where(np.isnan(r.yob), len(_AGE_NAMES) - 1,
                    np.searchsorted(_AGE_EDGES, 2012 - r.yob, side="right"))
-    out = np.zeros((len(r), DEFAULT_SCHEMA.blocks[DEMOGRAPHIC_BLOCKS[-1]].stop))
+    out = np.zeros((len(r), BLOCKS[DEMOGRAPHIC_BLOCKS[-1]].stop))
     rows = np.arange(len(r))
     for block, slot in zip(DEMOGRAPHIC_BLOCKS, (age, r.loe, r.gender, r.continent)):
-        out[rows, DEFAULT_SCHEMA.blocks[block].start + slot] = 1.0
+        out[rows, BLOCKS[block].start + slot] = 1.0
     return out
 
 
@@ -187,12 +173,11 @@ def _walk(
     course: CourseData, dates: Sequence[datetime.date], offs: list[int]
 ) -> Iterator[FeatureMatrix]:
     n = course.n_students
-    schema = DEFAULT_SCHEMA
-    base = np.zeros((n, schema.width))
-    base[:, :schema.blocks[DEMOGRAPHIC_BLOCKS[-1]].stop] = demographic_dummies(course)
-    base[:, schema.blocks["precourse_survey"].start] = course.roster.took_precourse_survey
-    counters = schema.blocks["clickstream_cumulative"]
-    recency = schema.blocks["days_since_last_action"].start
+    base = np.zeros((n, WIDTH))
+    base[:, :BLOCKS[DEMOGRAPHIC_BLOCKS[-1]].stop] = demographic_dummies(course)
+    base[:, BLOCKS["precourse_survey"].start] = course.roster.took_precourse_survey
+    counters = BLOCKS["clickstream_cumulative"]
+    recency = BLOCKS["days_since_last_action"].start
     table = course.activity
     cum = np.zeros((len(CLICKSTREAM_FEATURES), n))  # one contiguous row per counter
     last = np.full(n, -1)  # the last day with nevents > 0, -1 for none yet
@@ -203,7 +188,7 @@ def _walk(
         m = base.copy()
         m[:, counters.start:counters.stop] = cum.T
         m[:, recency] = np.where(last >= 0, off - last, off + 1)  # never active: off + 1
-        yield FeatureMatrix(schema, course.roster.student_ids, m, as_of)
+        yield FeatureMatrix(course.roster.student_ids, m, as_of)
 
 
 def _add_rows(table: ActivityTable, rows: np.ndarray, cum: np.ndarray, last: np.ndarray) -> None:
@@ -227,28 +212,36 @@ def build_matrix(course: CourseData, as_of: datetime.date) -> FeatureMatrix:
 class NormStats:
     """Normalization parameters fit on training rows only.
 
-    kind "zscore": per-column mean and population standard deviation.
-    kind "percentile": sorted training reference values for the count-like
-    columns (clickstream block and recency); other columns pass through.
+    kind "zscore": per-column mean and population standard deviation, WIDTH
+    finite values each. kind "percentile": one non-empty, sorted, finite
+    vector of training values per PERCENTILE_COLUMNS entry (the counters and
+    recency); other columns pass through.
     """
 
     kind: str
-    names: tuple[str, ...]
     mean: np.ndarray | None = None
     std: np.ndarray | None = None
-    norm_columns: tuple[int, ...] | None = None
     references: tuple[np.ndarray, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.kind == "zscore":
             if self.mean is None or self.std is None:
                 raise BadValueError("zscore stats need mean and std")
+            for key, v in (("mean", self.mean), ("std", self.std)):
+                if v.shape != (WIDTH,) or not np.all(np.isfinite(v)):
+                    raise BadValueError(f"zscore {key} must be {WIDTH} finite values, "
+                                        f"got shape {v.shape}")
             if np.any(self.std < 0):
                 raise BadValueError("standard deviations must be >= 0")
         elif self.kind == "percentile":
-            if self.norm_columns is None or self.references is None:
-                raise BadValueError("percentile stats need reference columns")
+            if self.references is None:
+                raise BadValueError("percentile stats need references")
+            if len(self.references) != len(PERCENTILE_COLUMNS):
+                raise BadValueError(f"percentile stats need {len(PERCENTILE_COLUMNS)} "
+                                    f"references, got {len(self.references)}")
             for ref in self.references:
+                if ref.ndim != 1 or not len(ref) or not np.all(np.isfinite(ref)):
+                    raise BadValueError("percentile references must be non-empty finite vectors")
                 if np.any(np.diff(ref) < 0):
                     raise BadValueError("percentile references must be sorted")
         else:
@@ -260,48 +253,31 @@ def _require_rows(m: FeatureMatrix) -> None:
         raise EmptyMatrixError("cannot fit normalization statistics on an empty matrix")
 
 
-def _require_schema(m: FeatureMatrix, stats: NormStats, kind: str) -> None:
+def _require_kind(stats: NormStats, kind: str) -> None:
     if stats.kind != kind:
         raise SchemaMismatchError(f"expected {kind} stats, got {stats.kind}")
-    if stats.names != m.schema.names:
-        raise SchemaMismatchError("normalization stats were fit on a different schema")
 
 
 def fit_zscore(train: FeatureMatrix) -> NormStats:
     """Per-column mean and population standard deviation of the training rows."""
     _require_rows(train)
-    return NormStats(
-        kind="zscore",
-        names=train.schema.names,
-        mean=train.values.mean(axis=0),
-        std=train.values.std(axis=0),
-    )
+    return NormStats(kind="zscore", mean=train.values.mean(axis=0), std=train.values.std(axis=0))
 
 
 def apply_zscore(m: FeatureMatrix, stats: NormStats) -> FeatureMatrix:
     """Standardize every column; zero-variance columns map to 0 (no clipping)."""
-    _require_schema(m, stats, "zscore")
+    _require_kind(stats, "zscore")
     safe = np.where(stats.std > 0, stats.std, 1.0)
     values = (m.values - stats.mean) / safe
     values[:, stats.std == 0] = 0.0
-    return FeatureMatrix(m.schema, m.student_ids, values, m.as_of)
-
-
-def percentile_columns(schema: FeatureSchema) -> tuple[int, ...]:
-    cols: list[int] = []
-    for block in _PERCENTILE_BLOCKS:
-        cols.extend(schema.blocks[block])
-    return tuple(cols)
+    return FeatureMatrix(m.student_ids, values, m.as_of)
 
 
 def fit_percentile(train: FeatureMatrix) -> NormStats:
     """Record sorted training values for the count-like columns."""
     _require_rows(train)
-    cols = percentile_columns(train.schema)
-    refs = tuple(np.sort(train.values[:, j]) for j in cols)
-    return NormStats(
-        kind="percentile", names=train.schema.names, norm_columns=cols, references=refs
-    )
+    refs = tuple(np.sort(train.values[:, j]) for j in PERCENTILE_COLUMNS)
+    return NormStats(kind="percentile", references=refs)
 
 
 def apply_percentile(m: FeatureMatrix, stats: NormStats) -> FeatureMatrix:
@@ -310,13 +286,13 @@ def apply_percentile(m: FeatureMatrix, stats: NormStats) -> FeatureMatrix:
     value' = (count below + half the count equal) / reference size, which is
     monotone in the raw value and lands in [0, 1].
     """
-    _require_schema(m, stats, "percentile")
+    _require_kind(stats, "percentile")
     values = m.values.copy()
-    for j, ref in zip(stats.norm_columns, stats.references):
+    for j, ref in zip(PERCENTILE_COLUMNS, stats.references):
         lo = np.searchsorted(ref, values[:, j], side="left")
         hi = np.searchsorted(ref, values[:, j], side="right")
         values[:, j] = (lo + 0.5 * (hi - lo)) / len(ref)
-    return FeatureMatrix(m.schema, m.student_ids, values, m.as_of)
+    return FeatureMatrix(m.student_ids, values, m.as_of)
 
 
 def percentile_within(m: FeatureMatrix) -> FeatureMatrix:
@@ -328,9 +304,9 @@ def percentile_within(m: FeatureMatrix) -> FeatureMatrix:
     """
     _require_rows(m)
     values = m.values.copy()
-    for j in percentile_columns(m.schema):
+    for j in PERCENTILE_COLUMNS:
         values[:, j] = (_midranks(values[:, j]) - 0.5) / m.n_rows
-    return FeatureMatrix(m.schema, m.student_ids, values, m.as_of)
+    return FeatureMatrix(m.student_ids, values, m.as_of)
 
 
 def normalize(train: FeatureMatrix, targets: Sequence[FeatureMatrix], kind: str):
@@ -345,14 +321,14 @@ def normalize(train: FeatureMatrix, targets: Sequence[FeatureMatrix], kind: str)
 
 
 # ---------------------------------------------------------------------------
-# Serialization
+# Serialization: the readers are where a file is checked against the layout
 # ---------------------------------------------------------------------------
 
 def write_matrix(m: FeatureMatrix, path: str | Path) -> None:
-    """Write a feature matrix as CSV: student_id column, then schema columns."""
+    """Write a feature matrix as CSV: student_id column, then the FEATURE_NAMES columns."""
     with open(path, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
-        w.writerow(("student_id",) + m.schema.names)
+        w.writerow(("student_id",) + FEATURE_NAMES)
         # csv.writer writes a float as its repr; a row at a time keeps few floats alive
         w.writerows([sid, *row.tolist()] for sid, row in zip(m.student_ids, m.values))
 
@@ -367,8 +343,8 @@ def load_matrix(path: str | Path, as_of: datetime.date) -> FeatureMatrix:
             raise MissingColumnError(f"{path}: empty file") from None
         if header[:1] != ["student_id"]:
             raise MissingColumnError(f"{path}: first column must be student_id")
-        if tuple(header[1:]) != DEFAULT_SCHEMA.names:
-            raise SchemaMismatchError(f"{path}: columns do not match the feature schema")
+        if tuple(header[1:]) != FEATURE_NAMES:
+            raise SchemaMismatchError(f"{path}: columns do not match the feature layout")
         ids = []
         values = array("d")
         for lineno, row in enumerate(reader, start=2):
@@ -381,45 +357,48 @@ def load_matrix(path: str | Path, as_of: datetime.date) -> FeatureMatrix:
                 values.extend(map(float, row[1:]))
             except ValueError:
                 raise BadValueError(f"{path}:{lineno}: non-numeric feature value") from None
-    return FeatureMatrix(DEFAULT_SCHEMA, tuple(ids),
-                         np.array(values).reshape(len(ids), DEFAULT_SCHEMA.width), as_of)
+    return FeatureMatrix(tuple(ids), np.array(values).reshape(len(ids), WIDTH), as_of)
 
 
 def norm_stats_to_dict(stats: NormStats) -> dict:
-    doc: dict = {"kind": stats.kind, "names": list(stats.names)}
+    doc: dict = {"kind": stats.kind, "names": list(FEATURE_NAMES)}
     if stats.kind == "zscore":
         doc["mean"] = stats.mean.tolist()
         doc["std"] = stats.std.tolist()
     else:
-        doc["columns"] = list(stats.norm_columns)
+        doc["columns"] = list(PERCENTILE_COLUMNS)
         doc["references"] = [r.tolist() for r in stats.references]
     return doc
 
 
-_NORM_KEYS = {"zscore": ("mean", "std"), "percentile": ("columns", "references")}
+_NORM_KEYS = {"zscore": ("names", "mean", "std"), "percentile": ("names", "columns", "references")}
 
 
 def norm_stats_from_dict(doc: dict) -> NormStats:
+    """Stats from norm_stats_to_dict's form, checked against the feature layout.
+
+    The names must be FEATURE_NAMES and a percentile file's columns
+    PERCENTILE_COLUMNS (else SchemaMismatchError); missing keys and values
+    of the wrong length or kind raise BadValueError.
+    """
+    if not isinstance(doc, dict):
+        raise BadValueError("normalization stats must be a JSON object")
     kind = doc.get("kind")
     if kind not in _NORM_KEYS:
         raise BadValueError(f"unknown normalization kind {kind!r}")
     for key in _NORM_KEYS[kind]:
         if key not in doc:
             raise BadValueError(f"{kind} stats need {key!r}")
-    names = tuple(doc.get("names", ()))
+    if doc["names"] != list(FEATURE_NAMES):
+        raise SchemaMismatchError("normalization stats name other columns than the feature layout")
     if kind == "zscore":
-        return NormStats(
-            kind="zscore",
-            names=names,
-            mean=np.asarray(doc["mean"], dtype=np.float64),
-            std=np.asarray(doc["std"], dtype=np.float64),
-        )
-    return NormStats(
-        kind="percentile",
-        names=names,
-        norm_columns=tuple(int(c) for c in doc["columns"]),
-        references=tuple(np.asarray(r, dtype=np.float64) for r in doc["references"]),
-    )
+        return NormStats(kind="zscore", mean=np.asarray(doc["mean"], dtype=np.float64),
+                         std=np.asarray(doc["std"], dtype=np.float64))
+    if doc["columns"] != list(PERCENTILE_COLUMNS):
+        raise SchemaMismatchError("percentile columns must be the counters and recency "
+                                  f"columns {PERCENTILE_COLUMNS[0]}..{PERCENTILE_COLUMNS[-1]}")
+    return NormStats(kind="percentile",
+                     references=tuple(np.asarray(r, dtype=np.float64) for r in doc["references"]))
 
 
 def save_norm_stats(stats: NormStats, path: str | Path) -> None:
@@ -430,10 +409,14 @@ def save_norm_stats(stats: NormStats, path: str | Path) -> None:
 
 
 def load_norm_stats(path: str | Path) -> NormStats:
-    """Read stats written by save_norm_stats (the .norm.json beside a features matrix)."""
-    with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
+    """Read stats written by save_norm_stats (the .norm.json beside a features matrix).
+
+    Every error of norm_stats_from_dict, and a file that is not JSON, names the path.
+    """
     try:
-        return norm_stats_from_dict(doc)
-    except BadValueError as e:
+        with open(path, encoding="utf-8") as f:
+            return norm_stats_from_dict(json.load(f))
+    except SchemaMismatchError as e:
+        raise SchemaMismatchError(f"{path}: {e}") from None
+    except (TypeError, ValueError, BadValueError) as e:
         raise BadValueError(f"{path}: {e}") from None

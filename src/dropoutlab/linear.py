@@ -34,8 +34,10 @@ from .errors import (
     SingleClassError,
 )
 from .features import (
-    DEFAULT_SCHEMA,
+    BLOCKS,
     DEMOGRAPHIC_BLOCKS,
+    FEATURE_NAMES,
+    WIDTH,
     FeatureMatrix,
     NormStats,
     demographic_dummies,
@@ -62,7 +64,7 @@ class ScoredStudents:
 
 @dataclass(frozen=True)
 class LinearModel:
-    """Logistic hyperplane over the feature schema columns."""
+    """Logistic hyperplane over the feature columns."""
 
     weights: np.ndarray
     intercept: float
@@ -209,12 +211,8 @@ def train_logreg(
 
 def predict_proba(m: LinearModel, X: FeatureMatrix) -> ScoredStudents:
     """Certification probabilities via the logistic link."""
-    if len(m.weights) != X.schema.width:
-        raise SchemaMismatchError(
-            f"model has {len(m.weights)} weights, matrix has {X.schema.width} columns"
-        )
-    if m.norm is not None and m.norm.names != X.schema.names:
-        raise SchemaMismatchError("model was trained on a different schema")
+    if len(m.weights) != WIDTH:
+        raise SchemaMismatchError(f"model has {len(m.weights)} weights, matrix has {WIDTH} columns")
     z = X.values @ m.weights + m.intercept
     return ScoredStudents(X.student_ids, _sigmoid(z))
 
@@ -240,8 +238,8 @@ def average_hyperplanes(models: Sequence[LinearModel]) -> LinearModel:
     return LinearModel(weights=weights, intercept=intercept, reg_C=models[0].reg_C, norm=None)
 
 
-# Schema columns of the demographic dummies, in demographic_dummies order.
-_DEMO_COLS = np.array([i for blk in DEMOGRAPHIC_BLOCKS for i in DEFAULT_SCHEMA.blocks[blk]])
+# Columns of the demographic dummies, in demographic_dummies order.
+_DEMO_COLS = np.array([i for blk in DEMOGRAPHIC_BLOCKS for i in BLOCKS[blk]])
 
 
 def baseline_demographics(
@@ -253,7 +251,7 @@ def baseline_demographics(
     activity can never influence the score.
     """
     w_demo, b = _fit(demographic_dummies(course), course.certified, C, opt)
-    weights = np.zeros(DEFAULT_SCHEMA.width)
+    weights = np.zeros(WIDTH)
     weights[_DEMO_COLS] = w_demo
     return LinearModel(weights=weights, intercept=b, reg_C=C, norm=None)
 
@@ -266,21 +264,20 @@ def score_demographics(m: LinearModel, course: CourseData) -> ScoredStudents:
 
 def baseline_recency(m: FeatureMatrix) -> ScoredStudents:
     """Recency ranking (Baseline 2) of a snapshot: score = -days_since_last_action, no training."""
-    recency = m.schema.blocks["days_since_last_action"].start
-    return ScoredStudents(m.student_ids, -m.values[:, recency])
+    return ScoredStudents(m.student_ids, -m.values[:, BLOCKS["days_since_last_action"].start])
 
 
 # ---------------------------------------------------------------------------
 # Model files
 # ---------------------------------------------------------------------------
 
-def schema_hash(names: Sequence[str] = DEFAULT_SCHEMA.names) -> str:
-    return hashlib.sha256("\n".join(names).encode("utf-8")).hexdigest()
+# A model file's fingerprint of the feature layout it was trained on.
+SCHEMA_HASH = hashlib.sha256("\n".join(FEATURE_NAMES).encode("utf-8")).hexdigest()
 
 
 def save_model(m: LinearModel, path: str | Path) -> None:
     doc = {
-        "schema_hash": schema_hash(),
+        "schema_hash": SCHEMA_HASH,
         "weights": m.weights.tolist(),
         "intercept": m.intercept,
         "C": m.reg_C,
@@ -294,21 +291,30 @@ def save_model(m: LinearModel, path: str | Path) -> None:
 def load_model(path: str | Path) -> LinearModel:
     """Read a model written by save_model (train's model JSON).
 
-    A file that is not such a model raises BadValueError naming it; one
-    written for another feature schema raises SchemaMismatchError.
+    A file that is not such a model, or that has other than WIDTH weights,
+    raises BadValueError naming it; one written for another feature layout
+    (its schema_hash, or the names or columns of its norm) raises
+    SchemaMismatchError naming it. The norm is checked as load_norm_stats
+    checks a stats file.
     """
     try:
         with open(path, encoding="utf-8") as f:
             doc = json.load(f)
-        if doc.get("schema_hash") != schema_hash():
-            raise SchemaMismatchError(f"{path}: model schema does not match this feature schema")
-        return LinearModel(
+        if doc.get("schema_hash") != SCHEMA_HASH:
+            raise SchemaMismatchError("schema_hash does not match this feature layout")
+        model = LinearModel(
             weights=np.asarray(doc["weights"], dtype=np.float64),
             intercept=float(doc["intercept"]),
             reg_C=float(doc["C"]),
             norm=None if doc.get("norm") is None else norm_stats_from_dict(doc["norm"]),
         )
+    except SchemaMismatchError as e:
+        raise SchemaMismatchError(f"{path}: {e}") from None
     except KeyError as e:
         raise BadValueError(f"{path}: missing key {e}") from None
     except (AttributeError, TypeError, ValueError, BadValueError) as e:
         raise BadValueError(f"{path}: {e}") from None
+    if len(model.weights) != WIDTH:
+        raise BadValueError(f"{path}: model has {len(model.weights)} weights "
+                            f"for {WIDTH} feature columns")
+    return model

@@ -443,8 +443,8 @@ def _task_keys(
     return list(keys)
 
 
-def _score_course(args) -> dict[str, tuple[list[tuple], list[tuple]]]:
-    """Every weekly cell of one target course, per paradigm: rows plus skipped records.
+def _score_course(args) -> tuple[list[tuple], list[tuple]]:
+    """Every weekly cell of one target course: its rows and its skipped records.
 
     One walk over the weeks where some paradigm reads a snapshot builds each
     week's snapshot once; every paradigm scored that week reads it.
@@ -455,13 +455,13 @@ def _score_course(args) -> dict[str, tuple[list[tuple], list[tuple]]]:
     weeks = {kind: set(prediction_weeks(target.meta, kind)) for kind in kinds}
     read = sorted({w for kind in kinds if kind != "baseline1" for w in weeks[kind]})
     walk = snapshots(target, [week_date(target.meta, w) for w in read])
-    out: dict[str, tuple[list[tuple], list[tuple]]] = {kind: ([], []) for kind in kinds}
+    rows: list[tuple] = []
+    skipped: list[tuple] = []
     for w in sorted(set().union(*weeks.values())):
         week = _Week(next(walk) if w in read else None)
         for kind in kinds:
             if w not in weeks[kind]:
                 continue
-            rows, skipped = out[kind]
             try:
                 scored = _score_cell(corpus, kind, target_id, w, models, C, holdout, seed, week)
                 y = target.certified
@@ -471,7 +471,7 @@ def _score_course(args) -> dict[str, tuple[list[tuple], list[tuple]]]:
                 rows.append((kind, target_id, w, auc, len(y), int(y.sum())))
             except (SingleClassError, InvalidParadigmError) as e:  # e.g. no same-field source
                 skipped.append((kind, target_id, w, str(e)))
-    return out
+    return rows, skipped
 
 
 def run_experiment(
@@ -492,10 +492,9 @@ def run_experiment(
     each target course's weeks once and scores every paradigm's cell of a
     week from one snapshot, z-scored at most once, and its keys' models.
     jobs > 1 runs both phases on one process pool: first the fit tasks, then
-    the score tasks. The table lives only for this call, and rows and skipped
-    cells are assembled in (paradigm, course, week) order, so the report is
-    identical for any jobs value. A kind listed twice is rejected: its rows
-    would enter every aggregate twice.
+    the score tasks. The table lives only for this call, and the report sorts
+    rows and skipped cells, so it is identical for any jobs value. A kind
+    listed twice is rejected: its rows would enter every aggregate twice.
     """
     if len(corpus) == 0:
         raise BadValueError("corpus must be non-empty")
@@ -521,12 +520,5 @@ def run_experiment(
             (kinds, cid, C, holdout, seed, {key: table[key] for key in course_keys[cid]})
             for cid in course_ids
         ])
-    by_course = dict(zip(course_ids, results))
-    rows: list[EvalRow] = []
-    skipped: list[tuple] = []
-    for kind in kinds:
-        for cid in course_ids:
-            cell_rows, cell_skipped = by_course[cid][kind]
-            rows.extend(EvalRow(*r) for r in cell_rows)
-            skipped.extend(cell_skipped)
-    return EvalReport.from_rows(rows, skipped)
+    return EvalReport.from_rows([EvalRow(*r) for rows, _ in results for r in rows],
+                                [s for _, skipped in results for s in skipped])

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, defaults, determinism, manifests."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -215,6 +216,37 @@ class TestFeaturesAndTrain:
         model = load_model(out)
         assert np.any(model.weights[:33] != 0.0)
         assert np.all(model.weights[33:] == 0.0)
+
+
+# sha256 of each features and train file for course_dir at week -1, as the
+# command wrote them before the feature layout became module constants
+_ARTIFACT_DIGESTS = {
+    "zscore.csv": "6065ba73c7dccda7886688a3454f15a67bb8b3f9478edd0f13f514aa769eb851",
+    "zscore.csv.norm.json": "9daa2f396a58266e57b0ee118351ad2981f42a79b150b0cc0086727bd634a9f4",
+    "percentile.csv": "b56472c043a8b99f44ba0457b83521c0b5eab4e4de2bda14a8fd8bcda1646396",
+    "percentile.csv.norm.json": "2e49300190793efccedc40d84e86fb86f30b080ef5e9f18cdf8071d9cedf5fd9",
+    "none.csv": "3f25f8397356d6a690aa7310c4818559ebbaa2827ca16b8455de4744c68049b8",
+    "post_hoc.json": "958f25fc5878657024e6dbaa3c3f46cdf189e8a90fcff60223960e142eaa4637",
+    "baseline1.json": "c0242eba5b26fccf339bf9e32aaa03117e48737d1d2b2ce26253584187b1e19f",
+}
+
+
+class TestArtifactBytes:
+    def test_features_and_train_files_are_pinned(self, course_dir, tmp_path):
+        from dropoutlab.features import FEATURE_NAMES, PERCENTILE_COLUMNS
+
+        for norm in ("zscore", "percentile", "none"):
+            assert main(["features", "--course-dir", str(course_dir), "--week", "-1",
+                         "--norm", norm, "--out", str(tmp_path / f"{norm}.csv")]) == 0
+        for kind in ("post_hoc", "baseline1"):
+            assert main(["train", "--course-dir", str(course_dir), "--week", "-1",
+                         "--kind", kind, "--out", str(tmp_path / f"{kind}.json")]) == 0
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+        assert digests == _ARTIFACT_DIGESTS
+        z, pc = (json.loads((tmp_path / f"{norm}.csv.norm.json").read_text())
+                 for norm in ("zscore", "percentile"))
+        assert z["names"] == pc["names"] == list(FEATURE_NAMES)
+        assert pc["columns"] == list(PERCENTILE_COLUMNS)
 
 
 def _write_manifest(tmp_path, **overrides):

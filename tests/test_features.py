@@ -1,4 +1,4 @@
-"""Feature schema, demographic encoding, cumulative counters, normalization."""
+"""Feature layout, demographic encoding, cumulative counters, normalization."""
 
 import datetime
 import itertools
@@ -19,7 +19,10 @@ from dropoutlab.dataset import (
 )
 from dropoutlab.errors import BadDateError, BadValueError, EmptyMatrixError, SchemaMismatchError
 from dropoutlab.features import (
-    DEFAULT_SCHEMA,
+    BLOCKS,
+    FEATURE_NAMES,
+    PERCENTILE_COLUMNS,
+    WIDTH,
     FeatureMatrix,
     apply_percentile,
     apply_zscore,
@@ -31,7 +34,6 @@ from dropoutlab.features import (
     load_matrix,
     load_norm_stats,
     normalize,
-    percentile_columns,
     percentile_within,
     save_norm_stats,
     snapshots,
@@ -56,8 +58,8 @@ from conftest import (
 
 class TestSchema:
     def test_width_and_blocks(self):
-        assert len(DEFAULT_SCHEMA.names) == 66
-        widths = {b: len(ix) for b, ix in DEFAULT_SCHEMA.blocks.items()}
+        assert len(FEATURE_NAMES) == WIDTH == 66
+        widths = {b: len(ix) for b, ix in BLOCKS.items()}
         assert widths == {
             "age_dummies": 13, "loe_dummies": 8, "gender_dummies": 4,
             "continent_dummies": 8, "clickstream_cumulative": 31,
@@ -65,23 +67,25 @@ class TestSchema:
         }
 
     def test_blocks_partition_columns(self):
-        seen = sorted(i for ix in DEFAULT_SCHEMA.blocks.values() for i in ix)
+        seen = sorted(i for ix in BLOCKS.values() for i in ix)
         assert seen == list(range(66))
 
+    def test_names_unique(self):
+        assert len(set(FEATURE_NAMES)) == len(FEATURE_NAMES)
+
     def test_cumulative_names_prefixed(self):
-        cum = [DEFAULT_SCHEMA.names[i] for i in DEFAULT_SCHEMA.blocks["clickstream_cumulative"]]
+        cum = [FEATURE_NAMES[i] for i in BLOCKS["clickstream_cumulative"]]
         assert all(n.startswith("cum_") for n in cum)
         assert cum[0] == "cum_avg_dt" and cum[-1] == "cum_problems_other"
 
-    def test_percentile_columns_are_counters_plus_recency(self):
-        cols = percentile_columns(DEFAULT_SCHEMA)
-        expected = tuple(DEFAULT_SCHEMA.blocks["clickstream_cumulative"]) + tuple(
-            DEFAULT_SCHEMA.blocks["days_since_last_action"])
-        assert cols == tuple(sorted(expected))
+    def test_percentile_constant_is_counters_plus_recency(self):
+        expected = tuple(BLOCKS["clickstream_cumulative"]) + tuple(
+            BLOCKS["days_since_last_action"])
+        assert PERCENTILE_COLUMNS == tuple(sorted(expected)) == tuple(range(33, 64)) + (65,)
 
 
 def _dummy_name(v):
-    return DEFAULT_SCHEMA.names[int(np.argmax(v))]
+    return FEATURE_NAMES[int(np.argmax(v))]
 
 
 def _one_student_dummies(s):
@@ -106,13 +110,13 @@ def _reference_dummies(s):
 def _cum(course, sid, as_of):
     """One student's cumulative counters: their clickstream columns of build_matrix."""
     m = build_matrix(course, as_of)
-    return m.values[m.student_ids.index(sid), list(DEFAULT_SCHEMA.blocks["clickstream_cumulative"])]
+    return m.values[m.student_ids.index(sid), list(BLOCKS["clickstream_cumulative"])]
 
 
 def _recency(course, sid, as_of):
     """One student's days since last action: their recency column of build_matrix."""
     m = build_matrix(course, as_of)
-    return m.values[m.student_ids.index(sid), DEFAULT_SCHEMA.blocks["days_since_last_action"].start]
+    return m.values[m.student_ids.index(sid), BLOCKS["days_since_last_action"].start]
 
 
 class TestAgeBinning:
@@ -157,7 +161,7 @@ class TestDemographicEncoding:
         s = Student("s", yob=1980, loe="Master", gender="Male",
                     continent="SouthAmerica")
         v = _one_student_dummies(s)
-        names = {DEFAULT_SCHEMA.names[i] for i in np.nonzero(v)[0]}
+        names = {FEATURE_NAMES[i] for i in np.nonzero(v)[0]}
         assert names == {"age_30_35", "loe_master", "gender_male",
                          "continent_southamerica"}
 
@@ -243,8 +247,8 @@ def _random_course(seed, n_students=30, first_day=3):
     return CourseData(make_meta(), roster, ActivityTable(sidx, days, values), {})
 
 
-_COUNTERS = DEFAULT_SCHEMA.blocks["clickstream_cumulative"]
-_RECENCY = DEFAULT_SCHEMA.blocks["days_since_last_action"].start
+_COUNTERS = BLOCKS["clickstream_cumulative"]
+_RECENCY = BLOCKS["days_since_last_action"].start
 
 
 def _walked(m):
@@ -379,7 +383,7 @@ class TestBuildMatrix:
 
     def test_rows_match_per_student_helpers(self, tiny_course):
         m = build_matrix(tiny_course, day(9))
-        cum_cols = list(DEFAULT_SCHEMA.blocks["clickstream_cumulative"])
+        cum_cols = list(BLOCKS["clickstream_cumulative"])
         for i, sid in enumerate(m.student_ids):
             expect = cumulative_clickstream(tiny_course, sid, day(9))
             assert np.array_equal(m.values[i, cum_cols], expect)
@@ -410,9 +414,9 @@ class TestBuildMatrix:
 
     def test_matrix_validates_shape(self):
         with pytest.raises(BadValueError):
-            FeatureMatrix(DEFAULT_SCHEMA, ("a",), np.zeros((1, 65)), LAUNCH)
+            FeatureMatrix(("a",), np.zeros((1, 65)), LAUNCH)
         with pytest.raises(BadValueError):
-            FeatureMatrix(DEFAULT_SCHEMA, ("a",), np.full((1, 66), np.nan), LAUNCH)
+            FeatureMatrix(("a",), np.full((1, 66), np.nan), LAUNCH)
 
 
 class TestSplit:
@@ -435,7 +439,7 @@ class TestSplit:
         sub = m.take(np.array([3, 1]))
         assert sub.student_ids == ("m03", "m01")
         assert np.array_equal(sub.values, m.values[[3, 1]])
-        assert sub.schema is m.schema and sub.as_of == m.as_of
+        assert sub.as_of == m.as_of
 
 
 def _matrix_from_columns(col33, col65, extra_rows=None):
@@ -444,7 +448,7 @@ def _matrix_from_columns(col33, col65, extra_rows=None):
     vals[:, 33] = col33
     vals[:, 65] = col65
     ids = tuple(f"m{i:02d}" for i in range(len(col33)))
-    return FeatureMatrix(DEFAULT_SCHEMA, ids, vals, LAUNCH)
+    return FeatureMatrix(ids, vals, LAUNCH)
 
 
 class TestZscore:
@@ -489,9 +493,9 @@ class TestPercentile:
         matrices = [build_matrix(course, course.meta.launch_date),
                     build_matrix(course, course.meta.t100_date)]
         for n in (1, 2, 7, 150):
-            values = rng.integers(0, 4, size=(n, DEFAULT_SCHEMA.width)) * rng.choice([0.5, 1e-7, 3e5])
+            values = rng.integers(0, 4, size=(n, WIDTH)) * rng.choice([0.5, 1e-7, 3e5])
             values[rng.random(values.shape) < 0.2] = -0.0
-            matrices.append(FeatureMatrix(DEFAULT_SCHEMA, tuple(f"s{i}" for i in range(n)),
+            matrices.append(FeatureMatrix(tuple(f"s{i}" for i in range(n)),
                                           values, LAUNCH))
         for m in matrices:
             assert (percentile_within(m).values.tobytes()
@@ -499,7 +503,7 @@ class TestPercentile:
 
     def test_within_rejects_an_empty_matrix(self):
         with pytest.raises(EmptyMatrixError):
-            percentile_within(FeatureMatrix(DEFAULT_SCHEMA, (), np.zeros((0, 66)), LAUNCH))
+            percentile_within(FeatureMatrix((), np.zeros((0, 66)), LAUNCH))
 
     def test_mid_rank_examples(self):
         train = _matrix_from_columns([10.0, 20.0, 30.0], [0.0, 0.0, 0.0])
@@ -522,13 +526,13 @@ class TestPercentile:
     def test_dummies_pass_through(self, tiny_course):
         m = build_matrix(tiny_course, day(9))
         t = apply_percentile(m, fit_percentile(m))
-        keep = [i for i in range(66) if i not in percentile_columns(DEFAULT_SCHEMA)]
+        keep = [i for i in range(66) if i not in PERCENTILE_COLUMNS]
         assert np.array_equal(t.values[:, keep], m.values[:, keep])
 
     def test_values_in_unit_interval(self, small_corpus):
         m = build_matrix(small_corpus[0], small_corpus[0].meta.t100_date)
         t = apply_percentile(m, fit_percentile(m))
-        cols = list(percentile_columns(DEFAULT_SCHEMA))
+        cols = list(PERCENTILE_COLUMNS)
         assert t.values[:, cols].min() >= 0.0
         assert t.values[:, cols].max() <= 1.0
 
@@ -601,14 +605,15 @@ class TestSerialization:
         p = tmp_path / "m.csv"
         write_matrix(z, p)
         rows = p.read_bytes().decode("utf-8").split("\r\n")
-        assert rows[0] == ",".join(("student_id",) + z.schema.names) and rows[-1] == ""
+        assert rows[0] == ",".join(("student_id",) + FEATURE_NAMES) and rows[-1] == ""
         assert rows[1:-1] == [",".join([sid] + [repr(float(v)) for v in z.values[i]])
                               for i, sid in enumerate(z.student_ids)]
         assert load_matrix(p, day(9)).values.tobytes() == z.values.tobytes()
 
     @pytest.mark.parametrize("kind,key", [("zscore", "mean"), ("zscore", "std"),
                                           ("percentile", "columns"),
-                                          ("percentile", "references")])
+                                          ("percentile", "references"),
+                                          ("zscore", "names"), ("percentile", "names")])
     def test_norm_stats_missing_key_names_file(self, tiny_course, tmp_path, kind, key):
         m = build_matrix(tiny_course, day(9))
         p = tmp_path / "stats.json"
@@ -628,3 +633,63 @@ class TestSerialization:
             back = load_norm_stats(p)
             assert back.kind == stats.kind
             assert np.array_equal(apply(m, back).values, apply(m, stats).values)
+
+
+class TestNormStatsChecks:
+    """A stats file that does not fit the feature layout is rejected where it is
+    read, with its path, before anything applies it."""
+
+    def _written(self, course, tmp_path, kind):
+        m = build_matrix(course, day(9))
+        p = tmp_path / f"{kind}.norm.json"
+        save_norm_stats(normalize(m, [m], kind)[0], p)
+        return p, json.loads(p.read_text())
+
+    def _rejected(self, p, doc, error, match):
+        p.write_text(json.dumps(doc))
+        with pytest.raises(error, match=rf"{re.escape(str(p))}: {match}"):
+            load_norm_stats(p)
+
+    def test_written_names_and_columns_are_the_layout(self, tiny_course, tmp_path):
+        _, z = self._written(tiny_course, tmp_path, "zscore")
+        _, pc = self._written(tiny_course, tmp_path, "percentile")
+        assert z["names"] == pc["names"] == list(FEATURE_NAMES)
+        assert pc["columns"] == list(PERCENTILE_COLUMNS)
+
+    def test_other_columns_for_percentile(self, tiny_course, tmp_path):
+        p, doc = self._written(tiny_course, tmp_path, "percentile")
+        doc["columns"] = list(range(len(PERCENTILE_COLUMNS)))  # the demographic dummies first
+        self._rejected(p, doc, SchemaMismatchError, "percentile columns must be")
+
+    def test_fewer_references_than_columns(self, tiny_course, tmp_path):
+        p, doc = self._written(tiny_course, tmp_path, "percentile")
+        doc["references"] = doc["references"][:-2]
+        self._rejected(p, doc, BadValueError, "percentile stats need 32 references, got 30")
+
+    @pytest.mark.parametrize("key", ["mean", "std"])
+    def test_zscore_vector_of_other_length(self, tiny_course, tmp_path, key):
+        p, doc = self._written(tiny_course, tmp_path, "zscore")
+        doc[key] = doc[key][:65]
+        self._rejected(p, doc, BadValueError, rf"zscore {key} must be 66 finite values")
+
+    @pytest.mark.parametrize("kind", ["zscore", "percentile"])
+    def test_names_of_another_layout(self, tiny_course, tmp_path, kind):
+        p, doc = self._written(tiny_course, tmp_path, kind)
+        doc["names"] = doc["names"][1:] + doc["names"][:1]
+        self._rejected(p, doc, SchemaMismatchError, "normalization stats name other columns")
+
+    def test_unsorted_or_empty_reference(self, tiny_course, tmp_path):
+        p, doc = self._written(tiny_course, tmp_path, "percentile")
+        doc["references"][0] = []
+        self._rejected(p, doc, BadValueError, "percentile references must be non-empty")
+        doc["references"][0] = [2.0, 1.0]
+        self._rejected(p, doc, BadValueError, "percentile references must be sorted")
+
+    def test_not_json_or_not_an_object(self, tmp_path):
+        p = tmp_path / "x.norm.json"
+        p.write_text("[1, 2]")
+        with pytest.raises(BadValueError, match=rf"{re.escape(str(p))}: .*JSON object"):
+            load_norm_stats(p)
+        p.write_text("{")
+        with pytest.raises(BadValueError, match=re.escape(str(p))):
+            load_norm_stats(p)

@@ -17,15 +17,18 @@ from dropoutlab.errors import (
     UnknownStudentError,
 )
 from dropoutlab.features import (
-    DEFAULT_SCHEMA,
+    BLOCKS,
     DEMOGRAPHIC_BLOCKS,
+    FEATURE_NAMES,
     FeatureMatrix,
     apply_zscore,
     build_matrix,
     demographic_dummies,
     fit_zscore,
+    normalize,
 )
 from dropoutlab.linear import (
+    SCHEMA_HASH,
     LinearModel,
     OptimizerConfig,
     _minimize,
@@ -37,7 +40,6 @@ from dropoutlab.linear import (
     loss_and_grad,
     predict_proba,
     save_model,
-    schema_hash,
     score_demographics,
     train_logreg,
 )
@@ -49,7 +51,7 @@ def _labelled_matrix(values, labels):
     ids = tuple(f"q{i:03d}" for i in range(len(values)))
     vals = np.zeros((len(values), 66))
     vals[:, : np.shape(values)[1]] = values
-    m = FeatureMatrix(DEFAULT_SCHEMA, ids, vals, LAUNCH)
+    m = FeatureMatrix(ids, vals, LAUNCH)
     return m, np.asarray(labels, dtype=np.float64)
 
 
@@ -138,7 +140,7 @@ class TestTraining:
             full = np.zeros((n, 66))
             full[:, :p] = X
             ids = tuple(f"q{i:03d}" for i in range(n))
-            m = FeatureMatrix(DEFAULT_SCHEMA, ids, full, LAUNCH)
+            m = FeatureMatrix(ids, full, LAUNCH)
             C = float(rng.choice([0.1, 1.0, 10.0]))
             model = train_logreg(m, y, C=C, opt=opt)
             loss, gw, gb = loss_and_grad(model.weights, model.intercept,
@@ -252,7 +254,7 @@ class TestPrediction:
         rng = np.random.default_rng(11)
         vals = rng.standard_normal((30, 66))
         ids = tuple(f"q{i:03d}" for i in range(30))
-        m = FeatureMatrix(DEFAULT_SCHEMA, ids, vals, LAUNCH)
+        m = FeatureMatrix(ids, vals, LAUNCH)
         model = LinearModel(weights=rng.standard_normal(66), intercept=0.3, reg_C=1.0)
         dv = m.values @ model.weights + model.intercept
         s = predict_proba(model, m).scores
@@ -331,7 +333,7 @@ def _demographic_course(n=120, seed=0):
 class TestBaselines:
     def test_demographics_only_weights(self, tiny_course):
         model = baseline_demographics(_demographic_course())
-        demo_cols = {i for b in DEMOGRAPHIC_BLOCKS for i in DEFAULT_SCHEMA.blocks[b]}
+        demo_cols = {i for b in DEMOGRAPHIC_BLOCKS for i in BLOCKS[b]}
         rest = [i for i in range(66) if i not in demo_cols]
         assert model.weights.shape == (66,)
         assert np.all(model.weights[rest] == 0.0)
@@ -340,8 +342,8 @@ class TestBaselines:
     def test_demographics_signal_direction(self):
         course = _demographic_course()
         model = baseline_demographics(course)
-        f = DEFAULT_SCHEMA.names.index("gender_female")
-        m_ = DEFAULT_SCHEMA.names.index("gender_male")
+        f = FEATURE_NAMES.index("gender_female")
+        m_ = FEATURE_NAMES.index("gender_male")
         assert model.weights[f] > model.weights[m_]
         scored = score_demographics(model, course)
         y = course.certified
@@ -433,6 +435,47 @@ class TestModelSerialization:
         with pytest.raises(BadValueError, match="model.json: zscore stats need 'mean'"):
             load_model(p)
 
-    def test_hash_tracks_names(self):
-        assert schema_hash() == schema_hash(DEFAULT_SCHEMA.names)
-        assert schema_hash(("a", "b")) != schema_hash(("a", "c"))
+    def test_hash_is_sha256_of_feature_names(self, tmp_path):
+        import hashlib
+        import json
+
+        expected = hashlib.sha256("\n".join(FEATURE_NAMES).encode("utf-8")).hexdigest()
+        assert SCHEMA_HASH == expected
+        p = tmp_path / "model.json"
+        save_model(LinearModel(weights=np.zeros(66), intercept=0.0, reg_C=1.0), p)
+        assert json.loads(p.read_text())["schema_hash"] == expected
+
+    def test_wrong_weight_count_names_file(self, tmp_path):
+        import json
+
+        p = tmp_path / "post_hoc.json"
+        save_model(LinearModel(weights=np.zeros(66), intercept=0.0, reg_C=1.0), p)
+        doc = json.loads(p.read_text())
+        doc["weights"] = [0.0] * 10
+        p.write_text(json.dumps(doc))
+        with pytest.raises(BadValueError, match=r"post_hoc\.json: model has 10 weights"):
+            load_model(p)
+
+    @pytest.mark.parametrize("kind", ["zscore", "percentile"])
+    def test_norm_checked_against_layout(self, tiny_course, tmp_path, kind):
+        import json
+
+        m = build_matrix(tiny_course, day(9))
+        stats, (z,) = normalize(m, [m], kind)
+        p = tmp_path / "model.json"
+        save_model(train_logreg(z, tiny_course.certified, norm=stats), p)
+        doc = json.loads(p.read_text())
+        doc["norm"]["names"][0] = "age_unknown"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(SchemaMismatchError, match=r"model\.json: normalization stats name"):
+            load_model(p)
+        doc["norm"]["names"] = list(FEATURE_NAMES)
+        if kind == "zscore":
+            doc["norm"]["std"] = doc["norm"]["std"][:-1]
+            error, match = BadValueError, "zscore std must be 66 finite values"
+        else:
+            doc["norm"]["columns"] = list(range(32))
+            error, match = SchemaMismatchError, "percentile columns must be"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(error, match=rf"model\.json: {match}"):
+            load_model(p)
