@@ -68,11 +68,17 @@ def _iso_date(text: str) -> datetime.date:
 
 
 # grow's option defaults, which are also a manifest growth_plan's keys and defaults;
-# the seed (grow's --seed, a growth_plan's "seed") is handled apart.
+# the sweep and SGD values are GrowthPlan's and SgdConfig's. The seed (grow's
+# --seed, a growth_plan's "seed") is handled apart.
+_PLAN, _SGD = GrowthPlan(), SgdConfig()
 _GROWTH_DEFAULTS = {
-    "week": -1, "split": 0.5, "norm": "zscore", "width_from": 2, "width_to": 15,
-    "depth_from": 2, "depth_to": 10, "fixed_width": 5, "learning_rate": 0.1, "epochs": 20,
-    "minibatch_size": 10, "anneal": 1e-3, "momentum": 0.0, "class_weighting": False,
+    "week": -1, "split": 0.5, "norm": "zscore",
+    "width_from": _PLAN.width_sweep[0], "width_to": _PLAN.width_sweep[-1],
+    "depth_from": _PLAN.depth_sweep[0], "depth_to": _PLAN.depth_sweep[-1],
+    "fixed_width": _PLAN.fixed_width, "learning_rate": _SGD.learning_rate,
+    "epochs": _SGD.epochs, "minibatch_size": _SGD.minibatch_size,
+    "anneal": _SGD.anneal_factor, "momentum": _SGD.momentum,
+    "class_weighting": _SGD.class_weighting,
 }
 
 

@@ -76,10 +76,10 @@ class SgdConfig:
     The learning rate before update k (counting from 0) is
     lr_k = learning_rate * (1 + anneal_factor) ** (-k): one multiplicative
     anneal step per minibatch. Update k computes the gradient g of the batch
-    loss (the step _batch_loss_and_grads computes) and moves the parameters by
-    -lr_k * g, or with momentum > 0 by -lr_k * v, where the velocity
-    v = momentum * v + g starts at 0. class_weighting scales each example's
-    loss by n / (2 * n_class) of its class.
+    loss (in _step) and moves the parameters by -lr_k * g, or with
+    momentum > 0 by -lr_k * v, where the velocity v = momentum * v + g
+    starts at 0. class_weighting scales each example's loss by
+    n / (2 * n_class) of its class.
     """
 
     learning_rate: float = 0.1
@@ -129,9 +129,8 @@ def init_mlp(input_dim: int, widths: Sequence[int], seed: int) -> MlpModel:
     """Fresh network with the given hidden widths and a 2-class output layer.
 
     Weights are uniform(-a, a) with a = sqrt(6 / (fan_in + fan_out)); biases 0.
+    No widths give a bare softmax regression over the inputs.
     """
-    if len(widths) == 0:
-        raise BadShapeError("widths must be non-empty (at least one hidden layer)")
     if input_dim < 1 or any(w < 1 for w in widths):
         raise BadShapeError(f"dimensions must be positive: input {input_dim}, widths {widths}")
     rng = np.random.default_rng(seed)
@@ -141,15 +140,6 @@ def init_mlp(input_dim: int, widths: Sequence[int], seed: int) -> MlpModel:
         a = math.sqrt(6.0 / (fan_in + fan_out))
         layers.append((rng.uniform(-a, a, size=(fan_in, fan_out)), np.zeros(fan_out)))
     return MlpModel(tuple(layers))
-
-
-def init_softmax(input_dim: int, seed: int) -> MlpModel:
-    """0-hidden-layer network: a bare softmax regression over the inputs."""
-    if input_dim < 1:
-        raise BadShapeError(f"input_dim {input_dim} must be positive")
-    rng = np.random.default_rng(seed)
-    a = math.sqrt(6.0 / (input_dim + N_CLASSES))
-    return MlpModel(((rng.uniform(-a, a, size=(input_dim, N_CLASSES)), np.zeros(N_CLASSES)),))
 
 
 def _logits(m: MlpModel, X: np.ndarray) -> np.ndarray:
@@ -264,24 +254,6 @@ def _step(params, grads, bufs, Xb, onehot, w, scale, pick) -> float:
     return loss
 
 
-def _batch_loss_and_grads(m, Xb, yb, class_w):
-    """Mean weighted cross-entropy of one batch and its (dW, db) per layer.
-
-    Runs the step train_sgd takes, into freshly allocated buffers, so the
-    gradient checked here is the one training uses. yb holds 0/1 labels.
-    Raises NonFiniteLossError when the loss is not finite.
-    """
-    Xb = np.ascontiguousarray(Xb, dtype=np.float64)
-    yb = np.asarray(yb, dtype=np.float64)
-    flat = _flat_copy(m)
-    grads = _layer_views(np.empty_like(flat), m)
-    loss = _step(_layer_views(flat, m), grads, _step_buffers(m, len(yb)), Xb,
-                 *_batch_targets(yb, class_w, len(yb)))
-    if not math.isfinite(loss):
-        raise NonFiniteLossError("batch loss is not finite")
-    return loss, grads
-
-
 def _class_weights(y: np.ndarray, enabled: bool) -> np.ndarray:
     if not enabled:
         return np.ones(N_CLASSES)
@@ -295,8 +267,8 @@ def train_sgd(m: MlpModel, X, y, cfg: SgdConfig) -> MlpModel:
     y must hold 0/1 labels of both classes. Update k (0-based across the whole
     run) uses learning rate cfg.learning_rate * (1 + cfg.anneal_factor) ** (-k).
     Epochs reshuffle with the seeded generator; a remainder batch is trained
-    short. Each update takes the step _batch_loss_and_grads computes, on a
-    flat copy of m's parameters; m itself is not changed.
+    short. Each update is one _step on a flat copy of m's parameters; m
+    itself is not changed.
     """
     values = np.ascontiguousarray(X, dtype=np.float64)
     yv = np.asarray(y, dtype=np.float64)
@@ -418,7 +390,7 @@ class GrowthRow:
 @dataclass(frozen=True)
 class GrowthReport:
     rows: tuple[GrowthRow, ...]
-    models: Mapping | None = None  # (phase, w, h) -> trained MlpModel
+    models: Mapping  # (phase, w, h) -> trained MlpModel
 
     def best(self) -> GrowthRow:
         return max(self.rows, key=lambda r: r.auc)
@@ -440,30 +412,27 @@ def run_cell(
     X_train, y_train, X_test, y_test,
     cfg: SgdConfig,
     seed: int,
-    input_dim: int | None = None,
-    fixed_width: int | None = None,
 ) -> tuple[GrowthRow, MlpModel]:
     """Grow (if needed) and train one sweep cell; independently re-runnable.
 
     phase "baseline": fresh 0-hidden softmax net (teacher ignored).
-    phase "width": teacher widened to value units via net2wider.
+    phase "width": teacher widened to value units via net2wider (a fresh
+    1-hidden net without a teacher).
     phase "depth": teacher deepened by one identity layer; value = target h.
+    The row's w and h are the trained net's hidden width (0 with none) and depth.
     """
     t0 = time.perf_counter()
     if phase == "baseline":
-        net = init_softmax(input_dim, seed)
-        w_rec, h_rec = 0, 0
+        net = init_mlp(np.shape(X_train)[1], (), seed)
     elif phase == "width":
         if teacher is None:
-            net = init_mlp(input_dim, [value], seed)
+            net = init_mlp(np.shape(X_train)[1], [value], seed)
         else:
             net = net2wider(teacher, 0, value, seed)
-        w_rec, h_rec = value, 1
     elif phase == "depth":
         net = net2deeper(teacher, len(teacher.layers) - 2)
         if net.n_hidden != value:
             raise BadConfigError(f"depth cell expected h={value}, teacher gives {net.n_hidden}")
-        w_rec, h_rec = fixed_width, value
     else:
         raise BadConfigError(f"unknown phase {phase!r}")
     trained = train_sgd(net, X_train, y_train, replace(cfg, seed=seed))
@@ -471,7 +440,7 @@ def run_cell(
     scores = predict_scores(trained, X_test)
     yv = np.asarray(y_test, dtype=np.float64)
     row = GrowthRow(
-        phase=phase, w=w_rec, h=h_rec,
+        phase=phase, w=max(trained.hidden_widths, default=0), h=trained.n_hidden,
         auc=auc_values(scores, yv),
         accuracy=raw_accuracy(scores, yv),
         train_seconds=seconds, seed=seed,
@@ -481,8 +450,8 @@ def run_cell(
 
 def grow_and_train(
     X_train, y_train, X_test, y_test,
-    plan: GrowthPlan | None = None,
-    cfg: SgdConfig | None = None,
+    plan: GrowthPlan,
+    cfg: SgdConfig,
 ) -> GrowthReport:
     """Full sweep: a 0-hidden baseline, the width chain, then the depth chain.
 
@@ -492,14 +461,11 @@ def grow_and_train(
     time. Every cell's seed is derived from cfg.seed and recorded so the cell
     can be reproduced in isolation.
     """
-    plan = plan or GrowthPlan()
-    cfg = cfg or SgdConfig()
-    input_dim = np.shape(X_train)[1]
     rows: list[GrowthRow] = []
     models: dict[tuple[str, int, int], MlpModel] = {}
 
     row, model = run_cell(None, "baseline", 0, X_train, y_train, X_test, y_test,
-                          cfg, _cell_seed(cfg.seed, "baseline", 0), input_dim=input_dim)
+                          cfg, _cell_seed(cfg.seed, "baseline", 0))
     rows.append(row)
     models[("baseline", 0, 0)] = model
 
@@ -507,7 +473,7 @@ def grow_and_train(
     fixed_teacher = None
     for w in plan.width_sweep:
         row, model = run_cell(teacher, "width", w, X_train, y_train, X_test, y_test,
-                              cfg, _cell_seed(cfg.seed, "width", w), input_dim=input_dim)
+                              cfg, _cell_seed(cfg.seed, "width", w))
         rows.append(row)
         models[("width", w, 1)] = model
         teacher = model
@@ -517,14 +483,12 @@ def grow_and_train(
         # fixed_width outside the sweep: train its h=1 anchor without a report row
         _, fixed_teacher = run_cell(None, "width", plan.fixed_width,
                                     X_train, y_train, X_test, y_test,
-                                    cfg, _cell_seed(cfg.seed, "width", plan.fixed_width),
-                                    input_dim=input_dim)
+                                    cfg, _cell_seed(cfg.seed, "width", plan.fixed_width))
 
     teacher = fixed_teacher
     for h in plan.depth_sweep:
         row, model = run_cell(teacher, "depth", h, X_train, y_train, X_test, y_test,
-                              cfg, _cell_seed(cfg.seed, "depth", h),
-                              fixed_width=plan.fixed_width)
+                              cfg, _cell_seed(cfg.seed, "depth", h))
         rows.append(row)
         models[("depth", plan.fixed_width, h)] = model
         teacher = model

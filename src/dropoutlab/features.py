@@ -334,7 +334,8 @@ def write_matrix(m: FeatureMatrix, path: str | Path) -> None:
 
 
 def load_matrix(path: str | Path, as_of: datetime.date) -> FeatureMatrix:
-    """Read a matrix written by write_matrix; as_of is supplied by the caller."""
+    """Read a matrix written by write_matrix (rows in ascending student-id order);
+    as_of is supplied by the caller."""
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
         try:
@@ -352,6 +353,9 @@ def load_matrix(path: str | Path, as_of: datetime.date) -> FeatureMatrix:
                 continue
             if len(row) != len(header):
                 raise BadValueError(f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}")
+            if ids and row[0] <= ids[-1]:
+                raise BadValueError(f"{path}:{lineno}: student id {row[0]!r} does not "
+                                    f"follow {ids[-1]!r}; ids must be unique and ascending")
             ids.append(row[0])
             try:
                 values.extend(map(float, row[1:]))

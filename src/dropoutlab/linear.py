@@ -2,9 +2,10 @@
 
 The trainer is damped Newton (IRLS): each iteration solves the regularized
 Hessian system for the Newton direction and takes the first of the steps
-1, 1/2, 1/4, ... that passes an Armijo test, until the gradient norm falls
-below a tolerance. No randomness anywhere, so retraining on identical inputs
-is bit-reproducible.
+1, 1/2, 1/4, ... that passes an Armijo test on _loss, until the norm of
+_grad falls below TOL_PER_EXAMPLE times the number of examples. The module
+constants below are the solver's only settings. No randomness anywhere, so
+retraining on identical inputs is bit-reproducible.
 
 Non-convergence warns rather than fails: a fit that stops short of the
 tolerance returns its last iterate and emits a ConvergenceWarning naming the
@@ -82,15 +83,12 @@ class LinearModel:
             raise BadValueError(f"reg_C {self.reg_C} must be positive")
 
 
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """Damped-Newton controls; tolerance scales with the number of examples."""
-
-    tol_per_example: float = 1e-6
-    max_iter: int = 10_000
-    armijo_c: float = 1e-4
-    backtrack: float = 0.5
-    max_backtracks: int = 60
+# Damped-Newton controls; the gradient-norm tolerance scales with the number of examples.
+TOL_PER_EXAMPLE = 1e-6
+MAX_ITER = 10_000
+ARMIJO_C = 1e-4
+BACKTRACK = 0.5
+MAX_BACKTRACKS = 60
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -99,52 +97,47 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-def loss_and_grad(
-    w: np.ndarray, b: float, X: np.ndarray, y: np.ndarray, C: float
-) -> tuple[float, np.ndarray, float]:
-    """Regularized log-loss (1/C)*0.5*||w||^2 + sum_i loss_i and its gradient.
+def _loss(z: np.ndarray, y: np.ndarray, theta: np.ndarray, C: float) -> float:
+    """Regularized log-loss sum_i [log(1 + exp(z_i)) - y_i*z_i] + (1/C)*0.5*||w||^2.
 
-    The intercept is unregularized. Stable via logaddexp: loss_i =
-    log(1 + exp(z_i)) - y_i*z_i with z = Xw + b.
+    theta is (w, b) with the unregularized intercept b last, and z = Xw + b
+    its margins; logaddexp keeps the loss stable.
     """
-    z = X @ w + b
-    loss = float(np.sum(np.logaddexp(0.0, z) - y * z)) + 0.5 / C * float(w @ w)
-    r = _sigmoid(z) - y
-    grad_w = X.T @ r + w / C
-    grad_b = float(np.sum(r))
-    return loss, grad_w, grad_b
+    w = theta[:-1]
+    return float(np.sum(np.logaddexp(0.0, z) - y * z)) + 0.5 / C * float(w @ w)
 
 
-def _minimize(
-    X: np.ndarray, y: np.ndarray, C: float, opt: OptimizerConfig
-) -> tuple[np.ndarray, float, int, bool]:
+def _grad(Xa: np.ndarray, y: np.ndarray, mu: np.ndarray, ridge: np.ndarray,
+          theta: np.ndarray) -> np.ndarray:
+    """Gradient of _loss in theta, for Xa = [X, 1], mu = _sigmoid(Xa @ theta) and
+    ridge = (1/C, ..., 1/C, 0)."""
+    return Xa.T @ (mu - y) + ridge * theta
+
+
+def _minimize(X: np.ndarray, y: np.ndarray, C: float) -> tuple[np.ndarray, float, int, bool]:
     """Damped Newton from the origin; returns (w, b, iterations, converged).
 
     Only columns that are nonzero in some row enter the Newton system, so an
-    all-zero column keeps a weight of exactly 0 (its optimum).
+    all-zero column keeps a weight of exactly 0 (its optimum). A fit that
+    stops short of the tolerance emits a ConvergenceWarning.
     """
     n, p = X.shape
-    tol = opt.tol_per_example * n
+    tol = TOL_PER_EXAMPLE * n
     active = np.flatnonzero(np.any(X != 0.0, axis=0))
     Xa = np.column_stack([X[:, active], np.ones(n)])  # last column: intercept
     ridge = np.append(np.full(len(active), 1.0 / C), 0.0)  # intercept unregularized
     ridge_diag = np.diag(ridge)
-
-    def objective(z: np.ndarray, theta: np.ndarray) -> float:
-        w = theta[:-1]
-        return float(np.sum(np.logaddexp(0.0, z) - y * z)) + 0.5 / C * float(w @ w)
-
     theta = np.zeros(Xa.shape[1])
     z = np.zeros(n)
-    loss = objective(z, theta)
+    loss = _loss(z, y, theta, C)
     it = 0
     while True:
         mu = _sigmoid(z)
-        g = Xa.T @ (mu - y) + ridge * theta
+        g = _grad(Xa, y, mu, ridge, theta)
         g_norm = math.sqrt(float(g @ g))
         if not math.isfinite(g_norm):
             raise NonFiniteLossError(f"gradient diverged at iteration {it}")
-        if g_norm <= tol or it == opt.max_iter:
+        if g_norm <= tol or it == MAX_ITER:
             break
         # mu * _sigmoid(-z), not mu * (1 - mu): stays positive where 1 - mu rounds to 0
         H = (Xa.T * (mu * _sigmoid(-z))) @ Xa + ridge_diag
@@ -152,43 +145,41 @@ def _minimize(
         dz = Xa @ d
         slope = float(g @ d)
         s = 1.0
-        for _ in range(opt.max_backtracks):
-            cand = objective(z + s * dz, theta + s * d)
-            if math.isfinite(cand) and cand <= loss + opt.armijo_c * s * slope:
+        for _ in range(MAX_BACKTRACKS):
+            cand = _loss(z + s * dz, y, theta + s * d, C)
+            if math.isfinite(cand) and cand <= loss + ARMIJO_C * s * slope:
                 break
-            s *= opt.backtrack
+            s *= BACKTRACK
         else:
             break  # no step lowers the loss: numerically stationary
         theta = theta + s * d
         z = z + s * dz
         loss = cand
         it += 1
+    if g_norm > tol:
+        # stacklevel: _minimize, _fit, its public caller, then the user's call
+        warnings.warn(f"logistic fit did not converge (iterations={it}, gradient "
+                      f"norm {g_norm:.3g} > tolerance {tol:.3g})",
+                      ConvergenceWarning, stacklevel=4)
     w = np.zeros(p)
     w[active] = theta[:-1]
     return w, float(theta[-1]), it, g_norm <= tol
 
 
-def _fit(
-    X: np.ndarray, y: np.ndarray, C: float, opt: OptimizerConfig | None
-) -> tuple[np.ndarray, float]:
-    """Check the inputs, run _minimize, and warn if it stopped short of the tolerance."""
+def _fit(X: np.ndarray, y: np.ndarray, C: float) -> tuple[np.ndarray, float]:
+    """Check the inputs and run _minimize."""
     if C <= 0:
         raise BadValueError(f"C {C} must be positive")
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (len(X),):
         raise BadValueError(f"labels of shape {y.shape} do not align with {len(X)} rows")
+    if not np.all((y == 0.0) | (y == 1.0)):
+        raise BadValueError("training labels must be 0 or 1")
     if len(y) == 0:
         raise SingleClassError("no training rows")
     if np.all(y == y[0]):
         raise SingleClassError("training labels contain a single class")
-    opt = opt or OptimizerConfig()
-    w, b, iterations, converged = _minimize(X, y, C, opt)
-    if not converged:
-        _, gw, gb = loss_and_grad(w, b, X, y, C)
-        g_norm = math.sqrt(float(gw @ gw) + gb * gb)
-        warnings.warn(f"logistic fit did not converge (iterations={iterations}, gradient "
-                      f"norm {g_norm:.3g} > tolerance {opt.tol_per_example * len(y):.3g})",
-                      ConvergenceWarning, stacklevel=3)
+    w, b, _, _ = _minimize(X, y, C)
     return w, b
 
 
@@ -196,7 +187,6 @@ def train_logreg(
     X: FeatureMatrix,
     y: np.ndarray,
     C: float = 1.0,
-    opt: OptimizerConfig | None = None,
     norm: NormStats | None = None,
 ) -> LinearModel:
     """Fit the logistic hyperplane on an already-normalized matrix.
@@ -205,7 +195,7 @@ def train_logreg(
     model purely as a record of how X was produced; pass the stats used so
     deployment can reproduce the transform.
     """
-    w, b = _fit(X.values, y, C, opt)
+    w, b = _fit(X.values, y, C)
     return LinearModel(weights=w, intercept=b, reg_C=C, norm=norm)
 
 
@@ -242,15 +232,13 @@ def average_hyperplanes(models: Sequence[LinearModel]) -> LinearModel:
 _DEMO_COLS = np.array([i for blk in DEMOGRAPHIC_BLOCKS for i in BLOCKS[blk]])
 
 
-def baseline_demographics(
-    course: CourseData, C: float = 1.0, opt: OptimizerConfig | None = None
-) -> LinearModel:
+def baseline_demographics(course: CourseData, C: float = 1.0) -> LinearModel:
     """Demographics-only logistic regression (Baseline 1) on the course's certification labels.
 
     Trains on the raw 33 dummy columns; every other weight is exactly zero, so
     activity can never influence the score.
     """
-    w_demo, b = _fit(demographic_dummies(course), course.certified, C, opt)
+    w_demo, b = _fit(demographic_dummies(course), course.certified, C)
     weights = np.zeros(WIDTH)
     weights[_DEMO_COLS] = w_demo
     return LinearModel(weights=weights, intercept=b, reg_C=C, norm=None)

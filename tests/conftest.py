@@ -1,4 +1,4 @@
-"""Shared course builders, reference implementations and corpus fixtures."""
+"""Shared course builders, reference implementations, trainer wrappers and corpus fixtures."""
 
 import csv
 import datetime
@@ -24,15 +24,18 @@ from dropoutlab.dataset import (
     load_demographics,
     synthesize_corpus,
 )
+from dropoutlab.deepnet import _batch_targets, _flat_copy, _layer_views, _step, _step_buffers
 from dropoutlab.errors import (
     BadDateError,
     BadValueError,
     DuplicateStudentDayError,
     MissingColumnError,
     NegativeCounterError,
+    NonFiniteLossError,
     UnknownStudentError,
 )
 from dropoutlab.features import check_as_of
+from dropoutlab.linear import _grad, _loss, _sigmoid
 
 LAUNCH = datetime.date(2014, 1, 6)
 
@@ -338,6 +341,38 @@ def reference_load_course(course_dir):
     table = ActivityTable(np.array(sidx, dtype=np.int32), np.array(days, dtype=np.int32),
                           np.array(values, dtype=np.float64).reshape(-1, len(CLICKSTREAM_FEATURES)))
     return CourseData(meta, roster, table, grades)
+
+
+# The loss and gradient each trainer steps on, called as training calls them,
+# so a gradient check differentiates the code that trains.
+
+def logreg_loss_and_grad(w, b, X, y, C):
+    """(loss, grad_w, grad_b) of the logistic objective at weights w and intercept b,
+    from linear._loss and linear._grad, the functions linear._minimize uses."""
+    n, p = X.shape
+    Xa = np.column_stack([X, np.ones(n)])
+    theta = np.append(w, b)
+    z = Xa @ theta
+    g = _grad(Xa, y, _sigmoid(z), np.append(np.full(p, 1.0 / C), 0.0), theta)
+    return _loss(z, y, theta, C), g[:-1], float(g[-1])
+
+
+def batch_loss_and_grads(m, Xb, yb, class_w):
+    """Mean weighted cross-entropy of one batch and its (dW, db) per layer.
+
+    Runs deepnet._step, the step train_sgd takes, into freshly allocated
+    buffers. yb holds 0/1 labels. Raises NonFiniteLossError when the loss is
+    not finite.
+    """
+    Xb = np.ascontiguousarray(Xb, dtype=np.float64)
+    yb = np.asarray(yb, dtype=np.float64)
+    flat = _flat_copy(m)
+    grads = _layer_views(np.empty_like(flat), m)
+    loss = _step(_layer_views(flat, m), grads, _step_buffers(m, len(yb)), Xb,
+                 *_batch_targets(yb, class_w, len(yb)))
+    if not math.isfinite(loss):
+        raise NonFiniteLossError("batch loss is not finite")
+    return loss, grads
 
 
 @pytest.fixture

@@ -25,10 +25,8 @@ from dropoutlab.deepnet import (
     GrowthPlan,
     MlpModel,
     SgdConfig,
-    _batch_loss_and_grads,
     grow_and_train,
     init_mlp,
-    init_softmax,
     forward,
     net2deeper,
     net2wider,
@@ -38,14 +36,10 @@ from dropoutlab.deepnet import (
 )
 from dropoutlab.evaluate import auc_values
 from dropoutlab.features import apply_zscore, build_matrix, fit_zscore
-from dropoutlab.linear import (
-    OptimizerConfig,
-    _minimize,
-    loss_and_grad,
-    predict_proba,
-    train_logreg,
-)
+from dropoutlab.linear import _minimize, predict_proba, train_logreg
 from dropoutlab.paradigms import insitu_scores, run_experiment, run_paradigm
+
+from conftest import batch_loss_and_grads, logreg_loss_and_grad
 
 
 def _verdict(num, name, ok, detail=""):
@@ -135,17 +129,17 @@ def _logreg_fd_error(rng):
     y = (rng.random(n) < 0.5).astype(float)
     w = rng.standard_normal(p)
     b = float(rng.standard_normal())
-    _, gw, gb = loss_and_grad(w, b, X, y, C)
+    _, gw, gb = logreg_loss_and_grad(w, b, X, y, C)
     ana = np.concatenate([gw, [gb]])
     num = np.zeros(p + 1)
     h = 1e-6
     for j in range(p):
         e = np.zeros(p)
         e[j] = h
-        num[j] = (loss_and_grad(w + e, b, X, y, C)[0]
-                  - loss_and_grad(w - e, b, X, y, C)[0]) / (2 * h)
-    num[p] = (loss_and_grad(w, b + h, X, y, C)[0]
-              - loss_and_grad(w, b - h, X, y, C)[0]) / (2 * h)
+        num[j] = (logreg_loss_and_grad(w + e, b, X, y, C)[0]
+                  - logreg_loss_and_grad(w - e, b, X, y, C)[0]) / (2 * h)
+    num[p] = (logreg_loss_and_grad(w, b + h, X, y, C)[0]
+              - logreg_loss_and_grad(w, b - h, X, y, C)[0]) / (2 * h)
     return float(np.max(np.abs(ana - num)) / max(np.max(np.abs(num)), 1.0))
 
 
@@ -165,8 +159,7 @@ def _mlp_fd_error(rng):
         widths = [int(rng.integers(2, 6)) for _ in range(depth)]
         p = int(rng.integers(2, 6))
         n = int(rng.integers(2, 9))
-        net = (init_mlp(p, widths, seed=int(rng.integers(1 << 30)))
-               if widths else init_softmax(p, seed=int(rng.integers(1 << 30))))
+        net = init_mlp(p, widths, seed=int(rng.integers(1 << 30)))
         net = MlpModel(tuple((W * 1.7, b + 0.1 * rng.standard_normal(b.shape))
                              for W, b in net.layers))
         X = rng.standard_normal((n, p))
@@ -174,7 +167,7 @@ def _mlp_fd_error(rng):
             break
     y = (rng.random(n) < 0.5).astype(float)
     class_w = np.ones(2)
-    _, grads = _batch_loss_and_grads(net, X, y, class_w)
+    _, grads = batch_loss_and_grads(net, X, y, class_w)
     h = 1e-5
     ana, num = [], []
     for li, (W, b) in enumerate(net.layers):
@@ -184,9 +177,9 @@ def _mlp_fd_error(rng):
                 idx = it.multi_index
                 orig = arr[idx]
                 arr[idx] = orig + h
-                lp, _ = _batch_loss_and_grads(net, X, y, class_w)
+                lp, _ = batch_loss_and_grads(net, X, y, class_w)
                 arr[idx] = orig - h
-                lm, _ = _batch_loss_and_grads(net, X, y, class_w)
+                lm, _ = batch_loss_and_grads(net, X, y, class_w)
                 arr[idx] = orig
                 num.append((lp - lm) / (2 * h))
                 ana.append(grads[li][arr_i][idx])
@@ -218,7 +211,7 @@ def test_criterion_4_logreg_agrees_with_softmax_net():
     yv = course.certified
     model = train_logreg(z, yv, C=1.0)
     a_lr = auc_values(predict_proba(model, z).scores, yv)
-    net = train_sgd(init_softmax(66, seed=0), z.values, yv, SgdConfig(seed=0))
+    net = train_sgd(init_mlp(66, (), seed=0), z.values, yv, SgdConfig(seed=0))
     a_net = auc_values(predict_scores(net, z.values), yv)
     gap = abs(a_lr - a_net)
     _verdict(4, "logreg vs 0-hidden softmax net",
@@ -321,7 +314,7 @@ def test_criterion_8_growth_sweep_and_xor():
     r7 = next(r for r in depth_rows if r.h == 7)
     rerun7, _ = run_cell(report.models[("depth", 5, 6)], "depth", 7,
                          z.values[tr], yv[tr], z.values[te], yv[te],
-                         cfg, r7.seed, fixed_width=5)
+                         cfg, r7.seed)
     rerun_ok = (rerun5.auc == r5.auc and rerun5.accuracy == r5.accuracy
                 and rerun7.auc == r7.auc and rerun7.accuracy == r7.accuracy)
 
@@ -331,7 +324,7 @@ def test_criterion_8_growth_sweep_and_xor():
     xor_cfg = SgdConfig(learning_rate=0.5, epochs=500, minibatch_size=4, seed=0)
     net = train_sgd(init_mlp(2, [4], seed=0), X, y, xor_cfg)
     net_acc = float(np.mean((predict_scores(net, X) >= 0.5) == y))
-    w, b, _, _ = _minimize(X, y, 1.0, OptimizerConfig())
+    w, b, _, _ = _minimize(X, y, 1.0)
     lin_acc = float(np.mean(((X @ w + b) >= 0) == y))
     _verdict(8, "growth sweep shape, re-runnable cells, xor",
              counts_ok and rerun_ok and net_acc == 1.0 and lin_acc <= 0.75,

@@ -231,6 +231,27 @@ _ARTIFACT_DIGESTS = {
 }
 
 
+# grow and run outputs by directory; growth.csv is hashed without train_seconds.
+_GROWTH_DIGESTS = {
+    "default": {
+        "best_model.json": "bc93aa194a538bd1eb5a12d9c5415cc3f15f30fa02211700da9b88571a754aa0",
+        "growth.csv": "22ebfb9d2cae00da46a76bff366eda0eaa7384058b11e31bcb389e4f61a172db",
+    },
+    "fixed7": {
+        "best_model.json": "4f776d3e61c1b4c40aa2782b9ca8bff94341bf0b5b824346c7b95c80a44fcfe9",
+        "growth.csv": "36be514af785b80b9ddab1fbf9c74a0799d9a6685ab97bc102ad400185d0f412",
+    },
+    "out": {
+        "aggregate.csv": "59e7b02f054b6016b2309bce4fc25612b8a43fde3f698bc1f2a1dfa763512b24",
+        "best_model.json": "09d54ca23699256365d469667a8d73dba70b5ec022a08181a300aee65bd6fde1",
+        "growth.csv": "c7a115b56d96ea65445adf483bc8e662532ca8e83b0eacb48c1139e791bcfadb",
+        "rows.csv": "be72844c8743177486304456aaee377d5f262c9bcca68fb029d3feeff4a7f08d",
+        "skipped.csv": "1b611979672478597917afca0e81f5194020d2ce670d155a9174329f963159ca",
+        "summary.txt": "619bd9ca8c686783ab24c42db1d667029cd92407ae7a7b9e0ea765ade86acba4",
+    },
+}
+
+
 class TestArtifactBytes:
     def test_features_and_train_files_are_pinned(self, course_dir, tmp_path):
         from dropoutlab.features import FEATURE_NAMES, PERCENTILE_COLUMNS
@@ -247,6 +268,28 @@ class TestArtifactBytes:
                  for norm in ("zscore", "percentile"))
         assert z["names"] == pc["names"] == list(FEATURE_NAMES)
         assert pc["columns"] == list(PERCENTILE_COLUMNS)
+
+
+    def test_grow_and_growth_plan_files_are_pinned(self, course_dir, tmp_path):
+        def digests(out):
+            found = {}
+            for p in sorted(out.iterdir()):
+                data = p.read_bytes()
+                if p.name == "growth.csv":  # without train_seconds, a wall-clock time
+                    data = b"".join(b",".join(cells[:5] + cells[6:]) for cells in
+                                    (line.split(b",") for line in data.splitlines(True)))
+                found[p.name] = hashlib.sha256(data).hexdigest()
+            return found
+
+        grow = ["grow", "--course-dir", str(course_dir), "--seed", "4"]
+        assert main([*grow, "--epochs", "1", "--out-dir", str(tmp_path / "default")]) == 0
+        assert main([*grow, "--epochs", "2", "--width-to", "5", "--depth-to", "3",
+                     "--fixed-width", "7", "--norm", "percentile",
+                     "--out-dir", str(tmp_path / "fixed7")]) == 0
+        plan = {"width_to": 4, "depth_to": 3, "fixed_width": 3, "epochs": 2, "norm": "percentile"}
+        assert main(["run", "--manifest", str(_write_manifest(tmp_path, growth_plan=plan))]) == 0
+        got = {name: digests(tmp_path / name) for name in ("default", "fixed7", "out")}
+        assert got == _GROWTH_DIGESTS
 
 
 def _write_manifest(tmp_path, **overrides):

@@ -12,11 +12,9 @@ from dropoutlab.deepnet import (
     GrowthPlan,
     MlpModel,
     SgdConfig,
-    _batch_loss_and_grads,
     forward,
     grow_and_train,
     init_mlp,
-    init_softmax,
     load_mlp,
     mlp_from_dict,
     mlp_to_dict,
@@ -39,10 +37,12 @@ from dropoutlab.errors import (
     SingleClassError,
 )
 
+from conftest import batch_loss_and_grads
+
 
 def dataset_loss(m, X, y):
     """Mean unweighted cross-entropy over a whole dataset, as one batch."""
-    loss, _ = _batch_loss_and_grads(m, X, y, np.ones(N_CLASSES))
+    loss, _ = batch_loss_and_grads(m, X, y, np.ones(N_CLASSES))
     return loss
 
 
@@ -66,8 +66,8 @@ def reference_sgd(m, X, y, cfg):
         order = rng.permutation(len(X))
         for start in range(0, len(X), cfg.minibatch_size):
             batch = order[start:start + cfg.minibatch_size]
-            _, grads = _batch_loss_and_grads(MlpModel(tuple(layers)), X[batch], y[batch],
-                                             class_w)
+            _, grads = batch_loss_and_grads(MlpModel(tuple(layers)), X[batch], y[batch],
+                                            class_w)
             lr = cfg.learning_rate * (1.0 + cfg.anneal_factor) ** (-len(sizes))
             if cfg.momentum > 0:
                 velocity = [(cfg.momentum * vW + gW, cfg.momentum * vb + gb)
@@ -94,13 +94,11 @@ class TestInit:
         assert m.input_dim == 6 and m.hidden_widths == (4, 3) and m.n_hidden == 2
 
     def test_softmax_only(self):
-        m = init_softmax(5, seed=0)
+        m = init_mlp(5, (), seed=0)
         assert [W.shape for W, _ in m.layers] == [(5, 2)]
         assert m.n_hidden == 0
-
-    def test_no_hidden_widths_rejected(self):
-        with pytest.raises(BadShapeError):
-            init_mlp(5, [], seed=0)
+        a = np.sqrt(6.0 / 7.0)
+        assert m.layers[0][0].tobytes() == np.random.default_rng(0).uniform(-a, a, (5, 2)).tobytes()
 
     def test_seed_determinism(self):
         a = init_mlp(6, [4], seed=9)
@@ -174,8 +172,7 @@ class TestBackprop:
             widths = [int(rng.integers(2, 6)) for _ in range(depth)]
             p = int(rng.integers(2, 6))
             n = int(rng.integers(2, 9))
-            net = (init_mlp(p, widths, seed=int(rng.integers(1 << 30)))
-                   if widths else init_softmax(p, seed=int(rng.integers(1 << 30))))
+            net = init_mlp(p, widths, seed=int(rng.integers(1 << 30)))
             # nudge weights away from zero so ReLU kinks stay distant
             net = MlpModel(tuple(
                 (W * 1.7, b + 0.1 * rng.standard_normal(b.shape))
@@ -185,7 +182,7 @@ class TestBackprop:
             if not _relu_kink_safe(net, X):
                 continue
             class_w = np.ones(2)
-            _, grads = _batch_loss_and_grads(net, X, y, class_w)
+            _, grads = batch_loss_and_grads(net, X, y, class_w)
             flat_ana, flat_num = [], []
             for li, (W, b) in enumerate(net.layers):
                 for arr_i, arr in ((0, W), (1, b)):
@@ -194,9 +191,9 @@ class TestBackprop:
                         idx = it.multi_index
                         orig = arr[idx]
                         arr[idx] = orig + h
-                        lp, _ = _batch_loss_and_grads(net, X, y, class_w)
+                        lp, _ = batch_loss_and_grads(net, X, y, class_w)
                         arr[idx] = orig - h
-                        lm, _ = _batch_loss_and_grads(net, X, y, class_w)
+                        lm, _ = batch_loss_and_grads(net, X, y, class_w)
                         arr[idx] = orig
                         flat_num.append((lp - lm) / (2 * h))
                         flat_ana.append(grads[li][arr_i][idx])
@@ -274,7 +271,7 @@ class TestSgd:
         X, y = _toy_data(rng, n=25)
         cfg = SgdConfig(epochs=2, minibatch_size=minibatch_size, momentum=momentum,
                         class_weighting=class_weighting, seed=3)
-        net = init_mlp(6, widths, seed=0) if widths else init_softmax(6, seed=0)
+        net = init_mlp(6, widths, seed=0)
         before = [(W.tobytes(), b.tobytes()) for W, b in net.layers]
         expect, sizes = reference_sgd(net, X, y, cfg)
         assert len(sizes) == 2 * -(-25 // minibatch_size)
@@ -420,7 +417,7 @@ class TestNet2Deeper:
         with pytest.raises(BadLayerError):
             net2deeper(m, -1)
         with pytest.raises(BadLayerError):
-            net2deeper(init_softmax(3, seed=0), 0)  # nothing hidden to deepen
+            net2deeper(init_mlp(3, (), seed=0), 0)  # nothing hidden to deepen
 
 
 @pytest.fixture(scope="module")
@@ -458,9 +455,9 @@ class TestGrowthSweep:
         # depth cell h=3 from the trained h=2 model
         rowd = next(r for r in report.rows if r.phase == "depth" and r.h == 3)
         teacher = report.models[("depth", 3, 2)]
-        rerun, _ = run_cell(teacher, "depth", 3, X, y, Xt, yt, cfg, rowd.seed,
-                            fixed_width=3)
+        rerun, _ = run_cell(teacher, "depth", 3, X, y, Xt, yt, cfg, rowd.seed)
         assert rerun.auc == rowd.auc
+        assert (rerun.w, rerun.h) == (rowd.w, rowd.h) == (3, 3)
 
     def test_seeds_distinct_across_cells(self, sweep):
         report, _ = sweep
@@ -503,11 +500,11 @@ class TestXor:
         assert acc == 1.0
 
     def test_linear_model_cannot(self):
-        from dropoutlab.linear import _minimize, OptimizerConfig
+        from dropoutlab.linear import _minimize
 
         X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
         y = np.array([0.0, 1.0, 1.0, 0.0])
-        w, b, _, _ = _minimize(X, y, 1.0, OptimizerConfig())
+        w, b, _, _ = _minimize(X, y, 1.0)
         preds = (X @ w + b >= 0).astype(float)
         assert float(np.mean(preds == y)) <= 0.75
 

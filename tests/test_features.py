@@ -599,6 +599,18 @@ class TestSerialization:
         with pytest.raises(BadValueError, match=rf"{re.escape(str(p))}:4: non-numeric feature value"):
             load_matrix(p, day(9))
 
+    @pytest.mark.parametrize("order,where,sid,prev", [("reversed", 3, "s04", "s05"),
+                                                      ("repeated", 8, "s05", "s05")])
+    def test_matrix_ids_must_ascend(self, tiny_course, tmp_path, order, where, sid, prev):
+        p = tmp_path / "m.csv"
+        write_matrix(build_matrix(tiny_course, day(9)), p)
+        header, *rows = p.read_text().splitlines(keepends=True)
+        rows = rows[::-1] if order == "reversed" else rows + rows[-1:]
+        p.write_text(header + "".join(rows))
+        with pytest.raises(BadValueError, match=rf"{re.escape(str(p))}:{where}: student id "
+                                                rf"'{sid}' does not follow '{prev}'"):
+            load_matrix(p, day(9))
+
     def test_matrix_bytes_are_reprs(self, tiny_course, tmp_path):
         m = build_matrix(tiny_course, day(9))
         stats, (z,) = normalize(m, [m], "zscore")

@@ -8,6 +8,7 @@ import pytest
 from scipy.optimize import minimize
 from scipy.special import expit
 
+from dropoutlab import linear
 from dropoutlab.errors import (
     BadValueError,
     ConvergenceWarning,
@@ -30,21 +31,19 @@ from dropoutlab.features import (
 from dropoutlab.linear import (
     SCHEMA_HASH,
     LinearModel,
-    OptimizerConfig,
     _minimize,
     _sigmoid,
     average_hyperplanes,
     baseline_demographics,
     baseline_recency,
     load_model,
-    loss_and_grad,
     predict_proba,
     save_model,
     score_demographics,
     train_logreg,
 )
 
-from conftest import LAUNCH, Student, counters, day, make_course, make_meta
+from conftest import LAUNCH, Student, counters, day, logreg_loss_and_grad, make_course, make_meta
 
 
 def _labelled_matrix(values, labels):
@@ -75,16 +74,16 @@ class TestLossAndGrad:
             X, y = _rand_problem(rng, n, p)
             w = rng.standard_normal(p)
             b = float(rng.standard_normal())
-            _, gw, gb = loss_and_grad(w, b, X, y, C)
+            _, gw, gb = logreg_loss_and_grad(w, b, X, y, C)
             num = np.zeros(p + 1)
             for j in range(p):
                 e = np.zeros(p)
                 e[j] = h
-                lp, _, _ = loss_and_grad(w + e, b, X, y, C)
-                lm, _, _ = loss_and_grad(w - e, b, X, y, C)
+                lp, _, _ = logreg_loss_and_grad(w + e, b, X, y, C)
+                lm, _, _ = logreg_loss_and_grad(w - e, b, X, y, C)
                 num[j] = (lp - lm) / (2 * h)
-            lp, _, _ = loss_and_grad(w, b + h, X, y, C)
-            lm, _, _ = loss_and_grad(w, b - h, X, y, C)
+            lp, _, _ = logreg_loss_and_grad(w, b + h, X, y, C)
+            lm, _, _ = logreg_loss_and_grad(w, b - h, X, y, C)
             num[p] = (lp - lm) / (2 * h)
             ana = np.concatenate([gw, [gb]])
             scale = max(np.max(np.abs(num)), 1.0)
@@ -93,7 +92,7 @@ class TestLossAndGrad:
     def test_loss_at_origin(self):
         X = np.zeros((4, 2))
         y = np.array([0.0, 1.0, 1.0, 0.0])
-        loss, gw, gb = loss_and_grad(np.zeros(2), 0.0, X, y, 1.0)
+        loss, gw, gb = logreg_loss_and_grad(np.zeros(2), 0.0, X, y, 1.0)
         assert loss == pytest.approx(4 * np.log(2))
         assert gb == pytest.approx(0.0)
 
@@ -101,8 +100,8 @@ class TestLossAndGrad:
         X = np.zeros((1, 3))
         y = np.array([1.0])
         w = np.array([2.0, 0.0, -1.0])
-        l1, _, _ = loss_and_grad(w, 0.0, X, y, 1.0)
-        l2, _, _ = loss_and_grad(w, 0.0, X, y, 10.0)
+        l1, _, _ = logreg_loss_and_grad(w, 0.0, X, y, 1.0)
+        l2, _, _ = logreg_loss_and_grad(w, 0.0, X, y, 10.0)
         assert l1 - l2 == pytest.approx(0.5 * 5.0 * (1 - 0.1))
 
 
@@ -132,7 +131,6 @@ class TestTraining:
 
     def test_first_order_optimality(self):
         rng = np.random.default_rng(7)
-        opt = OptimizerConfig()
         for trial in range(20):
             n = int(rng.integers(10, 60))
             p = int(rng.integers(1, 9))
@@ -142,11 +140,10 @@ class TestTraining:
             ids = tuple(f"q{i:03d}" for i in range(n))
             m = FeatureMatrix(ids, full, LAUNCH)
             C = float(rng.choice([0.1, 1.0, 10.0]))
-            model = train_logreg(m, y, C=C, opt=opt)
-            loss, gw, gb = loss_and_grad(model.weights, model.intercept,
-                                         full, y, C)
-            assert np.sqrt(gw @ gw + gb * gb) <= opt.tol_per_example * n * 1.001
-            loss0, _, _ = loss_and_grad(np.zeros(66), 0.0, full, y, C)
+            model = train_logreg(m, y, C=C)
+            loss, gw, gb = logreg_loss_and_grad(model.weights, model.intercept, full, y, C)
+            assert np.sqrt(gw @ gw + gb * gb) <= linear.TOL_PER_EXAMPLE * n * 1.001
+            loss0, _, _ = logreg_loss_and_grad(np.zeros(66), 0.0, full, y, C)
             assert loss <= loss0
 
     def test_stronger_regularization_shrinks_weights(self):
@@ -158,15 +155,25 @@ class TestTraining:
         assert np.linalg.norm(tight.weights) < 1e-2
         assert np.linalg.norm(loose.weights) > np.linalg.norm(tight.weights) * 10
 
-    def test_nonconvergence_warns(self):
+    def test_nonconvergence_warns(self, monkeypatch):
         rng = np.random.default_rng(3)
         X, y = _rand_problem(rng, 80, 5)
         m, labels = _labelled_matrix(X, y.astype(int))
-        one_step = OptimizerConfig(max_iter=1)
-        with pytest.warns(ConvergenceWarning, match=r"iterations=1, gradient norm \S+ > "):
-            train_logreg(m, labels, opt=one_step)
-        with pytest.warns(ConvergenceWarning, match=r"iterations=1"):
-            baseline_demographics(_demographic_course(), opt=one_step)
+        monkeypatch.setattr(linear, "MAX_ITER", 1)
+        with pytest.warns(ConvergenceWarning, match=r"iterations=1, gradient norm \S+ > ") as rec:
+            train_logreg(m, labels)
+        with pytest.warns(ConvergenceWarning, match=r"iterations=1") as rec_demo:
+            baseline_demographics(_demographic_course())
+        # the warning names the caller's line, not the solver's
+        assert rec[0].filename == rec_demo[0].filename == __file__
+
+    @pytest.mark.parametrize("labels", [[0.0, 2.0] * 10, [0.0, 0.5] * 10, [0.0, np.nan] * 10],
+                             ids=["two", "half", "nan"])
+    def test_labels_outside_zero_one_rejected(self, labels):
+        rng = np.random.default_rng(3)
+        m, y = _labelled_matrix(rng.standard_normal((20, 3)), labels)
+        with pytest.raises(BadValueError, match="labels must be 0 or 1"):
+            train_logreg(m, y)
 
     def test_converged_fit_does_not_warn(self):
         rng = np.random.default_rng(3)
@@ -186,23 +193,24 @@ class TestNewtonSolver:
             p = int(rng.integers(1, 12))
             X, y = _rand_problem(rng, n, p)
             C = float(rng.choice([0.01, 0.1, 1.0, 10.0, 100.0]))
-            _, _, iterations, converged = _minimize(X, y, C, OptimizerConfig())
+            _, _, iterations, converged = _minimize(X, y, C)
             assert converged and iterations <= 25, (trial, iterations)
 
-    def test_matches_lbfgs_oracle(self):
+    def test_matches_lbfgs_oracle(self, monkeypatch):
         # The default stop (gradient norm <= 1e-6 * n) bounds the gradient, not
         # the distance to the optimum, so both solvers run to a tight tolerance.
+        monkeypatch.setattr(linear, "TOL_PER_EXAMPLE", 1e-12)
         rng = np.random.default_rng(20261017)
         for trial in range(10):
             n = int(rng.integers(40, 200))
             p = int(rng.integers(1, 9))
             X, y = _rand_problem(rng, n, p)
             C = float(rng.choice([0.1, 1.0, 10.0]))
-            w, b, _, converged = _minimize(X, y, C, OptimizerConfig(tol_per_example=1e-12))
+            w, b, _, converged = _minimize(X, y, C)
             assert converged
 
             def f(theta):
-                loss, gw, gb = loss_and_grad(theta[:-1], theta[-1], X, y, C)
+                loss, gw, gb = logreg_loss_and_grad(theta[:-1], theta[-1], X, y, C)
                 return loss, np.append(gw, gb)
 
             oracle = minimize(f, np.zeros(p + 1), jac=True, method="L-BFGS-B",
@@ -218,7 +226,7 @@ class TestNewtonSolver:
         assert np.linalg.matrix_rank(with_intercept) < with_intercept.shape[1]
         zero_cols = ~np.any(demo != 0.0, axis=0)
         assert zero_cols.any()
-        w, _, iterations, converged = _minimize(demo, y, 1.0, OptimizerConfig())
+        w, _, iterations, converged = _minimize(demo, y, 1.0)
         assert converged and iterations <= 25
         assert np.all(w[zero_cols] == 0.0)
 
