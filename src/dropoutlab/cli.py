@@ -11,6 +11,7 @@ import argparse
 import csv
 import datetime
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -55,8 +56,8 @@ def _positive_float(text: str) -> float:
         v = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if v <= 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {v}")
+    if not 0 < v < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {v}")
     return v
 
 
@@ -182,7 +183,10 @@ def _load_corpus_config(path: Path | None, courses: int, students: int) -> Corpu
             doc = json.load(f)
         except json.JSONDecodeError as e:
             raise BadConfigError(f"{path}: not valid JSON ({e})") from None
-    return corpus_config_from_dict(doc)
+    try:
+        return corpus_config_from_dict(doc)
+    except DropoutLabError as e:
+        raise type(e)(f"{path}: {e}") from None
 
 
 def cmd_synth(args) -> int:
@@ -270,6 +274,9 @@ def _read_manifest(path: Path) -> dict:
     for key in _MANIFEST_REQUIRED:
         if key not in doc:
             raise BadConfigError(f"{path}: manifest missing key {key!r}")
+    for key in ("corpus_config_path", "output_dir"):
+        if not isinstance(doc[key], str):
+            raise BadConfigError(f"{path}: {key} must be a string, got {doc[key]!r}")
     if not isinstance(doc["paradigms"], list) or not doc["paradigms"]:
         raise BadConfigError(f"{path}: paradigms must be a non-empty list")
     return dict(
@@ -278,7 +285,8 @@ def _read_manifest(path: Path) -> dict:
                              lambda v: isinstance(v, int), "an integer"),
         jobs=_checked(path, "jobs", doc.get("jobs", 1),
                       lambda v: isinstance(v, int) and v >= 1, "an integer >= 1"),
-        reg_C=_checked(path, "reg_C", doc.get("reg_C", 1.0), lambda v: v > 0, "> 0"),
+        reg_C=_checked(path, "reg_C", doc.get("reg_C", 1.0), lambda v: 0 < v < math.inf,
+                       "finite and > 0"),
         holdout=_checked(path, "holdout", doc.get("holdout", 0.0),
                          lambda v: 0 <= v < 1, "in [0, 1)"),
     )
@@ -293,20 +301,23 @@ def _growth_setup(g: dict, where: str) -> _Sweep:
     split = _checked(where, "split", g["split"], lambda v: 0 < v < 1, "in (0, 1)")
     if g["norm"] not in ("zscore", "percentile"):
         raise BadConfigError(f"{where}: norm must be 'zscore' or 'percentile', got {g['norm']!r}")
-    plan = GrowthPlan(
-        width_sweep=tuple(range(g["width_from"], g["width_to"] + 1)),
-        depth_sweep=tuple(range(g["depth_from"], g["depth_to"] + 1)),
-        fixed_width=g["fixed_width"],
-    )
-    cfg = SgdConfig(
-        learning_rate=float(g["learning_rate"]),
-        epochs=g["epochs"],
-        minibatch_size=g["minibatch_size"],
-        anneal_factor=float(g["anneal"]),
-        momentum=float(g["momentum"]),
-        class_weighting=g["class_weighting"],
-        seed=g["seed"],
-    )
+    try:
+        plan = GrowthPlan(
+            width_sweep=tuple(range(g["width_from"], g["width_to"] + 1)),
+            depth_sweep=tuple(range(g["depth_from"], g["depth_to"] + 1)),
+            fixed_width=g["fixed_width"],
+        )
+        cfg = SgdConfig(
+            learning_rate=float(g["learning_rate"]),
+            epochs=g["epochs"],
+            minibatch_size=g["minibatch_size"],
+            anneal_factor=float(g["anneal"]),
+            momentum=float(g["momentum"]),
+            class_weighting=g["class_weighting"],
+            seed=g["seed"],
+        )
+    except BadConfigError as e:
+        raise BadConfigError(f"{where}: {e}") from None
     return plan, cfg, g["week"], float(split), g["norm"]
 
 

@@ -739,23 +739,33 @@ def corpus_config_to_dict(config: CorpusConfig) -> dict:
     return {"courses": courses}
 
 
+# The JSON types each SynthConfig field takes, by its annotation, as errors name
+# them; a bool or a non-finite number fits no field.
+_JSON_VALUES = {"str": (str, "a string"), "datetime.date": (str, "a YYYY-MM-DD string"),
+                "int": (int, "an integer"), "float": ((int, float), "a finite number")}
+
+
 def corpus_config_from_dict(doc: dict) -> CorpusConfig:
-    if not isinstance(doc, dict) or "courses" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("courses"), list):
         raise BadConfigError("corpus config must be an object with a 'courses' list")
-    known = {f.name for f in dc_fields(SynthConfig)}
+    json_values = {f.name: _JSON_VALUES[f.type] for f in dc_fields(SynthConfig)}
     courses = []
     for entry in doc["courses"]:
         if not isinstance(entry, dict):
             raise BadConfigError("each corpus config entry must be an object")
-        unknown = set(entry) - known
-        if unknown:
-            raise BadConfigError(f"unknown corpus config key {sorted(unknown)[0]!r}")
+        for key, value in sorted(entry.items()):
+            if key not in json_values:
+                raise BadConfigError(f"unknown corpus config key {key!r}")
+            types, expected = json_values[key]
+            if (isinstance(value, bool) or not isinstance(value, types)
+                    or isinstance(value, float) and not math.isfinite(value)):
+                raise BadConfigError(f"corpus config {key} must be {expected}, got {value!r}")
         entry = dict(entry)
         if "launch" in entry:
-            entry["launch"] = _parse_date(str(entry["launch"]), "corpus config launch")
+            entry["launch"] = _parse_date(entry["launch"], "corpus config launch")
         try:
             courses.append(SynthConfig(**entry))
-        except TypeError as e:
+        except TypeError as e:  # course_id missing
             raise BadConfigError(f"bad corpus config entry: {e}") from None
     cfg = CorpusConfig(tuple(courses))
     cfg.validate()

@@ -91,14 +91,14 @@ class SgdConfig:
     class_weighting: bool = False
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
-            raise BadConfigError(f"learning_rate {self.learning_rate} must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise BadConfigError(f"learning_rate {self.learning_rate} must be positive and finite")
         if self.epochs < 1:
             raise BadConfigError(f"epochs {self.epochs} must be >= 1")
         if self.minibatch_size < 1:
             raise BadConfigError(f"minibatch_size {self.minibatch_size} must be >= 1")
-        if self.anneal_factor < 0:
-            raise BadConfigError(f"anneal_factor {self.anneal_factor} must be >= 0")
+        if not 0 <= self.anneal_factor < math.inf:
+            raise BadConfigError(f"anneal_factor {self.anneal_factor} must be >= 0 and finite")
         if not (0.0 <= self.momentum < 1.0):
             raise BadConfigError(f"momentum {self.momentum} must be in [0, 1)")
 
@@ -430,6 +430,8 @@ def run_cell(
         else:
             net = net2wider(teacher, 0, value, seed)
     elif phase == "depth":
+        if teacher is None:
+            raise BadConfigError("a depth cell needs a teacher to deepen")
         net = net2deeper(teacher, len(teacher.layers) - 2)
         if net.n_hidden != value:
             raise BadConfigError(f"depth cell expected h={value}, teacher gives {net.n_hidden}")

@@ -168,8 +168,8 @@ def _minimize(X: np.ndarray, y: np.ndarray, C: float) -> tuple[np.ndarray, float
 
 def _fit(X: np.ndarray, y: np.ndarray, C: float) -> tuple[np.ndarray, float]:
     """Check the inputs and run _minimize."""
-    if C <= 0:
-        raise BadValueError(f"C {C} must be positive")
+    if not 0 < C < math.inf:
+        raise BadValueError(f"C {C} must be positive and finite")
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (len(X),):
         raise BadValueError(f"labels of shape {y.shape} do not align with {len(X)} rows")

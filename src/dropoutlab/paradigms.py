@@ -17,18 +17,18 @@ A paradigm's source courses are never passed in: source_courses derives
 them from (corpus, kind, target), and run_paradigm(corpus, kind, target_id, w)
 scores one cell, fitting only the models that cell reads.
 
-run_experiment scores every cell in two phases, each one task per course.
-The fit phase derives the model keys the cells read: a (course, date) model
-for post_hoc at holdout 0 and for each same_field and multi_course source,
-and one baseline1 model per course. A course's task fits its keys once, in
+run_experiment first plans the run: each cell's model keys, derived once by
+_cell_keys, are a (course, date) model for post_hoc at holdout 0 and for each
+same_field and multi_course source, and one baseline1 model per course; a
+cell with no source course is recorded as skipped before any fit. Two phases
+of one task per course follow. A course's fit task fits its keys once, in
 date order over one walk of its snapshots, into a table that holds models
-only, never a feature matrix. The score phase walks each target course's
-eligible weeks once: a week's snapshot is built once and z-scored at most
-once, and every paradigm scored that week reads it. in_situ and post_hoc
-with holdout > 0 train inside their cells and never read the table. With
-jobs > 1, one process pool runs the fit tasks and then the score tasks. A
-cell that cannot be scored (no source course, a single-class training set)
-is recorded as skipped.
+only, never a feature matrix. A target's score task walks its eligible weeks
+once: a week's snapshot is built once and z-scored at most once, and every
+cell scored that week reads it with its keys' models. in_situ and post_hoc
+with holdout > 0 train inside their cells and read no key. With jobs > 1, one
+process pool runs the fit tasks and then the score tasks. A cell is skipped
+too when a training set, or the labels it is ranked against, hold one class.
 """
 
 from __future__ import annotations
@@ -37,6 +37,8 @@ import datetime
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from functools import cached_property
+from itertools import groupby
+from operator import itemgetter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -47,7 +49,6 @@ from .errors import (
     BeforeLaunchError,
     InvalidParadigmError,
     SingleClassError,
-    UnknownStudentError,
     WindowOutOfRangeError,
 )
 from .evaluate import EvalReport, EvalRow, auc_values
@@ -298,56 +299,55 @@ class _Week:
 
 
 def _score_cell(
-    corpus: Sequence[CourseData],
     kind: str,
-    target_id: str,
+    target: CourseData,
     w: int,
-    models: dict[ModelKey, LinearModel | SingleClassError],
+    fitted: Sequence[LinearModel | SingleClassError],
     C: float,
     holdout: float,
     seed: int,
     week: _Week,
-) -> ScoredStudents:
-    """Score one cell from the fitted models of its keys and the target's week.
+) -> tuple[ScoredStudents, np.ndarray]:
+    """Score one cell; returns the scores and the certification labels of the
+    students scored, all of the target's but for post_hoc with holdout > 0.
 
-    The first key whose fit failed, in source order, re-raises its error.
+    fitted holds the models of the cell's _cell_keys in key order, and week
+    the target's week-w snapshot; the first model whose fit failed re-raises
+    its error.
     """
-    fitted = []
-    for key in _cell_keys(corpus, kind, target_id, w, holdout):
-        model = models[key]
+    for model in fitted:
         if isinstance(model, SingleClassError):
             raise model.with_traceback(None)
-        fitted.append(model)
-    target = _corpus_index(corpus)[target_id]
+    y = target.certified
 
     if kind == "post_hoc" and holdout <= 0.0:
         # the course model's z-score stats were fit on this very snapshot,
         # so the week's own z-score has the bits of applying them
-        return predict_proba(fitted[0], week.z)
+        return predict_proba(fitted[0], week.z), y
 
     if kind == "same_field":
         # one course model, deployed with the z-score stats it was fit with
         (model,) = fitted
-        return predict_proba(model, apply_zscore(week.m, model.norm))
+        return predict_proba(model, apply_zscore(week.m, model.norm)), y
 
-    if kind == "post_hoc":  # holdout > 0
+    if kind == "post_hoc":  # holdout > 0: only the held-out students are scored
         train_rows, test_rows = split_rows(week.m.n_rows, holdout, seed)
         m_train = week.m.take(train_rows)
         stats, (z_train, z_test) = normalize(m_train, [m_train, week.m.take(test_rows)], "zscore")
-        model = train_logreg(z_train, target.certified[train_rows], C, norm=stats)
-        return predict_proba(model, z_test)
+        model = train_logreg(z_train, y[train_rows], C, norm=stats)
+        return predict_proba(model, z_test), y[test_rows]
 
     if kind == "multi_course":
-        return predict_proba(average_hyperplanes(fitted), week.z)
+        return predict_proba(average_hyperplanes(fitted), week.z), y
 
     if kind == "in_situ":
-        return insitu_scores(target.meta, target.roster, target.activity, w, C, week.m)
+        return insitu_scores(target.meta, target.roster, target.activity, w, C, week.m), y
 
     if kind == "baseline1":
-        return score_demographics(fitted[0], target)
+        return score_demographics(fitted[0], target), y
 
     if kind == "baseline2":
-        return baseline_recency(week.m)
+        return baseline_recency(week.m), y
 
     raise InvalidParadigmError(f"unknown paradigm {kind!r}")
 
@@ -366,39 +366,20 @@ def run_paradigm(
     The source courses follow from (corpus, kind, target_id); see
     source_courses. holdout (post_hoc only) trains on a seeded (1 - holdout)
     fraction and returns scores for the held-out students alone; 0 keeps the
-    literal same-population regime. Only the models this one cell reads are
-    fit, through the same keys as run_experiment's table.
+    literal same-population regime. Only the models of this one cell's keys
+    are fit, and it is scored as run_experiment scores its cells.
     """
-    keys = _cell_keys(corpus, kind, target_id, w, holdout)
     by_id = _corpus_index(corpus)
-    models: dict[ModelKey, LinearModel | SingleClassError] = {}
-    for cid, as_of in keys:  # a cell reads at most one key per course
-        models.update(_fit_course_keys(by_id[cid], [as_of], C))
+    fitted = [_fit_course_keys(by_id[cid], [as_of], C)[cid, as_of]
+              for cid, as_of in _cell_keys(corpus, kind, target_id, w, holdout)]
     target = by_id[target_id]
     week = _Week(None if kind == "baseline1" else build_matrix(target, week_date(target.meta, w)))
-    return _score_cell(corpus, kind, target_id, w, models, C, holdout, seed, week)
+    return _score_cell(kind, target, w, fitted, C, holdout, seed, week)[0]
 
 
 # ---------------------------------------------------------------------------
 # Experiment harness
 # ---------------------------------------------------------------------------
-
-def roster_rows(course: CourseData, student_ids: Sequence[str]) -> np.ndarray:
-    """Row of each given student in the course roster (student-id order).
-
-    One searchsorted over the sorted roster, checked for exact matches; an id
-    that is not on the roster raises UnknownStudentError.
-    """
-    roster = np.array(course.roster.student_ids, dtype=object)
-    ids = np.array(student_ids, dtype=object)
-    rows = np.searchsorted(roster, ids)
-    found = rows < len(roster)
-    found[found] = roster[rows[found]] == ids[found]
-    if not found.all():
-        raise UnknownStudentError(
-            f"student {ids[~found][0]!r} is not on the roster of {course.meta.course_id!r}")
-    return rows
-
 
 _WORKER_CORPUS: list[CourseData] | None = None
 
@@ -430,46 +411,29 @@ def _fit_course_entry(args) -> dict[ModelKey, LinearModel | SingleClassError]:
     return _fit_course_keys(_corpus_index(_WORKER_CORPUS)[course_id], dates, C)
 
 
-def _task_keys(
-    corpus: list[CourseData], kind: str, target_id: str, holdout: float
-) -> list[ModelKey]:
-    """The distinct table keys of one (paradigm, course) pair's weekly cells."""
-    keys: dict[ModelKey, None] = {}
-    for w in prediction_weeks(_corpus_index(corpus)[target_id].meta, kind):
-        try:
-            keys.update(dict.fromkeys(_cell_keys(corpus, kind, target_id, w, holdout)))
-        except InvalidParadigmError:  # no source course: the cell is skipped when scored
-            pass
-    return list(keys)
+# One target course's share of a run's plan: its cells that can be scored, as
+# (week, paradigm, model keys) in week order, paradigms in run order within a week.
+_Cells = list[tuple[int, str, tuple[ModelKey, ...]]]
 
 
 def _score_course(args) -> tuple[list[tuple], list[tuple]]:
-    """Every weekly cell of one target course: its rows and its skipped records.
-
-    One walk over the weeks where some paradigm reads a snapshot builds each
-    week's snapshot once; every paradigm scored that week reads it.
+    """The rows and skipped records of one target's planned cells, each given
+    with its keys' models. One walk over the weeks where some paradigm reads a
+    snapshot builds each week's snapshot once, for every cell of that week.
     """
-    kinds, target_id, C, holdout, seed, models = args
-    corpus = _WORKER_CORPUS
-    target = _corpus_index(corpus)[target_id]
-    weeks = {kind: set(prediction_weeks(target.meta, kind)) for kind in kinds}
-    read = sorted({w for kind in kinds if kind != "baseline1" for w in weeks[kind]})
+    target_id, cells, C, holdout, seed = args
+    target = _corpus_index(_WORKER_CORPUS)[target_id]
+    read = sorted({w for w, kind, _ in cells if kind != "baseline1"})
     walk = snapshots(target, [week_date(target.meta, w) for w in read])
     rows: list[tuple] = []
     skipped: list[tuple] = []
-    for w in sorted(set().union(*weeks.values())):
+    for w, week_cells in groupby(cells, key=itemgetter(0)):
         week = _Week(next(walk) if w in read else None)
-        for kind in kinds:
-            if w not in weeks[kind]:
-                continue
+        for _, kind, fitted in week_cells:
             try:
-                scored = _score_cell(corpus, kind, target_id, w, models, C, holdout, seed, week)
-                y = target.certified
-                if scored.student_ids != target.roster.student_ids:  # post_hoc's held-out students
-                    y = y[roster_rows(target, scored.student_ids)]
-                auc = auc_values(scored.scores, y)
-                rows.append((kind, target_id, w, auc, len(y), int(y.sum())))
-            except (SingleClassError, InvalidParadigmError) as e:  # e.g. no same-field source
+                scored, y = _score_cell(kind, target, w, fitted, C, holdout, seed, week)
+                rows.append((kind, target_id, w, auc_values(scored.scores, y), len(y), int(y.sum())))
+            except SingleClassError as e:
                 skipped.append((kind, target_id, w, str(e)))
     return rows, skipped
 
@@ -484,17 +448,19 @@ def run_experiment(
 ) -> EvalReport:
     """Every course x paradigm x eligible week, scored against true labels.
 
-    Two phases of one task per course. The fit phase derives every model key
-    the cells read; a course's task fits its keys once, in date order over
-    one walk of its snapshots, into a table of models (no feature matrices).
-    A key whose training set has a single class keeps its error, and every
-    cell that reads it is skipped with that reason. The score phase walks
-    each target course's weeks once and scores every paradigm's cell of a
-    week from one snapshot, z-scored at most once, and its keys' models.
-    jobs > 1 runs both phases on one process pool: first the fit tasks, then
-    the score tasks. The table lives only for this call, and the report sorts
-    rows and skipped cells, so it is identical for any jobs value. A kind
-    listed twice is rejected: its rows would enter every aggregate twice.
+    One plan, then two phases of one task per course. The plan holds each
+    cell's model keys, derived once; a cell with no source course is recorded
+    as skipped before any fit. The fit phase fits the union of the plan's
+    keys: a course's task fits its keys once, in date order over one walk of
+    its snapshots, into a table of models (no feature matrices). A key whose
+    training set has a single class keeps its error, and every cell that
+    reads it is skipped with that reason. The score phase walks each target
+    course's weeks once and scores every planned cell of a week from one
+    snapshot, z-scored at most once, and its keys' models. jobs > 1 runs both
+    phases on one process pool: first the fit tasks, then the score tasks.
+    The table lives only for this call, and the report sorts rows and skipped
+    cells, so it is identical for any jobs value. A kind listed twice is
+    rejected: its rows would enter every aggregate twice.
     """
     if len(corpus) == 0:
         raise BadValueError("corpus must be non-empty")
@@ -504,21 +470,30 @@ def run_experiment(
         if kind in paradigm_kinds[:i]:
             raise InvalidParadigmError(f"paradigm {kind!r} is listed more than once")
     corpus = list(corpus)
-    kinds = tuple(paradigm_kinds)
-    course_ids = sorted(c.meta.course_id for c in corpus)
-    course_keys = {cid: list(dict.fromkeys(key for kind in kinds
-                                           for key in _task_keys(corpus, kind, cid, holdout)))
-                   for cid in course_ids}
+    by_id = _corpus_index(corpus)
+    plan: dict[str, _Cells] = {}
+    skipped: list[tuple] = []
+    for cid in sorted(by_id):
+        cells: _Cells = []
+        for kind in paradigm_kinds:
+            for w in prediction_weeks(by_id[cid].meta, kind):
+                try:
+                    cells.append((w, kind, _cell_keys(corpus, kind, cid, w, holdout)))
+                except InvalidParadigmError as e:  # e.g. no same-field source
+                    skipped.append((kind, cid, w, str(e)))
+        plan[cid] = sorted(cells, key=itemgetter(0))  # stable: run order within a week
     dates: dict[str, list[datetime.date | None]] = {}
-    for cid, as_of in dict.fromkeys(key for keys in course_keys.values() for key in keys):
+    for cid, as_of in dict.fromkeys(key for cells in plan.values() for *_, keys in cells
+                                    for key in keys):
         dates.setdefault(cid, []).append(as_of)
     with _corpus_map(corpus, jobs) as corpus_map:
         table: dict[ModelKey, LinearModel | SingleClassError] = {}
         for models in corpus_map(_fit_course_entry, [(cid, dates[cid], C) for cid in sorted(dates)]):
             table.update(models)
         results = corpus_map(_score_course, [
-            (kinds, cid, C, holdout, seed, {key: table[key] for key in course_keys[cid]})
-            for cid in course_ids
+            (cid, [(w, kind, [table[key] for key in keys]) for w, kind, keys in cells],
+             C, holdout, seed)
+            for cid, cells in plan.items()
         ])
     return EvalReport.from_rows([EvalRow(*r) for rows, _ in results for r in rows],
-                                [s for _, skipped in results for s in skipped])
+                                skipped + [s for _, skips in results for s in skips])

@@ -12,6 +12,7 @@ import pytest
 
 import dropoutlab
 from dropoutlab.cli import build_parser, main
+from dropoutlab.paradigms import PARADIGMS
 
 
 def _dir_bytes(root):
@@ -252,6 +253,37 @@ _GROWTH_DIGESTS = {
 }
 
 
+# Nobody certifies in KBx, which every multi_course cell reads, and KEx has no
+# same-field course.
+_SKIP_CONFIG = {"courses": [
+    {"course_id": "KAx", "field": "STEM", "n_students": 80, "weeks_to_t100": 4, "weeks_total": 5},
+    {"course_id": "KBx", "field": "STEM", "n_students": 70, "weeks_to_t100": 5, "weeks_total": 6,
+     "problems_for_full_grade": 1e6},
+    {"course_id": "KCx", "field": "Hum", "n_students": 60, "weeks_to_t100": 4, "weeks_total": 5},
+    {"course_id": "KDx", "field": "Hum", "n_students": 70, "launch": "2014-02-03",
+     "weeks_to_t100": 3, "weeks_total": 4},
+    {"course_id": "KEx", "field": "SocialSci", "n_students": 50, "weeks_to_t100": 4,
+     "weeks_total": 5},
+]}
+
+# six-paradigm runs of _SKIP_CONFIG at holdout 0 with --jobs 1 (h0) and at holdout
+# 0.3 with --jobs 2 (h3), as written before each cell's keys were planned once
+_SKIP_RUN_DIGESTS = {
+    "h0": {
+        "aggregate.csv": "cab262b35429f43cf56ed064c5ce4ec8d9264180d9f93a365ccd85528fac2eba",
+        "rows.csv": "d3d4464a13c55efc46c3dc8e9c539a6d9795702875a7df4c5d7fbca72d472a99",
+        "skipped.csv": "0238dcddde5992e7233fde387bc55d65fd81fddab26ae416b90baa3f4d69dba7",
+        "summary.txt": "64348a2fbfe240991cc196c649ef477f6d88e7d18d7d0da85031049874ed6224",
+    },
+    "h3": {
+        "aggregate.csv": "26bf151a9a943837a5cd4240186ebe02e202fb04d5d929882e87864eeda67665",
+        "rows.csv": "82574cdd8115bc654dd0f197ed00e56d93163cf7453375772a15cb5ddf3bb6bf",
+        "skipped.csv": "0238dcddde5992e7233fde387bc55d65fd81fddab26ae416b90baa3f4d69dba7",
+        "summary.txt": "0c8b07cb68f93cbc01b93a58506b11f9333d6d8bddc5958ee3cf2240b150b84b",
+    },
+}
+
+
 class TestArtifactBytes:
     def test_features_and_train_files_are_pinned(self, course_dir, tmp_path):
         from dropoutlab.features import FEATURE_NAMES, PERCENTILE_COLUMNS
@@ -290,6 +322,20 @@ class TestArtifactBytes:
         assert main(["run", "--manifest", str(_write_manifest(tmp_path, growth_plan=plan))]) == 0
         got = {name: digests(tmp_path / name) for name in ("default", "fixed7", "out")}
         assert got == _GROWTH_DIGESTS
+
+
+    def test_runs_with_both_skip_reasons_are_pinned(self, tmp_path):
+        found = {}
+        for out, holdout, jobs in (("h0", 0.0, "1"), ("h3", 0.3, "2")):
+            manifest = _write_manifest(tmp_path, paradigms=list(PARADIGMS), holdout=holdout,
+                                       output_dir=out)
+            (tmp_path / "config.json").write_text(json.dumps(_SKIP_CONFIG))  # over the default
+            assert main(["run", "--manifest", str(manifest), "--jobs", jobs]) == 0
+            found[out] = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                          for p in sorted((tmp_path / out).iterdir())}
+        skipped = (tmp_path / "h3" / "skipped.csv").read_text()
+        assert "single class" in skipped and "no other SocialSci course" in skipped
+        assert found == _SKIP_RUN_DIGESTS
 
 
 def _write_manifest(tmp_path, **overrides):
@@ -394,6 +440,88 @@ class TestStrictManifest:
         assert main(["run", "--manifest", str(manifest)]) == 1
         assert named in capsys.readouterr().err
         assert not (tmp_path / "out" / "rows.csv").exists()
+
+
+def _exit_code(argv):
+    """main's return value, or argparse's usage exit; any other exception escapes."""
+    try:
+        return main(argv)
+    except SystemExit as e:
+        return e.code
+
+
+def _grow(*options):
+    def build(tmp_path, course_dir):
+        return ["grow", "--course-dir", str(course_dir), "--epochs", "1", "--width-to", "2",
+                "--depth-to", "2", "--out-dir", str(tmp_path / "g"), *options], []
+    return build
+
+
+def _train(*options):
+    def build(tmp_path, course_dir):
+        return ["train", "--course-dir", str(course_dir), "--out", str(tmp_path / "m.json"),
+                *options], []
+    return build
+
+
+def _manifest(**overrides):
+    def build(tmp_path, course_dir):
+        path = _write_manifest(tmp_path, **overrides)
+        return ["run", "--manifest", str(path)], [str(path)]
+    return build
+
+
+def _corpus_config(doc):
+    def build(tmp_path, course_dir):
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps(doc))
+        return ["synth", "--config", str(path), "--out", str(tmp_path / "c")], [str(path)]
+    return build
+
+
+def _course(**values):
+    return _corpus_config({"courses": [{"course_id": "Ax", "n_students": 20, **values}]})
+
+
+# Each bad input: the command, its exit code, and the words its error names; the
+# error of a JSON input names the file too.
+_MALFORMED = {
+    "train-reg-c-inf": (_train("--reg-c", "inf"), 2, ["--reg-c", "inf"]),
+    "train-reg-c-nan": (_train("--reg-c", "nan"), 2, ["--reg-c", "nan"]),
+    "grow-learning-rate-inf": (_grow("--learning-rate", "inf"), 2, ["--learning-rate", "inf"]),
+    "grow-anneal-nan": (_grow("--anneal", "nan"), 1, ["anneal_factor", "nan"]),
+    "grow-anneal-inf": (_grow("--anneal", "inf"), 1, ["anneal_factor", "inf"]),
+    "manifest-reg-c-inf": (_manifest(reg_C=float("inf")), 1, ["reg_C", "inf"]),
+    "growth-plan-anneal-nan": (_manifest(growth_plan={"anneal": float("nan")}), 1,
+                               ["growth_plan", "anneal_factor"]),
+    "growth-plan-learning-rate-inf": (_manifest(growth_plan={"learning_rate": float("inf")}), 1,
+                                      ["growth_plan", "learning_rate"]),
+    "manifest-output-dir-int": (_manifest(output_dir=5), 1, ["output_dir"]),
+    "manifest-config-path-int": (_manifest(corpus_config_path=5), 1, ["corpus_config_path"]),
+    "corpus-courses-int": (_corpus_config({"courses": 5}), 1, ["courses"]),
+    "corpus-n-students-str": (_course(n_students="x"), 1, ["n_students", "'x'"]),
+    "corpus-n-students-fraction": (_course(n_students=10.5), 1, ["n_students", "10.5"]),
+    "corpus-cert-threshold-null": (_course(cert_threshold=None), 1, ["cert_threshold", "None"]),
+    "corpus-cert-threshold-nan": (_course(cert_threshold=float("nan")), 1,
+                                  ["cert_threshold", "nan"]),
+    "corpus-weeks-fraction": (_course(weeks_to_t100=2.5), 1, ["weeks_to_t100", "2.5"]),
+    "corpus-survey-rate-bool": (_course(survey_rate=True), 1, ["survey_rate", "True"]),
+    "corpus-launch-int": (_course(launch=20140106), 1, ["launch", "20140106"]),
+    "corpus-unknown-key": (_course(bogus=1), 1, ["bogus"]),
+}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("build,code,named", list(_MALFORMED.values()), ids=list(_MALFORMED))
+    def test_fails_with_an_error_line(self, build, code, named, course_dir, tmp_path, capsys):
+        argv, paths = build(tmp_path, course_dir)
+        assert _exit_code(argv) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        for word in named + paths:
+            assert word in err
+        assert not (tmp_path / "g").exists() and not (tmp_path / "c").exists()
+        assert not (tmp_path / "m.json").exists() and not (tmp_path / "out").exists()
 
 
 class TestGrowCommand:

@@ -228,6 +228,10 @@ class TestSgd:
             SgdConfig(minibatch_size=0)
         with pytest.raises(BadConfigError):
             SgdConfig(learning_rate=-0.1)
+        for field in ("learning_rate", "anneal_factor"):
+            for value in (np.inf, np.nan):
+                with pytest.raises(BadConfigError, match=field):
+                    SgdConfig(**{field: value})
 
     def test_deterministic_for_seed(self):
         rng = np.random.default_rng(6)
@@ -458,6 +462,11 @@ class TestGrowthSweep:
         rerun, _ = run_cell(teacher, "depth", 3, X, y, Xt, yt, cfg, rowd.seed)
         assert rerun.auc == rowd.auc
         assert (rerun.w, rerun.h) == (rowd.w, rowd.h) == (3, 3)
+
+    def test_depth_cell_without_teacher_rejected(self, sweep):
+        _, (X, y, Xt, yt, cfg) = sweep
+        with pytest.raises(BadConfigError, match="teacher"):
+            run_cell(None, "depth", 2, X, y, Xt, yt, cfg, 5)
 
     def test_seeds_distinct_across_cells(self, sweep):
         report, _ = sweep

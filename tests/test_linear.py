@@ -126,8 +126,9 @@ class TestTraining:
 
     def test_bad_c_rejected(self):
         m, labels = _labelled_matrix(np.array([[1.0], [-1.0]]), [1, 0])
-        with pytest.raises(BadValueError):
-            train_logreg(m, labels, C=0.0)
+        for C in (0.0, np.inf, np.nan):
+            with pytest.raises(BadValueError, match="positive and finite"):
+                train_logreg(m, labels, C=C)
 
     def test_first_order_optimality(self):
         rng = np.random.default_rng(7)

@@ -13,7 +13,6 @@ from dropoutlab.errors import (
     BeforeLaunchError,
     InvalidParadigmError,
     SingleClassError,
-    UnknownStudentError,
     WindowOutOfRangeError,
 )
 from dropoutlab.evaluate import auc_values
@@ -25,7 +24,6 @@ from dropoutlab.paradigms import (
     largest_same_field_source,
     prediction_weeks,
     proxy_labels,
-    roster_rows,
     run_experiment,
     run_paradigm,
     source_courses,
@@ -592,18 +590,19 @@ class TestModelTable:
             assert a.rows == b.rows and a.aggregates == b.aggregates
             assert a.skipped == b.skipped
 
+    @pytest.mark.parametrize("holdout", [0.0, 0.3])
+    def test_cell_keys_derived_once_per_cell(self, holdout, monkeypatch):
+        corpus = _single_class_corpus()  # SCCx has no same-field source
+        derived, cell_keys = [], paradigms._cell_keys
 
-class TestRosterRows:
-    def test_rows_of_a_shuffled_subset(self, small_corpus):
-        course = small_corpus[0]
-        rows = np.random.default_rng(1).permutation(course.n_students)[:40]
-        ids = tuple(course.roster.student_ids[i] for i in rows)
-        assert np.array_equal(roster_rows(course, ids), rows)
-        assert roster_rows(course, ()).shape == (0,)
+        def counting_keys(corpus, kind, target_id, w, holdout):
+            derived.append((kind, target_id, w))
+            return cell_keys(corpus, kind, target_id, w, holdout)
 
-    @pytest.mark.parametrize("stranger", ["", "zzz", "s000", "s00000\x00", "S00000"])
-    def test_unknown_id_rejected(self, small_corpus, stranger):
-        course = small_corpus[0]
-        assert course.roster.student_ids[0] == "s00000"
-        with pytest.raises(UnknownStudentError, match="not on the roster"):
-            roster_rows(course, (course.roster.student_ids[3], stranger))
+        monkeypatch.setattr(paradigms, "_cell_keys", counting_keys)
+        report = run_experiment(corpus, PARADIGMS, holdout=holdout, jobs=1)
+        assert any("no other Hum course" in reason for *_, reason in report.skipped)
+        cells = [(r.paradigm, r.course_id, r.week) for r in report.rows]
+        cells += [(kind, cid, w) for kind, cid, w, _ in report.skipped]
+        assert len(cells) == len(set(cells))
+        assert sorted(derived) == sorted(cells)
