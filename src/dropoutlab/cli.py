@@ -1,7 +1,7 @@
 """Command-line front end: synth, features, train, run, grow, report.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error. The DROPOUTLAB_SEED
-environment variable, which must be an integer, overrides the default --seed
+environment variable, which must be an integer >= 0, overrides the default --seed
 of every subcommand; an explicit flag wins over both.
 """
 
@@ -28,27 +28,26 @@ from .dataset import (
 from .deepnet import GrowthPlan, SgdConfig, grow_and_train, save_mlp, write_growth_csv
 from .errors import BadConfigError, DropoutLabError
 from .evaluate import ROWS_COLUMNS, SKIPPED_COLUMNS, EvalReport, EvalRow, auc_values, emit_report
-from .features import build_matrix, normalize, save_norm_stats, split_rows, write_matrix
+from .features import build_matrix, holdout_split, normalize, save_norm_stats, write_matrix
 from .linear import baseline_demographics, predict_proba, save_model, score_demographics
 from .paradigms import PARADIGMS, fit_course_model, run_experiment, week_date
 
 
-def _seed(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"{text!r} is not an integer (from --seed or DROPOUTLAB_SEED)") from None
+def _int_at_least(lo: int, source: str = ""):
+    """An argparse type: the integer of a text, which must be >= lo."""
+    def parse(text: str) -> int:
+        try:
+            v = int(text)
+        except ValueError:
+            v = None
+        if v is None or v < lo:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= {lo}{source}")
+        return v
+    return parse
 
 
-def _positive_int(text: str) -> int:
-    try:
-        v = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if v < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {v}")
-    return v
+_seed = _int_at_least(0, " (from --seed or DROPOUTLAB_SEED)")  # numpy takes no negative seed
+_positive_int = _int_at_least(1)
 
 
 def _positive_float(text: str) -> float:
@@ -210,19 +209,17 @@ def _snapshot_date(course, week: int, as_of: datetime.date | None) -> datetime.d
 
 def cmd_features(args) -> int:
     course = load_course_dir(args.course_dir)
-    as_of = _snapshot_date(course, args.week, args.as_of)
-    m = build_matrix(course, as_of)
-    stats = None
+    m = build_matrix(course, _snapshot_date(course, args.week, args.as_of))
+    paths = [args.out]
     if args.norm != "none":
         stats, (m,) = normalize(m, [m], args.norm)
-    args.out.parent.mkdir(parents=True, exist_ok=True)
+        paths.append(args.stats_out or args.out.with_suffix(args.out.suffix + ".norm.json"))
+    for path in paths:  # every parent exists before the first file is written
+        path.parent.mkdir(parents=True, exist_ok=True)
     write_matrix(m, args.out)
-    if stats is not None:
-        stats_path = args.stats_out or args.out.with_suffix(args.out.suffix + ".norm.json")
-        save_norm_stats(stats, stats_path)
-        print(f"wrote {args.out} and {stats_path}")
-    else:
-        print(f"wrote {args.out}")
+    if args.norm != "none":
+        save_norm_stats(stats, paths[1])
+    print("wrote " + " and ".join(map(str, paths)))
     return 0
 
 
@@ -230,14 +227,14 @@ def cmd_train(args) -> int:
     course = load_course_dir(args.course_dir)
     if args.kind == "baseline1":
         model = baseline_demographics(course, args.reg_c)
-        scored = score_demographics(model, course)
+        scores = score_demographics(model, course)
     else:
         m = build_matrix(course, week_date(course.meta, args.week))
         model, z = fit_course_model(course, m, args.reg_c)
-        scored = predict_proba(model, z)
+        scores = predict_proba(model, z)
     args.out.parent.mkdir(parents=True, exist_ok=True)
     save_model(model, args.out)
-    a = auc_values(scored.scores, course.certified)
+    a = auc_values(scores, course.certified)
     print(f"wrote {args.out} (training AUC {a:.4f})")
     return 0
 
@@ -282,7 +279,7 @@ def _read_manifest(path: Path) -> dict:
     return dict(
         doc,
         master_seed=_checked(path, "master_seed", doc["master_seed"],
-                             lambda v: isinstance(v, int), "an integer"),
+                             lambda v: isinstance(v, int) and v >= 0, "an integer >= 0"),
         jobs=_checked(path, "jobs", doc.get("jobs", 1),
                       lambda v: isinstance(v, int) and v >= 1, "an integer >= 1"),
         reg_C=_checked(path, "reg_C", doc.get("reg_C", 1.0), lambda v: 0 < v < math.inf,
@@ -335,22 +332,13 @@ def _growth_from_manifest(doc: dict, path: Path) -> _Sweep:
                          f"{path}: growth_plan")
 
 
-def _split_for_growth(course, week, split, norm, seed):
-    """Seeded train/test split of one course's feature matrix at a week, normalized on train."""
-    m = build_matrix(course, week_date(course.meta, week))
-    train_rows, test_rows = split_rows(m.n_rows, split, seed)
-    m_train = m.take(train_rows)
-    _, (m_train, m_test) = normalize(m_train, [m_train, m.take(test_rows)], norm)
-    return (m_train.values, course.certified[train_rows],
-            m_test.values, course.certified[test_rows])
-
-
 def _grow_and_save(course, sweep: _Sweep, out_dir: Path):
     """Run the sweep on the course's growth split and write growth.csv and
     best_model.json to out_dir; returns the sweep's report."""
     plan, cfg, week, split, norm = sweep
-    # the split returns arrays only, so the raw matrix is freed before training
-    report = grow_and_train(*_split_for_growth(course, week, split, norm, cfg.seed), plan, cfg)
+    _, train, y_train, test, y_test = holdout_split(
+        build_matrix(course, week_date(course.meta, week)), course.certified, split, cfg.seed, norm)
+    report = grow_and_train(train.values, y_train, test.values, y_test, plan, cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_growth_csv(report, out_dir / "growth.csv")
     save_mlp(report.best_model(), out_dir / "best_model.json")

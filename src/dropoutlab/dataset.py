@@ -561,8 +561,8 @@ class SynthConfig:
             raise BadConfigError("course_id must be non-empty")
         if self.field not in FIELDS:
             raise BadConfigError(f"unknown field {self.field!r}")
-        if self.n_students < 0:
-            raise BadConfigError(f"n_students {self.n_students} must be >= 0")
+        if self.n_students < 1:
+            raise BadConfigError(f"{self.course_id!r}: n_students {self.n_students} must be >= 1")
         if not isinstance(self.launch, datetime.date):
             raise BadConfigError(f"launch {self.launch!r} is not a date")
         if self.weeks_to_t100 < 1 or self.weeks_total < self.weeks_to_t100:
@@ -625,7 +625,7 @@ _HIGHER_ED = ("Bachelor", "Master", "Professional")
 def _synth_roster(cfg: SynthConfig, rng: np.random.Generator) -> Roster:
     """Draw the roster; zero-padded ids keep the draw order sorted."""
     n = cfg.n_students
-    width = max(5, len(str(max(n - 1, 0))))
+    width = max(5, len(str(n - 1)))
     yob_null = rng.random(n) < 0.12
     age = np.clip(np.rint(rng.normal(32.0, 11.0, n)), 8, 80)
     loe = rng.choice(len(LOE_LEVELS) + 1, size=n,
@@ -647,7 +647,7 @@ def synthesize_course(config: SynthConfig, seed: int) -> CourseData:
     roster = _synth_roster(config, rng)
 
     # Latent engagement: Beta draw plus weak demographic nudges, clipped to [0, 1].
-    e0 = rng.beta(config.engagement_alpha, config.engagement_beta, n) if n else np.zeros(0)
+    e0 = rng.beta(config.engagement_alpha, config.engagement_beta, n)
     edu = np.isin(roster.loe, [LOE_LEVELS.index(v) for v in _HIGHER_ED])
     age = 2012 - roster.yob  # NaN, a non-response, fails both comparisons
     prime_age = (25 <= age) & (age < 50)

@@ -101,6 +101,8 @@ class SgdConfig:
             raise BadConfigError(f"anneal_factor {self.anneal_factor} must be >= 0 and finite")
         if not (0.0 <= self.momentum < 1.0):
             raise BadConfigError(f"momentum {self.momentum} must be in [0, 1)")
+        if self.seed < 0:
+            raise BadConfigError(f"seed {self.seed} must be >= 0")
 
 
 @dataclass(frozen=True)

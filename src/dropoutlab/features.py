@@ -320,6 +320,17 @@ def normalize(train: FeatureMatrix, targets: Sequence[FeatureMatrix], kind: str)
     raise BadValueError(f"unknown normalization kind {kind!r}")
 
 
+def holdout_split(
+    m: FeatureMatrix, y: np.ndarray, test_fraction: float, seed: int, kind: str
+) -> tuple[NormStats, FeatureMatrix, np.ndarray, FeatureMatrix, np.ndarray]:
+    """(stats, train, y_train, test, y_test): m's rows and their labels y split by
+    split_rows, both sides normalized with stats of the given kind fit on train."""
+    train_rows, test_rows = split_rows(m.n_rows, test_fraction, seed)
+    m_train = m.take(train_rows)
+    stats, (train, test) = normalize(m_train, [m_train, m.take(test_rows)], kind)
+    return stats, train, y[train_rows], test, y[test_rows]
+
+
 # ---------------------------------------------------------------------------
 # Serialization: the readers are where a file is checked against the layout
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """L2-regularized logistic regression, hyperplane averaging, and the two baselines.
 
+A scorer returns a 1-D float64 array, one score per input row in row order;
+higher means more likely to certify.
+
 The trainer is damped Newton (IRLS): each iteration solves the regularized
 Hessian system for the Newton direction and takes the first of the steps
 1, 1/2, 1/4, ... that passes an Armijo test on _loss, until the norm of
@@ -45,22 +48,6 @@ from .features import (
     norm_stats_from_dict,
     norm_stats_to_dict,
 )
-
-
-@dataclass(frozen=True)
-class ScoredStudents:
-    """Per-student scores; higher means more likely to certify."""
-
-    student_ids: tuple[str, ...]
-    scores: np.ndarray
-
-    def __post_init__(self) -> None:
-        scores = np.asarray(self.scores, dtype=np.float64)
-        object.__setattr__(self, "scores", scores)
-        if scores.shape != (len(self.student_ids),):
-            raise BadValueError("scores must align one-to-one with student_ids")
-        if scores.size and not np.all(np.isfinite(scores)):
-            raise BadValueError("scores must be finite")
 
 
 @dataclass(frozen=True)
@@ -199,12 +186,11 @@ def train_logreg(
     return LinearModel(weights=w, intercept=b, reg_C=C, norm=norm)
 
 
-def predict_proba(m: LinearModel, X: FeatureMatrix) -> ScoredStudents:
+def predict_proba(m: LinearModel, X: FeatureMatrix) -> np.ndarray:
     """Certification probabilities via the logistic link."""
     if len(m.weights) != WIDTH:
         raise SchemaMismatchError(f"model has {len(m.weights)} weights, matrix has {WIDTH} columns")
-    z = X.values @ m.weights + m.intercept
-    return ScoredStudents(X.student_ids, _sigmoid(z))
+    return _sigmoid(X.values @ m.weights + m.intercept)
 
 
 def average_hyperplanes(models: Sequence[LinearModel]) -> LinearModel:
@@ -244,15 +230,14 @@ def baseline_demographics(course: CourseData, C: float = 1.0) -> LinearModel:
     return LinearModel(weights=weights, intercept=b, reg_C=C, norm=None)
 
 
-def score_demographics(m: LinearModel, course: CourseData) -> ScoredStudents:
+def score_demographics(m: LinearModel, course: CourseData) -> np.ndarray:
     """Apply a demographics-only model to a course roster (no activity read)."""
-    z = demographic_dummies(course) @ m.weights[_DEMO_COLS] + m.intercept
-    return ScoredStudents(course.roster.student_ids, _sigmoid(z))
+    return _sigmoid(demographic_dummies(course) @ m.weights[_DEMO_COLS] + m.intercept)
 
 
-def baseline_recency(m: FeatureMatrix) -> ScoredStudents:
+def baseline_recency(m: FeatureMatrix) -> np.ndarray:
     """Recency ranking (Baseline 2) of a snapshot: score = -days_since_last_action, no training."""
-    return ScoredStudents(m.student_ids, -m.values[:, BLOCKS["days_since_last_action"].start])
+    return -m.values[:, BLOCKS["days_since_last_action"].start]
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,9 @@ every enrolled student at each eligible week:
 
 A paradigm's source courses are never passed in: source_courses derives
 them from (corpus, kind, target), and run_paradigm(corpus, kind, target_id, w)
-scores one cell, fitting only the models that cell reads.
+scores one cell as two arrays in one row order, (scores, labels), so
+auc_values(*run_paradigm(...)) is its AUC. post_hoc with holdout > 0 scores
+only the students that features.holdout_split holds out, against their labels.
 
 run_experiment first plans the run: each cell's model keys, derived once by
 _cell_keys, are a (course, date) model for post_hoc at holdout 0 and for each
@@ -56,14 +58,13 @@ from .features import (
     FeatureMatrix,
     apply_zscore,
     build_matrix,
+    holdout_split,
     normalize,
     percentile_within,
     snapshots,
-    split_rows,
 )
 from .linear import (
     LinearModel,
-    ScoredStudents,
     average_hyperplanes,
     baseline_demographics,
     baseline_recency,
@@ -212,7 +213,7 @@ def insitu_scores(
     w: int,
     C: float = 1.0,
     snapshot: FeatureMatrix | None = None,
-) -> ScoredStudents:
+) -> np.ndarray:
     """Score a live course at week w using only data available at week w.
 
     Takes the course apart on purpose: no grade table is accepted, so
@@ -222,7 +223,7 @@ def insitu_scores(
     snapshot is built from the roster and activity. The model is trained on
     that snapshot, percentile-normalized against itself, with the persistence
     proxy labels of the 7 days before week w; the snapshot contains the
-    proxy window. The same snapshot is then scored.
+    proxy window. The same snapshot is then scored, one score per student.
     """
     shadow = CourseData(meta, roster, activity, {})
     wd = week_date(meta, w)
@@ -307,9 +308,10 @@ def _score_cell(
     holdout: float,
     seed: int,
     week: _Week,
-) -> tuple[ScoredStudents, np.ndarray]:
-    """Score one cell; returns the scores and the certification labels of the
-    students scored, all of the target's but for post_hoc with holdout > 0.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Score one cell; returns (scores, labels), a score and a certification
+    label per student scored, in one row order: every student of the target,
+    in student-id order, but for post_hoc with holdout > 0, the held-out ones.
 
     fitted holds the models of the cell's _cell_keys in key order, and week
     the target's week-w snapshot; the first model whose fit failed re-raises
@@ -331,11 +333,8 @@ def _score_cell(
         return predict_proba(model, apply_zscore(week.m, model.norm)), y
 
     if kind == "post_hoc":  # holdout > 0: only the held-out students are scored
-        train_rows, test_rows = split_rows(week.m.n_rows, holdout, seed)
-        m_train = week.m.take(train_rows)
-        stats, (z_train, z_test) = normalize(m_train, [m_train, week.m.take(test_rows)], "zscore")
-        model = train_logreg(z_train, y[train_rows], C, norm=stats)
-        return predict_proba(model, z_test), y[test_rows]
+        stats, z_train, y_train, z_test, y_test = holdout_split(week.m, y, holdout, seed, "zscore")
+        return predict_proba(train_logreg(z_train, y_train, C, norm=stats), z_test), y_test
 
     if kind == "multi_course":
         return predict_proba(average_hyperplanes(fitted), week.z), y
@@ -360,21 +359,22 @@ def run_paradigm(
     C: float = 1.0,
     holdout: float = 0.0,
     seed: int = 0,
-) -> ScoredStudents:
-    """Score the target course's students at week w under one paradigm.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Score the target course's students at week w under one paradigm, as
+    _score_cell's (scores, labels); auc_values(*run_paradigm(...)) is its AUC.
 
     The source courses follow from (corpus, kind, target_id); see
     source_courses. holdout (post_hoc only) trains on a seeded (1 - holdout)
-    fraction and returns scores for the held-out students alone; 0 keeps the
-    literal same-population regime. Only the models of this one cell's keys
-    are fit, and it is scored as run_experiment scores its cells.
+    fraction and scores the held-out students alone; 0 keeps the literal
+    same-population regime. Only the models of this one cell's keys are fit,
+    and it is scored as run_experiment scores its cells.
     """
     by_id = _corpus_index(corpus)
     fitted = [_fit_course_keys(by_id[cid], [as_of], C)[cid, as_of]
               for cid, as_of in _cell_keys(corpus, kind, target_id, w, holdout)]
     target = by_id[target_id]
     week = _Week(None if kind == "baseline1" else build_matrix(target, week_date(target.meta, w)))
-    return _score_cell(kind, target, w, fitted, C, holdout, seed, week)[0]
+    return _score_cell(kind, target, w, fitted, C, holdout, seed, week)
 
 
 # ---------------------------------------------------------------------------
@@ -431,8 +431,8 @@ def _score_course(args) -> tuple[list[tuple], list[tuple]]:
         week = _Week(next(walk) if w in read else None)
         for _, kind, fitted in week_cells:
             try:
-                scored, y = _score_cell(kind, target, w, fitted, C, holdout, seed, week)
-                rows.append((kind, target_id, w, auc_values(scored.scores, y), len(y), int(y.sum())))
+                scores, y = _score_cell(kind, target, w, fitted, C, holdout, seed, week)
+                rows.append((kind, target_id, w, auc_values(scores, y), len(y), int(y.sum())))
             except SingleClassError as e:
                 skipped.append((kind, target_id, w, str(e)))
     return rows, skipped

@@ -210,7 +210,7 @@ def test_criterion_4_logreg_agrees_with_softmax_net():
     z = apply_zscore(m, fit_zscore(m))
     yv = course.certified
     model = train_logreg(z, yv, C=1.0)
-    a_lr = auc_values(predict_proba(model, z).scores, yv)
+    a_lr = auc_values(predict_proba(model, z), yv)
     net = train_sgd(init_mlp(66, (), seed=0), z.values, yv, SgdConfig(seed=0))
     a_net = auc_values(predict_scores(net, z.values), yv)
     gap = abs(a_lr - a_net)
@@ -275,11 +275,9 @@ def test_criterion_7_in_situ_blind_to_labels():
     direct_a = insitu_scores(course.meta, course.roster, course.activity, -1)
     direct_b = insitu_scores(corrupted.meta, corrupted.roster,
                              corrupted.activity, -1)
-    via_a = run_paradigm([course], "in_situ", "BLNDx", -1)
-    via_b = run_paradigm([corrupted], "in_situ", "BLNDx", -1)
-    same = (np.array_equal(direct_a.scores, direct_b.scores)
-            and np.array_equal(via_a.scores, via_b.scores)
-            and direct_a.student_ids == direct_b.student_ids)
+    via_a, _ = run_paradigm([course], "in_situ", "BLNDx", -1)
+    via_b, _ = run_paradigm([corrupted], "in_situ", "BLNDx", -1)
+    same = np.array_equal(direct_a, direct_b) and np.array_equal(via_a, via_b)
     _verdict(7, "in_situ scores invariant to corrupted grades",
              same, "bitwise-identical scores with every grade flipped")
 

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -198,6 +199,15 @@ class TestFeaturesAndTrain:
                      "--norm", "none", "--out", str(out)]) == 0
         assert not out.with_suffix(".csv.norm.json").exists()
 
+    def test_stats_out_parent_is_created(self, course_dir, tmp_path, capsys):
+        from dropoutlab.features import load_norm_stats
+
+        out, stats = tmp_path / "m" / "m.csv", tmp_path / "s" / "t" / "s.json"
+        assert main(["features", "--course-dir", str(course_dir), "--out", str(out),
+                     "--stats-out", str(stats)]) == 0
+        assert capsys.readouterr().out == f"wrote {out} and {stats}\n"
+        assert out.exists() and load_norm_stats(stats).kind == "zscore"
+
     def test_train_writes_loadable_model(self, course_dir, tmp_path):
         from dropoutlab.linear import load_model
 
@@ -324,7 +334,7 @@ class TestArtifactBytes:
         assert got == _GROWTH_DIGESTS
 
 
-    def test_runs_with_both_skip_reasons_are_pinned(self, tmp_path):
+    def test_runs_with_both_skip_reasons_are_pinned(self, tmp_path, capsys):
         found = {}
         for out, holdout, jobs in (("h0", 0.0, "1"), ("h3", 0.3, "2")):
             manifest = _write_manifest(tmp_path, paradigms=list(PARADIGMS), holdout=holdout,
@@ -333,6 +343,11 @@ class TestArtifactBytes:
             assert main(["run", "--manifest", str(manifest), "--jobs", jobs]) == 0
             found[out] = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                           for p in sorted((tmp_path / out).iterdir())}
+            # the stdout line perfbench's experiment check parses for its counts
+            counts = re.search(r"\((\d+) rows, (\d+) skipped cells\)", capsys.readouterr().out)
+            assert counts and [int(c) for c in counts.groups()] == [
+                len((tmp_path / out / name).read_text().splitlines()) - 1
+                for name in ("rows.csv", "skipped.csv")]
         skipped = (tmp_path / "h3" / "skipped.csv").read_text()
         assert "single class" in skipped and "no other SocialSci course" in skipped
         assert found == _SKIP_RUN_DIGESTS
@@ -451,28 +466,43 @@ def _exit_code(argv):
 
 
 def _grow(*options):
-    def build(tmp_path, course_dir):
+    def build(tmp_path, course_dir, env):
         return ["grow", "--course-dir", str(course_dir), "--epochs", "1", "--width-to", "2",
                 "--depth-to", "2", "--out-dir", str(tmp_path / "g"), *options], []
     return build
 
 
 def _train(*options):
-    def build(tmp_path, course_dir):
+    def build(tmp_path, course_dir, env):
         return ["train", "--course-dir", str(course_dir), "--out", str(tmp_path / "m.json"),
                 *options], []
     return build
 
 
 def _manifest(**overrides):
-    def build(tmp_path, course_dir):
+    def build(tmp_path, course_dir, env):
         path = _write_manifest(tmp_path, **overrides)
         return ["run", "--manifest", str(path)], [str(path)]
     return build
 
 
+def _synth(*options):
+    def build(tmp_path, course_dir, env):
+        return ["synth", "--courses", "1", "--students", "10", "--out", str(tmp_path / "c"),
+                *options], []
+    return build
+
+
+def _env_seed(value, build):
+    """build, with DROPOUTLAB_SEED set to value while the command runs."""
+    def with_env(tmp_path, course_dir, env):
+        env.setenv("DROPOUTLAB_SEED", value)
+        return build(tmp_path, course_dir, env)
+    return with_env
+
+
 def _corpus_config(doc):
-    def build(tmp_path, course_dir):
+    def build(tmp_path, course_dir, env):
         path = tmp_path / "corpus.json"
         path.write_text(json.dumps(doc))
         return ["synth", "--config", str(path), "--out", str(tmp_path / "c")], [str(path)]
@@ -508,13 +538,21 @@ _MALFORMED = {
     "corpus-survey-rate-bool": (_course(survey_rate=True), 1, ["survey_rate", "True"]),
     "corpus-launch-int": (_course(launch=20140106), 1, ["launch", "20140106"]),
     "corpus-unknown-key": (_course(bogus=1), 1, ["bogus"]),
+    "corpus-n-students-zero": (_course(n_students=0), 1, ["'Ax'", "n_students 0"]),
+    "synth-seed-negative": (_synth("--seed", "-1"), 2, ["--seed", "'-1'"]),
+    "grow-seed-negative": (_grow("--seed", "-2"), 2, ["--seed", "'-2'"]),
+    "env-seed-negative": (_env_seed("-4", _grow()), 2, ["DROPOUTLAB_SEED", "'-4'"]),
+    "manifest-master-seed-negative": (_manifest(master_seed=-3), 1, ["master_seed", "-3"]),
+    "growth-plan-seed-negative": (_manifest(growth_plan={"seed": -1}), 1,
+                                  ["growth_plan", "seed -1"]),
 }
 
 
 class TestMalformedInput:
     @pytest.mark.parametrize("build,code,named", list(_MALFORMED.values()), ids=list(_MALFORMED))
-    def test_fails_with_an_error_line(self, build, code, named, course_dir, tmp_path, capsys):
-        argv, paths = build(tmp_path, course_dir)
+    def test_fails_with_an_error_line(self, build, code, named, course_dir, tmp_path, capsys,
+                                      monkeypatch):
+        argv, paths = build(tmp_path, course_dir, monkeypatch)
         assert _exit_code(argv) == code
         err = capsys.readouterr().err
         assert "Traceback" not in err

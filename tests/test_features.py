@@ -31,8 +31,10 @@ from dropoutlab.features import (
     demographic_dummies,
     fit_percentile,
     fit_zscore,
+    holdout_split,
     load_matrix,
     load_norm_stats,
+    norm_stats_to_dict,
     normalize,
     percentile_within,
     save_norm_stats,
@@ -440,6 +442,29 @@ class TestSplit:
         assert sub.student_ids == ("m03", "m01")
         assert np.array_equal(sub.values, m.values[[3, 1]])
         assert sub.as_of == m.as_of
+
+    @pytest.mark.parametrize("kind", ["zscore", "percentile"])
+    def test_holdout_split_is_split_take_normalize_fit_on_train(self, kind):
+        rng = np.random.default_rng(8)
+        n = 40
+        m = FeatureMatrix(tuple(f"h{i:02d}" for i in range(n)),
+                          rng.poisson(3.0, (n, WIDTH)).astype(np.float64), LAUNCH)
+        y = rng.integers(0, 2, n).astype(np.float64)
+        stats, train, y_train, test, y_test = holdout_split(m, y, 0.3, 11, kind)
+        train_rows, test_rows = split_rows(n, 0.3, 11)
+        assert not set(train_rows) & set(test_rows)
+        assert sorted([*train_rows, *test_rows]) == list(range(n))
+        expect_stats, (expect_train, expect_test) = normalize(
+            m.take(train_rows), [m.take(train_rows), m.take(test_rows)], kind)
+        assert norm_stats_to_dict(stats) == norm_stats_to_dict(expect_stats)
+        for got, expect in ((train, expect_train), (test, expect_test)):
+            assert got.student_ids == expect.student_ids and got.as_of == m.as_of
+            assert np.array_equal(got.values, expect.values)
+        assert np.array_equal(y_train, y[train_rows]) and np.array_equal(y_test, y[test_rows])
+        # the stats see the train rows alone
+        refit = fit_zscore if kind == "zscore" else fit_percentile
+        assert norm_stats_to_dict(stats) == norm_stats_to_dict(refit(m.take(train_rows)))
+        assert norm_stats_to_dict(stats) != norm_stats_to_dict(refit(m))
 
 
 def _matrix_from_columns(col33, col65, extra_rows=None):

@@ -236,16 +236,16 @@ class TestPrediction:
     def test_probability_of_decision_value(self):
         m, labels = _labelled_matrix(np.array([[-1.0], [0.0], [2.0]]), [0, 0, 1])
         model = LinearModel(weights=np.eye(66)[0] * 3.0, intercept=-1.0, reg_C=1.0)
-        scored = predict_proba(model, m)
+        scores = predict_proba(model, m)
         dv = m.values @ model.weights + model.intercept
         assert dv == pytest.approx([-4.0, -1.0, 5.0])
-        assert scored.scores == pytest.approx(expit(dv))
-        assert scored.student_ids == m.student_ids
+        assert scores.dtype == np.float64 and scores.shape == (m.n_rows,)
+        assert scores == pytest.approx(expit(dv))
 
     def test_extreme_logits_stay_finite(self):
         m, _ = _labelled_matrix(np.array([[1e4], [-1e4]]), [1, 0])
         model = LinearModel(weights=np.eye(66)[0] * 50.0, intercept=0.0, reg_C=1.0)
-        s = predict_proba(model, m).scores
+        s = predict_proba(model, m)
         assert np.all(np.isfinite(s))
         assert s[0] == 1.0 and s[1] < 1e-300
 
@@ -266,7 +266,7 @@ class TestPrediction:
         m = FeatureMatrix(ids, vals, LAUNCH)
         model = LinearModel(weights=rng.standard_normal(66), intercept=0.3, reg_C=1.0)
         dv = m.values @ model.weights + model.intercept
-        s = predict_proba(model, m).scores
+        s = predict_proba(model, m)
         assert np.array_equal(np.argsort(dv), np.argsort(s))
 
     def test_width_mismatch(self):
@@ -354,10 +354,11 @@ class TestBaselines:
         f = FEATURE_NAMES.index("gender_female")
         m_ = FEATURE_NAMES.index("gender_male")
         assert model.weights[f] > model.weights[m_]
-        scored = score_demographics(model, course)
+        scores = score_demographics(model, course)
+        assert scores.dtype == np.float64 and scores.shape == (course.n_students,)
         y = course.certified
-        mean_pos = scored.scores[y == 1].mean()
-        mean_neg = scored.scores[y == 0].mean()
+        mean_pos = scores[y == 1].mean()
+        mean_neg = scores[y == 0].mean()
         assert mean_pos > mean_neg
 
     def test_identical_demographics_identical_scores(self):
@@ -366,12 +367,14 @@ class TestBaselines:
                     for i in range(6)]
         grades = {f"u{i}": (0.9 if i < 3 else 0.0) for i in range(6)}
         course = make_course(meta, students, [], grades)
-        scored = score_demographics(baseline_demographics(course), course)
-        assert np.all(scored.scores == scored.scores[0])
+        scores = score_demographics(baseline_demographics(course), course)
+        assert np.all(scores == scores[0])
 
     def test_recency_ordering(self, tiny_course):
-        scored = baseline_recency(build_matrix(tiny_course, day(12)))
-        by_id = dict(zip(scored.student_ids, scored.scores))
+        m = build_matrix(tiny_course, day(12))
+        scores = baseline_recency(m)
+        assert scores.dtype == np.float64 and scores.shape == (m.n_rows,)
+        by_id = dict(zip(m.student_ids, scores))  # one score per row, in row order
         # s00 acted on day 9, s01 on day 0, s02 never
         assert by_id["s00"] == -3.0
         assert by_id["s01"] == -12.0
@@ -401,8 +404,7 @@ class TestModelSerialization:
         back = load_model(p)
         assert back.norm is not None
         assert np.array_equal(apply_zscore(m, back.norm).values, z.values)
-        assert np.array_equal(predict_proba(back, z).scores,
-                              predict_proba(model, z).scores)
+        assert np.array_equal(predict_proba(back, z), predict_proba(model, z))
 
     def test_schema_hash_guard(self, tmp_path):
         import json

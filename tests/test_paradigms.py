@@ -16,7 +16,7 @@ from dropoutlab.errors import (
     WindowOutOfRangeError,
 )
 from dropoutlab.evaluate import auc_values
-from dropoutlab.features import apply_zscore, build_matrix, fit_zscore
+from dropoutlab.features import apply_zscore, build_matrix, fit_zscore, holdout_split, split_rows
 from dropoutlab.linear import predict_proba, train_logreg
 from dropoutlab.paradigms import (
     PARADIGMS,
@@ -230,17 +230,19 @@ class TestSourceSelection:
 
 class TestPostHoc:
     def test_separable_course_perfect_auc(self, separable_course):
-        scored = run_paradigm([separable_course], "post_hoc", "SEPx", 0)
-        assert auc_values(scored.scores, separable_course.certified) == 1.0
+        scores, labels = run_paradigm([separable_course], "post_hoc", "SEPx", 0)
+        assert np.array_equal(labels, separable_course.certified)
+        assert auc_values(scores, labels) == 1.0
 
     def test_scores_match_manual_pipeline(self, handmade_corpus):
         target = handmade_corpus[0]
-        scored = run_paradigm(handmade_corpus, "post_hoc", "HCAx", -1)
+        scores, labels = run_paradigm(handmade_corpus, "post_hoc", "HCAx", -1)
         m = build_matrix(target, week_date(target.meta, -1))
         stats = fit_zscore(m)
         z = apply_zscore(m, stats)
         model = train_logreg(z, target.certified, 1.0, norm=stats)
-        assert np.array_equal(scored.scores, predict_proba(model, z).scores)
+        assert np.array_equal(scores, predict_proba(model, z))
+        assert np.array_equal(labels, target.certified)
 
     def test_ineligible_week_rejected(self, handmade_corpus):
         with pytest.raises(WindowOutOfRangeError):
@@ -249,18 +251,24 @@ class TestPostHoc:
             run_paradigm(handmade_corpus, "post_hoc", "HCAx", 1)
 
     def test_holdout_scores_only_held_out(self, handmade_corpus):
-        scored = run_paradigm(handmade_corpus, "post_hoc", "HCBx", 0, holdout=0.25, seed=3)
-        assert len(scored.student_ids) == round(0.25 * 60)
-        full = set(handmade_corpus[1].roster.student_ids)
-        assert set(scored.student_ids) < full
+        target = handmade_corpus[1]
+        scores, labels = run_paradigm(handmade_corpus, "post_hoc", "HCBx", 0,
+                                      holdout=0.25, seed=3)
+        assert len(scores) == len(labels) == round(0.25 * 60) < target.n_students
+        # the held-out side of holdout_split, scored by a model of its train side
+        m = build_matrix(target, week_date(target.meta, 0))
+        stats, z_train, y_train, z_test, y_test = holdout_split(m, target.certified, 0.25, 3,
+                                                                "zscore")
+        model = train_logreg(z_train, y_train, 1.0, norm=stats)
+        assert np.array_equal(scores, predict_proba(model, z_test))
+        assert np.array_equal(labels, y_test)
 
     def test_holdout_deterministic_per_seed(self, handmade_corpus):
         a = run_paradigm(handmade_corpus, "post_hoc", "HCBx", 0, holdout=0.3, seed=5)
         b = run_paradigm(handmade_corpus, "post_hoc", "HCBx", 0, holdout=0.3, seed=5)
         c = run_paradigm(handmade_corpus, "post_hoc", "HCBx", 0, holdout=0.3, seed=6)
-        assert a.student_ids == b.student_ids
-        assert np.array_equal(a.scores, b.scores)
-        assert a.student_ids != c.student_ids
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+        assert not np.array_equal(a[0], c[0])
 
     def test_bad_holdout_rejected(self, handmade_corpus):
         with pytest.raises(BadValueError):
@@ -270,14 +278,14 @@ class TestPostHoc:
 class TestTransfer:
     def test_same_field_deploys_source_statistics(self, handmade_corpus):
         target, source = handmade_corpus[0], handmade_corpus[1]
-        scored = run_paradigm(handmade_corpus, "same_field", "HCAx", 0)
+        scores, labels = run_paradigm(handmade_corpus, "same_field", "HCAx", 0)
         m_s = build_matrix(source, week_date(source.meta, 0))
         stats_s = fit_zscore(m_s)
         model = train_logreg(apply_zscore(m_s, stats_s), source.certified,
                              1.0, norm=stats_s)
         m_t = build_matrix(target, week_date(target.meta, 0))
-        expect = predict_proba(model, apply_zscore(m_t, stats_s))
-        assert np.array_equal(scored.scores, expect.scores)
+        assert np.array_equal(scores, predict_proba(model, apply_zscore(m_t, stats_s)))
+        assert np.array_equal(labels, target.certified)
 
     def test_source_week_clamped_to_launch(self):
         # source opened 3 weeks before its T100; target 6 weeks. At w = -5
@@ -286,7 +294,7 @@ class TestTransfer:
             _mini_course("CLTx", "STEM", 30, weeks_to_t100=6, seed=5),
             _mini_course("CLSx", "STEM", 40, weeks_to_t100=3, seed=6),
         ]
-        scored = run_paradigm(corpus, "same_field", "CLTx", -5)
+        scores, _ = run_paradigm(corpus, "same_field", "CLTx", -5)
         source = corpus[1]
         m_s = build_matrix(source, source.meta.launch_date)
         stats_s = fit_zscore(m_s)
@@ -294,14 +302,13 @@ class TestTransfer:
                              1.0, norm=stats_s)
         target = corpus[0]
         m_t = build_matrix(target, week_date(target.meta, -5))
-        expect = predict_proba(model, apply_zscore(m_t, stats_s))
-        assert np.array_equal(scored.scores, expect.scores)
+        assert np.array_equal(scores, predict_proba(model, apply_zscore(m_t, stats_s)))
 
     def test_multi_course_averages_and_uses_target_statistics(self, handmade_corpus):
         from dropoutlab.linear import average_hyperplanes
 
         target = handmade_corpus[1]
-        scored = run_paradigm(handmade_corpus, "multi_course", "HCBx", 0)
+        scores, labels = run_paradigm(handmade_corpus, "multi_course", "HCBx", 0)
         models = []
         for cid in source_courses(handmade_corpus, "multi_course", "HCBx"):
             src = next(c for c in handmade_corpus if c.meta.course_id == cid)
@@ -311,8 +318,8 @@ class TestTransfer:
                                        src.certified, 1.0, norm=stats_s))
         avg = average_hyperplanes(models)
         m_t = build_matrix(target, week_date(target.meta, 0))
-        expect = predict_proba(avg, apply_zscore(m_t, fit_zscore(m_t)))
-        assert np.array_equal(scored.scores, expect.scores)
+        assert np.array_equal(scores, predict_proba(avg, apply_zscore(m_t, fit_zscore(m_t))))
+        assert np.array_equal(labels, target.certified)
 
     def test_single_source_average_is_that_model(self):
         corpus = [
@@ -329,24 +336,25 @@ class TestTransfer:
         assert avg.intercept == model.intercept
 
     def test_transfer_beats_chance_on_synthetic(self, small_corpus):
-        scored = run_paradigm(small_corpus, "same_field", small_corpus[0].meta.course_id, 0)
-        assert auc_values(scored.scores, small_corpus[0].certified) > 0.6
+        cell = run_paradigm(small_corpus, "same_field", small_corpus[0].meta.course_id, 0)
+        assert auc_values(*cell) > 0.6
 
 
 class TestInSitu:
     def test_matches_direct_call(self, small_corpus):
         c = small_corpus[0]
-        scored = run_paradigm(small_corpus, "in_situ", c.meta.course_id, -1)
+        scores, labels = run_paradigm(small_corpus, "in_situ", c.meta.course_id, -1)
         direct = insitu_scores(c.meta, c.roster, c.activity, -1)
-        assert scored.student_ids == direct.student_ids
-        assert np.array_equal(scored.scores, direct.scores)
+        assert direct.dtype == np.float64 and direct.shape == (c.n_students,)
+        assert np.array_equal(scores, direct)
+        assert np.array_equal(labels, c.certified)
 
     def test_given_snapshot_scores_as_built(self, small_corpus):
         c = small_corpus[0]
         direct = insitu_scores(c.meta, c.roster, c.activity, -1)
         given = insitu_scores(c.meta, c.roster, c.activity, -1,
                               snapshot=build_matrix(c, week_date(c.meta, -1)))
-        assert np.array_equal(given.scores, direct.scores)
+        assert np.array_equal(given, direct)
         for wrong in (build_matrix(c, week_date(c.meta, 0)),
                       build_matrix(c, week_date(c.meta, -1)).take(np.arange(10))):
             with pytest.raises(BadValueError, match="snapshot"):
@@ -357,27 +365,27 @@ class TestInSitu:
         flipped = CourseData(c.meta, c.roster, c.activity,
                              {sid: 1.0 - g for sid, g in c.final_grade.items()})
         corpus = [flipped] + list(small_corpus[1:])
-        a = run_paradigm(small_corpus, "in_situ", c.meta.course_id, -1)
-        b = run_paradigm(corpus, "in_situ", c.meta.course_id, -1)
-        assert np.array_equal(a.scores, b.scores)
+        a, _ = run_paradigm(small_corpus, "in_situ", c.meta.course_id, -1)
+        b, _ = run_paradigm(corpus, "in_situ", c.meta.course_id, -1)
+        assert np.array_equal(a, b)
 
     def test_still_predictive_of_certification(self, small_corpus):
         c = small_corpus[0]
-        scored = insitu_scores(c.meta, c.roster, c.activity, 0)
-        assert auc_values(scored.scores, c.certified) > 0.7
+        assert auc_values(insitu_scores(c.meta, c.roster, c.activity, 0), c.certified) > 0.7
 
 
 class TestBaselines:
     def test_baseline1_week_independent(self, small_corpus):
-        a = run_paradigm(small_corpus, "baseline1", small_corpus[0].meta.course_id, 0)
-        b = run_paradigm(small_corpus, "baseline1", small_corpus[0].meta.course_id, -3)
-        assert np.array_equal(a.scores, b.scores)
+        a, _ = run_paradigm(small_corpus, "baseline1", small_corpus[0].meta.course_id, 0)
+        b, _ = run_paradigm(small_corpus, "baseline1", small_corpus[0].meta.course_id, -3)
+        assert np.array_equal(a, b)
 
     def test_baseline2_is_negated_recency(self, handmade_corpus):
         target = handmade_corpus[0]
-        scored = run_paradigm(handmade_corpus, "baseline2", "HCAx", -1)
+        scores, _ = run_paradigm(handmade_corpus, "baseline2", "HCAx", -1)
         wd = week_date(target.meta, -1)
-        for sid, s in zip(scored.student_ids, scored.scores):
+        assert len(scores) == target.n_students
+        for sid, s in zip(target.roster.student_ids, scores):  # student-id order
             assert s == -days_since_last_action(target, sid, wd)
 
 
@@ -435,12 +443,13 @@ class TestHarness:
         assert report.rows
         for r in report.rows:
             course = next(c for c in handmade_corpus if c.meta.course_id == r.course_id)
-            scored = run_paradigm(handmade_corpus, "post_hoc", r.course_id, r.week,
-                                  holdout=0.25, seed=3)
+            scores, y = run_paradigm(handmade_corpus, "post_hoc", r.course_id, r.week,
+                                     holdout=0.25, seed=3)
             by_id = certification_labels(course)
-            y = np.array([by_id[sid] for sid in scored.student_ids], dtype=np.float64)
+            _, test_rows = split_rows(course.n_students, 0.25, 3)
+            assert y.tolist() == [by_id[course.roster.student_ids[i]] for i in test_rows]
             assert (r.n_students, r.n_positives) == (len(y), int(y.sum()))
-            assert r.auc == auc_values(scored.scores, y)
+            assert r.auc == auc_values(scores, y)
 
 
 def _expected_course_model_keys(corpus):
@@ -553,8 +562,9 @@ class TestModelTable:
         standalone = {}
         for kind, cid, w in _outcomes(report):
             try:
-                scored = run_paradigm(corpus, kind, cid, w)
-                standalone[kind, cid, w] = auc_values(scored.scores, by_id[cid].certified)
+                cell = run_paradigm(corpus, kind, cid, w)
+                assert np.array_equal(cell[1], by_id[cid].certified)
+                standalone[kind, cid, w] = auc_values(*cell)
             except (SingleClassError, InvalidParadigmError) as e:
                 standalone[kind, cid, w] = str(e)
         assert standalone == _outcomes(report)
