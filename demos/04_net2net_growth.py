@@ -24,7 +24,7 @@ from dropoutlab.deepnet import (
     net2wider,
     train_sgd,
 )
-from dropoutlab.features import apply_zscore, build_matrix, fit_zscore
+from dropoutlab.features import apply_zscore, build_matrix, fit_zscore, holdout_split
 
 # start with a trained 3-unit network on synthetic course features
 course = synthesize_course(SynthConfig(course_id="GROWx", n_students=240), seed=9)
@@ -43,20 +43,19 @@ deeper = net2deeper(teacher, 0)
 dev_d = np.max(np.abs(forward(deeper, z.values) - forward(teacher, z.values)))
 print(f"net2deeper 1 -> 2 hidden layers: max output deviation {dev_d:.2e}")
 
-# a compact sweep: widths 2..6, then depths 2..4 at fixed width 4;
+# a compact sweep: widths 2..6, then depths 2..4 at fixed width 4, on the
+# held-out split grow uses (half the students tested, z-scored on the rest);
 # every row records the seed that makes the cell re-runnable in isolation
-rng = np.random.default_rng(0)
-order = rng.permutation(len(y))
-test, train = np.sort(order[:80]), np.sort(order[80:])
-plan = GrowthPlan(width_sweep=tuple(range(2, 7)), depth_sweep=(2, 3, 4), fixed_width=4)
-report = grow_and_train(z.values[train], y[train], z.values[test], y[test],
+_, train, y_train, test, y_test = holdout_split(m, y, 0.5, 0, "zscore")
+plan = GrowthPlan(width_from=2, width_to=6, depth_from=2, depth_to=4, fixed_width=4)
+report = grow_and_train(train.values, y_train, test.values, y_test,
                         plan, SgdConfig(epochs=10, seed=0))
 
 print("\nphase     w  h    auc     accuracy")
 for row in report.rows:
     print(f"{row.phase:9s}{row.w:2d} {row.h:2d}  {row.auc:.4f}  {row.accuracy:.4f}")
 
-best = max(report.rows, key=lambda r: r.auc)
+best = report.best()
 print(f"\nbest cell: phase={best.phase} w={best.w} h={best.h} auc={best.auc:.4f}")
 
 # on this synthetic course the signal is close to linear, so the 0-hidden

@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .dataset import (
@@ -67,18 +68,13 @@ def _iso_date(text: str) -> datetime.date:
         raise argparse.ArgumentTypeError(f"{text!r} is not a YYYY-MM-DD date") from None
 
 
-# grow's option defaults, which are also a manifest growth_plan's keys and defaults;
-# the sweep and SGD values are GrowthPlan's and SgdConfig's. The seed (grow's
-# --seed, a growth_plan's "seed") is handled apart.
-_PLAN, _SGD = GrowthPlan(), SgdConfig()
+# grow's option defaults, which are also a manifest growth_plan's keys and defaults:
+# week, split and norm, then the fields of GrowthPlan and SgdConfig under their own
+# names. The seed (grow's --seed, a growth_plan's "seed") is handled apart.
 _GROWTH_DEFAULTS = {
     "week": -1, "split": 0.5, "norm": "zscore",
-    "width_from": _PLAN.width_sweep[0], "width_to": _PLAN.width_sweep[-1],
-    "depth_from": _PLAN.depth_sweep[0], "depth_to": _PLAN.depth_sweep[-1],
-    "fixed_width": _PLAN.fixed_width, "learning_rate": _SGD.learning_rate,
-    "epochs": _SGD.epochs, "minibatch_size": _SGD.minibatch_size,
-    "anneal": _SGD.anneal_factor, "momentum": _SGD.momentum,
-    "class_weighting": _SGD.class_weighting,
+    **asdict(GrowthPlan()),
+    **{k: v for k, v in asdict(SgdConfig()).items() if k != "seed"},
 }
 
 
@@ -172,16 +168,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_json(path: Path, what: str):
+    """The JSON document in path; BadConfigError if it is missing, not UTF-8 or not JSON."""
+    if not path.exists():
+        raise BadConfigError(f"{what} not found: {path}")
+    with open(path, encoding="utf-8") as f:
+        try:
+            return json.load(f)
+        except ValueError as e:  # a UnicodeDecodeError or a JSONDecodeError
+            raise BadConfigError(f"{path}: not valid UTF-8 JSON ({e})") from None
+
+
 def _load_corpus_config(path: Path | None, courses: int, students: int) -> CorpusConfig:
     if path is None:
         return default_corpus_config(courses, students)
-    if not path.exists():
-        raise BadConfigError(f"corpus config not found: {path}")
-    with open(path, encoding="utf-8") as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as e:
-            raise BadConfigError(f"{path}: not valid JSON ({e})") from None
+    doc = _read_json(path, "corpus config")
     try:
         return corpus_config_from_dict(doc)
     except DropoutLabError as e:
@@ -201,15 +202,9 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _snapshot_date(course, week: int, as_of: datetime.date | None) -> datetime.date:
-    if as_of is not None:
-        return as_of
-    return week_date(course.meta, week)
-
-
 def cmd_features(args) -> int:
     course = load_course_dir(args.course_dir)
-    m = build_matrix(course, _snapshot_date(course, args.week, args.as_of))
+    m = build_matrix(course, args.as_of or week_date(course.meta, args.week))
     paths = [args.out]
     if args.norm != "none":
         stats, (m,) = normalize(m, [m], args.norm)
@@ -258,13 +253,7 @@ def _checked(where: str, key: str, value, ok, expected: str):
 
 def _read_manifest(path: Path) -> dict:
     """The manifest, its values checked and the defaults of jobs, reg_C and holdout filled in."""
-    if not path.exists():
-        raise BadConfigError(f"manifest not found: {path}")
-    with open(path, encoding="utf-8") as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as e:
-            raise BadConfigError(f"{path}: not valid JSON ({e})") from None
+    doc = _read_json(path, "manifest")
     if not isinstance(doc, dict):
         raise BadConfigError(f"{path}: manifest must be a JSON object")
     _reject_unknown_keys(f"{path}: manifest", doc, _MANIFEST_REQUIRED + _MANIFEST_OPTIONAL)
@@ -299,20 +288,8 @@ def _growth_setup(g: dict, where: str) -> _Sweep:
     if g["norm"] not in ("zscore", "percentile"):
         raise BadConfigError(f"{where}: norm must be 'zscore' or 'percentile', got {g['norm']!r}")
     try:
-        plan = GrowthPlan(
-            width_sweep=tuple(range(g["width_from"], g["width_to"] + 1)),
-            depth_sweep=tuple(range(g["depth_from"], g["depth_to"] + 1)),
-            fixed_width=g["fixed_width"],
-        )
-        cfg = SgdConfig(
-            learning_rate=float(g["learning_rate"]),
-            epochs=g["epochs"],
-            minibatch_size=g["minibatch_size"],
-            anneal_factor=float(g["anneal"]),
-            momentum=float(g["momentum"]),
-            class_weighting=g["class_weighting"],
-            seed=g["seed"],
-        )
+        plan, cfg = (cls(**{f.name: g[f.name] for f in fields(cls)})
+                     for cls in (GrowthPlan, SgdConfig))
     except BadConfigError as e:
         raise BadConfigError(f"{where}: {e}") from None
     return plan, cfg, g["week"], float(split), g["norm"]
@@ -341,7 +318,7 @@ def _grow_and_save(course, sweep: _Sweep, out_dir: Path):
     report = grow_and_train(train.values, y_train, test.values, y_test, plan, cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_growth_csv(report, out_dir / "growth.csv")
-    save_mlp(report.best_model(), out_dir / "best_model.json")
+    save_mlp(report.best().model, out_dir / "best_model.json")
     return report
 
 
@@ -399,33 +376,32 @@ def cmd_grow(args) -> int:
     return 0
 
 
-def _read_records(path: Path, columns: tuple[str, ...]) -> list[dict]:
-    """The records of a CSV written by emit_report, after checking its header."""
+def _read_records(path: Path, columns: tuple[str, ...]) -> list[list[str]]:
+    """The non-blank rows of a CSV written by emit_report, after checking its
+    header and that each row has one cell per column."""
     if not path.exists():
         raise BadConfigError(f"file not found: {path}")
     with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        if tuple(reader.fieldnames or ()) != columns:
+        reader = csv.reader(f)
+        if tuple(next(reader, ())) != columns:
             raise BadConfigError(f"{path}: expected the columns {','.join(columns)}")
-        return list(reader)
+        rows = []
+        for row in filter(None, reader):
+            if len(row) != len(columns):
+                raise BadConfigError(
+                    f"{path}:{reader.line_num}: expected {len(columns)} cells, got {len(row)}")
+            rows.append(row)
+        return rows
 
 
 def cmd_report(args) -> int:
     skipped_path = args.rows.parent / "skipped.csv"
-    try:
-        rows = [
-            EvalRow(
-                paradigm=rec["paradigm"],
-                course_id=rec["course_id"],
-                week=int(rec["week"]),
-                auc=float(rec["auc"]),
-                n_students=int(rec["n_students"]),
-                n_positives=int(rec["n_positives"]),
-            )
-            for rec in _read_records(args.rows, ROWS_COLUMNS)
-        ]
-        skipped = [(rec["paradigm"], rec["course_id"], int(rec["week"]), rec["reason"])
-                   for rec in _read_records(skipped_path, SKIPPED_COLUMNS)]
+    try:  # the columns of rows.csv are EvalRow's fields, in order
+        rows = [EvalRow(paradigm, course_id, int(week), float(auc), int(n), int(positives))
+                for paradigm, course_id, week, auc, n, positives
+                in _read_records(args.rows, ROWS_COLUMNS)]
+        skipped = [(paradigm, course_id, int(week), reason) for paradigm, course_id, week, reason
+                   in _read_records(skipped_path, SKIPPED_COLUMNS)]
     except ValueError as e:
         raise BadConfigError(f"non-numeric value in {args.rows} or {skipped_path} ({e})") from None
     paths = emit_report(EvalReport.from_rows(rows, skipped), args.out_dir)

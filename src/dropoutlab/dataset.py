@@ -203,6 +203,14 @@ class CourseData:
     certified: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        on_roster = set(self.roster.student_ids)
+        for sid, g in self.final_grade.items():  # what grades.csv can hold
+            if sid not in on_roster:
+                raise UnknownStudentError(f"course {self.meta.course_id!r}: student {sid!r} "
+                                          "has a grade but is not on the roster")
+            if not 0.0 <= g <= 1.0:
+                raise BadValueError(f"course {self.meta.course_id!r}: student {sid!r}: "
+                                    f"final_grade {g} not in [0, 1]")
         certified = np.array([self.final_grade.get(sid, 0.0) >= self.meta.cert_threshold
                               for sid in self.roster.student_ids], dtype=np.float64)
         certified.flags.writeable = False
@@ -241,26 +249,29 @@ _GRADE_COLUMNS = ("student_id", "final_grade")
 def _read_rows(path: str | Path, expected: Sequence[str]) -> Iterator[tuple[int, Sequence[str]]]:
     """Yield (line number, cells in expected order) for each non-blank row after the header.
 
-    A row with more or fewer cells than the header is rejected.
+    A row with more or fewer cells than the header, or a file that is not UTF-8, is rejected.
     """
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise MissingColumnError(f"{path}: empty file, expected header {list(expected)}") from None
-        for col in expected:
-            if col not in header:
-                raise MissingColumnError(f"{path}: missing column {col!r}")
-        pick = None if header == list(expected) else itemgetter(*(header.index(c) for c in expected))
-        for raw in reader:
-            if not raw:
-                continue
-            if len(raw) != len(header):
-                raise BadValueError(
-                    f"{path}:{reader.line_num}: expected {len(header)} cells, got {len(raw)}")
-            yield reader.line_num, raw if pick is None else pick(raw)
+            header = next(reader, None)
+            if header is None:
+                raise MissingColumnError(f"{path}: empty file, expected header {list(expected)}")
+            for col in expected:
+                if col not in header:
+                    raise MissingColumnError(f"{path}: missing column {col!r}")
+            pick = (None if header == list(expected)
+                    else itemgetter(*(header.index(c) for c in expected)))
+            for raw in reader:
+                if not raw:
+                    continue
+                if len(raw) != len(header):
+                    raise BadValueError(
+                        f"{path}:{reader.line_num}: expected {len(header)} cells, got {len(raw)}")
+                yield reader.line_num, raw if pick is None else pick(raw)
+        except UnicodeDecodeError as e:
+            raise BadValueError(f"{path}: not UTF-8 text ({e})") from None
 
 
 def _parse_date(cell: str, where: str) -> datetime.date:
@@ -557,28 +568,27 @@ class SynthConfig:
     problems_for_full_grade: float = 60.0
 
     def validate(self) -> None:
+        """Raise BadConfigError naming the course and its first bad parameter."""
         if not self.course_id:
             raise BadConfigError("course_id must be non-empty")
-        if self.field not in FIELDS:
-            raise BadConfigError(f"unknown field {self.field!r}")
-        if self.n_students < 1:
-            raise BadConfigError(f"{self.course_id!r}: n_students {self.n_students} must be >= 1")
-        if not isinstance(self.launch, datetime.date):
-            raise BadConfigError(f"launch {self.launch!r} is not a date")
-        if self.weeks_to_t100 < 1 or self.weeks_total < self.weeks_to_t100:
-            raise BadConfigError(
-                f"need 1 <= weeks_to_t100 <= weeks_total, got {self.weeks_to_t100}/{self.weeks_total}"
-            )
-        if not (0.0 < self.cert_threshold <= 1.0):
-            raise BadConfigError(f"cert_threshold {self.cert_threshold} not in (0, 1]")
-        if not (0.0 <= self.daily_decay < 1.0):
-            raise BadConfigError(f"daily_decay {self.daily_decay} not in [0, 1)")
-        if self.engagement_alpha <= 0 or self.engagement_beta <= 0:
-            raise BadConfigError("engagement Beta parameters must be positive")
-        if not (0.0 <= self.decay_spread <= 1.0):
-            raise BadConfigError(f"decay_spread {self.decay_spread} not in [0, 1]")
-        if self.problems_per_day < 0 or self.problems_for_full_grade <= 0:
-            raise BadConfigError("problem-rate parameters must be positive")
+        for bad, problem in (
+            (self.field not in FIELDS, f"unknown field {self.field!r}"),
+            (self.n_students < 1, f"n_students {self.n_students} must be >= 1"),
+            (not isinstance(self.launch, datetime.date), f"launch {self.launch!r} is not a date"),
+            (not 1 <= self.weeks_to_t100 <= self.weeks_total, "need 1 <= weeks_to_t100 <= "
+             f"weeks_total, got {self.weeks_to_t100}/{self.weeks_total}"),
+            (not 0.0 < self.cert_threshold <= 1.0,
+             f"cert_threshold {self.cert_threshold} not in (0, 1]"),
+            (not 0.0 <= self.daily_decay < 1.0, f"daily_decay {self.daily_decay} not in [0, 1)"),
+            (self.engagement_alpha <= 0 or self.engagement_beta <= 0,
+             "engagement Beta parameters must be positive"),
+            (not 0.0 <= self.decay_spread <= 1.0,
+             f"decay_spread {self.decay_spread} not in [0, 1]"),
+            (self.problems_per_day < 0 or self.problems_for_full_grade <= 0,
+             "problem-rate parameters must be positive"),
+        ):
+            if bad:
+                raise BadConfigError(f"{self.course_id!r}: {problem}")
 
     @property
     def meta(self) -> CourseMeta:

@@ -12,9 +12,9 @@ import csv
 import json
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -73,19 +73,19 @@ class MlpModel:
 class SgdConfig:
     """Minibatch SGD controls for train_sgd, which needs 0/1 labels.
 
-    The learning rate before update k (counting from 0) is
-    lr_k = learning_rate * (1 + anneal_factor) ** (-k): one multiplicative
-    anneal step per minibatch. Update k computes the gradient g of the batch
-    loss (in _step) and moves the parameters by -lr_k * g, or with
-    momentum > 0 by -lr_k * v, where the velocity v = momentum * v + g
-    starts at 0. class_weighting scales each example's loss by
-    n / (2 * n_class) of its class.
+    Each field is named as grow's option for it. The learning rate before
+    update k (counting from 0) is lr_k = learning_rate * (1 + anneal) ** (-k):
+    one multiplicative anneal step per minibatch. Update k computes the
+    gradient g of the batch loss (in _step) and moves the parameters by
+    -lr_k * g, or with momentum > 0 by -lr_k * v, where the velocity
+    v = momentum * v + g starts at 0. class_weighting scales each example's
+    loss by n / (2 * n_class) of its class.
     """
 
     learning_rate: float = 0.1
     epochs: int = 20
     minibatch_size: int = 10
-    anneal_factor: float = 1e-3
+    anneal: float = 1e-3
     momentum: float = 0.0
     seed: int = 0
     class_weighting: bool = False
@@ -97,8 +97,8 @@ class SgdConfig:
             raise BadConfigError(f"epochs {self.epochs} must be >= 1")
         if self.minibatch_size < 1:
             raise BadConfigError(f"minibatch_size {self.minibatch_size} must be >= 1")
-        if not 0 <= self.anneal_factor < math.inf:
-            raise BadConfigError(f"anneal_factor {self.anneal_factor} must be >= 0 and finite")
+        if not 0 <= self.anneal < math.inf:
+            raise BadConfigError(f"anneal {self.anneal} must be >= 0 and finite")
         if not (0.0 <= self.momentum < 1.0):
             raise BadConfigError(f"momentum {self.momentum} must be in [0, 1)")
         if self.seed < 0:
@@ -107,22 +107,24 @@ class SgdConfig:
 
 @dataclass(frozen=True)
 class GrowthPlan:
-    """Width then depth sweep ranges for grow_and_train."""
+    """The sweep of grow_and_train, each field named as grow's option for it:
+    one hidden layer of widths width_from..width_to, then depths
+    depth_from..depth_to at fixed_width units per layer (both ranges inclusive).
+    """
 
-    width_sweep: tuple[int, ...] = tuple(range(2, 16))
-    depth_sweep: tuple[int, ...] = tuple(range(2, 11))
+    width_from: int = 2
+    width_to: int = 15
+    depth_from: int = 2
+    depth_to: int = 10
     fixed_width: int = 5
 
     def __post_init__(self) -> None:
-        for name, sweep in (("width_sweep", self.width_sweep), ("depth_sweep", self.depth_sweep)):
-            if len(sweep) == 0:
-                raise BadConfigError(f"{name} must be non-empty")
-            if any(b <= a for a, b in zip(sweep, sweep[1:])):
-                raise BadConfigError(f"{name} must be strictly increasing")
-            if sweep[0] < 1:
-                raise BadConfigError(f"{name} values must be >= 1")
-        if self.depth_sweep[0] < 2:
-            raise BadConfigError("depth_sweep starts after the 1-hidden-layer teacher")
+        if not 1 <= self.width_from <= self.width_to:
+            raise BadConfigError(f"need 1 <= width_from <= width_to, "
+                                 f"got {self.width_from} and {self.width_to}")
+        if not 2 <= self.depth_from <= self.depth_to:  # depth 1 is the width phase's
+            raise BadConfigError(f"need 2 <= depth_from <= depth_to, "
+                                 f"got {self.depth_from} and {self.depth_to}")
         if self.fixed_width < 1:
             raise BadConfigError(f"fixed_width {self.fixed_width} must be >= 1")
 
@@ -267,7 +269,7 @@ def train_sgd(m: MlpModel, X, y, cfg: SgdConfig) -> MlpModel:
     """Annealed minibatch SGD on mean cross-entropy; deterministic per cfg.seed.
 
     y must hold 0/1 labels of both classes. Update k (0-based across the whole
-    run) uses learning rate cfg.learning_rate * (1 + cfg.anneal_factor) ** (-k).
+    run) uses learning rate cfg.learning_rate * (1 + cfg.anneal) ** (-k).
     Epochs reshuffle with the seeded generator; a remainder batch is trained
     short. Each update is one _step on a flat copy of m's parameters; m
     itself is not changed.
@@ -305,7 +307,7 @@ def train_sgd(m: MlpModel, X, y, cfg: SgdConfig) -> MlpModel:
                          w[start:stop], scale[start:stop], pick[start:stop])
             if not math.isfinite(loss):
                 raise NonFiniteLossError(f"training loss diverged at update {k}")
-            lr = cfg.learning_rate * (1.0 + cfg.anneal_factor) ** (-k)
+            lr = cfg.learning_rate * (1.0 + cfg.anneal) ** (-k)
             if velocity is not None:
                 velocity *= cfg.momentum
                 velocity += gflat
@@ -378,7 +380,8 @@ def net2deeper(teacher: MlpModel, insert_after: int) -> MlpModel:
 
 @dataclass(frozen=True)
 class GrowthRow:
-    """One sweep cell: its size, test metrics, wall-clock cost, and seed."""
+    """One sweep cell: its size, test metrics, wall-clock cost, seed, and the
+    trained network (left out of the row's repr and equality)."""
 
     phase: str
     w: int
@@ -387,19 +390,15 @@ class GrowthRow:
     accuracy: float
     train_seconds: float
     seed: int
+    model: MlpModel = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
 class GrowthReport:
     rows: tuple[GrowthRow, ...]
-    models: Mapping  # (phase, w, h) -> trained MlpModel
 
     def best(self) -> GrowthRow:
         return max(self.rows, key=lambda r: r.auc)
-
-    def best_model(self) -> "MlpModel":
-        r = self.best()
-        return self.models[(r.phase, r.w, r.h)]
 
 
 def _cell_seed(master: int, phase: str, value: int) -> int:
@@ -414,14 +413,15 @@ def run_cell(
     X_train, y_train, X_test, y_test,
     cfg: SgdConfig,
     seed: int,
-) -> tuple[GrowthRow, MlpModel]:
+) -> GrowthRow:
     """Grow (if needed) and train one sweep cell; independently re-runnable.
 
     phase "baseline": fresh 0-hidden softmax net (teacher ignored).
     phase "width": teacher widened to value units via net2wider (a fresh
     1-hidden net without a teacher).
-    phase "depth": teacher deepened by one identity layer; value = target h.
-    The row's w and h are the trained net's hidden width (0 with none) and depth.
+    phase "depth": teacher deepened by identity layers to value hidden layers.
+    The row's w and h are the trained net's hidden width (0 with none) and
+    depth, and its model is the trained net.
     """
     t0 = time.perf_counter()
     if phase == "baseline":
@@ -432,24 +432,23 @@ def run_cell(
         else:
             net = net2wider(teacher, 0, value, seed)
     elif phase == "depth":
-        if teacher is None:
-            raise BadConfigError("a depth cell needs a teacher to deepen")
-        net = net2deeper(teacher, len(teacher.layers) - 2)
-        if net.n_hidden != value:
-            raise BadConfigError(f"depth cell expected h={value}, teacher gives {net.n_hidden}")
+        if teacher is None or teacher.n_hidden >= value:
+            raise BadConfigError(f"depth cell h={value} needs a teacher with fewer hidden layers")
+        net = teacher
+        while net.n_hidden < value:
+            net = net2deeper(net, len(net.layers) - 2)
     else:
         raise BadConfigError(f"unknown phase {phase!r}")
     trained = train_sgd(net, X_train, y_train, replace(cfg, seed=seed))
     seconds = time.perf_counter() - t0
     scores = predict_scores(trained, X_test)
     yv = np.asarray(y_test, dtype=np.float64)
-    row = GrowthRow(
+    return GrowthRow(
         phase=phase, w=max(trained.hidden_widths, default=0), h=trained.n_hidden,
         auc=auc_values(scores, yv),
         accuracy=raw_accuracy(scores, yv),
-        train_seconds=seconds, seed=seed,
+        train_seconds=seconds, seed=seed, model=trained,
     )
-    return row, trained
 
 
 def grow_and_train(
@@ -459,45 +458,32 @@ def grow_and_train(
 ) -> GrowthReport:
     """Full sweep: a 0-hidden baseline, the width chain, then the depth chain.
 
-    Width phase trains h=1 at the first sweep width from scratch, then widens
-    the previous trained network one step at a time. Depth phase starts from
-    the trained fixed-width h=1 network and inserts identity layers one at a
-    time. Every cell's seed is derived from cfg.seed and recorded so the cell
-    can be reproduced in isolation.
+    Width phase trains h=1 at width_from from scratch, then widens the
+    previous trained network one step at a time. Depth phase deepens the
+    trained fixed-width h=1 network to depth_from hidden layers, then the
+    previous trained network one layer at a time. Every cell's seed is derived
+    from cfg.seed and recorded so the cell can be reproduced in isolation.
     """
     rows: list[GrowthRow] = []
-    models: dict[tuple[str, int, int], MlpModel] = {}
 
-    row, model = run_cell(None, "baseline", 0, X_train, y_train, X_test, y_test,
-                          cfg, _cell_seed(cfg.seed, "baseline", 0))
-    rows.append(row)
-    models[("baseline", 0, 0)] = model
+    def cell(teacher: MlpModel | None, phase: str, value: int, keep: bool = True) -> MlpModel:
+        row = run_cell(teacher, phase, value, X_train, y_train, X_test, y_test,
+                       cfg, _cell_seed(cfg.seed, phase, value))
+        if keep:
+            rows.append(row)
+        return row.model
 
+    cell(None, "baseline", 0)
     teacher = None
-    fixed_teacher = None
-    for w in plan.width_sweep:
-        row, model = run_cell(teacher, "width", w, X_train, y_train, X_test, y_test,
-                              cfg, _cell_seed(cfg.seed, "width", w))
-        rows.append(row)
-        models[("width", w, 1)] = model
-        teacher = model
-        if w == plan.fixed_width:
-            fixed_teacher = model
-    if fixed_teacher is None:
-        # fixed_width outside the sweep: train its h=1 anchor without a report row
-        _, fixed_teacher = run_cell(None, "width", plan.fixed_width,
-                                    X_train, y_train, X_test, y_test,
-                                    cfg, _cell_seed(cfg.seed, "width", plan.fixed_width))
-
-    teacher = fixed_teacher
-    for h in plan.depth_sweep:
-        row, model = run_cell(teacher, "depth", h, X_train, y_train, X_test, y_test,
-                              cfg, _cell_seed(cfg.seed, "depth", h))
-        rows.append(row)
-        models[("depth", plan.fixed_width, h)] = model
-        teacher = model
-
-    return GrowthReport(tuple(rows), models)
+    for w in range(plan.width_from, plan.width_to + 1):
+        teacher = cell(teacher, "width", w)
+    if plan.width_from <= plan.fixed_width <= plan.width_to:
+        teacher = rows[1 + plan.fixed_width - plan.width_from].model
+    else:  # fixed_width outside the sweep: its h=1 anchor is trained without a row
+        teacher = cell(None, "width", plan.fixed_width, keep=False)
+    for h in range(plan.depth_from, plan.depth_to + 1):
+        teacher = cell(teacher, "depth", h)
+    return GrowthReport(tuple(rows))
 
 
 def write_growth_csv(report: GrowthReport, path: str | Path) -> None:

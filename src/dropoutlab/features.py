@@ -346,32 +346,35 @@ def write_matrix(m: FeatureMatrix, path: str | Path) -> None:
 
 def load_matrix(path: str | Path, as_of: datetime.date) -> FeatureMatrix:
     """Read a matrix written by write_matrix (rows in ascending student-id order);
-    as_of is supplied by the caller."""
+    as_of is supplied by the caller. A file that is not UTF-8 raises BadValueError."""
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise MissingColumnError(f"{path}: empty file") from None
-        if header[:1] != ["student_id"]:
-            raise MissingColumnError(f"{path}: first column must be student_id")
-        if tuple(header[1:]) != FEATURE_NAMES:
-            raise SchemaMismatchError(f"{path}: columns do not match the feature layout")
-        ids = []
-        values = array("d")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise BadValueError(f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}")
-            if ids and row[0] <= ids[-1]:
-                raise BadValueError(f"{path}:{lineno}: student id {row[0]!r} does not "
-                                    f"follow {ids[-1]!r}; ids must be unique and ascending")
-            ids.append(row[0])
-            try:
-                values.extend(map(float, row[1:]))
-            except ValueError:
-                raise BadValueError(f"{path}:{lineno}: non-numeric feature value") from None
+            header = next(reader, None)
+            if header is None:
+                raise MissingColumnError(f"{path}: empty file")
+            if header[:1] != ["student_id"]:
+                raise MissingColumnError(f"{path}: first column must be student_id")
+            if tuple(header[1:]) != FEATURE_NAMES:
+                raise SchemaMismatchError(f"{path}: columns do not match the feature layout")
+            ids = []
+            values = array("d")
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise BadValueError(
+                        f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}")
+                if ids and row[0] <= ids[-1]:
+                    raise BadValueError(f"{path}:{lineno}: student id {row[0]!r} does not "
+                                        f"follow {ids[-1]!r}; ids must be unique and ascending")
+                ids.append(row[0])
+                try:
+                    values.extend(map(float, row[1:]))
+                except ValueError:
+                    raise BadValueError(f"{path}:{lineno}: non-numeric feature value") from None
+        except UnicodeDecodeError as e:
+            raise BadValueError(f"{path}: not UTF-8 text ({e})") from None
     return FeatureMatrix(tuple(ids), np.array(values).reshape(len(ids), WIDTH), as_of)
 
 

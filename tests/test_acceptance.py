@@ -306,13 +306,14 @@ def test_criterion_8_growth_sweep_and_xor():
 
     # every cell is re-runnable in isolation from its recorded seed
     r5 = next(r for r in width_rows if r.w == 5)
-    rerun5, _ = run_cell(report.models[("width", 4, 1)], "width", 5,
-                         z.values[tr], yv[tr], z.values[te], yv[te],
-                         cfg, r5.seed)
+    models = {(r.phase, r.w, r.h): r.model for r in report.rows}
+    rerun5 = run_cell(models[("width", 4, 1)], "width", 5,
+                      z.values[tr], yv[tr], z.values[te], yv[te],
+                      cfg, r5.seed)
     r7 = next(r for r in depth_rows if r.h == 7)
-    rerun7, _ = run_cell(report.models[("depth", 5, 6)], "depth", 7,
-                         z.values[tr], yv[tr], z.values[te], yv[te],
-                         cfg, r7.seed)
+    rerun7 = run_cell(models[("depth", 5, 6)], "depth", 7,
+                      z.values[tr], yv[tr], z.values[te], yv[te],
+                      cfg, r7.seed)
     rerun_ok = (rerun5.auc == r5.auc and rerun5.accuracy == r5.accuracy
                 and rerun7.auc == r7.auc and rerun7.accuracy == r7.accuracy)
 

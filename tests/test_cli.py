@@ -509,6 +509,16 @@ def _corpus_config(doc):
     return build
 
 
+def _not_utf8(build):
+    """build, with a 0xFF byte put before the JSON file whose path it names."""
+    def prefixed(tmp_path, course_dir, env):
+        argv, paths = build(tmp_path, course_dir, env)
+        path = Path(paths[0])
+        path.write_bytes(b"\xff" + path.read_bytes())
+        return argv, paths
+    return prefixed
+
+
 def _course(**values):
     return _corpus_config({"courses": [{"course_id": "Ax", "n_students": 20, **values}]})
 
@@ -519,11 +529,17 @@ _MALFORMED = {
     "train-reg-c-inf": (_train("--reg-c", "inf"), 2, ["--reg-c", "inf"]),
     "train-reg-c-nan": (_train("--reg-c", "nan"), 2, ["--reg-c", "nan"]),
     "grow-learning-rate-inf": (_grow("--learning-rate", "inf"), 2, ["--learning-rate", "inf"]),
-    "grow-anneal-nan": (_grow("--anneal", "nan"), 1, ["anneal_factor", "nan"]),
-    "grow-anneal-inf": (_grow("--anneal", "inf"), 1, ["anneal_factor", "inf"]),
+    "grow-anneal-nan": (_grow("--anneal", "nan"), 1, ["anneal", "nan"]),
+    "grow-anneal-inf": (_grow("--anneal", "inf"), 1, ["anneal", "inf"]),
+    "grow-anneal-negative": (_grow("--anneal", "-1"), 1, ["grow: anneal -1.0 must be >= 0"]),
+    "grow-width-from-above-width-to": (_grow("--width-from", "5", "--width-to", "3"), 1,
+                                       ["width_from <= width_to", "5 and 3"]),
+    "grow-depth-from-one": (_grow("--depth-from", "1"), 1, ["2 <= depth_from", "1 and 2"]),
     "manifest-reg-c-inf": (_manifest(reg_C=float("inf")), 1, ["reg_C", "inf"]),
     "growth-plan-anneal-nan": (_manifest(growth_plan={"anneal": float("nan")}), 1,
-                               ["growth_plan", "anneal_factor"]),
+                               ["growth_plan", "anneal"]),
+    "growth-plan-depth-from-one": (_manifest(growth_plan={"depth_from": 1}), 1,
+                                   ["growth_plan", "2 <= depth_from", "1 and 10"]),
     "growth-plan-learning-rate-inf": (_manifest(growth_plan={"learning_rate": float("inf")}), 1,
                                       ["growth_plan", "learning_rate"]),
     "manifest-output-dir-int": (_manifest(output_dir=5), 1, ["output_dir"]),
@@ -539,6 +555,12 @@ _MALFORMED = {
     "corpus-launch-int": (_course(launch=20140106), 1, ["launch", "20140106"]),
     "corpus-unknown-key": (_course(bogus=1), 1, ["bogus"]),
     "corpus-n-students-zero": (_course(n_students=0), 1, ["'Ax'", "n_students 0"]),
+    "corpus-second-course-weeks-zero": (
+        _corpus_config({"courses": [{"course_id": c, "n_students": 20, **values} for c, values in
+                                    (("Ax", {}), ("Bx", {"weeks_to_t100": 0}), ("Cx", {}))]}),
+        1, ["'Bx': need 1 <= weeks_to_t100", "0/10"]),
+    "manifest-not-utf8": (_not_utf8(_manifest()), 1, ["not valid UTF-8 JSON", "0xff"]),
+    "corpus-config-not-utf8": (_not_utf8(_course()), 1, ["not valid UTF-8 JSON", "0xff"]),
     "synth-seed-negative": (_synth("--seed", "-1"), 2, ["--seed", "'-1'"]),
     "grow-seed-negative": (_grow("--seed", "-2"), 2, ["--seed", "'-2'"]),
     "env-seed-negative": (_env_seed("-4", _grow()), 2, ["DROPOUTLAB_SEED", "'-4'"]),
@@ -629,6 +651,21 @@ class TestReportCommand:
         assert "('baseline1', 'MAx', -4)" in capsys.readouterr().err
         assert not (tmp_path / "re").exists()
 
+    @pytest.mark.parametrize("edit,cells", [
+        (lambda line: line.rsplit(b",", 1)[0], 5),
+        (lambda line: line + b",7", 7),
+    ], ids=["short", "long"])
+    def test_row_of_wrong_length_is_runtime_error(self, tmp_path, capsys, edit, cells):
+        manifest = _write_manifest(tmp_path, paradigms=["baseline1"])
+        assert main(["run", "--manifest", str(manifest)]) == 0
+        rows = tmp_path / "out" / "rows.csv"
+        lines = rows.read_bytes().splitlines(keepends=True)
+        lines[2] = edit(lines[2].rstrip(b"\r\n")) + b"\r\n"
+        rows.write_bytes(b"".join(lines))
+        assert main(["report", "--rows", str(rows), "--out-dir", str(tmp_path / "re")]) == 1
+        assert f"{rows}:3: expected 6 cells, got {cells}" in capsys.readouterr().err
+        assert not (tmp_path / "re").exists()
+
     def test_missing_rows_is_runtime_error(self, tmp_path):
         assert main(["report", "--rows", str(tmp_path / "no.csv"),
                      "--out-dir", str(tmp_path)]) == 1
@@ -646,6 +683,33 @@ class TestParserShape:
             parser.parse_args(["features", "--course-dir", "c", "--out", "m",
                                "--week", "-1", "--as-of", "2014-02-01"])
         assert e.value.code == 2
+
+    def test_grow_options_growth_plan_keys_and_fields_are_one_set(self, tmp_path):
+        from dataclasses import fields
+
+        from dropoutlab.cli import _growth_from_manifest, _growth_setup
+        from dropoutlab.deepnet import GrowthPlan, SgdConfig
+        from dropoutlab.errors import BadConfigError
+
+        grow = vars(build_parser().parse_args(["grow", "--course-dir", "c", "--out-dir", "o"]))
+        dests = set(grow) - {"command", "course_dir", "out_dir"}
+        named = {"week", "split", "norm", "seed"} | {f.name for c in (GrowthPlan, SgdConfig)
+                                                     for f in fields(c)}
+
+        def accepted(key):
+            plan = {key: grow.get(key, 1)}
+            try:
+                _growth_from_manifest({"master_seed": 0, "growth_plan": plan}, tmp_path / "m.json")
+            except BadConfigError as e:
+                assert f"unknown key {key!r}" in str(e)
+                return False
+            return True
+
+        candidates = set(grow) | named | {"widths", "depths", "anneal_rate"}
+        assert {key for key in candidates if accepted(key)} == dests == named
+        # a growth_plan of grow's defaults plans grow's default sweep
+        doc = {"master_seed": 0, "growth_plan": {key: grow[key] for key in dests}}
+        assert _growth_from_manifest(doc, tmp_path / "m.json") == _growth_setup(grow, "grow")
 
 
 class TestRuntimeDependencies:

@@ -1,6 +1,7 @@
 """Course containers, CSV round-trips, and the synthetic generator."""
 
 import datetime
+import re
 
 import numpy as np
 import pytest
@@ -243,6 +244,18 @@ class TestCourseData:
         with pytest.raises(ValueError):
             r.loe[0] = 0
 
+    @pytest.mark.parametrize("grade", [1.5, -0.25, float("nan")])
+    def test_grade_outside_unit_interval_rejected(self, grade):
+        with pytest.raises(BadValueError,
+                           match=rf"course 'Tx': student 'b': final_grade {grade} not in \[0, 1\]"):
+            make_course(make_meta(course_id="Tx"), [Student("a"), Student("b")], [],
+                        {"a": 0.5, "b": grade})
+
+    def test_grade_of_student_off_the_roster_rejected(self):
+        with pytest.raises(UnknownStudentError,
+                           match="course 'Tx': student 'ghost' has a grade but is not on the roster"):
+            make_course(make_meta(course_id="Tx"), [Student("a")], [], {"a": 0.5, "ghost": 0.9})
+
     def test_records_round_trip(self, tiny_course):
         days = records_of(tiny_course)
         assert len(days) == 8
@@ -436,6 +449,14 @@ class TestCsvRoundTrip:
         with pytest.raises(UnknownStudentError, match="sX"):
             load_course_dir(tmp_path)
 
+    @pytest.mark.parametrize("name", ["grades.csv", "activity.csv"])
+    def test_file_not_utf8_rejected(self, tmp_path, name):
+        self._write_course_files(tmp_path, [self._row("s0", "2014-01-06")])
+        p = tmp_path / name
+        p.write_bytes(b"\xff" + p.read_bytes())
+        with pytest.raises(BadValueError, match=rf"{name}: not UTF-8 text .*0xff"):
+            load_course_dir(tmp_path)
+
     def test_grade_range_checked(self, tmp_path):
         self._write_course_files(tmp_path, [])
         (tmp_path / "grades.csv").write_text("student_id,final_grade\r\ns0,1.2\r\n")
@@ -493,9 +514,29 @@ class TestCsvRoundTrip:
             load_demographics(p)
 
 
+# One bad SynthConfig value per check of validate, and the problem its error names.
+_SYNTH_PROBLEMS = [
+    ("field", "Art", "unknown field 'Art'"),
+    ("n_students", 0, "n_students 0 must be >= 1"),
+    ("launch", "2014-01-06", "launch '2014-01-06' is not a date"),
+    ("weeks_to_t100", 0, "need 1 <= weeks_to_t100 <= weeks_total, got 0/10"),
+    ("cert_threshold", 0.0, "cert_threshold 0.0 not in (0, 1]"),
+    ("daily_decay", 1.0, "daily_decay 1.0 not in [0, 1)"),
+    ("engagement_beta", 0.0, "engagement Beta parameters must be positive"),
+    ("decay_spread", 2.0, "decay_spread 2.0 not in [0, 1]"),
+    ("problems_for_full_grade", 0.0, "problem-rate parameters must be positive"),
+]
+
+
 class TestSynthConfig:
     def test_defaults_valid(self):
         SynthConfig(course_id="Ax").validate()
+
+    @pytest.mark.parametrize("key,value,problem", _SYNTH_PROBLEMS,
+                             ids=[key for key, _, _ in _SYNTH_PROBLEMS])
+    def test_every_error_names_the_course(self, key, value, problem):
+        with pytest.raises(BadConfigError, match=re.escape(f"'Bx': {problem}")):
+            SynthConfig(course_id="Bx", **{key: value}).validate()
 
     def test_bad_values_rejected(self):
         with pytest.raises(BadConfigError):

@@ -36,6 +36,7 @@ from dropoutlab.errors import (
     ShrinkNotAllowedError,
     SingleClassError,
 )
+from dropoutlab.evaluate import auc_values
 
 from conftest import batch_loss_and_grads
 
@@ -50,7 +51,7 @@ def reference_sgd(m, X, y, cfg):
     """Minibatch SGD written out as SgdConfig documents it: each epoch draws one
     permutation from default_rng(cfg.seed), batches of minibatch_size rows follow
     it with a short remainder batch, and update k (from 0) steps by
-    lr_k = learning_rate * (1 + anneal_factor) ** -k times the batch gradient,
+    lr_k = learning_rate * (1 + anneal) ** -k times the batch gradient,
     or with momentum times the velocity v = momentum * v + g (v starts at 0).
     With class_weighting each example's loss is scaled by n / (2 * n_class).
 
@@ -68,7 +69,7 @@ def reference_sgd(m, X, y, cfg):
             batch = order[start:start + cfg.minibatch_size]
             _, grads = batch_loss_and_grads(MlpModel(tuple(layers)), X[batch], y[batch],
                                             class_w)
-            lr = cfg.learning_rate * (1.0 + cfg.anneal_factor) ** (-len(sizes))
+            lr = cfg.learning_rate * (1.0 + cfg.anneal) ** (-len(sizes))
             if cfg.momentum > 0:
                 velocity = [(cfg.momentum * vW + gW, cfg.momentum * vb + gb)
                             for (vW, vb), (gW, gb) in zip(velocity, grads)]
@@ -218,7 +219,7 @@ class TestSgd:
     def test_defaults(self):
         cfg = SgdConfig()
         assert (cfg.learning_rate, cfg.epochs, cfg.minibatch_size) == (0.1, 20, 10)
-        assert cfg.anneal_factor == 1e-3
+        assert cfg.anneal == 1e-3
         assert cfg.momentum == 0.0 and cfg.class_weighting is False
 
     def test_config_validation(self):
@@ -228,7 +229,7 @@ class TestSgd:
             SgdConfig(minibatch_size=0)
         with pytest.raises(BadConfigError):
             SgdConfig(learning_rate=-0.1)
-        for field in ("learning_rate", "anneal_factor"):
+        for field in ("learning_rate", "anneal"):
             for value in (np.inf, np.nan):
                 with pytest.raises(BadConfigError, match=field):
                     SgdConfig(**{field: value})
@@ -257,7 +258,7 @@ class TestSgd:
     def test_matches_reference_loop_bitwise(self):
         rng = np.random.default_rng(8)
         X, y = _toy_data(rng, n=25)
-        cfg = SgdConfig(epochs=3, minibatch_size=10, anneal_factor=1e-3, seed=0)
+        cfg = SgdConfig(epochs=3, minibatch_size=10, anneal=1e-3, seed=0)
         net = init_mlp(6, [4], seed=0)
         expect, sizes = reference_sgd(net, X, y, cfg)
         assert sizes == [10, 10, 5] * 3  # ceil(25/10) = 3 updates per epoch
@@ -429,7 +430,7 @@ def sweep():
     rng = np.random.default_rng(14)
     X, y = _toy_data(rng, n=80)
     Xt, yt = _toy_data(rng, n=40)
-    plan = GrowthPlan(width_sweep=(2, 3, 4), depth_sweep=(2, 3), fixed_width=3)
+    plan = GrowthPlan(width_from=2, width_to=4, depth_from=2, depth_to=3, fixed_width=3)
     cfg = SgdConfig(epochs=3, seed=77)
     return grow_and_train(X, y, Xt, yt, plan, cfg), (X, y, Xt, yt, cfg)
 
@@ -444,22 +445,21 @@ class TestGrowthSweep:
 
     def test_default_plan_row_count(self):
         plan = GrowthPlan()
-        assert len(plan.width_sweep) == 14  # widths 2..15
-        assert len(plan.depth_sweep) == 9  # depths 2..10
+        assert (plan.width_from, plan.width_to) == (2, 15)  # 14 widths
+        assert (plan.depth_from, plan.depth_to) == (2, 10)  # 9 depths
         assert plan.fixed_width == 5
 
     def test_cells_rerun_from_recorded_seed(self, sweep):
         report, (X, y, Xt, yt, cfg) = sweep
         # width cell w=3 re-run in isolation: teacher is the trained w=2 model
+        models = {(r.phase, r.w, r.h): r.model for r in report.rows}
         row3 = next(r for r in report.rows if r.phase == "width" and r.w == 3)
-        teacher = report.models[("width", 2, 1)]
-        rerun, _ = run_cell(teacher, "width", 3, X, y, Xt, yt, cfg, row3.seed)
+        rerun = run_cell(models[("width", 2, 1)], "width", 3, X, y, Xt, yt, cfg, row3.seed)
         assert rerun.auc == row3.auc
         assert rerun.accuracy == row3.accuracy
         # depth cell h=3 from the trained h=2 model
         rowd = next(r for r in report.rows if r.phase == "depth" and r.h == 3)
-        teacher = report.models[("depth", 3, 2)]
-        rerun, _ = run_cell(teacher, "depth", 3, X, y, Xt, yt, cfg, rowd.seed)
+        rerun = run_cell(models[("depth", 3, 2)], "depth", 3, X, y, Xt, yt, cfg, rowd.seed)
         assert rerun.auc == rowd.auc
         assert (rerun.w, rerun.h) == (rowd.w, rowd.h) == (3, 3)
 
@@ -474,19 +474,40 @@ class TestGrowthSweep:
         assert len(set(seeds)) == len(seeds)
 
     def test_best_model_matches_best_row(self, sweep):
-        report, _ = sweep
+        report, (_, _, Xt, yt, _) = sweep
         best = report.best()
         assert best.auc == max(r.auc for r in report.rows)
-        key = (best.phase, best.w, best.h)
-        assert report.models[key] is report.best_model()
+        assert auc_values(predict_scores(best.model, Xt), yt) == best.auc
+        for r in report.rows:  # each row carries the network it measured
+            assert (max(r.model.hidden_widths, default=0), r.model.n_hidden) == (r.w, r.h)
 
     def test_fixed_width_outside_sweep(self):
         rng = np.random.default_rng(15)
         X, y = _toy_data(rng, n=50)
-        plan = GrowthPlan(width_sweep=(2, 3), depth_sweep=(2,), fixed_width=6)
+        plan = GrowthPlan(width_from=2, width_to=3, depth_from=2, depth_to=2, fixed_width=6)
         report = grow_and_train(X, y, X, y, plan, SgdConfig(epochs=2, seed=5))
         assert [(r.phase, r.w, r.h) for r in report.rows] == [
             ("baseline", 0, 0), ("width", 2, 1), ("width", 3, 1), ("depth", 6, 2)]
+
+    def test_depth_from_above_two_deepens_the_anchor(self):
+        rng = np.random.default_rng(16)
+        X, y = _toy_data(rng, n=50)
+        plan = GrowthPlan(width_from=2, width_to=3, depth_from=4, depth_to=5, fixed_width=3)
+        report = grow_and_train(X, y, X, y, plan, SgdConfig(epochs=2, seed=5))
+        assert [(r.phase, r.w, r.h) for r in report.rows][-2:] == [("depth", 3, 4), ("depth", 3, 5)]
+        with pytest.raises(BadConfigError, match="h=2 needs a teacher with fewer hidden layers"):
+            run_cell(report.rows[-2].model, "depth", 2, X, y, X, y, SgdConfig(epochs=1), 0)
+
+    @pytest.mark.parametrize("fields,named", [
+        ({"width_from": 0}, "width_from <= width_to, got 0 and 15"),
+        ({"width_from": 5, "width_to": 3}, "width_from <= width_to, got 5 and 3"),
+        ({"depth_from": 1}, "2 <= depth_from <= depth_to, got 1 and 10"),
+        ({"depth_from": 4, "depth_to": 3}, "depth_from <= depth_to, got 4 and 3"),
+        ({"fixed_width": 0}, "fixed_width 0 must be >= 1"),
+    ])
+    def test_plan_rejects_bad_ranges(self, fields, named):
+        with pytest.raises(BadConfigError, match=re.escape(named)):
+            GrowthPlan(**fields)
 
     def test_csv_shape(self, sweep, tmp_path):
         report, _ = sweep
@@ -502,7 +523,7 @@ class TestXor:
         X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
         y = np.array([0.0, 1.0, 1.0, 0.0])
         cfg = SgdConfig(learning_rate=0.5, epochs=500, minibatch_size=4,
-                        anneal_factor=1e-3, seed=0)
+                        anneal=1e-3, seed=0)
         net = train_sgd(init_mlp(2, [4], seed=0), X, y, cfg)
         scores = predict_scores(net, X)
         acc = float(np.mean((scores >= 0.5) == y))

@@ -624,6 +624,13 @@ class TestSerialization:
         with pytest.raises(BadValueError, match=rf"{re.escape(str(p))}:4: non-numeric feature value"):
             load_matrix(p, day(9))
 
+    def test_matrix_not_utf8_names_file(self, tiny_course, tmp_path):
+        p = tmp_path / "m.csv"
+        write_matrix(build_matrix(tiny_course, day(9)), p)
+        p.write_bytes(b"\xff" + p.read_bytes())
+        with pytest.raises(BadValueError, match=rf"{re.escape(str(p))}: not UTF-8 text"):
+            load_matrix(p, day(9))
+
     @pytest.mark.parametrize("order,where,sid,prev", [("reversed", 3, "s04", "s05"),
                                                       ("repeated", 8, "s05", "s05")])
     def test_matrix_ids_must_ascend(self, tiny_course, tmp_path, order, where, sid, prev):
