@@ -15,8 +15,6 @@ import numpy as np
 
 from dropoutlab.dataset import SynthConfig, synthesize_course
 from dropoutlab.deepnet import (
-    GrowthPlan,
-    SgdConfig,
     forward,
     grow_and_train,
     init_mlp,
@@ -25,6 +23,7 @@ from dropoutlab.deepnet import (
     train_sgd,
 )
 from dropoutlab.features import apply_zscore, build_matrix, fit_zscore, holdout_split
+from dropoutlab.settings import GrowthPlan, SgdConfig
 
 # start with a trained 3-unit network on synthetic course features
 course = synthesize_course(SynthConfig(course_id="GROWx", n_students=240), seed=9)

@@ -17,22 +17,10 @@ import sys
 from dataclasses import asdict, fields
 from pathlib import Path
 
-from .dataset import (
-    CorpusConfig,
-    corpus_config_from_dict,
-    corpus_config_to_dict,
-    default_corpus_config,
-    load_course_dir,
-    synthesize_corpus,
-    write_course,
-)
-from .deepnet import GrowthPlan, SgdConfig, grow_and_train, save_mlp, write_growth_csv
+# Besides the standard library, the parser loads only these numpy-free modules,
+# so --help and usage errors answer quickly; each command imports what it runs.
 from .errors import BadConfigError, DropoutLabError
-from .evaluate import ROWS_COLUMNS, SKIPPED_COLUMNS, EvalReport, EvalRow, auc_values, emit_report
-from .features import build_matrix, holdout_split, normalize, save_norm_stats, write_matrix
-from .linear import baseline_demographics, predict_proba, save_model, score_demographics
-from .paradigms import PARADIGMS, fit_course_model, run_experiment, week_date
-
+from .settings import GrowthPlan, SgdConfig
 
 def _int_at_least(lo: int, source: str = ""):
     """An argparse type: the integer of a text, which must be >= lo."""
@@ -179,7 +167,9 @@ def _read_json(path: Path, what: str):
             raise BadConfigError(f"{path}: not valid UTF-8 JSON ({e})") from None
 
 
-def _load_corpus_config(path: Path | None, courses: int, students: int) -> CorpusConfig:
+def _load_corpus_config(path: Path | None, courses: int, students: int):
+    """The CorpusConfig in path, or the built-in one of courses x students."""
+    from .dataset import corpus_config_from_dict, default_corpus_config
     if path is None:
         return default_corpus_config(courses, students)
     doc = _read_json(path, "corpus config")
@@ -190,6 +180,7 @@ def _load_corpus_config(path: Path | None, courses: int, students: int) -> Corpu
 
 
 def cmd_synth(args) -> int:
+    from .dataset import corpus_config_to_dict, synthesize_corpus, write_course
     config = _load_corpus_config(args.config, args.courses, args.students)
     corpus = synthesize_corpus(config, args.seed)
     args.out.mkdir(parents=True, exist_ok=True)
@@ -203,6 +194,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_features(args) -> int:
+    from .dataset import load_course_dir
+    from .features import build_matrix, normalize, save_norm_stats, write_matrix
+    from .paradigms import week_date
     course = load_course_dir(args.course_dir)
     m = build_matrix(course, args.as_of or week_date(course.meta, args.week))
     paths = [args.out]
@@ -219,6 +213,11 @@ def cmd_features(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from .dataset import load_course_dir
+    from .evaluate import auc_values
+    from .features import build_matrix
+    from .linear import baseline_demographics, predict_proba, save_model, score_demographics
+    from .paradigms import fit_course_model, week_date
     course = load_course_dir(args.course_dir)
     if args.kind == "baseline1":
         model = baseline_demographics(course, args.reg_c)
@@ -312,6 +311,9 @@ def _growth_from_manifest(doc: dict, path: Path) -> _Sweep:
 def _grow_and_save(course, sweep: _Sweep, out_dir: Path):
     """Run the sweep on the course's growth split and write growth.csv and
     best_model.json to out_dir; returns the sweep's report."""
+    from .deepnet import grow_and_train, save_mlp, write_growth_csv
+    from .features import build_matrix, holdout_split
+    from .paradigms import week_date
     plan, cfg, week, split, norm = sweep
     _, train, y_train, test, y_test = holdout_split(
         build_matrix(course, week_date(course.meta, week)), course.certified, split, cfg.seed, norm)
@@ -328,6 +330,9 @@ def _grow_course_choice(corpus) -> object:
 
 
 def cmd_run(args) -> int:
+    from .dataset import synthesize_corpus
+    from .evaluate import emit_report
+    from .paradigms import PARADIGMS, run_experiment
     doc = _read_manifest(args.manifest)
     for kind in doc["paradigms"]:
         if kind not in PARADIGMS:
@@ -368,6 +373,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_grow(args) -> int:
+    from .dataset import load_course_dir
     sweep = _growth_setup(vars(args), "grow")
     report = _grow_and_save(load_course_dir(args.course_dir), sweep, args.out_dir)
     best = report.best()
@@ -376,34 +382,39 @@ def cmd_grow(args) -> int:
     return 0
 
 
-def _read_records(path: Path, columns: tuple[str, ...]) -> list[list[str]]:
-    """The non-blank rows of a CSV written by emit_report, after checking its
-    header and that each row has one cell per column."""
+def _read_records(path: Path, columns: tuple[str, ...], parse) -> list:
+    """parse(*cells) of each non-blank row of a CSV written by emit_report, after
+    checking its header and that each row has one cell per column. Errors name
+    the file, and the line of a bad row."""
     if not path.exists():
         raise BadConfigError(f"file not found: {path}")
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
-        if tuple(next(reader, ())) != columns:
-            raise BadConfigError(f"{path}: expected the columns {','.join(columns)}")
-        rows = []
-        for row in filter(None, reader):
-            if len(row) != len(columns):
-                raise BadConfigError(
-                    f"{path}:{reader.line_num}: expected {len(columns)} cells, got {len(row)}")
-            rows.append(row)
-        return rows
+        try:
+            if tuple(next(reader, ())) != columns:
+                raise BadConfigError(f"{path}: expected the columns {','.join(columns)}")
+            records = []
+            for row in filter(None, reader):
+                where = f"{path}:{reader.line_num}"
+                if len(row) != len(columns):
+                    raise BadConfigError(f"{where}: expected {len(columns)} cells, got {len(row)}")
+                try:
+                    records.append(parse(*row))
+                except (ValueError, DropoutLabError) as e:
+                    raise BadConfigError(f"{where}: {e}") from None
+        except UnicodeDecodeError as e:
+            raise BadConfigError(f"{path}: not UTF-8 text ({e})") from None
+        return records
 
 
 def cmd_report(args) -> int:
-    skipped_path = args.rows.parent / "skipped.csv"
-    try:  # the columns of rows.csv are EvalRow's fields, in order
-        rows = [EvalRow(paradigm, course_id, int(week), float(auc), int(n), int(positives))
-                for paradigm, course_id, week, auc, n, positives
-                in _read_records(args.rows, ROWS_COLUMNS)]
-        skipped = [(paradigm, course_id, int(week), reason) for paradigm, course_id, week, reason
-                   in _read_records(skipped_path, SKIPPED_COLUMNS)]
-    except ValueError as e:
-        raise BadConfigError(f"non-numeric value in {args.rows} or {skipped_path} ({e})") from None
+    from .evaluate import ROWS_COLUMNS, SKIPPED_COLUMNS, EvalReport, EvalRow, emit_report
+    # the columns of rows.csv are EvalRow's fields, in order
+    rows = _read_records(args.rows, ROWS_COLUMNS, lambda paradigm, course, week, auc, n, pos:
+                         EvalRow(paradigm, course, int(week), float(auc), int(n), int(pos)))
+    skipped = _read_records(args.rows.parent / "skipped.csv", SKIPPED_COLUMNS,
+                            lambda paradigm, course, week, reason:
+                            (paradigm, course, int(week), reason))
     paths = emit_report(EvalReport.from_rows(rows, skipped), args.out_dir)
     print(f"wrote {paths['aggregate']} and {paths['summary']}")
     return 0
@@ -419,7 +430,16 @@ _COMMANDS = {
 }
 
 
+# numpy's BLAS reads these once, as numpy loads. One thread per process keeps
+# the forked workers of --jobs N from contending for the cores; a value the
+# caller set wins, and a caller that has loaded numpy already keeps its threads.
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def main(argv: list[str] | None = None) -> int:
+    if "numpy" not in sys.modules:
+        for var in _BLAS_THREADS:
+            os.environ.setdefault(var, "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -29,6 +29,7 @@ from .errors import (
     SingleClassError,
 )
 from .evaluate import auc_values, raw_accuracy
+from .settings import GrowthPlan, SgdConfig
 
 N_CLASSES = 2
 
@@ -67,66 +68,6 @@ class MlpModel:
     @property
     def n_hidden(self) -> int:
         return len(self.layers) - 1
-
-
-@dataclass(frozen=True)
-class SgdConfig:
-    """Minibatch SGD controls for train_sgd, which needs 0/1 labels.
-
-    Each field is named as grow's option for it. The learning rate before
-    update k (counting from 0) is lr_k = learning_rate * (1 + anneal) ** (-k):
-    one multiplicative anneal step per minibatch. Update k computes the
-    gradient g of the batch loss (in _step) and moves the parameters by
-    -lr_k * g, or with momentum > 0 by -lr_k * v, where the velocity
-    v = momentum * v + g starts at 0. class_weighting scales each example's
-    loss by n / (2 * n_class) of its class.
-    """
-
-    learning_rate: float = 0.1
-    epochs: int = 20
-    minibatch_size: int = 10
-    anneal: float = 1e-3
-    momentum: float = 0.0
-    seed: int = 0
-    class_weighting: bool = False
-
-    def __post_init__(self) -> None:
-        if not 0 < self.learning_rate < math.inf:
-            raise BadConfigError(f"learning_rate {self.learning_rate} must be positive and finite")
-        if self.epochs < 1:
-            raise BadConfigError(f"epochs {self.epochs} must be >= 1")
-        if self.minibatch_size < 1:
-            raise BadConfigError(f"minibatch_size {self.minibatch_size} must be >= 1")
-        if not 0 <= self.anneal < math.inf:
-            raise BadConfigError(f"anneal {self.anneal} must be >= 0 and finite")
-        if not (0.0 <= self.momentum < 1.0):
-            raise BadConfigError(f"momentum {self.momentum} must be in [0, 1)")
-        if self.seed < 0:
-            raise BadConfigError(f"seed {self.seed} must be >= 0")
-
-
-@dataclass(frozen=True)
-class GrowthPlan:
-    """The sweep of grow_and_train, each field named as grow's option for it:
-    one hidden layer of widths width_from..width_to, then depths
-    depth_from..depth_to at fixed_width units per layer (both ranges inclusive).
-    """
-
-    width_from: int = 2
-    width_to: int = 15
-    depth_from: int = 2
-    depth_to: int = 10
-    fixed_width: int = 5
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.width_from <= self.width_to:
-            raise BadConfigError(f"need 1 <= width_from <= width_to, "
-                                 f"got {self.width_from} and {self.width_to}")
-        if not 2 <= self.depth_from <= self.depth_to:  # depth 1 is the width phase's
-            raise BadConfigError(f"need 2 <= depth_from <= depth_to, "
-                                 f"got {self.depth_from} and {self.depth_to}")
-        if self.fixed_width < 1:
-            raise BadConfigError(f"fixed_width {self.fixed_width} must be >= 1")
 
 
 def init_mlp(input_dim: int, widths: Sequence[int], seed: int) -> MlpModel:
@@ -298,24 +239,27 @@ def train_sgd(m: MlpModel, X, y, cfg: SgdConfig) -> MlpModel:
     bufs = {nb: _step_buffers(m, nb) for nb in {min(mb, n), n % mb} if nb}
     batches = [(s, s + mb, bufs[min(mb, n - s)]) for s in range(0, n, mb)]
     k = 0
-    for _ in range(cfg.epochs):
-        order = rng.permutation(n)
-        Xo = values[order]
-        onehot, w, scale, pick = _batch_targets(yv[order], class_w, mb)
-        for start, stop, buf in batches:
-            loss = _step(params, grads, buf, Xo[start:stop], onehot[start:stop],
-                         w[start:stop], scale[start:stop], pick[start:stop])
-            if not math.isfinite(loss):
-                raise NonFiniteLossError(f"training loss diverged at update {k}")
-            lr = cfg.learning_rate * (1.0 + cfg.anneal) ** (-k)
-            if velocity is not None:
-                velocity *= cfg.momentum
-                velocity += gflat
-                np.multiply(velocity, lr, out=gflat)
-            else:
-                gflat *= lr
-            flat -= gflat
-            k += 1
+    # A diverging run overflows inside _step; the NonFiniteLossError below
+    # reports it, so numpy's overflow warnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.epochs):
+            order = rng.permutation(n)
+            Xo = values[order]
+            onehot, w, scale, pick = _batch_targets(yv[order], class_w, mb)
+            for start, stop, buf in batches:
+                loss = _step(params, grads, buf, Xo[start:stop], onehot[start:stop],
+                             w[start:stop], scale[start:stop], pick[start:stop])
+                if not math.isfinite(loss):
+                    raise NonFiniteLossError(f"training loss diverged at update {k}")
+                lr = cfg.learning_rate * (1.0 + cfg.anneal) ** (-k)
+                if velocity is not None:
+                    velocity *= cfg.momentum
+                    velocity += gflat
+                    np.multiply(velocity, lr, out=gflat)
+                else:
+                    gflat *= lr
+                flat -= gflat
+                k += 1
     return MlpModel(tuple(params))
 
 

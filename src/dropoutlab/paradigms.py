@@ -36,7 +36,6 @@ too when a training set, or the labels it is ranked against, hold one class.
 from __future__ import annotations
 
 import datetime
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from functools import cached_property
 from itertools import groupby
@@ -394,6 +393,8 @@ def _corpus_map(corpus: list[CourseData], jobs: int):
     """A map(fn, items) over workers that hold the corpus: one process pool
     when jobs > 1, this process otherwise. The corpus is dropped on exit."""
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loaded only for a pool
+
         with ProcessPoolExecutor(
             max_workers=jobs, initializer=_init_worker, initargs=(corpus,)
         ) as pool:

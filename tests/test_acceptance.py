@@ -22,9 +22,7 @@ from dropoutlab.dataset import (
     synthesize_course,
 )
 from dropoutlab.deepnet import (
-    GrowthPlan,
     MlpModel,
-    SgdConfig,
     grow_and_train,
     init_mlp,
     forward,
@@ -38,6 +36,7 @@ from dropoutlab.evaluate import auc_values
 from dropoutlab.features import apply_zscore, build_matrix, fit_zscore
 from dropoutlab.linear import _minimize, predict_proba, train_logreg
 from dropoutlab.paradigms import insitu_scores, run_experiment, run_paradigm
+from dropoutlab.settings import GrowthPlan, SgdConfig
 
 from conftest import batch_loss_and_grads, logreg_loss_and_grad
 

@@ -666,6 +666,27 @@ class TestReportCommand:
         assert f"{rows}:3: expected 6 cells, got {cells}" in capsys.readouterr().err
         assert not (tmp_path / "re").exists()
 
+    @pytest.mark.parametrize("edit,expected", [
+        (lambda out: (out / "rows.csv").write_bytes(b"\xff" + (out / "rows.csv").read_bytes()),
+         "{out}/rows.csv: not UTF-8 text"),
+        (lambda out: (out / "skipped.csv").write_bytes(
+            b"paradigm,course_id,week,reason\r\nbaseline1,MAx,notint,single class\r\n"),
+         "{out}/skipped.csv:2: invalid literal for int() with base 10: 'notint'"),
+        (lambda out: (out / "rows.csv").write_bytes(
+            re.sub(rb"^(baseline1,MAx,-3,)[^,]*", rb"\1nan", (out / "rows.csv").read_bytes(),
+                   flags=re.M)),
+         "{out}/rows.csv:3: auc nan outside [0, 1]"),
+    ], ids=["not-utf8", "week-not-int", "auc-nan"])
+    def test_bad_input_names_its_file_and_line(self, tmp_path, capsys, edit, expected):
+        manifest = _write_manifest(tmp_path, paradigms=["baseline1"])
+        assert main(["run", "--manifest", str(manifest)]) == 0
+        out = tmp_path / "out"
+        edit(out)
+        assert main(["report", "--rows", str(out / "rows.csv"),
+                     "--out-dir", str(tmp_path / "re")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {expected.format(out=out)}")
+        assert not (tmp_path / "re").exists()
+
     def test_missing_rows_is_runtime_error(self, tmp_path):
         assert main(["report", "--rows", str(tmp_path / "no.csv"),
                      "--out-dir", str(tmp_path)]) == 1
@@ -688,7 +709,7 @@ class TestParserShape:
         from dataclasses import fields
 
         from dropoutlab.cli import _growth_from_manifest, _growth_setup
-        from dropoutlab.deepnet import GrowthPlan, SgdConfig
+        from dropoutlab.settings import GrowthPlan, SgdConfig
         from dropoutlab.errors import BadConfigError
 
         grow = vars(build_parser().parse_args(["grow", "--course-dir", "c", "--out-dir", "o"]))
@@ -714,9 +735,94 @@ class TestParserShape:
 
 class TestRuntimeDependencies:
     def test_cli_import_loads_no_scipy(self):
-        env = dict(os.environ, PYTHONPATH=str(Path(dropoutlab.__file__).parents[1]))
-        code = ("import sys, dropoutlab.cli; "
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, check=True, timeout=60).stdout
-        assert out.strip() == "[]"
+        done = _python("-c", "import sys, dropoutlab.cli; "
+                       "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# Modules that only a command's work needs, and `python -m dropoutlab ARGS` that
+# prints, as it exits, which of them were loaded.
+_HEAVY = ("numpy", "concurrent.futures.process", "dropoutlab.deepnet")
+_LOADED_AT_EXIT = f"""
+import atexit, json, runpy, sys
+atexit.register(lambda: print(json.dumps([m for m in {_HEAVY!r} if m in sys.modules])))
+sys.argv[0] = "dropoutlab"
+runpy.run_module("dropoutlab", run_name="__main__", alter_sys=True)
+"""
+
+
+def _python(*args, **env):
+    """Run `python ARGS` on this package, the BLAS thread variables unset unless
+    given in env; returns the finished process."""
+    base = {k: v for k, v in os.environ.items() if k not in _BLAS_THREADS}
+    base.update(PYTHONPATH=str(Path(dropoutlab.__file__).parents[1]), **env)
+    return subprocess.run([sys.executable, *args], env=base, capture_output=True, text=True,
+                          timeout=120)
+
+
+def _loaded(*args, code=0):
+    """The heavy modules loaded by `python -m dropoutlab ARGS`, which must exit with code."""
+    done = _python("-c", _LOADED_AT_EXIT, *args)
+    assert done.returncode == code, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+class TestStartup:
+    """A command loads numpy and the process pool only when it runs work that needs them."""
+
+    @pytest.mark.parametrize("args,code", [
+        (["--help"], 0),
+        (["grow", "--help"], 0),
+        (["synth", "--courses", "0", "--out", "x"], 2),
+        (["frobnicate"], 2),
+    ], ids=["help", "grow-help", "bad-option", "unknown-command"])
+    def test_parser_runs_on_the_standard_library(self, args, code):
+        assert _loaded(*args, code=code) == []
+
+    def test_import_runs_on_the_standard_library(self):
+        done = _python("-c", f"import sys, dropoutlab.cli; "
+                       f"print([m for m in {_HEAVY!r} if m in sys.modules])")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+    def test_only_a_pool_loads_the_pool(self, tmp_path):
+        manifest = _write_manifest(tmp_path, paradigms=["baseline1"])
+        assert "concurrent.futures.process" not in _loaded("run", "--manifest", str(manifest),
+                                                           "--jobs", "1")
+        rows = str(tmp_path / "out" / "rows.csv")
+        assert _loaded("report", "--rows", rows, "--out-dir", str(tmp_path / "re")) == ["numpy"]
+        assert "concurrent.futures.process" in _loaded("run", "--manifest", str(manifest),
+                                                       "--jobs", "2")
+
+    _ENV_AFTER_MAIN = """
+import contextlib, io, json, os, sys
+if sys.argv[1] == "numpy-first":
+    import numpy
+from dropoutlab.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
+    main(["--help"])
+print(json.dumps([os.environ.get(v) for v in sys.argv[2:]]))
+"""
+
+    @pytest.mark.parametrize("order,env,expected", [
+        ("main-first", {}, ["1", "1", "1"]),
+        ("main-first", {"OPENBLAS_NUM_THREADS": "2"}, ["2", "1", "1"]),
+        ("numpy-first", {}, [None, None, None]),
+    ], ids=["unset", "caller-value-kept", "numpy-loaded"])
+    def test_main_sets_one_blas_thread_before_numpy_loads(self, order, env, expected):
+        done = _python("-c", self._ENV_AFTER_MAIN, order, *_BLAS_THREADS, **env)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == expected
+
+    def test_jobs_write_the_same_bytes_with_blas_threads_unset(self, tmp_path):
+        files = ("rows.csv", "skipped.csv", "aggregate.csv", "summary.txt")
+        found = {}
+        for jobs in ("1", "2"):
+            manifest = _write_manifest(tmp_path, paradigms=list(PARADIGMS), output_dir=jobs)
+            done = _python("-m", "dropoutlab", "run", "--manifest", str(manifest), "--jobs", jobs)
+            assert done.returncode == 0, done.stderr
+            found[jobs] = [(tmp_path / jobs / name).read_bytes() for name in files]
+        assert found["1"] == found["2"]

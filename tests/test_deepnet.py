@@ -9,9 +9,7 @@ import pytest
 
 from dropoutlab.deepnet import (
     N_CLASSES,
-    GrowthPlan,
     MlpModel,
-    SgdConfig,
     forward,
     grow_and_train,
     init_mlp,
@@ -37,6 +35,7 @@ from dropoutlab.errors import (
     SingleClassError,
 )
 from dropoutlab.evaluate import auc_values
+from dropoutlab.settings import GrowthPlan, SgdConfig
 
 from conftest import batch_loss_and_grads
 
@@ -297,9 +296,8 @@ class TestSgd:
         rng = np.random.default_rng(8)
         X, y = _toy_data(rng, n=25)
         cfg = SgdConfig(learning_rate=1e10, epochs=2, seed=0)
-        with np.errstate(all="ignore"):
-            with pytest.raises(NonFiniteLossError, match=r"diverged at update 1$"):
-                train_sgd(init_mlp(6, [4], seed=0), X * 1e200, y, cfg)
+        with pytest.raises(NonFiniteLossError, match=r"diverged at update 1$"):
+            train_sgd(init_mlp(6, [4], seed=0), X * 1e200, y, cfg)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_feature_rejected_before_training(self, bad):
