@@ -383,9 +383,9 @@ def cmd_grow(args) -> int:
 
 
 def _read_records(path: Path, columns: tuple[str, ...], parse) -> list:
-    """parse(*cells) of each non-blank row of a CSV written by emit_report, after
-    checking its header and that each row has one cell per column. Errors name
-    the file, and the line of a bad row."""
+    """("path:line", parse(*cells)) for each non-blank row of a CSV written by
+    emit_report, after checking its header and that each row has one cell per
+    column. Errors name the file, and the line of a bad row."""
     if not path.exists():
         raise BadConfigError(f"file not found: {path}")
     with open(path, newline="", encoding="utf-8") as f:
@@ -399,7 +399,7 @@ def _read_records(path: Path, columns: tuple[str, ...], parse) -> list:
                 if len(row) != len(columns):
                     raise BadConfigError(f"{where}: expected {len(columns)} cells, got {len(row)}")
                 try:
-                    records.append(parse(*row))
+                    records.append((where, parse(*row)))
                 except (ValueError, DropoutLabError) as e:
                     raise BadConfigError(f"{where}: {e}") from None
         except UnicodeDecodeError as e:
@@ -415,7 +415,15 @@ def cmd_report(args) -> int:
     skipped = _read_records(args.rows.parent / "skipped.csv", SKIPPED_COLUMNS,
                             lambda paradigm, course, week, reason:
                             (paradigm, course, int(week), reason))
-    paths = emit_report(EvalReport.from_rows(rows, skipped), args.out_dir)
+    first: dict[tuple, str] = {}  # where each (paradigm, course_id, week) cell was read
+    for where, cell in ([(w, (r.paradigm, r.course_id, r.week)) for w, r in rows]
+                        + [(w, s[:3]) for w, s in skipped]):
+        if cell in first:
+            raise BadConfigError(f"{where}: cell (paradigm, course_id, week) {cell} is "
+                                 f"listed twice, first on {first[cell]}")
+        first[cell] = where
+    report = EvalReport.from_rows([r for _, r in rows], [s for _, s in skipped])
+    paths = emit_report(report, args.out_dir)
     print(f"wrote {paths['aggregate']} and {paths['summary']}")
     return 0
 

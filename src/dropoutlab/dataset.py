@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import datetime
 import math
+import os
 from array import array
 from dataclasses import dataclass, field, fields as dc_fields
 from operator import itemgetter
@@ -147,6 +148,11 @@ class ActivityTable:
     owning course's roster, day offsets count from the course launch date.
     values holds the CLICKSTREAM_FEATURES counters of each row, every one
     finite and >= 0. Arrays are read-only once built.
+
+    Input already in (student, day) order, as synthesized and loaded tables
+    are, is kept rather than copied: an array that is contiguous and of the
+    stored dtype (int32 indices and days, float64 values) becomes the table's
+    own and is made read-only in place. Other input is sorted into new arrays.
     """
 
     __slots__ = ("student_index", "day", "values")
@@ -158,10 +164,16 @@ class ActivityTable:
                                      f"expected {len(CLICKSTREAM_FEATURES)}")
         if len(day) != n or values.shape != (n, len(CLICKSTREAM_FEATURES)):
             raise BadValueError("activity table arrays are inconsistent")
-        order = np.lexsort((day, student_index))
-        self.student_index = np.ascontiguousarray(student_index[order], dtype=np.int32)
-        self.day = np.ascontiguousarray(day[order], dtype=np.int32)
-        self.values = np.ascontiguousarray(values[order], dtype=np.float64)
+        student_index, day = np.asarray(student_index), np.asarray(day)
+        s, d = student_index[1:], day[1:]
+        ordered = np.all((student_index[:-1] < s)
+                         | ((student_index[:-1] == s) & (day[:-1] <= d)))
+        if not ordered:  # lexsort is stable, so it leaves ordered input as it is
+            order = np.lexsort((day, student_index))
+            student_index, day, values = student_index[order], day[order], values[order]
+        self.student_index = np.ascontiguousarray(student_index, dtype=np.int32)
+        self.day = np.ascontiguousarray(day, dtype=np.int32)
+        self.values = np.ascontiguousarray(values, dtype=np.float64)
         # min() is NaN if any value is, and NaN >= 0 is False
         if n and not (self.values.min() >= 0.0 and self.values.max() < np.inf):
             pos, k = np.argwhere(~(np.isfinite(self.values) & (self.values >= 0.0)))[0]
@@ -609,6 +621,8 @@ class CorpusConfig:
     courses: tuple[SynthConfig, ...]
 
     def validate(self) -> None:
+        if not self.courses:
+            raise BadConfigError("corpus config lists no course")
         ids = [c.course_id for c in self.courses]
         if len(set(ids)) != len(ids):
             dup = next(i for i in ids if ids.count(i) > 1)
@@ -683,24 +697,37 @@ def synthesize_course(config: SynthConfig, seed: int) -> CourseData:
         draw = rng.poisson(rates[k] * engagement, size=(n, n_days))
         values[:, k] = draw[rows]
     values[:, CLICKSTREAM_INDEX["nevents"]] += 1.0  # active days always register an event
+    del engagement, active, draw
 
-    answered = np.zeros((n, n_days))
-    answered[rows] = values[:, CLICKSTREAM_INDEX["nproblems_answered"]]
-    grade = np.clip(answered.sum(axis=1) / config.problems_for_full_grade, 0.0, 1.0)
+    # whole counts (below 2**53) sum exactly in any order, so per-student sums match a row sum
+    answered = np.bincount(rows[0], weights=values[:, CLICKSTREAM_INDEX["nproblems_answered"]],
+                           minlength=n)
+    grade = np.clip(answered / config.problems_for_full_grade, 0.0, 1.0)
     final_grade = dict(zip(roster.student_ids, grade.tolist()))
 
+    # np.nonzero yields the rows in (student, day) order, which the table keeps
     table = ActivityTable(rows[0].astype(np.int32), rows[1].astype(np.int32), values)
     return CourseData(meta, roster, table, final_grade)
 
 
 def synthesize_corpus(config: CorpusConfig, seed: int) -> list[CourseData]:
-    """Generate every course in the corpus, each from its own derived seed."""
+    """Generate every course in the corpus, in config order.
+
+    Course i is synthesize_course(config.courses[i], child seed i), a pure
+    function of its own SeedSequence((seed, i)) child seed, so the courses are
+    built on one thread per usable core (at most one per course) and come out
+    the same whatever the thread count. numpy releases the GIL while it draws
+    the Poisson counters that are most of a course's time. Every thread has
+    ended when this returns, so a process pool forked afterwards starts from a
+    single-threaded parent.
+    """
+    from concurrent.futures import ThreadPoolExecutor
     config.validate()
-    out = []
-    for i, course_cfg in enumerate(config.courses):
-        child = int(np.random.SeedSequence((seed, i)).generate_state(1)[0])
-        out.append(synthesize_course(course_cfg, child))
-    return out
+    seeds = [int(np.random.SeedSequence((seed, i)).generate_state(1)[0])
+             for i in range(len(config.courses))]
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    with ThreadPoolExecutor(max_workers=min(cores or 1, len(seeds))) as pool:
+        return list(pool.map(synthesize_course, config.courses, seeds))
 
 
 def default_corpus_config(

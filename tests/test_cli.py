@@ -155,6 +155,13 @@ class TestSynth:
         b = {k: v for k, v in _dir_bytes(out2).items() if k.suffix == ".csv"}
         assert a == b
 
+    def test_empty_config_is_one(self, tmp_path, capsys):
+        config = tmp_path / "cc.json"
+        config.write_text(json.dumps({"courses": []}))
+        assert main(["synth", "--config", str(config), "--out", str(tmp_path / "c")]) == 1
+        assert capsys.readouterr().err == f"error: {config}: corpus config lists no course\n"
+        assert not (tmp_path / "c").exists()
+
     def test_env_seed_is_default(self, tmp_path, monkeypatch):
         env_out, flag_out = tmp_path / "env", tmp_path / "flag"
         monkeypatch.setenv("DROPOUTLAB_SEED", "77")
@@ -403,6 +410,14 @@ class TestRun:
         for name in ("rows.csv", "aggregate.csv", "summary.txt"):
             assert (got / name).read_bytes() == (tmp_path / "expected" / name).read_bytes()
 
+    def test_empty_corpus_config_is_one(self, tmp_path, capsys):
+        manifest = _write_manifest(tmp_path)
+        (tmp_path / "config.json").write_text(json.dumps({"courses": []}))
+        assert main(["run", "--manifest", str(manifest)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {tmp_path / 'config.json'}: corpus config lists no course\n"
+        assert not (tmp_path / "out").exists()
+
     def test_rerun_byte_identical(self, tmp_path):
         manifest = _write_manifest(tmp_path)
         assert main(["run", "--manifest", str(manifest)]) == 0
@@ -648,7 +663,24 @@ class TestReportCommand:
         assert lines[1].startswith(b"baseline1,MAx,-4,")
         rows.write_bytes(b"".join(lines[:2] + lines[1:]))
         assert main(["report", "--rows", str(rows), "--out-dir", str(tmp_path / "re")]) == 1
-        assert "('baseline1', 'MAx', -4)" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: {rows}:3: cell (paradigm, course_id, week) ('baseline1', 'MAx', -4) "
+            f"is listed twice, first on {rows}:2\n")
+        assert not (tmp_path / "re").exists()
+
+    def test_cell_both_scored_and_skipped_is_runtime_error(self, tmp_path, capsys):
+        manifest = _write_manifest(tmp_path, paradigms=["baseline1"])
+        assert main(["run", "--manifest", str(manifest)]) == 0
+        out = tmp_path / "out"
+        with open(out / "skipped.csv", "a", newline="") as f:
+            f.write("baseline2,MAx,9,single class\r\nbaseline1,MBx,-2,single class\r\n")
+        line = next(k for k, text in enumerate((out / "rows.csv").read_text().splitlines(), 1)
+                    if text.startswith("baseline1,MBx,-2,"))
+        assert main(["report", "--rows", str(out / "rows.csv"),
+                     "--out-dir", str(tmp_path / "re")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {out / 'skipped.csv'}:3: cell (paradigm, course_id, week) "
+            f"('baseline1', 'MBx', -2) is listed twice, first on {out / 'rows.csv'}:{line}\n")
         assert not (tmp_path / "re").exists()
 
     @pytest.mark.parametrize("edit,cells", [
@@ -745,7 +777,8 @@ _BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # Modules that only a command's work needs, and `python -m dropoutlab ARGS` that
 # prints, as it exits, which of them were loaded.
-_HEAVY = ("numpy", "concurrent.futures.process", "dropoutlab.deepnet")
+_HEAVY = ("numpy", "concurrent.futures.process", "concurrent.futures.thread",
+          "dropoutlab.deepnet")
 _LOADED_AT_EXIT = f"""
 import atexit, json, runpy, sys
 atexit.register(lambda: print(json.dumps([m for m in {_HEAVY!r} if m in sys.modules])))
@@ -771,7 +804,7 @@ def _loaded(*args, code=0):
 
 
 class TestStartup:
-    """A command loads numpy and the process pool only when it runs work that needs them."""
+    """A command loads numpy and a thread or process pool only when it runs work that needs them."""
 
     @pytest.mark.parametrize("args,code", [
         (["--help"], 0),
@@ -794,6 +827,12 @@ class TestStartup:
                                                            "--jobs", "1")
         rows = str(tmp_path / "out" / "rows.csv")
         assert _loaded("report", "--rows", rows, "--out-dir", str(tmp_path / "re")) == ["numpy"]
+        # synthesis threads load the thread pool, which reading a course does not
+        course = tmp_path / "corpus" / "MAx"
+        assert _loaded("synth", "--config", str(tmp_path / "config.json"),
+                       "--out", str(course.parent)) == ["numpy", "concurrent.futures.thread"]
+        assert _loaded("features", "--course-dir", str(course),
+                       "--out", str(tmp_path / "m.csv")) == ["numpy"]
         assert "concurrent.futures.process" in _loaded("run", "--manifest", str(manifest),
                                                        "--jobs", "2")
 

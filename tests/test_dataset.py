@@ -1,7 +1,9 @@
 """Course containers, CSV round-trips, and the synthetic generator."""
 
 import datetime
+import os
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -179,13 +181,14 @@ class TestActivityRecords:
         assert len(_one_row_table(nvideo=-0.0)) == 1
 
     def test_table_sorts_rows(self):
-        t = ActivityTable(
-            np.array([1, 0, 0]), np.array([5, 9, 2]),
-            np.arange(3 * len(CLICKSTREAM_FEATURES), dtype=float).reshape(3, -1),
-        )
+        given = (np.array([1, 0, 0], dtype=np.int32), np.array([5, 9, 2], dtype=np.int32),
+                 np.arange(3 * len(CLICKSTREAM_FEATURES), dtype=float).reshape(3, -1))
+        t = ActivityTable(*given)
         assert t.student_index.tolist() == [0, 0, 1]
         assert t.day.tolist() == [2, 9, 5]
         assert t.values[2, 0] == 0.0  # row for (1, 5) was input row 0
+        for kept, arr in zip((t.student_index, t.day, t.values), given):
+            assert not np.shares_memory(kept, arr) and arr.flags.writeable
 
     def test_table_rejects_duplicates(self):
         with pytest.raises(DuplicateStudentDayError):
@@ -197,6 +200,16 @@ class TestActivityRecords:
                           np.zeros((1, len(CLICKSTREAM_FEATURES))))
         with pytest.raises(ValueError):
             t.values[0, 0] = 5.0
+
+    def test_table_keeps_sorted_input(self):
+        given = (np.array([0, 0, 1], dtype=np.int32), np.array([2, 9, 5], dtype=np.int32),
+                 np.arange(3 * len(CLICKSTREAM_FEATURES), dtype=float).reshape(3, -1))
+        t = ActivityTable(*given)
+        for kept, arr in zip((t.student_index, t.day, t.values), given):
+            assert np.shares_memory(kept, arr)
+            assert not kept.flags.writeable and not arr.flags.writeable
+        with pytest.raises(ValueError):
+            t.day[0] = 1
 
 
 class TestCourseData:
@@ -548,6 +561,12 @@ class TestSynthConfig:
         with pytest.raises(BadConfigError):
             SynthConfig(course_id="Ax", daily_decay=1.5).validate()
 
+    def test_empty_corpus_rejected(self):
+        with pytest.raises(BadConfigError, match="no course"):
+            corpus_config_from_dict({"courses": []})
+        with pytest.raises(BadConfigError, match="no course"):
+            synthesize_corpus(CorpusConfig(courses=()), 0)
+
     def test_duplicate_course_ids(self):
         with pytest.raises(DuplicateCourseIdError):
             CorpusConfig(courses=(SynthConfig(course_id="Ax"),
@@ -611,11 +630,34 @@ class TestSynthesis:
             assert 0 < y.sum() < len(y)
 
     def test_corpus_courses_use_child_seeds(self):
-        config = default_corpus_config(3, n_students=40)
-        corpus = synthesize_corpus(config, 123)
-        child = int(np.random.SeedSequence((123, 1)).generate_state(1)[0])
-        alone = synthesize_course(config.courses[1], child)
-        assert np.array_equal(corpus[1].activity.values, alone.activity.values)
+        # a serial oracle, for one course and for more courses than threads
+        for n_courses in (1, (os.cpu_count() or 1) + 3):
+            config = default_corpus_config(n_courses, n_students=60)
+            corpus = synthesize_corpus(config, 99)
+            assert len(corpus) == n_courses
+            for i, (got, course_cfg) in enumerate(zip(corpus, config.courses)):
+                child = int(np.random.SeedSequence((99, i)).generate_state(1)[0])
+                want = synthesize_course(course_cfg, child)
+                assert got.meta == want.meta
+                _assert_same_roster(got.roster, want.roster)
+                for name in ("student_index", "day", "values"):
+                    x, y = getattr(got.activity, name), getattr(want.activity, name)
+                    assert x.dtype == y.dtype and np.array_equal(x, y), name
+                assert list(got.final_grade.items()) == list(want.final_grade.items())
+                assert np.array_equal(got.certified, want.certified)
+
+    def test_corpus_threads_end_before_return(self):
+        before = threading.active_count()
+        synthesize_corpus(default_corpus_config(3, n_students=30), 4)
+        assert threading.active_count() == before
+
+    def test_grade_is_problems_answered_over_denominator(self):
+        cfg = SynthConfig(course_id="Sx", n_students=70, problems_for_full_grade=9.0)
+        c = synthesize_course(cfg, 12)
+        answered = c.activity.values[:, CLICKSTREAM_INDEX["nproblems_answered"]]
+        for i, sid in enumerate(c.roster.student_ids):
+            total = sum(answered[c.activity.student_index == i].tolist())
+            assert c.final_grade[sid] == min(total / 9.0, 1.0)
 
     def test_default_corpus_config_shape(self):
         config = default_corpus_config(8, n_students=25)
