@@ -56,9 +56,8 @@ def _iso_date(text: str) -> datetime.date:
         raise argparse.ArgumentTypeError(f"{text!r} is not a YYYY-MM-DD date") from None
 
 
-# grow's option defaults, which are also a manifest growth_plan's keys and defaults:
-# week, split and norm, then the fields of GrowthPlan and SgdConfig under their own
-# names. The seed (grow's --seed, a growth_plan's "seed") is handled apart.
+# grow's option defaults: week, split and norm, then the fields of GrowthPlan and
+# SgdConfig under their own names. The seed (--seed) is handled apart.
 _GROWTH_DEFAULTS = {
     "week": -1, "split": 0.5, "norm": "zscore",
     **asdict(GrowthPlan()),
@@ -117,8 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", formatter_class=fmt,
                        help="run a manifest-driven paradigm experiment")
     p.add_argument("--manifest", type=Path, required=True, help="run manifest JSON")
-    p.add_argument("--jobs", type=_positive_int, default=None,
-                   help="parallel workers (default: manifest value or 1)")
+    p.add_argument("--jobs", type=_positive_int, default=1, help="parallel workers")
 
     p = sub.add_parser("grow", formatter_class=fmt,
                        help="width/depth sweep with function-preserving growth")
@@ -146,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="master seed (env DROPOUTLAB_SEED overrides this default)")
     p.add_argument("--out-dir", type=Path, required=True,
                    help="directory for growth.csv and best_model.json")
-    p.set_defaults(**_GROWTH_DEFAULTS)  # shown by --help, and used for growth_plan keys
+    p.set_defaults(**_GROWTH_DEFAULTS)  # shown by --help
 
     p = sub.add_parser("report", formatter_class=fmt,
                        help="recompute aggregates and summary from a rows CSV")
@@ -234,13 +232,7 @@ def cmd_train(args) -> int:
 
 
 _MANIFEST_REQUIRED = ("master_seed", "corpus_config_path", "paradigms", "output_dir")
-_MANIFEST_OPTIONAL = ("reg_C", "holdout", "jobs", "growth_plan")
-
-
-def _reject_unknown_keys(where: str, doc: dict, known) -> None:
-    unknown = sorted(set(doc) - set(known))
-    if unknown:
-        raise BadConfigError(f"{where}: unknown key {unknown[0]!r}")
+_MANIFEST_OPTIONAL = ("reg_C", "holdout")
 
 
 def _checked(where: str, key: str, value, ok, expected: str):
@@ -251,11 +243,13 @@ def _checked(where: str, key: str, value, ok, expected: str):
 
 
 def _read_manifest(path: Path) -> dict:
-    """The manifest, its values checked and the defaults of jobs, reg_C and holdout filled in."""
+    """The manifest, its values checked and the defaults of reg_C and holdout filled in."""
     doc = _read_json(path, "manifest")
     if not isinstance(doc, dict):
         raise BadConfigError(f"{path}: manifest must be a JSON object")
-    _reject_unknown_keys(f"{path}: manifest", doc, _MANIFEST_REQUIRED + _MANIFEST_OPTIONAL)
+    unknown = sorted(set(doc) - set(_MANIFEST_REQUIRED + _MANIFEST_OPTIONAL))
+    if unknown:
+        raise BadConfigError(f"{path}: manifest: unknown key {unknown[0]!r}")
     for key in _MANIFEST_REQUIRED:
         if key not in doc:
             raise BadConfigError(f"{path}: manifest missing key {key!r}")
@@ -268,65 +262,11 @@ def _read_manifest(path: Path) -> dict:
         doc,
         master_seed=_checked(path, "master_seed", doc["master_seed"],
                              lambda v: isinstance(v, int) and v >= 0, "an integer >= 0"),
-        jobs=_checked(path, "jobs", doc.get("jobs", 1),
-                      lambda v: isinstance(v, int) and v >= 1, "an integer >= 1"),
         reg_C=_checked(path, "reg_C", doc.get("reg_C", 1.0), lambda v: 0 < v < math.inf,
                        "finite and > 0"),
         holdout=_checked(path, "holdout", doc.get("holdout", 0.0),
                          lambda v: 0 <= v < 1, "in [0, 1)"),
     )
-
-
-# A parsed sweep: plan, SGD settings, week, split and norm.
-_Sweep = tuple[GrowthPlan, SgdConfig, int, float, str]
-
-
-def _growth_setup(g: dict, where: str) -> _Sweep:
-    """Sweep plan, SGD settings, week, split and norm from values named as grow's options."""
-    split = _checked(where, "split", g["split"], lambda v: 0 < v < 1, "in (0, 1)")
-    if g["norm"] not in ("zscore", "percentile"):
-        raise BadConfigError(f"{where}: norm must be 'zscore' or 'percentile', got {g['norm']!r}")
-    try:
-        plan, cfg = (cls(**{f.name: g[f.name] for f in fields(cls)})
-                     for cls in (GrowthPlan, SgdConfig))
-    except BadConfigError as e:
-        raise BadConfigError(f"{where}: {e}") from None
-    return plan, cfg, g["week"], float(split), g["norm"]
-
-
-def _growth_from_manifest(doc: dict, path: Path) -> _Sweep:
-    g = doc["growth_plan"]
-    if not isinstance(g, dict):
-        raise BadConfigError(f"{path}: growth_plan must be a JSON object")
-    _reject_unknown_keys(f"{path}: growth_plan", g, [*_GROWTH_DEFAULTS, "seed"])
-    for key, value in g.items():
-        kind = type(_GROWTH_DEFAULTS.get(key, 0))  # the seed is an integer
-        if type(value) not in ((int, float) if kind is float else (kind,)):  # JSON 1 is a float too
-            raise BadConfigError(f"{path}: growth_plan.{key} must be a {kind.__name__}, "
-                                 f"got {value!r}")
-    return _growth_setup({**_GROWTH_DEFAULTS, "seed": doc["master_seed"], **g},
-                         f"{path}: growth_plan")
-
-
-def _grow_and_save(course, sweep: _Sweep, out_dir: Path):
-    """Run the sweep on the course's growth split and write growth.csv and
-    best_model.json to out_dir; returns the sweep's report."""
-    from .deepnet import grow_and_train, save_mlp, write_growth_csv
-    from .features import build_matrix, holdout_split
-    from .paradigms import week_date
-    plan, cfg, week, split, norm = sweep
-    _, train, y_train, test, y_test = holdout_split(
-        build_matrix(course, week_date(course.meta, week)), course.certified, split, cfg.seed, norm)
-    report = grow_and_train(train.values, y_train, test.values, y_test, plan, cfg)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_growth_csv(report, out_dir / "growth.csv")
-    save_mlp(report.best().model, out_dir / "best_model.json")
-    return report
-
-
-def _grow_course_choice(corpus) -> object:
-    """The course with the most certifiers (ties: lexicographic course_id)."""
-    return min(corpus, key=lambda c: (-int(c.certified.sum()), c.meta.course_id))
 
 
 def cmd_run(args) -> int:
@@ -341,8 +281,6 @@ def cmd_run(args) -> int:
                 file=sys.stderr,
             )
             return 2
-    # parsed before any work, so a bad plan fails before an output is written
-    sweep = None if doc.get("growth_plan") is None else _growth_from_manifest(doc, args.manifest)
     base = args.manifest.parent
     config_path = Path(doc["corpus_config_path"])
     if not config_path.is_absolute():
@@ -352,21 +290,15 @@ def cmd_run(args) -> int:
     if not out_dir.is_absolute():
         out_dir = base / out_dir
     seed = doc["master_seed"]
-    corpus = synthesize_corpus(config, seed)
     report = run_experiment(
-        corpus,
+        synthesize_corpus(config, seed),
         doc["paradigms"],
         C=float(doc["reg_C"]),
         holdout=float(doc["holdout"]),
         seed=seed,
-        jobs=args.jobs if args.jobs is not None else doc["jobs"],
+        jobs=args.jobs,
     )
     emit_report(report, out_dir)
-    if sweep is not None:
-        course = _grow_course_choice(corpus)
-        best = _grow_and_save(course, sweep, out_dir).best()
-        print(f"growth sweep on {course.meta.course_id}: best {best.phase} "
-              f"w={best.w} h={best.h} auc={best.auc:.4f}")
     print(f"wrote report to {out_dir} ({len(report.rows)} rows, "
           f"{len(report.skipped)} skipped cells)")
     return 0
@@ -374,9 +306,24 @@ def cmd_run(args) -> int:
 
 def cmd_grow(args) -> int:
     from .dataset import load_course_dir
-    sweep = _growth_setup(vars(args), "grow")
-    report = _grow_and_save(load_course_dir(args.course_dir), sweep, args.out_dir)
+    from .deepnet import grow_and_train, save_mlp, write_growth_csv
+    from .features import build_matrix, holdout_split
+    from .paradigms import week_date
+    split = _checked("grow", "split", args.split, lambda v: 0 < v < 1, "in (0, 1)")
+    try:
+        plan, cfg = (cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
+                     for cls in (GrowthPlan, SgdConfig))
+    except BadConfigError as e:
+        raise BadConfigError(f"grow: {e}") from None
+    course = load_course_dir(args.course_dir)
+    _, train, y_train, test, y_test = holdout_split(
+        build_matrix(course, week_date(course.meta, args.week)), course.certified, split,
+        cfg.seed, args.norm)
+    report = grow_and_train(train.values, y_train, test.values, y_test, plan, cfg)
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    write_growth_csv(report, args.out_dir / "growth.csv")
     best = report.best()
+    save_mlp(best.model, args.out_dir / "best_model.json")
     print(f"wrote {args.out_dir / 'growth.csv'} ({len(report.rows)} rows); "
           f"best {best.phase} w={best.w} h={best.h} auc={best.auc:.4f}")
     return 0

@@ -783,27 +783,31 @@ _JSON_VALUES = {"str": (str, "a string"), "datetime.date": (str, "a YYYY-MM-DD s
 
 
 def corpus_config_from_dict(doc: dict) -> CorpusConfig:
+    """The checked CorpusConfig of a JSON document. An entry's errors name its
+    course_id, or its position in the courses list when it has no string course_id."""
     if not isinstance(doc, dict) or not isinstance(doc.get("courses"), list):
         raise BadConfigError("corpus config must be an object with a 'courses' list")
     json_values = {f.name: _JSON_VALUES[f.type] for f in dc_fields(SynthConfig)}
     courses = []
-    for entry in doc["courses"]:
+    for i, entry in enumerate(doc["courses"]):
+        where = f"corpus config courses[{i}]"
         if not isinstance(entry, dict):
-            raise BadConfigError("each corpus config entry must be an object")
+            raise BadConfigError(f"{where} must be an object")
+        if isinstance(entry.get("course_id"), str):
+            where = f"corpus config {entry['course_id']!r}"
+        elif "course_id" not in entry:
+            raise BadConfigError(f"{where}: missing course_id")
         for key, value in sorted(entry.items()):
             if key not in json_values:
-                raise BadConfigError(f"unknown corpus config key {key!r}")
+                raise BadConfigError(f"{where}: unknown key {key!r}")
             types, expected = json_values[key]
             if (isinstance(value, bool) or not isinstance(value, types)
                     or isinstance(value, float) and not math.isfinite(value)):
-                raise BadConfigError(f"corpus config {key} must be {expected}, got {value!r}")
+                raise BadConfigError(f"{where}: {key} must be {expected}, got {value!r}")
         entry = dict(entry)
         if "launch" in entry:
-            entry["launch"] = _parse_date(entry["launch"], "corpus config launch")
-        try:
-            courses.append(SynthConfig(**entry))
-        except TypeError as e:  # course_id missing
-            raise BadConfigError(f"bad corpus config entry: {e}") from None
+            entry["launch"] = _parse_date(entry["launch"], f"{where}: launch")
+        courses.append(SynthConfig(**entry))
     cfg = CorpusConfig(tuple(courses))
     cfg.validate()
     return cfg

@@ -26,16 +26,26 @@ def _midranks(x: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def auc_values(scores, labels) -> float:
-    """Probability that a random positive outscores a random negative.
-
-    Mann-Whitney form: mid-ranks handle ties with half credit, so the result
-    equals exhaustive pair counting in O(n log n).
-    """
+def _scored(scores, labels) -> tuple[np.ndarray, np.ndarray]:
+    """scores as float64 and labels as an array; BadValueError unless they are
+    aligned 1-D arrays and every label is 0 or 1."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise BadValueError("scores and labels must be aligned 1-D arrays")
+    binary = (labels == 0) | (labels == 1)
+    if not np.all(binary):
+        raise BadValueError(f"labels must be 0 or 1, got {labels[~binary][0]}")
+    return scores, labels
+
+
+def auc_values(scores, labels) -> float:
+    """Probability that a random positive outscores a random negative.
+
+    Mann-Whitney form: mid-ranks handle ties with half credit, so the result
+    equals exhaustive pair counting in O(n log n). Labels must be 0 or 1.
+    """
+    scores, labels = _scored(scores, labels)
     if not np.all(np.isfinite(scores)):
         raise BadValueError("scores must be finite")
     n_pos = int(np.sum(labels == 1))
@@ -60,11 +70,8 @@ def sem(values: Sequence[float]) -> float:
 
 
 def raw_accuracy(scores, labels, threshold: float = 0.5) -> float:
-    """Fraction of students where [score >= threshold] equals the label."""
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
-    if scores.shape != labels.shape or scores.ndim != 1:
-        raise BadValueError("scores and labels must be aligned 1-D arrays")
+    """Fraction of students where [score >= threshold] equals the 0/1 label."""
+    scores, labels = _scored(scores, labels)
     return float(np.mean((scores >= threshold).astype(int) == labels))
 
 

@@ -324,7 +324,10 @@ def holdout_split(
     m: FeatureMatrix, y: np.ndarray, test_fraction: float, seed: int, kind: str
 ) -> tuple[NormStats, FeatureMatrix, np.ndarray, FeatureMatrix, np.ndarray]:
     """(stats, train, y_train, test, y_test): m's rows and their labels y split by
-    split_rows, both sides normalized with stats of the given kind fit on train."""
+    split_rows, both sides normalized with stats of the given kind fit on train.
+    y must hold one label per row of m."""
+    if len(y) != m.n_rows:
+        raise BadValueError(f"{len(y)} labels do not align with {m.n_rows} rows")
     train_rows, test_rows = split_rows(m.n_rows, test_fraction, seed)
     m_train = m.take(train_rows)
     stats, (train, test) = normalize(m_train, [m_train, m.take(test_rows)], kind)

@@ -10,7 +10,9 @@ every enrolled student at each eligible week:
   multi_course train on every other course, average the hyperplanes
   in_situ      train during the course itself on persistence proxy labels;
                certification labels are structurally out of reach
-  baseline1    demographics-only logistic regression
+  baseline1    demographics-only logistic regression, trained on the target's
+               own certification labels: a post-hoc-regime baseline like
+               post_hoc, unusable live
   baseline2    recency ranking, no learning
 
 A paradigm's source courses are never passed in: source_courses derives

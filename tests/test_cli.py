@@ -250,6 +250,8 @@ _ARTIFACT_DIGESTS = {
 
 
 # grow and run outputs by directory; growth.csv is hashed without train_seconds.
+# Under "out", run writes the report files and grow, on the run's course with the
+# most certifiers, writes growth.csv and best_model.json.
 _GROWTH_DIGESTS = {
     "default": {
         "best_model.json": "bc93aa194a538bd1eb5a12d9c5415cc3f15f30fa02211700da9b88571a754aa0",
@@ -319,7 +321,7 @@ class TestArtifactBytes:
         assert pc["columns"] == list(PERCENTILE_COLUMNS)
 
 
-    def test_grow_and_growth_plan_files_are_pinned(self, course_dir, tmp_path):
+    def test_grow_and_run_files_are_pinned(self, course_dir, tmp_path):
         def digests(out):
             found = {}
             for p in sorted(out.iterdir()):
@@ -335,8 +337,13 @@ class TestArtifactBytes:
         assert main([*grow, "--epochs", "2", "--width-to", "5", "--depth-to", "3",
                      "--fixed-width", "7", "--norm", "percentile",
                      "--out-dir", str(tmp_path / "fixed7")]) == 0
-        plan = {"width_to": 4, "depth_to": 3, "fixed_width": 3, "epochs": 2, "norm": "percentile"}
-        assert main(["run", "--manifest", str(_write_manifest(tmp_path, growth_plan=plan))]) == 0
+        assert main(["run", "--manifest", str(_write_manifest(tmp_path))]) == 0
+        corpus = tmp_path / "corpus"
+        assert main(["synth", "--config", str(tmp_path / "config.json"), "--seed", "13",
+                     "--out", str(corpus)]) == 0
+        assert main(["grow", "--course-dir", str(corpus / "MBx"), "--seed", "13",
+                     "--width-to", "4", "--depth-to", "3", "--fixed-width", "3", "--epochs", "2",
+                     "--norm", "percentile", "--out-dir", str(tmp_path / "out")]) == 0
         got = {name: digests(tmp_path / name) for name in ("default", "fixed7", "out")}
         assert got == _GROWTH_DIGESTS
 
@@ -433,43 +440,24 @@ class TestRun:
         assert main(["run", "--manifest", str(m2), "--jobs", "3"]) == 0
         assert _dir_bytes(tmp_path / "out_par") == seq
 
-    def test_growth_plan_outputs(self, tmp_path):
-        manifest = _write_manifest(
-            tmp_path,
-            output_dir="outg",
-            growth_plan={"width_to": 3, "depth_to": 2, "epochs": 2},
-        )
-        assert main(["run", "--manifest", str(manifest)]) == 0
-        out = tmp_path / "outg"
-        assert (out / "growth.csv").exists()
-        assert (out / "best_model.json").exists()
-        lines = (out / "growth.csv").read_text().splitlines()
-        # baseline + widths 2..3 + depth 2
-        assert len(lines) == 1 + 1 + 2 + 1
-
 
 class TestStrictManifest:
     @pytest.mark.parametrize("overrides,named", [
         ({"reg_c": 0.001}, "reg_c"),
         ({"master_seed": "13"}, "master_seed"),
         ({"paradigms": "post_hoc"}, "paradigms"),
-        ({"growth_plan": {"epoch": 1}}, "epoch"),
-        ({"jobs": 0}, "jobs"),
-        ({"jobs": 1.5}, "jobs"),
+        ({"growth_plan": {"epochs": 2}}, "growth_plan"),  # retired: grow sweeps networks
+        ({"jobs": 1}, "jobs"),  # retired: --jobs sets the workers
+        ({"jobs": 2}, "jobs"),
         ({"reg_C": 0}, "reg_C"),
         ({"holdout": 1.0}, "holdout"),
         ({"holdout": -0.1}, "holdout"),
-        ({"growth_plan": {"split": 1.0}}, "split"),
-        ({"growth_plan": {"norm": "minmax"}}, "norm"),
-        ({"growth_plan": {"class_weighting": "false"}}, "class_weighting"),
-        ({"growth_plan": {"epochs": 2.7}}, "epochs"),
-        ({"growth_plan": {"seed": True}}, "seed"),
     ])
     def test_bad_manifest_rejected_before_any_output(self, tmp_path, capsys, overrides, named):
         manifest = _write_manifest(tmp_path, **overrides)
         assert main(["run", "--manifest", str(manifest)]) == 1
         assert named in capsys.readouterr().err
-        assert not (tmp_path / "out" / "rows.csv").exists()
+        assert not (tmp_path / "out").exists()
 
 
 def _exit_code(argv):
@@ -538,6 +526,12 @@ def _course(**values):
     return _corpus_config({"courses": [{"course_id": "Ax", "n_students": 20, **values}]})
 
 
+def _second_course(entry):
+    """A corpus config of three courses, the second of which is entry."""
+    return _corpus_config({"courses": [{"course_id": "Ax", "n_students": 20}, entry,
+                                       {"course_id": "Cx", "n_students": 20}]})
+
+
 # Each bad input: the command, its exit code, and the words its error names; the
 # error of a JSON input names the file too.
 _MALFORMED = {
@@ -550,13 +544,9 @@ _MALFORMED = {
     "grow-width-from-above-width-to": (_grow("--width-from", "5", "--width-to", "3"), 1,
                                        ["width_from <= width_to", "5 and 3"]),
     "grow-depth-from-one": (_grow("--depth-from", "1"), 1, ["2 <= depth_from", "1 and 2"]),
+    "grow-norm-unknown": (_grow("--norm", "minmax"), 2, ["--norm", "'minmax'"]),
+    "grow-epochs-fraction": (_grow("--epochs", "2.7"), 2, ["--epochs", "'2.7'"]),
     "manifest-reg-c-inf": (_manifest(reg_C=float("inf")), 1, ["reg_C", "inf"]),
-    "growth-plan-anneal-nan": (_manifest(growth_plan={"anneal": float("nan")}), 1,
-                               ["growth_plan", "anneal"]),
-    "growth-plan-depth-from-one": (_manifest(growth_plan={"depth_from": 1}), 1,
-                                   ["growth_plan", "2 <= depth_from", "1 and 10"]),
-    "growth-plan-learning-rate-inf": (_manifest(growth_plan={"learning_rate": float("inf")}), 1,
-                                      ["growth_plan", "learning_rate"]),
     "manifest-output-dir-int": (_manifest(output_dir=5), 1, ["output_dir"]),
     "manifest-config-path-int": (_manifest(corpus_config_path=5), 1, ["corpus_config_path"]),
     "corpus-courses-int": (_corpus_config({"courses": 5}), 1, ["courses"]),
@@ -571,17 +561,30 @@ _MALFORMED = {
     "corpus-unknown-key": (_course(bogus=1), 1, ["bogus"]),
     "corpus-n-students-zero": (_course(n_students=0), 1, ["'Ax'", "n_students 0"]),
     "corpus-second-course-weeks-zero": (
-        _corpus_config({"courses": [{"course_id": c, "n_students": 20, **values} for c, values in
-                                    (("Ax", {}), ("Bx", {"weeks_to_t100": 0}), ("Cx", {}))]}),
+        _second_course({"course_id": "Bx", "n_students": 20, "weeks_to_t100": 0}),
         1, ["'Bx': need 1 <= weeks_to_t100", "0/10"]),
+    "corpus-second-course-n-students-str": (
+        _second_course({"course_id": "Bx", "n_students": "5"}),
+        1, ["corpus config 'Bx': n_students must be an integer, got '5'"]),
+    "corpus-second-course-launch-bad": (
+        _second_course({"course_id": "Bx", "launch": "2014-13-01"}),
+        1, ["corpus config 'Bx': launch: bad date '2014-13-01'"]),
+    "corpus-second-course-unknown-key": (
+        _second_course({"course_id": "Bx", "nstudents": 20}),
+        1, ["corpus config 'Bx': unknown key 'nstudents'"]),
+    "corpus-second-course-no-course-id": (
+        _second_course({"n_students": 20}), 1, ["corpus config courses[1]: missing course_id"]),
+    "corpus-second-course-id-int": (
+        _second_course({"course_id": 7}),
+        1, ["corpus config courses[1]: course_id must be a string, got 7"]),
+    "corpus-second-course-not-object": (
+        _second_course(5), 1, ["corpus config courses[1] must be an object"]),
     "manifest-not-utf8": (_not_utf8(_manifest()), 1, ["not valid UTF-8 JSON", "0xff"]),
     "corpus-config-not-utf8": (_not_utf8(_course()), 1, ["not valid UTF-8 JSON", "0xff"]),
     "synth-seed-negative": (_synth("--seed", "-1"), 2, ["--seed", "'-1'"]),
     "grow-seed-negative": (_grow("--seed", "-2"), 2, ["--seed", "'-2'"]),
     "env-seed-negative": (_env_seed("-4", _grow()), 2, ["DROPOUTLAB_SEED", "'-4'"]),
     "manifest-master-seed-negative": (_manifest(master_seed=-3), 1, ["master_seed", "-3"]),
-    "growth-plan-seed-negative": (_manifest(growth_plan={"seed": -1}), 1,
-                                  ["growth_plan", "seed -1"]),
 }
 
 
@@ -737,32 +740,16 @@ class TestParserShape:
                                "--week", "-1", "--as-of", "2014-02-01"])
         assert e.value.code == 2
 
-    def test_grow_options_growth_plan_keys_and_fields_are_one_set(self, tmp_path):
+    def test_grow_options_and_fields_are_one_set(self):
         from dataclasses import fields
 
-        from dropoutlab.cli import _growth_from_manifest, _growth_setup
         from dropoutlab.settings import GrowthPlan, SgdConfig
-        from dropoutlab.errors import BadConfigError
 
         grow = vars(build_parser().parse_args(["grow", "--course-dir", "c", "--out-dir", "o"]))
         dests = set(grow) - {"command", "course_dir", "out_dir"}
         named = {"week", "split", "norm", "seed"} | {f.name for c in (GrowthPlan, SgdConfig)
                                                      for f in fields(c)}
-
-        def accepted(key):
-            plan = {key: grow.get(key, 1)}
-            try:
-                _growth_from_manifest({"master_seed": 0, "growth_plan": plan}, tmp_path / "m.json")
-            except BadConfigError as e:
-                assert f"unknown key {key!r}" in str(e)
-                return False
-            return True
-
-        candidates = set(grow) | named | {"widths", "depths", "anneal_rate"}
-        assert {key for key in candidates if accepted(key)} == dests == named
-        # a growth_plan of grow's defaults plans grow's default sweep
-        doc = {"master_seed": 0, "growth_plan": {key: grow[key] for key in dests}}
-        assert _growth_from_manifest(doc, tmp_path / "m.json") == _growth_setup(grow, "grow")
+        assert dests == named
 
 
 class TestRuntimeDependencies:
@@ -823,8 +810,9 @@ class TestStartup:
 
     def test_only_a_pool_loads_the_pool(self, tmp_path):
         manifest = _write_manifest(tmp_path, paradigms=["baseline1"])
-        assert "concurrent.futures.process" not in _loaded("run", "--manifest", str(manifest),
-                                                           "--jobs", "1")
+        loaded = _loaded("run", "--manifest", str(manifest), "--jobs", "1")
+        assert "concurrent.futures.process" not in loaded
+        assert "dropoutlab.deepnet" not in loaded  # run trains no network
         rows = str(tmp_path / "out" / "rows.csv")
         assert _loaded("report", "--rows", rows, "--out-dir", str(tmp_path / "re")) == ["numpy"]
         # synthesis threads load the thread pool, which reading a course does not

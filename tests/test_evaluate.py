@@ -76,6 +76,10 @@ class TestAucExamples:
         with pytest.raises(SingleClassError):
             auc_values(np.array([0.1, 0.2]), np.array([0, 0]))
 
+    def test_label_other_than_zero_or_one_raises(self):
+        with pytest.raises(BadValueError, match="labels must be 0 or 1, got 2"):
+            auc_values([0.1, 0.2, 0.3, 0.4], [0, 1, 2, 1])
+
 
 class TestAucAgainstOracle:
     def test_midranks_match_scipy_average_ranks(self):
@@ -153,6 +157,10 @@ class TestRawAccuracy:
         labels = np.array([1, 1, 0, 0, 0])
         scores = np.array([0.2, 0.9, 0.4, 0.1, 0.3])
         assert raw_accuracy(scores, labels, threshold=0.0) == pytest.approx(0.4)
+
+    def test_label_other_than_zero_or_one_raises(self):
+        with pytest.raises(BadValueError, match="labels must be 0 or 1, got 2"):
+            raw_accuracy([0.1, 0.9], [0, 2])
 
 
 def _report_fixture():

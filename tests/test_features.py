@@ -466,6 +466,11 @@ class TestSplit:
         assert norm_stats_to_dict(stats) == norm_stats_to_dict(refit(m.take(train_rows)))
         assert norm_stats_to_dict(stats) != norm_stats_to_dict(refit(m))
 
+    def test_holdout_split_rejects_labels_not_one_per_row(self):
+        m = FeatureMatrix(tuple(f"h{i:02d}" for i in range(50)), np.zeros((50, WIDTH)), LAUNCH)
+        with pytest.raises(BadValueError, match="80 labels do not align with 50 rows"):
+            holdout_split(m, np.zeros(80), 0.3, 0, "zscore")
+
 
 def _matrix_from_columns(col33, col65, extra_rows=None):
     """Matrix with a chosen cum_avg_dt column and recency column."""

@@ -1,5 +1,6 @@
 """Week indexing, proxy labels, the six deployment paradigms, the harness."""
 
+import dataclasses
 import datetime
 from collections import Counter
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from dropoutlab import linear, paradigms
-from dropoutlab.dataset import CourseData
+from dropoutlab.dataset import ActivityTable, CourseData
 from dropoutlab.errors import (
     BadValueError,
     BeforeLaunchError,
@@ -372,6 +373,45 @@ class TestInSitu:
     def test_still_predictive_of_certification(self, small_corpus):
         c = small_corpus[0]
         assert auc_values(insitu_scores(c.meta, c.roster, c.activity, 0), c.certified) > 0.7
+
+
+class TestInformationFrontier:
+    """A cell (target, w) reads none of the target's activity after week_date(w), and
+    only post_hoc and baseline1 read the target's own grades. Every third eligible week
+    of each paradigm is scored before and after a perturbation of the target alone."""
+
+    @pytest.fixture(scope="class")
+    def cells(self, small_corpus):
+        """The target, and the scores of each checked (paradigm, week) cell of it."""
+        target = small_corpus[2]  # launched after two of its sources and before one
+        return target, {(kind, w): self._scores(small_corpus, kind, w, target)
+                        for kind in PARADIGMS for w in prediction_weeks(target.meta, kind)[::3]}
+
+    @staticmethod
+    def _scores(corpus, kind, w, target):
+        return run_paradigm(corpus, kind, target.meta.course_id, w)[0].tobytes()
+
+    def test_target_activity_after_the_week_date_is_never_read(self, small_corpus, cells):
+        target, scores = cells
+        table = target.activity
+        for kind, w in scores:
+            later = table.day > target.day_offset(week_date(target.meta, w))
+            assert later.any()
+            values = table.values.copy()
+            values[later] *= 3.0
+            tripled = dataclasses.replace(
+                target, activity=ActivityTable(table.student_index, table.day, values))
+            corpus = [tripled if c is target else c for c in small_corpus]
+            assert self._scores(corpus, kind, w, tripled) == scores[kind, w], (kind, w)
+
+    def test_target_grades_are_read_by_post_hoc_and_baseline1_alone(self, small_corpus, cells):
+        target, scores = cells
+        flipped = dataclasses.replace(
+            target, final_grade={sid: 1.0 - g for sid, g in target.final_grade.items()})
+        corpus = [flipped if c is target else c for c in small_corpus]
+        for kind, w in scores:
+            unread = self._scores(corpus, kind, w, flipped) == scores[kind, w]
+            assert unread == (kind not in ("post_hoc", "baseline1")), (kind, w)
 
 
 class TestBaselines:
