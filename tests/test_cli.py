@@ -440,6 +440,25 @@ class TestRun:
         assert main(["run", "--manifest", str(m2), "--jobs", "3"]) == 0
         assert _dir_bytes(tmp_path / "out_par") == seq
 
+    def test_growth_plan_outputs(self, tmp_path):
+        # run writes no growth files; synth then grow on the run's course with the
+        # most certifiers (MBx) and the same seed writes them
+        manifest = _write_manifest(tmp_path, output_dir="outg")
+        assert main(["run", "--manifest", str(manifest)]) == 0
+        assert not (tmp_path / "outg" / "growth.csv").exists()
+        assert not (tmp_path / "outg" / "best_model.json").exists()
+        corpus = tmp_path / "corpus"
+        assert main(["synth", "--config", str(tmp_path / "config.json"), "--seed", "13",
+                     "--out", str(corpus)]) == 0
+        out = tmp_path / "grown"
+        assert main(["grow", "--course-dir", str(corpus / "MBx"), "--seed", "13",
+                     "--width-to", "3", "--depth-to", "2", "--epochs", "2",
+                     "--out-dir", str(out)]) == 0
+        assert (out / "best_model.json").exists()
+        lines = (out / "growth.csv").read_text().splitlines()
+        # baseline + widths 2..3 + depth 2
+        assert len(lines) == 1 + 1 + 2 + 1
+
 
 class TestStrictManifest:
     @pytest.mark.parametrize("overrides,named", [
@@ -452,6 +471,7 @@ class TestStrictManifest:
         ({"reg_C": 0}, "reg_C"),
         ({"holdout": 1.0}, "holdout"),
         ({"holdout": -0.1}, "holdout"),
+        ({"split": 0.5}, "split"),  # a grow option, not a run key
     ])
     def test_bad_manifest_rejected_before_any_output(self, tmp_path, capsys, overrides, named):
         manifest = _write_manifest(tmp_path, **overrides)
@@ -547,6 +567,14 @@ _MALFORMED = {
     "grow-norm-unknown": (_grow("--norm", "minmax"), 2, ["--norm", "'minmax'"]),
     "grow-epochs-fraction": (_grow("--epochs", "2.7"), 2, ["--epochs", "'2.7'"]),
     "manifest-reg-c-inf": (_manifest(reg_C=float("inf")), 1, ["reg_C", "inf"]),
+    # a manifest that still carries the retired growth_plan fails on the key itself,
+    # before any of its values (once checked there) is read
+    "growth-plan-anneal-nan": (_manifest(growth_plan={"anneal": float("nan")}), 1,
+                               ["manifest: unknown key 'growth_plan'"]),
+    "growth-plan-depth-from-one": (_manifest(growth_plan={"depth_from": 1}), 1,
+                                   ["manifest: unknown key 'growth_plan'"]),
+    "growth-plan-learning-rate-inf": (_manifest(growth_plan={"learning_rate": float("inf")}), 1,
+                                      ["manifest: unknown key 'growth_plan'"]),
     "manifest-output-dir-int": (_manifest(output_dir=5), 1, ["output_dir"]),
     "manifest-config-path-int": (_manifest(corpus_config_path=5), 1, ["corpus_config_path"]),
     "corpus-courses-int": (_corpus_config({"courses": 5}), 1, ["courses"]),
@@ -585,6 +613,8 @@ _MALFORMED = {
     "grow-seed-negative": (_grow("--seed", "-2"), 2, ["--seed", "'-2'"]),
     "env-seed-negative": (_env_seed("-4", _grow()), 2, ["DROPOUTLAB_SEED", "'-4'"]),
     "manifest-master-seed-negative": (_manifest(master_seed=-3), 1, ["master_seed", "-3"]),
+    "growth-plan-seed-negative": (_manifest(growth_plan={"seed": -1}), 1,
+                                  ["manifest: unknown key 'growth_plan'"]),
 }
 
 
