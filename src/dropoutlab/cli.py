@@ -20,7 +20,7 @@ from pathlib import Path
 # Besides the standard library, the parser loads only these numpy-free modules,
 # so --help and usage errors answer quickly; each command imports what it runs.
 from .errors import BadConfigError, DropoutLabError
-from .settings import GrowthPlan, SgdConfig
+from .settings import GrowthPlan, SgdConfig, parse_date
 
 def _int_at_least(lo: int, source: str = ""):
     """An argparse type: the integer of a text, which must be >= lo."""
@@ -51,7 +51,7 @@ def _positive_float(text: str) -> float:
 
 def _iso_date(text: str) -> datetime.date:
     try:
-        return datetime.date.fromisoformat(text)
+        return parse_date(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a YYYY-MM-DD date") from None
 

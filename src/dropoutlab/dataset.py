@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import datetime
 import math
-import os
 from array import array
 from dataclasses import dataclass, field, fields as dc_fields
 from operator import itemgetter
@@ -24,6 +23,7 @@ from .errors import (
     NegativeCounterError,
     UnknownStudentError,
 )
+from .settings import parse_date, usable_cores
 
 # Per-day clickstream counters, in canonical column order. Durations (*_dt) are seconds.
 CLICKSTREAM_FEATURES: tuple[str, ...] = (
@@ -288,7 +288,7 @@ def _read_rows(path: str | Path, expected: Sequence[str]) -> Iterator[tuple[int,
 
 def _parse_date(cell: str, where: str) -> datetime.date:
     try:
-        return datetime.date.fromisoformat(cell)
+        return parse_date(cell)
     except ValueError:
         raise BadDateError(f"{where}: bad date {cell!r} (expected YYYY-MM-DD)") from None
 
@@ -725,8 +725,7 @@ def synthesize_corpus(config: CorpusConfig, seed: int) -> list[CourseData]:
     config.validate()
     seeds = [int(np.random.SeedSequence((seed, i)).generate_state(1)[0])
              for i in range(len(config.courses))]
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    with ThreadPoolExecutor(max_workers=min(cores or 1, len(seeds))) as pool:
+    with ThreadPoolExecutor(max_workers=min(usable_cores(), len(seeds))) as pool:
         return list(pool.map(synthesize_course, config.courses, seeds))
 
 

@@ -12,9 +12,11 @@ import csv
 import json
 import math
 import time
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -29,7 +31,7 @@ from .errors import (
     SingleClassError,
 )
 from .evaluate import auc_values, raw_accuracy
-from .settings import GrowthPlan, SgdConfig
+from .settings import GrowthPlan, SgdConfig, usable_cores
 
 N_CLASSES = 2
 
@@ -395,6 +397,55 @@ def run_cell(
     )
 
 
+def _chain(
+    teacher: MlpModel | None, phase: str, values: Sequence[int], data: tuple, cfg: SgdConfig
+) -> tuple[list[GrowthRow], Exception | None]:
+    """The rows of phase's cells at values, in order, each grown from the network
+    trained before it (the first from teacher), up to the first cell that raises;
+    and that cell's error, or None when every cell trained."""
+    rows: list[GrowthRow] = []
+    try:
+        for value in values:
+            rows.append(run_cell(teacher, phase, value, *data, cfg,
+                                 _cell_seed(cfg.seed, phase, value)))
+            teacher = rows[-1].model
+    except Exception as e:
+        return rows, e
+    return rows, None
+
+
+_WORKER_TASK: Callable[[], object] | None = None
+
+
+def _init_worker(task: Callable[[], object]) -> None:
+    global _WORKER_TASK
+    _WORKER_TASK = task
+
+
+def _run_worker_task() -> object:
+    return _WORKER_TASK()
+
+
+@contextmanager
+def _beside(task: Callable[[], object]):
+    """Yield a callable that returns task().
+
+    With two or more usable cores, task runs in one forked worker while the
+    with-block runs. It reaches the worker through the pool's initializer, so
+    the fork inherits it and the arrays it holds instead of pickling them; only
+    its result is pickled back. Leaving the block joins the worker, also when
+    the block raises. With one core, task runs inline when its result is asked for.
+    """
+    if usable_cores() < 2:
+        yield task
+        return
+    from concurrent.futures import ProcessPoolExecutor  # loaded only for a worker
+
+    with ProcessPoolExecutor(max_workers=1, initializer=_init_worker,
+                             initargs=(task,)) as pool:
+        yield pool.submit(_run_worker_task).result
+
+
 def grow_and_train(
     X_train, y_train, X_test, y_test,
     plan: GrowthPlan,
@@ -407,27 +458,38 @@ def grow_and_train(
     trained fixed-width h=1 network to depth_from hidden layers, then the
     previous trained network one layer at a time. Every cell's seed is derived
     from cfg.seed and recorded so the cell can be reproduced in isolation.
+
+    The depth chain needs only the fixed-width network, so once that is
+    trained (the width cells up to fixed_width, or a standalone h=1 anchor
+    without a row when fixed_width is outside the width range), the depth chain
+    runs in one forked worker while this process trains the baseline and the
+    rest of the width chain; with one usable core it runs inline. Rows, seeds
+    and models do not depend on the core count; each row's train_seconds is its
+    own cell's wall time. A failing cell raises the error the cells would raise
+    trained one by one in row order (the anchor after the width chain).
     """
-    rows: list[GrowthRow] = []
-
-    def cell(teacher: MlpModel | None, phase: str, value: int, keep: bool = True) -> MlpModel:
-        row = run_cell(teacher, phase, value, X_train, y_train, X_test, y_test,
-                       cfg, _cell_seed(cfg.seed, phase, value))
-        if keep:
-            rows.append(row)
-        return row.model
-
-    cell(None, "baseline", 0)
-    teacher = None
-    for w in range(plan.width_from, plan.width_to + 1):
-        teacher = cell(teacher, "width", w)
-    if plan.width_from <= plan.fixed_width <= plan.width_to:
-        teacher = rows[1 + plan.fixed_width - plan.width_from].model
-    else:  # fixed_width outside the sweep: its h=1 anchor is trained without a row
-        teacher = cell(None, "width", plan.fixed_width, keep=False)
-    for h in range(plan.depth_from, plan.depth_to + 1):
-        teacher = cell(teacher, "depth", h)
-    return GrowthReport(tuple(rows))
+    data = (X_train, y_train, X_test, y_test)
+    widths = range(plan.width_from, plan.width_to + 1)
+    inside = plan.fixed_width in widths
+    head, head_err = _chain(
+        None, "width",
+        widths[:widths.index(plan.fixed_width) + 1] if inside else [plan.fixed_width], data, cfg)
+    depths = range(plan.depth_from, plan.depth_to + 1)
+    with (nullcontext(lambda: ([], None)) if head_err is not None else
+          _beside(partial(_chain, head[-1].model, "depth", depths, data, cfg))) as depth_result:
+        base, base_err = _chain(None, "baseline", [0], data, cfg)
+        if not inside:
+            rest, rest_err = _chain(None, "width", widths, data, cfg)
+        elif head_err is None:
+            rest, rest_err = _chain(head[-1].model, "width", widths[len(head):], data, cfg)
+        else:
+            rest, rest_err = [], None
+        depth, depth_err = depth_result()
+    width_errs = (head_err, rest_err) if inside else (rest_err, head_err)
+    for err in (base_err, *width_errs, depth_err):
+        if err is not None:
+            raise err
+    return GrowthReport(tuple(base + (head if inside else []) + rest + depth))
 
 
 def write_growth_csv(report: GrowthReport, path: str | Path) -> None:

@@ -1,7 +1,12 @@
-"""A growth sweep's settings, apart from deepnet and numpy, so that the
-command line can show and check grow's options before numpy loads."""
+"""What the command line needs before numpy loads, on the standard library
+alone: a growth sweep's settings, so that grow's options can be shown and
+checked, and the one date form (YYYY-MM-DD) that files and options take. Also
+the usable core count that sizes the package's thread and process pools."""
 
+import datetime
 import math
+import os
+import re
 from dataclasses import dataclass
 
 from .errors import BadConfigError
@@ -65,3 +70,20 @@ class GrowthPlan:
                                  f"got {self.depth_from} and {self.depth_to}")
         if self.fixed_width < 1:
             raise BadConfigError(f"fixed_width {self.fixed_width} must be >= 1")
+
+
+_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
+def parse_date(text: str) -> datetime.date:
+    """A YYYY-MM-DD date. Any other text raises ValueError, also the other
+    ISO 8601 forms that date.fromisoformat takes, such as 20140106 and 2014-W02-1."""
+    if not _DATE.fullmatch(text):
+        raise ValueError(f"{text!r} is not a YYYY-MM-DD date")
+    return datetime.date.fromisoformat(text)
+
+
+def usable_cores() -> int:
+    """The cores this process may run on: its CPU affinity where the OS has one, at least 1."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return cores or 1

@@ -286,8 +286,13 @@ def _ref_rows(path, expected):
 
 
 def _ref_date(cell, where):
+    """A date written as 4, 2 and 2 ASCII digits joined by dashes, and nothing else."""
+    parts = cell.split("-")
     try:
-        return datetime.date.fromisoformat(cell)
+        if [len(p) for p in parts] != [4, 2, 2] or not all(p.isascii() and p.isdigit()
+                                                          for p in parts):
+            raise ValueError
+        return datetime.date(*map(int, parts))
     except ValueError:
         raise BadDateError(f"{where}: bad date {cell!r} (expected YYYY-MM-DD)") from None
 

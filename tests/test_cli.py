@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -321,7 +322,9 @@ class TestArtifactBytes:
         assert pc["columns"] == list(PERCENTILE_COLUMNS)
 
 
-    def test_grow_and_run_files_are_pinned(self, course_dir, tmp_path):
+    def test_grow_and_run_files_are_pinned(self, course_dir, tmp_path, monkeypatch):
+        from dropoutlab import deepnet
+
         def digests(out):
             found = {}
             for p in sorted(out.iterdir()):
@@ -332,21 +335,25 @@ class TestArtifactBytes:
                 found[p.name] = hashlib.sha256(data).hexdigest()
             return found
 
-        grow = ["grow", "--course-dir", str(course_dir), "--seed", "4"]
-        assert main([*grow, "--epochs", "1", "--out-dir", str(tmp_path / "default")]) == 0
-        assert main([*grow, "--epochs", "2", "--width-to", "5", "--depth-to", "3",
-                     "--fixed-width", "7", "--norm", "percentile",
-                     "--out-dir", str(tmp_path / "fixed7")]) == 0
-        assert main(["run", "--manifest", str(_write_manifest(tmp_path))]) == 0
-        corpus = tmp_path / "corpus"
-        assert main(["synth", "--config", str(tmp_path / "config.json"), "--seed", "13",
-                     "--out", str(corpus)]) == 0
-        assert main(["grow", "--course-dir", str(corpus / "MBx"), "--seed", "13",
-                     "--width-to", "4", "--depth-to", "3", "--fixed-width", "3", "--epochs", "2",
-                     "--norm", "percentile", "--out-dir", str(tmp_path / "out")]) == 0
-        got = {name: digests(tmp_path / name) for name in ("default", "fixed7", "out")}
-        assert got == _GROWTH_DIGESTS
-
+        for cores in (1, 2):  # grow forks a depth-chain worker on two
+            monkeypatch.setattr(deepnet, "usable_cores", lambda: cores)
+            root = tmp_path / f"{cores}-cores"
+            grow = ["grow", "--course-dir", str(course_dir), "--seed", "4"]
+            assert main([*grow, "--epochs", "1", "--out-dir", str(root / "default")]) == 0
+            assert main([*grow, "--epochs", "2", "--width-to", "5", "--depth-to", "3",
+                         "--fixed-width", "7", "--norm", "percentile",
+                         "--out-dir", str(root / "fixed7")]) == 0
+            root.mkdir(exist_ok=True)
+            assert main(["run", "--manifest", str(_write_manifest(root))]) == 0
+            corpus = root / "corpus"
+            assert main(["synth", "--config", str(root / "config.json"), "--seed", "13",
+                         "--out", str(corpus)]) == 0
+            assert main(["grow", "--course-dir", str(corpus / "MBx"), "--seed", "13",
+                         "--width-to", "4", "--depth-to", "3", "--fixed-width", "3",
+                         "--epochs", "2", "--norm", "percentile",
+                         "--out-dir", str(root / "out")]) == 0
+            got = {name: digests(root / name) for name in ("default", "fixed7", "out")}
+            assert got == _GROWTH_DIGESTS, cores
 
     def test_runs_with_both_skip_reasons_are_pinned(self, tmp_path, capsys):
         found = {}
@@ -502,6 +509,13 @@ def _train(*options):
     return build
 
 
+def _features(*options):
+    def build(tmp_path, course_dir, env):
+        return ["features", "--course-dir", str(course_dir), "--out", str(tmp_path / "out"),
+                *options], []
+    return build
+
+
 def _manifest(**overrides):
     def build(tmp_path, course_dir, env):
         path = _write_manifest(tmp_path, **overrides)
@@ -586,6 +600,14 @@ _MALFORMED = {
     "corpus-weeks-fraction": (_course(weeks_to_t100=2.5), 1, ["weeks_to_t100", "2.5"]),
     "corpus-survey-rate-bool": (_course(survey_rate=True), 1, ["survey_rate", "True"]),
     "corpus-launch-int": (_course(launch=20140106), 1, ["launch", "20140106"]),
+    "corpus-launch-basic-form": (_course(launch="20140106"), 1,
+                                 ["corpus config 'Ax': launch: bad date '20140106'"]),
+    "corpus-launch-week-form": (_course(launch="2014-W02-1"), 1,
+                                ["corpus config 'Ax': launch: bad date '2014-W02-1'"]),
+    "features-as-of-basic-form": (_features("--as-of", "20140201"), 2,
+                                  ["--as-of", "'20140201' is not a YYYY-MM-DD date"]),
+    "features-as-of-week-form": (_features("--as-of", "2014-W05-6"), 2,
+                                 ["--as-of", "'2014-W05-6' is not a YYYY-MM-DD date"]),
     "corpus-unknown-key": (_course(bogus=1), 1, ["bogus"]),
     "corpus-n-students-zero": (_course(n_students=0), 1, ["'Ax'", "n_students 0"]),
     "corpus-second-course-weeks-zero": (
@@ -645,6 +667,28 @@ class TestGrowCommand:
         assert len(lines) == 5
         net = load_mlp(out / "best_model.json")
         assert net.input_dim == 66
+
+    def test_diverging_depth_cell_exits_1_on_one_core_and_on_two(self, course_dir, tmp_path,
+                                                                  monkeypatch, capsys):
+        from dropoutlab import deepnet
+
+        run = deepnet.run_cell
+
+        def cell(teacher, phase, value, X_train, y_train, X_test, y_test, cfg, seed):
+            if phase == "depth":  # features too large for the learning rate
+                X_train, cfg = X_train * 1e200, replace(cfg, learning_rate=1e10)
+            return run(teacher, phase, value, X_train, y_train, X_test, y_test, cfg, seed)
+
+        monkeypatch.setattr(deepnet, "run_cell", cell)
+        errors = []
+        for cores in (1, 2):
+            monkeypatch.setattr(deepnet, "usable_cores", lambda: cores)
+            assert main(["grow", "--course-dir", str(course_dir), "--width-to", "3",
+                         "--depth-to", "2", "--epochs", "1", "--out-dir", str(tmp_path)]) == 1
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert re.fullmatch(r"error: training loss diverged at update \d+\n", errors[0])
+        assert not (tmp_path / "growth.csv").exists()
 
     def test_bad_split_rejected(self, course_dir, tmp_path, capsys):
         rc = main(["grow", "--course-dir", str(course_dir), "--split", "1.5",
@@ -804,18 +848,20 @@ runpy.run_module("dropoutlab", run_name="__main__", alter_sys=True)
 """
 
 
-def _python(*args, **env):
+def _python(*args, cpus=None, **env):
     """Run `python ARGS` on this package, the BLAS thread variables unset unless
-    given in env; returns the finished process."""
+    given in env, on the CPUs in cpus if given; returns the finished process."""
     base = {k: v for k, v in os.environ.items() if k not in _BLAS_THREADS}
     base.update(PYTHONPATH=str(Path(dropoutlab.__file__).parents[1]), **env)
     return subprocess.run([sys.executable, *args], env=base, capture_output=True, text=True,
-                          timeout=120)
+                          timeout=120,
+                          preexec_fn=None if cpus is None else
+                          lambda: os.sched_setaffinity(0, cpus))
 
 
-def _loaded(*args, code=0):
+def _loaded(*args, code=0, cpus=None):
     """The heavy modules loaded by `python -m dropoutlab ARGS`, which must exit with code."""
-    done = _python("-c", _LOADED_AT_EXIT, *args)
+    done = _python("-c", _LOADED_AT_EXIT, *args, cpus=cpus)
     assert done.returncode == code, done.stderr
     return json.loads(done.stdout.splitlines()[-1])
 
@@ -853,6 +899,16 @@ class TestStartup:
                        "--out", str(tmp_path / "m.csv")) == ["numpy"]
         assert "concurrent.futures.process" in _loaded("run", "--manifest", str(manifest),
                                                        "--jobs", "2")
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+    def test_grow_loads_the_process_pool_exactly_on_two_usable_cores(self, course_dir,
+                                                                     tmp_path):
+        grow = ["grow", "--course-dir", str(course_dir), "--width-to", "3", "--depth-to", "2",
+                "--epochs", "1", "--out-dir", str(tmp_path)]
+        usable = sorted(os.sched_getaffinity(0))
+        for cpus in (usable[:1], usable):
+            loaded = _loaded(*grow, cpus=cpus)
+            assert ("concurrent.futures.process" in loaded) == (len(cpus) >= 2), cpus
 
     _ENV_AFTER_MAIN = """
 import contextlib, io, json, os, sys

@@ -151,6 +151,8 @@ _GOOD = [_row("s0", "2014-01-07"), "", _row("s1", "2014-01-07")]
 @pytest.mark.parametrize("rows", [
     pytest.param(_GOOD + [_row("sX")], id="unknown-student"),
     pytest.param(_GOOD + [_row(date="07/01/2014")], id="bad-date"),
+    pytest.param(_GOOD + [_row(date="20140120")], id="basic-form-date"),
+    pytest.param(_GOOD + [_row(date="2014-W04-1")], id="week-form-date"),
     pytest.param(_GOOD + [_row(date="2014-01-05")], id="date-before-launch"),
     pytest.param(_GOOD + [_row(date="2014-03-18")], id="date-after-end"),
     pytest.param(_GOOD + [_row(date="2014-03-17"), _row(date="2014-03-18")], id="late-date-repeated"),
@@ -166,6 +168,7 @@ _GOOD = [_row("s0", "2014-01-07"), "", _row("s1", "2014-01-07")]
     pytest.param(_GOOD + [_row(cells=_with_cell("-1"))], id="negative"),
     pytest.param(_GOOD + [_row(cells=_with_cell("-1e-300", 30))], id="negative-last-column"),
     pytest.param(_GOOD + [_row("s1", "2014-01-08"), _row("s1", "2014-01-08")], id="duplicate-day"),
+    # only YYYY-MM-DD is a date, so another spelling of a day is a bad date, not a repeat
     pytest.param(_GOOD + [_row("s1", "2014-01-08"), _row("s1", "20140108")], id="duplicate-other-spelling"),
     pytest.param(_GOOD + [_row()[: _row().rindex(",")]], id="short-row"),
     pytest.param(_GOOD + [_row() + ",999"], id="long-row"),

@@ -353,6 +353,27 @@ class TestCsvRoundTrip:
         with pytest.raises(BadDateError, match=r"activity\.csv:2"):
             load_course_dir(tmp_path)
 
+    # ISO 8601 forms other than YYYY-MM-DD that date.fromisoformat also reads
+    _OTHER_DATE_FORMS = ["20140107", "2014-W02-2", "2014W022", "2014-W02"]
+
+    @pytest.mark.parametrize("cell", _OTHER_DATE_FORMS)
+    def test_activity_date_must_be_yyyy_mm_dd(self, tmp_path, cell):
+        self._write_course_files(tmp_path, [self._row("s0", cell)])
+        with pytest.raises(BadDateError,
+                           match=rf"activity\.csv:2 date: bad date '{cell}' \(expected YYYY-MM-DD\)"):
+            load_course_dir(tmp_path)
+
+    @pytest.mark.parametrize("column", ["launch_date", "end_date", "t100_date"])
+    @pytest.mark.parametrize("cell", _OTHER_DATE_FORMS)
+    def test_meta_dates_must_be_yyyy_mm_dd(self, tmp_path, column, cell):
+        dates = {"launch_date": "2014-01-06", "end_date": "2014-03-17", "t100_date": "2014-03-03"}
+        dates[column] = cell
+        p = tmp_path / "course_meta.csv"
+        p.write_text("course_id,launch_date,end_date,t100_date,cert_threshold,field\r\n"
+                     f"Tx,{dates['launch_date']},{dates['end_date']},{dates['t100_date']},0.7,STEM\r\n")
+        with pytest.raises(BadDateError, match=rf"course_meta\.csv:2 {column}: bad date '{cell}'"):
+            load_course_meta(p)
+
     def test_out_of_range_date_rejected(self, tmp_path):
         self._write_course_files(tmp_path, [self._row("s0", "2014-06-01")])
         with pytest.raises(BadDateError, match="outside"):

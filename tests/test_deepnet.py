@@ -1,12 +1,14 @@
 """MLP forward/backward, SGD schedule, function-preserving growth, the sweep."""
 
 import json
+import os
 import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from dropoutlab import deepnet
 from dropoutlab.deepnet import (
     N_CLASSES,
     MlpModel,
@@ -514,6 +516,102 @@ class TestGrowthSweep:
         lines = p.read_bytes().decode().splitlines()
         assert lines[0] == "phase,w,h,auc,accuracy,train_seconds,seed"
         assert len(lines) == 1 + len(report.rows)
+
+
+# A sweep whose depth chain starts from a width cell, and one whose fixed_width
+# lies outside the width range, so that the depth chain starts from a standalone anchor.
+_INSIDE = GrowthPlan(width_from=2, width_to=4, depth_from=2, depth_to=3, fixed_width=3)
+_OUTSIDE = GrowthPlan(width_from=2, width_to=3, depth_from=2, depth_to=3, fixed_width=6)
+
+
+@pytest.fixture
+def cells(monkeypatch, tmp_path):
+    """run_cell wrapped so that each cell writes its process id to a file named
+    "phase-value", and the cells in the returned dict fail: "diverge" trains on
+    features too large for the learning rate, any other text raises a
+    NonFiniteLossError with that text. A forked worker inherits the wrapper."""
+    run, failing = deepnet.run_cell, {}
+
+    def cell(teacher, phase, value, X_train, y_train, X_test, y_test, cfg, seed):
+        (tmp_path / f"{phase}-{value}").write_text(str(os.getpid()))
+        how = failing.get((phase, value))
+        if how == "diverge":
+            X_train, cfg = X_train * 1e200, replace(cfg, learning_rate=1e10)
+        elif how is not None:
+            raise NonFiniteLossError(how)
+        return run(teacher, phase, value, X_train, y_train, X_test, y_test, cfg, seed)
+
+    monkeypatch.setattr(deepnet, "run_cell", cell)
+    return failing
+
+
+def _pids(tmp_path) -> dict[str, int]:
+    return {p.name: int(p.read_text()) for p in tmp_path.iterdir()}
+
+
+def _sweep_on(monkeypatch, cores, plan):
+    monkeypatch.setattr(deepnet, "usable_cores", lambda: cores)
+    rng = np.random.default_rng(14)
+    X, y = _toy_data(rng, n=80)
+    Xt, yt = _toy_data(rng, n=40)
+    return grow_and_train(X, y, Xt, yt, plan, SgdConfig(epochs=3, seed=77))
+
+
+class TestDepthChainBeside:
+    """With two or more usable cores the depth chain trains in one forked worker
+    while this process trains the baseline and the rest of the width chain."""
+
+    @pytest.mark.parametrize("plan", [_INSIDE, _OUTSIDE], ids=["inside", "outside"])
+    def test_rows_and_models_do_not_depend_on_the_core_count(self, monkeypatch, plan):
+        found = {}
+        for cores in (1, 2):
+            found[cores] = [
+                (r.phase, r.w, r.h, r.auc, r.accuracy, r.seed,
+                 [(W.tobytes(), b.tobytes()) for W, b in r.model.layers])
+                for r in _sweep_on(monkeypatch, cores, plan).rows]
+        assert found[1] == found[2]
+        assert [row[0] for row in found[1]].count("depth") == 2
+
+    @pytest.mark.parametrize("plan", [_INSIDE, _OUTSIDE], ids=["inside", "outside"])
+    def test_one_worker_trains_the_depth_chain_and_is_joined(self, monkeypatch, tmp_path,
+                                                             cells, plan):
+        for cores in (1, 2):
+            _sweep_on(monkeypatch, cores, plan)
+            pids = _pids(tmp_path)
+            depth = {pid for name, pid in pids.items() if name.startswith("depth")}
+            assert {pid for name, pid in pids.items() if not name.startswith("depth")} == {
+                os.getpid()}
+            assert len(depth) == 1 and (depth == {os.getpid()}) == (cores == 1)
+            if cores == 2:
+                with pytest.raises(ProcessLookupError):
+                    os.kill(depth.pop(), 0)
+
+    def test_diverging_depth_cell_raises_through_the_worker(self, monkeypatch, tmp_path, cells):
+        cells[("depth", 3)] = "diverge"
+        raised = {}
+        for cores in (1, 2):
+            with pytest.raises(NonFiniteLossError, match=r"^training loss diverged at update \d+$") as e:
+                _sweep_on(monkeypatch, cores, _INSIDE)
+            raised[cores] = str(e.value)
+            worker = _pids(tmp_path)["depth-3"]
+            assert (worker == os.getpid()) == (cores == 1)
+            if cores == 2:
+                with pytest.raises(ProcessLookupError):
+                    os.kill(worker, 0)
+        assert raised[1] == raised[2]
+
+    @pytest.mark.parametrize("plan,failing,wins", [
+        (_INSIDE, [("width", 4), ("depth", 3)], ("width", 4)),  # the two chains at once
+        (_INSIDE, [("depth", 2), ("width", 2)], ("width", 2)),  # the depth chain never starts
+        (_INSIDE, [("width", 3), ("baseline", 0)], ("baseline", 0)),  # trained after width 3
+        (_OUTSIDE, [("width", 6), ("width", 3)], ("width", 3)),  # the anchor comes last
+        (_OUTSIDE, [("depth", 2), ("width", 2)], ("width", 2)),
+    ])
+    def test_error_of_the_first_failing_row_wins(self, monkeypatch, cells, plan, failing, wins):
+        cells.update({cell: f"{cell[0]} {cell[1]} failed" for cell in failing})
+        for cores in (1, 2):
+            with pytest.raises(NonFiniteLossError, match=f"^{wins[0]} {wins[1]} failed$"):
+                _sweep_on(monkeypatch, cores, plan)
 
 
 class TestXor:

@@ -376,9 +376,10 @@ class TestInSitu:
 
 
 class TestInformationFrontier:
-    """A cell (target, w) reads none of the target's activity after week_date(w), and
-    only post_hoc and baseline1 read the target's own grades. Every third eligible week
-    of each paradigm is scored before and after a perturbation of the target alone."""
+    """A cell (target, w) reads none of the target's activity after week_date(w), none
+    of a source's activity after the source's own week-w date, and only post_hoc and
+    baseline1 read the target's own grades. Every third eligible week of each paradigm
+    is scored before and after a perturbation of the target alone, or of every source."""
 
     @pytest.fixture(scope="class")
     def cells(self, small_corpus):
@@ -391,18 +392,32 @@ class TestInformationFrontier:
     def _scores(corpus, kind, w, target):
         return run_paradigm(corpus, kind, target.meta.course_id, w)[0].tobytes()
 
+    @staticmethod
+    def _tripled_after(course, date):
+        """course with every activity row after date tripled; fails if there is none."""
+        table = course.activity
+        later = table.day > course.day_offset(date)
+        assert later.any(), (course.meta.course_id, date)
+        values = table.values.copy()
+        values[later] *= 3.0
+        return dataclasses.replace(
+            course, activity=ActivityTable(table.student_index, table.day, values))
+
     def test_target_activity_after_the_week_date_is_never_read(self, small_corpus, cells):
         target, scores = cells
-        table = target.activity
         for kind, w in scores:
-            later = table.day > target.day_offset(week_date(target.meta, w))
-            assert later.any()
-            values = table.values.copy()
-            values[later] *= 3.0
-            tripled = dataclasses.replace(
-                target, activity=ActivityTable(table.student_index, table.day, values))
+            tripled = self._tripled_after(target, week_date(target.meta, w))
             corpus = [tripled if c is target else c for c in small_corpus]
             assert self._scores(corpus, kind, w, tripled) == scores[kind, w], (kind, w)
+
+    def test_source_activity_after_its_source_date_is_never_read(self, small_corpus, cells):
+        target, scores = cells
+        for kind, w in scores:
+            # a source's date for week w is its own t100 date + 7w days, clamped to its launch
+            corpus = [c if c is target else self._tripled_after(c, max(
+                c.meta.t100_date + datetime.timedelta(days=7 * w), c.meta.launch_date))
+                      for c in small_corpus]
+            assert self._scores(corpus, kind, w, target) == scores[kind, w], (kind, w)
 
     def test_target_grades_are_read_by_post_hoc_and_baseline1_alone(self, small_corpus, cells):
         target, scores = cells
