@@ -65,6 +65,13 @@ _GROWTH_DEFAULTS = {
 }
 
 
+# features' and train's --week, which the namespace holds only when it is given
+# (the commands read 0 otherwise): argparse takes an option given its default
+# value as absent, so a default of 0 would let --week 0 pass beside --as-of.
+_WEEK = dict(type=int, default=argparse.SUPPRESS,
+             help="week index, 0 = full-points date, negative = weeks earlier (default: 0)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dropoutlab",
@@ -93,8 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--course-dir", type=Path, required=True,
                    help="directory with the four course CSV files")
     when = p.add_mutually_exclusive_group()
-    when.add_argument("--week", type=int, default=0,
-                      help="week index, 0 = full-points date, negative = weeks earlier")
+    when.add_argument("--week", **_WEEK)
     when.add_argument("--as-of", type=_iso_date, default=None,
                       help="explicit snapshot date (YYYY-MM-DD)")
     p.add_argument("--norm", choices=("zscore", "percentile", "none"), default="zscore",
@@ -106,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", formatter_class=fmt,
                        help="train a logistic model on one course")
     p.add_argument("--course-dir", type=Path, required=True)
-    p.add_argument("--week", type=int, default=0, help="week index, 0 = full-points date, negative = weeks earlier")
+    p.add_argument("--week", **_WEEK)
     p.add_argument("--kind", choices=("post_hoc", "baseline1"), default="post_hoc",
                    help="post_hoc: full features; baseline1: demographics only")
     p.add_argument("--reg-c", type=_positive_float, default=1.0,
@@ -191,12 +197,19 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _usage_error(message: str) -> int:
+    print(f"usage error: {message}", file=sys.stderr)
+    return 2
+
+
 def cmd_features(args) -> int:
+    if args.norm == "none" and args.stats_out is not None:
+        return _usage_error("--stats-out is not written with --norm none")
     from .dataset import load_course_dir
     from .features import build_matrix, normalize, save_norm_stats, write_matrix
     from .paradigms import week_date
     course = load_course_dir(args.course_dir)
-    m = build_matrix(course, args.as_of or week_date(course.meta, args.week))
+    m = build_matrix(course, args.as_of or week_date(course.meta, getattr(args, "week", 0)))
     paths = [args.out]
     if args.norm != "none":
         stats, (m,) = normalize(m, [m], args.norm)
@@ -211,6 +224,8 @@ def cmd_features(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if args.kind == "baseline1" and "week" in args:
+        return _usage_error("--week is not read with --kind baseline1, which fits demographics only")
     from .dataset import load_course_dir
     from .evaluate import auc_values
     from .features import build_matrix
@@ -221,7 +236,7 @@ def cmd_train(args) -> int:
         model = baseline_demographics(course, args.reg_c)
         scores = score_demographics(model, course)
     else:
-        m = build_matrix(course, week_date(course.meta, args.week))
+        m = build_matrix(course, week_date(course.meta, getattr(args, "week", 0)))
         model, z = fit_course_model(course, m, args.reg_c)
         scores = predict_proba(model, z)
     args.out.parent.mkdir(parents=True, exist_ok=True)
@@ -276,11 +291,8 @@ def cmd_run(args) -> int:
     doc = _read_manifest(args.manifest)
     for kind in doc["paradigms"]:
         if kind not in PARADIGMS:
-            print(
-                f"usage error: unknown paradigm {kind!r} (expected one of {', '.join(PARADIGMS)})",
-                file=sys.stderr,
-            )
-            return 2
+            return _usage_error(
+                f"unknown paradigm {kind!r} (expected one of {', '.join(PARADIGMS)})")
     base = args.manifest.parent
     config_path = Path(doc["corpus_config_path"])
     if not config_path.is_absolute():

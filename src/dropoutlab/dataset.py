@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import datetime
+import io
 import math
 from array import array
 from dataclasses import dataclass, field, fields as dc_fields
@@ -358,6 +359,144 @@ def _cell(path: str | Path, lineno: int, column: int) -> str:
     return next(row for n, row in _read_rows(path, _ACTIVITY_COLUMNS) if n == lineno)[column]
 
 
+def _count_lines(path: str | Path) -> int:
+    """The lines of a file, a last one without a line end included, read a chunk at a time."""
+    n, last = 0, b"\n"
+    with open(path, "rb") as f:
+        while chunk := f.read(1 << 16):
+            n, last = n + chunk.count(b"\n"), chunk[-1:]
+    return n + (last != b"\n")
+
+
+def _line_blocks(f, size: int) -> Iterator[str]:
+    """The rest of text file f in blocks of whole lines, of about size characters each.
+
+    Only the last block may end without a line end. Every other block ends
+    with a line that holds no '"', so that no quoted cell runs on from one
+    block into the next.
+    """
+    text = ""
+    while chunk := f.read(size):
+        text += chunk
+        end = text.rfind("\n") + 1
+        while end and '"' in text[text.rfind("\n", 0, end - 1) + 1:end]:
+            end = text.rfind("\n", 0, end - 1) + 1
+        if end:
+            yield text[:end]
+            text = text[end:]
+    if text:
+        yield text
+
+
+_HEADER_LINES = {",".join(_ACTIVITY_COLUMNS) + end for end in ("\r\n", "\n", "")}
+# activity.csv text per np.loadtxt call, about 1,100 synthesized rows: blocks of
+# 128 KiB left the heap of a grow run 0.4 MB higher after the load
+_BLOCK_CHARS = 96 * 1024
+# np.loadtxt takes these in a number as space, and a NUL ends its text cells; float() and csv do not
+_LOADTXT_ONLY = "\x00\x1c\x1d\x1e\x1f"
+
+
+def _read_activity(path: str | Path, meta: CourseMeta, index: Mapping[str, int]
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """(student indices, day offsets, counters) of activity.csv, read by np.loadtxt
+    a block of rows at a time; None for a file that the row scan might read
+    otherwise, or that has a fault, which the scan then raises with its line.
+
+    Where each line of a block is one row, np.loadtxt splits and unquotes its
+    cells as csv does, and reads a subset of the numbers float() reads, to the
+    same values. An id cell is read one character longer than the longest
+    roster id and a date cell 11 characters long, so that a longer cell is
+    cut and is no roster id and no date.
+    """
+    width = max(map(len, index), default=0) + 1
+    dtype = np.dtype([("id", f"U{width}"), ("date", "U11"),
+                      ("values", "f8", (len(CLICKSTREAM_FEATURES),))])
+    offsets: dict[str, int] = {}  # each distinct date cell is parsed and checked once
+    lo = 0
+    with open(path, newline="", encoding="utf-8") as f:
+        try:
+            if f.readline() not in _HEADER_LINES:
+                return None
+            n = _count_lines(path) - 1
+            students, days = np.empty(n, dtype=np.int32), np.empty(n, dtype=np.int32)
+            counts = np.empty((n, len(CLICKSTREAM_FEATURES)))
+            for text in _line_blocks(f, _BLOCK_CHARS):
+                if text.isspace() or any(c in text for c in _LOADTXT_ONLY):
+                    return None  # np.loadtxt warns of a block with no rows
+                block = np.loadtxt(io.StringIO(text), dtype=dtype, delimiter=",",
+                                   comments=None, quotechar='"', ndmin=1)
+                hi = lo + len(block)
+                dates = block["date"].tolist()
+                for cell in set(dates).difference(offsets):
+                    offsets[cell] = _activity_day(cell, meta, str(path))
+                students[lo:hi] = np.fromiter(map(index.__getitem__, block["id"].tolist()),
+                                              dtype=np.int32, count=len(block))
+                days[lo:hi] = np.fromiter(map(offsets.__getitem__, dates),
+                                          dtype=np.int32, count=len(block))
+                counts[lo:hi] = block["values"]
+                lo = hi
+        except (ValueError, KeyError, BadDateError):  # UnicodeDecodeError is a ValueError
+            return None
+    # np.loadtxt reads no more rows than a block has lines, and fewer where a
+    # line is blank or a quoted cell holds a line end
+    _, bad, repeat = _counter_and_repeat_faults(students, days, counts, meta)
+    if lo != n or len(bad) or len(repeat):
+        return None
+    return students, days, counts
+
+
+def _counter_and_repeat_faults(students: np.ndarray, days: np.ndarray, counts: np.ndarray,
+                               meta: CourseMeta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(which counters are finite and >= 0, the rows holding one that is not,
+    the rows whose (student, day) an earlier row has)."""
+    ok = np.isfinite(counts) & (counts >= 0.0)
+    keys = students.astype(np.int64) * ((meta.end_date - meta.launch_date).days + 1) + days
+    repeat = np.ones(len(keys), dtype=bool)
+    repeat[np.unique(keys, return_index=True)[1]] = False
+    return ok, np.flatnonzero(~ok.all(axis=1)), np.flatnonzero(repeat)
+
+
+def _scan_activity(path: str | Path, meta: CourseMeta, roster: Roster,
+                   index: Mapping[str, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(student indices, day offsets, counters) of activity.csv, read one row
+    at a time by csv and float(); every fault is raised with its line."""
+    # counters go straight into a packed array: no list of every row's cells is kept
+    sidx, day, lines, values = [], [], [], array("d")
+    offsets: dict[str, int] = {}  # each distinct date cell is parsed and checked once
+    for lineno, row in _read_rows(path, _ACTIVITY_COLUMNS):
+        i = index.get(row[0])
+        if i is None:
+            raise UnknownStudentError(f"{path}:{lineno}: student {row[0]!r} not in demographics")
+        d = offsets.get(row[1])
+        if d is None:
+            d = offsets[row[1]] = _activity_day(row[1], meta, f"{path}:{lineno}")
+        sidx.append(i)
+        day.append(d)
+        lines.append(lineno)
+        try:
+            values.extend(map(float, row[2:]))
+        except ValueError:
+            k, cell = next((k, c) for k, c in enumerate(row[2:]) if not _is_number(c))
+            raise BadValueError(f"{path}:{lineno}: column {CLICKSTREAM_FEATURES[k]!r}: "
+                                f"not a number: {cell!r}") from None
+
+    counts = np.asarray(values).reshape(len(lines), len(CLICKSTREAM_FEATURES))
+    students, days = np.array(sidx, dtype=np.int32), np.array(day, dtype=np.int32)
+    ok, bad, repeat = _counter_and_repeat_faults(students, days, counts, meta)
+    if len(repeat) and (not len(bad) or repeat[0] <= bad[0]):
+        r = repeat[0]
+        date = meta.launch_date + datetime.timedelta(days=int(days[r]))
+        raise DuplicateStudentDayError(f"{path}:{lines[r]}: duplicate record for "
+                                       f"({roster.student_ids[students[r]]}, {date})")
+    if len(bad):
+        r = bad[0]
+        k = int(np.argmin(ok[r]))
+        cell = _cell(path, lines[r], 2 + k)
+        raise NegativeCounterError(f"{path}:{lines[r]}: column "
+                                   f"{CLICKSTREAM_FEATURES[k]!r}: value {cell} must be finite and >= 0")
+    return students, days, counts
+
+
 def load_course(
     meta_path: str | Path,
     demographics_path: str | Path,
@@ -365,6 +504,22 @@ def load_course(
     grades_path: str | Path,
 ) -> CourseData:
     """Load one course from its four CSV tables.
+
+    activity.csv is read by np.loadtxt, a block of about 1,100 rows at a
+    time, into arrays sized by a first count of the file's lines. The whole
+    file goes to a row scan instead (csv and float(), one row at a time),
+    which accepts it or raises the error below, when the block read could
+    differ from the scan's or meets a fault:
+    - the header is not the canonical columns in their order;
+    - np.loadtxt rejects a block, or reads fewer rows than the file has lines
+      (a blank or whitespace-only line, a carriage return or a quoted line
+      end inside a row);
+    - the file holds a NUL, or one of U+001C..U+001F, which np.loadtxt takes
+      as space around a number and float() does not;
+    - an id not on the roster, a date that is not YYYY-MM-DD or is outside
+      the course, a counter that np.loadtxt does not read (it rejects some
+      that float() takes, such as 1_000) or that is not finite and >= 0, or a
+      repeated (student, day).
 
     Raises MissingColumnError / BadDateError / NegativeCounterError /
     DuplicateStudentDayError with the offending file, row, and column named;
@@ -380,48 +535,8 @@ def load_course(
     meta = load_course_meta(meta_path)
     roster = load_demographics(demographics_path)
     index = {sid: i for i, sid in enumerate(roster.student_ids)}
-
-    # counters go straight into a packed array: no list of every row's cells is kept
-    sidx, day, lines, values = [], [], [], array("d")
-    offsets: dict[str, int] = {}  # each distinct date cell is parsed and checked once
-    for lineno, row in _read_rows(activity_path, _ACTIVITY_COLUMNS):
-        i = index.get(row[0])
-        if i is None:
-            raise UnknownStudentError(
-                f"{activity_path}:{lineno}: student {row[0]!r} not in demographics"
-            )
-        d = offsets.get(row[1])
-        if d is None:
-            d = offsets[row[1]] = _activity_day(row[1], meta, f"{activity_path}:{lineno}")
-        sidx.append(i)
-        day.append(d)
-        lines.append(lineno)
-        try:
-            values.extend(map(float, row[2:]))
-        except ValueError:
-            k, cell = next((k, c) for k, c in enumerate(row[2:]) if not _is_number(c))
-            raise BadValueError(f"{activity_path}:{lineno}: column {CLICKSTREAM_FEATURES[k]!r}: "
-                                f"not a number: {cell!r}") from None
-
-    counts = np.asarray(values).reshape(len(lines), len(CLICKSTREAM_FEATURES))
-    students, days = np.array(sidx, dtype=np.int32), np.array(day, dtype=np.int32)
-    ok = np.isfinite(counts) & (counts >= 0.0)
-    bad = np.flatnonzero(~ok.all(axis=1))
-    keys = students.astype(np.int64) * ((meta.end_date - meta.launch_date).days + 1) + days
-    repeat = np.ones(len(keys), dtype=bool)
-    repeat[np.unique(keys, return_index=True)[1]] = False
-    repeat = np.flatnonzero(repeat)
-    if len(repeat) and (not len(bad) or repeat[0] <= bad[0]):
-        r = repeat[0]
-        date = meta.launch_date + datetime.timedelta(days=int(days[r]))
-        raise DuplicateStudentDayError(f"{activity_path}:{lines[r]}: duplicate record for "
-                                       f"({roster.student_ids[students[r]]}, {date})")
-    if len(bad):
-        r = bad[0]
-        k = int(np.argmin(ok[r]))
-        cell = _cell(activity_path, lines[r], 2 + k)
-        raise NegativeCounterError(f"{activity_path}:{lines[r]}: column "
-                                   f"{CLICKSTREAM_FEATURES[k]!r}: value {cell} must be finite and >= 0")
+    activity = (_read_activity(activity_path, meta, index)
+                or _scan_activity(activity_path, meta, roster, index))
 
     grades: dict[str, float] = {}
     for lineno, (sid, cell) in _read_rows(grades_path, _GRADE_COLUMNS):
@@ -439,7 +554,7 @@ def load_course(
             raise BadValueError(f"{grades_path}:{lineno}: final_grade {g} not in [0, 1]")
         grades[sid] = g
 
-    return CourseData(meta, roster, ActivityTable(students, days, counts), grades)
+    return CourseData(meta, roster, ActivityTable(*activity), grades)
 
 
 def _is_number(cell: str) -> bool:

@@ -142,7 +142,7 @@ def demographic_dummies(course: CourseData) -> np.ndarray:
 def check_as_of(course: CourseData, as_of: datetime.date) -> int:
     if not (course.meta.launch_date <= as_of <= course.meta.end_date):
         raise BadDateError(
-            f"as_of {as_of} outside course window "
+            f"course {course.meta.course_id!r}: as_of {as_of} outside course window "
             f"[{course.meta.launch_date}, {course.meta.end_date}]"
         )
     return course.day_offset(as_of)

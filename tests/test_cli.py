@@ -311,8 +311,8 @@ class TestArtifactBytes:
         for norm in ("zscore", "percentile", "none"):
             assert main(["features", "--course-dir", str(course_dir), "--week", "-1",
                          "--norm", norm, "--out", str(tmp_path / f"{norm}.csv")]) == 0
-        for kind in ("post_hoc", "baseline1"):
-            assert main(["train", "--course-dir", str(course_dir), "--week", "-1",
+        for kind, week in (("post_hoc", ["--week", "-1"]), ("baseline1", [])):  # baseline1 reads no week
+            assert main(["train", "--course-dir", str(course_dir), *week,
                          "--kind", kind, "--out", str(tmp_path / f"{kind}.json")]) == 0
         digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
         assert digests == _ARTIFACT_DIGESTS
@@ -604,6 +604,12 @@ _MALFORMED = {
                                  ["corpus config 'Ax': launch: bad date '20140106'"]),
     "corpus-launch-week-form": (_course(launch="2014-W02-1"), 1,
                                 ["corpus config 'Ax': launch: bad date '2014-W02-1'"]),
+    "features-norm-none-stats-out": (_features("--norm", "none", "--stats-out", "s.json"), 2,
+                                     ["--stats-out", "--norm none"]),
+    "train-baseline1-week": (_train("--kind", "baseline1", "--week", "-1"), 2,
+                             ["--week", "--kind baseline1"]),
+    "features-week-after-end": (_features("--week", "99"), 1,
+                                ["course 'SYN1x': as_of 2016-", "outside course window"]),
     "features-as-of-basic-form": (_features("--as-of", "20140201"), 2,
                                   ["--as-of", "'20140201' is not a YYYY-MM-DD date"]),
     "features-as-of-week-form": (_features("--as-of", "2014-W05-6"), 2,
@@ -807,12 +813,16 @@ class TestParserShape:
         args = parser.parse_args(["synth", "--out", "x"])
         assert args.command == "synth"
 
-    def test_week_and_as_of_exclusive(self):
-        parser = build_parser()
-        with pytest.raises(SystemExit) as e:
-            parser.parse_args(["features", "--course-dir", "c", "--out", "m",
-                               "--week", "-1", "--as-of", "2014-02-01"])
-        assert e.value.code == 2
+    def test_week_and_as_of_exclusive(self, capsys):
+        # --week 0 is the week a bare features call reads, and is rejected all the same
+        for week in ("0", "-1"):
+            week_then_date = ["--week", week, "--as-of", "2014-02-01"]
+            for options in (week_then_date, week_then_date[2:] + week_then_date[:2]):
+                with pytest.raises(SystemExit) as e:
+                    build_parser().parse_args(["features", "--course-dir", "c", "--out", "m",
+                                               *options])
+                assert e.value.code == 2, options
+                assert "not allowed with argument" in capsys.readouterr().err
 
     def test_grow_options_and_fields_are_one_set(self):
         from dataclasses import fields
@@ -874,7 +884,10 @@ class TestStartup:
         (["grow", "--help"], 0),
         (["synth", "--courses", "0", "--out", "x"], 2),
         (["frobnicate"], 2),
-    ], ids=["help", "grow-help", "bad-option", "unknown-command"])
+        (["features", "--course-dir", "c", "--norm", "none", "--stats-out", "s", "--out", "m"], 2),
+        (["train", "--course-dir", "c", "--kind", "baseline1", "--week", "0", "--out", "m"], 2),
+    ], ids=["help", "grow-help", "bad-option", "unknown-command", "ignored-stats-out",
+            "ignored-week"])
     def test_parser_runs_on_the_standard_library(self, args, code):
         assert _loaded(*args, code=code) == []
 

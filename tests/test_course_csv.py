@@ -1,10 +1,13 @@
 """Course CSV files against the row-at-a-time reference writer and loader in conftest."""
 
+import csv
+import io
 import sys
 
 import numpy as np
 import pytest
 
+from dropoutlab import dataset
 from dropoutlab.dataset import (
     CLICKSTREAM_FEATURES,
     default_corpus_config,
@@ -206,3 +209,142 @@ class TestWhichFaultWins:
         d = _course_dir(tmp_path, [_row(), _row(cells=_with_cell("-1"))])
         assert _raised(load_course_dir, d) == _raised(reference_load_course, d)
         assert "activity.csv:3: duplicate record for (s0, 2014-01-20)" in _raised(load_course_dir, d)[1]
+
+
+# The block reader (np.loadtxt) against the row scan it falls back to.
+
+# Roster ids that csv quotes (a comma, a quote), that keep a space, that are not
+# ASCII, or that another id extends; and two whose quoted cell holds a line end.
+_ODD_IDS = ("a,b", 'q"x', " lead", "é", "s1", "s10")
+_LINE_END_IDS = ("n\nl", "c\rr")
+# Counter cells: float() and np.loadtxt both read the first row, only float()
+# the second, and the third neither; the last row is read but not finite and >= 0.
+_ODD_CELLS = (" 3 ", "+.5", "1e-400", "2.5E1", "0007", "-0", "1e308", "\t2\x0c",
+              "1_000", "３", "٣", "1e1_0",
+              "0x10", "", "1 1", "\x1c1", "1\x00", "½", "1e",
+              "nan", "inf", "-1", "1e999")
+_ODD_DATES = ("2014-01-07 ", "2014-1-7", "2014-01-05", "2014-03-18", "20140107", "2014-03-17")
+
+
+def _scan_only(monkeypatch, load, course_dir):
+    """load(course_dir) with the block reader turned off, so that the row scan reads activity.csv."""
+    with monkeypatch.context() as m:
+        m.setattr(dataset, "_read_activity", lambda *args: None)
+        return load(course_dir)
+
+
+def _outcome(course_dir):
+    """The loaded arrays' bytes, or the class and message of the error."""
+    try:
+        c = load_course_dir(course_dir)
+    except Exception as e:  # whatever the scan raises, the block reader must raise too
+        return type(e), str(e)
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in
+            (c.activity.student_index, c.activity.day, c.activity.values, c.certified)]
+
+
+def _mutate(rng, rows):
+    """The text of activity.csv rows after one to three seeded mutations."""
+    rows = [list(r) for r in rows]
+    quoting, text_edits = csv.QUOTE_MINIMAL, []
+    for _ in range(rng.integers(1, 4)):
+        kind = int(rng.integers(15))
+        r = int(rng.integers(1, len(rows))) if len(rows) > 1 else 0
+        if kind in (0, 1) and r:
+            rows[r][int(rng.integers(2, len(rows[r])))] = str(rng.choice(_ODD_CELLS))
+        elif kind == 2 and r:
+            rows[r][1] = str(rng.choice(_ODD_DATES))
+        elif kind == 3 and r:
+            rows[r][0] = str(rng.choice([rows[r][0] + "x", rows[r][0][:-1], *_LINE_END_IDS]))
+        elif kind == 4:
+            i, j = rng.choice(np.arange(2, len(rows[0])), 2, replace=False)
+            rows[0][i], rows[0][j] = rows[0][j], rows[0][i]
+        elif kind == 5:
+            rows.insert(int(rng.integers(1, len(rows) + 1)), list(rows[r]))  # a repeat
+        elif kind == 6 and r:
+            rows[r] = rows[r][:-1] if rng.random() < 0.5 else rows[r] + ["0"]
+        elif kind == 7:
+            rows = rows[:1]
+        elif kind == 8:
+            head, body = rows[:1], rows[1:]
+            rng.shuffle(body)
+            rows = head + body
+        elif kind == 9:
+            quoting = csv.QUOTE_ALL
+        else:
+            text_edits.append(kind)
+    out = io.StringIO(newline="")
+    csv.writer(out, quoting=quoting).writerows(rows)
+    text = out.getvalue()
+    for kind in text_edits:
+        at = int(rng.integers(len(text) + 1))
+        line_start = text.rfind("\n", 0, at) + 1
+        if kind == 10:
+            text = text[:line_start] + str(rng.choice(["\r\n", "  \r\n", "\t\n"])) + text[line_start:]
+        elif kind == 11:
+            text = text[:at] + str(rng.choice(["\r", "\n", '"', "\x00", "\x1c", ","])) + text[at:]
+        elif kind == 12:
+            text = "\ufeff" + text
+        elif kind == 13:
+            text = text.removesuffix("\r\n")
+        else:
+            text = text.replace("\r\n", "\n")
+    return text
+
+
+def test_block_reader_loads_like_the_row_scan(tmp_path, monkeypatch):
+    """Seeded mutations of a good activity.csv: the block reader's arrays or error
+    are those of the row scan alone, also with blocks of a few lines."""
+    rng = np.random.default_rng(23)
+    records = [Record(sid, day(int(d)), counters(nevents=1 + int(d), nforum=float(k) / 4,
+                                                  avg_dt=float(rng.integers(0, 10**6))))
+               for k, sid in enumerate(_ODD_IDS)
+               for d in sorted(rng.choice(70, 4, replace=False))]
+    students = [Student(s) for s in _ODD_IDS + _LINE_END_IDS]
+    write_course(make_course(make_meta(), students, records, {"a,b": 0.8}), tmp_path / "base")
+    with open(tmp_path / "base" / "activity.csv", newline="", encoding="utf-8") as f:
+        rows = list(csv.reader(f))
+    read = dataset._read_activity
+    accepted = []
+    monkeypatch.setattr(dataset, "_read_activity",
+                        lambda *args: accepted.append(read(*args)) or accepted[-1])
+    for case in range(150):
+        d = tmp_path / str(case)
+        d.mkdir()
+        for name in _FILES:
+            if name != "activity.csv":
+                (d / name).write_bytes((tmp_path / "base" / name).read_bytes())
+        (d / "activity.csv").write_text(_mutate(rng, rows), encoding="utf-8", newline="")
+        monkeypatch.setattr(dataset, "_BLOCK_CHARS", int(rng.choice([1, 40, 200, 1 << 20])))
+        assert _outcome(d) == _scan_only(monkeypatch, _outcome, d), case
+    # both ways were taken: the block reader read some mutated files and left others to the scan
+    n_read = sum(a is not None for a in accepted)
+    assert 25 <= n_read <= len(accepted) - 25, n_read
+
+
+@pytest.mark.parametrize("size", [1, 1 << 20])
+@pytest.mark.parametrize("second", [_row('"s1"', "2014-01-21"), '"'], ids=["row", "quote"])
+def test_quoted_line_end_is_read_across_blocks(tmp_path, monkeypatch, size, second):
+    """A last cell that opens a quote runs on into the next line: with a row
+    there, the two lines are one long row; with a lone quote, one good row."""
+    monkeypatch.setattr(dataset, "_BLOCK_CHARS", size)
+    d = _course_dir(tmp_path, [_row("s0", "2014-01-20", ["0"] * 30 + ['"5']), second])
+    assert _raised(load_course_dir, d) == _raised(reference_load_course, d)
+    if second == '"':
+        _assert_same_course(load_course_dir(d), reference_load_course(d))
+
+
+def test_synthesized_course_loads_without_the_row_scan(tmp_path, monkeypatch):
+    """A written course is read by the block reader alone, in blocks of the
+    default size, in one block, and in blocks of about ten rows."""
+    course = synthesize_course(default_corpus_config(2, 300).courses[1], 9)
+    write_course(course, tmp_path)
+
+    def scan(*args):
+        raise AssertionError("the row scan ran")
+    expected = _scan_only(monkeypatch, load_course_dir, tmp_path)
+    monkeypatch.setattr(dataset, "_scan_activity", scan)
+    for size in (dataset._BLOCK_CHARS, 1 << 20, 999):
+        monkeypatch.setattr(dataset, "_BLOCK_CHARS", size)
+        _assert_same_course(load_course_dir(tmp_path), expected)
+    _assert_same_course(expected, course)
