@@ -304,7 +304,58 @@ _SKIP_RUN_DIGESTS = {
 }
 
 
+# sha256 of every file synth writes, as written before the CSV writers shared one
+# home: the built-in config at 2x40 (seed 3) and _SKIP_CONFIG through --config (seed 13)
+_SYNTH_DIGESTS = {
+    "builtin": {
+        "SYN1x/activity.csv": "7a2c2cbea2f6c8b46c2a820a8f6a5ecc978aff027904c8db9ebce8dbf91d44d6",
+        "SYN1x/course_meta.csv": "3eceb67f623c22af366a713ec506a219e0d26511237f9f83a58fa4f1c074d9a2",
+        "SYN1x/demographics.csv": "00755533d7c463e6803290b71abae45d8649fa91f8d56e8787dd66eafa8e48e4",
+        "SYN1x/grades.csv": "c4d7bf6b8a549abaf557229bac5ae827650030f17edbea8d182f1c03f4c3baed",
+        "SYN2x/activity.csv": "d9765cf9155e1f6a82bf8c912aeb6b9f657916c7dd79b66c32e6c59dab2a4565",
+        "SYN2x/course_meta.csv": "7447afb297be9764e897f36ba00c633fdc73cc85f7620464366c7e0a99911dc7",
+        "SYN2x/demographics.csv": "f7068606c75bee0a77dc60cf966054ad2b4573faa1b957b2a393fdb4f2c18abc",
+        "SYN2x/grades.csv": "18ede73736bc98bff88f9a39ae589e47de4aafe6372926cc78b48abd5955480f",
+        "corpus_config.json": "55e929511bc2c4e1f7d69f8cf1a7e9a75f7cb841ec4a4e7f55b671a92027797a",
+    },
+    "config": {
+        "KAx/activity.csv": "1bb70acb335f0047bb52f3655c81e5bc4c9294eb208bff2ec08d1a1072048221",
+        "KAx/course_meta.csv": "6877c0469339e3eeb8df578a16a97b0792d0a4e84321d612138ebaa5a83893b7",
+        "KAx/demographics.csv": "129dfb09c303833384f304a6625d0875146a7f26056498a6e62eccbf8f9a668f",
+        "KAx/grades.csv": "2cf50cd757484a992136d2213803533a1d857a7a91dc25d99df49f6f0f1e2c84",
+        "KBx/activity.csv": "495a3b810b9d4ee58b0512bbf882847bf287a3e5bcb6c056ba5fac8bc4cb171a",
+        "KBx/course_meta.csv": "21784c48c998eaaf4e4035fe9a759013e0fee1b538db560602f6e953922cf6be",
+        "KBx/demographics.csv": "8609cad7c3a9e62d0700193e06b51eca87624845ef639d68629dcf7136fac78e",
+        "KBx/grades.csv": "f9451d2ae9315df08c25daec9b2740970dc15f0ded5caf21b6bf907aae01e570",
+        "KCx/activity.csv": "2873129807dcf65ff50f9105aa5f478bb0e06e23dafcb03da9d0f6f6fb66c309",
+        "KCx/course_meta.csv": "43986063eccbfc14ce6f9118e3aa887a4676e77c61a15b1f1bc70a97972a3ad0",
+        "KCx/demographics.csv": "c56baea9925ec360a553e0c2b95d2678be2204527a264c5707e4e711b52fb413",
+        "KCx/grades.csv": "6fcbf12b8986d319ec234da20679e76a279e1847ba3ad40cb261a46d62b31242",
+        "KDx/activity.csv": "06e6e1d4c31e7ac7464b9bc5c5b24ce3bf6c987d789e2b4d8411c06dd03dbdb6",
+        "KDx/course_meta.csv": "ad9d8aa803558c6c8ccc24135c98416e074ca1ec0d6c519c929a357879313a89",
+        "KDx/demographics.csv": "d224930208aecf6dea6b78d6ea39bd889bec2d45b04448baa2b4ebc8b121d8e1",
+        "KDx/grades.csv": "c2426476d366ac1119974b0af982bdd47f64c370ea88c5cb387f0988590ee4fb",
+        "KEx/activity.csv": "6d98f2204adbcd6241b526bda67fb0cb37c54d752f142d3e417d0ed0ffbc697e",
+        "KEx/course_meta.csv": "1d8aa642a35e6c38404335685f2a220c6e6b0ba9fcea56c3da5b4dc4b7b620b3",
+        "KEx/demographics.csv": "3f6c6dc3db05cdde51a4f6a8667454283b091a48242d6146f92a09c2c5c3f684",
+        "KEx/grades.csv": "912c9845fb4da2f78b5b2275b438559418aeeb2b2cefd89de1fee09bbdc6016d",
+        "corpus_config.json": "106610008edc39546f5050537e76a8e95200328e5f1b624078c1ad6eea5f0484",
+    },
+}
+
+
 class TestArtifactBytes:
+    def test_synth_files_are_pinned(self, tmp_path):
+        (tmp_path / "config.json").write_text(json.dumps(_SKIP_CONFIG))
+        for out, options in (("builtin", ["--courses", "2", "--students", "40", "--seed", "3"]),
+                             ("config", ["--config", str(tmp_path / "config.json"),
+                                         "--seed", "13"])):
+            assert main(["synth", *options, "--out", str(tmp_path / out)]) == 0
+        found = {out: {p.as_posix(): hashlib.sha256(data).hexdigest()
+                       for p, data in _dir_bytes(tmp_path / out).items()}
+                 for out in ("builtin", "config")}
+        assert found == _SYNTH_DIGESTS
+
     def test_features_and_train_files_are_pinned(self, course_dir, tmp_path):
         from dropoutlab.features import FEATURE_NAMES, PERCENTILE_COLUMNS
 
