@@ -8,7 +8,6 @@ of every subcommand; an explicit flag wins over both.
 from __future__ import annotations
 
 import argparse
-import csv
 import datetime
 import json
 import math
@@ -20,7 +19,7 @@ from pathlib import Path
 # Besides the standard library, the parser loads only these numpy-free modules,
 # so --help and usage errors answer quickly; each command imports what it runs.
 from .errors import BadConfigError, DropoutLabError
-from .settings import GrowthPlan, SgdConfig, parse_date
+from .settings import GrowthPlan, SgdConfig, parse_date, read_csv
 
 def _int_at_least(lo: int, source: str = ""):
     """An argparse type: the integer of a text, which must be >= lo."""
@@ -347,23 +346,17 @@ def _read_records(path: Path, columns: tuple[str, ...], parse) -> list:
     column. Errors name the file, and the line of a bad row."""
     if not path.exists():
         raise BadConfigError(f"file not found: {path}")
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
+    rows = read_csv(path)
+    if tuple(next(rows, (0, ()))[1]) != columns:
+        raise BadConfigError(f"{path}: expected the columns {','.join(columns)}")
+    records = []
+    for line, cells in rows:
+        where = f"{path}:{line}"
         try:
-            if tuple(next(reader, ())) != columns:
-                raise BadConfigError(f"{path}: expected the columns {','.join(columns)}")
-            records = []
-            for row in filter(None, reader):
-                where = f"{path}:{reader.line_num}"
-                if len(row) != len(columns):
-                    raise BadConfigError(f"{where}: expected {len(columns)} cells, got {len(row)}")
-                try:
-                    records.append((where, parse(*row)))
-                except (ValueError, DropoutLabError) as e:
-                    raise BadConfigError(f"{where}: {e}") from None
-        except UnicodeDecodeError as e:
-            raise BadConfigError(f"{path}: not UTF-8 text ({e})") from None
-        return records
+            records.append((where, parse(*cells)))
+        except (ValueError, DropoutLabError) as e:
+            raise BadConfigError(f"{where}: {e}") from None
+    return records
 
 
 def cmd_report(args) -> int:

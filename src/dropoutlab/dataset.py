@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import datetime
 import io
 import math
@@ -24,7 +23,7 @@ from .errors import (
     NegativeCounterError,
     UnknownStudentError,
 )
-from .settings import parse_date, usable_cores
+from .settings import parse_date, read_csv, usable_cores, write_csv
 
 # Per-day clickstream counters, in canonical column order. Durations (*_dt) are seconds.
 CLICKSTREAM_FEATURES: tuple[str, ...] = (
@@ -265,26 +264,16 @@ def _read_rows(path: str | Path, expected: Sequence[str]) -> Iterator[tuple[int,
     A row with more or fewer cells than the header, or a file that is not UTF-8, is rejected.
     """
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader, None)
-            if header is None:
-                raise MissingColumnError(f"{path}: empty file, expected header {list(expected)}")
-            for col in expected:
-                if col not in header:
-                    raise MissingColumnError(f"{path}: missing column {col!r}")
-            pick = (None if header == list(expected)
-                    else itemgetter(*(header.index(c) for c in expected)))
-            for raw in reader:
-                if not raw:
-                    continue
-                if len(raw) != len(header):
-                    raise BadValueError(
-                        f"{path}:{reader.line_num}: expected {len(header)} cells, got {len(raw)}")
-                yield reader.line_num, raw if pick is None else pick(raw)
-        except UnicodeDecodeError as e:
-            raise BadValueError(f"{path}: not UTF-8 text ({e})") from None
+    rows = read_csv(path)
+    _, header = next(rows, (0, None))
+    if header is None:
+        raise MissingColumnError(f"{path}: empty file, expected header {list(expected)}")
+    for col in expected:
+        if col not in header:
+            raise MissingColumnError(f"{path}: missing column {col!r}")
+    pick = itemgetter(*(header.index(c) for c in expected))
+    for lineno, raw in rows:
+        yield lineno, pick(raw)
 
 
 def _parse_date(cell: str, where: str) -> datetime.date:
@@ -596,6 +585,23 @@ def _format_numbers(values: np.ndarray) -> np.ndarray:
     return cells
 
 
+def _activity_rows(course: CourseData) -> Iterator[list]:
+    """The rows of course's activity.csv, their cells formatted _WRITE_BLOCK rows at a time."""
+    meta, table = course.meta, course.activity
+    ids = np.array(course.roster.student_ids, dtype=object)
+    span = (meta.end_date - meta.launch_date).days
+    dates = np.array([(meta.launch_date + datetime.timedelta(days=d)).isoformat()
+                      for d in range(span + 1)], dtype=object)
+    block = np.empty((_WRITE_BLOCK, len(_ACTIVITY_COLUMNS)), dtype=object)
+    for lo in range(0, len(table), _WRITE_BLOCK):
+        rows = block[:min(_WRITE_BLOCK, len(table) - lo)]
+        hi = lo + len(rows)
+        rows[:, 0] = ids[table.student_index[lo:hi]]
+        rows[:, 1] = dates[table.day[lo:hi]]
+        rows[:, 2:] = _format_numbers(table.values[lo:hi])
+        yield from rows.tolist()
+
+
 def write_course(course: CourseData, out_dir: str | Path) -> dict[str, Path]:
     """Write the four canonical CSV tables for a course into out_dir."""
     out = Path(out_dir)
@@ -608,46 +614,23 @@ def write_course(course: CourseData, out_dir: str | Path) -> dict[str, Path]:
         "grades": out / "grades.csv",
     }
     r = course.roster
-    with open(paths["meta"], "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(_META_COLUMNS)
-        w.writerow([
-            meta.course_id, meta.launch_date.isoformat(), meta.end_date.isoformat(),
-            meta.t100_date.isoformat(), _fmt_number(meta.cert_threshold), meta.field,
-        ])
-    with open(paths["demographics"], "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(_DEMO_COLUMNS)
-        yob = _format_numbers(r.yob)
-        yob[np.isnan(r.yob)] = ""
-        w.writerows(zip(
-            r.student_ids, yob.tolist(),
-            *(np.array(levels + ("",), dtype=object)[getattr(r, name)]
-              for name, levels in _LEVELS.items()),
-            r.took_precourse_survey.astype(int).tolist(),
-        ))
-    with open(paths["activity"], "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(_ACTIVITY_COLUMNS)
-        table = course.activity
-        ids = np.array(r.student_ids, dtype=object)
-        span = (meta.end_date - meta.launch_date).days
-        dates = np.array([(meta.launch_date + datetime.timedelta(days=d)).isoformat()
-                          for d in range(span + 1)], dtype=object)
-        block = np.empty((_WRITE_BLOCK, len(_ACTIVITY_COLUMNS)), dtype=object)
-        for lo in range(0, len(table), _WRITE_BLOCK):
-            rows = block[:min(_WRITE_BLOCK, len(table) - lo)]
-            hi = lo + len(rows)
-            rows[:, 0] = ids[table.student_index[lo:hi]]
-            rows[:, 1] = dates[table.day[lo:hi]]
-            rows[:, 2:] = _format_numbers(table.values[lo:hi])
-            w.writerows(rows.tolist())
-    with open(paths["grades"], "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(_GRADE_COLUMNS)
-        grades = np.array([course.final_grade.get(sid, 0.0) for sid in r.student_ids],
-                          dtype=np.float64)
-        w.writerows(zip(r.student_ids, _format_numbers(grades).tolist()))
+    write_csv(paths["meta"], _META_COLUMNS, [(
+        meta.course_id, meta.launch_date.isoformat(), meta.end_date.isoformat(),
+        meta.t100_date.isoformat(), _fmt_number(meta.cert_threshold), meta.field,
+    )])
+    yob = _format_numbers(r.yob)
+    yob[np.isnan(r.yob)] = ""
+    write_csv(paths["demographics"], _DEMO_COLUMNS, zip(
+        r.student_ids, yob.tolist(),
+        *(np.array(levels + ("",), dtype=object)[getattr(r, name)]
+          for name, levels in _LEVELS.items()),
+        r.took_precourse_survey.astype(int).tolist(),
+    ))
+    write_csv(paths["activity"], _ACTIVITY_COLUMNS, _activity_rows(course))
+    grades = np.array([course.final_grade.get(sid, 0.0) for sid in r.student_ids],
+                      dtype=np.float64)
+    write_csv(paths["grades"], _GRADE_COLUMNS,
+              zip(r.student_ids, _format_numbers(grades).tolist()))
     return paths
 
 

@@ -8,15 +8,13 @@ at smaller sizes.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import time
-from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,7 +29,7 @@ from .errors import (
     SingleClassError,
 )
 from .evaluate import auc_values, raw_accuracy
-from .settings import GrowthPlan, SgdConfig, usable_cores
+from .settings import GrowthPlan, SgdConfig, forked, usable_cores, write_csv
 
 N_CLASSES = 2
 
@@ -414,38 +412,6 @@ def _chain(
     return rows, None
 
 
-_WORKER_TASK: Callable[[], object] | None = None
-
-
-def _init_worker(task: Callable[[], object]) -> None:
-    global _WORKER_TASK
-    _WORKER_TASK = task
-
-
-def _run_worker_task() -> object:
-    return _WORKER_TASK()
-
-
-@contextmanager
-def _beside(task: Callable[[], object]):
-    """Yield a callable that returns task().
-
-    With two or more usable cores, task runs in one forked worker while the
-    with-block runs. It reaches the worker through the pool's initializer, so
-    the fork inherits it and the arrays it holds instead of pickling them; only
-    its result is pickled back. Leaving the block joins the worker, also when
-    the block raises. With one core, task runs inline when its result is asked for.
-    """
-    if usable_cores() < 2:
-        yield task
-        return
-    from concurrent.futures import ProcessPoolExecutor  # loaded only for a worker
-
-    with ProcessPoolExecutor(max_workers=1, initializer=_init_worker,
-                             initargs=(task,)) as pool:
-        yield pool.submit(_run_worker_task).result
-
-
 def grow_and_train(
     X_train, y_train, X_test, y_test,
     plan: GrowthPlan,
@@ -462,8 +428,8 @@ def grow_and_train(
     The depth chain needs only the fixed-width network, so once that is
     trained (the width cells up to fixed_width, or a standalone h=1 anchor
     without a row when fixed_width is outside the width range), the depth chain
-    runs in one forked worker while this process trains the baseline and the
-    rest of the width chain; with one usable core it runs inline. Rows, seeds
+    runs on the one worker of settings.forked while this process trains the
+    baseline and the rest of the width chain; with one usable core it runs inline. Rows, seeds
     and models do not depend on the core count; each row's train_seconds is its
     own cell's wall time. A failing cell raises the error the cells would raise
     trained one by one in row order (the anchor after the width chain).
@@ -474,9 +440,11 @@ def grow_and_train(
     head, head_err = _chain(
         None, "width",
         widths[:widths.index(plan.fixed_width) + 1] if inside else [plan.fixed_width], data, cfg)
-    depths = range(plan.depth_from, plan.depth_to + 1)
-    with (nullcontext(lambda: ([], None)) if head_err is not None else
-          _beside(partial(_chain, head[-1].model, "depth", depths, data, cfg))) as depth_result:
+    # a failed head leaves the depth chain without its teacher: it is never run
+    depth_task = partial(_chain, head[-1].model if head_err is None else None, "depth",
+                         range(plan.depth_from, plan.depth_to + 1), data, cfg)
+    with forked(depth_task, int(head_err is None and usable_cores() >= 2)) as submit:
+        depth_result = submit()
         base, base_err = _chain(None, "baseline", [0], data, cfg)
         if not inside:
             rest, rest_err = _chain(None, "width", widths, data, cfg)
@@ -484,7 +452,7 @@ def grow_and_train(
             rest, rest_err = _chain(head[-1].model, "width", widths[len(head):], data, cfg)
         else:
             rest, rest_err = [], None
-        depth, depth_err = depth_result()
+        depth, depth_err = depth_result() if head_err is None else ([], None)
     width_errs = (head_err, rest_err) if inside else (rest_err, head_err)
     for err in (base_err, *width_errs, depth_err):
         if err is not None:
@@ -493,12 +461,9 @@ def grow_and_train(
 
 
 def write_growth_csv(report: GrowthReport, path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(("phase", "w", "h", "auc", "accuracy", "train_seconds", "seed"))
-        for r in report.rows:
-            w.writerow((r.phase, r.w, r.h, repr(r.auc), repr(r.accuracy),
-                        repr(r.train_seconds), r.seed))
+    write_csv(path, ("phase", "w", "h", "auc", "accuracy", "train_seconds", "seed"),
+              [(r.phase, r.w, r.h, repr(r.auc), repr(r.accuracy), repr(r.train_seconds), r.seed)
+               for r in report.rows])
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -10,6 +9,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import BadValueError, EmptyListError, SingleClassError
+from .settings import write_csv
 
 
 def _midranks(x: np.ndarray) -> np.ndarray:
@@ -89,10 +89,8 @@ class EvalRow:
     def __post_init__(self) -> None:
         if not (0.0 <= self.auc <= 1.0):
             raise BadValueError(f"auc {self.auc} outside [0, 1]")
-        if self.n_positives > self.n_students:
-            raise BadValueError(
-                f"n_positives {self.n_positives} exceeds n_students {self.n_students}"
-            )
+        if not 0 < self.n_positives < self.n_students:  # an AUC needs both classes
+            raise BadValueError(f"need 0 < n_positives {self.n_positives} < n_students {self.n_students}")
 
 
 @dataclass(frozen=True)
@@ -174,20 +172,13 @@ def emit_report(report: EvalReport, out_dir: str | Path) -> dict[str, Path]:
         "aggregate": out / "aggregate.csv",
         "summary": out / "summary.txt",
     }
-    with open(paths["rows"], "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(ROWS_COLUMNS)
-        for r in report.rows:
-            w.writerow((r.paradigm, r.course_id, r.week, _fmt(r.auc), r.n_students, r.n_positives))
-    with open(paths["skipped"], "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(SKIPPED_COLUMNS)
-        w.writerows(report.skipped)
-    with open(paths["aggregate"], "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(("paradigm", "week", "mean_auc", "sem", "n_courses"))
-        for a in report.aggregates:
-            w.writerow((a.paradigm, a.week, _fmt(a.mean_auc), _fmt(a.sem), a.n_courses))
+    write_csv(paths["rows"], ROWS_COLUMNS,
+              [(r.paradigm, r.course_id, r.week, _fmt(r.auc), r.n_students, r.n_positives)
+               for r in report.rows])
+    write_csv(paths["skipped"], SKIPPED_COLUMNS, report.skipped)
+    write_csv(paths["aggregate"], ("paradigm", "week", "mean_auc", "sem", "n_courses"),
+              [(a.paradigm, a.week, _fmt(a.mean_auc), _fmt(a.sem), a.n_courses)
+               for a in report.aggregates])
     paths["summary"].write_text(render_summary(report), encoding="utf-8")
     return paths
 

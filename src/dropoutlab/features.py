@@ -20,7 +20,6 @@ activity; build_matrix is the walk's one-date case.
 
 from __future__ import annotations
 
-import csv
 import datetime
 import json
 from array import array
@@ -46,6 +45,7 @@ from .errors import (
     SchemaMismatchError,
 )
 from .evaluate import _midranks
+from .settings import read_csv, write_csv
 
 _AGE_EDGES = np.arange(10, 61, 5)  # 10, 15, ..., 60; ages are as of 2012
 _AGE_NAMES = (
@@ -109,15 +109,22 @@ class FeatureMatrix:
                              self.as_of)
 
 
+def _test_size(n: int, test_fraction: float, where: str = "") -> int:
+    """The test side's row count of split_rows; BadValueError, its message after
+    where, if a side would be empty."""
+    n_test = int(round(test_fraction * n))
+    if not (0 < n_test < n):
+        raise BadValueError(f"{where}test fraction {test_fraction} leaves an empty side for n={n}")
+    return n_test
+
+
 def split_rows(n: int, test_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Seeded (train_rows, test_rows) of range(n), each sorted.
 
     round(test_fraction * n) rows go to the test side, drawn by one
     default_rng(seed).permutation(n); a side left empty is an error.
     """
-    n_test = int(round(test_fraction * n))
-    if not (0 < n_test < n):
-        raise BadValueError(f"test fraction {test_fraction} leaves an empty side for n={n}")
+    n_test = _test_size(n, test_fraction)
     order = np.random.default_rng(seed).permutation(n)
     return np.sort(order[n_test:]), np.sort(order[:n_test])
 
@@ -340,44 +347,33 @@ def holdout_split(
 
 def write_matrix(m: FeatureMatrix, path: str | Path) -> None:
     """Write a feature matrix as CSV: student_id column, then the FEATURE_NAMES columns."""
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(("student_id",) + FEATURE_NAMES)
-        # csv.writer writes a float as its repr; a row at a time keeps few floats alive
-        w.writerows([sid, *row.tolist()] for sid, row in zip(m.student_ids, m.values))
+    # a float is written as its repr; a row at a time keeps few floats alive
+    write_csv(path, ("student_id",) + FEATURE_NAMES,
+              ([sid, *row.tolist()] for sid, row in zip(m.student_ids, m.values)))
 
 
 def load_matrix(path: str | Path, as_of: datetime.date) -> FeatureMatrix:
     """Read a matrix written by write_matrix (rows in ascending student-id order);
     as_of is supplied by the caller. A file that is not UTF-8 raises BadValueError."""
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
+    rows = read_csv(path)
+    _, header = next(rows, (0, None))
+    if header is None:
+        raise MissingColumnError(f"{path}: empty file")
+    if header[:1] != ["student_id"]:
+        raise MissingColumnError(f"{path}: first column must be student_id")
+    if tuple(header[1:]) != FEATURE_NAMES:
+        raise SchemaMismatchError(f"{path}: columns do not match the feature layout")
+    ids = []
+    values = array("d")
+    for lineno, row in rows:
+        if ids and row[0] <= ids[-1]:
+            raise BadValueError(f"{path}:{lineno}: student id {row[0]!r} does not "
+                                f"follow {ids[-1]!r}; ids must be unique and ascending")
+        ids.append(row[0])
         try:
-            header = next(reader, None)
-            if header is None:
-                raise MissingColumnError(f"{path}: empty file")
-            if header[:1] != ["student_id"]:
-                raise MissingColumnError(f"{path}: first column must be student_id")
-            if tuple(header[1:]) != FEATURE_NAMES:
-                raise SchemaMismatchError(f"{path}: columns do not match the feature layout")
-            ids = []
-            values = array("d")
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise BadValueError(
-                        f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}")
-                if ids and row[0] <= ids[-1]:
-                    raise BadValueError(f"{path}:{lineno}: student id {row[0]!r} does not "
-                                        f"follow {ids[-1]!r}; ids must be unique and ascending")
-                ids.append(row[0])
-                try:
-                    values.extend(map(float, row[1:]))
-                except ValueError:
-                    raise BadValueError(f"{path}:{lineno}: non-numeric feature value") from None
-        except UnicodeDecodeError as e:
-            raise BadValueError(f"{path}: not UTF-8 text ({e})") from None
+            values.extend(map(float, row[1:]))
+        except ValueError:
+            raise BadValueError(f"{path}:{lineno}: non-numeric feature value") from None
     return FeatureMatrix(tuple(ids), np.array(values).reshape(len(ids), WIDTH), as_of)
 
 

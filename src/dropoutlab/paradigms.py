@@ -30,16 +30,15 @@ date order over one walk of its snapshots, into a table that holds models
 only, never a feature matrix. A target's score task walks its eligible weeks
 once: a week's snapshot is built once and z-scored at most once, and every
 cell scored that week reads it with its keys' models. in_situ and post_hoc
-with holdout > 0 train inside their cells and read no key. With jobs > 1, one
-process pool runs the fit tasks and then the score tasks. A cell is skipped
+with holdout > 0 train inside their cells and read no key. With jobs > 1, the
+pool of settings.forked runs the fit tasks and then the score tasks. A cell is skipped
 too when a training set, or the labels it is ranked against, hold one class.
 """
 
 from __future__ import annotations
 
 import datetime
-from contextlib import contextmanager
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import groupby
 from operator import itemgetter
 from typing import Callable, Sequence
@@ -57,6 +56,7 @@ from .errors import (
 from .evaluate import EvalReport, EvalRow, auc_values
 from .features import (
     FeatureMatrix,
+    _test_size,
     apply_zscore,
     build_matrix,
     holdout_split,
@@ -73,6 +73,7 @@ from .linear import (
     score_demographics,
     train_logreg,
 )
+from .settings import forked
 
 PARADIGMS: tuple[str, ...] = (
     "post_hoc", "same_field", "multi_course", "in_situ", "baseline1", "baseline2",
@@ -247,8 +248,9 @@ def _cell_keys(
     """The model-table keys one cell reads, in the order it reads them.
 
     Checks the cell first, so an unknown paradigm or target, a missing source
-    course or an ineligible week raises before any model is fit. in_situ,
-    baseline2 and post_hoc with holdout > 0 read no key.
+    course, an ineligible week or a holdout that leaves a side of post_hoc's
+    split empty raises before any model is fit. in_situ, baseline2 and
+    post_hoc with holdout > 0 read no key.
     """
     sources = source_courses(corpus, kind, target_id)
     by_id = _corpus_index(corpus)
@@ -257,6 +259,8 @@ def _cell_keys(
         raise WindowOutOfRangeError(f"week {w} not eligible for {kind} on {target_id!r}")
     if kind == "post_hoc" and holdout <= 0.0:
         return ((target_id, week_date(target.meta, w)),)
+    if kind == "post_hoc":  # holdout > 0: the split needs students on both sides
+        _test_size(len(target.roster), holdout, f"course {target_id!r}: ")
     if kind == "baseline1":
         return ((target_id, None),)
     return tuple((cid, _source_date(by_id[cid].meta, w)) for cid in sources)
@@ -382,36 +386,9 @@ def run_paradigm(
 # Experiment harness
 # ---------------------------------------------------------------------------
 
-_WORKER_CORPUS: list[CourseData] | None = None
-
-
-def _init_worker(corpus: list[CourseData] | None) -> None:
-    global _WORKER_CORPUS
-    _WORKER_CORPUS = corpus
-
-
-@contextmanager
-def _corpus_map(corpus: list[CourseData], jobs: int):
-    """A map(fn, items) over workers that hold the corpus: one process pool
-    when jobs > 1, this process otherwise. The corpus is dropped on exit."""
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor  # loaded only for a pool
-
-        with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_init_worker, initargs=(corpus,)
-        ) as pool:
-            yield lambda fn, items: list(pool.map(fn, items))
-        return
-    _init_worker(corpus)
-    try:
-        yield lambda fn, items: [fn(item) for item in items]
-    finally:
-        _init_worker(None)
-
-
-def _fit_course_entry(args) -> dict[ModelKey, LinearModel | SingleClassError]:
-    course_id, dates, C = args
-    return _fit_course_keys(_corpus_index(_WORKER_CORPUS)[course_id], dates, C)
+def _on_corpus(corpus: list[CourseData], fn: Callable, course_id: str, *args):
+    """fn(the course of corpus named course_id, *args): run_experiment's task."""
+    return fn(_corpus_index(corpus)[course_id], *args)
 
 
 # One target course's share of a run's plan: its cells that can be scored, as
@@ -419,13 +396,13 @@ def _fit_course_entry(args) -> dict[ModelKey, LinearModel | SingleClassError]:
 _Cells = list[tuple[int, str, tuple[ModelKey, ...]]]
 
 
-def _score_course(args) -> tuple[list[tuple], list[tuple]]:
+def _score_course(target: CourseData, cells: list[tuple], C: float, holdout: float,
+                  seed: int) -> tuple[list[tuple], list[tuple]]:
     """The rows and skipped records of one target's planned cells, each given
     with its keys' models. One walk over the weeks where some paradigm reads a
     snapshot builds each week's snapshot once, for every cell of that week.
     """
-    target_id, cells, C, holdout, seed = args
-    target = _corpus_index(_WORKER_CORPUS)[target_id]
+    target_id = target.meta.course_id
     read = sorted({w for w, kind, _ in cells if kind != "baseline1"})
     walk = snapshots(target, [week_date(target.meta, w) for w in read])
     rows: list[tuple] = []
@@ -489,14 +466,14 @@ def run_experiment(
     for cid, as_of in dict.fromkeys(key for cells in plan.values() for *_, keys in cells
                                     for key in keys):
         dates.setdefault(cid, []).append(as_of)
-    with _corpus_map(corpus, jobs) as corpus_map:
+    with forked(partial(_on_corpus, corpus), jobs if jobs > 1 else 0) as submit:
         table: dict[ModelKey, LinearModel | SingleClassError] = {}
-        for models in corpus_map(_fit_course_entry, [(cid, dates[cid], C) for cid in sorted(dates)]):
-            table.update(models)
-        results = corpus_map(_score_course, [
-            (cid, [(w, kind, [table[key] for key in keys]) for w, kind, keys in cells],
-             C, holdout, seed)
-            for cid, cells in plan.items()
-        ])
+        for models in [submit(_fit_course_keys, cid, dates[cid], C) for cid in sorted(dates)]:
+            table.update(models())
+        results = [submit(_score_course, cid,
+                          [(w, kind, [table[key] for key in keys]) for w, kind, keys in cells],
+                          C, holdout, seed)
+                   for cid, cells in plan.items()]
+        results = [result() for result in results]
     return EvalReport.from_rows([EvalRow(*r) for rows, _ in results for r in rows],
                                 skipped + [s for _, skips in results for s in skips])

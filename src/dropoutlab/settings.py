@@ -1,15 +1,22 @@
 """What the command line needs before numpy loads, on the standard library
 alone: a growth sweep's settings, so that grow's options can be shown and
 checked, and the one date form (YYYY-MM-DD) that files and options take. Also
-the usable core count that sizes the package's thread and process pools."""
+the package's one CSV form (read_csv, write_csv), the usable core count that
+sizes its thread and process pools, and its one way to run work in forked
+worker processes (forked)."""
 
+import csv
 import datetime
 import math
 import os
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
+from pathlib import Path
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import BadConfigError
+from .errors import BadConfigError, BadValueError
 
 
 @dataclass(frozen=True)
@@ -87,3 +94,66 @@ def usable_cores() -> int:
     """The cores this process may run on: its CPU affinity where the OS has one, at least 1."""
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return cores or 1
+
+
+def read_csv(path: str | Path) -> Iterator[tuple[int, list[str]]]:
+    """(line, cells) of a CSV table: first its header as it is, then each
+    non-blank row, with the line the row ends on. Nothing for an empty file.
+
+    The file must be UTF-8 text and each row must have one cell per header
+    cell; otherwise BadValueError names the file, and the line of the row.
+    """
+    with open(path, newline="", encoding="utf-8") as f:
+        reader = csv.reader(f)
+        try:
+            header = next(reader, None)
+            if header is not None:
+                yield reader.line_num, header
+            for row in filter(None, reader):  # nothing is left after no header
+                if len(row) != len(header):
+                    raise BadValueError(
+                        f"{path}:{reader.line_num}: expected {len(header)} cells, got {len(row)}")
+                yield reader.line_num, row
+        except UnicodeDecodeError as e:
+            raise BadValueError(f"{path}: not UTF-8 text ({e})") from None
+
+
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a CSV table in UTF-8 and csv's default dialect: the header, then
+    rows. A float cell is written as its repr."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+_TASK: Callable | None = None  # forked's task, in each of its workers
+
+
+def _start_worker(task: Callable) -> None:
+    global _TASK
+    _TASK = task
+
+
+def _run_task(*args):
+    return _TASK(*args)
+
+
+@contextmanager
+def forked(task: Callable, processes: int):
+    """Yield submit(*args), which returns a callable of no arguments that gives task(*args).
+
+    With processes >= 1, each call runs on a pool of that many forked worker
+    processes. task reaches them through the pool's initializer, so each fork
+    inherits it and the arrays it holds; only args and results are pickled.
+    Leaving the block joins the workers, also when the block raises. With
+    processes 0, a call runs in this process when its result is asked for.
+    """
+    if processes == 0:
+        yield lambda *args: partial(task, *args)
+        return
+    from concurrent.futures import ProcessPoolExecutor  # loaded only for a pool
+
+    with ProcessPoolExecutor(max_workers=processes, initializer=_start_worker,
+                             initargs=(task,)) as pool:
+        yield lambda *args: pool.submit(_run_task, *args).result

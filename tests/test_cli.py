@@ -537,6 +537,17 @@ class TestStrictManifest:
         assert named in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_holdout_that_empties_a_side_fails_before_any_fit(self, tmp_path, capsys,
+                                                             monkeypatch):
+        from dropoutlab import paradigms
+
+        monkeypatch.setattr(paradigms, "forked", lambda *a: pytest.fail("a phase started"))
+        manifest = _write_manifest(tmp_path, paradigms=["post_hoc"], holdout=0.005)
+        assert main(["run", "--manifest", str(manifest)]) == 1
+        assert capsys.readouterr().err == (
+            "error: course 'MAx': test fraction 0.005 leaves an empty side for n=60\n")
+        assert not (tmp_path / "out").exists()
+
 
 def _exit_code(argv):
     """main's return value, or argparse's usage exit; any other exception escapes."""
@@ -842,7 +853,15 @@ class TestReportCommand:
             re.sub(rb"^(baseline1,MAx,-3,)[^,]*", rb"\1nan", (out / "rows.csv").read_bytes(),
                    flags=re.M)),
          "{out}/rows.csv:3: auc nan outside [0, 1]"),
-    ], ids=["not-utf8", "week-not-int", "auc-nan"])
+        (lambda out: (out / "rows.csv").write_bytes(
+            re.sub(rb"^(baseline1,MAx,-3,[^,]*),[^,]*,[^,\r]*", rb"\1,-5,-7",
+                   (out / "rows.csv").read_bytes(), flags=re.M)),
+         "{out}/rows.csv:3: need 0 < n_positives -7 < n_students -5"),
+        (lambda out: (out / "rows.csv").write_bytes(
+            re.sub(rb"^(baseline1,MAx,-3,[^,]*,[^,]*),[^,\r]*", rb"\1,0",
+                   (out / "rows.csv").read_bytes(), flags=re.M)),
+         "{out}/rows.csv:3: need 0 < n_positives 0 < n_students 60"),
+    ], ids=["not-utf8", "week-not-int", "auc-nan", "negative-counts", "no-positives"])
     def test_bad_input_names_its_file_and_line(self, tmp_path, capsys, edit, expected):
         manifest = _write_manifest(tmp_path, paradigms=["baseline1"])
         assert main(["run", "--manifest", str(manifest)]) == 0

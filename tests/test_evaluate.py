@@ -242,7 +242,8 @@ class TestReport:
             EvalReport.from_rows(rows, skipped=skipped)
 
     def test_row_invariants_enforced(self):
-        with pytest.raises(BadValueError):
-            EvalRow("post_hoc", "A1x", 0, 1.5, 10, 2)
-        with pytest.raises(BadValueError):
-            EvalRow("post_hoc", "A1x", 0, 0.5, 10, 11)
+        # an AUC needs both classes: 0 < n_positives < n_students
+        for auc, n, pos in ((1.5, 10, 2), (0.5, 10, 11), (0.5, -5, -7), (0.5, 10, 0),
+                            (0.5, 10, 10)):
+            with pytest.raises(BadValueError):
+                EvalRow("post_hoc", "A1x", 0, auc, n, pos)

@@ -629,6 +629,16 @@ class TestSerialization:
         with pytest.raises(BadValueError, match=rf"{re.escape(str(p))}:4: non-numeric feature value"):
             load_matrix(p, day(9))
 
+    def test_matrix_error_line_counts_quoted_line_ends(self, tiny_course, tmp_path):
+        p = tmp_path / "m.csv"
+        write_matrix(build_matrix(tiny_course, day(9)), p)
+        lines = p.read_text().splitlines(keepends=True)
+        lines[1] = '"a\nb"' + lines[1][lines[1].index(","):]  # a first id over two lines
+        lines[3] = lines[3].replace(",", ",x", 1)  # a bad cell on line 5
+        p.write_text("".join(lines))
+        with pytest.raises(BadValueError, match=rf"{re.escape(str(p))}:5: non-numeric feature value"):
+            load_matrix(p, day(9))
+
     def test_matrix_not_utf8_names_file(self, tiny_course, tmp_path):
         p = tmp_path / "m.csv"
         write_matrix(build_matrix(tiny_course, day(9)), p)

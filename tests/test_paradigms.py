@@ -275,6 +275,13 @@ class TestPostHoc:
         with pytest.raises(BadValueError):
             run_paradigm(handmade_corpus, "post_hoc", "HCAx", 0, holdout=1.5)
 
+    def test_holdout_that_empties_a_side_fails_before_any_snapshot(self, handmade_corpus,
+                                                                  monkeypatch):
+        monkeypatch.setattr(paradigms, "build_matrix", lambda *a: pytest.fail("snapshot built"))
+        with pytest.raises(BadValueError, match=r"^course 'HCBx': test fraction 0\.005 leaves "
+                                                r"an empty side for n=60$"):
+            run_paradigm(handmade_corpus, "post_hoc", "HCBx", 0, holdout=0.005)
+
 
 class TestTransfer:
     def test_same_field_deploys_source_statistics(self, handmade_corpus):
