@@ -19,7 +19,7 @@ from pathlib import Path
 # Besides the standard library, the parser loads only these numpy-free modules,
 # so --help and usage errors answer quickly; each command imports what it runs.
 from .errors import BadConfigError, DropoutLabError
-from .settings import GrowthPlan, SgdConfig, parse_date, read_csv
+from .settings import PARADIGMS, GrowthPlan, SgdConfig, check_paradigms, parse_date, read_csv
 
 def _int_at_least(lo: int, source: str = ""):
     """An argparse type: the integer of a text, which must be >= lo."""
@@ -67,6 +67,7 @@ _GROWTH_DEFAULTS = {
 # features' and train's --week, which the namespace holds only when it is given
 # (the commands read 0 otherwise): argparse takes an option given its default
 # value as absent, so a default of 0 would let --week 0 pass beside --as-of.
+# synth's --courses and --students are held the same way, to be refused beside --config.
 _WEEK = dict(type=int, default=argparse.SUPPRESS,
              help="week index, 0 = full-points date, negative = weeks earlier (default: 0)")
 
@@ -86,10 +87,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="generate a synthetic corpus as CSV course directories")
     p.add_argument("--config", type=Path, default=None,
                    help="corpus config JSON (default: built-in 4-course corpus)")
-    p.add_argument("--courses", type=_positive_int, default=4,
-                   help="course count for the built-in config (ignored with --config)")
-    p.add_argument("--students", type=_positive_int, default=400,
-                   help="students per course for the built-in config")
+    p.add_argument("--courses", type=_positive_int, default=argparse.SUPPRESS,
+                   help="course count for the built-in config (default: 4)")
+    p.add_argument("--students", type=_positive_int, default=argparse.SUPPRESS,
+                   help="students per course for the built-in config (default: 400)")
     p.add_argument("--seed", type=_seed, default=env_seed,
                    help="master seed (env DROPOUTLAB_SEED overrides this default)")
     p.add_argument("--out", type=Path, required=True, help="output directory")
@@ -170,11 +171,9 @@ def _read_json(path: Path, what: str):
             raise BadConfigError(f"{path}: not valid UTF-8 JSON ({e})") from None
 
 
-def _load_corpus_config(path: Path | None, courses: int, students: int):
-    """The CorpusConfig in path, or the built-in one of courses x students."""
-    from .dataset import corpus_config_from_dict, default_corpus_config
-    if path is None:
-        return default_corpus_config(courses, students)
+def _load_corpus_config(path: Path):
+    """The CorpusConfig in the JSON file at path; its errors name the file."""
+    from .dataset import corpus_config_from_dict
     doc = _read_json(path, "corpus config")
     try:
         return corpus_config_from_dict(doc)
@@ -183,8 +182,13 @@ def _load_corpus_config(path: Path | None, courses: int, students: int):
 
 
 def cmd_synth(args) -> int:
-    from .dataset import corpus_config_to_dict, synthesize_corpus, write_course
-    config = _load_corpus_config(args.config, args.courses, args.students)
+    sized = [name for name in ("courses", "students") if name in args]
+    if args.config is not None and sized:
+        return _usage_error(f"--{sized[0]} is not read with --config, which gives every course")
+    from .dataset import (corpus_config_to_dict, default_corpus_config, synthesize_corpus,
+                          write_course)
+    config = (_load_corpus_config(args.config) if args.config is not None else
+              default_corpus_config(**{f"n_{name}": getattr(args, name) for name in sized}))
     corpus = synthesize_corpus(config, args.seed)
     args.out.mkdir(parents=True, exist_ok=True)
     with open(args.out / "corpus_config.json", "w", encoding="utf-8") as f:
@@ -204,9 +208,8 @@ def _usage_error(message: str) -> int:
 def cmd_features(args) -> int:
     if args.norm == "none" and args.stats_out is not None:
         return _usage_error("--stats-out is not written with --norm none")
-    from .dataset import load_course_dir
+    from .dataset import load_course_dir, week_date
     from .features import build_matrix, normalize, save_norm_stats, write_matrix
-    from .paradigms import week_date
     course = load_course_dir(args.course_dir)
     m = build_matrix(course, args.as_of or week_date(course.meta, getattr(args, "week", 0)))
     paths = [args.out]
@@ -225,19 +228,19 @@ def cmd_features(args) -> int:
 def cmd_train(args) -> int:
     if args.kind == "baseline1" and "week" in args:
         return _usage_error("--week is not read with --kind baseline1, which fits demographics only")
-    from .dataset import load_course_dir
+    from .dataset import load_course_dir, week_date
     from .evaluate import auc_values
-    from .features import build_matrix
-    from .linear import baseline_demographics, predict_proba, save_model, score_demographics
-    from .paradigms import fit_course_model, week_date
+    from .features import apply_zscore, build_matrix
+    from .linear import (baseline_demographics, fit_course_model, predict_proba, save_model,
+                         score_demographics)
     course = load_course_dir(args.course_dir)
     if args.kind == "baseline1":
         model = baseline_demographics(course, args.reg_c)
         scores = score_demographics(model, course)
     else:
         m = build_matrix(course, week_date(course.meta, getattr(args, "week", 0)))
-        model, z = fit_course_model(course, m, args.reg_c)
-        scores = predict_proba(model, z)
+        model = fit_course_model(course, m, args.reg_c)
+        scores = predict_proba(model, apply_zscore(m, model.norm))
     args.out.parent.mkdir(parents=True, exist_ok=True)
     save_model(model, args.out)
     a = auc_values(scores, course.certified)
@@ -284,19 +287,20 @@ def _read_manifest(path: Path) -> dict:
 
 
 def cmd_run(args) -> int:
-    from .dataset import synthesize_corpus
-    from .evaluate import emit_report
-    from .paradigms import PARADIGMS, run_experiment
     doc = _read_manifest(args.manifest)
     for kind in doc["paradigms"]:
         if kind not in PARADIGMS:
             return _usage_error(
                 f"unknown paradigm {kind!r} (expected one of {', '.join(PARADIGMS)})")
+    check_paradigms(doc["paradigms"])  # a paradigm listed twice fails before any synthesis
+    from .dataset import synthesize_corpus
+    from .evaluate import emit_report
+    from .paradigms import run_experiment
     base = args.manifest.parent
     config_path = Path(doc["corpus_config_path"])
     if not config_path.is_absolute():
         config_path = base / config_path
-    config = _load_corpus_config(config_path, 0, 0)
+    config = _load_corpus_config(config_path)
     out_dir = Path(doc["output_dir"])
     if not out_dir.is_absolute():
         out_dir = base / out_dir
@@ -316,10 +320,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_grow(args) -> int:
-    from .dataset import load_course_dir
+    from .dataset import load_course_dir, week_date
     from .deepnet import grow_and_train, save_mlp, write_growth_csv
-    from .features import build_matrix, holdout_split
-    from .paradigms import week_date
+    from .features import _test_size, build_matrix, holdout_split
     split = _checked("grow", "split", args.split, lambda v: 0 < v < 1, "in (0, 1)")
     try:
         plan, cfg = (cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
@@ -327,6 +330,7 @@ def cmd_grow(args) -> int:
     except BadConfigError as e:
         raise BadConfigError(f"grow: {e}") from None
     course = load_course_dir(args.course_dir)
+    _test_size(len(course.roster), split, f"course {course.meta.course_id!r}: ")
     _, train, y_train, test, y_test = holdout_split(
         build_matrix(course, week_date(course.meta, args.week)), course.certified, split,
         cfg.seed, args.norm)

@@ -17,6 +17,7 @@ from .errors import (
     BadConfigError,
     BadDateError,
     BadValueError,
+    BeforeLaunchError,
     DuplicateCourseIdError,
     DuplicateStudentDayError,
     MissingColumnError,
@@ -80,6 +81,17 @@ class CourseMeta:
             raise BadConfigError(
                 f"course {self.course_id!r}: unknown field {self.field!r} (expected one of {FIELDS})"
             )
+
+
+def week_date(meta: CourseMeta, w: int) -> datetime.date:
+    """Calendar date of week w: t100_date + 7*w days (week 0 = T100%)."""
+    d = meta.t100_date + datetime.timedelta(days=7 * w)
+    if d < meta.launch_date:
+        raise BeforeLaunchError(
+            f"course {meta.course_id!r}: week {w} falls on {d}, "
+            f"before launch {meta.launch_date}"
+        )
+    return d
 
 
 # The levels of each categorical roster column; the column holds each
@@ -554,24 +566,17 @@ def _is_number(cell: str) -> bool:
     return True
 
 
-def _fmt_number(v: float) -> str:
-    if float(v).is_integer():
-        return str(int(v))
-    return repr(float(v))
-
-
 # The text of each integral value in [0, 1024), looked up instead of formatted.
 _SMALL_INTS = np.array([str(i) for i in range(1024)], dtype=object)
 _WRITE_BLOCK = 256  # activity rows formatted at a time: few cell objects are alive at once
 
 
 def _format_numbers(values: np.ndarray) -> np.ndarray:
-    """_fmt_number over an array: an object array of cells that csv.writer writes alike.
+    """The CSV cells of an array of numbers, as an object array for write_csv.
 
-    An integral value below 2**63 in magnitude becomes its decimal string (from
-    a table when small) or a Python int; every other value a Python float,
-    whose str is its repr. An integral float beyond int64 goes through
-    _fmt_number.
+    An integral value becomes its decimal text: from a table when small, else
+    a Python int (by int64 below 2**63 in magnitude). Every other value stays
+    a Python float, which write_csv writes as its repr.
     """
     ints = (np.abs(values) < 2.0**63) & (values == np.floor(values))
     small = ints & (values >= 0.0) & (values < len(_SMALL_INTS))
@@ -581,7 +586,7 @@ def _format_numbers(values: np.ndarray) -> np.ndarray:
     cells[rest] = values[rest].astype(np.int64)
     cells[~ints] = values[~ints]
     huge = np.isfinite(values) & (np.abs(values) >= 2.0**63)
-    cells[huge] = [_fmt_number(v) for v in values[huge].tolist()]
+    cells[huge] = [int(v) for v in values[huge].tolist()]
     return cells
 
 
@@ -616,7 +621,7 @@ def write_course(course: CourseData, out_dir: str | Path) -> dict[str, Path]:
     r = course.roster
     write_csv(paths["meta"], _META_COLUMNS, [(
         meta.course_id, meta.launch_date.isoformat(), meta.end_date.isoformat(),
-        meta.t100_date.isoformat(), _fmt_number(meta.cert_threshold), meta.field,
+        meta.t100_date.isoformat(), *_format_numbers(np.array([meta.cert_threshold])), meta.field,
     )])
     yob = _format_numbers(r.yob)
     yob[np.isnan(r.yob)] = ""

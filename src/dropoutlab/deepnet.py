@@ -462,7 +462,7 @@ def grow_and_train(
 
 def write_growth_csv(report: GrowthReport, path: str | Path) -> None:
     write_csv(path, ("phase", "w", "h", "auc", "accuracy", "train_seconds", "seed"),
-              [(r.phase, r.w, r.h, repr(r.auc), repr(r.accuracy), repr(r.train_seconds), r.seed)
+              [(r.phase, r.w, r.h, r.auc, r.accuracy, r.train_seconds, r.seed)
                for r in report.rows])
 
 

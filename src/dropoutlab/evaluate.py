@@ -154,10 +154,6 @@ ROWS_COLUMNS = ("paradigm", "course_id", "week", "auc", "n_students", "n_positiv
 SKIPPED_COLUMNS = ("paradigm", "course_id", "week", "reason")
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
 def emit_report(report: EvalReport, out_dir: str | Path) -> dict[str, Path]:
     """Write rows.csv, skipped.csv, aggregate.csv, and a fixed-width summary grid.
 
@@ -173,12 +169,11 @@ def emit_report(report: EvalReport, out_dir: str | Path) -> dict[str, Path]:
         "summary": out / "summary.txt",
     }
     write_csv(paths["rows"], ROWS_COLUMNS,
-              [(r.paradigm, r.course_id, r.week, _fmt(r.auc), r.n_students, r.n_positives)
+              [(r.paradigm, r.course_id, r.week, r.auc, r.n_students, r.n_positives)
                for r in report.rows])
     write_csv(paths["skipped"], SKIPPED_COLUMNS, report.skipped)
     write_csv(paths["aggregate"], ("paradigm", "week", "mean_auc", "sem", "n_courses"),
-              [(a.paradigm, a.week, _fmt(a.mean_auc), _fmt(a.sem), a.n_courses)
-               for a in report.aggregates])
+              [(a.paradigm, a.week, a.mean_auc, a.sem, a.n_courses) for a in report.aggregates])
     paths["summary"].write_text(render_summary(report), encoding="utf-8")
     return paths
 

@@ -47,6 +47,7 @@ from .features import (
     demographic_dummies,
     norm_stats_from_dict,
     norm_stats_to_dict,
+    normalize,
 )
 
 
@@ -212,6 +213,18 @@ def average_hyperplanes(models: Sequence[LinearModel]) -> LinearModel:
     )
     intercept = math.fsum(float(m.intercept) for m in models) / n
     return LinearModel(weights=weights, intercept=intercept, reg_C=models[0].reg_C, norm=None)
+
+
+def fit_course_model(course: CourseData, m: FeatureMatrix, C: float = 1.0) -> LinearModel:
+    """Logistic model on a snapshot of the course, z-scored, and the course's own labels.
+
+    m is the course's feature matrix at some date (build_matrix, or one step
+    of snapshots). The model carries the zscore stats it was fit with.
+    """
+    if m.student_ids != course.roster.student_ids:
+        raise BadValueError(f"the snapshot's rows are not the roster of {course.meta.course_id!r}")
+    stats, (z,) = normalize(m, [m], "zscore")
+    return train_logreg(z, course.certified, C, norm=stats)
 
 
 # Columns of the demographic dummies, in demographic_dummies order.

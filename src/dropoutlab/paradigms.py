@@ -1,8 +1,9 @@
-"""Training paradigms and the weekly prediction schedule.
+"""The experiment harness: the paradigms' weekly schedule and cells, and run_experiment.
 
-Week indexing is anchored to each course's T100% date (week 0); negative
-weeks count backward toward launch. Four paradigms plus two baselines score
-every enrolled student at each eligible week:
+Weeks are dataset.week_date's, anchored to each course's T100% date (week 0);
+negative weeks count backward toward launch. The paradigms, named in
+settings.PARADIGMS, are four plus two baselines that score every enrolled
+student at each eligible week:
 
   post_hoc     train and score the target course with its own end-of-course
                labels (optimistic upper bound, unusable live)
@@ -45,14 +46,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dataset import CLICKSTREAM_FEATURES, ActivityTable, CourseData, CourseMeta, Roster
-from .errors import (
-    BadValueError,
-    BeforeLaunchError,
-    InvalidParadigmError,
-    SingleClassError,
-    WindowOutOfRangeError,
-)
+from .dataset import CLICKSTREAM_FEATURES, ActivityTable, CourseData, CourseMeta, Roster, week_date
+from .errors import BadValueError, InvalidParadigmError, SingleClassError, WindowOutOfRangeError
 from .evaluate import EvalReport, EvalRow, auc_values
 from .features import (
     FeatureMatrix,
@@ -69,15 +64,12 @@ from .linear import (
     average_hyperplanes,
     baseline_demographics,
     baseline_recency,
+    fit_course_model,
     predict_proba,
     score_demographics,
     train_logreg,
 )
-from .settings import forked
-
-PARADIGMS: tuple[str, ...] = (
-    "post_hoc", "same_field", "multi_course", "in_situ", "baseline1", "baseline2",
-)
+from .settings import PARADIGMS, check_paradigms, forked
 
 # Minimum days of data since launch before a paradigm can produce a model:
 # post_hoc wants the first week of activity on record; in_situ wants a week of
@@ -91,17 +83,6 @@ _MIN_DAYS: dict[str, int] = {
     "baseline1": 0,
     "baseline2": 0,
 }
-
-
-def week_date(meta: CourseMeta, w: int) -> datetime.date:
-    """Calendar date of week w: t100_date + 7*w days (week 0 = T100%)."""
-    d = meta.t100_date + datetime.timedelta(days=7 * w)
-    if d < meta.launch_date:
-        raise BeforeLaunchError(
-            f"course {meta.course_id!r}: week {w} falls on {d}, "
-            f"before launch {meta.launch_date}"
-        )
-    return d
 
 
 def prediction_weeks(meta: CourseMeta, kind: str) -> list[int]:
@@ -186,21 +167,6 @@ def source_courses(corpus: Sequence[CourseData], kind: str, target_id: str) -> t
             raise InvalidParadigmError("multi_course needs at least one other course")
         return sources
     return ()
-
-
-def fit_course_model(
-    course: CourseData, m: FeatureMatrix, C: float = 1.0
-) -> tuple[LinearModel, FeatureMatrix]:
-    """Logistic model on a snapshot of the course, z-scored, and the course's own labels.
-
-    m is the course's feature matrix at some date (build_matrix, or one step
-    of snapshots). Returns the model (carrying the zscore stats) and the
-    z-scored matrix it was fit on.
-    """
-    if m.student_ids != course.roster.student_ids:
-        raise BadValueError(f"the snapshot's rows are not the roster of {course.meta.course_id!r}")
-    stats, (z,) = normalize(m, [m], "zscore")
-    return train_logreg(z, course.certified, C, norm=stats), z
 
 
 def _source_date(meta: CourseMeta, w: int) -> datetime.date:
@@ -288,15 +254,14 @@ def _fit_course_keys(
     if None in dates:
         models[cid, None] = _kept(lambda: baseline_demographics(course, C))
     for m in snapshots(course, sorted(d for d in dates if d is not None)):
-        models[cid, m.as_of] = _kept(lambda: fit_course_model(course, m, C)[0])
+        models[cid, m.as_of] = _kept(lambda: fit_course_model(course, m, C))
     return models
 
 
 class _Week:
-    """One target week's raw snapshot (None where no cell reads one) and,
-    computed on first use, its own z-score."""
+    """One target week's raw snapshot and, computed on first use, its own z-score."""
 
-    def __init__(self, m: FeatureMatrix | None):
+    def __init__(self, m: FeatureMatrix):
         self.m = m
 
     @cached_property
@@ -378,7 +343,7 @@ def run_paradigm(
     fitted = [_fit_course_keys(by_id[cid], [as_of], C)[cid, as_of]
               for cid, as_of in _cell_keys(corpus, kind, target_id, w, holdout)]
     target = by_id[target_id]
-    week = _Week(None if kind == "baseline1" else build_matrix(target, week_date(target.meta, w)))
+    week = _Week(build_matrix(target, week_date(target.meta, w)))
     return _score_cell(kind, target, w, fitted, C, holdout, seed, week)
 
 
@@ -399,16 +364,16 @@ _Cells = list[tuple[int, str, tuple[ModelKey, ...]]]
 def _score_course(target: CourseData, cells: list[tuple], C: float, holdout: float,
                   seed: int) -> tuple[list[tuple], list[tuple]]:
     """The rows and skipped records of one target's planned cells, each given
-    with its keys' models. One walk over the weeks where some paradigm reads a
-    snapshot builds each week's snapshot once, for every cell of that week.
+    with its keys' models. One walk over the cells' weeks builds each week's
+    snapshot once, for every cell of that week.
     """
     target_id = target.meta.course_id
-    read = sorted({w for w, kind, _ in cells if kind != "baseline1"})
-    walk = snapshots(target, [week_date(target.meta, w) for w in read])
+    weeks = dict.fromkeys(w for w, _, _ in cells)  # in week order, as the cells are
+    walk = snapshots(target, [week_date(target.meta, w) for w in weeks])
     rows: list[tuple] = []
     skipped: list[tuple] = []
     for w, week_cells in groupby(cells, key=itemgetter(0)):
-        week = _Week(next(walk) if w in read else None)
+        week = _Week(next(walk))
         for _, kind, fitted in week_cells:
             try:
                 scores, y = _score_cell(kind, target, w, fitted, C, holdout, seed, week)
@@ -444,11 +409,7 @@ def run_experiment(
     """
     if len(corpus) == 0:
         raise BadValueError("corpus must be non-empty")
-    for i, kind in enumerate(paradigm_kinds):
-        if kind not in PARADIGMS:
-            raise InvalidParadigmError(f"unknown paradigm {kind!r}")
-        if kind in paradigm_kinds[:i]:
-            raise InvalidParadigmError(f"paradigm {kind!r} is listed more than once")
+    check_paradigms(paradigm_kinds)
     corpus = list(corpus)
     by_id = _corpus_index(corpus)
     plan: dict[str, _Cells] = {}

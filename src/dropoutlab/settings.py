@@ -1,7 +1,8 @@
 """What the command line needs before numpy loads, on the standard library
-alone: a growth sweep's settings, so that grow's options can be shown and
-checked, and the one date form (YYYY-MM-DD) that files and options take. Also
-the package's one CSV form (read_csv, write_csv), the usable core count that
+alone: the paradigm names, so that run checks a manifest's list up front; a
+growth sweep's settings, so that grow's options can be shown and checked; and
+the one date form (YYYY-MM-DD) that files and options take. Also the
+package's one CSV form (read_csv, write_csv), the usable core count that
 sizes its thread and process pools, and its one way to run work in forked
 worker processes (forked)."""
 
@@ -16,7 +17,22 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import BadConfigError, BadValueError
+from .errors import BadConfigError, BadValueError, InvalidParadigmError
+
+# The training regimes a run compares: four paradigms, then two baselines (see paradigms).
+PARADIGMS: tuple[str, ...] = (
+    "post_hoc", "same_field", "multi_course", "in_situ", "baseline1", "baseline2",
+)
+
+
+def check_paradigms(kinds: Sequence[str]) -> None:
+    """InvalidParadigmError at the first of kinds that is no paradigm or is listed
+    a second time: a repeated kind's rows would enter every aggregate twice."""
+    for i, kind in enumerate(kinds):
+        if kind not in PARADIGMS:
+            raise InvalidParadigmError(f"unknown paradigm {kind!r}")
+        if kind in kinds[:i]:
+            raise InvalidParadigmError(f"paradigm {kind!r} is listed more than once")
 
 
 @dataclass(frozen=True)

@@ -45,6 +45,12 @@ class TestHelp:
             main(["train", "--help"])
         assert "default: 1.0" in capsys.readouterr().out
 
+    def test_synth_help_shows_the_built_in_sizes(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["synth", "--help"])
+        out = " ".join(capsys.readouterr().out.split())  # unwrapped
+        assert "(default: 4)" in out and "(default: 400)" in out
+
 
 class TestExitCodes:
     def test_usage_error_is_two(self):
@@ -622,6 +628,14 @@ def _course(**values):
     return _corpus_config({"courses": [{"course_id": "Ax", "n_students": 20, **values}]})
 
 
+def _beside_config(*options):
+    """synth of a valid corpus config, given options that only the built-in config reads."""
+    def build(tmp_path, course_dir, env):
+        argv, _ = _course()(tmp_path, course_dir, env)
+        return argv + list(options), []  # the usage error names no file
+    return build
+
+
 def _second_course(entry):
     """A corpus config of three courses, the second of which is entry."""
     return _corpus_config({"courses": [{"course_id": "Ax", "n_students": 20}, entry,
@@ -700,6 +714,12 @@ _MALFORMED = {
     "manifest-not-utf8": (_not_utf8(_manifest()), 1, ["not valid UTF-8 JSON", "0xff"]),
     "corpus-config-not-utf8": (_not_utf8(_course()), 1, ["not valid UTF-8 JSON", "0xff"]),
     "synth-seed-negative": (_synth("--seed", "-1"), 2, ["--seed", "'-1'"]),
+    "synth-courses-beside-config": (_beside_config("--courses", "9"), 2,
+                                    ["usage error: --courses", "--config"]),
+    "synth-students-beside-config": (_beside_config("--students", "5"), 2,
+                                     ["usage error: --students", "--config"]),
+    "grow-split-empties-a-side": (_grow("--split", "0.001"), 1, [
+        "error: course 'SYN1x': test fraction 0.001 leaves an empty side for n=80"]),
     "grow-seed-negative": (_grow("--seed", "-2"), 2, ["--seed", "'-2'"]),
     "env-seed-negative": (_env_seed("-4", _grow()), 2, ["DROPOUTLAB_SEED", "'-4'"]),
     "manifest-master-seed-negative": (_manifest(master_seed=-3), 1, ["master_seed", "-3"]),
@@ -956,10 +976,21 @@ class TestStartup:
         (["frobnicate"], 2),
         (["features", "--course-dir", "c", "--norm", "none", "--stats-out", "s", "--out", "m"], 2),
         (["train", "--course-dir", "c", "--kind", "baseline1", "--week", "0", "--out", "m"], 2),
+        (["synth", "--config", "c", "--courses", "9", "--out", "x"], 2),
+        (["synth", "--config", "c", "--students", "5", "--out", "x"], 2),
     ], ids=["help", "grow-help", "bad-option", "unknown-command", "ignored-stats-out",
-            "ignored-week"])
+            "ignored-week", "ignored-courses", "ignored-students"])
     def test_parser_runs_on_the_standard_library(self, args, code):
         assert _loaded(*args, code=code) == []
+
+    @pytest.mark.parametrize("overrides,code", [
+        ({"paradigms": ["post_hoc", "tarot"]}, 2),
+        ({"paradigms": ["baseline2", "baseline2"]}, 1),
+        ({"reg_C": -1}, 1),
+    ], ids=["unknown-paradigm", "repeated-paradigm", "malformed"])
+    def test_run_checks_its_manifest_on_the_standard_library(self, tmp_path, overrides, code):
+        manifest = _write_manifest(tmp_path, **overrides)
+        assert _loaded("run", "--manifest", str(manifest), code=code) == []
 
     def test_import_runs_on_the_standard_library(self):
         done = _python("-c", f"import sys, dropoutlab.cli; "
@@ -1022,3 +1053,41 @@ print(json.dumps([os.environ.get(v) for v in sys.argv[2:]]))
             assert done.returncode == 0, done.stderr
             found[jobs] = [(tmp_path / jobs / name).read_bytes() for name in files]
         assert found["1"] == found["2"]
+
+
+# `python -m dropoutlab ARGS` that prints, as it exits, the package modules it loaded.
+_MODULES_AT_EXIT = """
+import atexit, json, runpy, sys
+atexit.register(lambda: print(json.dumps(sorted(
+    m.split(".")[1] for m in sys.modules if m.startswith("dropoutlab.")))))
+sys.argv[0] = "dropoutlab"
+runpy.run_module("dropoutlab", run_name="__main__", alter_sys=True)
+"""
+
+
+class TestCommandModules:
+    """Each command loads the package modules of its own work: only run loads the
+    multi-course harness (paradigms), and none loads a module for one small helper."""
+
+    def test_each_command_loads_its_own_modules(self, tmp_path):
+        manifest = _write_manifest(tmp_path)
+        course = tmp_path / "corpus" / "MAx"
+        course_work = ["dataset", "evaluate", "features"]
+        commands = [
+            (["synth", "--config", str(tmp_path / "config.json"), "--out", str(course.parent)],
+             ["dataset"]),
+            (["features", "--course-dir", str(course), "--out", str(tmp_path / "m.csv")],
+             course_work),
+            (["train", "--course-dir", str(course), "--out", str(tmp_path / "m.json")],
+             course_work + ["linear"]),
+            (["grow", "--course-dir", str(course), "--width-to", "2", "--depth-to", "2",
+              "--epochs", "1", "--out-dir", str(tmp_path / "g")], course_work + ["deepnet"]),
+            (["run", "--manifest", str(manifest)], course_work + ["linear", "paradigms"]),
+            (["report", "--rows", str(tmp_path / "out" / "rows.csv"),
+              "--out-dir", str(tmp_path / "re")], ["evaluate"]),
+        ]
+        for argv, work in commands:
+            done = _python("-c", _MODULES_AT_EXIT, *argv)
+            assert done.returncode == 0, done.stderr
+            loaded = set(json.loads(done.stdout.splitlines()[-1]))
+            assert loaded == {"cli", "errors", "settings", *work}, argv[0]

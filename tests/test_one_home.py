@@ -1,15 +1,23 @@
-"""The CSV form and the forked-worker mechanism each have one home: settings.py.
+"""Each decision of the package has one home.
 
 Every CSV table of the package is read by settings.read_csv and written by
 settings.write_csv, and all work handed to worker processes goes through
 settings.forked. So only settings.py may import csv (the np.loadtxt block
 reader of activity.csv imports no csv), and only settings.py may name
 ProcessPoolExecutor. A module that needs either calls settings instead.
+
+The week calendar (week_date) belongs to the course, the course model
+(fit_course_model) to the solver, and the paradigm names (PARADIGMS) to the
+numpy-free settings; the experiment harness, paradigms, imports all three.
 """
 
 import ast
 import re
 from pathlib import Path
+
+import pytest
+
+from dropoutlab import dataset, linear, paradigms, settings
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "dropoutlab").glob("*.py"))
@@ -33,3 +41,21 @@ def test_only_settings_names_the_process_pool():
     naming = [p.name for p in PACKAGE
               if re.search(r"\bProcessPoolExecutor\b", p.read_text(encoding="utf-8"))]
     assert naming == ["settings.py"]
+
+
+def defined_names(path):
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (t.id for t in targets if isinstance(t, ast.Name))
+
+
+@pytest.mark.parametrize("name,home", [
+    ("week_date", dataset), ("fit_course_model", linear), ("PARADIGMS", settings),
+])
+def test_each_moved_name_is_defined_once_and_reached_from_paradigms(name, home):
+    defining = [p.name for p in PACKAGE if name in defined_names(p)]
+    assert defining == [Path(home.__file__).name]
+    assert getattr(paradigms, name) is getattr(home, name)
