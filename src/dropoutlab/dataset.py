@@ -153,6 +153,17 @@ class Roster:
         return len(self.student_ids)
 
 
+def _stored_counters(values: np.ndarray) -> np.ndarray:
+    """Activity counters in the dtype a table stores them in: float32 values as
+    they are, and float64 values narrowed to float32 when every one survives
+    float64 -> float32 -> float64 unchanged, else as they are."""
+    if values.dtype == np.float32:
+        return values
+    with np.errstate(over="ignore"):  # a value beyond float32's range becomes inf: no match
+        narrow = values.astype(np.float32)
+    return narrow if np.array_equal(narrow, values) else values
+
+
 class ActivityTable:
     """Columnar store for per-day activity records.
 
@@ -161,10 +172,16 @@ class ActivityTable:
     values holds the CLICKSTREAM_FEATURES counters of each row, every one
     finite and >= 0. Arrays are read-only once built.
 
+    values is stored as float32 when every counter survives the trip float64
+    -> float32 -> float64 unchanged (whole counts up to 2**24 do), in half the
+    bytes, and as float64 otherwise; readers that compute with it convert it
+    to float64, exactly.
+
     Input already in (student, day) order, as synthesized and loaded tables
     are, is kept rather than copied: an array that is contiguous and of the
-    stored dtype (int32 indices and days, float64 values) becomes the table's
-    own and is made read-only in place. Other input is sorted into new arrays.
+    stored dtype (int32 indices and days; float32 values, or float64 values
+    that float32 cannot hold) becomes the table's own and is made read-only
+    in place. Other input is sorted, or narrowed, into new arrays.
     """
 
     __slots__ = ("student_index", "day", "values")
@@ -185,15 +202,17 @@ class ActivityTable:
             student_index, day, values = student_index[order], day[order], values[order]
         self.student_index = np.ascontiguousarray(student_index, dtype=np.int32)
         self.day = np.ascontiguousarray(day, dtype=np.int32)
-        self.values = np.ascontiguousarray(values, dtype=np.float64)
+        values = np.ascontiguousarray(
+            values, dtype=np.float32 if values.dtype == np.float32 else np.float64)
         # min() is NaN if any value is, and NaN >= 0 is False
-        if n and not (self.values.min() >= 0.0 and self.values.max() < np.inf):
-            pos, k = np.argwhere(~(np.isfinite(self.values) & (self.values >= 0.0)))[0]
+        if n and not (values.min() >= 0.0 and values.max() < np.inf):
+            pos, k = np.argwhere(~(np.isfinite(values) & (values >= 0.0)))[0]
             raise NegativeCounterError(
                 f"activity row (student index {self.student_index[pos]}, day offset "
-                f"{self.day[pos]}): counter {CLICKSTREAM_FEATURES[k]!r} = {self.values[pos, k]} "
+                f"{self.day[pos]}): counter {CLICKSTREAM_FEATURES[k]!r} = {values[pos, k]} "
                 f"must be finite and >= 0"
             )
+        self.values = _stored_counters(values)
         if n > 1:
             same = (self.student_index[1:] == self.student_index[:-1]) & (
                 self.day[1:] == self.day[:-1]
@@ -420,7 +439,9 @@ def _read_activity(path: str | Path, meta: CourseMeta, index: Mapping[str, int]
                 return None
             n = _count_lines(path) - 1
             students, days = np.empty(n, dtype=np.int32), np.empty(n, dtype=np.int32)
-            counts = np.empty((n, len(CLICKSTREAM_FEATURES)))
+            # float32, widened at the first block whose counters float32 cannot
+            # hold: no float64 copy of the table is made that a narrowing would drop
+            counts = np.empty((n, len(CLICKSTREAM_FEATURES)), dtype=np.float32)
             for text in _line_blocks(f, _BLOCK_CHARS):
                 if text.isspace() or any(c in text for c in _LOADTXT_ONLY):
                     return None  # np.loadtxt warns of a block with no rows
@@ -434,7 +455,10 @@ def _read_activity(path: str | Path, meta: CourseMeta, index: Mapping[str, int]
                                               dtype=np.int32, count=len(block))
                 days[lo:hi] = np.fromiter(map(offsets.__getitem__, dates),
                                           dtype=np.int32, count=len(block))
-                counts[lo:hi] = block["values"]
+                block_counts = _stored_counters(block["values"])
+                if block_counts.dtype == np.float64 and counts.dtype == np.float32:
+                    counts = counts.astype(np.float64)
+                counts[lo:hi] = block_counts
                 lo = hi
         except (ValueError, KeyError, BadDateError):  # UnicodeDecodeError is a ValueError
             return None
@@ -603,7 +627,7 @@ def _activity_rows(course: CourseData) -> Iterator[list]:
         hi = lo + len(rows)
         rows[:, 0] = ids[table.student_index[lo:hi]]
         rows[:, 1] = dates[table.day[lo:hi]]
-        rows[:, 2:] = _format_numbers(table.values[lo:hi])
+        rows[:, 2:] = _format_numbers(table.values[lo:hi].astype(np.float64, copy=False))
         yield from rows.tolist()
 
 
@@ -766,7 +790,12 @@ def _synth_roster(cfg: SynthConfig, rng: np.random.Generator) -> Roster:
 
 
 def synthesize_course(config: SynthConfig, seed: int) -> CourseData:
-    """Generate one deterministic synthetic course for (config, seed)."""
+    """Generate one deterministic synthetic course for (config, seed).
+
+    The counters are drawn straight into float32, the dtype the table keeps
+    whole counts in, unless one reaches 2**24 (problems_per_day can make it
+    so); then they are float64.
+    """
     config.validate()
     rng = np.random.default_rng(seed)
     meta = config.meta
@@ -793,11 +822,13 @@ def synthesize_course(config: SynthConfig, seed: int) -> CourseData:
 
     rows = np.nonzero(active)
     n_rec = len(rows[0])
-    values = np.zeros((n_rec, len(CLICKSTREAM_FEATURES)))
+    values = np.zeros((n_rec, len(CLICKSTREAM_FEATURES)), dtype=np.float32)
     rates = _BASE_RATES.copy()
     rates[CLICKSTREAM_INDEX["nproblems_answered"]] = config.problems_per_day
     for k in range(len(CLICKSTREAM_FEATURES)):
         draw = rng.poisson(rates[k] * engagement, size=(n, n_days))
+        if values.dtype == np.float32 and draw.max() >= 2**24:  # float32 holds counts to 2**24
+            values = values.astype(np.float64)
         values[:, k] = draw[rows]
     values[:, CLICKSTREAM_INDEX["nevents"]] += 1.0  # active days always register an event
     del engagement, active, draw

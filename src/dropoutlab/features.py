@@ -200,8 +200,13 @@ def _walk(
 
 def _add_rows(table: ActivityTable, rows: np.ndarray, cum: np.ndarray, last: np.ndarray) -> None:
     """Add activity rows, later than every row added before, to the running
-    counters (one np.add.at per counter) and last active days of a walk."""
-    idx, values = table.student_index[rows], table.values[rows]
+    counters (one np.add.at per counter) and last active days of a walk.
+
+    The rows' counters are converted to float64 (exactly) before they are
+    added, whatever dtype the table stores them in: np.add.at of a narrower
+    operand into float64 sums leaves numpy's fast path and takes several times
+    as long."""
+    idx, values = table.student_index[rows], table.values[rows].astype(np.float64, copy=False)
     for total, column in zip(cum, values.T):
         np.add.at(total, idx, column)
     acted = values[:, _NEVENTS] > 0
@@ -347,9 +352,15 @@ def holdout_split(
 
 def write_matrix(m: FeatureMatrix, path: str | Path) -> None:
     """Write a feature matrix as CSV: student_id column, then the FEATURE_NAMES columns."""
-    # a float is written as its repr; a row at a time keeps few floats alive
-    write_csv(path, ("student_id",) + FEATURE_NAMES,
-              ([sid, *row.tolist()] for sid, row in zip(m.student_ids, m.values)))
+    # a float is written as its repr, formatted once per distinct value of a
+    # column; values are told apart by their bits, so -0.0 keeps its own text
+    cells = np.empty((m.n_rows, WIDTH + 1), dtype=object)
+    cells[:, 0] = m.student_ids
+    for j, column in enumerate(m.values.T, start=1):
+        bits, inverse = np.unique(column.view(np.uint64), return_inverse=True)
+        cells[:, j] = np.array([repr(v) for v in bits.view(np.float64).tolist()],
+                               dtype=object)[inverse]
+    write_csv(path, ("student_id",) + FEATURE_NAMES, cells.tolist())
 
 
 def load_matrix(path: str | Path, as_of: datetime.date) -> FeatureMatrix:

@@ -120,7 +120,11 @@ def _minimize(X: np.ndarray, y: np.ndarray, C: float) -> tuple[np.ndarray, float
     loss = _loss(z, y, theta, C)
     it = 0
     while True:
-        mu = _sigmoid(z)
+        # _sigmoid(z) and the Hessian's _sigmoid(-z) share exp(-|z|) and 1 + exp(-|z|);
+        # -z >= 0 is z <= 0, also for -0.0 and NaN
+        e = np.exp(-np.abs(z))
+        one_e = 1.0 + e
+        mu = np.where(z >= 0, 1.0, e) / one_e
         g = _grad(Xa, y, mu, ridge, theta)
         g_norm = math.sqrt(float(g @ g))
         if not math.isfinite(g_norm):
@@ -128,7 +132,7 @@ def _minimize(X: np.ndarray, y: np.ndarray, C: float) -> tuple[np.ndarray, float
         if g_norm <= tol or it == MAX_ITER:
             break
         # mu * _sigmoid(-z), not mu * (1 - mu): stays positive where 1 - mu rounds to 0
-        H = (Xa.T * (mu * _sigmoid(-z))) @ Xa + ridge_diag
+        H = (Xa.T * (mu * (np.where(z <= 0, 1.0, e) / one_e))) @ Xa + ridge_diag
         d = np.linalg.solve(H, -g)
         dz = Xa @ d
         slope = float(g @ d)

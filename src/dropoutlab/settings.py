@@ -162,8 +162,10 @@ def forked(task: Callable, processes: int):
     With processes >= 1, each call runs on a pool of that many forked worker
     processes. task reaches them through the pool's initializer, so each fork
     inherits it and the arrays it holds; only args and results are pickled.
-    Leaving the block joins the workers, also when the block raises. With
-    processes 0, a call runs in this process when its result is asked for.
+    Leaving the block joins the workers, also when the block raises; then the
+    calls still queued are cancelled first, so the error is not held back
+    until they have run. With processes 0, a call runs in this process when
+    its result is asked for.
     """
     if processes == 0:
         yield lambda *args: partial(task, *args)
@@ -172,4 +174,8 @@ def forked(task: Callable, processes: int):
 
     with ProcessPoolExecutor(max_workers=processes, initializer=_start_worker,
                              initargs=(task,)) as pool:
-        yield lambda *args: pool.submit(_run_task, *args).result
+        try:
+            yield lambda *args: pool.submit(_run_task, *args).result
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise

@@ -102,6 +102,21 @@ def test_write_matches_reference_on_edge_values(tmp_path, edge_course):
     _assert_same_course(load_course_dir(tmp_path / "new"), reference_load_course(tmp_path / "ref"))
 
 
+def test_exact_fractions_and_counts_round_trip_as_float32(tmp_path):
+    """A table of whole counts and fractions float32 holds is stored as float32,
+    written as its float64 values are, and loaded back with the same bytes."""
+    records = [Record("s0", day(0), counters(nevents=3, avg_dt=0.5, sdv_dt=0.25, sum_dt=1500,
+                                             nforum=2.0**24)),
+               Record("s1", day(5), counters(nevents=1, max_dt=1 / 1024, nvideo=7))]
+    course = make_course(make_meta(), [Student("s0"), Student("s1")], records,
+                         {"s0": 0.75, "s1": 0.0})
+    assert course.activity.values.dtype == np.float32
+    write_course(course, tmp_path / "new")
+    reference_write_course(course, tmp_path / "ref")
+    _assert_same_files(tmp_path / "new", tmp_path / "ref")
+    _assert_same_course(load_course_dir(tmp_path / "new"), course)
+
+
 def test_write_load_write_is_a_fixed_point(tmp_path):
     course = synthesize_course(default_corpus_config(2, 300).courses[1], 5)
     write_course(course, tmp_path / "a")
@@ -322,6 +337,15 @@ def test_block_reader_loads_like_the_row_scan(tmp_path, monkeypatch):
     assert 25 <= n_read <= len(accepted) - 25, n_read
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-1", "-0.5"])
+def test_bad_counter_has_one_message_on_both_readers(tmp_path, monkeypatch, cell):
+    d = _course_dir(tmp_path, [_row("s0"), _row("s1", cells=_with_cell(cell))])
+    expected = (NegativeCounterError, f"{d / 'activity.csv'}:3: column 'nevents': "
+                                      f"value {cell} must be finite and >= 0")
+    assert _raised(load_course_dir, d) == expected
+    assert _scan_only(monkeypatch, lambda p: _raised(load_course_dir, p), d) == expected
+
+
 @pytest.mark.parametrize("size", [1, 1 << 20])
 @pytest.mark.parametrize("second", [_row('"s1"', "2014-01-21"), '"'], ids=["row", "quote"])
 def test_quoted_line_end_is_read_across_blocks(tmp_path, monkeypatch, size, second):
@@ -348,3 +372,16 @@ def test_synthesized_course_loads_without_the_row_scan(tmp_path, monkeypatch):
         monkeypatch.setattr(dataset, "_BLOCK_CHARS", size)
         _assert_same_course(load_course_dir(tmp_path), expected)
     _assert_same_course(expected, course)
+
+
+def test_synthesized_and_loaded_counters_take_four_bytes_a_cell(tmp_path, monkeypatch):
+    """A default 2000-student course holds its counters as float32, and so does
+    its copy read back by the block reader."""
+    course = synthesize_course(default_corpus_config(1, 2000).courses[0], 7)
+    write_course(course, tmp_path)
+
+    def scan(*args):
+        raise AssertionError("the row scan ran")
+    monkeypatch.setattr(dataset, "_scan_activity", scan)
+    for c in (course, load_course_dir(tmp_path)):
+        assert c.activity.values.nbytes == 4 * len(c.activity) * len(CLICKSTREAM_FEATURES)

@@ -202,14 +202,52 @@ class TestActivityRecords:
             t.values[0, 0] = 5.0
 
     def test_table_keeps_sorted_input(self):
-        given = (np.array([0, 0, 1], dtype=np.int32), np.array([2, 9, 5], dtype=np.int32),
-                 np.arange(3 * len(CLICKSTREAM_FEATURES), dtype=float).reshape(3, -1))
-        t = ActivityTable(*given)
-        for kept, arr in zip((t.student_index, t.day, t.values), given):
-            assert np.shares_memory(kept, arr)
-            assert not kept.flags.writeable and not arr.flags.writeable
-        with pytest.raises(ValueError):
-            t.day[0] = 1
+        # values already in the stored dtype: float32, and float64 that float32 cannot hold
+        whole = np.arange(3 * len(CLICKSTREAM_FEATURES), dtype=float).reshape(3, -1)
+        for values in (whole.astype(np.float32), whole + 0.1):
+            given = (np.array([0, 0, 1], dtype=np.int32), np.array([2, 9, 5], dtype=np.int32),
+                     values)
+            t = ActivityTable(*given)
+            assert t.values.dtype == values.dtype
+            for kept, arr in zip((t.student_index, t.day, t.values), given):
+                assert np.shares_memory(kept, arr)
+                assert not kept.flags.writeable and not arr.flags.writeable
+            with pytest.raises(ValueError):
+                t.day[0] = 1
+
+
+class TestStoredDtype:
+    """Counters are stored as float32 exactly when each survives float64 ->
+    float32 -> float64 unchanged, else as float64; no cast warns (pytest
+    turns warnings into errors)."""
+
+    @pytest.mark.parametrize("value,dtype", [
+        (0.0, np.float32), (-0.0, np.float32), (0.5, np.float32), (2.0**24, np.float32),
+        (0.1, np.float64), (2.0**24 + 1, np.float64), (1e300, np.float64),
+    ])
+    def test_dtype_of_one_value(self, value, dtype):
+        t = _one_row_table(nvideo=value, nevents=3)
+        assert t.values.dtype == dtype
+        assert t.values.astype(np.float64).tobytes() == np.array(
+            [[counters(nvideo=value, nevents=3)[k] for k in CLICKSTREAM_FEATURES]]).tobytes()
+
+    def test_one_inexact_value_keeps_the_whole_table_float64(self):
+        values = np.ones((4, len(CLICKSTREAM_FEATURES)))
+        values[3, 7] = 0.1
+        t = ActivityTable(np.arange(4), np.zeros(4), values)
+        assert t.values.dtype == np.float64 and np.shares_memory(t.values, values)
+
+    @pytest.mark.parametrize("value,text", [
+        (float("nan"), "nan"), (float("inf"), "inf"), (-1.0, "-1.0"), (-0.5, "-0.5"),
+    ])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bad_counter_rejected_before_narrowing(self, value, text, dtype):
+        values = np.zeros((2, len(CLICKSTREAM_FEATURES)), dtype=dtype)
+        values[1, CLICKSTREAM_INDEX["nforum"]] = value
+        with pytest.raises(NegativeCounterError, match=re.escape(
+                f"activity row (student index 0, day offset 8): counter 'nforum' = {text} "
+                "must be finite and >= 0")):
+            ActivityTable(np.array([0, 0]), np.array([4, 8]), values)
 
 
 class TestCourseData:
@@ -679,6 +717,18 @@ class TestSynthesis:
         for i, sid in enumerate(c.roster.student_ids):
             total = sum(answered[c.activity.student_index == i].tolist())
             assert c.final_grade[sid] == min(total / 9.0, 1.0)
+
+    def test_counts_from_2_24_keep_float64_and_round_trip(self, tmp_path):
+        c = synthesize_course(SynthConfig(course_id="Sx", n_students=30,
+                                          problems_per_day=2.0**30), 4)
+        answered = c.activity.values[:, CLICKSTREAM_INDEX["nproblems_answered"]]
+        assert c.activity.values.dtype == np.float64 and answered.max() > 2**24
+        assert not np.array_equal(answered.astype(np.float32), answered)
+        write_course(c, tmp_path)
+        back = load_course_dir(tmp_path)
+        assert back.activity.values.dtype == np.float64
+        assert back.activity.values.tobytes() == c.activity.values.tobytes()
+        assert back.final_grade == c.final_grade
 
     def test_default_corpus_config_shape(self):
         config = default_corpus_config(8, n_students=25)

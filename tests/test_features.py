@@ -4,6 +4,7 @@ import datetime
 import itertools
 import json
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -327,6 +328,25 @@ class TestSnapshotWalk:
         self._assert_walk(course, (0, 2, 2, 3, 17, 40, 41, span - 1, span, span))
         self._assert_walk(course, (5, span))
         self._assert_walk(course, range(span + 1))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_float32_table_walks_like_its_float64_values(self, seed):
+        """Multiples of 1/8 below 2**21, -0.0 among them, are stored as float32;
+        every step has the bits of the oracle run on the float64 values given."""
+        given = _random_course(seed).activity
+        values = np.round(given.values * 8.0) / 8.0
+        course = CourseData(make_meta(), _random_course(seed).roster,
+                            ActivityTable(given.student_index, given.day, values), {})
+        assert course.activity.values.dtype == np.float32
+        as_given = SimpleNamespace(n_students=course.n_students, activity=SimpleNamespace(
+            student_index=given.student_index, day=given.day, values=values))
+        span = (course.meta.end_date - course.meta.launch_date).days
+        offs = (0, 3, 17, 40, span)
+        for off, m in zip(offs, snapshots(course, [day(off) for off in offs])):
+            cum, dsla = _walked(m)
+            oracle_cum, oracle_dsla = cumulative_all(as_given, off)
+            assert cum.tobytes() == oracle_cum.tobytes()
+            assert dsla.tobytes() == oracle_dsla.tobytes()
 
     def test_same_date_twice_gives_equal_copies(self):
         course = _random_course(0)
@@ -668,6 +688,16 @@ class TestSerialization:
         assert rows[1:-1] == [",".join([sid] + [repr(float(v)) for v in z.values[i]])
                               for i, sid in enumerate(z.student_ids)]
         assert load_matrix(p, day(9)).values.tobytes() == z.values.tobytes()
+
+    def test_matrix_writes_negative_zero_apart_from_zero(self, tiny_course, tmp_path):
+        m = build_matrix(tiny_course, day(9))
+        values = m.values.copy()
+        values[:, 0] = 0.0
+        values[::2, 0] = -0.0
+        p = tmp_path / "m.csv"
+        write_matrix(FeatureMatrix(m.student_ids, values, m.as_of), p)
+        cells = [row.split(",")[1] for row in p.read_text().splitlines()[1:]]
+        assert cells == ["-0.0" if i % 2 == 0 else "0.0" for i in range(m.n_rows)]
 
     @pytest.mark.parametrize("kind,key", [("zscore", "mean"), ("zscore", "std"),
                                           ("percentile", "columns"),

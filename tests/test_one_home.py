@@ -6,6 +6,9 @@ settings.forked. So only settings.py may import csv (the np.loadtxt block
 reader of activity.csv imports no csv), and only settings.py may name
 ProcessPoolExecutor. A module that needs either calls settings instead.
 
+Which counters a course stores in float32 is decided in dataset alone, so
+only dataset.py names float32; every other module reads what it is given.
+
 The week calendar (week_date) belongs to the course, the course model
 (fit_course_model) to the solver, and the paradigm names (PARADIGMS) to the
 numpy-free settings; the experiment harness, paradigms, imports all three.
@@ -41,6 +44,11 @@ def test_only_settings_names_the_process_pool():
     naming = [p.name for p in PACKAGE
               if re.search(r"\bProcessPoolExecutor\b", p.read_text(encoding="utf-8"))]
     assert naming == ["settings.py"]
+
+
+def test_only_dataset_names_float32():
+    naming = [p.name for p in PACKAGE if re.search(r"\bfloat32\b", p.read_text(encoding="utf-8"))]
+    assert naming == ["dataset.py"]
 
 
 def defined_names(path):
