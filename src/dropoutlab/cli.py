@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import datetime
-import json
 import math
 import os
 import sys
@@ -19,7 +18,8 @@ from pathlib import Path
 # Besides the standard library, the parser loads only these numpy-free modules,
 # so --help and usage errors answer quickly; each command imports what it runs.
 from .errors import BadConfigError, DropoutLabError
-from .settings import PARADIGMS, GrowthPlan, SgdConfig, check_paradigms, parse_date, read_csv
+from .settings import (PARADIGMS, GrowthPlan, SgdConfig, check_paradigms, parse_date, read_csv,
+                       read_json, write_json)
 
 def _int_at_least(lo: int, source: str = ""):
     """An argparse type: the integer of a text, which must be >= lo."""
@@ -160,25 +160,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_json(path: Path, what: str):
-    """The JSON document in path; BadConfigError if it is missing, not UTF-8 or not JSON."""
+def _read_json(path: Path, what: str, parse):
+    """settings.read_json(path, parse), but BadConfigError if there is no file at path."""
     if not path.exists():
         raise BadConfigError(f"{what} not found: {path}")
-    with open(path, encoding="utf-8") as f:
-        try:
-            return json.load(f)
-        except ValueError as e:  # a UnicodeDecodeError or a JSONDecodeError
-            raise BadConfigError(f"{path}: not valid UTF-8 JSON ({e})") from None
+    return read_json(path, parse)
 
 
 def _load_corpus_config(path: Path):
     """The CorpusConfig in the JSON file at path; its errors name the file."""
     from .dataset import corpus_config_from_dict
-    doc = _read_json(path, "corpus config")
-    try:
-        return corpus_config_from_dict(doc)
-    except DropoutLabError as e:
-        raise type(e)(f"{path}: {e}") from None
+    return _read_json(path, "corpus config", corpus_config_from_dict)
 
 
 def cmd_synth(args) -> int:
@@ -191,9 +183,7 @@ def cmd_synth(args) -> int:
               default_corpus_config(**{f"n_{name}": getattr(args, name) for name in sized}))
     corpus = synthesize_corpus(config, args.seed)
     args.out.mkdir(parents=True, exist_ok=True)
-    with open(args.out / "corpus_config.json", "w", encoding="utf-8") as f:
-        json.dump(corpus_config_to_dict(config), f, indent=1, sort_keys=True)
-        f.write("\n")
+    write_json(args.out / "corpus_config.json", corpus_config_to_dict(config), sort_keys=True)
     for course in corpus:
         write_course(course, args.out / course.meta.course_id)
     print(f"wrote {len(corpus)} course directories under {args.out}")
@@ -261,7 +251,7 @@ def _checked(where: str, key: str, value, ok, expected: str):
 
 def _read_manifest(path: Path) -> dict:
     """The manifest, its values checked and the defaults of reg_C and holdout filled in."""
-    doc = _read_json(path, "manifest")
+    doc = _read_json(path, "manifest", lambda doc: doc)
     if not isinstance(doc, dict):
         raise BadConfigError(f"{path}: manifest must be a JSON object")
     unknown = sorted(set(doc) - set(_MANIFEST_REQUIRED + _MANIFEST_OPTIONAL))

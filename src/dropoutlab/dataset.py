@@ -84,14 +84,18 @@ class CourseMeta:
 
 
 def week_date(meta: CourseMeta, w: int) -> datetime.date:
-    """Calendar date of week w: t100_date + 7*w days (week 0 = T100%)."""
-    d = meta.t100_date + datetime.timedelta(days=7 * w)
-    if d < meta.launch_date:
+    """Calendar date of week w: t100_date + 7*w days (week 0 = T100%).
+
+    A week before launch raises BeforeLaunchError, and one past the calendar's
+    last day BadValueError; both name the course and the week.
+    """
+    days = 7 * w  # compared in whole days, which cannot overflow as a date can
+    if days > (datetime.date.max - meta.t100_date).days:
+        raise BadValueError(f"course {meta.course_id!r}: week {w} falls past {datetime.date.max}")
+    if days < (meta.launch_date - meta.t100_date).days:
         raise BeforeLaunchError(
-            f"course {meta.course_id!r}: week {w} falls on {d}, "
-            f"before launch {meta.launch_date}"
-        )
-    return d
+            f"course {meta.course_id!r}: week {w} falls before launch {meta.launch_date}")
+    return meta.t100_date + datetime.timedelta(days=days)
 
 
 # The levels of each categorical roster column; the column holds each
@@ -716,6 +720,9 @@ class SynthConfig:
             (not isinstance(self.launch, datetime.date), f"launch {self.launch!r} is not a date"),
             (not 1 <= self.weeks_to_t100 <= self.weeks_total, "need 1 <= weeks_to_t100 <= "
              f"weeks_total, got {self.weeks_to_t100}/{self.weeks_total}"),
+            (isinstance(self.launch, datetime.date)
+             and 7 * self.weeks_total > (datetime.date.max - self.launch).days,
+             f"weeks_total {self.weeks_total} ends past {datetime.date.max}"),
             (not 0.0 < self.cert_threshold <= 1.0,
              f"cert_threshold {self.cert_threshold} not in (0, 1]"),
             (not 0.0 <= self.daily_decay < 1.0, f"daily_decay {self.daily_decay} not in [0, 1)"),

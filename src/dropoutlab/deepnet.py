@@ -8,7 +8,6 @@ at smaller sizes.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -29,7 +28,7 @@ from .errors import (
     SingleClassError,
 )
 from .evaluate import auc_values, raw_accuracy
-from .settings import GrowthPlan, SgdConfig, forked, usable_cores, write_csv
+from .settings import GrowthPlan, SgdConfig, forked, read_json, usable_cores, write_csv, write_json
 
 N_CLASSES = 2
 
@@ -493,9 +492,7 @@ def mlp_from_dict(doc: dict) -> MlpModel:
 
 
 def save_mlp(m: MlpModel, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(mlp_to_dict(m), f)
-        f.write("\n")
+    write_json(path, mlp_to_dict(m), compact=True)
 
 
 def load_mlp(path: str | Path) -> MlpModel:
@@ -503,10 +500,4 @@ def load_mlp(path: str | Path) -> MlpModel:
 
     A file that is not such a network raises BadValueError naming it.
     """
-    try:
-        with open(path, encoding="utf-8") as f:
-            return mlp_from_dict(json.load(f))
-    except KeyError as e:
-        raise BadValueError(f"{path}: missing key {e}") from None
-    except (TypeError, ValueError, BadShapeError, BadValueError) as e:
-        raise BadValueError(f"{path}: {e}") from None
+    return read_json(path, mlp_from_dict)

@@ -21,7 +21,6 @@ activity; build_matrix is the walk's one-date case.
 from __future__ import annotations
 
 import datetime
-import json
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
@@ -45,7 +44,7 @@ from .errors import (
     SchemaMismatchError,
 )
 from .evaluate import _midranks
-from .settings import read_csv, write_csv
+from .settings import read_csv, read_json, write_csv, write_json
 
 _AGE_EDGES = np.arange(10, 61, 5)  # 10, 15, ..., 60; ages are as of 2012
 _AGE_NAMES = (
@@ -431,9 +430,7 @@ def norm_stats_from_dict(doc: dict) -> NormStats:
 
 def save_norm_stats(stats: NormStats, path: str | Path) -> None:
     """JSON sidecar for normalization stats, keyed by kind."""
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(norm_stats_to_dict(stats), f, indent=1)
-        f.write("\n")
+    write_json(path, norm_stats_to_dict(stats))
 
 
 def load_norm_stats(path: str | Path) -> NormStats:
@@ -441,10 +438,4 @@ def load_norm_stats(path: str | Path) -> NormStats:
 
     Every error of norm_stats_from_dict, and a file that is not JSON, names the path.
     """
-    try:
-        with open(path, encoding="utf-8") as f:
-            return norm_stats_from_dict(json.load(f))
-    except SchemaMismatchError as e:
-        raise SchemaMismatchError(f"{path}: {e}") from None
-    except (TypeError, ValueError, BadValueError) as e:
-        raise BadValueError(f"{path}: {e}") from None
+    return read_json(path, norm_stats_from_dict)

@@ -19,7 +19,6 @@ filter where a hard failure is wanted).
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -49,6 +48,7 @@ from .features import (
     norm_stats_to_dict,
     normalize,
 )
+from .settings import read_json, write_json
 
 
 @dataclass(frozen=True)
@@ -273,9 +273,21 @@ def save_model(m: LinearModel, path: str | Path) -> None:
         "C": m.reg_C,
         "norm": None if m.norm is None else norm_stats_to_dict(m.norm),
     }
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=1)
-        f.write("\n")
+    write_json(path, doc)
+
+
+def _model_from_dict(doc: dict) -> LinearModel:
+    if doc.get("schema_hash") != SCHEMA_HASH:
+        raise SchemaMismatchError("schema_hash does not match this feature layout")
+    model = LinearModel(
+        weights=np.asarray(doc["weights"], dtype=np.float64),
+        intercept=float(doc["intercept"]),
+        reg_C=float(doc["C"]),
+        norm=None if doc.get("norm") is None else norm_stats_from_dict(doc["norm"]),
+    )
+    if len(model.weights) != WIDTH:
+        raise BadValueError(f"model has {len(model.weights)} weights for {WIDTH} feature columns")
+    return model
 
 
 def load_model(path: str | Path) -> LinearModel:
@@ -287,24 +299,4 @@ def load_model(path: str | Path) -> LinearModel:
     SchemaMismatchError naming it. The norm is checked as load_norm_stats
     checks a stats file.
     """
-    try:
-        with open(path, encoding="utf-8") as f:
-            doc = json.load(f)
-        if doc.get("schema_hash") != SCHEMA_HASH:
-            raise SchemaMismatchError("schema_hash does not match this feature layout")
-        model = LinearModel(
-            weights=np.asarray(doc["weights"], dtype=np.float64),
-            intercept=float(doc["intercept"]),
-            reg_C=float(doc["C"]),
-            norm=None if doc.get("norm") is None else norm_stats_from_dict(doc["norm"]),
-        )
-    except SchemaMismatchError as e:
-        raise SchemaMismatchError(f"{path}: {e}") from None
-    except KeyError as e:
-        raise BadValueError(f"{path}: missing key {e}") from None
-    except (AttributeError, TypeError, ValueError, BadValueError) as e:
-        raise BadValueError(f"{path}: {e}") from None
-    if len(model.weights) != WIDTH:
-        raise BadValueError(f"{path}: model has {len(model.weights)} weights "
-                            f"for {WIDTH} feature columns")
-    return model
+    return read_json(path, _model_from_dict)

@@ -46,7 +46,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dataset import CLICKSTREAM_FEATURES, ActivityTable, CourseData, CourseMeta, Roster, week_date
+from .dataset import CLICKSTREAM_FEATURES, CourseData, CourseMeta, week_date
 from .errors import BadValueError, InvalidParadigmError, SingleClassError, WindowOutOfRangeError
 from .evaluate import EvalReport, EvalRow, auc_values
 from .features import (
@@ -174,33 +174,17 @@ def _source_date(meta: CourseMeta, w: int) -> datetime.date:
     return max(meta.t100_date + datetime.timedelta(days=7 * w), meta.launch_date)
 
 
-def insitu_scores(
-    meta: CourseMeta,
-    roster: Roster,
-    activity: ActivityTable,
-    w: int,
-    C: float = 1.0,
-    snapshot: FeatureMatrix | None = None,
-) -> np.ndarray:
-    """Score a live course at week w using only data available at week w.
+def insitu_scores(snapshot: FeatureMatrix, proxy: np.ndarray, C: float = 1.0) -> np.ndarray:
+    """Score a live course from what it has by its week-w snapshot: that
+    snapshot and the persistence labels proxy_labels gives for week w.
 
-    Takes the course apart on purpose: no grade table is accepted, so
-    certification labels cannot influence this path. snapshot is the week-w
-    feature matrix when the caller has built it (a run builds each week's
-    once for every paradigm); it holds features only. Without it, the
-    snapshot is built from the roster and activity. The model is trained on
-    that snapshot, percentile-normalized against itself, with the persistence
-    proxy labels of the 7 days before week w; the snapshot contains the
-    proxy window. The same snapshot is then scored, one score per student.
+    Nothing else reaches the fit, so certification labels cannot influence
+    this path. The model is trained on the snapshot, percentile-normalized
+    against itself, with proxy; the snapshot contains the proxy window. The
+    same rows are then scored, one score per student.
     """
-    shadow = CourseData(meta, roster, activity, {})
-    wd = week_date(meta, w)
-    if snapshot is None:
-        snapshot = build_matrix(shadow, wd)
-    elif snapshot.as_of != wd or snapshot.student_ids != roster.student_ids:
-        raise BadValueError(f"course {meta.course_id!r}: the snapshot is not the roster's at {wd}")
     p = percentile_within(snapshot)
-    return predict_proba(train_logreg(p, proxy_labels(shadow, w), C), p)
+    return predict_proba(train_logreg(p, proxy, C), p)
 
 
 # A model-table key: (course_id, as_of) names the course's logistic model on
@@ -310,7 +294,7 @@ def _score_cell(
         return predict_proba(average_hyperplanes(fitted), week.z), y
 
     if kind == "in_situ":
-        return insitu_scores(target.meta, target.roster, target.activity, w, C, week.m), y
+        return insitu_scores(week.m, proxy_labels(target, w), C), y
 
     if kind == "baseline1":
         return score_demographics(fitted[0], target), y

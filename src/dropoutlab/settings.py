@@ -2,12 +2,13 @@
 alone: the paradigm names, so that run checks a manifest's list up front; a
 growth sweep's settings, so that grow's options can be shown and checked; and
 the one date form (YYYY-MM-DD) that files and options take. Also the
-package's one CSV form (read_csv, write_csv), the usable core count that
-sizes its thread and process pools, and its one way to run work in forked
-worker processes (forked)."""
+package's one CSV form (read_csv, write_csv) and one JSON form (read_json,
+write_json), the usable core count that sizes its thread and process pools,
+and its one way to run work in forked worker processes (forked)."""
 
 import csv
 import datetime
+import json
 import math
 import os
 import re
@@ -17,7 +18,8 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import BadConfigError, BadValueError, InvalidParadigmError
+from .errors import (BadConfigError, BadValueError, DropoutLabError, InvalidParadigmError,
+                     SchemaMismatchError)
 
 # The training regimes a run compares: four paradigms, then two baselines (see paradigms).
 PARADIGMS: tuple[str, ...] = (
@@ -132,6 +134,8 @@ def read_csv(path: str | Path) -> Iterator[tuple[int, list[str]]]:
                 yield reader.line_num, row
         except UnicodeDecodeError as e:
             raise BadValueError(f"{path}: not UTF-8 text ({e})") from None
+        except csv.Error as e:  # a cell longer than csv's field limit
+            raise BadValueError(f"{path}:{reader.line_num}: {e}") from None
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
@@ -141,6 +145,36 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence])
         w = csv.writer(f)
         w.writerow(header)
         w.writerows(rows)
+
+
+def read_json(path: str | Path, parse: Callable):
+    """parse(the JSON document in path); every failure but an OSError names the file.
+
+    A file that is not UTF-8 JSON, or that nests deeper than the parser goes,
+    raises BadValueError, and so does a document that parse rejects (a
+    KeyError as "missing key '...'"); a SchemaMismatchError keeps its class.
+    """
+    with open(path, encoding="utf-8") as f:
+        try:
+            doc = json.load(f)
+        except (ValueError, RecursionError) as e:  # not UTF-8 or not JSON; too deep
+            raise BadValueError(f"{path}: not valid UTF-8 JSON ({e})") from None
+    try:
+        return parse(doc)
+    except SchemaMismatchError as e:
+        raise SchemaMismatchError(f"{path}: {e}") from None
+    except KeyError as e:
+        raise BadValueError(f"{path}: missing key {e}") from None
+    except (AttributeError, TypeError, ValueError, DropoutLabError) as e:
+        raise BadValueError(f"{path}: {e}") from None
+
+
+def write_json(path: str | Path, doc, *, compact: bool = False, sort_keys: bool = False) -> None:
+    """Write doc as UTF-8 JSON and a final newline: one space of indent per
+    level, or with compact on one line."""
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(doc, f, indent=None if compact else 1, sort_keys=sort_keys)
+        f.write("\n")
 
 
 _TASK: Callable | None = None  # forked's task, in each of its workers

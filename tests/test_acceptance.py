@@ -35,7 +35,8 @@ from dropoutlab.deepnet import (
 from dropoutlab.evaluate import auc_values
 from dropoutlab.features import apply_zscore, build_matrix, fit_zscore
 from dropoutlab.linear import _minimize, predict_proba, train_logreg
-from dropoutlab.paradigms import insitu_scores, run_experiment, run_paradigm
+from dropoutlab.paradigms import (insitu_scores, proxy_labels, run_experiment, run_paradigm,
+                                  week_date)
 from dropoutlab.settings import GrowthPlan, SgdConfig
 
 from conftest import batch_loss_and_grads, logreg_loss_and_grad
@@ -271,12 +272,13 @@ def test_criterion_7_in_situ_blind_to_labels():
     course = synthesize_course(SynthConfig(course_id="BLNDx", n_students=400), 7)
     corrupted = CourseData(course.meta, course.roster, course.activity,
                            {sid: 1.0 - g for sid, g in course.final_grade.items()})
-    direct_a = insitu_scores(course.meta, course.roster, course.activity, -1)
-    direct_b = insitu_scores(corrupted.meta, corrupted.roster,
-                             corrupted.activity, -1)
+    # insitu_scores is handed a snapshot and proxy labels, never a course with grades
+    direct_a, direct_b = (insitu_scores(build_matrix(c, week_date(c.meta, -1)), proxy_labels(c, -1))
+                          for c in (course, corrupted))
     via_a, _ = run_paradigm([course], "in_situ", "BLNDx", -1)
     via_b, _ = run_paradigm([corrupted], "in_situ", "BLNDx", -1)
-    same = np.array_equal(direct_a, direct_b) and np.array_equal(via_a, via_b)
+    same = (np.array_equal(direct_a, direct_b) and np.array_equal(via_a, via_b)
+            and np.array_equal(direct_a, via_a))
     _verdict(7, "in_situ scores invariant to corrupted grades",
              same, "bitwise-identical scores with every grade flipped")
 

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -642,6 +643,44 @@ def _second_course(entry):
                                        {"course_id": "Cx", "n_students": 20}]})
 
 
+def _run_of_config(doc):
+    """run of a manifest whose corpus config is doc."""
+    def build(tmp_path, course_dir, env):
+        _, paths = _corpus_config(doc)(tmp_path, course_dir, env)
+        path = _write_manifest(tmp_path, corpus_config_path=paths[0])
+        return ["run", "--manifest", str(path)], paths
+    return build
+
+
+_OVER_FIELD_LIMIT = "x" * 200_000  # csv reads no cell over 131,072 characters
+
+
+def _long_course_cell(name, line):
+    """features of a copy of the course whose file name starts line with a cell
+    over csv's field limit; the error names the file and the line."""
+    def build(tmp_path, course_dir, env):
+        copy = tmp_path / "course"
+        shutil.copytree(course_dir, copy)
+        path = copy / name
+        lines = path.read_text().split("\n")
+        lines[line - 1] = _OVER_FIELD_LIMIT + lines[line - 1][lines[line - 1].index(","):]
+        path.write_text("\n".join(lines))
+        return (["features", "--course-dir", str(copy), "--out", str(tmp_path / "out")],
+                [f"{path}:{line}"])
+    return build
+
+
+def _long_report_cell(tmp_path, course_dir, env):
+    """report of a rows.csv whose first row starts with a cell over csv's field limit."""
+    from dropoutlab.evaluate import ROWS_COLUMNS
+
+    path = tmp_path / "rows.csv"
+    path.write_text(",".join(ROWS_COLUMNS) + f"\n{_OVER_FIELD_LIMIT},Ax,0,0.5,10,5\n")
+    return ["report", "--rows", str(path), "--out-dir", str(tmp_path / "out")], [f"{path}:2"]
+
+
+_PAST_CALENDAR = ["course 'SYN1x': week 2000000 falls past 9999-12-31"]
+
 # Each bad input: the command, its exit code, and the words its error names; the
 # error of a JSON input names the file too.
 _MALFORMED = {
@@ -725,6 +764,22 @@ _MALFORMED = {
     "manifest-master-seed-negative": (_manifest(master_seed=-3), 1, ["master_seed", "-3"]),
     "growth-plan-seed-negative": (_manifest(growth_plan={"seed": -1}), 1,
                                   ["manifest: unknown key 'growth_plan'"]),
+    "demographics-cell-over-field-limit": (_long_course_cell("demographics.csv", 3), 1,
+                                           ["field larger than field limit"]),
+    "activity-cell-over-field-limit": (_long_course_cell("activity.csv", 6), 1,
+                                       ["field larger than field limit"]),
+    "report-cell-over-field-limit": (_long_report_cell, 1, ["field larger than field limit"]),
+    "features-week-past-calendar": (_features("--week", "2000000"), 1, _PAST_CALENDAR),
+    "train-week-past-calendar": (_train("--week", "2000000"), 1, _PAST_CALENDAR),
+    "grow-week-past-calendar": (_grow("--week", "2000000"), 1, _PAST_CALENDAR),
+    "features-week-long-before-launch": (_features("--week", "-2000000"), 1,
+                                         ["course 'SYN1x': week -2000000 falls before launch"]),
+    "corpus-weeks-total-past-calendar": (_course(weeks_total=2_000_000), 1,
+                                         ["'Ax': weeks_total 2000000 ends past 9999-12-31"]),
+    "run-weeks-total-past-calendar": (
+        _run_of_config({"courses": [{"course_id": "Ax", "n_students": 20,
+                                     "weeks_total": 2_000_000}]}),
+        1, ["'Ax': weeks_total 2000000 ends past 9999-12-31"]),
 }
 
 

@@ -1,10 +1,11 @@
 """Each decision of the package has one home.
 
 Every CSV table of the package is read by settings.read_csv and written by
-settings.write_csv, and all work handed to worker processes goes through
+settings.write_csv, every JSON file is read by settings.read_json and written
+by settings.write_json, and all work handed to worker processes goes through
 settings.forked. So only settings.py may import csv (the np.loadtxt block
-reader of activity.csv imports no csv), and only settings.py may name
-ProcessPoolExecutor. A module that needs either calls settings instead.
+reader of activity.csv imports no csv) or json, and only settings.py may name
+ProcessPoolExecutor. A module that needs any of them calls settings instead.
 
 Which counters a course stores in float32 is decided in dataset alone, so
 only dataset.py names float32; every other module reads what it is given.
@@ -34,10 +35,17 @@ def imported_modules(path):
             yield node.module
 
 
+def importers(module):
+    return [p.name for p in PACKAGE
+            if any(m.split(".")[0] == module for m in imported_modules(p))]
+
+
 def test_only_settings_imports_csv():
-    importers = [p.name for p in PACKAGE
-                 if any(m.split(".")[0] == "csv" for m in imported_modules(p))]
-    assert importers == ["settings.py"]
+    assert importers("csv") == ["settings.py"]
+
+
+def test_only_settings_imports_json():
+    assert importers("json") == ["settings.py"]
 
 
 def test_only_settings_names_the_process_pool():

@@ -348,25 +348,19 @@ class TestTransfer:
         assert auc_values(*cell) > 0.6
 
 
+def _insitu(c, w):
+    """in_situ's scores of course c at week w, from its week-w snapshot and proxy labels."""
+    return insitu_scores(build_matrix(c, week_date(c.meta, w)), proxy_labels(c, w))
+
+
 class TestInSitu:
     def test_matches_direct_call(self, small_corpus):
         c = small_corpus[0]
         scores, labels = run_paradigm(small_corpus, "in_situ", c.meta.course_id, -1)
-        direct = insitu_scores(c.meta, c.roster, c.activity, -1)
+        direct = _insitu(c, -1)
         assert direct.dtype == np.float64 and direct.shape == (c.n_students,)
         assert np.array_equal(scores, direct)
         assert np.array_equal(labels, c.certified)
-
-    def test_given_snapshot_scores_as_built(self, small_corpus):
-        c = small_corpus[0]
-        direct = insitu_scores(c.meta, c.roster, c.activity, -1)
-        given = insitu_scores(c.meta, c.roster, c.activity, -1,
-                              snapshot=build_matrix(c, week_date(c.meta, -1)))
-        assert np.array_equal(given, direct)
-        for wrong in (build_matrix(c, week_date(c.meta, 0)),
-                      build_matrix(c, week_date(c.meta, -1)).take(np.arange(10))):
-            with pytest.raises(BadValueError, match="snapshot"):
-                insitu_scores(c.meta, c.roster, c.activity, -1, snapshot=wrong)
 
     def test_blind_to_certification_labels(self, small_corpus):
         c = small_corpus[0]
@@ -379,7 +373,7 @@ class TestInSitu:
 
     def test_still_predictive_of_certification(self, small_corpus):
         c = small_corpus[0]
-        assert auc_values(insitu_scores(c.meta, c.roster, c.activity, 0), c.certified) > 0.7
+        assert auc_values(_insitu(c, 0), c.certified) > 0.7
 
 
 class TestInformationFrontier:

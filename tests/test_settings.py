@@ -1,9 +1,15 @@
-"""settings.forked: the package's one way to run work in worker processes."""
+"""settings.forked, the package's one way to run work in worker processes, and
+settings.read_json, through which every JSON reader names a malformed file."""
 
 import time
 
 import pytest
 
+from dropoutlab.cli import main
+from dropoutlab.deepnet import load_mlp
+from dropoutlab.errors import BadValueError
+from dropoutlab.features import load_norm_stats
+from dropoutlab.linear import load_model
 from dropoutlab.settings import forked
 
 
@@ -23,3 +29,48 @@ def test_a_failed_call_cancels_the_queued_ones(tmp_path):
                 result()
     ran = {int(p.name) for p in tmp_path.iterdir()}
     assert 0 in ran and len(ran) < 8
+
+
+def _command(*argv):
+    """A reader that runs the command on the file, which must exit 1; its error message."""
+    def read(path, capsys):
+        assert main([*argv, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        return err.removeprefix("error: ")
+    return read
+
+
+def _loader(load):
+    """A reader that loads the file, which must raise BadValueError; its message."""
+    def read(path, capsys):
+        with pytest.raises(BadValueError) as e:
+            load(path)
+        return str(e.value)
+    return read
+
+
+_JSON_READERS = {
+    "run-manifest": _command("run", "--manifest"),
+    "synth-config": _command("synth", "--out", "unwritten", "--config"),
+    "load_model": _loader(load_model),
+    "load_mlp": _loader(load_mlp),
+    "load_norm_stats": _loader(load_norm_stats),
+}
+
+_MALFORMED_JSON = {
+    "nested-past-the-parser": b"[" * 200_000 + b"]" * 200_000,
+    "not-utf8": b'\xff{"layers": []}',
+    "not-json": b"{not json",
+}
+
+
+@pytest.mark.parametrize("content", list(_MALFORMED_JSON.values()), ids=list(_MALFORMED_JSON))
+@pytest.mark.parametrize("reader", list(_JSON_READERS.values()), ids=list(_JSON_READERS))
+def test_each_json_reader_names_a_malformed_file(reader, content, tmp_path, capsys,
+                                                 monkeypatch):
+    monkeypatch.chdir(tmp_path)  # where synth would write
+    path = tmp_path / "doc.json"
+    path.write_bytes(content)
+    assert reader(path, capsys).startswith(f"{path}: not valid UTF-8 JSON (")
+    assert sorted(tmp_path.iterdir()) == [path]
