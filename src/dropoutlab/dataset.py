@@ -158,14 +158,38 @@ class Roster:
 
 
 def _stored_counters(values: np.ndarray) -> np.ndarray:
-    """Activity counters in the dtype a table stores them in: float32 values as
-    they are, and float64 values narrowed to float32 when every one survives
-    float64 -> float32 -> float64 unchanged, else as they are."""
+    """Activity counters in the narrowest dtype that holds every one exactly:
+    uint16 when each is whole and below 2**16, else float32 when each
+    survives float64 -> float32 -> float64 unchanged, else float64. Values
+    already in the dtype chosen are returned as they are. A NaN, an inf or a
+    negative value is never cast to uint16, so no cast warns."""
+    if values.dtype == np.uint16:
+        return values
+    # min() is NaN if any value is, and NaN fails both comparisons
+    if not values.size or (values.min() >= 0 and values.max() < 2**16):
+        narrow = values.astype(np.uint16)
+        if np.array_equal(narrow, values):
+            return narrow
     if values.dtype == np.float32:
         return values
     with np.errstate(over="ignore"):  # a value beyond float32's range becomes inf: no match
         narrow = values.astype(np.float32)
-    return narrow if np.array_equal(narrow, values) else values
+    return narrow if np.array_equal(narrow, values) else values.astype(np.float64, copy=False)
+
+
+def _put_counters(counts: np.ndarray, at, block: np.ndarray) -> np.ndarray:
+    """counts with block's counters stored at counts[at]: counts as it is when
+    it holds them exactly, else a copy widened to the dtype they are stored in.
+
+    A table filled block by block this way ends in the dtype _stored_counters
+    gives the whole table, as each dtype holds every value a narrower one does.
+    """
+    block = _stored_counters(block)
+    dtype = np.promote_types(counts.dtype, block.dtype)
+    if dtype != counts.dtype:
+        counts = counts.astype(dtype)
+    counts[at] = block
+    return counts
 
 
 class ActivityTable:
@@ -176,16 +200,19 @@ class ActivityTable:
     values holds the CLICKSTREAM_FEATURES counters of each row, every one
     finite and >= 0. Arrays are read-only once built.
 
-    values is stored as float32 when every counter survives the trip float64
-    -> float32 -> float64 unchanged (whole counts up to 2**24 do), in half the
-    bytes, and as float64 otherwise; readers that compute with it convert it
-    to float64, exactly.
+    values is stored in the narrowest of three dtypes that holds every
+    counter exactly: uint16 (2 bytes) when each is a whole count below 2**16
+    (a -0.0 is stored as 0), else float32 (4 bytes) when each survives the
+    trip float64 -> float32 -> float64 unchanged (whole counts up to 2**24
+    do), else float64. Readers that compute with values convert it to
+    float64, exactly.
 
     Input already in (student, day) order, as synthesized and loaded tables
     are, is kept rather than copied: an array that is contiguous and of the
-    stored dtype (int32 indices and days; float32 values, or float64 values
-    that float32 cannot hold) becomes the table's own and is made read-only
-    in place. Other input is sorted, or narrowed, into new arrays.
+    stored dtype (int32 indices and days; uint16 values, float32 values that
+    uint16 cannot hold, or float64 values that float32 cannot hold) becomes
+    the table's own and is made read-only in place. Other input is sorted, or
+    narrowed, into new arrays.
     """
 
     __slots__ = ("student_index", "day", "values")
@@ -207,7 +234,7 @@ class ActivityTable:
         self.student_index = np.ascontiguousarray(student_index, dtype=np.int32)
         self.day = np.ascontiguousarray(day, dtype=np.int32)
         values = np.ascontiguousarray(
-            values, dtype=np.float32 if values.dtype == np.float32 else np.float64)
+            values, dtype=values.dtype if values.dtype in (np.uint16, np.float32) else np.float64)
         # min() is NaN if any value is, and NaN >= 0 is False
         if n and not (values.min() >= 0.0 and values.max() < np.inf):
             pos, k = np.argwhere(~(np.isfinite(values) & (values >= 0.0)))[0]
@@ -416,6 +443,8 @@ _HEADER_LINES = {",".join(_ACTIVITY_COLUMNS) + end for end in ("\r\n", "\n", "")
 # activity.csv text per np.loadtxt call, about 1,100 synthesized rows: blocks of
 # 128 KiB left the heap of a grow run 0.4 MB higher after the load
 _BLOCK_CHARS = 96 * 1024
+# activity.csv rows the row scan parses before it stores their counters
+_SCAN_ROWS = 1024
 # np.loadtxt takes these in a number as space, and a NUL ends its text cells; float() and csv do not
 _LOADTXT_ONLY = "\x00\x1c\x1d\x1e\x1f"
 
@@ -443,9 +472,9 @@ def _read_activity(path: str | Path, meta: CourseMeta, index: Mapping[str, int]
                 return None
             n = _count_lines(path) - 1
             students, days = np.empty(n, dtype=np.int32), np.empty(n, dtype=np.int32)
-            # float32, widened at the first block whose counters float32 cannot
-            # hold: no float64 copy of the table is made that a narrowing would drop
-            counts = np.empty((n, len(CLICKSTREAM_FEATURES)), dtype=np.float32)
+            # uint16, widened at the first block whose counters it cannot hold:
+            # no float64 copy of the table is made that a narrowing would drop
+            counts = np.empty((n, len(CLICKSTREAM_FEATURES)), dtype=np.uint16)
             for text in _line_blocks(f, _BLOCK_CHARS):
                 if text.isspace() or any(c in text for c in _LOADTXT_ONLY):
                     return None  # np.loadtxt warns of a block with no rows
@@ -459,10 +488,7 @@ def _read_activity(path: str | Path, meta: CourseMeta, index: Mapping[str, int]
                                               dtype=np.int32, count=len(block))
                 days[lo:hi] = np.fromiter(map(offsets.__getitem__, dates),
                                           dtype=np.int32, count=len(block))
-                block_counts = _stored_counters(block["values"])
-                if block_counts.dtype == np.float64 and counts.dtype == np.float32:
-                    counts = counts.astype(np.float64)
-                counts[lo:hi] = block_counts
+                counts = _put_counters(counts, slice(lo, hi), block["values"])
                 lo = hi
         except (ValueError, KeyError, BadDateError):  # UnicodeDecodeError is a ValueError
             return None
@@ -488,10 +514,26 @@ def _counter_and_repeat_faults(students: np.ndarray, days: np.ndarray, counts: n
 def _scan_activity(path: str | Path, meta: CourseMeta, roster: Roster,
                    index: Mapping[str, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(student indices, day offsets, counters) of activity.csv, read one row
-    at a time by csv and float(); every fault is raised with its line."""
-    # counters go straight into a packed array: no list of every row's cells is kept
-    sidx, day, lines, values = [], [], [], array("d")
+    at a time by csv and float(); every fault is raised with its line.
+
+    The counters of each _SCAN_ROWS rows are stored as the block reader
+    stores a block's, into one table sized by the file's lines."""
+    sidx, day, lines, values = array("i"), array("i"), array("q"), array("d")
+    counts = np.empty((_count_lines(path), len(CLICKSTREAM_FEATURES)), dtype=np.uint16)
     offsets: dict[str, int] = {}  # each distinct date cell is parsed and checked once
+
+    def store() -> None:
+        nonlocal counts, values
+        hi = len(lines)
+        lo = hi - len(values) // len(CLICKSTREAM_FEATURES)
+        if hi > len(counts):  # a lone carriage return ends a row, and is no counted line
+            grown = np.empty((max(hi, 2 * len(counts)), counts.shape[1]), dtype=counts.dtype)
+            grown[:lo] = counts[:lo]
+            counts = grown
+        counts = _put_counters(counts, slice(lo, hi),
+                               np.frombuffer(values).reshape(hi - lo, len(CLICKSTREAM_FEATURES)))
+        values = array("d")
+
     for lineno, row in _read_rows(path, _ACTIVITY_COLUMNS):
         i = index.get(row[0])
         if i is None:
@@ -508,9 +550,12 @@ def _scan_activity(path: str | Path, meta: CourseMeta, roster: Roster,
             k, cell = next((k, c) for k, c in enumerate(row[2:]) if not _is_number(c))
             raise BadValueError(f"{path}:{lineno}: column {CLICKSTREAM_FEATURES[k]!r}: "
                                 f"not a number: {cell!r}") from None
+        if len(values) == _SCAN_ROWS * len(CLICKSTREAM_FEATURES):
+            store()
+    store()
 
-    counts = np.asarray(values).reshape(len(lines), len(CLICKSTREAM_FEATURES))
-    students, days = np.array(sidx, dtype=np.int32), np.array(day, dtype=np.int32)
+    counts = counts[:len(lines)]  # the spare rows of the header and blank lines stay behind
+    students, days = np.frombuffer(sidx, dtype=np.int32), np.frombuffer(day, dtype=np.int32)
     ok, bad, repeat = _counter_and_repeat_faults(students, days, counts, meta)
     if len(repeat) and (not len(bad) or repeat[0] <= bad[0]):
         r = repeat[0]
@@ -796,12 +841,21 @@ def _synth_roster(cfg: SynthConfig, rng: np.random.Generator) -> Roster:
                   loe, gender, continent, survey)
 
 
+# (student, day) cells per draw: each counter is drawn a block of about this
+# many students' days at a time, into buffers reused from block to block
+_DRAW_CELLS = 1 << 14
+
+
 def synthesize_course(config: SynthConfig, seed: int) -> CourseData:
     """Generate one deterministic synthetic course for (config, seed).
 
-    The counters are drawn straight into float32, the dtype the table keeps
-    whole counts in, unless one reaches 2**24 (problems_per_day can make it
-    so); then they are float64.
+    The activity mask, and then each counter in turn, is drawn over blocks of
+    students, in student order. numpy's Generator takes its stream element
+    by element in C order, so these are the draws of whole (student x day)
+    arrays, and no such array of draws is made. The counters are drawn straight
+    into uint16, the dtype the table keeps whole counts below 2**16 in, and
+    widened as _stored_counters says at the first draw that uint16 cannot
+    hold (problems_per_day can make one).
     """
     config.validate()
     rng = np.random.default_rng(seed)
@@ -825,29 +879,37 @@ def synthesize_course(config: SynthConfig, seed: int) -> CourseData:
     n_days = 7 * config.weeks_total
     t = np.arange(n_days)
     engagement = e0[:, None] * retention[:, None] ** t[None, :]
-    active = rng.random((n, n_days)) < engagement
+    size = max(1, _DRAW_CELLS // n_days)
+    blocks = [slice(lo, min(lo + size, n)) for lo in range(0, n, size)]
+    drawn = np.empty((size, n_days))  # one block's uniform draws, then its Poisson rates
+    active = np.empty((n, n_days), dtype=bool)
+    for b in blocks:
+        np.less(rng.random(out=drawn[:b.stop - b.start]), engagement[b], out=active[b])
+    cells = np.flatnonzero(active)  # in (student, day) order, which the table keeps
+    del active
+    # block i fills rows first[i]:first[i + 1] of the table
+    first = np.searchsorted(cells, [b.start * n_days for b in blocks] + [n * n_days])
 
-    rows = np.nonzero(active)
-    n_rec = len(rows[0])
-    values = np.zeros((n_rec, len(CLICKSTREAM_FEATURES)), dtype=np.float32)
+    values = np.empty((len(cells), len(CLICKSTREAM_FEATURES)), dtype=np.uint16)
     rates = _BASE_RATES.copy()
     rates[CLICKSTREAM_INDEX["nproblems_answered"]] = config.problems_per_day
-    for k in range(len(CLICKSTREAM_FEATURES)):
-        draw = rng.poisson(rates[k] * engagement, size=(n, n_days))
-        if values.dtype == np.float32 and draw.max() >= 2**24:  # float32 holds counts to 2**24
-            values = values.astype(np.float64)
-        values[:, k] = draw[rows]
-    values[:, CLICKSTREAM_INDEX["nevents"]] += 1.0  # active days always register an event
-    del engagement, active, draw
+    for k, rate in enumerate(rates):
+        for b, lo, hi in zip(blocks, first, first[1:]):
+            lam = np.multiply(rate, engagement[b], out=drawn[:b.stop - b.start])
+            draw = rng.poisson(lam).take(cells[lo:hi] - b.start * n_days)
+            if k == CLICKSTREAM_INDEX["nevents"]:
+                draw += 1  # active days always register an event
+            values = _put_counters(values, (slice(lo, hi), k), draw)
+    del engagement, drawn
+    student, day = np.divmod(cells, n_days)
 
     # whole counts (below 2**53) sum exactly in any order, so per-student sums match a row sum
-    answered = np.bincount(rows[0], weights=values[:, CLICKSTREAM_INDEX["nproblems_answered"]],
+    answered = np.bincount(student, weights=values[:, CLICKSTREAM_INDEX["nproblems_answered"]],
                            minlength=n)
     grade = np.clip(answered / config.problems_for_full_grade, 0.0, 1.0)
     final_grade = dict(zip(roster.student_ids, grade.tolist()))
 
-    # np.nonzero yields the rows in (student, day) order, which the table keeps
-    table = ActivityTable(rows[0].astype(np.int32), rows[1].astype(np.int32), values)
+    table = ActivityTable(student.astype(np.int32), day.astype(np.int32), values)
     return CourseData(meta, roster, table, final_grade)
 
 

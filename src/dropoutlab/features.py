@@ -201,13 +201,14 @@ def _add_rows(table: ActivityTable, rows: np.ndarray, cum: np.ndarray, last: np.
     """Add activity rows, later than every row added before, to the running
     counters (one np.add.at per counter) and last active days of a walk.
 
-    The rows' counters are converted to float64 (exactly) before they are
-    added, whatever dtype the table stores them in: np.add.at of a narrower
+    Each counter column is converted to float64 (exactly) just before it is
+    added, whatever dtype the table stores it in: np.add.at of a narrower
     operand into float64 sums leaves numpy's fast path and takes several times
-    as long."""
-    idx, values = table.student_index[rows], table.values[rows].astype(np.float64, copy=False)
+    as long, and a float64 copy of every column at once would take up to four
+    times the stored bytes."""
+    idx, values = table.student_index[rows], table.values[rows]
     for total, column in zip(cum, values.T):
-        np.add.at(total, idx, column)
+        np.add.at(total, idx, column.astype(np.float64))
     acted = values[:, _NEVENTS] > 0
     ran, day = idx[acted], table.day[rows][acted]
     end = np.flatnonzero(np.diff(ran, append=-1))  # each student's last acted row

@@ -47,7 +47,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dataset import CLICKSTREAM_FEATURES, CourseData, CourseMeta, week_date
-from .errors import BadValueError, InvalidParadigmError, SingleClassError, WindowOutOfRangeError
+from .errors import (BadValueError, BeforeLaunchError, InvalidParadigmError, SingleClassError,
+                     WindowOutOfRangeError)
 from .evaluate import EvalReport, EvalRow, auc_values
 from .features import (
     FeatureMatrix,
@@ -102,21 +103,24 @@ def proxy_labels(course: CourseData, w: int) -> np.ndarray:
     in the 7 days before week w, else 0.0.
 
     The window [week_date(w)-7, week_date(w)-1] must lie inside
-    [launch_date, t100_date].
+    [launch_date, t100_date], else WindowOutOfRangeError; a week past the
+    calendar's last day raises week_date's BadValueError. Both name the
+    course and the week.
     """
     meta = course.meta
-    wd = meta.t100_date + datetime.timedelta(days=7 * w)
-    lo = wd - datetime.timedelta(days=7)
-    hi = wd - datetime.timedelta(days=1)
-    if lo < meta.launch_date or hi > meta.t100_date:
+    try:
+        wd = week_date(meta, w)
+    except BeforeLaunchError as e:
+        raise WindowOutOfRangeError(f"{e}, and so does its proxy window") from None
+    lo = course.day_offset(wd) - 7  # an offset, as wd - 7 days may precede date.min
+    if lo < 0 or wd > meta.t100_date:
         raise WindowOutOfRangeError(
-            f"course {meta.course_id!r}: proxy window [{lo}, {hi}] not inside "
-            f"[{meta.launch_date}, {meta.t100_date}]"
+            f"course {meta.course_id!r}: the proxy window of week {w}, the 7 days before {wd}, "
+            f"is not inside [{meta.launch_date}, {meta.t100_date}]"
         )
-    lo_off, hi_off = course.day_offset(lo), course.day_offset(hi)
     table = course.activity
     nevents = table.values[:, CLICKSTREAM_FEATURES.index("nevents")]
-    mask = (table.day >= lo_off) & (table.day <= hi_off) & (nevents > 0)
+    mask = (table.day >= lo) & (table.day < lo + 7) & (nevents > 0)
     active = np.zeros(course.n_students)
     active[table.student_index[mask]] = 1.0
     return active
@@ -171,7 +175,10 @@ def source_courses(corpus: Sequence[CourseData], kind: str, target_id: str) -> t
 
 def _source_date(meta: CourseMeta, w: int) -> datetime.date:
     """A source course's own week-w date, clamped to its launch."""
-    return max(meta.t100_date + datetime.timedelta(days=7 * w), meta.launch_date)
+    try:
+        return week_date(meta, w)
+    except BeforeLaunchError:
+        return meta.launch_date
 
 
 def insitu_scores(snapshot: FeatureMatrix, proxy: np.ndarray, C: float = 1.0) -> np.ndarray:

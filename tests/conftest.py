@@ -20,6 +20,9 @@ from dropoutlab.dataset import (
     CourseMeta,
     Roster,
     SynthConfig,
+    _BASE_RATES,
+    _HIGHER_ED,
+    _synth_roster,
     load_course_meta,
     load_demographics,
     synthesize_corpus,
@@ -346,6 +349,41 @@ def reference_load_course(course_dir):
     table = ActivityTable(np.array(sidx, dtype=np.int32), np.array(days, dtype=np.int32),
                           np.array(values, dtype=np.float64).reshape(-1, len(CLICKSTREAM_FEATURES)))
     return CourseData(meta, roster, table, grades)
+
+
+# dataset.synthesize_course as it drew before it drew blocks of students:
+# whole (student x day) arrays of uniform and Poisson draws, the counters kept
+# as float64. The block draws must give the same courses, bit for bit.
+
+def reference_synthesis(config, seed):
+    """(student_index, day, values, final_grade) of synthesize_course(config, seed)."""
+    rng = np.random.default_rng(seed)
+    n = config.n_students
+    roster = _synth_roster(config, rng)
+    e0 = rng.beta(config.engagement_alpha, config.engagement_beta, n)
+    edu = np.isin(roster.loe, [LOE_LEVELS.index(v) for v in _HIGHER_ED])
+    age = 2012 - roster.yob
+    prime_age = (25 <= age) & (age < 50)
+    e0 = np.clip(e0 + config.education_boost * edu + config.age_boost * prime_age
+                 + config.survey_boost * roster.took_precourse_survey, 0.0, 1.0)
+    jitter = rng.uniform(1.0 - config.decay_spread, 1.0 + config.decay_spread, n)
+    retention = (1.0 - config.daily_decay) ** jitter
+    n_days = 7 * config.weeks_total
+    t = np.arange(n_days)
+    engagement = e0[:, None] * retention[:, None] ** t[None, :]
+    active = rng.random((n, n_days)) < engagement
+    rows = np.nonzero(active)
+    values = np.zeros((len(rows[0]), len(CLICKSTREAM_FEATURES)))
+    rates = _BASE_RATES.copy()
+    rates[CLICKSTREAM_FEATURES.index("nproblems_answered")] = config.problems_per_day
+    for k in range(len(CLICKSTREAM_FEATURES)):
+        values[:, k] = rng.poisson(rates[k] * engagement, size=(n, n_days))[rows]
+    values[:, CLICKSTREAM_FEATURES.index("nevents")] += 1.0
+    answered = np.bincount(rows[0], weights=values[:, CLICKSTREAM_FEATURES.index(
+        "nproblems_answered")], minlength=n)
+    grade = np.clip(answered / config.problems_for_full_grade, 0.0, 1.0)
+    return (rows[0].astype(np.int32), rows[1].astype(np.int32), values,
+            dict(zip(roster.student_ids, grade.tolist())))
 
 
 # The loss and gradient each trainer steps on, called as training calls them,

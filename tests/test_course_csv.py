@@ -3,6 +3,7 @@
 import csv
 import io
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from dropoutlab import dataset
 from dropoutlab.dataset import (
     CLICKSTREAM_FEATURES,
+    SynthConfig,
     default_corpus_config,
     load_course_dir,
     synthesize_corpus,
@@ -374,8 +376,60 @@ def test_synthesized_course_loads_without_the_row_scan(tmp_path, monkeypatch):
     _assert_same_course(expected, course)
 
 
-def test_synthesized_and_loaded_counters_take_four_bytes_a_cell(tmp_path, monkeypatch):
-    """A default 2000-student course holds its counters as float32, and so does
+@pytest.mark.parametrize("problems_per_day,dtype", [
+    (8.0, np.uint16), (1e5, np.float32), (2.0**30, np.float64),
+])
+def test_scan_stores_counters_as_the_block_reader_does(tmp_path, monkeypatch,
+                                                       problems_per_day, dtype):
+    """Both readers give one file's counters the same dtype and bytes, in
+    blocks of the default sizes and in blocks of about ten rows."""
+    cfg = SynthConfig(course_id="Sx", n_students=60, problems_per_day=problems_per_day)
+    write_course(synthesize_course(cfg, 2), tmp_path)
+
+    def scan(*args):
+        raise AssertionError("the row scan ran")
+    for rows, chars in ((dataset._SCAN_ROWS, dataset._BLOCK_CHARS), (10, 999)):
+        monkeypatch.setattr(dataset, "_SCAN_ROWS", rows)
+        monkeypatch.setattr(dataset, "_BLOCK_CHARS", chars)
+        scanned = _scan_only(monkeypatch, load_course_dir, tmp_path)
+        with monkeypatch.context() as m:
+            m.setattr(dataset, "_scan_activity", scan)
+            _assert_same_course(scanned, load_course_dir(tmp_path))
+        assert scanned.activity.values.dtype == dtype
+
+
+@pytest.mark.parametrize("rows", [7, 100])
+def test_rows_ended_by_lone_carriage_returns_outgrow_the_counted_lines(tmp_path, monkeypatch,
+                                                                       rows):
+    """A file whose rows end in a lone \\r has one counted line, so the scan
+    grows its table as it meets rows, and loads what the reference does."""
+    monkeypatch.setattr(dataset, "_SCAN_ROWS", rows)
+    course = synthesize_course(default_corpus_config(1, 30).courses[0], 8)
+    write_course(course, tmp_path)
+    path = tmp_path / "activity.csv"
+    path.write_bytes(path.read_bytes().replace(b"\r\n", b"\r"))
+    assert path.read_bytes().count(b"\n") == 0 and len(course.activity) > 2 * rows
+    _assert_same_course(load_course_dir(tmp_path), reference_load_course(tmp_path))
+    _assert_same_course(load_course_dir(tmp_path), course)
+
+
+def test_scan_holds_no_float64_copy_of_the_counters(tmp_path, monkeypatch):
+    """The row scan's peak of traced memory, roster and grades included, is
+    below the bytes of the counter table in float64: it stores each block of
+    rows in the table's dtype as it goes."""
+    write_course(synthesize_course(default_corpus_config(1, 2000).courses[0], 7), tmp_path)
+    tracemalloc.start()
+    try:
+        course = _scan_only(monkeypatch, load_course_dir, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert course.activity.values.dtype == np.uint16
+    assert peak < 8 * course.activity.values.size
+
+
+def test_synthesized_and_loaded_counters_take_two_bytes_a_cell(tmp_path, monkeypatch):
+    """A default 2000-student course holds its counters as uint16, and so does
     its copy read back by the block reader."""
     course = synthesize_course(default_corpus_config(1, 2000).courses[0], 7)
     write_course(course, tmp_path)
@@ -384,4 +438,4 @@ def test_synthesized_and_loaded_counters_take_four_bytes_a_cell(tmp_path, monkey
         raise AssertionError("the row scan ran")
     monkeypatch.setattr(dataset, "_scan_activity", scan)
     for c in (course, load_course_dir(tmp_path)):
-        assert c.activity.values.nbytes == 4 * len(c.activity) * len(CLICKSTREAM_FEATURES)
+        assert c.activity.values.nbytes == 2 * len(c.activity) * len(CLICKSTREAM_FEATURES)

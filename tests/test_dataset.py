@@ -8,6 +8,7 @@ import threading
 import numpy as np
 import pytest
 
+from dropoutlab import dataset
 from dropoutlab.dataset import (
     ActivityTable,
     CLICKSTREAM_FEATURES,
@@ -52,6 +53,7 @@ from conftest import (
     make_course,
     make_meta,
     records_of,
+    reference_synthesis,
 )
 
 _ROSTER_COLUMNS = ("yob", "loe", "gender", "continent", "took_precourse_survey")
@@ -202,9 +204,10 @@ class TestActivityRecords:
             t.values[0, 0] = 5.0
 
     def test_table_keeps_sorted_input(self):
-        # values already in the stored dtype: float32, and float64 that float32 cannot hold
+        # values already in the stored dtype: uint16, float32 that uint16 cannot
+        # hold, and float64 that float32 cannot hold
         whole = np.arange(3 * len(CLICKSTREAM_FEATURES), dtype=float).reshape(3, -1)
-        for values in (whole.astype(np.float32), whole + 0.1):
+        for values in (whole.astype(np.uint16), (whole + 0.5).astype(np.float32), whole + 0.1):
             given = (np.array([0, 0, 1], dtype=np.int32), np.array([2, 9, 5], dtype=np.int32),
                      values)
             t = ActivityTable(*given)
@@ -217,19 +220,49 @@ class TestActivityRecords:
 
 
 class TestStoredDtype:
-    """Counters are stored as float32 exactly when each survives float64 ->
-    float32 -> float64 unchanged, else as float64; no cast warns (pytest
-    turns warnings into errors)."""
+    """Counters are stored as uint16 exactly when each is whole and below
+    2**16, else as float32 exactly when each survives float64 -> float32 ->
+    float64 unchanged, else as float64; no cast warns (pytest turns warnings
+    into errors)."""
 
     @pytest.mark.parametrize("value,dtype", [
-        (0.0, np.float32), (-0.0, np.float32), (0.5, np.float32), (2.0**24, np.float32),
-        (0.1, np.float64), (2.0**24 + 1, np.float64), (1e300, np.float64),
+        (0.0, np.uint16), (65535.0, np.uint16), (65536.0, np.float32), (0.5, np.float32),
+        (2.0**24, np.float32), (0.1, np.float64), (2.0**24 + 1, np.float64), (1e300, np.float64),
     ])
     def test_dtype_of_one_value(self, value, dtype):
         t = _one_row_table(nvideo=value, nevents=3)
         assert t.values.dtype == dtype
         assert t.values.astype(np.float64).tobytes() == np.array(
             [[counters(nvideo=value, nevents=3)[k] for k in CLICKSTREAM_FEATURES]]).tobytes()
+
+    def test_negative_zero_is_stored_as_zero(self):
+        """uint16 has no -0.0; the 0 stored for it equals it, and reads back as +0.0."""
+        t = _one_row_table(nvideo=-0.0, nevents=3)
+        assert t.values.dtype == np.uint16
+        assert t.values.astype(np.float64).tobytes() == np.array(
+            [[counters(nvideo=0.0, nevents=3)[k] for k in CLICKSTREAM_FEATURES]]).tobytes()
+
+    @pytest.mark.parametrize("drawn,dtype", [(65534, np.uint16), (65535, np.float32)])
+    def test_nevents_draw_widens_before_its_one_is_added(self, monkeypatch, drawn, dtype):
+        """With every Poisson draw fixed, nevents is the draw + 1: 65535 from
+        a draw of 65534 is stored as uint16, and 65536 from a draw of 65535
+        widens the table to float32."""
+        class Fixed:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+            def poisson(self, lam):
+                return np.full(lam.shape, drawn)
+        make = np.random.default_rng
+        monkeypatch.setattr(dataset.np.random, "default_rng", lambda seed: Fixed(make(seed)))
+        c = synthesize_course(SynthConfig(course_id="Sx", n_students=40), 3)
+        assert len(c.activity) and c.activity.values.dtype == dtype
+        assert (c.activity.values[:, CLICKSTREAM_INDEX["nevents"]] == drawn + 1).all()
+        others = np.delete(c.activity.values, CLICKSTREAM_INDEX["nevents"], axis=1)
+        assert (others == drawn).all()
 
     def test_one_inexact_value_keeps_the_whole_table_float64(self):
         values = np.ones((4, len(CLICKSTREAM_FEATURES)))
@@ -645,6 +678,38 @@ class TestSynthConfig:
 
 
 class TestSynthesis:
+    _SIZE = dataset._DRAW_CELLS // 70  # students per draw block of a 10-week course
+
+    @staticmethod
+    def _assert_drawn_as_whole_arrays(cfg, seed):
+        got = synthesize_course(cfg, seed)
+        student_index, day, values, grade = reference_synthesis(cfg, seed)
+        assert got.activity.values.astype(np.float64).tobytes() == values.tobytes()
+        assert got.activity.student_index.tobytes() == student_index.tobytes()
+        assert got.activity.day.tobytes() == day.tobytes()
+        assert list(got.final_grade.items()) == list(grade.items())
+        return got.activity.values.dtype
+
+    @pytest.mark.parametrize("n,problems_per_day,dtype", [
+        (1, 8.0, np.uint16), (_SIZE - 1, 8.0, np.uint16), (_SIZE, 8.0, np.uint16),
+        (2 * _SIZE + 5, 8.0, np.uint16), (_SIZE + 3, 1e5, np.float32),
+        (_SIZE + 3, 2.0**30, np.float64),
+    ])
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_block_draws_are_the_whole_array_draws(self, n, problems_per_day, dtype, seed):
+        cfg = SynthConfig(course_id="Bx", n_students=n, problems_per_day=problems_per_day)
+        assert self._assert_drawn_as_whole_arrays(cfg, seed) == dtype
+
+    @pytest.mark.parametrize("cells", [1, 56, 57, 300])
+    def test_any_block_size_draws_the_same_course(self, monkeypatch, cells):
+        """Blocks of one student of an 8-week course (a buffer of less than a
+        row of 56 days, of one row, of a row and a cell) and of five students
+        draw what whole arrays do."""
+        monkeypatch.setattr(dataset, "_DRAW_CELLS", cells)
+        cfg = default_corpus_config(2, 37).courses[1]
+        assert cfg.weeks_total == 8
+        self._assert_drawn_as_whole_arrays(cfg, 5)
+
     def test_same_seed_same_course(self):
         cfg = SynthConfig(course_id="Sx", n_students=60)
         a = synthesize_course(cfg, 7)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import datetime
+import re
 from collections import Counter
 
 import numpy as np
@@ -140,6 +141,24 @@ class TestProxyLabels:
             proxy_labels(course, -4)  # window would start before launch
         with pytest.raises(WindowOutOfRangeError):
             proxy_labels(course, 1)  # window would cross t100
+
+    @pytest.mark.parametrize("w,error,words", [
+        (2_000_000, BadValueError, "falls past 9999-12-31"),
+        (-2_000_000, WindowOutOfRangeError, "falls before launch 2014-01-06"),
+        (-5, WindowOutOfRangeError, "falls before launch 2014-01-06"),
+    ])
+    def test_week_outside_the_calendar_names_course_and_week(self, w, error, words):
+        with pytest.raises(error, match=re.escape(f"course 'WINx': week {w} {words}")):
+            proxy_labels(_window_course(), w)
+
+    def test_source_date_clamps_to_launch_and_names_a_week_past_the_calendar(self):
+        meta = _window_course().meta
+        assert paradigms._source_date(meta, -2_000_000) == meta.launch_date
+        assert paradigms._source_date(meta, -5) == meta.launch_date
+        assert paradigms._source_date(meta, -1) == week_date(meta, -1)
+        with pytest.raises(BadValueError, match=re.escape(
+                "course 'WINx': week 2000000 falls past 9999-12-31")):
+            paradigms._source_date(meta, 2_000_000)
 
     def test_activity_outside_window_irrelevant(self):
         course = _window_course()
@@ -399,7 +418,7 @@ class TestInformationFrontier:
         table = course.activity
         later = table.day > course.day_offset(date)
         assert later.any(), (course.meta.course_id, date)
-        values = table.values.copy()
+        values = table.values.astype(np.float64)
         values[later] *= 3.0
         return dataclasses.replace(
             course, activity=ActivityTable(table.student_index, table.day, values))
