@@ -364,6 +364,10 @@ def cmd_report(args) -> int:
     first: dict[tuple, str] = {}  # where each (paradigm, course_id, week) cell was read
     for where, cell in ([(w, (r.paradigm, r.course_id, r.week)) for w, r in rows]
                         + [(w, s[:3]) for w, s in skipped]):
+        if cell[0] not in PARADIGMS or cell[2] > 0:  # no run scores a week past week 0
+            raise BadConfigError(f"{where}: no run writes the cell (paradigm, course_id, week) "
+                                 f"{cell}: the paradigm must be one of {', '.join(PARADIGMS)} "
+                                 "and the week at most 0")
         if cell in first:
             raise BadConfigError(f"{where}: cell (paradigm, course_id, week) {cell} is "
                                  f"listed twice, first on {first[cell]}")

@@ -158,11 +158,9 @@ class Roster:
 
 
 def _stored_counters(values: np.ndarray) -> np.ndarray:
-    """Activity counters in the narrowest dtype that holds every one exactly:
-    uint16 when each is whole and below 2**16, else float32 when each
-    survives float64 -> float32 -> float64 unchanged, else float64. Values
-    already in the dtype chosen are returned as they are. A NaN, an inf or a
-    negative value is never cast to uint16, so no cast warns."""
+    """Activity counters as uint16 when each is whole and below 2**16, else as
+    float64. Values already in the dtype chosen are returned as they are. A
+    NaN, an inf or a negative value is never cast to uint16, so no cast warns."""
     if values.dtype == np.uint16:
         return values
     # min() is NaN if any value is, and NaN fails both comparisons
@@ -170,19 +168,15 @@ def _stored_counters(values: np.ndarray) -> np.ndarray:
         narrow = values.astype(np.uint16)
         if np.array_equal(narrow, values):
             return narrow
-    if values.dtype == np.float32:
-        return values
-    with np.errstate(over="ignore"):  # a value beyond float32's range becomes inf: no match
-        narrow = values.astype(np.float32)
-    return narrow if np.array_equal(narrow, values) else values.astype(np.float64, copy=False)
+    return values.astype(np.float64, copy=False)
 
 
 def _put_counters(counts: np.ndarray, at, block: np.ndarray) -> np.ndarray:
     """counts with block's counters stored at counts[at]: counts as it is when
-    it holds them exactly, else a copy widened to the dtype they are stored in.
+    it holds them exactly, else a float64 copy.
 
     A table filled block by block this way ends in the dtype _stored_counters
-    gives the whole table, as each dtype holds every value a narrower one does.
+    gives the whole table, as float64 holds every value uint16 does.
     """
     block = _stored_counters(block)
     dtype = np.promote_types(counts.dtype, block.dtype)
@@ -200,19 +194,15 @@ class ActivityTable:
     values holds the CLICKSTREAM_FEATURES counters of each row, every one
     finite and >= 0. Arrays are read-only once built.
 
-    values is stored in the narrowest of three dtypes that holds every
-    counter exactly: uint16 (2 bytes) when each is a whole count below 2**16
-    (a -0.0 is stored as 0), else float32 (4 bytes) when each survives the
-    trip float64 -> float32 -> float64 unchanged (whole counts up to 2**24
-    do), else float64. Readers that compute with values convert it to
-    float64, exactly.
+    values is stored as uint16 (2 bytes) when each counter is a whole count
+    below 2**16 (a -0.0 is stored as 0), else as float64. Readers that
+    compute with values convert it to float64, exactly.
 
     Input already in (student, day) order, as synthesized and loaded tables
     are, is kept rather than copied: an array that is contiguous and of the
-    stored dtype (int32 indices and days; uint16 values, float32 values that
-    uint16 cannot hold, or float64 values that float32 cannot hold) becomes
-    the table's own and is made read-only in place. Other input is sorted, or
-    narrowed, into new arrays.
+    stored dtype (int32 indices and days; uint16 values, or float64 values
+    that uint16 cannot hold) becomes the table's own and is made read-only in
+    place. Other input is sorted, converted or narrowed into new arrays.
     """
 
     __slots__ = ("student_index", "day", "values")
@@ -234,7 +224,7 @@ class ActivityTable:
         self.student_index = np.ascontiguousarray(student_index, dtype=np.int32)
         self.day = np.ascontiguousarray(day, dtype=np.int32)
         values = np.ascontiguousarray(
-            values, dtype=values.dtype if values.dtype in (np.uint16, np.float32) else np.float64)
+            values, dtype=np.uint16 if values.dtype == np.uint16 else np.float64)
         # min() is NaN if any value is, and NaN >= 0 is False
         if n and not (values.min() >= 0.0 and values.max() < np.inf):
             pos, k = np.argwhere(~(np.isfinite(values) & (values >= 0.0)))[0]
@@ -854,8 +844,8 @@ def synthesize_course(config: SynthConfig, seed: int) -> CourseData:
     by element in C order, so these are the draws of whole (student x day)
     arrays, and no such array of draws is made. The counters are drawn straight
     into uint16, the dtype the table keeps whole counts below 2**16 in, and
-    widened as _stored_counters says at the first draw that uint16 cannot
-    hold (problems_per_day can make one).
+    the table is widened to float64 at the first draw that uint16 cannot hold
+    (problems_per_day can make one).
     """
     config.validate()
     rng = np.random.default_rng(seed)

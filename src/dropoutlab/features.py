@@ -6,8 +6,8 @@ level of education, gender, continent, each with an explicit null slot), the
 survey flag, and a recency column (days since last action). This one layout
 is a set of module constants: FEATURE_NAMES (WIDTH of them), BLOCKS (block
 name -> column range, in order) and PERCENTILE_COLUMNS. Matrices and stats
-carry no layout of their own; the readers (load_matrix, load_norm_stats and
-norm_stats_from_dict) check a file against it.
+carry no layout of their own; norm_stats_from_dict, which reads the stats a
+model file carries, checks them against it.
 
 A snapshot does no per-student Python work. The demographic dummies and the
 survey flag come from the course's Roster columns (yob, loe, gender,
@@ -21,7 +21,6 @@ activity; build_matrix is the walk's one-date case.
 from __future__ import annotations
 
 import datetime
-from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -40,11 +39,10 @@ from .errors import (
     BadDateError,
     BadValueError,
     EmptyMatrixError,
-    MissingColumnError,
     SchemaMismatchError,
 )
 from .evaluate import _midranks
-from .settings import read_csv, read_json, write_csv, write_json
+from .settings import write_csv, write_json
 
 _AGE_EDGES = np.arange(10, 61, 5)  # 10, 15, ..., 60; ages are as of 2012
 _AGE_NAMES = (
@@ -347,7 +345,7 @@ def holdout_split(
 
 
 # ---------------------------------------------------------------------------
-# Serialization: the readers are where a file is checked against the layout
+# Serialization: norm_stats_from_dict is where stats are checked against the layout
 # ---------------------------------------------------------------------------
 
 def write_matrix(m: FeatureMatrix, path: str | Path) -> None:
@@ -361,31 +359,6 @@ def write_matrix(m: FeatureMatrix, path: str | Path) -> None:
         cells[:, j] = np.array([repr(v) for v in bits.view(np.float64).tolist()],
                                dtype=object)[inverse]
     write_csv(path, ("student_id",) + FEATURE_NAMES, cells.tolist())
-
-
-def load_matrix(path: str | Path, as_of: datetime.date) -> FeatureMatrix:
-    """Read a matrix written by write_matrix (rows in ascending student-id order);
-    as_of is supplied by the caller. A file that is not UTF-8 raises BadValueError."""
-    rows = read_csv(path)
-    _, header = next(rows, (0, None))
-    if header is None:
-        raise MissingColumnError(f"{path}: empty file")
-    if header[:1] != ["student_id"]:
-        raise MissingColumnError(f"{path}: first column must be student_id")
-    if tuple(header[1:]) != FEATURE_NAMES:
-        raise SchemaMismatchError(f"{path}: columns do not match the feature layout")
-    ids = []
-    values = array("d")
-    for lineno, row in rows:
-        if ids and row[0] <= ids[-1]:
-            raise BadValueError(f"{path}:{lineno}: student id {row[0]!r} does not "
-                                f"follow {ids[-1]!r}; ids must be unique and ascending")
-        ids.append(row[0])
-        try:
-            values.extend(map(float, row[1:]))
-        except ValueError:
-            raise BadValueError(f"{path}:{lineno}: non-numeric feature value") from None
-    return FeatureMatrix(tuple(ids), np.array(values).reshape(len(ids), WIDTH), as_of)
 
 
 def norm_stats_to_dict(stats: NormStats) -> dict:
@@ -432,11 +405,3 @@ def norm_stats_from_dict(doc: dict) -> NormStats:
 def save_norm_stats(stats: NormStats, path: str | Path) -> None:
     """JSON sidecar for normalization stats, keyed by kind."""
     write_json(path, norm_stats_to_dict(stats))
-
-
-def load_norm_stats(path: str | Path) -> NormStats:
-    """Read stats written by save_norm_stats (the .norm.json beside a features matrix).
-
-    Every error of norm_stats_from_dict, and a file that is not JSON, names the path.
-    """
-    return read_json(path, norm_stats_from_dict)

@@ -296,7 +296,6 @@ def load_model(path: str | Path) -> LinearModel:
     A file that is not such a model, or that has other than WIDTH weights,
     raises BadValueError naming it; one written for another feature layout
     (its schema_hash, or the names or columns of its norm) raises
-    SchemaMismatchError naming it. The norm is checked as load_norm_stats
-    checks a stats file.
+    SchemaMismatchError naming it. The norm is checked by norm_stats_from_dict.
     """
     return read_json(path, _model_from_dict)

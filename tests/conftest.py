@@ -37,8 +37,9 @@ from dropoutlab.errors import (
     NonFiniteLossError,
     UnknownStudentError,
 )
-from dropoutlab.features import check_as_of
+from dropoutlab.features import FEATURE_NAMES, FeatureMatrix, check_as_of, norm_stats_from_dict
 from dropoutlab.linear import _grad, _loss, _sigmoid
+from dropoutlab.settings import read_csv, read_json
 
 LAUNCH = datetime.date(2014, 1, 6)
 
@@ -384,6 +385,27 @@ def reference_synthesis(config, seed):
     grade = np.clip(answered / config.problems_for_full_grade, 0.0, 1.0)
     return (rows[0].astype(np.int32), rows[1].astype(np.int32), values,
             dict(zip(roster.student_ids, grade.tolist())))
+
+
+# Readers of the files features writes, which no command reads back: the
+# round-trip oracles of features.write_matrix and features.save_norm_stats.
+
+def load_matrix(path, as_of):
+    """The FeatureMatrix write_matrix wrote to path, at the given as_of date.
+    settings.read_csv names the file, and the line of a row of the wrong length."""
+    rows = read_csv(path)
+    assert next(rows)[1] == ["student_id", *FEATURE_NAMES]
+    cells = [row for _, row in rows]
+    return FeatureMatrix(tuple(row[0] for row in cells),
+                         np.array([[float(v) for v in row[1:]] for row in cells])
+                         .reshape(len(cells), len(FEATURE_NAMES)),
+                         as_of)
+
+
+def load_norm_stats(path):
+    """The NormStats save_norm_stats wrote to path, checked against the feature
+    layout by norm_stats_from_dict, the check a model file's norm goes through."""
+    return read_json(path, norm_stats_from_dict)
 
 
 # The loss and gradient each trainer steps on, called as training calls them,

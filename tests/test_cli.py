@@ -17,6 +17,8 @@ import dropoutlab
 from dropoutlab.cli import build_parser, main
 from dropoutlab.paradigms import PARADIGMS
 
+from conftest import load_norm_stats
+
 
 def _dir_bytes(root):
     return {p.relative_to(root): p.read_bytes()
@@ -215,8 +217,6 @@ class TestFeaturesAndTrain:
         assert not out.with_suffix(".csv.norm.json").exists()
 
     def test_stats_out_parent_is_created(self, course_dir, tmp_path, capsys):
-        from dropoutlab.features import load_norm_stats
-
         out, stats = tmp_path / "m" / "m.csv", tmp_path / "s" / "t" / "s.json"
         assert main(["features", "--course-dir", str(course_dir), "--out", str(out),
                      "--stats-out", str(stats)]) == 0
@@ -893,7 +893,7 @@ class TestReportCommand:
         assert main(["run", "--manifest", str(manifest)]) == 0
         out = tmp_path / "out"
         with open(out / "skipped.csv", "a", newline="") as f:
-            f.write("baseline2,MAx,9,single class\r\nbaseline1,MBx,-2,single class\r\n")
+            f.write("baseline2,MAx,-9,single class\r\nbaseline1,MBx,-2,single class\r\n")
         line = next(k for k, text in enumerate((out / "rows.csv").read_text().splitlines(), 1)
                     if text.startswith("baseline1,MBx,-2,"))
         assert main(["report", "--rows", str(out / "rows.csv"),
@@ -936,7 +936,17 @@ class TestReportCommand:
             re.sub(rb"^(baseline1,MAx,-3,[^,]*,[^,]*),[^,\r]*", rb"\1,0",
                    (out / "rows.csv").read_bytes(), flags=re.M)),
          "{out}/rows.csv:3: need 0 < n_positives 0 < n_students 60"),
-    ], ids=["not-utf8", "week-not-int", "auc-nan", "negative-counts", "no-positives"])
+        (lambda out: (out / "rows.csv").write_bytes(
+            re.sub(rb"^baseline1(,MAx,-3,)", rb"bogus\1", (out / "rows.csv").read_bytes(),
+                   flags=re.M)),
+         "{out}/rows.csv:3: no run writes the cell (paradigm, course_id, week) "
+         "('bogus', 'MAx', -3)"),
+        (lambda out: (out / "skipped.csv").write_bytes(
+            b"paradigm,course_id,week,reason\r\nbaseline1,MAx,+8,single class\r\n"),
+         "{out}/skipped.csv:2: no run writes the cell (paradigm, course_id, week) "
+         "('baseline1', 'MAx', 8)"),
+    ], ids=["not-utf8", "week-not-int", "auc-nan", "negative-counts", "no-positives",
+            "unknown-paradigm", "week-after-0"])
     def test_bad_input_names_its_file_and_line(self, tmp_path, capsys, edit, expected):
         manifest = _write_manifest(tmp_path, paradigms=["baseline1"])
         assert main(["run", "--manifest", str(manifest)]) == 0

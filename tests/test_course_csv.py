@@ -104,15 +104,15 @@ def test_write_matches_reference_on_edge_values(tmp_path, edge_course):
     _assert_same_course(load_course_dir(tmp_path / "new"), reference_load_course(tmp_path / "ref"))
 
 
-def test_exact_fractions_and_counts_round_trip_as_float32(tmp_path):
-    """A table of whole counts and fractions float32 holds is stored as float32,
-    written as its float64 values are, and loaded back with the same bytes."""
+def test_exact_fractions_and_counts_round_trip_as_float64(tmp_path):
+    """A table of whole counts and exact binary fractions is stored as float64,
+    written as its values are, and loaded back with the same bytes."""
     records = [Record("s0", day(0), counters(nevents=3, avg_dt=0.5, sdv_dt=0.25, sum_dt=1500,
                                              nforum=2.0**24)),
                Record("s1", day(5), counters(nevents=1, max_dt=1 / 1024, nvideo=7))]
     course = make_course(make_meta(), [Student("s0"), Student("s1")], records,
                          {"s0": 0.75, "s1": 0.0})
-    assert course.activity.values.dtype == np.float32
+    assert course.activity.values.dtype == np.float64
     write_course(course, tmp_path / "new")
     reference_write_course(course, tmp_path / "ref")
     _assert_same_files(tmp_path / "new", tmp_path / "ref")
@@ -377,7 +377,7 @@ def test_synthesized_course_loads_without_the_row_scan(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("problems_per_day,dtype", [
-    (8.0, np.uint16), (1e5, np.float32), (2.0**30, np.float64),
+    (8.0, np.uint16), (1e5, np.float64), (2.0**30, np.float64),
 ])
 def test_scan_stores_counters_as_the_block_reader_does(tmp_path, monkeypatch,
                                                        problems_per_day, dtype):

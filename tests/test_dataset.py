@@ -204,10 +204,10 @@ class TestActivityRecords:
             t.values[0, 0] = 5.0
 
     def test_table_keeps_sorted_input(self):
-        # values already in the stored dtype: uint16, float32 that uint16 cannot
-        # hold, and float64 that float32 cannot hold
+        # values already in the stored dtype: uint16, and float64 that uint16
+        # cannot hold
         whole = np.arange(3 * len(CLICKSTREAM_FEATURES), dtype=float).reshape(3, -1)
-        for values in (whole.astype(np.uint16), (whole + 0.5).astype(np.float32), whole + 0.1):
+        for values in (whole.astype(np.uint16), whole + 0.5, whole + 0.1):
             given = (np.array([0, 0, 1], dtype=np.int32), np.array([2, 9, 5], dtype=np.int32),
                      values)
             t = ActivityTable(*given)
@@ -221,13 +221,12 @@ class TestActivityRecords:
 
 class TestStoredDtype:
     """Counters are stored as uint16 exactly when each is whole and below
-    2**16, else as float32 exactly when each survives float64 -> float32 ->
-    float64 unchanged, else as float64; no cast warns (pytest turns warnings
-    into errors)."""
+    2**16, else as float64; no cast warns (pytest turns warnings into
+    errors)."""
 
     @pytest.mark.parametrize("value,dtype", [
-        (0.0, np.uint16), (65535.0, np.uint16), (65536.0, np.float32), (0.5, np.float32),
-        (2.0**24, np.float32), (0.1, np.float64), (2.0**24 + 1, np.float64), (1e300, np.float64),
+        (0.0, np.uint16), (65535.0, np.uint16), (65536.0, np.float64), (0.5, np.float64),
+        (2.0**24, np.float64), (0.1, np.float64), (2.0**24 + 1, np.float64), (1e300, np.float64),
     ])
     def test_dtype_of_one_value(self, value, dtype):
         t = _one_row_table(nvideo=value, nevents=3)
@@ -242,11 +241,11 @@ class TestStoredDtype:
         assert t.values.astype(np.float64).tobytes() == np.array(
             [[counters(nvideo=0.0, nevents=3)[k] for k in CLICKSTREAM_FEATURES]]).tobytes()
 
-    @pytest.mark.parametrize("drawn,dtype", [(65534, np.uint16), (65535, np.float32)])
+    @pytest.mark.parametrize("drawn,dtype", [(65534, np.uint16), (65535, np.float64)])
     def test_nevents_draw_widens_before_its_one_is_added(self, monkeypatch, drawn, dtype):
         """With every Poisson draw fixed, nevents is the draw + 1: 65535 from
         a draw of 65534 is stored as uint16, and 65536 from a draw of 65535
-        widens the table to float32."""
+        widens the table to float64."""
         class Fixed:
             def __init__(self, rng):
                 self.rng = rng
@@ -692,7 +691,7 @@ class TestSynthesis:
 
     @pytest.mark.parametrize("n,problems_per_day,dtype", [
         (1, 8.0, np.uint16), (_SIZE - 1, 8.0, np.uint16), (_SIZE, 8.0, np.uint16),
-        (2 * _SIZE + 5, 8.0, np.uint16), (_SIZE + 3, 1e5, np.float32),
+        (2 * _SIZE + 5, 8.0, np.uint16), (_SIZE + 3, 1e5, np.float64),
         (_SIZE + 3, 2.0**30, np.float64),
     ])
     @pytest.mark.parametrize("seed", [0, 11])

@@ -7,9 +7,8 @@ settings.forked. So only settings.py may import csv (the np.loadtxt block
 reader of activity.csv imports no csv) or json, and only settings.py may name
 ProcessPoolExecutor. A module that needs any of them calls settings instead.
 
-Which counters a course stores in uint16 or float32 is decided in dataset
-alone, so only dataset.py names either; every other module reads what it is
-given.
+Which counters a course stores in uint16 is decided in dataset alone, so
+only dataset.py names uint16; every other module reads what it is given.
 
 The week calendar (week_date) belongs to the course, the course model
 (fit_course_model) to the solver, and the paradigm names (PARADIGMS) to the
@@ -53,11 +52,6 @@ def test_only_settings_names_the_process_pool():
     naming = [p.name for p in PACKAGE
               if re.search(r"\bProcessPoolExecutor\b", p.read_text(encoding="utf-8"))]
     assert naming == ["settings.py"]
-
-
-def test_only_dataset_names_float32():
-    naming = [p.name for p in PACKAGE if re.search(r"\bfloat32\b", p.read_text(encoding="utf-8"))]
-    assert naming == ["dataset.py"]
 
 
 def test_only_dataset_names_uint16():

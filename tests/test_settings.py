@@ -8,7 +8,6 @@ import pytest
 from dropoutlab.cli import main
 from dropoutlab.deepnet import load_mlp
 from dropoutlab.errors import BadValueError
-from dropoutlab.features import load_norm_stats
 from dropoutlab.linear import load_model
 from dropoutlab.settings import forked
 
@@ -55,7 +54,6 @@ _JSON_READERS = {
     "synth-config": _command("synth", "--out", "unwritten", "--config"),
     "load_model": _loader(load_model),
     "load_mlp": _loader(load_mlp),
-    "load_norm_stats": _loader(load_norm_stats),
 }
 
 _MALFORMED_JSON = {
