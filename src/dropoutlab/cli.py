@@ -324,6 +324,7 @@ def cmd_grow(args) -> int:
     _, train, y_train, test, y_test = holdout_split(
         build_matrix(course, week_date(course.meta, args.week)), course.certified, split,
         cfg.seed, args.norm)
+    del course  # nothing reads it again, so its activity is freed before the sweep
     report = grow_and_train(train.values, y_train, test.values, y_test, plan, cfg)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     write_growth_csv(report, args.out_dir / "growth.csv")

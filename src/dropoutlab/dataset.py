@@ -157,33 +157,63 @@ class Roster:
         return len(self.student_ids)
 
 
-def _stored_counters(values: np.ndarray) -> np.ndarray:
-    """Activity counters as uint16 when each is whole and below 2**16, else as
-    float64. Values already in the dtype chosen are returned as they are. A
-    NaN, an inf or a negative value is never cast to uint16, so no cast warns."""
-    if values.dtype == np.uint16:
-        return values
+# The widths a counter column is stored in, narrowest first
+_WIDTHS = (np.dtype(np.uint8), np.dtype(np.uint16), np.dtype(np.float64))
+
+
+def _widths(block: np.ndarray) -> list[np.dtype]:
+    """The stored dtype of each row of block (counters x values): uint8 when
+    each of its values is whole and below 2**8, uint16 below 2**16, else
+    float64. A few whole-block numpy calls decide every counter, and no value
+    is cast, so a NaN, an inf or a negative value warns of nothing."""
+    if not block.shape[1]:
+        return [_WIDTHS[0]] * len(block)
     # min() is NaN if any value is, and NaN fails both comparisons
-    if not values.size or (values.min() >= 0 and values.max() < 2**16):
-        narrow = values.astype(np.uint16)
-        if np.array_equal(narrow, values):
-            return narrow
-    return values.astype(np.float64, copy=False)
+    top = block.max(axis=1)
+    fits = (block.min(axis=1) >= 0) & (top < 2**16)
+    if block.dtype.kind == "f" and fits.any():
+        fits &= (block == np.floor(block)).all(axis=1)
+    return [_WIDTHS[int(t >= 2**8)] if f else _WIDTHS[2]
+            for f, t in zip(fits.tolist(), top.tolist())]
 
 
-def _put_counters(counts: np.ndarray, at, block: np.ndarray) -> np.ndarray:
-    """counts with block's counters stored at counts[at]: counts as it is when
-    it holds them exactly, else a float64 copy.
+def _stored_counters(column: np.ndarray) -> np.ndarray:
+    """column in the width _widths gives all its values, decided _SCAN_ROWS
+    values at a time, so that no temporary the size of the column is made. The
+    decision stops at the first part that needs the column's own dtype, and
+    such a column is returned as it is."""
+    width = _WIDTHS[0]
+    for lo in range(0, len(column), _SCAN_ROWS):
+        if width == column.dtype:
+            break
+        width = np.promote_types(width, _widths(column[None, lo:lo + _SCAN_ROWS])[0])
+    return np.ascontiguousarray(column, dtype=width)
 
-    A table filled block by block this way ends in the dtype _stored_counters
-    gives the whole table, as float64 holds every value uint16 does.
+
+def _put_counters(columns: list[np.ndarray], at, block: np.ndarray) -> None:
+    """Store row k of block (counters x values) at columns[k][at], for each k.
+    A column that cannot hold its counters of the block exactly is first
+    replaced in the list by a copy in the width that can.
+
+    Columns filled block by block this way end in the width _widths gives
+    each whole column, as each width holds every value a narrower one does.
+    The block is read in C order, one copy of it made if it is not: numpy
+    reduces and copies each counter's values fastest when they are adjacent.
     """
-    block = _stored_counters(block)
-    dtype = np.promote_types(counts.dtype, block.dtype)
-    if dtype != counts.dtype:
-        counts = counts.astype(dtype)
-    counts[at] = block
-    return counts
+    block = np.ascontiguousarray(block)
+    for k, width in enumerate(_widths(block)):
+        if np.promote_types(columns[k].dtype, width) != columns[k].dtype:
+            columns[k] = columns[k].astype(width)
+        columns[k][at] = block[k]
+
+
+def _bad_rows(columns: Sequence[np.ndarray]) -> np.ndarray:
+    """The rows holding a counter that is not finite and >= 0, ascending."""
+    bad = np.zeros(len(columns[0]), dtype=bool)
+    for column in columns:
+        if column.dtype.kind == "f":  # a whole width holds only such counters
+            bad |= ~((column >= 0.0) & (column < np.inf))  # NaN fails both
+    return np.flatnonzero(bad)
 
 
 class ActivityTable:
@@ -191,28 +221,34 @@ class ActivityTable:
 
     Rows are sorted by (student index, day offset); student indices refer to the
     owning course's roster, day offsets count from the course launch date.
-    values holds the CLICKSTREAM_FEATURES counters of each row, every one
-    finite and >= 0. Arrays are read-only once built.
+    columns holds one array per CLICKSTREAM_FEATURES counter, in that order,
+    with one value per row, every one finite and >= 0. Arrays are read-only
+    once built.
 
-    values is stored as uint16 (2 bytes) when each counter is a whole count
-    below 2**16 (a -0.0 is stored as 0), else as float64. Readers that
-    compute with values convert it to float64, exactly.
+    Each column is stored in the narrowest width that holds all its values
+    exactly: uint8 (1 byte) when each is a whole count below 2**8, uint16
+    (2 bytes) below 2**16, else float64 (a -0.0 is stored as 0). Readers that
+    compute with a column convert it to float64, exactly.
 
-    Input already in (student, day) order, as synthesized and loaded tables
-    are, is kept rather than copied: an array that is contiguous and of the
-    stored dtype (int32 indices and days; uint16 values, or float64 values
-    that uint16 cannot hold) becomes the table's own and is made read-only in
-    place. Other input is sorted, converted or narrowed into new arrays.
+    columns may be any sequence of 31 1-D arrays; a (rows x counters) array
+    is given as its transpose. Input already in (student, day) order, as
+    synthesized and loaded tables are, is kept rather than copied: an array
+    that is contiguous and of its stored dtype (int32 indices and days, a
+    column in its own width) becomes the table's own and is made read-only in
+    place, and deciding a column's width copies none of it. Other input is
+    sorted, converted or narrowed into new arrays.
     """
 
-    __slots__ = ("student_index", "day", "values")
+    __slots__ = ("student_index", "day", "columns")
 
-    def __init__(self, student_index: np.ndarray, day: np.ndarray, values: np.ndarray):
+    def __init__(self, student_index: np.ndarray, day: np.ndarray,
+                 columns: Sequence[np.ndarray]):
         n = len(student_index)
-        if values.ndim == 2 and values.shape[1] != len(CLICKSTREAM_FEATURES):
-            raise MissingColumnError(f"activity values have {values.shape[1]} counter columns, "
+        if len(columns) != len(CLICKSTREAM_FEATURES):
+            raise MissingColumnError(f"activity has {len(columns)} counter columns, "
                                      f"expected {len(CLICKSTREAM_FEATURES)}")
-        if len(day) != n or values.shape != (n, len(CLICKSTREAM_FEATURES)):
+        columns = [np.asarray(c) for c in columns]
+        if len(day) != n or any(c.shape != (n,) for c in columns):
             raise BadValueError("activity table arrays are inconsistent")
         student_index, day = np.asarray(student_index), np.asarray(day)
         s, d = student_index[1:], day[1:]
@@ -220,20 +256,21 @@ class ActivityTable:
                          | ((student_index[:-1] == s) & (day[:-1] <= d)))
         if not ordered:  # lexsort is stable, so it leaves ordered input as it is
             order = np.lexsort((day, student_index))
-            student_index, day, values = student_index[order], day[order], values[order]
+            student_index, day = student_index[order], day[order]
+            columns = [c[order] for c in columns]
         self.student_index = np.ascontiguousarray(student_index, dtype=np.int32)
         self.day = np.ascontiguousarray(day, dtype=np.int32)
-        values = np.ascontiguousarray(
-            values, dtype=np.uint16 if values.dtype == np.uint16 else np.float64)
-        # min() is NaN if any value is, and NaN >= 0 is False
-        if n and not (values.min() >= 0.0 and values.max() < np.inf):
-            pos, k = np.argwhere(~(np.isfinite(values) & (values >= 0.0)))[0]
+        columns = [c if c.dtype in _WIDTHS else c.astype(np.float64) for c in columns]
+        bad = _bad_rows(columns)
+        if len(bad):
+            pos = bad[0]
+            k = next(k for k, c in enumerate(columns) if not 0.0 <= c[pos] < np.inf)
             raise NegativeCounterError(
                 f"activity row (student index {self.student_index[pos]}, day offset "
-                f"{self.day[pos]}): counter {CLICKSTREAM_FEATURES[k]!r} = {values[pos, k]} "
+                f"{self.day[pos]}): counter {CLICKSTREAM_FEATURES[k]!r} = {columns[k][pos]} "
                 f"must be finite and >= 0"
             )
-        self.values = _stored_counters(values)
+        self.columns = tuple(map(_stored_counters, columns))
         if n > 1:
             same = (self.student_index[1:] == self.student_index[:-1]) & (
                 self.day[1:] == self.day[:-1]
@@ -244,7 +281,7 @@ class ActivityTable:
                     f"duplicate activity record for student index {self.student_index[pos]} "
                     f"on day offset {self.day[pos]}"
                 )
-        for arr in (self.student_index, self.day, self.values):
+        for arr in (self.student_index, self.day, *self.columns):
             arr.flags.writeable = False
 
     def __len__(self) -> int:
@@ -440,8 +477,8 @@ _LOADTXT_ONLY = "\x00\x1c\x1d\x1e\x1f"
 
 
 def _read_activity(path: str | Path, meta: CourseMeta, index: Mapping[str, int]
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """(student indices, day offsets, counters) of activity.csv, read by np.loadtxt
+                   ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]] | None:
+    """(student indices, day offsets, counter columns) of activity.csv, read by np.loadtxt
     a block of rows at a time; None for a file that the row scan might read
     otherwise, or that has a fault, which the scan then raises with its line.
 
@@ -462,9 +499,9 @@ def _read_activity(path: str | Path, meta: CourseMeta, index: Mapping[str, int]
                 return None
             n = _count_lines(path) - 1
             students, days = np.empty(n, dtype=np.int32), np.empty(n, dtype=np.int32)
-            # uint16, widened at the first block whose counters it cannot hold:
-            # no float64 copy of the table is made that a narrowing would drop
-            counts = np.empty((n, len(CLICKSTREAM_FEATURES)), dtype=np.uint16)
+            # uint8, each column widened at the first block whose counters it cannot
+            # hold: no float64 copy of the table is made that a narrowing would drop
+            columns = [np.empty(n, dtype=_WIDTHS[0]) for _ in CLICKSTREAM_FEATURES]
             for text in _line_blocks(f, _BLOCK_CHARS):
                 if text.isspace() or any(c in text for c in _LOADTXT_ONLY):
                     return None  # np.loadtxt warns of a block with no rows
@@ -478,50 +515,46 @@ def _read_activity(path: str | Path, meta: CourseMeta, index: Mapping[str, int]
                                               dtype=np.int32, count=len(block))
                 days[lo:hi] = np.fromiter(map(offsets.__getitem__, dates),
                                           dtype=np.int32, count=len(block))
-                counts = _put_counters(counts, slice(lo, hi), block["values"])
+                _put_counters(columns, slice(lo, hi), block["values"].T)
                 lo = hi
         except (ValueError, KeyError, BadDateError):  # UnicodeDecodeError is a ValueError
             return None
     # np.loadtxt reads no more rows than a block has lines, and fewer where a
     # line is blank or a quoted cell holds a line end
-    _, bad, repeat = _counter_and_repeat_faults(students, days, counts, meta)
-    if lo != n or len(bad) or len(repeat):
+    if lo != n or len(_bad_rows(columns)) or len(_repeated_rows(students, days, meta)):
         return None
-    return students, days, counts
+    return students, days, columns
 
 
-def _counter_and_repeat_faults(students: np.ndarray, days: np.ndarray, counts: np.ndarray,
-                               meta: CourseMeta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(which counters are finite and >= 0, the rows holding one that is not,
-    the rows whose (student, day) an earlier row has)."""
-    ok = np.isfinite(counts) & (counts >= 0.0)
+def _repeated_rows(students: np.ndarray, days: np.ndarray, meta: CourseMeta) -> np.ndarray:
+    """The rows whose (student, day) an earlier row has, ascending."""
     keys = students.astype(np.int64) * ((meta.end_date - meta.launch_date).days + 1) + days
     repeat = np.ones(len(keys), dtype=bool)
     repeat[np.unique(keys, return_index=True)[1]] = False
-    return ok, np.flatnonzero(~ok.all(axis=1)), np.flatnonzero(repeat)
+    return np.flatnonzero(repeat)
 
 
 def _scan_activity(path: str | Path, meta: CourseMeta, roster: Roster,
-                   index: Mapping[str, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(student indices, day offsets, counters) of activity.csv, read one row
-    at a time by csv and float(); every fault is raised with its line.
+                   index: Mapping[str, int]) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """(student indices, day offsets, counter columns) of activity.csv, read one
+    row at a time by csv and float(); every fault is raised with its line.
 
     The counters of each _SCAN_ROWS rows are stored as the block reader
-    stores a block's, into one table sized by the file's lines."""
+    stores a block's, into columns sized by the file's lines."""
     sidx, day, lines, values = array("i"), array("i"), array("q"), array("d")
-    counts = np.empty((_count_lines(path), len(CLICKSTREAM_FEATURES)), dtype=np.uint16)
+    columns = [np.empty(_count_lines(path), dtype=_WIDTHS[0]) for _ in CLICKSTREAM_FEATURES]
     offsets: dict[str, int] = {}  # each distinct date cell is parsed and checked once
 
     def store() -> None:
-        nonlocal counts, values
+        nonlocal values
         hi = len(lines)
         lo = hi - len(values) // len(CLICKSTREAM_FEATURES)
-        if hi > len(counts):  # a lone carriage return ends a row, and is no counted line
-            grown = np.empty((max(hi, 2 * len(counts)), counts.shape[1]), dtype=counts.dtype)
-            grown[:lo] = counts[:lo]
-            counts = grown
-        counts = _put_counters(counts, slice(lo, hi),
-                               np.frombuffer(values).reshape(hi - lo, len(CLICKSTREAM_FEATURES)))
+        if hi > len(columns[0]):  # a lone carriage return ends a row, and is no counted line
+            for k, column in enumerate(columns):
+                columns[k] = np.empty(max(hi, 2 * len(column)), dtype=column.dtype)
+                columns[k][:lo] = column[:lo]
+        _put_counters(columns, slice(lo, hi),
+                      np.frombuffer(values).reshape(hi - lo, len(CLICKSTREAM_FEATURES)).T)
         values = array("d")
 
     for lineno, row in _read_rows(path, _ACTIVITY_COLUMNS):
@@ -544,9 +577,10 @@ def _scan_activity(path: str | Path, meta: CourseMeta, roster: Roster,
             store()
     store()
 
-    counts = counts[:len(lines)]  # the spare rows of the header and blank lines stay behind
+    # the spare rows of the header and blank lines stay behind
+    columns = [column[:len(lines)] for column in columns]
     students, days = np.frombuffer(sidx, dtype=np.int32), np.frombuffer(day, dtype=np.int32)
-    ok, bad, repeat = _counter_and_repeat_faults(students, days, counts, meta)
+    bad, repeat = _bad_rows(columns), _repeated_rows(students, days, meta)
     if len(repeat) and (not len(bad) or repeat[0] <= bad[0]):
         r = repeat[0]
         date = meta.launch_date + datetime.timedelta(days=int(days[r]))
@@ -554,11 +588,11 @@ def _scan_activity(path: str | Path, meta: CourseMeta, roster: Roster,
                                        f"({roster.student_ids[students[r]]}, {date})")
     if len(bad):
         r = bad[0]
-        k = int(np.argmin(ok[r]))
+        k = next(k for k, c in enumerate(columns) if not 0.0 <= c[r] < np.inf)
         cell = _cell(path, lines[r], 2 + k)
         raise NegativeCounterError(f"{path}:{lines[r]}: column "
                                    f"{CLICKSTREAM_FEATURES[k]!r}: value {cell} must be finite and >= 0")
-    return students, days, counts
+    return students, days, columns
 
 
 def load_course(
@@ -666,7 +700,8 @@ def _activity_rows(course: CourseData) -> Iterator[list]:
         hi = lo + len(rows)
         rows[:, 0] = ids[table.student_index[lo:hi]]
         rows[:, 1] = dates[table.day[lo:hi]]
-        rows[:, 2:] = _format_numbers(table.values[lo:hi].astype(np.float64, copy=False))
+        rows[:, 2:] = _format_numbers(
+            np.stack([column[lo:hi] for column in table.columns], axis=1, dtype=np.float64))
         yield from rows.tolist()
 
 
@@ -842,10 +877,11 @@ def synthesize_course(config: SynthConfig, seed: int) -> CourseData:
     The activity mask, and then each counter in turn, is drawn over blocks of
     students, in student order. numpy's Generator takes its stream element
     by element in C order, so these are the draws of whole (student x day)
-    arrays, and no such array of draws is made. The counters are drawn straight
-    into uint16, the dtype the table keeps whole counts below 2**16 in, and
-    the table is widened to float64 at the first draw that uint16 cannot hold
-    (problems_per_day can make one).
+    arrays, and no such array of draws is made. Each counter is stored in its
+    own column, straight from the draws, in the narrowest width the table
+    keeps it in: the column starts as uint8 and is widened, to uint16 or to
+    float64, at the first block of draws it cannot hold (problems_per_day
+    can drive a count past 2**16).
     """
     config.validate()
     rng = np.random.default_rng(seed)
@@ -880,26 +916,28 @@ def synthesize_course(config: SynthConfig, seed: int) -> CourseData:
     # block i fills rows first[i]:first[i + 1] of the table
     first = np.searchsorted(cells, [b.start * n_days for b in blocks] + [n * n_days])
 
-    values = np.empty((len(cells), len(CLICKSTREAM_FEATURES)), dtype=np.uint16)
+    columns: list[np.ndarray] = []
     rates = _BASE_RATES.copy()
     rates[CLICKSTREAM_INDEX["nproblems_answered"]] = config.problems_per_day
     for k, rate in enumerate(rates):
+        column = [np.empty(len(cells), dtype=_WIDTHS[0])]
         for b, lo, hi in zip(blocks, first, first[1:]):
             lam = np.multiply(rate, engagement[b], out=drawn[:b.stop - b.start])
             draw = rng.poisson(lam).take(cells[lo:hi] - b.start * n_days)
             if k == CLICKSTREAM_INDEX["nevents"]:
                 draw += 1  # active days always register an event
-            values = _put_counters(values, (slice(lo, hi), k), draw)
+            _put_counters(column, slice(lo, hi), draw[None])
+        columns += column
     del engagement, drawn
     student, day = np.divmod(cells, n_days)
 
     # whole counts (below 2**53) sum exactly in any order, so per-student sums match a row sum
-    answered = np.bincount(student, weights=values[:, CLICKSTREAM_INDEX["nproblems_answered"]],
+    answered = np.bincount(student, weights=columns[CLICKSTREAM_INDEX["nproblems_answered"]],
                            minlength=n)
     grade = np.clip(answered / config.problems_for_full_grade, 0.0, 1.0)
     final_grade = dict(zip(roster.student_ids, grade.tolist()))
 
-    table = ActivityTable(student.astype(np.int32), day.astype(np.int32), values)
+    table = ActivityTable(student.astype(np.int32), day.astype(np.int32), columns)
     return CourseData(meta, roster, table, final_grade)
 
 

@@ -199,15 +199,15 @@ def _add_rows(table: ActivityTable, rows: np.ndarray, cum: np.ndarray, last: np.
     """Add activity rows, later than every row added before, to the running
     counters (one np.add.at per counter) and last active days of a walk.
 
-    Each counter column is converted to float64 (exactly) just before it is
-    added, whatever dtype the table stores it in: np.add.at of a narrower
-    operand into float64 sums leaves numpy's fast path and takes several times
-    as long, and a float64 copy of every column at once would take up to four
-    times the stored bytes."""
-    idx, values = table.student_index[rows], table.values[rows]
-    for total, column in zip(cum, values.T):
-        np.add.at(total, idx, column.astype(np.float64))
-    acted = values[:, _NEVENTS] > 0
+    Each counter column's rows are converted to float64 (exactly) just before
+    they are added, whatever width the table stores the column in: np.add.at
+    of a narrower operand into float64 sums leaves numpy's fast path and takes
+    several times as long, and a float64 copy of every column at once would
+    take up to eight times the stored bytes."""
+    idx = table.student_index[rows]
+    for total, column in zip(cum, table.columns):
+        np.add.at(total, idx, column[rows].astype(np.float64))
+    acted = table.columns[_NEVENTS][rows] > 0
     ran, day = idx[acted], table.day[rows][acted]
     end = np.flatnonzero(np.diff(ran, append=-1))  # each student's last acted row
     last[ran[end]] = day[end]

@@ -119,7 +119,7 @@ def proxy_labels(course: CourseData, w: int) -> np.ndarray:
             f"is not inside [{meta.launch_date}, {meta.t100_date}]"
         )
     table = course.activity
-    nevents = table.values[:, CLICKSTREAM_FEATURES.index("nevents")]
+    nevents = table.columns[CLICKSTREAM_FEATURES.index("nevents")]
     mask = (table.day >= lo) & (table.day < lo + 7) & (nevents > 0)
     active = np.zeros(course.n_students)
     active[table.student_index[mask]] = 1.0
@@ -393,7 +393,8 @@ def run_experiment(
     reads it is skipped with that reason. The score phase walks each target
     course's weeks once and scores every planned cell of a week from one
     snapshot, z-scored at most once, and its keys' models. jobs > 1 runs both
-    phases on one process pool: first the fit tasks, then the score tasks.
+    phases on one process pool of at most one worker per course (no phase
+    has more tasks): first the fit tasks, then the score tasks.
     The table lives only for this call, and the report sorts rows and skipped
     cells, so it is identical for any jobs value. A kind listed twice is
     rejected: its rows would enter every aggregate twice.
@@ -418,7 +419,7 @@ def run_experiment(
     for cid, as_of in dict.fromkeys(key for cells in plan.values() for *_, keys in cells
                                     for key in keys):
         dates.setdefault(cid, []).append(as_of)
-    with forked(partial(_on_corpus, corpus), jobs if jobs > 1 else 0) as submit:
+    with forked(partial(_on_corpus, corpus), min(jobs, len(plan)) if jobs > 1 else 0) as submit:
         table: dict[ModelKey, LinearModel | SingleClassError] = {}
         for models in [submit(_fit_course_keys, cid, dates[cid], C) for cid in sorted(dates)]:
             table.update(models())

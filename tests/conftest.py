@@ -95,8 +95,8 @@ def make_course(meta, students, records=(), final_grade=None):
     table = ActivityTable(
         np.array([index.get(r.student_id, len(index)) for r in records], dtype=np.int32),
         np.array([(r.date - meta.launch_date).days for r in records], dtype=np.int32),
-        np.array([[r.counters[k] for k in CLICKSTREAM_FEATURES] for r in records],
-                 dtype=np.float64).reshape(len(records), len(CLICKSTREAM_FEATURES)),
+        np.array([[r.counters[k] for r in records] for k in CLICKSTREAM_FEATURES],
+                 dtype=np.float64).reshape(len(CLICKSTREAM_FEATURES), len(records)),
     )
     return CourseData(meta, roster, table, dict(final_grade or {}))
 
@@ -108,8 +108,21 @@ def records_of(course):
         Record(course.roster.student_ids[i], course.meta.launch_date + datetime.timedelta(days=d),
                dict(zip(CLICKSTREAM_FEATURES, row)))
         for i, d, row in zip(table.student_index.tolist(), table.day.tolist(),
-                             table.values.tolist())
+                             counter_values(table).tolist())
     ]
+
+
+def assert_same_counters(a, b):
+    """Tables a and b hold each counter in the same width, with the same bytes."""
+    assert len(a.columns) == len(b.columns) == len(CLICKSTREAM_FEATURES)
+    for name, x, y in zip(CLICKSTREAM_FEATURES, a.columns, b.columns):
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+
+
+def counter_values(table):
+    """A table's counters as one (rows x counters) float64 array, the exact
+    float64 value of each stored column side by side."""
+    return np.stack(table.columns, axis=1, dtype=np.float64)
 
 
 def counters(**overrides):
@@ -152,9 +165,9 @@ def cumulative_all(course, off):
     table = course.activity
     kept = table.day <= off
     idx = table.student_index[kept]
-    values = table.values[kept]
-    cum = np.column_stack([np.bincount(idx, weights=column, minlength=n) for column in values.T])
-    acted = values[:, CLICKSTREAM_FEATURES.index("nevents")] > 0
+    cum = np.column_stack([np.bincount(idx, weights=column[kept], minlength=n)
+                           for column in table.columns])
+    acted = table.columns[CLICKSTREAM_FEATURES.index("nevents")][kept] > 0
     ran, day = idx[acted], table.day[kept][acted]
     last = np.flatnonzero(np.diff(ran, append=-1))  # the last acted row of each run
     dsla = np.full(n, off + 1.0)
@@ -170,7 +183,7 @@ def cumulative_clickstream(course, student_id, as_of):
     off = check_as_of(course, as_of)
     table = course.activity
     mask = (table.student_index == course.roster.student_ids.index(student_id)) & (table.day <= off)
-    return table.values[mask].sum(axis=0)
+    return counter_values(table)[mask].sum(axis=0)
 
 
 def days_since_last_action(course, student_id, as_of):
@@ -181,7 +194,7 @@ def days_since_last_action(course, student_id, as_of):
     """
     off = check_as_of(course, as_of)
     table = course.activity
-    nevents = table.values[:, CLICKSTREAM_FEATURES.index("nevents")]
+    nevents = table.columns[CLICKSTREAM_FEATURES.index("nevents")]
     mask = ((table.student_index == course.roster.student_ids.index(student_id))
             & (table.day <= off) & (nevents > 0))
     if not np.any(mask):
@@ -202,7 +215,7 @@ def persistence_labels(course, w):
     before week w (t100_date + 7w), read one student at a time."""
     wd = course.day_offset(course.meta.t100_date) + 7 * w
     table = course.activity
-    nevents = table.values[:, CLICKSTREAM_FEATURES.index("nevents")]
+    nevents = table.columns[CLICKSTREAM_FEATURES.index("nevents")]
     out = {}
     for i, sid in enumerate(course.roster.student_ids):
         days = table.day[(table.student_index == i) & (nevents > 0)]
@@ -256,7 +269,8 @@ def reference_write_course(course, out_dir):
         for i in range(len(table)):
             sid = r.student_ids[table.student_index[i]]
             date = meta.launch_date + datetime.timedelta(days=int(table.day[i]))
-            w.writerow([sid, date.isoformat()] + [_ref_fmt_number(v) for v in table.values[i]])
+            w.writerow([sid, date.isoformat()]
+                       + [_ref_fmt_number(column[i]) for column in table.columns])
     with open(out / "grades.csv", "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
         w.writerow(("student_id", "final_grade"))
@@ -348,16 +362,16 @@ def reference_load_course(course_dir):
             raise BadValueError(f"{grades_path}:{lineno}: final_grade {g} not in [0, 1]")
         grades[sid] = g
     table = ActivityTable(np.array(sidx, dtype=np.int32), np.array(days, dtype=np.int32),
-                          np.array(values, dtype=np.float64).reshape(-1, len(CLICKSTREAM_FEATURES)))
+                          np.array(values, dtype=np.float64).reshape(-1, len(CLICKSTREAM_FEATURES)).T)
     return CourseData(meta, roster, table, grades)
 
 
 # dataset.synthesize_course as it drew before it drew blocks of students:
-# whole (student x day) arrays of uniform and Poisson draws, the counters kept
-# as float64. The block draws must give the same courses, bit for bit.
+# whole (student x day) arrays of uniform and Poisson draws, each counter kept
+# as a float64 column. The block draws must give the same courses, bit for bit.
 
 def reference_synthesis(config, seed):
-    """(student_index, day, values, final_grade) of synthesize_course(config, seed)."""
+    """(student_index, day, counter columns, final_grade) of synthesize_course(config, seed)."""
     rng = np.random.default_rng(seed)
     n = config.n_students
     roster = _synth_roster(config, rng)
@@ -374,16 +388,15 @@ def reference_synthesis(config, seed):
     engagement = e0[:, None] * retention[:, None] ** t[None, :]
     active = rng.random((n, n_days)) < engagement
     rows = np.nonzero(active)
-    values = np.zeros((len(rows[0]), len(CLICKSTREAM_FEATURES)))
     rates = _BASE_RATES.copy()
     rates[CLICKSTREAM_FEATURES.index("nproblems_answered")] = config.problems_per_day
-    for k in range(len(CLICKSTREAM_FEATURES)):
-        values[:, k] = rng.poisson(rates[k] * engagement, size=(n, n_days))[rows]
-    values[:, CLICKSTREAM_FEATURES.index("nevents")] += 1.0
-    answered = np.bincount(rows[0], weights=values[:, CLICKSTREAM_FEATURES.index(
+    columns = [rng.poisson(rate * engagement, size=(n, n_days))[rows].astype(np.float64)
+               for rate in rates]
+    columns[CLICKSTREAM_FEATURES.index("nevents")] += 1.0
+    answered = np.bincount(rows[0], weights=columns[CLICKSTREAM_FEATURES.index(
         "nproblems_answered")], minlength=n)
     grade = np.clip(answered / config.problems_for_full_grade, 0.0, 1.0)
-    return (rows[0].astype(np.int32), rows[1].astype(np.int32), values,
+    return (rows[0].astype(np.int32), rows[1].astype(np.int32), columns,
             dict(zip(roster.student_ids, grade.tolist())))
 
 

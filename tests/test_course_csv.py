@@ -11,6 +11,7 @@ import pytest
 from dropoutlab import dataset
 from dropoutlab.dataset import (
     CLICKSTREAM_FEATURES,
+    CLICKSTREAM_INDEX,
     SynthConfig,
     default_corpus_config,
     load_course_dir,
@@ -23,6 +24,7 @@ from dropoutlab.errors import BadDateError, DropoutLabError, NegativeCounterErro
 from conftest import (
     Record,
     Student,
+    assert_same_counters,
     counters,
     day,
     make_course,
@@ -44,9 +46,9 @@ def _assert_same_course(a, b):
     assert a.roster.student_ids == b.roster.student_ids
     for x, y in ((a.activity.student_index, b.activity.student_index),
                  (a.activity.day, b.activity.day),
-                 (a.activity.values, b.activity.values),
                  (a.certified, b.certified)):
         assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+    assert_same_counters(a.activity, b.activity)
     assert a.final_grade == b.final_grade
 
 
@@ -105,14 +107,18 @@ def test_write_matches_reference_on_edge_values(tmp_path, edge_course):
 
 
 def test_exact_fractions_and_counts_round_trip_as_float64(tmp_path):
-    """A table of whole counts and exact binary fractions is stored as float64,
-    written as its values are, and loaded back with the same bytes."""
+    """Columns of exact binary fractions, and of a count of 2**24, are stored
+    as float64 beside whole counts in uint8 and uint16, written as their
+    values are, and loaded back with the same bytes."""
     records = [Record("s0", day(0), counters(nevents=3, avg_dt=0.5, sdv_dt=0.25, sum_dt=1500,
                                              nforum=2.0**24)),
                Record("s1", day(5), counters(nevents=1, max_dt=1 / 1024, nvideo=7))]
     course = make_course(make_meta(), [Student("s0"), Student("s1")], records,
                          {"s0": 0.75, "s1": 0.0})
-    assert course.activity.values.dtype == np.float64
+    widths = {"avg_dt": np.float64, "sdv_dt": np.float64, "max_dt": np.float64,
+              "nforum": np.float64, "sum_dt": np.uint16}
+    assert [c.dtype for c in course.activity.columns] == [
+        np.dtype(widths.get(name, np.uint8)) for name in CLICKSTREAM_FEATURES]
     write_course(course, tmp_path / "new")
     reference_write_course(course, tmp_path / "ref")
     _assert_same_files(tmp_path / "new", tmp_path / "ref")
@@ -160,9 +166,10 @@ def test_float_cells_load_like_float(tmp_path):
                                for k, cell in enumerate(accepted)])
     new, ref = load_course_dir(d), reference_load_course(d)
     _assert_same_course(new, ref)
-    got = [new.activity.values[k, k] for k in range(len(accepted))]
-    assert np.array([3.0, 1000.0, 1000.0, -0.0, 0.1, 3.0, 3.0, 7.0, 1.5]).tobytes() \
-        == np.array(got).tobytes()
+    got = [new.activity.columns[k][k] for k in range(len(accepted))]
+    # the column of "-0" holds only whole counts, so it stores -0.0 as 0
+    assert np.array([3.0, 1000.0, 1000.0, 0.0, 0.1, 3.0, 3.0, 7.0, 1.5]).tobytes() \
+        == np.array(got, dtype=np.float64).tobytes()
 
 
 _GOOD = [_row("s0", "2014-01-07"), "", _row("s1", "2014-01-07")]
@@ -257,7 +264,7 @@ def _outcome(course_dir):
     except Exception as e:  # whatever the scan raises, the block reader must raise too
         return type(e), str(e)
     return [(a.dtype.str, a.shape, a.tobytes()) for a in
-            (c.activity.student_index, c.activity.day, c.activity.values, c.certified)]
+            (c.activity.student_index, c.activity.day, *c.activity.columns, c.certified)]
 
 
 def _mutate(rng, rows):
@@ -360,20 +367,34 @@ def test_quoted_line_end_is_read_across_blocks(tmp_path, monkeypatch, size, seco
         _assert_same_course(load_course_dir(d), reference_load_course(d))
 
 
+def _no_scan(*args):
+    raise AssertionError("the row scan ran")
+
+
 def test_synthesized_course_loads_without_the_row_scan(tmp_path, monkeypatch):
     """A written course is read by the block reader alone, in blocks of the
     default size, in one block, and in blocks of about ten rows."""
     course = synthesize_course(default_corpus_config(2, 300).courses[1], 9)
     write_course(course, tmp_path)
-
-    def scan(*args):
-        raise AssertionError("the row scan ran")
     expected = _scan_only(monkeypatch, load_course_dir, tmp_path)
-    monkeypatch.setattr(dataset, "_scan_activity", scan)
+    monkeypatch.setattr(dataset, "_scan_activity", _no_scan)
     for size in (dataset._BLOCK_CHARS, 1 << 20, 999):
         monkeypatch.setattr(dataset, "_BLOCK_CHARS", size)
         _assert_same_course(load_course_dir(tmp_path), expected)
     _assert_same_course(expected, course)
+
+
+def _assert_both_readers_agree(monkeypatch, course_dir):
+    """The course both readers load from course_dir, in blocks of the default
+    sizes and in blocks of about ten rows, each time the same dtypes and bytes."""
+    for rows, chars in ((dataset._SCAN_ROWS, dataset._BLOCK_CHARS), (10, 999)):
+        monkeypatch.setattr(dataset, "_SCAN_ROWS", rows)
+        monkeypatch.setattr(dataset, "_BLOCK_CHARS", chars)
+        scanned = _scan_only(monkeypatch, load_course_dir, course_dir)
+        with monkeypatch.context() as m:
+            m.setattr(dataset, "_scan_activity", _no_scan)
+            _assert_same_course(scanned, load_course_dir(course_dir))
+    return scanned
 
 
 @pytest.mark.parametrize("problems_per_day,dtype", [
@@ -381,21 +402,30 @@ def test_synthesized_course_loads_without_the_row_scan(tmp_path, monkeypatch):
 ])
 def test_scan_stores_counters_as_the_block_reader_does(tmp_path, monkeypatch,
                                                        problems_per_day, dtype):
-    """Both readers give one file's counters the same dtype and bytes, in
-    blocks of the default sizes and in blocks of about ten rows."""
+    """Both readers give one file's counters the same widths and bytes; dtype
+    is the widest column's."""
     cfg = SynthConfig(course_id="Sx", n_students=60, problems_per_day=problems_per_day)
     write_course(synthesize_course(cfg, 2), tmp_path)
+    scanned = _assert_both_readers_agree(monkeypatch, tmp_path)
+    assert max((c.dtype for c in scanned.activity.columns), key=lambda t: t.itemsize) == dtype
 
-    def scan(*args):
-        raise AssertionError("the row scan ran")
-    for rows, chars in ((dataset._SCAN_ROWS, dataset._BLOCK_CHARS), (10, 999)):
-        monkeypatch.setattr(dataset, "_SCAN_ROWS", rows)
-        monkeypatch.setattr(dataset, "_BLOCK_CHARS", chars)
-        scanned = _scan_only(monkeypatch, load_course_dir, tmp_path)
-        with monkeypatch.context() as m:
-            m.setattr(dataset, "_scan_activity", scan)
-            _assert_same_course(scanned, load_course_dir(tmp_path))
-        assert scanned.activity.values.dtype == dtype
+
+@pytest.mark.parametrize("value,dtype", [
+    ("255", np.uint8), ("256", np.uint16), ("65535", np.uint16), ("65536", np.float64),
+])
+def test_both_readers_widen_a_column_at_its_last_row(tmp_path, monkeypatch, value, dtype):
+    """A column of ones whose last row holds value, read in blocks of about
+    ten rows and of the default sizes: the block that holds it widens the
+    column, which keeps every value; the other columns stay uint8."""
+    rows = [_row(sid, f"2014-02-{d:02d}", _with_cell("1")) for sid in ("s0", "s1")
+            for d in range(1, 29)]
+    rows[-1] = _row("s1", "2014-03-01", _with_cell(value))
+    course = _assert_both_readers_agree(monkeypatch, _course_dir(tmp_path, rows))
+    for k, column in enumerate(course.activity.columns):
+        assert column.dtype == (dtype if k == 5 else np.uint8), CLICKSTREAM_FEATURES[k]
+        expected = np.ones(len(rows))
+        expected[-1] = float(value) if k == 5 else 1.0
+        assert column.astype(np.float64).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("rows", [7, 100])
@@ -424,18 +454,29 @@ def test_scan_holds_no_float64_copy_of_the_counters(tmp_path, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert course.activity.values.dtype == np.uint16
-    assert peak < 8 * course.activity.values.size
+    assert peak < 8 * len(course.activity) * len(CLICKSTREAM_FEATURES)
 
 
-def test_synthesized_and_loaded_counters_take_two_bytes_a_cell(tmp_path, monkeypatch):
-    """A default 2000-student course holds its counters as uint16, and so does
-    its copy read back by the block reader."""
+# The columns a default 2000-student course stores in uint16; the other 28 are uint8
+_UINT16_COLUMNS = ("max_dt", "sum_dt", "nvideos_watched_sec")
+
+
+def test_synthesized_and_loaded_counters_take_their_pinned_widths(tmp_path, monkeypatch):
+    """A default 2000-student course (seed 7) holds 28 counters as uint8 and 3
+    as uint16, 34 bytes a row, and so does its copy read back by the block
+    reader."""
     course = synthesize_course(default_corpus_config(1, 2000).courses[0], 7)
     write_course(course, tmp_path)
-
-    def scan(*args):
-        raise AssertionError("the row scan ran")
-    monkeypatch.setattr(dataset, "_scan_activity", scan)
+    monkeypatch.setattr(dataset, "_scan_activity", _no_scan)
     for c in (course, load_course_dir(tmp_path)):
-        assert c.activity.values.nbytes == 2 * len(c.activity) * len(CLICKSTREAM_FEATURES)
+        assert [column.dtype for column in c.activity.columns] == [
+            np.dtype(np.uint16 if name in _UINT16_COLUMNS else np.uint8)
+            for name in CLICKSTREAM_FEATURES]
+        assert sum(column.nbytes for column in c.activity.columns) == 34 * len(c.activity)
+
+
+def test_default_4x2000_corpus_stores_112_of_124_columns_as_uint8():
+    """The corpus of `synth --courses 4 --students 2000 --seed 7`."""
+    corpus = synthesize_corpus(default_corpus_config(4, 2000), 7)
+    widths = [column.dtype for c in corpus for column in c.activity.columns]
+    assert (widths.count(np.uint8), widths.count(np.uint16)) == (112, 12)

@@ -4,6 +4,7 @@ import datetime
 import os
 import re
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -47,7 +48,9 @@ from conftest import (
     Record,
     Student,
     as_vector,
+    assert_same_counters,
     certification_labels,
+    counter_values,
     counters,
     day,
     make_course,
@@ -70,7 +73,7 @@ def _one_row_table(**overrides):
     """An ActivityTable of one row whose counters are counters(**overrides)."""
     c = counters(**overrides)
     return ActivityTable(np.array([0]), np.array([0]),
-                         np.array([[c[k] for k in CLICKSTREAM_FEATURES]]))
+                         np.array([[c[k]] for k in CLICKSTREAM_FEATURES]))
 
 
 class TestCourseMeta:
@@ -148,7 +151,7 @@ class TestRoster:
             return
         assert not (np.isfinite(yob) and yob != np.floor(yob))
         empty = ActivityTable(np.zeros(0, np.int32), np.zeros(0, np.int32),
-                              np.zeros((0, len(CLICKSTREAM_FEATURES))))
+                              np.zeros((len(CLICKSTREAM_FEATURES), 0)))
         write_course(CourseData(make_meta(), roster, empty, {}), tmp_path)
         back = load_demographics(tmp_path / "demographics.csv")
         assert back.yob.tobytes() == roster.yob.tobytes()
@@ -160,7 +163,7 @@ class TestActivityRecords:
         values = np.array([[c[k] for k in CLICKSTREAM_FEATURES]])
         with pytest.raises(MissingColumnError):
             ActivityTable(np.array([0]), np.array([0]),
-                          np.delete(values, CLICKSTREAM_INDEX["nvideo"], axis=1))
+                          np.delete(values, CLICKSTREAM_INDEX["nvideo"], axis=1).T)
 
     def test_negative_counter(self):
         with pytest.raises(NegativeCounterError, match="'nforum'"):
@@ -177,97 +180,137 @@ class TestActivityRecords:
         values[0, CLICKSTREAM_INDEX["nvideo"]] = -2.0  # the row of (student 1, day 4)
         with pytest.raises(NegativeCounterError,
                            match=r"student index 1, day offset 4\): counter 'nvideo' = -2\.0"):
-            ActivityTable(np.array([1, 0, 0]), np.array([4, 1, 2]), values)
+            ActivityTable(np.array([1, 0, 0]), np.array([4, 1, 2]), values.T)
 
     def test_negative_zero_is_zero(self):
         assert len(_one_row_table(nvideo=-0.0)) == 1
 
     def test_table_sorts_rows(self):
         given = (np.array([1, 0, 0], dtype=np.int32), np.array([5, 9, 2], dtype=np.int32),
-                 np.arange(3 * len(CLICKSTREAM_FEATURES), dtype=float).reshape(3, -1))
+                 [np.arange(3, dtype=np.uint8) + k for k in range(len(CLICKSTREAM_FEATURES))])
         t = ActivityTable(*given)
         assert t.student_index.tolist() == [0, 0, 1]
         assert t.day.tolist() == [2, 9, 5]
-        assert t.values[2, 0] == 0.0  # row for (1, 5) was input row 0
-        for kept, arr in zip((t.student_index, t.day, t.values), given):
+        assert t.columns[0].tolist() == [2, 1, 0]  # row for (1, 5) was input row 0
+        for kept, arr in zip((t.student_index, t.day, *t.columns), (*given[:2], *given[2])):
             assert not np.shares_memory(kept, arr) and arr.flags.writeable
 
     def test_table_rejects_duplicates(self):
         with pytest.raises(DuplicateStudentDayError):
             ActivityTable(np.array([0, 0]), np.array([3, 3]),
-                          np.zeros((2, len(CLICKSTREAM_FEATURES))))
+                          np.zeros((len(CLICKSTREAM_FEATURES), 2)))
 
     def test_table_is_read_only(self):
         t = ActivityTable(np.array([0]), np.array([1]),
-                          np.zeros((1, len(CLICKSTREAM_FEATURES))))
+                          np.zeros((len(CLICKSTREAM_FEATURES), 1)))
         with pytest.raises(ValueError):
-            t.values[0, 0] = 5.0
+            t.columns[0][0] = 5
 
     def test_table_keeps_sorted_input(self):
-        # values already in the stored dtype: uint16, and float64 that uint16
-        # cannot hold
-        whole = np.arange(3 * len(CLICKSTREAM_FEATURES), dtype=float).reshape(3, -1)
-        for values in (whole.astype(np.uint16), whole + 0.5, whole + 0.1):
-            given = (np.array([0, 0, 1], dtype=np.int32), np.array([2, 9, 5], dtype=np.int32),
-                     values)
-            t = ActivityTable(*given)
-            assert t.values.dtype == values.dtype
-            for kept, arr in zip((t.student_index, t.day, t.values), given):
-                assert np.shares_memory(kept, arr)
-                assert not kept.flags.writeable and not arr.flags.writeable
-            with pytest.raises(ValueError):
-                t.day[0] = 1
+        # columns already in their width: uint8, uint16 that uint8 cannot
+        # hold, and float64 that uint16 cannot hold
+        rows = np.arange(3)
+        columns = ([(rows + k).astype(np.uint8) for k in range(10)]
+                   + [(rows + 254 + k).astype(np.uint16) for k in range(10)]
+                   + [rows + k + 0.5 for k in range(5)] + [rows + k + 0.1 for k in range(5)]
+                   + [rows + 65534.0])
+        given = (np.array([0, 0, 1], dtype=np.int32), np.array([2, 9, 5], dtype=np.int32),
+                 columns)
+        t = ActivityTable(*given)
+        assert [c.dtype for c in t.columns] == [c.dtype for c in columns]
+        for kept, arr in zip((t.student_index, t.day, *t.columns), (*given[:2], *columns)):
+            assert np.shares_memory(kept, arr)
+            assert not kept.flags.writeable and not arr.flags.writeable
+        with pytest.raises(ValueError):
+            t.day[0] = 1
+
+
+def _fix_poisson(monkeypatch, draws):
+    """Make every cell of synthesis's i-th Poisson call draw draws[i], cycling
+    through draws; the activity mask and engagement keep their seeded draws."""
+    class Fixed:
+        def __init__(self, rng):
+            self.rng, self.calls = rng, 0
+
+        def __getattr__(self, name):
+            return getattr(self.rng, name)
+
+        def poisson(self, lam):
+            self.calls += 1
+            return np.full(lam.shape, draws[(self.calls - 1) % len(draws)])
+    make = np.random.default_rng
+    monkeypatch.setattr(dataset.np.random, "default_rng", lambda seed: Fixed(make(seed)))
 
 
 class TestStoredDtype:
-    """Counters are stored as uint16 exactly when each is whole and below
-    2**16, else as float64; no cast warns (pytest turns warnings into
-    errors)."""
+    """Each counter column is stored as uint8 exactly when each of its values
+    is whole and below 2**8, as uint16 when each is whole and below 2**16, else
+    as float64; no cast warns (pytest turns warnings into errors)."""
 
     @pytest.mark.parametrize("value,dtype", [
-        (0.0, np.uint16), (65535.0, np.uint16), (65536.0, np.float64), (0.5, np.float64),
+        (0.0, np.uint8), (255.0, np.uint8), (256.0, np.uint16),
+        (65535.0, np.uint16), (65536.0, np.float64), (0.5, np.float64),
         (2.0**24, np.float64), (0.1, np.float64), (2.0**24 + 1, np.float64), (1e300, np.float64),
     ])
     def test_dtype_of_one_value(self, value, dtype):
         t = _one_row_table(nvideo=value, nevents=3)
-        assert t.values.dtype == dtype
-        assert t.values.astype(np.float64).tobytes() == np.array(
+        assert [c.dtype for c in t.columns] == [
+            np.dtype(dtype) if k == CLICKSTREAM_INDEX["nvideo"] else np.dtype(np.uint8)
+            for k in range(len(CLICKSTREAM_FEATURES))]
+        assert counter_values(t).tobytes() == np.array(
             [[counters(nvideo=value, nevents=3)[k] for k in CLICKSTREAM_FEATURES]]).tobytes()
 
     def test_negative_zero_is_stored_as_zero(self):
-        """uint16 has no -0.0; the 0 stored for it equals it, and reads back as +0.0."""
+        """uint8 has no -0.0; the 0 stored for it equals it, and reads back as +0.0."""
         t = _one_row_table(nvideo=-0.0, nevents=3)
-        assert t.values.dtype == np.uint16
-        assert t.values.astype(np.float64).tobytes() == np.array(
+        assert t.columns[CLICKSTREAM_INDEX["nvideo"]].dtype == np.uint8
+        assert counter_values(t).tobytes() == np.array(
             [[counters(nvideo=0.0, nevents=3)[k] for k in CLICKSTREAM_FEATURES]]).tobytes()
 
-    @pytest.mark.parametrize("drawn,dtype", [(65534, np.uint16), (65535, np.float64)])
+    @pytest.mark.parametrize("drawn,dtype", [
+        (254, np.uint8), (255, np.uint16), (65534, np.uint16), (65535, np.float64),
+    ])
     def test_nevents_draw_widens_before_its_one_is_added(self, monkeypatch, drawn, dtype):
-        """With every Poisson draw fixed, nevents is the draw + 1: 65535 from
-        a draw of 65534 is stored as uint16, and 65536 from a draw of 65535
-        widens the table to float64."""
-        class Fixed:
-            def __init__(self, rng):
-                self.rng = rng
-
-            def __getattr__(self, name):
-                return getattr(self.rng, name)
-
-            def poisson(self, lam):
-                return np.full(lam.shape, drawn)
-        make = np.random.default_rng
-        monkeypatch.setattr(dataset.np.random, "default_rng", lambda seed: Fixed(make(seed)))
+        """With every Poisson draw fixed, nevents is the draw + 1: 255 from a
+        draw of 254 is stored as uint8, 256 from a draw of 255 widens its
+        column to uint16, 65535 from a draw of 65534 is stored as uint16, and
+        65536 from a draw of 65535 widens its column to float64. The other
+        counters keep the width of the draw itself."""
+        _fix_poisson(monkeypatch, [drawn])
         c = synthesize_course(SynthConfig(course_id="Sx", n_students=40), 3)
-        assert len(c.activity) and c.activity.values.dtype == dtype
-        assert (c.activity.values[:, CLICKSTREAM_INDEX["nevents"]] == drawn + 1).all()
-        others = np.delete(c.activity.values, CLICKSTREAM_INDEX["nevents"], axis=1)
-        assert (others == drawn).all()
+        others = np.uint8 if drawn < 2**8 else np.uint16
+        assert len(c.activity)
+        for k, column in enumerate(c.activity.columns):
+            nevents = k == CLICKSTREAM_INDEX["nevents"]
+            assert column.dtype == (dtype if nevents else others), CLICKSTREAM_FEATURES[k]
+            assert (column == drawn + nevents).all(), CLICKSTREAM_FEATURES[k]
 
-    def test_one_inexact_value_keeps_the_whole_table_float64(self):
-        values = np.ones((4, len(CLICKSTREAM_FEATURES)))
-        values[3, 7] = 0.1
-        t = ActivityTable(np.arange(4), np.zeros(4), values)
-        assert t.values.dtype == np.float64 and np.shares_memory(t.values, values)
+    @pytest.mark.parametrize("draws,dtype", [
+        ((255, 0, 255), np.uint8), ((0, 256, 1), np.uint16), ((255, 65535, 0), np.uint16),
+        ((0, 0, 65536), np.float64), ((256, 65536, 255), np.float64),
+    ])
+    def test_a_column_widens_at_its_first_block_past_its_width(self, monkeypatch, draws, dtype):
+        """A course of three draw blocks whose i-th block draws draws[i] for
+        every counter: each column keeps the values of the blocks before the
+        one that widens it, and ends in the width of its largest value."""
+        size = dataset._DRAW_CELLS // 70  # students per draw block of a 10-week course
+        _fix_poisson(monkeypatch, draws)
+        c = synthesize_course(SynthConfig(course_id="Sx", n_students=2 * size + 5), 3)
+        block = c.activity.student_index // size
+        assert set(block.tolist()) == {0, 1, 2}
+        for k, column in enumerate(c.activity.columns):
+            nevents = k == CLICKSTREAM_INDEX["nevents"]
+            expected = np.array(draws, dtype=np.float64)[block] + nevents
+            assert column.astype(np.float64).tobytes() == expected.tobytes()
+            if not nevents:
+                assert column.dtype == dtype, CLICKSTREAM_FEATURES[k]
+
+    def test_one_inexact_value_keeps_its_column_float64(self):
+        columns = [np.ones(4) for _ in CLICKSTREAM_FEATURES]
+        columns[7][3] = 0.1
+        t = ActivityTable(np.arange(4), np.zeros(4), columns)
+        assert t.columns[7].dtype == np.float64 and np.shares_memory(t.columns[7], columns[7])
+        assert all(c.dtype == np.uint8 for k, c in enumerate(t.columns) if k != 7)
 
     @pytest.mark.parametrize("value,text", [
         (float("nan"), "nan"), (float("inf"), "inf"), (-1.0, "-1.0"), (-0.5, "-0.5"),
@@ -279,7 +322,29 @@ class TestStoredDtype:
         with pytest.raises(NegativeCounterError, match=re.escape(
                 f"activity row (student index 0, day offset 8): counter 'nforum' = {text} "
                 "must be finite and >= 0")):
-            ActivityTable(np.array([0, 0]), np.array([4, 8]), values)
+            ActivityTable(np.array([0, 0]), np.array([4, 8]), values.T)
+
+    def test_reader_built_columns_are_kept_without_a_copy(self):
+        """Building a table from columns already in their widths, uint16 and
+        fractional float64 ones among them, allocates no more than a quarter
+        of a uint8 column beyond what the checks of the indices and days take
+        (the peak with uint8 columns alone): no column is cast, or compared
+        whole, to decide its width."""
+        n = 1 << 17
+        rows = np.arange(n)
+        narrow = [(rows % 256).astype(np.uint8)] * len(CLICKSTREAM_FEATURES)
+        columns = narrow[3:] + [(rows % 65536).astype(np.uint16)] * 2 + [rows / 8.0]
+        student, day = np.arange(n, dtype=np.int32), np.zeros(n, dtype=np.int32)
+        peaks = []
+        for given in (narrow, columns):
+            tracemalloc.start()
+            try:
+                t = ActivityTable(student, day, given)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert all(kept is column for kept, column in zip(t.columns, given))
+        assert peaks[1] - peaks[0] < n // 4, peaks
 
 
 class TestCourseData:
@@ -346,7 +411,7 @@ class TestCourseData:
         assert first.student_id == "s00" and first.date == day(0)
         assert first.counters["nevents"] == 10.0
         rebuilt = make_course(tiny_course.meta, tiny_course.roster, days, tiny_course.final_grade)
-        assert rebuilt.activity.values.tobytes() == tiny_course.activity.values.tobytes()
+        assert_same_counters(rebuilt.activity, tiny_course.activity)
 
 
 class TestLabels:
@@ -378,7 +443,7 @@ class TestCsvRoundTrip:
         loaded = load_course_dir(tmp_path)
         assert loaded.meta == tiny_course.meta
         _assert_same_roster(loaded.roster, tiny_course.roster)
-        assert np.array_equal(loaded.activity.values, tiny_course.activity.values)
+        assert_same_counters(loaded.activity, tiny_course.activity)
         assert np.array_equal(loaded.activity.day, tiny_course.activity.day)
         # absent grade rows load back as the 0.0 they imply
         for sid in tiny_course.roster.student_ids:
@@ -531,7 +596,7 @@ class TestCsvRoundTrip:
         loaded = load_course_dir(tmp_path)
         assert loaded.meta == tiny_course.meta
         _assert_same_roster(loaded.roster, tiny_course.roster)
-        assert loaded.activity.values.tobytes() == tiny_course.activity.values.tobytes()
+        assert_same_counters(loaded.activity, tiny_course.activity)
         assert loaded.certified.tobytes() == tiny_course.certified.tobytes()
 
     def test_non_numeric_counter(self, tmp_path):
@@ -681,13 +746,19 @@ class TestSynthesis:
 
     @staticmethod
     def _assert_drawn_as_whole_arrays(cfg, seed):
+        """Each column has the reference's values, in the narrowest width that
+        holds them; returns the widest column's width."""
         got = synthesize_course(cfg, seed)
-        student_index, day, values, grade = reference_synthesis(cfg, seed)
-        assert got.activity.values.astype(np.float64).tobytes() == values.tobytes()
+        student_index, day, columns, grade = reference_synthesis(cfg, seed)
+        for name, column, expected in zip(CLICKSTREAM_FEATURES, got.activity.columns, columns):
+            assert column.astype(np.float64).tobytes() == expected.tobytes(), name
+            top = expected.max(initial=0.0)
+            assert column.dtype == (np.uint8 if top < 2**8 else np.uint16 if top < 2**16
+                                    else np.float64), name
         assert got.activity.student_index.tobytes() == student_index.tobytes()
         assert got.activity.day.tobytes() == day.tobytes()
         assert list(got.final_grade.items()) == list(grade.items())
-        return got.activity.values.dtype
+        return max((c.dtype for c in got.activity.columns), key=lambda dtype: dtype.itemsize)
 
     @pytest.mark.parametrize("n,problems_per_day,dtype", [
         (1, 8.0, np.uint16), (_SIZE - 1, 8.0, np.uint16), (_SIZE, 8.0, np.uint16),
@@ -714,7 +785,7 @@ class TestSynthesis:
         a = synthesize_course(cfg, 7)
         b = synthesize_course(cfg, 7)
         assert a.roster.student_ids == b.roster.student_ids
-        assert np.array_equal(a.activity.values, b.activity.values)
+        assert_same_counters(a.activity, b.activity)
         assert a.final_grade == b.final_grade
         _assert_same_roster(a.roster, b.roster)
 
@@ -722,7 +793,7 @@ class TestSynthesis:
         cfg = SynthConfig(course_id="Sx", n_students=60)
         a = synthesize_course(cfg, 7)
         b = synthesize_course(cfg, 8)
-        assert not np.array_equal(a.activity.values, b.activity.values)
+        assert not np.array_equal(counter_values(a.activity), counter_values(b.activity))
 
     def test_student_ids_shape(self):
         c = synthesize_course(SynthConfig(course_id="Sx", n_students=30), 0)
@@ -745,7 +816,7 @@ class TestSynthesis:
         # every stored row is an active day, so nevents >= 1
         c = synthesize_course(SynthConfig(course_id="Sx", n_students=50), 5)
         k = CLICKSTREAM_FEATURES.index("nevents")
-        assert c.activity.values[:, k].min() >= 1
+        assert c.activity.columns[k].min() >= 1
 
     def test_some_students_certify_and_some_drop(self, small_corpus):
         for course in small_corpus:
@@ -763,9 +834,10 @@ class TestSynthesis:
                 want = synthesize_course(course_cfg, child)
                 assert got.meta == want.meta
                 _assert_same_roster(got.roster, want.roster)
-                for name in ("student_index", "day", "values"):
+                for name in ("student_index", "day"):
                     x, y = getattr(got.activity, name), getattr(want.activity, name)
                     assert x.dtype == y.dtype and np.array_equal(x, y), name
+                assert_same_counters(got.activity, want.activity)
                 assert list(got.final_grade.items()) == list(want.final_grade.items())
                 assert np.array_equal(got.certified, want.certified)
 
@@ -777,7 +849,7 @@ class TestSynthesis:
     def test_grade_is_problems_answered_over_denominator(self):
         cfg = SynthConfig(course_id="Sx", n_students=70, problems_for_full_grade=9.0)
         c = synthesize_course(cfg, 12)
-        answered = c.activity.values[:, CLICKSTREAM_INDEX["nproblems_answered"]]
+        answered = c.activity.columns[CLICKSTREAM_INDEX["nproblems_answered"]]
         for i, sid in enumerate(c.roster.student_ids):
             total = sum(answered[c.activity.student_index == i].tolist())
             assert c.final_grade[sid] == min(total / 9.0, 1.0)
@@ -785,13 +857,13 @@ class TestSynthesis:
     def test_counts_from_2_24_keep_float64_and_round_trip(self, tmp_path):
         c = synthesize_course(SynthConfig(course_id="Sx", n_students=30,
                                           problems_per_day=2.0**30), 4)
-        answered = c.activity.values[:, CLICKSTREAM_INDEX["nproblems_answered"]]
-        assert c.activity.values.dtype == np.float64 and answered.max() > 2**24
+        answered = c.activity.columns[CLICKSTREAM_INDEX["nproblems_answered"]]
+        assert answered.dtype == np.float64 and answered.max() > 2**24
         assert not np.array_equal(answered.astype(np.float32), answered)
         write_course(c, tmp_path)
         back = load_course_dir(tmp_path)
-        assert back.activity.values.dtype == np.float64
-        assert back.activity.values.tobytes() == c.activity.values.tobytes()
+        assert back.activity.columns[CLICKSTREAM_INDEX["nproblems_answered"]].dtype == np.float64
+        assert_same_counters(back.activity, c.activity)
         assert back.final_grade == c.final_grade
 
     def test_default_corpus_config_shape(self):

@@ -46,6 +46,7 @@ from conftest import (
     LAUNCH,
     Student,
     counters,
+    counter_values,
     cumulative_all,
     cumulative_clickstream,
     day,
@@ -222,8 +223,8 @@ def _scatter_reference(course, off):
     last = np.full(course.n_students, -np.inf)
     mask = table.day <= off
     idx = table.student_index[mask]
-    np.add.at(cum, idx, table.values[mask])
-    acted = table.values[mask, _NEVENTS] > 0
+    np.add.at(cum, idx, counter_values(table)[mask])
+    acted = table.columns[_NEVENTS][mask] > 0
     np.maximum.at(last, idx[acted], table.day[mask][acted])
     return cum, np.where(np.isfinite(last), off - last, off + 1).astype(np.float64)
 
@@ -247,7 +248,7 @@ def _random_course(seed, n_students=30, first_day=3):
     values[rng.random(values.shape) < 0.05] = -0.0
     values[(rng.random(len(days)) < 0.3) | (sidx == 1), _NEVENTS] = 0.0
     roster = make_roster([Student(f"s{k:03d}") for k in range(n_students)])
-    return CourseData(make_meta(), roster, ActivityTable(sidx, days, values), {})
+    return CourseData(make_meta(), roster, ActivityTable(sidx, days, values.T), {})
 
 
 _COUNTERS = BLOCKS["clickstream_cumulative"]
@@ -277,7 +278,7 @@ class TestCumulativeAllOracle:
         span = (course.meta.end_date - course.meta.launch_date).days
         lengths = np.bincount(course.activity.student_index, minlength=course.n_students)
         assert lengths[0] == 0 and len(set(lengths[1:].tolist())) > 5
-        assert np.all(course.activity.values[course.activity.student_index == 1, _NEVENTS] == 0)
+        assert np.all(course.activity.columns[_NEVENTS][course.activity.student_index == 1] == 0)
         for off in (0, 2, 3, 17, 40, span - 1, span):  # 0 and 2 keep no row
             self._assert_bitwise(course, off)
         cum, dsla = _walked(build_matrix(course, day(2)))
@@ -287,7 +288,7 @@ class TestCumulativeAllOracle:
         values = np.full((1, len(CLICKSTREAM_FEATURES)), 0.1)
         roster = make_roster([Student(f"s{k}") for k in range(3)])
         course = CourseData(make_meta(), roster,
-                            ActivityTable(np.array([1]), np.array([4]), values), {})
+                            ActivityTable(np.array([1]), np.array([4]), values.T), {})
         for off in (0, 3, 4, 70):
             self._assert_bitwise(course, off)
         cum, dsla = _walked(build_matrix(course, day(9)))
@@ -297,7 +298,7 @@ class TestCumulativeAllOracle:
         roster = make_roster([Student("s0")])
         course = CourseData(make_meta(), roster,
                             ActivityTable(np.zeros(0, np.int32), np.zeros(0, np.int32),
-                                          np.zeros((0, len(CLICKSTREAM_FEATURES)))), {})
+                                          np.zeros((len(CLICKSTREAM_FEATURES), 0))), {})
         self._assert_bitwise(course, 5)
 
 
@@ -334,12 +335,12 @@ class TestSnapshotWalk:
         """Multiples of 1/8 below 2**21, -0.0 among them, are stored as float64;
         every step has the bits of the oracle run on the float64 values given."""
         given = _random_course(seed).activity
-        values = np.round(given.values * 8.0) / 8.0
+        values = np.round(counter_values(given) * 8.0) / 8.0
         course = CourseData(make_meta(), _random_course(seed).roster,
-                            ActivityTable(given.student_index, given.day, values), {})
-        assert course.activity.values.dtype == np.float64
+                            ActivityTable(given.student_index, given.day, values.T), {})
+        assert all(c.dtype == np.float64 for c in course.activity.columns)
         as_given = SimpleNamespace(n_students=course.n_students, activity=SimpleNamespace(
-            student_index=given.student_index, day=given.day, values=values))
+            student_index=given.student_index, day=given.day, columns=values.T))
         span = (course.meta.end_date - course.meta.launch_date).days
         offs = (0, 3, 17, 40, span)
         for off, m in zip(offs, snapshots(course, [day(off) for off in offs])):
@@ -356,11 +357,12 @@ class TestSnapshotWalk:
     def test_one_row_and_empty_tables(self):
         values = np.full((1, len(CLICKSTREAM_FEATURES)), 0.1)
         roster = make_roster([Student(f"s{k}") for k in range(3)])
-        one = CourseData(make_meta(), roster, ActivityTable(np.array([1]), np.array([4]), values), {})
+        one = CourseData(make_meta(), roster,
+                         ActivityTable(np.array([1]), np.array([4]), values.T), {})
         self._assert_walk(one, (0, 3, 4, 4, 70))
         empty = CourseData(make_meta(), make_roster([Student("s0")]),
                            ActivityTable(np.zeros(0, np.int32), np.zeros(0, np.int32),
-                                         np.zeros((0, len(CLICKSTREAM_FEATURES)))), {})
+                                         np.zeros((len(CLICKSTREAM_FEATURES), 0))), {})
         self._assert_walk(empty, (0, 5, 70))
 
     def test_empty_date_list(self):

@@ -7,8 +7,9 @@ settings.forked. So only settings.py may import csv (the np.loadtxt block
 reader of activity.csv imports no csv) or json, and only settings.py may name
 ProcessPoolExecutor. A module that needs any of them calls settings instead.
 
-Which counters a course stores in uint16 is decided in dataset alone, so
-only dataset.py names uint16; every other module reads what it is given.
+The width each counter column of a course is stored in, uint8 or uint16 (or
+float64), is decided in dataset alone, so only dataset.py names uint8 or
+uint16; every other module reads what it is given.
 
 The week calendar (week_date) belongs to the course, the course model
 (fit_course_model) to the solver, and the paradigm names (PARADIGMS) to the
@@ -55,8 +56,10 @@ def test_only_settings_names_the_process_pool():
 
 
 def test_only_dataset_names_uint16():
-    naming = [p.name for p in PACKAGE if re.search(r"\buint16\b", p.read_text(encoding="utf-8"))]
-    assert naming == ["dataset.py"]
+    for width in ("uint8", "uint16"):
+        naming = [p.name for p in PACKAGE
+                  if re.search(rf"\b{width}\b", p.read_text(encoding="utf-8"))]
+        assert naming == ["dataset.py"], width
 
 
 def defined_names(path):

@@ -8,7 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from dropoutlab import linear, paradigms
+from dropoutlab import linear, paradigms, settings
 from dropoutlab.dataset import ActivityTable, CourseData
 from dropoutlab.errors import (
     BadValueError,
@@ -37,6 +37,7 @@ from conftest import (
     Student,
     as_vector,
     certification_labels,
+    counter_values,
     counters,
     day,
     days_since_last_action,
@@ -418,10 +419,10 @@ class TestInformationFrontier:
         table = course.activity
         later = table.day > course.day_offset(date)
         assert later.any(), (course.meta.course_id, date)
-        values = table.values.astype(np.float64)
+        values = counter_values(table)
         values[later] *= 3.0
         return dataclasses.replace(
-            course, activity=ActivityTable(table.student_index, table.day, values))
+            course, activity=ActivityTable(table.student_index, table.day, values.T))
 
     def test_target_activity_after_the_week_date_is_never_read(self, small_corpus, cells):
         target, scores = cells
@@ -500,6 +501,22 @@ class TestHarness:
         a = run_experiment(handmade_corpus, kinds, jobs=1)
         b = run_experiment(handmade_corpus, kinds, jobs=3)
         assert a == b
+
+    @pytest.mark.parametrize("jobs,processes", [(1, 0), (2, 2), (4, 4), (5, 4), (64, 4)])
+    def test_pool_has_at_most_one_worker_per_course(self, handmade_corpus, monkeypatch,
+                                                    jobs, processes):
+        """The pool size that reaches settings.forked is capped at the four
+        courses' tasks; the calls run in this process, so no pool starts."""
+        asked = []
+
+        def forked(task, n):
+            asked.append(n)
+            return settings.forked(task, 0)
+        monkeypatch.setattr(paradigms, "forked", forked)
+        kinds = ("post_hoc", "baseline2")
+        assert run_experiment(handmade_corpus, kinds, jobs=jobs) == run_experiment(
+            handmade_corpus, kinds, jobs=1)
+        assert asked == [processes, 0]
 
     def test_unknown_kind_rejected(self, handmade_corpus):
         with pytest.raises(InvalidParadigmError):
