@@ -19,7 +19,7 @@ from pathlib import Path
 # so --help and usage errors answer quickly; each command imports what it runs.
 from .errors import BadConfigError, DropoutLabError
 from .settings import (PARADIGMS, GrowthPlan, SgdConfig, check_paradigms, parse_date, read_csv,
-                       read_json, write_json)
+                       read_json)
 
 def _int_at_least(lo: int, source: str = ""):
     """An argparse type: the integer of a text, which must be >= lo."""
@@ -177,16 +177,11 @@ def cmd_synth(args) -> int:
     sized = [name for name in ("courses", "students") if name in args]
     if args.config is not None and sized:
         return _usage_error(f"--{sized[0]} is not read with --config, which gives every course")
-    from .dataset import (corpus_config_to_dict, default_corpus_config, synthesize_corpus,
-                          write_course)
+    from .dataset import default_corpus_config, write_corpus
     config = (_load_corpus_config(args.config) if args.config is not None else
               default_corpus_config(**{f"n_{name}": getattr(args, name) for name in sized}))
-    corpus = synthesize_corpus(config, args.seed)
-    args.out.mkdir(parents=True, exist_ok=True)
-    write_json(args.out / "corpus_config.json", corpus_config_to_dict(config), sort_keys=True)
-    for course in corpus:
-        write_course(course, args.out / course.meta.course_id)
-    print(f"wrote {len(corpus)} course directories under {args.out}")
+    write_corpus(config, args.seed, args.out)
+    print(f"wrote {len(config.courses)} course directories under {args.out}")
     return 0
 
 

@@ -7,6 +7,7 @@ import io
 import math
 from array import array
 from dataclasses import dataclass, field, fields as dc_fields
+from functools import cache, partial
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
@@ -24,7 +25,8 @@ from .errors import (
     NegativeCounterError,
     UnknownStudentError,
 )
-from .settings import parse_date, read_csv, usable_cores, write_csv
+from .settings import (CSV_DELIMITER, CSV_LINE_END, csv_cells, forked, parse_date, read_csv,
+                       usable_cores, write_csv, write_json)
 
 # Per-day clickstream counters, in canonical column order. Durations (*_dt) are seconds.
 CLICKSTREAM_FEATURES: tuple[str, ...] = (
@@ -208,12 +210,26 @@ def _put_counters(columns: list[np.ndarray], at, block: np.ndarray) -> None:
 
 
 def _bad_rows(columns: Sequence[np.ndarray]) -> np.ndarray:
-    """The rows holding a counter that is not finite and >= 0, ascending."""
+    """The rows holding a counter that is not finite and >= 0, ascending. A
+    column is tested _SCAN_ROWS values at a time, so that one bool per row is
+    the only temporary the size of the table."""
     bad = np.zeros(len(columns[0]), dtype=bool)
     for column in columns:
         if column.dtype.kind == "f":  # a whole width holds only such counters
-            bad |= ~((column >= 0.0) & (column < np.inf))  # NaN fails both
+            for lo in range(0, len(column), _SCAN_ROWS):
+                part = column[lo:lo + _SCAN_ROWS]
+                bad[lo:lo + _SCAN_ROWS] |= ~((part >= 0.0) & (part < np.inf))  # NaN fails both
     return np.flatnonzero(bad)
+
+
+def _strictly_ascending(student_index: np.ndarray, day: np.ndarray) -> bool:
+    """Whether each (student, day) row comes after the row before it, tested
+    _SCAN_ROWS rows at a time, so that no temporary the size of the table is made."""
+    for lo in range(0, len(day) - 1, _SCAN_ROWS):
+        s, d = student_index[lo:lo + _SCAN_ROWS + 1], day[lo:lo + _SCAN_ROWS + 1]
+        if not np.all((s[:-1] < s[1:]) | ((s[:-1] == s[1:]) & (d[:-1] < d[1:]))):
+            return False
+    return True
 
 
 class ActivityTable:
@@ -251,10 +267,10 @@ class ActivityTable:
         if len(day) != n or any(c.shape != (n,) for c in columns):
             raise BadValueError("activity table arrays are inconsistent")
         student_index, day = np.asarray(student_index), np.asarray(day)
-        s, d = student_index[1:], day[1:]
-        ordered = np.all((student_index[:-1] < s)
-                         | ((student_index[:-1] == s) & (day[:-1] <= d)))
-        if not ordered:  # lexsort is stable, so it leaves ordered input as it is
+        # rows that ascend strictly are in order and repeat no (student, day);
+        # lexsort is stable, so it leaves ordered rows with a repeat as they are
+        ascending = _strictly_ascending(student_index, day)
+        if not ascending:
             order = np.lexsort((day, student_index))
             student_index, day = student_index[order], day[order]
             columns = [c[order] for c in columns]
@@ -271,7 +287,7 @@ class ActivityTable:
                 f"must be finite and >= 0"
             )
         self.columns = tuple(map(_stored_counters, columns))
-        if n > 1:
+        if not ascending:
             same = (self.student_index[1:] == self.student_index[:-1]) & (
                 self.day[1:] == self.day[:-1]
             )
@@ -665,7 +681,9 @@ def _is_number(cell: str) -> bool:
 
 # The text of each integral value in [0, 1024), looked up instead of formatted.
 _SMALL_INTS = np.array([str(i) for i in range(1024)], dtype=object)
-_WRITE_BLOCK = 256  # activity rows formatted at a time: few cell objects are alive at once
+# bytes of row text the activity writer assembles at a time, padding included:
+# 256 KiB wrote a 2000-student course as fast as 1 MiB, at a fifth of the peak
+_WRITE_BYTES = 1 << 18
 
 
 def _format_numbers(values: np.ndarray) -> np.ndarray:
@@ -687,26 +705,80 @@ def _format_numbers(values: np.ndarray) -> np.ndarray:
     return cells
 
 
-def _activity_rows(course: CourseData) -> Iterator[list]:
-    """The rows of course's activity.csv, their cells formatted _WRITE_BLOCK rows at a time."""
+def _texts(cells: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """(text, lengths) of cells in UTF-8: row i of the uint8 array text holds
+    cell i's lengths[i] bytes, then NULs to the width of the longest."""
+    encoded = [cell.encode() for cell in cells]
+    lengths = np.fromiter(map(len, encoded), dtype=np.intp, count=len(encoded))
+    width = max(1, int(lengths.max(initial=0)))
+    return np.array(encoded, dtype=f"S{width}").view(np.uint8).reshape(-1, width), lengths
+
+
+@cache
+def _decimal_texts(dtype: np.dtype) -> np.ndarray:
+    """The decimal text of each value of an unsigned integer dtype, as rows of
+    a uint8 array padded with NULs; made the first time a column of that dtype
+    is written."""
+    top = np.iinfo(dtype).max
+    texts = np.arange(top + 1).astype(f"S{len(str(top))}").view(np.uint8).reshape(top + 1, -1)
+    texts.flags.writeable = False  # every writer shares it
+    return texts
+
+
+def _activity_text(course: CourseData) -> Iterator[np.ndarray]:
+    """activity.csv as bytes in uint8 arrays: its header line, then blocks of
+    whole rows, each assembled in about _WRITE_BYTES.
+
+    Each cell's text comes from a table: the csv form of each roster id
+    (settings.csv_cells), each date of the course, and each value of a uint8
+    or uint16 counter. A float64 counter's cells are formatted by
+    _format_numbers block by block, to the text write_csv writes. A block's
+    rows are laid side by side in a (rows x bytes) array, each cell padded with
+    NULs to its column's width, and the padding is dropped: by each id's
+    length, as an id may hold a NUL, and elsewhere by value, as no number or
+    date does.
+    """
     meta, table = course.meta, course.activity
-    ids = np.array(course.roster.student_ids, dtype=object)
-    span = (meta.end_date - meta.launch_date).days
-    dates = np.array([(meta.launch_date + datetime.timedelta(days=d)).isoformat()
-                      for d in range(span + 1)], dtype=object)
-    block = np.empty((_WRITE_BLOCK, len(_ACTIVITY_COLUMNS)), dtype=object)
-    for lo in range(0, len(table), _WRITE_BLOCK):
-        rows = block[:min(_WRITE_BLOCK, len(table) - lo)]
-        hi = lo + len(rows)
-        rows[:, 0] = ids[table.student_index[lo:hi]]
-        rows[:, 1] = dates[table.day[lo:hi]]
-        rows[:, 2:] = _format_numbers(
-            np.stack([column[lo:hi] for column in table.columns], axis=1, dtype=np.float64))
-        yield from rows.tolist()
+    yield np.frombuffer((CSV_DELIMITER.join(csv_cells(_ACTIVITY_COLUMNS))
+                         + CSV_LINE_END).encode(), dtype=np.uint8)
+    ids, id_lengths = _texts(csv_cells(course.roster.student_ids))
+    id_kept = np.arange(ids.shape[1]) < id_lengths[:, None]
+    dates = _texts([(meta.launch_date + datetime.timedelta(days=d)).isoformat()
+                    for d in range((meta.end_date - meta.launch_date).days + 1)])[0]
+    tables = [None if c.dtype == np.float64 else _decimal_texts(c.dtype) for c in table.columns]
+    sep, end = (np.frombuffer(t.encode(), dtype=np.uint8) for t in (CSV_DELIMITER, CSV_LINE_END))
+    # a float64 cell is budgeted the 24 characters of the longest float repr
+    row_bytes = ids.shape[1] + dates.shape[1] + sum(24 if t is None else t.shape[1] for t in tables)
+    size = max(1, _WRITE_BYTES // row_bytes)
+    for lo in range(0, len(table), size):
+        rows = slice(lo, min(lo + size, len(table)))
+        student = table.student_index[rows].astype(np.intp)  # take gathers fastest by intp
+        cells = [(ids, student), (dates, table.day[rows])] + [
+            (_texts([str(cell) for cell in _format_numbers(column[rows]).tolist()])[0],
+             np.arange(len(student))) if text is None else (text, column[rows])
+            for column, text in zip(table.columns, tables)]
+        tails = [sep] * (len(cells) - 1) + [end]
+        block = np.empty((len(student), sum(text.shape[1] + len(tail) for (text, _), tail
+                                            in zip(cells, tails))), dtype=np.uint8)
+        at = 0
+        for (text, index), tail in zip(cells, tails):
+            block[:, at:at + text.shape[1]] = text.take(index.astype(np.intp, copy=False), axis=0)
+            at += text.shape[1]
+            block[:, at:at + len(tail)] = tail
+            at += len(tail)
+        kept = block != 0
+        kept[:, :ids.shape[1]] = id_kept.take(student, axis=0)
+        yield block[kept]
 
 
 def write_course(course: CourseData, out_dir: str | Path) -> dict[str, Path]:
-    """Write the four canonical CSV tables for a course into out_dir."""
+    """Write the four canonical CSV tables for a course into out_dir.
+
+    activity.csv is assembled as bytes by the block writer _activity_text, the
+    counterpart of the block reader _read_activity; the other three tables go
+    through settings.write_csv. Both write csv's default dialect, so the bytes
+    are those write_csv would write for every table.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     meta = course.meta
@@ -729,7 +801,9 @@ def write_course(course: CourseData, out_dir: str | Path) -> dict[str, Path]:
           for name, levels in _LEVELS.items()),
         r.took_precourse_survey.astype(int).tolist(),
     ))
-    write_csv(paths["activity"], _ACTIVITY_COLUMNS, _activity_rows(course))
+    with open(paths["activity"], "wb") as f:
+        for text in _activity_text(course):
+            f.write(text)
     grades = np.array([course.final_grade.get(sid, 0.0) for sid in r.student_ids],
                       dtype=np.float64)
     write_csv(paths["grades"], _GRADE_COLUMNS,
@@ -941,8 +1015,15 @@ def synthesize_course(config: SynthConfig, seed: int) -> CourseData:
     return CourseData(meta, roster, table, final_grade)
 
 
+def _course_seeds(config: CorpusConfig, seed: int) -> list[int]:
+    """The child seed of each course: course i's is drawn from SeedSequence((seed, i))."""
+    return [int(np.random.SeedSequence((seed, i)).generate_state(1)[0])
+            for i in range(len(config.courses))]
+
+
 def synthesize_corpus(config: CorpusConfig, seed: int) -> list[CourseData]:
-    """Generate every course in the corpus, in config order.
+    """Generate every course in the corpus, in config order, for a run that
+    computes with them.
 
     Course i is synthesize_course(config.courses[i], child seed i), a pure
     function of its own SeedSequence((seed, i)) child seed, so the courses are
@@ -950,14 +1031,39 @@ def synthesize_corpus(config: CorpusConfig, seed: int) -> list[CourseData]:
     the same whatever the thread count. numpy releases the GIL while it draws
     the Poisson counters that are most of a course's time. Every thread has
     ended when this returns, so a process pool forked afterwards starts from a
-    single-threaded parent.
+    single-threaded parent. write_corpus writes the same courses to files
+    without holding them here.
     """
     from concurrent.futures import ThreadPoolExecutor
     config.validate()
-    seeds = [int(np.random.SeedSequence((seed, i)).generate_state(1)[0])
-             for i in range(len(config.courses))]
+    seeds = _course_seeds(config, seed)
     with ThreadPoolExecutor(max_workers=min(usable_cores(), len(seeds))) as pool:
         return list(pool.map(synthesize_course, config.courses, seeds))
+
+
+def _write_synthesized(out: Path, config: SynthConfig, seed: int) -> None:
+    write_course(synthesize_course(config, seed), out / config.course_id)
+
+
+def write_corpus(config: CorpusConfig, seed: int, out_dir: str | Path) -> None:
+    """Write the corpus synthesize_corpus(config, seed) makes under out_dir:
+    corpus_config.json, and each course's four tables in a directory named
+    by its course_id.
+
+    Each course is synthesized and written by one task of settings.forked,
+    on one worker per usable core (at most one per course; in this process
+    when that makes one). So both cores draw and write, and no process holds
+    more than one course at a time. The bytes are the same whatever the core
+    count. The config is checked before anything is written.
+    """
+    config.validate()
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    write_json(out / "corpus_config.json", corpus_config_to_dict(config), sort_keys=True)
+    workers = min(usable_cores(), len(config.courses))
+    with forked(partial(_write_synthesized, out), workers if workers > 1 else 0) as submit:
+        for written in [submit(c, s) for c, s in zip(config.courses, _course_seeds(config, seed))]:
+            written()
 
 
 def default_corpus_config(

@@ -2,12 +2,14 @@
 alone: the paradigm names, so that run checks a manifest's list up front; a
 growth sweep's settings, so that grow's options can be shown and checked; and
 the one date form (YYYY-MM-DD) that files and options take. Also the
-package's one CSV form (read_csv, write_csv) and one JSON form (read_json,
-write_json), the usable core count that sizes its thread and process pools,
-and its one way to run work in forked worker processes (forked)."""
+package's one CSV form (read_csv, write_csv, and csv_cells for a writer that
+assembles its own rows) and one JSON form (read_json, write_json), the usable
+core count that sizes its thread and process pools, and its one way to run
+work in forked worker processes (forked)."""
 
 import csv
 import datetime
+import io
 import json
 import math
 import os
@@ -15,6 +17,7 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
+from itertools import accumulate
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -138,13 +141,33 @@ def read_csv(path: str | Path) -> Iterator[tuple[int, list[str]]]:
             raise BadValueError(f"{path}:{reader.line_num}: {e}") from None
 
 
+# The cell separator and row end of the package's CSV dialect, csv's default
+CSV_DELIMITER, CSV_LINE_END = ",", "\r\n"
+
+
+def _csv_writer(f):
+    return csv.writer(f, delimiter=CSV_DELIMITER, lineterminator=CSV_LINE_END)
+
+
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Write a CSV table in UTF-8 and csv's default dialect: the header, then
     rows. A float cell is written as its repr."""
     with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
+        w = _csv_writer(f)
         w.writerow(header)
         w.writerows(rows)
+
+
+def csv_cells(texts: Iterable[str]) -> list[str]:
+    """Each of texts as write_csv writes it as one cell of a row of several,
+    quoted where the dialect needs it. Joined by CSV_DELIMITER and ended with
+    CSV_LINE_END, such cells make the line write_csv writes for their row."""
+    f = io.StringIO()
+    write = _csv_writer(f).writerow  # returns the characters it wrote
+    # a row of one empty cell is written '""', so each text is written with a second cell
+    ends = list(accumulate(write((text, "")) for text in texts))
+    rows, tail = f.getvalue(), len(CSV_DELIMITER + CSV_LINE_END)
+    return [rows[start:end - tail] for start, end in zip([0] + ends, ends)]
 
 
 def read_json(path: str | Path, parse: Callable):

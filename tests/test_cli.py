@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import multiprocessing
 import os
 import re
 import shutil
@@ -16,6 +17,7 @@ import pytest
 import dropoutlab
 from dropoutlab.cli import build_parser, main
 from dropoutlab.paradigms import PARADIGMS
+from dropoutlab.settings import usable_cores
 
 from conftest import load_norm_stats
 
@@ -145,6 +147,32 @@ class TestSynth:
             assert main(["synth", "--out", str(out), "--courses", "2",
                          "--students", "40", "--seed", "11"]) == 0
         assert _dir_bytes(a) == _dir_bytes(b)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+    def test_same_bytes_on_one_and_two_usable_cores(self, tmp_path, monkeypatch):
+        """On one usable core the courses are written in this process; on two,
+        by two forked workers, which have all ended when synth returns."""
+        from dropoutlab import dataset, settings
+
+        asked = []
+
+        def forked(task, processes):
+            asked.append(processes)
+            return settings.forked(task, processes)
+        monkeypatch.setattr(dataset, "forked", forked)
+        usable = sorted(os.sched_getaffinity(0))
+        found = []
+        for cpus in (usable[:1], usable[:2]):
+            os.sched_setaffinity(0, cpus)
+            try:
+                assert main(["synth", "--out", str(tmp_path / str(len(cpus))), "--courses", "3",
+                             "--students", "50", "--seed", "4"]) == 0
+            finally:
+                os.sched_setaffinity(0, usable)
+            assert multiprocessing.active_children() == []
+            found.append(_dir_bytes(tmp_path / str(len(cpus))))
+        assert asked == [0, 2 if len(usable) >= 2 else 0]
+        assert found[0] == found[1] and len(found[0]) == 13
 
     def test_seed_changes_output(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -1070,10 +1098,12 @@ class TestStartup:
         assert "dropoutlab.deepnet" not in loaded  # run trains no network
         rows = str(tmp_path / "out" / "rows.csv")
         assert _loaded("report", "--rows", rows, "--out-dir", str(tmp_path / "re")) == ["numpy"]
-        # synthesis threads load the thread pool, which reading a course does not
+        # a multi-course synth forks its writers on two or more usable cores and
+        # starts no thread; reading a course loads no pool
         course = tmp_path / "corpus" / "MAx"
         assert _loaded("synth", "--config", str(tmp_path / "config.json"),
-                       "--out", str(course.parent)) == ["numpy", "concurrent.futures.thread"]
+                       "--out", str(course.parent)) == (
+            ["numpy", "concurrent.futures.process"] if usable_cores() >= 2 else ["numpy"])
         assert _loaded("features", "--course-dir", str(course),
                        "--out", str(tmp_path / "m.csv")) == ["numpy"]
         assert "concurrent.futures.process" in _loaded("run", "--manifest", str(manifest),

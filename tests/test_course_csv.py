@@ -72,6 +72,17 @@ def test_write_matches_reference_on_corpus(tmp_path, seed):
                             reference_load_course(tmp_path / "ref" / cid))
 
 
+def test_write_corpus_writes_the_synthesized_courses(tmp_path):
+    config = default_corpus_config(3, 60)
+    dataset.write_corpus(config, 5, tmp_path / "new")
+    assert sorted(p.name for p in (tmp_path / "new").iterdir()) == [
+        "SYN1x", "SYN2x", "SYN3x", "corpus_config.json"]
+    for course in synthesize_corpus(config, 5):
+        cid = course.meta.course_id
+        reference_write_course(course, tmp_path / "ref" / cid)
+        _assert_same_files(tmp_path / "new" / cid, tmp_path / "ref" / cid)
+
+
 # Values whose text takes each branch of the formatter: fractions, subnormals,
 # integral floats either side of 2**53 and 2**63, the largest float, and -0.0.
 _EDGE_VALUES = (0.5, 1e-300, 5e-324, 2.0**53 + 2, 2.0**63 - 1024, 2.0**63, 2.0**64, 1e300,
@@ -130,6 +141,78 @@ def test_write_load_write_is_a_fixed_point(tmp_path):
     write_course(course, tmp_path / "a")
     write_course(load_course_dir(tmp_path / "a"), tmp_path / "b")
     _assert_same_files(tmp_path / "a", tmp_path / "b")
+
+
+def _assert_written_as_reference(course, tmp_path):
+    """write_course writes the reference writer's bytes, and writing the
+    course they load back gives the same bytes again."""
+    write_course(course, tmp_path / "new")
+    reference_write_course(course, tmp_path / "ref")
+    _assert_same_files(tmp_path / "new", tmp_path / "ref")
+    write_course(load_course_dir(tmp_path / "new"), tmp_path / "again")
+    _assert_same_files(tmp_path / "new", tmp_path / "again")
+
+
+class TestActivityWriter:
+    """activity.csv as write_course assembles it from the text of each id,
+    date and counter value, a block of rows at a time."""
+
+    _IDS = ("", "a\x00b", "\r", "\u00e9", "x y", "a,b", 'q"x')
+
+    def test_ids_are_quoted_as_cells_of_a_row(self, tmp_path):
+        """An empty id is an empty cell, not '""'; a NUL is kept inside its id."""
+        records = [Record(sid, day(i), counters(nevents=i + 1)) for i, sid in enumerate(self._IDS)]
+        course = make_course(make_meta(), [Student(sid) for sid in self._IDS], records,
+                             dict.fromkeys(self._IDS, 0.5))
+        _assert_written_as_reference(course, tmp_path)
+        text = (tmp_path / "new" / "activity.csv").read_bytes().decode("utf-8")
+        for cell in (",2014-01-06,", "a\x00b,2014-01-07,", '"\r",2014-01-08,', "\u00e9,2014-01-09,",
+                     "x y,2014-01-10,", '"a,b",2014-01-11,', '"q""x",2014-01-12,'):
+            assert f"\r\n{cell}" in text, cell
+
+    def test_counters_at_the_edges_of_their_widths(self, tmp_path):
+        half = len(CLICKSTREAM_FEATURES) // 2
+        narrow, wide = CLICKSTREAM_FEATURES[:half], CLICKSTREAM_FEATURES[half:]
+        records = [Record("s0", day(0), counters(**dict.fromkeys(narrow, 255),
+                                                 **dict.fromkeys(wide, 256))),
+                   Record("s0", day(1), counters(**dict.fromkeys(wide, 65535)))]
+        course = make_course(make_meta(), [Student("s0")], records, {"s0": 1.0})
+        assert [c.dtype for c in course.activity.columns] == [np.dtype(np.uint8)] * half + [
+            np.dtype(np.uint16)] * len(wide)
+        _assert_written_as_reference(course, tmp_path)
+        text = (tmp_path / "new" / "activity.csv").read_bytes().decode("utf-8")
+        assert text.endswith(",0" * half + ",65535" * len(wide) + "\r\n")
+
+    @pytest.mark.parametrize("budget", [1, 500, dataset._WRITE_BYTES])
+    def test_a_fractional_float64_column_of_edge_values(self, tmp_path, monkeypatch, budget):
+        """The column's cells are formatted block by block, one row a block at
+        the smallest budget, so its text width changes from block to block."""
+        monkeypatch.setattr(dataset, "_WRITE_BYTES", budget)
+        records = [Record("s0", day(i), counters(nforum=v, nevents=i))
+                   for i, v in enumerate(_EDGE_VALUES)]
+        course = make_course(make_meta(), [Student("s0")], records, {"s0": 0.0})
+        assert course.activity.columns[CLICKSTREAM_INDEX["nforum"]].dtype == np.float64
+        _assert_written_as_reference(course, tmp_path)
+
+    def test_no_activity_writes_the_header_alone(self, tmp_path):
+        course = make_course(make_meta(), [Student("s0")], [], {})
+        _assert_written_as_reference(course, tmp_path)
+        assert (tmp_path / "new" / "activity.csv").read_bytes() == f"{_HEADER}\r\n".encode()
+
+    def test_a_last_block_shorter_than_the_others(self, tmp_path, monkeypatch):
+        # three rows of a 2-character id, a 10-character date and 31 one-digit counters
+        monkeypatch.setattr(dataset, "_WRITE_BYTES", 3 * (2 + 10 + 3 * len(CLICKSTREAM_FEATURES)))
+        records = [Record(f"s{i}", day(i), counters(nevents=i)) for i in range(7)]
+        course = make_course(make_meta(), [Student(f"s{i}") for i in range(7)], records, {})
+        assert [len(text) for text in dataset._activity_text(course)][1:] == [
+            3 * len("s0,2014-01-06") + 3 * 2 * len(CLICKSTREAM_FEATURES) + 6,
+            3 * len("s0,2014-01-06") + 3 * 2 * len(CLICKSTREAM_FEATURES) + 6,
+            len("s0,2014-01-06") + 2 * len(CLICKSTREAM_FEATURES) + 2]
+        _assert_written_as_reference(course, tmp_path)
+
+    def test_a_default_2000_student_course(self, tmp_path):
+        course = synthesize_course(default_corpus_config(1, 2000).courses[0], 7)
+        _assert_written_as_reference(course, tmp_path)
 
 
 _HEADER = "student_id,date," + ",".join(CLICKSTREAM_FEATURES)

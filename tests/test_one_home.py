@@ -3,8 +3,11 @@
 Every CSV table of the package is read by settings.read_csv and written by
 settings.write_csv, every JSON file is read by settings.read_json and written
 by settings.write_json, and all work handed to worker processes goes through
-settings.forked. So only settings.py may import csv (the np.loadtxt block
-reader of activity.csv imports no csv) or json, and only settings.py may name
+settings.forked. activity.csv also has a block reader and a block writer in
+dataset, and neither imports csv: the reader splits rows with np.loadtxt, and
+the writer assembles rows from cells that settings.csv_cells quotes, joined
+and ended as settings says the dialect joins and ends them. So only
+settings.py may import csv or json, and only settings.py may name
 ProcessPoolExecutor. A module that needs any of them calls settings instead.
 
 The width each counter column of a course is stored in, uint8 or uint16 (or

@@ -1,5 +1,6 @@
-"""settings.forked, the package's one way to run work in worker processes, and
-settings.read_json, through which every JSON reader names a malformed file."""
+"""settings.forked, the package's one way to run work in worker processes;
+settings.read_json, through which every JSON reader names a malformed file; and
+settings.csv_cells, the CSV form of cells for a writer that assembles its own rows."""
 
 import time
 
@@ -9,7 +10,7 @@ from dropoutlab.cli import main
 from dropoutlab.deepnet import load_mlp
 from dropoutlab.errors import BadValueError
 from dropoutlab.linear import load_model
-from dropoutlab.settings import forked
+from dropoutlab.settings import CSV_DELIMITER, CSV_LINE_END, csv_cells, forked, write_csv
 
 
 def test_a_failed_call_cancels_the_queued_ones(tmp_path):
@@ -28,6 +29,15 @@ def test_a_failed_call_cancels_the_queued_ones(tmp_path):
                 result()
     ran = {int(p.name) for p in tmp_path.iterdir()}
     assert 0 in ran and len(ran) < 8
+
+
+@pytest.mark.parametrize("row", [
+    ("", ""), ("a\x00b", "\r", "\u00e9"), ("x y", "a,b", 'q"x', " lead", "a\nb", ""),
+])
+def test_csv_cells_make_the_line_write_csv_writes(tmp_path, row):
+    write_csv(tmp_path / "t.csv", row, [])
+    line = (tmp_path / "t.csv").read_bytes().decode("utf-8")
+    assert CSV_DELIMITER.join(csv_cells(row)) + CSV_LINE_END == line
 
 
 def _command(*argv):
