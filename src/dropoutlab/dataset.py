@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, fields as dc_fields
 from functools import cache, partial
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -154,6 +154,10 @@ class Roster:
                         f"student {self.student_ids[k]!r}: bad {name} {column[k]}")
             column.flags.writeable = False
             setattr(self, name, column)
+
+    def __reduce__(self):
+        # pickle rebuilds through the constructor: numpy unpickles arrays writeable
+        return Roster, tuple(getattr(self, name) for name in self.__slots__)
 
     def __len__(self) -> int:
         return len(self.student_ids)
@@ -300,6 +304,10 @@ class ActivityTable:
         for arr in (self.student_index, self.day, *self.columns):
             arr.flags.writeable = False
 
+    def __reduce__(self):
+        # as Roster's: the constructor keeps the unpickled arrays and makes them read-only
+        return ActivityTable, tuple(getattr(self, name) for name in self.__slots__)
+
     def __len__(self) -> int:
         return len(self.day)
 
@@ -344,6 +352,10 @@ class CourseData:
             raise BadDateError(
                 f"course {self.meta.course_id!r}: activity date outside [launch, end]"
             )
+
+    def __reduce__(self):
+        # as Roster's, so that certified comes back derived and read-only
+        return CourseData, (self.meta, self.roster, self.activity, self.final_grade)
 
     @property
     def n_students(self) -> int:
@@ -679,8 +691,6 @@ def _is_number(cell: str) -> bool:
     return True
 
 
-# The text of each integral value in [0, 1024), looked up instead of formatted.
-_SMALL_INTS = np.array([str(i) for i in range(1024)], dtype=object)
 # bytes of row text the activity writer assembles at a time, padding included:
 # 256 KiB wrote a 2000-student course as fast as 1 MiB, at a fifth of the peak
 _WRITE_BYTES = 1 << 18
@@ -689,16 +699,13 @@ _WRITE_BYTES = 1 << 18
 def _format_numbers(values: np.ndarray) -> np.ndarray:
     """The CSV cells of an array of numbers, as an object array for write_csv.
 
-    An integral value becomes its decimal text: from a table when small, else
-    a Python int (by int64 below 2**63 in magnitude). Every other value stays
-    a Python float, which write_csv writes as its repr.
+    An integral value becomes a Python int, written as its decimal text (by
+    int64 below 2**63 in magnitude). Every other value stays a Python float,
+    which write_csv writes as its repr.
     """
     ints = (np.abs(values) < 2.0**63) & (values == np.floor(values))
-    small = ints & (values >= 0.0) & (values < len(_SMALL_INTS))
     cells = np.empty(values.shape, dtype=object)
-    cells[small] = _SMALL_INTS[values[small].astype(np.intp)]
-    rest = ints & ~small
-    cells[rest] = values[rest].astype(np.int64)
+    cells[ints] = values[ints].astype(np.int64)
     cells[~ints] = values[~ints]
     huge = np.isfinite(values) & (np.abs(values) >= 2.0**63)
     cells[huge] = [int(v) for v in values[huge].tolist()]
@@ -1015,30 +1022,26 @@ def synthesize_course(config: SynthConfig, seed: int) -> CourseData:
     return CourseData(meta, roster, table, final_grade)
 
 
-def _course_seeds(config: CorpusConfig, seed: int) -> list[int]:
-    """The child seed of each course: course i's is drawn from SeedSequence((seed, i))."""
-    return [int(np.random.SeedSequence((seed, i)).generate_state(1)[0])
-            for i in range(len(config.courses))]
+def _each_course(config: CorpusConfig, seed: int, task: Callable) -> list:
+    """task(config.courses[i], child seed i) for each course i, in config order:
+    one task of settings.forked each, on one worker per usable core (at most
+    one per course; in this process when that makes one). Child seed i is
+    drawn from SeedSequence((seed, i)), so the results do not depend on the
+    core count. Every worker has ended when this returns."""
+    seeds = [int(np.random.SeedSequence((seed, i)).generate_state(1)[0])
+             for i in range(len(config.courses))]
+    workers = min(usable_cores(), len(seeds))
+    with forked(task, workers if workers > 1 else 0) as submit:
+        return [result() for result in [submit(c, s) for c, s in zip(config.courses, seeds)]]
 
 
 def synthesize_corpus(config: CorpusConfig, seed: int) -> list[CourseData]:
-    """Generate every course in the corpus, in config order, for a run that
-    computes with them.
-
-    Course i is synthesize_course(config.courses[i], child seed i), a pure
-    function of its own SeedSequence((seed, i)) child seed, so the courses are
-    built on one thread per usable core (at most one per course) and come out
-    the same whatever the thread count. numpy releases the GIL while it draws
-    the Poisson counters that are most of a course's time. Every thread has
-    ended when this returns, so a process pool forked afterwards starts from a
-    single-threaded parent. write_corpus writes the same courses to files
-    without holding them here.
-    """
-    from concurrent.futures import ThreadPoolExecutor
+    """Every course of the corpus, in config order, for a run that computes
+    with them: course i is synthesize_course(config.courses[i], child seed i),
+    drawn by _each_course and sent back by pickle, read-only as it was built.
+    write_corpus writes the same courses to files without holding them here."""
     config.validate()
-    seeds = _course_seeds(config, seed)
-    with ThreadPoolExecutor(max_workers=min(usable_cores(), len(seeds))) as pool:
-        return list(pool.map(synthesize_course, config.courses, seeds))
+    return _each_course(config, seed, synthesize_course)
 
 
 def _write_synthesized(out: Path, config: SynthConfig, seed: int) -> None:
@@ -1050,28 +1053,21 @@ def write_corpus(config: CorpusConfig, seed: int, out_dir: str | Path) -> None:
     corpus_config.json, and each course's four tables in a directory named
     by its course_id.
 
-    Each course is synthesized and written by one task of settings.forked,
-    on one worker per usable core (at most one per course; in this process
-    when that makes one). So both cores draw and write, and no process holds
-    more than one course at a time. The bytes are the same whatever the core
-    count. The config is checked before anything is written.
+    Each course is synthesized and written by its own task of _each_course,
+    so both cores draw and write, and no process holds more than one course
+    at a time. The bytes are the same whatever the core count. The config is
+    checked before anything is written.
     """
     config.validate()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / "corpus_config.json", corpus_config_to_dict(config), sort_keys=True)
-    workers = min(usable_cores(), len(config.courses))
-    with forked(partial(_write_synthesized, out), workers if workers > 1 else 0) as submit:
-        for written in [submit(c, s) for c, s in zip(config.courses, _course_seeds(config, seed))]:
-            written()
+    _each_course(config, seed, partial(_write_synthesized, out))
 
 
-def default_corpus_config(
-    n_courses: int = 4,
-    n_students: int = 400,
-    start: datetime.date = datetime.date(2014, 1, 6),
-) -> CorpusConfig:
-    """A corpus covering all four academic fields with staggered calendars.
+def default_corpus_config(n_courses: int = 4, n_students: int = 400) -> CorpusConfig:
+    """A corpus covering all four academic fields with staggered calendars:
+    the first course launches on 2014-01-06 and each next one 35 days later.
 
     Course lengths, certification thresholds, and engagement parameters vary
     across courses within plausible MOOC ranges.
@@ -1090,7 +1086,7 @@ def default_corpus_config(
             course_id=f"SYN{i + 1}x",
             field=FIELDS[j],
             n_students=n_students,
-            launch=start + datetime.timedelta(days=35 * i),
+            launch=datetime.date(2014, 1, 6) + datetime.timedelta(days=35 * i),
             weeks_to_t100=weeks[j],
             weeks_total=weeks[j] + 2,
             cert_threshold=thresholds[j],

@@ -4,8 +4,8 @@ growth sweep's settings, so that grow's options can be shown and checked; and
 the one date form (YYYY-MM-DD) that files and options take. Also the
 package's one CSV form (read_csv, write_csv, and csv_cells for a writer that
 assembles its own rows) and one JSON form (read_json, write_json), the usable
-core count that sizes its thread and process pools, and its one way to run
-work in forked worker processes (forked)."""
+core count that sizes its process pools, and its one way to run work in
+parallel: in forked worker processes (forked)."""
 
 import csv
 import datetime

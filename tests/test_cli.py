@@ -1060,7 +1060,8 @@ def _loaded(*args, code=0, cpus=None):
 
 
 class TestStartup:
-    """A command loads numpy and a thread or process pool only when it runs work that needs them."""
+    """A command loads numpy and a process pool only when it runs work that needs
+    them, and no command loads a thread pool."""
 
     @pytest.mark.parametrize("args,code", [
         (["--help"], 0),
@@ -1094,7 +1095,7 @@ class TestStartup:
     def test_only_a_pool_loads_the_pool(self, tmp_path):
         manifest = _write_manifest(tmp_path, paradigms=["baseline1"])
         loaded = _loaded("run", "--manifest", str(manifest), "--jobs", "1")
-        assert "concurrent.futures.process" not in loaded
+        assert "concurrent.futures.thread" not in loaded
         assert "dropoutlab.deepnet" not in loaded  # run trains no network
         rows = str(tmp_path / "out" / "rows.csv")
         assert _loaded("report", "--rows", rows, "--out-dir", str(tmp_path / "re")) == ["numpy"]
@@ -1106,8 +1107,21 @@ class TestStartup:
             ["numpy", "concurrent.futures.process"] if usable_cores() >= 2 else ["numpy"])
         assert _loaded("features", "--course-dir", str(course),
                        "--out", str(tmp_path / "m.csv")) == ["numpy"]
-        assert "concurrent.futures.process" in _loaded("run", "--manifest", str(manifest),
-                                                       "--jobs", "2")
+        assert _loaded("train", "--course-dir", str(course),
+                       "--out", str(tmp_path / "m.json")) == ["numpy"]
+        assert _loaded("run", "--manifest", str(manifest), "--jobs", "2") == [
+            "numpy", "concurrent.futures.process"]
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+    def test_run_jobs_1_forks_its_synthesis_exactly_on_two_usable_cores(self, tmp_path):
+        # the two-course corpus is drawn by one forked worker per course on two
+        # or more usable cores, and in the process itself on one
+        manifest = _write_manifest(tmp_path, paradigms=["baseline1"])
+        usable = sorted(os.sched_getaffinity(0))
+        for cpus in (usable[:1], usable):
+            loaded = _loaded("run", "--manifest", str(manifest), "--jobs", "1", cpus=cpus)
+            assert loaded == (["numpy", "concurrent.futures.process"] if len(cpus) >= 2
+                              else ["numpy"]), cpus
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
     def test_grow_loads_the_process_pool_exactly_on_two_usable_cores(self, course_dir,
@@ -1116,8 +1130,9 @@ class TestStartup:
                 "--epochs", "1", "--out-dir", str(tmp_path)]
         usable = sorted(os.sched_getaffinity(0))
         for cpus in (usable[:1], usable):
-            loaded = _loaded(*grow, cpus=cpus)
-            assert ("concurrent.futures.process" in loaded) == (len(cpus) >= 2), cpus
+            assert _loaded(*grow, cpus=cpus) == (
+                ["numpy", "concurrent.futures.process", "dropoutlab.deepnet"] if len(cpus) >= 2
+                else ["numpy", "dropoutlab.deepnet"]), cpus
 
     _ENV_AFTER_MAIN = """
 import contextlib, io, json, os, sys

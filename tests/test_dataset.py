@@ -1,7 +1,9 @@
 """Course containers, CSV round-trips, and the synthetic generator."""
 
 import datetime
+import multiprocessing
 import os
+import pickle
 import re
 import threading
 import tracemalloc
@@ -9,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dropoutlab import dataset
+from dropoutlab import dataset, settings
 from dropoutlab.dataset import (
     ActivityTable,
     CLICKSTREAM_FEATURES,
@@ -67,6 +69,25 @@ def _assert_same_roster(a, b):
     for name in _ROSTER_COLUMNS:
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and np.array_equal(x, y, equal_nan=True), name
+
+
+def _course_arrays(course):
+    """Every array of a course by name: the roster's, the activity table's and certified."""
+    table = course.activity
+    return {**{name: getattr(course.roster, name) for name in _ROSTER_COLUMNS},
+            "student_index": table.student_index, "day": table.day,
+            **dict(zip(CLICKSTREAM_FEATURES, table.columns)), "certified": course.certified}
+
+
+def _assert_same_read_only_course(got, want):
+    """got has want's meta, ids and grades, and each of its arrays has the dtype
+    and bytes of want's and is read-only."""
+    assert (got.meta, got.roster.student_ids) == (want.meta, want.roster.student_ids)
+    assert list(got.final_grade.items()) == list(want.final_grade.items())
+    wanted = _course_arrays(want)
+    for name, x in _course_arrays(got).items():
+        assert (x.dtype, x.tobytes()) == (wanted[name].dtype, wanted[name].tobytes()), name
+        assert not x.flags.writeable, name
 
 
 def _one_row_table(**overrides):
@@ -844,27 +865,52 @@ class TestSynthesis:
             assert 0 < y.sum() < len(y)
 
     def test_corpus_courses_use_child_seeds(self):
-        # a serial oracle, for one course and for more courses than threads
+        # a serial oracle, for one course and for more courses than workers
         for n_courses in (1, (os.cpu_count() or 1) + 3):
             config = default_corpus_config(n_courses, n_students=60)
             corpus = synthesize_corpus(config, 99)
             assert len(corpus) == n_courses
             for i, (got, course_cfg) in enumerate(zip(corpus, config.courses)):
                 child = int(np.random.SeedSequence((99, i)).generate_state(1)[0])
-                want = synthesize_course(course_cfg, child)
-                assert got.meta == want.meta
-                _assert_same_roster(got.roster, want.roster)
-                for name in ("student_index", "day"):
-                    x, y = getattr(got.activity, name), getattr(want.activity, name)
-                    assert x.dtype == y.dtype and np.array_equal(x, y), name
-                assert_same_counters(got.activity, want.activity)
-                assert list(got.final_grade.items()) == list(want.final_grade.items())
-                assert np.array_equal(got.certified, want.certified)
+                _assert_same_read_only_course(got, synthesize_course(course_cfg, child))
 
     def test_corpus_threads_end_before_return(self):
         before = threading.active_count()
         synthesize_corpus(default_corpus_config(3, n_students=30), 4)
         assert threading.active_count() == before
+
+    @pytest.mark.parametrize("problems_per_day", [8.0, 2.0**30], ids=["default", "float64"])
+    def test_pickled_course_comes_back_the_same_and_read_only(self, problems_per_day):
+        # a forked synthesis sends each course back by pickle, which makes numpy
+        # arrays writeable; the second course holds all three counter widths
+        course = synthesize_course(SynthConfig(course_id="Sx", n_students=300,
+                                               problems_per_day=problems_per_day), 7)
+        _assert_same_read_only_course(pickle.loads(pickle.dumps(course)), course)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+    def test_corpus_same_bytes_and_read_only_on_one_and_two_usable_cores(self, monkeypatch):
+        """On one usable core the courses are drawn in this process; on two, by
+        two forked workers, which have all ended when synthesize_corpus returns."""
+        asked = []
+
+        def forked(task, processes):
+            asked.append(processes)
+            return settings.forked(task, processes)
+        monkeypatch.setattr(dataset, "forked", forked)
+        config = default_corpus_config(3, n_students=60)
+        usable = sorted(os.sched_getaffinity(0))
+        for cpus in (usable[:1], usable[:2]):
+            os.sched_setaffinity(0, cpus)
+            try:
+                corpus = synthesize_corpus(config, 99)
+            finally:
+                os.sched_setaffinity(0, usable)
+            assert multiprocessing.active_children() == []
+            assert len(corpus) == len(config.courses)
+            for i, (got, course_cfg) in enumerate(zip(corpus, config.courses)):
+                child = int(np.random.SeedSequence((99, i)).generate_state(1)[0])
+                _assert_same_read_only_course(got, synthesize_course(course_cfg, child))
+        assert asked == [0, 2 if len(usable) >= 2 else 0]
 
     def test_grade_is_problems_answered_over_denominator(self):
         cfg = SynthConfig(course_id="Sx", n_students=70, problems_for_full_grade=9.0)

@@ -9,6 +9,8 @@ the writer assembles rows from cells that settings.csv_cells quotes, joined
 and ended as settings says the dialect joins and ends them. So only
 settings.py may import csv or json, and only settings.py may name
 ProcessPoolExecutor. A module that needs any of them calls settings instead.
+Work runs in parallel in one way, forked worker processes, so only settings.py
+imports concurrent.futures and no module imports threading.
 
 The width each counter column of a course is stored in, uint8 or uint16 (or
 float64), is decided in dataset alone, so only dataset.py names uint8 or
@@ -50,6 +52,14 @@ def test_only_settings_imports_csv():
 
 def test_only_settings_imports_json():
     assert importers("json") == ["settings.py"]
+
+
+def test_only_settings_imports_concurrent_futures():
+    assert importers("concurrent") == ["settings.py"]
+
+
+def test_no_module_imports_threading():
+    assert importers("threading") == []
 
 
 def test_only_settings_names_the_process_pool():
