@@ -143,9 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--minibatch-size", type=_positive_int, help="SGD minibatch size")
     p.add_argument("--anneal", type=float,
                    help="per-minibatch learning-rate anneal factor")
-    p.add_argument("--momentum", type=float, help="SGD momentum")
-    p.add_argument("--class-weighting", action="store_true",
-                   help="weight each class by n/(2*n_class)")
     p.add_argument("--seed", type=_seed, default=env_seed,
                    help="master seed (env DROPOUTLAB_SEED overrides this default)")
     p.add_argument("--out-dir", type=Path, required=True,
@@ -394,8 +391,7 @@ def main(argv: list[str] | None = None) -> int:
     if "numpy" not in sys.modules:
         for var in _BLAS_THREADS:
             os.environ.setdefault(var, "1")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)  # no name keeps the parser alive during the command
     try:
         return _COMMANDS[args.command](args)
     except DropoutLabError as e:

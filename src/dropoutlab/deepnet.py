@@ -140,24 +140,23 @@ def _step_buffers(m: MlpModel, nb: int):
     return [np.empty((nb, w)) for w in widths], [np.empty((nb, w)) for w in widths[:-1]]
 
 
-def _batch_targets(y: np.ndarray, class_w: np.ndarray, batch_size: int):
+def _batch_targets(y: np.ndarray, batch_size: int):
     """Per-row targets for 0/1 labels y in training order, cut into batches of
-    batch_size rows (the last one short): one-hot labels, loss weights, gradient
-    scales (loss weight over the size of the row's batch, as a column), and the
-    flat index of the row's true-class logit within its batch."""
+    batch_size rows (the last one short): (one-hot, scale, pick), that is the
+    one-hot labels, the gradient scale 1 / (size of the row's batch) as a
+    column, and the flat index of the row's true-class logit within its batch."""
     yi = y.astype(np.intp)
     pos = np.arange(len(y))
     size = np.minimum(batch_size, len(y) - pos // batch_size * batch_size)
-    w = class_w[yi]
-    return (np.column_stack((1.0 - y, y)), w, (w / size)[:, None],
+    return (np.column_stack((1.0 - y, y)), (1.0 / size)[:, None],
             N_CLASSES * (pos % batch_size) + yi)
 
 
-def _step(params, grads, bufs, Xb, onehot, w, scale, pick) -> float:
-    """Mean weighted cross-entropy of one batch; fills grads when it is finite.
+def _step(params, grads, bufs, Xb, onehot, scale, pick) -> float:
+    """Mean cross-entropy of one batch; fills grads when it is finite.
 
     params and grads are (W, b) views into flat buffers, bufs comes from
-    _step_buffers for len(Xb) rows, and (onehot, w, scale, pick) are the
+    _step_buffers for len(Xb) rows, and (onehot, scale, pick) are the
     batch's rows of _batch_targets. np.dot(..., out=) makes the same BLAS call
     as the @ operator, with less overhead per call.
     """
@@ -177,7 +176,6 @@ def _step(params, grads, bufs, Xb, onehot, w, scale, pick) -> float:
     norm = np.add.reduce(a, axis=1)
     terms = np.log(norm)
     terms -= picked
-    terms *= w
     loss = float(np.add.reduce(terms)) / len(terms)
     if not math.isfinite(loss):
         return loss
@@ -198,18 +196,12 @@ def _step(params, grads, bufs, Xb, onehot, w, scale, pick) -> float:
     return loss
 
 
-def _class_weights(y: np.ndarray, enabled: bool) -> np.ndarray:
-    if not enabled:
-        return np.ones(N_CLASSES)
-    counts = np.array([np.sum(y == k) for k in range(N_CLASSES)], dtype=np.float64)
-    return len(y) / (N_CLASSES * counts)
-
-
 def train_sgd(m: MlpModel, X, y, cfg: SgdConfig) -> MlpModel:
     """Annealed minibatch SGD on mean cross-entropy; deterministic per cfg.seed.
 
     y must hold 0/1 labels of both classes. Update k (0-based across the whole
-    run) uses learning rate cfg.learning_rate * (1 + cfg.anneal) ** (-k).
+    run) moves the parameters by -lr_k * g, where g is the batch's gradient and
+    lr_k = cfg.learning_rate * (1 + cfg.anneal) ** (-k).
     Epochs reshuffle with the seeded generator; a remainder batch is trained
     short. Each update is one _step on a flat copy of m's parameters; m
     itself is not changed.
@@ -228,11 +220,9 @@ def train_sgd(m: MlpModel, X, y, cfg: SgdConfig) -> MlpModel:
         raise BadValueError("training labels must be 0 or 1")
     if len(yv) == 0 or np.all(yv == yv[0]):
         raise SingleClassError("training labels contain a single class")
-    class_w = _class_weights(yv, cfg.class_weighting)
     rng = np.random.default_rng(cfg.seed)
     flat = _flat_copy(m)
     gflat = np.empty_like(flat)
-    velocity = np.zeros_like(flat) if cfg.momentum > 0 else None
     params, grads = _layer_views(flat, m), _layer_views(gflat, m)
     n, mb = len(values), cfg.minibatch_size
     bufs = {nb: _step_buffers(m, nb) for nb in {min(mb, n), n % mb} if nb}
@@ -244,19 +234,13 @@ def train_sgd(m: MlpModel, X, y, cfg: SgdConfig) -> MlpModel:
         for _ in range(cfg.epochs):
             order = rng.permutation(n)
             Xo = values[order]
-            onehot, w, scale, pick = _batch_targets(yv[order], class_w, mb)
+            onehot, scale, pick = _batch_targets(yv[order], mb)
             for start, stop, buf in batches:
                 loss = _step(params, grads, buf, Xo[start:stop], onehot[start:stop],
-                             w[start:stop], scale[start:stop], pick[start:stop])
+                             scale[start:stop], pick[start:stop])
                 if not math.isfinite(loss):
                     raise NonFiniteLossError(f"training loss diverged at update {k}")
-                lr = cfg.learning_rate * (1.0 + cfg.anneal) ** (-k)
-                if velocity is not None:
-                    velocity *= cfg.momentum
-                    velocity += gflat
-                    np.multiply(velocity, lr, out=gflat)
-                else:
-                    gflat *= lr
+                gflat *= cfg.learning_rate * (1.0 + cfg.anneal) ** (-k)
                 flat -= gflat
                 k += 1
     return MlpModel(tuple(params))

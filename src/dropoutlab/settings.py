@@ -44,22 +44,18 @@ def check_paradigms(kinds: Sequence[str]) -> None:
 class SgdConfig:
     """Minibatch SGD controls for train_sgd, which needs 0/1 labels.
 
-    Each field is named as grow's option for it. The learning rate before
-    update k (counting from 0) is lr_k = learning_rate * (1 + anneal) ** (-k):
-    one multiplicative anneal step per minibatch. Update k computes the
-    gradient g of the batch loss (in deepnet._step) and moves the parameters by
-    -lr_k * g, or with momentum > 0 by -lr_k * v, where the velocity
-    v = momentum * v + g starts at 0. class_weighting scales each example's
-    loss by n / (2 * n_class) of its class.
+    Each field is named as grow's option for it. There is one update rule:
+    update k (counting from 0) computes the gradient g of the batch's mean
+    cross-entropy (in deepnet._step) and moves the parameters by -lr_k * g,
+    where lr_k = learning_rate * (1 + anneal) ** (-k), one multiplicative
+    anneal step per minibatch.
     """
 
     learning_rate: float = 0.1
     epochs: int = 20
     minibatch_size: int = 10
     anneal: float = 1e-3
-    momentum: float = 0.0
     seed: int = 0
-    class_weighting: bool = False
 
     def __post_init__(self) -> None:
         if not 0 < self.learning_rate < math.inf:
@@ -70,8 +66,6 @@ class SgdConfig:
             raise BadConfigError(f"minibatch_size {self.minibatch_size} must be >= 1")
         if not 0 <= self.anneal < math.inf:
             raise BadConfigError(f"anneal {self.anneal} must be >= 0 and finite")
-        if not (0.0 <= self.momentum < 1.0):
-            raise BadConfigError(f"momentum {self.momentum} must be in [0, 1)")
         if self.seed < 0:
             raise BadConfigError(f"seed {self.seed} must be >= 0")
 

@@ -435,8 +435,8 @@ def logreg_loss_and_grad(w, b, X, y, C):
     return _loss(z, y, theta, C), g[:-1], float(g[-1])
 
 
-def batch_loss_and_grads(m, Xb, yb, class_w):
-    """Mean weighted cross-entropy of one batch and its (dW, db) per layer.
+def batch_loss_and_grads(m, Xb, yb):
+    """Mean cross-entropy of one batch and its (dW, db) per layer.
 
     Runs deepnet._step, the step train_sgd takes, into freshly allocated
     buffers. yb holds 0/1 labels. Raises NonFiniteLossError when the loss is
@@ -447,7 +447,7 @@ def batch_loss_and_grads(m, Xb, yb, class_w):
     flat = _flat_copy(m)
     grads = _layer_views(np.empty_like(flat), m)
     loss = _step(_layer_views(flat, m), grads, _step_buffers(m, len(yb)), Xb,
-                 *_batch_targets(yb, class_w, len(yb)))
+                 *_batch_targets(yb, len(yb)))
     if not math.isfinite(loss):
         raise NonFiniteLossError("batch loss is not finite")
     return loss, grads

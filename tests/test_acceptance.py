@@ -166,8 +166,7 @@ def _mlp_fd_error(rng):
         if _kink_safe(net, X):
             break
     y = (rng.random(n) < 0.5).astype(float)
-    class_w = np.ones(2)
-    _, grads = batch_loss_and_grads(net, X, y, class_w)
+    _, grads = batch_loss_and_grads(net, X, y)
     h = 1e-5
     ana, num = [], []
     for li, (W, b) in enumerate(net.layers):
@@ -177,9 +176,9 @@ def _mlp_fd_error(rng):
                 idx = it.multi_index
                 orig = arr[idx]
                 arr[idx] = orig + h
-                lp, _ = batch_loss_and_grads(net, X, y, class_w)
+                lp, _ = batch_loss_and_grads(net, X, y)
                 arr[idx] = orig - h
-                lm, _ = batch_loss_and_grads(net, X, y, class_w)
+                lm, _ = batch_loss_and_grads(net, X, y)
                 arr[idx] = orig
                 num.append((lp - lm) / (2 * h))
                 ana.append(grads[li][arr_i][idx])

@@ -723,6 +723,9 @@ _MALFORMED = {
     "grow-depth-from-one": (_grow("--depth-from", "1"), 1, ["2 <= depth_from", "1 and 2"]),
     "grow-norm-unknown": (_grow("--norm", "minmax"), 2, ["--norm", "'minmax'"]),
     "grow-epochs-fraction": (_grow("--epochs", "2.7"), 2, ["--epochs", "'2.7'"]),
+    "grow-momentum": (_grow("--momentum", "0.9"), 2, ["unrecognized arguments", "--momentum"]),
+    "grow-class-weighting": (_grow("--class-weighting"), 2,
+                             ["unrecognized arguments", "--class-weighting"]),
     "manifest-reg-c-inf": (_manifest(reg_C=float("inf")), 1, ["reg_C", "inf"]),
     # a manifest that still carries the retired growth_plan fails on the key itself,
     # before any of its values (once checked there) is read

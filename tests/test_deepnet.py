@@ -10,7 +10,6 @@ import pytest
 
 from dropoutlab import deepnet
 from dropoutlab.deepnet import (
-    N_CLASSES,
     MlpModel,
     forward,
     grow_and_train,
@@ -43,8 +42,8 @@ from conftest import batch_loss_and_grads
 
 
 def dataset_loss(m, X, y):
-    """Mean unweighted cross-entropy over a whole dataset, as one batch."""
-    loss, _ = batch_loss_and_grads(m, X, y, np.ones(N_CLASSES))
+    """Mean cross-entropy over a whole dataset, as one batch."""
+    loss, _ = batch_loss_and_grads(m, X, y)
     return loss
 
 
@@ -52,29 +51,19 @@ def reference_sgd(m, X, y, cfg):
     """Minibatch SGD written out as SgdConfig documents it: each epoch draws one
     permutation from default_rng(cfg.seed), batches of minibatch_size rows follow
     it with a short remainder batch, and update k (from 0) steps by
-    lr_k = learning_rate * (1 + anneal) ** -k times the batch gradient,
-    or with momentum times the velocity v = momentum * v + g (v starts at 0).
-    With class_weighting each example's loss is scaled by n / (2 * n_class).
+    lr_k = learning_rate * (1 + anneal) ** -k times the batch gradient.
 
     Returns the trained network and the size of every batch, in update order.
     """
     rng = np.random.default_rng(cfg.seed)
-    counts = np.bincount(y.astype(int), minlength=N_CLASSES)
-    class_w = len(y) / (N_CLASSES * counts) if cfg.class_weighting else np.ones(N_CLASSES)
     layers = [(W.copy(), b.copy()) for W, b in m.layers]
-    velocity = [(np.zeros_like(W), np.zeros_like(b)) for W, b in layers]
     sizes = []
     for _ in range(cfg.epochs):
         order = rng.permutation(len(X))
         for start in range(0, len(X), cfg.minibatch_size):
             batch = order[start:start + cfg.minibatch_size]
-            _, grads = batch_loss_and_grads(MlpModel(tuple(layers)), X[batch], y[batch],
-                                            class_w)
+            _, grads = batch_loss_and_grads(MlpModel(tuple(layers)), X[batch], y[batch])
             lr = cfg.learning_rate * (1.0 + cfg.anneal) ** (-len(sizes))
-            if cfg.momentum > 0:
-                velocity = [(cfg.momentum * vW + gW, cfg.momentum * vb + gb)
-                            for (vW, vb), (gW, gb) in zip(velocity, grads)]
-                grads = velocity
             layers = [(W - lr * gW, b - lr * gb) for (W, b), (gW, gb) in zip(layers, grads)]
             sizes.append(len(batch))
     return MlpModel(tuple(layers)), sizes
@@ -183,8 +172,7 @@ class TestBackprop:
             y = (rng.random(n) < 0.5).astype(float)
             if not _relu_kink_safe(net, X):
                 continue
-            class_w = np.ones(2)
-            _, grads = batch_loss_and_grads(net, X, y, class_w)
+            _, grads = batch_loss_and_grads(net, X, y)
             flat_ana, flat_num = [], []
             for li, (W, b) in enumerate(net.layers):
                 for arr_i, arr in ((0, W), (1, b)):
@@ -193,9 +181,9 @@ class TestBackprop:
                         idx = it.multi_index
                         orig = arr[idx]
                         arr[idx] = orig + h
-                        lp, _ = batch_loss_and_grads(net, X, y, class_w)
+                        lp, _ = batch_loss_and_grads(net, X, y)
                         arr[idx] = orig - h
-                        lm, _ = batch_loss_and_grads(net, X, y, class_w)
+                        lm, _ = batch_loss_and_grads(net, X, y)
                         arr[idx] = orig
                         flat_num.append((lp - lm) / (2 * h))
                         flat_ana.append(grads[li][arr_i][idx])
@@ -221,7 +209,6 @@ class TestSgd:
         cfg = SgdConfig()
         assert (cfg.learning_rate, cfg.epochs, cfg.minibatch_size) == (0.1, 20, 10)
         assert cfg.anneal == 1e-3
-        assert cfg.momentum == 0.0 and cfg.class_weighting is False
 
     def test_config_validation(self):
         with pytest.raises(BadConfigError):
@@ -234,6 +221,10 @@ class TestSgd:
             for value in (np.inf, np.nan):
                 with pytest.raises(BadConfigError, match=field):
                     SgdConfig(**{field: value})
+        # one update rule: no momentum, no class weighting
+        for field, value in (("momentum", 0.9), ("class_weighting", True)):
+            with pytest.raises(TypeError, match=field):
+                SgdConfig(**{field: value})
 
     def test_deterministic_for_seed(self):
         rng = np.random.default_rng(6)
@@ -267,16 +258,13 @@ class TestSgd:
         for (W, b), (We, be) in zip(got.layers, expect.layers):
             assert W.tobytes() == We.tobytes() and b.tobytes() == be.tobytes()
 
-    @pytest.mark.parametrize("class_weighting", [False, True])
-    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    @pytest.mark.parametrize("anneal", [0.0, 1e-3])
     @pytest.mark.parametrize("minibatch_size", [1, 7, 40])
     @pytest.mark.parametrize("widths", [[], [4], [4, 3, 5, 4]], ids=["h0", "h1", "h4"])
-    def test_every_config_path_matches_reference(self, widths, minibatch_size, momentum,
-                                                 class_weighting):
+    def test_every_config_path_matches_reference(self, widths, minibatch_size, anneal):
         rng = np.random.default_rng(8)
         X, y = _toy_data(rng, n=25)
-        cfg = SgdConfig(epochs=2, minibatch_size=minibatch_size, momentum=momentum,
-                        class_weighting=class_weighting, seed=3)
+        cfg = SgdConfig(epochs=2, minibatch_size=minibatch_size, anneal=anneal, seed=3)
         net = init_mlp(6, widths, seed=0)
         before = [(W.tobytes(), b.tobytes()) for W, b in net.layers]
         expect, sizes = reference_sgd(net, X, y, cfg)
@@ -314,25 +302,6 @@ class TestSgd:
         with pytest.raises(SingleClassError):
             train_sgd(init_mlp(3, [2], seed=0), X, np.ones(4), SgdConfig())
 
-    def test_class_weighting_changes_result(self):
-        rng = np.random.default_rng(9)
-        X = rng.standard_normal((50, 4))
-        y = np.zeros(50)
-        y[:5] = 1.0  # 10x imbalance
-        net = init_mlp(4, [4], seed=3)
-        plain = train_sgd(net, X, y, SgdConfig(epochs=3, seed=1))
-        weighted = train_sgd(net, X, y, SgdConfig(epochs=3, seed=1, class_weighting=True))
-        assert any(not np.array_equal(Wp, Ww)
-                   for (Wp, _), (Ww, _) in zip(plain.layers, weighted.layers))
-
-    def test_momentum_changes_result(self):
-        rng = np.random.default_rng(10)
-        X, y = _toy_data(rng)
-        net = init_mlp(6, [4], seed=3)
-        plain = train_sgd(net, X, y, SgdConfig(epochs=2, seed=1))
-        heavy = train_sgd(net, X, y, SgdConfig(epochs=2, seed=1, momentum=0.9))
-        assert any(not np.array_equal(Wp, Wh)
-                   for (Wp, _), (Wh, _) in zip(plain.layers, heavy.layers))
 
 
 class TestNet2Wider:
