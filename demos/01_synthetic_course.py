@@ -37,8 +37,9 @@ print(f"course {meta.course_id} ({meta.field})")
 print(f"  launch {meta.launch_date}, full-points date {meta.t100_date}, ends {meta.end_date}")
 print(f"  {course.n_students} students, {len(course.activity)} student-day activity rows")
 
-# labels, in student-id order: 1 iff the final grade reaches the
-# certification threshold; a student with no grade row counts as grade 0
+# labels, in student-id order like the final grades: 1 iff the final grade
+# reaches the certification threshold; a student with no row in grades.csv
+# loads as grade 0
 n_cert = int(course.certified.sum())
 print(f"  certification threshold {meta.cert_threshold}: {n_cert} certify, "
       f"{course.n_students - n_cert} drop out")
@@ -57,7 +58,7 @@ with tempfile.TemporaryDirectory() as tmp:
     paths = write_course(course, tmp)
     print("wrote", ", ".join(p.name for p in paths.values()))
     reloaded = load_course_dir(tmp)
-    same_grades = reloaded.final_grade == course.final_grade
+    same_grades = np.array_equal(reloaded.final_grade, course.final_grade)
     same_columns = {
         name: np.array_equal(getattr(reloaded.roster, name), getattr(roster, name),
                              equal_nan=True)

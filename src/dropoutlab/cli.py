@@ -132,17 +132,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", type=float, help="held-out test fraction")
     p.add_argument("--norm", choices=("zscore", "percentile"),
                    help="normalization fit on the training split")
-    p.add_argument("--width-from", type=_positive_int, help="first width")
-    p.add_argument("--width-to", type=_positive_int, help="last width")
-    p.add_argument("--depth-from", type=_positive_int, help="first depth")
-    p.add_argument("--depth-to", type=_positive_int, help="last depth")
-    p.add_argument("--fixed-width", type=_positive_int,
-                   help="hidden width used throughout the depth sweep")
-    p.add_argument("--learning-rate", type=_positive_float, help="initial SGD learning rate")
-    p.add_argument("--epochs", type=_positive_int, help="SGD epochs")
-    p.add_argument("--minibatch-size", type=_positive_int, help="SGD minibatch size")
-    p.add_argument("--anneal", type=float,
-                   help="per-minibatch learning-rate anneal factor")
+    # GrowthPlan and SgdConfig check the values of their fields, once, in cmd_grow
+    p.add_argument("--width-from", type=int, help="first width")
+    p.add_argument("--width-to", type=int, help="last width")
+    p.add_argument("--depth-from", type=int, help="first depth")
+    p.add_argument("--depth-to", type=int, help="last depth")
+    p.add_argument("--fixed-width", type=int, help="hidden width used throughout the depth sweep")
+    p.add_argument("--learning-rate", type=float, help="initial SGD learning rate")
+    p.add_argument("--epochs", type=int, help="SGD epochs")
+    p.add_argument("--minibatch-size", type=int, help="SGD minibatch size")
+    p.add_argument("--anneal", type=float, help="per-minibatch learning-rate anneal factor")
     p.add_argument("--seed", type=_seed, default=env_seed,
                    help="master seed (env DROPOUTLAB_SEED overrides this default)")
     p.add_argument("--out-dir", type=Path, required=True,
@@ -302,19 +301,20 @@ def cmd_run(args) -> int:
 
 
 def cmd_grow(args) -> int:
-    from .dataset import load_course_dir, week_date
-    from .deepnet import grow_and_train, save_mlp, write_growth_csv
-    from .features import _test_size, build_matrix, holdout_split
-    split = _checked("grow", "split", args.split, lambda v: 0 < v < 1, "in (0, 1)")
+    if not 0 < args.split < 1:  # like a bad field of the sweep, a usage error
+        return _usage_error(f"grow: split must be in (0, 1), got {args.split!r}")
     try:
         plan, cfg = (cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
                      for cls in (GrowthPlan, SgdConfig))
-    except BadConfigError as e:
-        raise BadConfigError(f"grow: {e}") from None
+    except BadConfigError as e:  # found before the course is read
+        return _usage_error(f"grow: {e}")
+    from .dataset import load_course_dir, week_date
+    from .deepnet import grow_and_train, save_mlp, write_growth_csv
+    from .features import _test_size, build_matrix, holdout_split
     course = load_course_dir(args.course_dir)
-    _test_size(len(course.roster), split, f"course {course.meta.course_id!r}: ")
+    _test_size(len(course.roster), args.split, f"course {course.meta.course_id!r}: ")
     _, train, y_train, test, y_test = holdout_split(
-        build_matrix(course, week_date(course.meta, args.week)), course.certified, split,
+        build_matrix(course, week_date(course.meta, args.week)), course.certified, args.split,
         cfg.seed, args.norm)
     del course  # nothing reads it again, so its activity is freed before the sweep
     report = grow_and_train(train.values, y_train, test.values, y_test, plan, cfg)

@@ -312,34 +312,34 @@ class ActivityTable:
         return len(self.day)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # one course is equal to itself alone, as a Roster is
 class CourseData:
     """Everything known about one course: metadata, roster, activity, final grades.
 
-    certified (float64 0/1, read-only, in roster order) is the certification
-    label, derived once when the course is built: 1 iff the final grade
-    reaches cert_threshold, where a student with no grade counts as grade 0.
+    final_grade (in [0, 1]; a student without a grade has grade 0) and certified,
+    the certification label derived once when the course is built (1 iff the
+    final grade reaches cert_threshold), are float64, read-only, in roster order.
     """
 
     meta: CourseMeta
     roster: Roster
     activity: ActivityTable
-    final_grade: Mapping[str, float]
-    certified: np.ndarray = field(init=False, repr=False, compare=False)
+    final_grade: np.ndarray
+    certified: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        on_roster = set(self.roster.student_ids)
-        for sid, g in self.final_grade.items():  # what grades.csv can hold
-            if sid not in on_roster:
-                raise UnknownStudentError(f"course {self.meta.course_id!r}: student {sid!r} "
-                                          "has a grade but is not on the roster")
-            if not 0.0 <= g <= 1.0:
-                raise BadValueError(f"course {self.meta.course_id!r}: student {sid!r}: "
-                                    f"final_grade {g} not in [0, 1]")
-        certified = np.array([self.final_grade.get(sid, 0.0) >= self.meta.cert_threshold
-                              for sid in self.roster.student_ids], dtype=np.float64)
-        certified.flags.writeable = False
-        object.__setattr__(self, "certified", certified)
+        grade = np.array(self.final_grade, dtype=np.float64)  # a copy: the caller's stays writeable
+        if grade.shape != (len(self.roster),):
+            raise BadValueError(f"course {self.meta.course_id!r}: final_grade has shape "
+                                f"{grade.shape}, expected ({len(self.roster)},)")
+        bad = np.flatnonzero(~((grade >= 0.0) & (grade <= 1.0)))  # NaN fails both
+        if len(bad):
+            raise BadValueError(f"course {self.meta.course_id!r}: student "
+                                f"{self.roster.student_ids[bad[0]]!r}: final_grade "
+                                f"{grade[bad[0]]} not in [0, 1]")
+        object.__setattr__(self, "final_grade", grade)
+        object.__setattr__(self, "certified", (grade >= self.meta.cert_threshold).astype(np.float64))
+        grade.flags.writeable = self.certified.flags.writeable = False
         if len(self.activity) and (
             self.activity.student_index.min() < 0
             or self.activity.student_index.max() >= len(self.roster)
@@ -354,7 +354,7 @@ class CourseData:
             )
 
     def __reduce__(self):
-        # as Roster's, so that certified comes back derived and read-only
+        # as Roster's, so that final_grade comes back read-only and certified derived
         return CourseData, (self.meta, self.roster, self.activity, self.final_grade)
 
     @property
@@ -650,6 +650,7 @@ def load_course(
     Raises MissingColumnError / BadDateError / NegativeCounterError /
     DuplicateStudentDayError with the offending file, row, and column named;
     a grades.csv row for an unknown or already graded student is rejected too.
+    A roster student that grades.csv does not list has grade 0.
 
     When activity.csv has several faults, the per-row ones (a short or long
     row, an unknown student, a bad or out-of-range date, a counter that is not
@@ -664,13 +665,13 @@ def load_course(
     activity = (_read_activity(activity_path, meta, index)
                 or _scan_activity(activity_path, meta, roster, index))
 
-    grades: dict[str, float] = {}
+    grades, graded = np.zeros(len(roster)), np.zeros(len(roster), dtype=bool)  # no row: grade 0
     for lineno, (sid, cell) in _read_rows(grades_path, _GRADE_COLUMNS):
         if sid not in index:
             raise UnknownStudentError(
                 f"{grades_path}:{lineno}: student {sid!r} not in demographics"
             )
-        if sid in grades:
+        if graded[index[sid]]:
             raise BadValueError(f"{grades_path}:{lineno}: duplicate record for student {sid!r}")
         try:
             g = float(cell)
@@ -678,7 +679,7 @@ def load_course(
             raise BadValueError(f"{grades_path}:{lineno}: bad final_grade {cell!r}") from None
         if not (0.0 <= g <= 1.0):
             raise BadValueError(f"{grades_path}:{lineno}: final_grade {g} not in [0, 1]")
-        grades[sid] = g
+        grades[index[sid]], graded[index[sid]] = g, True
 
     return CourseData(meta, roster, ActivityTable(*activity), grades)
 
@@ -784,7 +785,8 @@ def write_course(course: CourseData, out_dir: str | Path) -> dict[str, Path]:
     activity.csv is assembled as bytes by the block writer _activity_text, the
     counterpart of the block reader _read_activity; the other three tables go
     through settings.write_csv. Both write csv's default dialect, so the bytes
-    are those write_csv would write for every table.
+    are those write_csv would write for every table. grades.csv has a row for
+    each roster student, at grade 0 for a student without a grade.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -811,10 +813,8 @@ def write_course(course: CourseData, out_dir: str | Path) -> dict[str, Path]:
     with open(paths["activity"], "wb") as f:
         for text in _activity_text(course):
             f.write(text)
-    grades = np.array([course.final_grade.get(sid, 0.0) for sid in r.student_ids],
-                      dtype=np.float64)
     write_csv(paths["grades"], _GRADE_COLUMNS,
-              zip(r.student_ids, _format_numbers(grades).tolist()))
+              zip(r.student_ids, _format_numbers(course.final_grade).tolist()))
     return paths
 
 
@@ -1016,10 +1016,9 @@ def synthesize_course(config: SynthConfig, seed: int) -> CourseData:
     answered = np.bincount(student, weights=columns[CLICKSTREAM_INDEX["nproblems_answered"]],
                            minlength=n)
     grade = np.clip(answered / config.problems_for_full_grade, 0.0, 1.0)
-    final_grade = dict(zip(roster.student_ids, grade.tolist()))
 
     table = ActivityTable(student.astype(np.int32), day.astype(np.int32), columns)
-    return CourseData(meta, roster, table, final_grade)
+    return CourseData(meta, roster, table, grade)
 
 
 def _each_course(config: CorpusConfig, seed: int, task: Callable) -> list:

@@ -85,10 +85,12 @@ def make_roster(students):
 
 
 def make_course(meta, students, records=(), final_grade=None):
-    """A CourseData from a Roster (or Student rows) and Record rows.
+    """A CourseData from a Roster (or Student rows), Record rows and grades.
 
     A record of a student not on the roster gets an out-of-range student
-    index, so CourseData's own check rejects it.
+    index, so CourseData's own check rejects it. final_grade is a
+    {student_id: grade} dict, a student it leaves out at grade 0, or a column
+    in roster order, passed on as it is.
     """
     roster = students if isinstance(students, Roster) else make_roster(students)
     index = {sid: i for i, sid in enumerate(roster.student_ids)}
@@ -98,7 +100,9 @@ def make_course(meta, students, records=(), final_grade=None):
         np.array([[r.counters[k] for r in records] for k in CLICKSTREAM_FEATURES],
                  dtype=np.float64).reshape(len(CLICKSTREAM_FEATURES), len(records)),
     )
-    return CourseData(meta, roster, table, dict(final_grade or {}))
+    if final_grade is None or isinstance(final_grade, dict):
+        final_grade = [(final_grade or {}).get(sid, 0.0) for sid in roster.student_ids]
+    return CourseData(meta, roster, table, final_grade)
 
 
 def records_of(course):
@@ -205,9 +209,11 @@ def days_since_last_action(course, student_id, as_of):
 # Per-student label oracles for CourseData.certified and paradigms.proxy_labels.
 
 def certification_labels(course):
-    """{student_id: 0/1}: 1 iff the final grade (0.0 when absent) >= cert_threshold."""
+    """{student_id: 0/1}: 1 iff the student's final grade >= cert_threshold,
+    compared one student at a time."""
     thr = course.meta.cert_threshold
-    return {sid: int(course.final_grade.get(sid, 0.0) >= thr) for sid in course.roster.student_ids}
+    return {sid: int(float(g) >= thr)
+            for sid, g in zip(course.roster.student_ids, course.final_grade)}
 
 
 def persistence_labels(course, w):
@@ -274,8 +280,8 @@ def reference_write_course(course, out_dir):
     with open(out / "grades.csv", "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
         w.writerow(("student_id", "final_grade"))
-        for sid in r.student_ids:
-            w.writerow([sid, _ref_fmt_number(course.final_grade.get(sid, 0.0))])
+        for sid, g in zip(r.student_ids, course.final_grade):
+            w.writerow([sid, _ref_fmt_number(g)])
 
 
 def _ref_rows(path, expected):
@@ -348,7 +354,7 @@ def reference_load_course(course_dir):
                 raise NegativeCounterError(f"{activity_path}:{lineno}: column {name!r}: "
                                            f"value {cell} must be finite and >= 0")
             values.append(v)
-    grades = {}
+    grades = {}  # a roster student without a row has grade 0
     for lineno, (sid, cell) in _ref_rows(grades_path, ("student_id", "final_grade")):
         if sid not in index:
             raise UnknownStudentError(f"{grades_path}:{lineno}: student {sid!r} not in demographics")
@@ -363,7 +369,7 @@ def reference_load_course(course_dir):
         grades[sid] = g
     table = ActivityTable(np.array(sidx, dtype=np.int32), np.array(days, dtype=np.int32),
                           np.array(values, dtype=np.float64).reshape(-1, len(CLICKSTREAM_FEATURES)).T)
-    return CourseData(meta, roster, table, grades)
+    return CourseData(meta, roster, table, [grades.get(sid, 0.0) for sid in roster.student_ids])
 
 
 # dataset.synthesize_course as it drew before it drew blocks of students:
@@ -396,8 +402,7 @@ def reference_synthesis(config, seed):
     answered = np.bincount(rows[0], weights=columns[CLICKSTREAM_FEATURES.index(
         "nproblems_answered")], minlength=n)
     grade = np.clip(answered / config.problems_for_full_grade, 0.0, 1.0)
-    return (rows[0].astype(np.int32), rows[1].astype(np.int32), columns,
-            dict(zip(roster.student_ids, grade.tolist())))
+    return rows[0].astype(np.int32), rows[1].astype(np.int32), columns, grade
 
 
 # Readers of the files features writes, which no command reads back: the

@@ -269,8 +269,7 @@ def test_criterion_6_post_hoc_improves_with_time(flagship_report):
 
 def test_criterion_7_in_situ_blind_to_labels():
     course = synthesize_course(SynthConfig(course_id="BLNDx", n_students=400), 7)
-    corrupted = CourseData(course.meta, course.roster, course.activity,
-                           {sid: 1.0 - g for sid, g in course.final_grade.items()})
+    corrupted = CourseData(course.meta, course.roster, course.activity, 1.0 - course.final_grade)
     # insitu_scores is handed a snapshot and proxy labels, never a course with grades
     direct_a, direct_b = (insitu_scores(build_matrix(c, week_date(c.meta, -1)), proxy_labels(c, -1))
                           for c in (course, corrupted))

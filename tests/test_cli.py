@@ -63,11 +63,11 @@ class TestExitCodes:
             main(["nosuchcommand"])
         assert e.value.code == 2
 
-    def test_zero_epochs_is_usage_error(self, tmp_path):
-        with pytest.raises(SystemExit) as e:
-            main(["grow", "--course-dir", str(tmp_path), "--epochs", "0",
-                  "--out-dir", str(tmp_path)])
-        assert e.value.code == 2
+    def test_zero_epochs_is_usage_error(self, tmp_path, capsys):
+        # found before the course is read: tmp_path holds no course
+        assert main(["grow", "--course-dir", str(tmp_path), "--epochs", "0",
+                     "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "usage error: grow: epochs 0 must be >= 1\n"
 
     def test_bad_env_seed_is_usage_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("DROPOUTLAB_SEED", "abc")
@@ -714,13 +714,23 @@ _PAST_CALENDAR = ["course 'SYN1x': week 2000000 falls past 9999-12-31"]
 _MALFORMED = {
     "train-reg-c-inf": (_train("--reg-c", "inf"), 2, ["--reg-c", "inf"]),
     "train-reg-c-nan": (_train("--reg-c", "nan"), 2, ["--reg-c", "nan"]),
-    "grow-learning-rate-inf": (_grow("--learning-rate", "inf"), 2, ["--learning-rate", "inf"]),
-    "grow-anneal-nan": (_grow("--anneal", "nan"), 1, ["anneal", "nan"]),
-    "grow-anneal-inf": (_grow("--anneal", "inf"), 1, ["anneal", "inf"]),
-    "grow-anneal-negative": (_grow("--anneal", "-1"), 1, ["grow: anneal -1.0 must be >= 0"]),
-    "grow-width-from-above-width-to": (_grow("--width-from", "5", "--width-to", "3"), 1,
-                                       ["width_from <= width_to", "5 and 3"]),
-    "grow-depth-from-one": (_grow("--depth-from", "1"), 1, ["2 <= depth_from", "1 and 2"]),
+    # a value GrowthPlan or SgdConfig rejects is a usage error, as argparse's are
+    "grow-learning-rate-inf": (_grow("--learning-rate", "inf"), 2,
+                               ["usage error: grow: learning_rate inf must be positive"]),
+    "grow-anneal-nan": (_grow("--anneal", "nan"), 2, ["usage error: grow: anneal nan"]),
+    "grow-anneal-inf": (_grow("--anneal", "inf"), 2, ["usage error: grow: anneal inf"]),
+    "grow-anneal-negative": (_grow("--anneal", "-1"), 2,
+                             ["usage error: grow: anneal -1.0 must be >= 0"]),
+    "grow-width-from-above-width-to": (_grow("--width-from", "5", "--width-to", "3"), 2,
+                                       ["usage error: grow:", "width_from <= width_to",
+                                        "5 and 3"]),
+    "grow-width-from-zero": (_grow("--width-from", "0"), 2,
+                             ["usage error: grow: need 1 <= width_from", "0 and 2"]),
+    "grow-depth-from-one": (_grow("--depth-from", "1"), 2,
+                            ["usage error: grow:", "2 <= depth_from", "1 and 2"]),
+    "grow-epochs-zero": (_grow("--epochs", "0"), 2, ["usage error: grow: epochs 0 must be >= 1"]),
+    "grow-split-above-one": (_grow("--split", "1.5"), 2,
+                             ["usage error: grow: split must be in (0, 1), got 1.5"]),
     "grow-norm-unknown": (_grow("--norm", "minmax"), 2, ["--norm", "'minmax'"]),
     "grow-epochs-fraction": (_grow("--epochs", "2.7"), 2, ["--epochs", "'2.7'"]),
     "grow-momentum": (_grow("--momentum", "0.9"), 2, ["unrecognized arguments", "--momentum"]),
@@ -867,7 +877,7 @@ class TestGrowCommand:
     def test_bad_split_rejected(self, course_dir, tmp_path, capsys):
         rc = main(["grow", "--course-dir", str(course_dir), "--split", "1.5",
                    "--out-dir", str(tmp_path)])
-        assert rc == 1
+        assert rc == 2
         assert "split" in capsys.readouterr().err
 
 
@@ -1075,8 +1085,11 @@ class TestStartup:
         (["train", "--course-dir", "c", "--kind", "baseline1", "--week", "0", "--out", "m"], 2),
         (["synth", "--config", "c", "--courses", "9", "--out", "x"], 2),
         (["synth", "--config", "c", "--students", "5", "--out", "x"], 2),
+        (["grow", "--course-dir", "c", "--anneal", "inf", "--out-dir", "g"], 2),
+        (["grow", "--course-dir", "c", "--split", "0", "--out-dir", "g"], 2),
     ], ids=["help", "grow-help", "bad-option", "unknown-command", "ignored-stats-out",
-            "ignored-week", "ignored-courses", "ignored-students"])
+            "ignored-week", "ignored-courses", "ignored-students", "grow-bad-anneal",
+            "grow-bad-split"])
     def test_parser_runs_on_the_standard_library(self, args, code):
         assert _loaded(*args, code=code) == []
 

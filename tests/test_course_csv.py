@@ -49,7 +49,7 @@ def _assert_same_course(a, b):
                  (a.certified, b.certified)):
         assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
     assert_same_counters(a.activity, b.activity)
-    assert a.final_grade == b.final_grade
+    assert a.final_grade.tobytes() == b.final_grade.tobytes()
 
 
 def _raised(load, course_dir):

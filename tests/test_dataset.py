@@ -1,5 +1,6 @@
 """Course containers, CSV round-trips, and the synthetic generator."""
 
+import dataclasses
 import datetime
 import multiprocessing
 import os
@@ -72,18 +73,19 @@ def _assert_same_roster(a, b):
 
 
 def _course_arrays(course):
-    """Every array of a course by name: the roster's, the activity table's and certified."""
+    """Every array of a course by name: the roster's, the activity table's,
+    final_grade and certified."""
     table = course.activity
     return {**{name: getattr(course.roster, name) for name in _ROSTER_COLUMNS},
             "student_index": table.student_index, "day": table.day,
-            **dict(zip(CLICKSTREAM_FEATURES, table.columns)), "certified": course.certified}
+            **dict(zip(CLICKSTREAM_FEATURES, table.columns)),
+            "final_grade": course.final_grade, "certified": course.certified}
 
 
 def _assert_same_read_only_course(got, want):
-    """got has want's meta, ids and grades, and each of its arrays has the dtype
-    and bytes of want's and is read-only."""
+    """got has want's meta and ids, and each of its arrays, grades included,
+    has the dtype and bytes of want's and is read-only."""
     assert (got.meta, got.roster.student_ids) == (want.meta, want.roster.student_ids)
-    assert list(got.final_grade.items()) == list(want.final_grade.items())
     wanted = _course_arrays(want)
     for name, x in _course_arrays(got).items():
         assert (x.dtype, x.tobytes()) == (wanted[name].dtype, wanted[name].tobytes()), name
@@ -173,7 +175,7 @@ class TestRoster:
         assert not (np.isfinite(yob) and yob != np.floor(yob))
         empty = ActivityTable(np.zeros(0, np.int32), np.zeros(0, np.int32),
                               np.zeros((len(CLICKSTREAM_FEATURES), 0)))
-        write_course(CourseData(make_meta(), roster, empty, {}), tmp_path)
+        write_course(CourseData(make_meta(), roster, empty, np.zeros(len(roster))), tmp_path)
         back = load_demographics(tmp_path / "demographics.csv")
         assert back.yob.tobytes() == roster.yob.tobytes()
 
@@ -433,17 +435,19 @@ class TestCourseData:
         with pytest.raises(ValueError):
             r.loe[0] = 0
 
-    @pytest.mark.parametrize("grade", [1.5, -0.25, float("nan")])
-    def test_grade_outside_unit_interval_rejected(self, grade):
-        with pytest.raises(BadValueError,
-                           match=rf"course 'Tx': student 'b': final_grade {grade} not in \[0, 1\]"):
+    @pytest.mark.parametrize("grades,error", [
+        *(([0.5, g], rf"student 'b': final_grade {g} not in \[0, 1\]")
+          for g in (1.5, -0.25, float("nan"))),
+        ([0.5, 0.5, 0.5], r"final_grade has shape \(3,\), expected \(2,\)"),
+    ], ids=["1.5", "-0.25", "nan", "wrong-length"])
+    def test_grade_outside_unit_interval_rejected(self, grades, error):
+        with pytest.raises(BadValueError, match=rf"course 'Tx': {error}"):
             make_course(make_meta(course_id="Tx"), [Student("a"), Student("b")], [],
-                        {"a": 0.5, "b": grade})
+                        np.array(grades))
 
-    def test_grade_of_student_off_the_roster_rejected(self):
-        with pytest.raises(UnknownStudentError,
-                           match="course 'Tx': student 'ghost' has a grade but is not on the roster"):
-            make_course(make_meta(course_id="Tx"), [Student("a")], [], {"a": 0.5, "ghost": 0.9})
+    def test_course_equals_itself_alone(self, tiny_course):
+        flipped = dataclasses.replace(tiny_course, final_grade=1.0 - tiny_course.final_grade)
+        assert tiny_course == tiny_course and flipped != tiny_course
 
     def test_records_round_trip(self, tiny_course):
         days = records_of(tiny_course)
@@ -486,10 +490,18 @@ class TestCsvRoundTrip:
         _assert_same_roster(loaded.roster, tiny_course.roster)
         assert_same_counters(loaded.activity, tiny_course.activity)
         assert np.array_equal(loaded.activity.day, tiny_course.activity.day)
-        # absent grade rows load back as the 0.0 they imply
-        for sid in tiny_course.roster.student_ids:
-            assert loaded.final_grade[sid] == tiny_course.final_grade.get(sid, 0.0)
+        assert loaded.final_grade.tobytes() == tiny_course.final_grade.tobytes()
         assert loaded.certified.tobytes() == tiny_course.certified.tobytes()
+
+    def test_student_missing_from_grades_loads_as_zero(self, tiny_course, tmp_path):
+        paths = write_course(tiny_course, tmp_path / "a")
+        written = paths["grades"].read_bytes()
+        assert b"\r\ns04,0\r\n" in written
+        paths["grades"].write_bytes(written.replace(b"\r\ns04,0\r\n", b"\r\n"))
+        loaded = load_course_dir(tmp_path / "a")
+        assert loaded.final_grade[tiny_course.roster.student_ids.index("s04")] == 0.0
+        assert loaded.final_grade.tobytes() == tiny_course.final_grade.tobytes()
+        assert write_course(loaded, tmp_path / "b")["grades"].read_bytes() == written
 
     def test_write_is_byte_deterministic(self, tiny_course, tmp_path):
         p1 = write_course(tiny_course, tmp_path / "a")
@@ -798,7 +810,7 @@ class TestSynthesis:
                                     else np.float64), name
         assert got.activity.student_index.tobytes() == student_index.tobytes()
         assert got.activity.day.tobytes() == day.tobytes()
-        assert list(got.final_grade.items()) == list(grade.items())
+        assert got.final_grade.tobytes() == grade.tobytes()
         return max((c.dtype for c in got.activity.columns), key=lambda dtype: dtype.itemsize)
 
     @pytest.mark.parametrize("n,problems_per_day,dtype", [
@@ -827,7 +839,7 @@ class TestSynthesis:
         b = synthesize_course(cfg, 7)
         assert a.roster.student_ids == b.roster.student_ids
         assert_same_counters(a.activity, b.activity)
-        assert a.final_grade == b.final_grade
+        assert np.array_equal(a.final_grade, b.final_grade)
         _assert_same_roster(a.roster, b.roster)
 
     def test_different_seeds_differ(self):
@@ -844,8 +856,8 @@ class TestSynthesis:
 
     def test_grades_in_unit_interval(self):
         c = synthesize_course(SynthConfig(course_id="Sx", n_students=80), 3)
-        g = np.array(list(c.final_grade.values()))
-        assert np.all((g >= 0) & (g <= 1))
+        g = c.final_grade
+        assert g.shape == (80,) and np.all((g >= 0) & (g <= 1))
 
     def test_activity_inside_course_window(self):
         c = synthesize_course(SynthConfig(course_id="Sx", n_students=80), 3)
@@ -916,9 +928,9 @@ class TestSynthesis:
         cfg = SynthConfig(course_id="Sx", n_students=70, problems_for_full_grade=9.0)
         c = synthesize_course(cfg, 12)
         answered = c.activity.columns[CLICKSTREAM_INDEX["nproblems_answered"]]
-        for i, sid in enumerate(c.roster.student_ids):
+        for i in range(c.n_students):
             total = sum(answered[c.activity.student_index == i].tolist())
-            assert c.final_grade[sid] == min(total / 9.0, 1.0)
+            assert c.final_grade[i] == min(total / 9.0, 1.0)
 
     def test_counts_from_2_24_keep_float64_and_round_trip(self, tmp_path):
         c = synthesize_course(SynthConfig(course_id="Sx", n_students=30,
@@ -930,7 +942,7 @@ class TestSynthesis:
         back = load_course_dir(tmp_path)
         assert back.activity.columns[CLICKSTREAM_INDEX["nproblems_answered"]].dtype == np.float64
         assert_same_counters(back.activity, c.activity)
-        assert back.final_grade == c.final_grade
+        assert back.final_grade.tobytes() == c.final_grade.tobytes()
 
     def test_default_corpus_config_shape(self):
         config = default_corpus_config(8, n_students=25)

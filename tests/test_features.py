@@ -248,7 +248,8 @@ def _random_course(seed, n_students=30, first_day=3):
     values[rng.random(values.shape) < 0.05] = -0.0
     values[(rng.random(len(days)) < 0.3) | (sidx == 1), _NEVENTS] = 0.0
     roster = make_roster([Student(f"s{k:03d}") for k in range(n_students)])
-    return CourseData(make_meta(), roster, ActivityTable(sidx, days, values.T), {})
+    return CourseData(make_meta(), roster, ActivityTable(sidx, days, values.T),
+                      np.zeros(n_students))
 
 
 _COUNTERS = BLOCKS["clickstream_cumulative"]
@@ -288,7 +289,7 @@ class TestCumulativeAllOracle:
         values = np.full((1, len(CLICKSTREAM_FEATURES)), 0.1)
         roster = make_roster([Student(f"s{k}") for k in range(3)])
         course = CourseData(make_meta(), roster,
-                            ActivityTable(np.array([1]), np.array([4]), values.T), {})
+                            ActivityTable(np.array([1]), np.array([4]), values.T), np.zeros(3))
         for off in (0, 3, 4, 70):
             self._assert_bitwise(course, off)
         cum, dsla = _walked(build_matrix(course, day(9)))
@@ -298,7 +299,7 @@ class TestCumulativeAllOracle:
         roster = make_roster([Student("s0")])
         course = CourseData(make_meta(), roster,
                             ActivityTable(np.zeros(0, np.int32), np.zeros(0, np.int32),
-                                          np.zeros((len(CLICKSTREAM_FEATURES), 0))), {})
+                                          np.zeros((len(CLICKSTREAM_FEATURES), 0))), [0.0])
         self._assert_bitwise(course, 5)
 
 
@@ -337,7 +338,7 @@ class TestSnapshotWalk:
         given = _random_course(seed).activity
         values = np.round(counter_values(given) * 8.0) / 8.0
         course = CourseData(make_meta(), _random_course(seed).roster,
-                            ActivityTable(given.student_index, given.day, values.T), {})
+                            ActivityTable(given.student_index, given.day, values.T), np.zeros(30))
         assert all(c.dtype == np.float64 for c in course.activity.columns)
         as_given = SimpleNamespace(n_students=course.n_students, activity=SimpleNamespace(
             student_index=given.student_index, day=given.day, columns=values.T))
@@ -358,11 +359,11 @@ class TestSnapshotWalk:
         values = np.full((1, len(CLICKSTREAM_FEATURES)), 0.1)
         roster = make_roster([Student(f"s{k}") for k in range(3)])
         one = CourseData(make_meta(), roster,
-                         ActivityTable(np.array([1]), np.array([4]), values.T), {})
+                         ActivityTable(np.array([1]), np.array([4]), values.T), np.zeros(3))
         self._assert_walk(one, (0, 3, 4, 4, 70))
         empty = CourseData(make_meta(), make_roster([Student("s0")]),
                            ActivityTable(np.zeros(0, np.int32), np.zeros(0, np.int32),
-                                         np.zeros((len(CLICKSTREAM_FEATURES), 0))), {})
+                                         np.zeros((len(CLICKSTREAM_FEATURES), 0))), [0.0])
         self._assert_walk(empty, (0, 5, 70))
 
     def test_empty_date_list(self):

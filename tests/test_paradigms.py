@@ -384,8 +384,7 @@ class TestInSitu:
 
     def test_blind_to_certification_labels(self, small_corpus):
         c = small_corpus[0]
-        flipped = CourseData(c.meta, c.roster, c.activity,
-                             {sid: 1.0 - g for sid, g in c.final_grade.items()})
+        flipped = CourseData(c.meta, c.roster, c.activity, 1.0 - c.final_grade)
         corpus = [flipped] + list(small_corpus[1:])
         a, _ = run_paradigm(small_corpus, "in_situ", c.meta.course_id, -1)
         b, _ = run_paradigm(corpus, "in_situ", c.meta.course_id, -1)
@@ -442,8 +441,7 @@ class TestInformationFrontier:
 
     def test_target_grades_are_read_by_post_hoc_and_baseline1_alone(self, small_corpus, cells):
         target, scores = cells
-        flipped = dataclasses.replace(
-            target, final_grade={sid: 1.0 - g for sid, g in target.final_grade.items()})
+        flipped = dataclasses.replace(target, final_grade=1.0 - target.final_grade)
         corpus = [flipped if c is target else c for c in small_corpus]
         for kind, w in scores:
             unread = self._scores(corpus, kind, w, flipped) == scores[kind, w]
