@@ -18,11 +18,9 @@ from dropoutlab.features import (
     BLOCKS,
     FEATURE_NAMES,
     FeatureMatrix,
-    apply_percentile,
-    apply_zscore,
+    apply_norm,
     build_matrix,
-    fit_percentile,
-    fit_zscore,
+    normalize,
 )
 
 course = synthesize_course(SynthConfig(course_id="FEATx", n_students=200), seed=3)
@@ -45,16 +43,16 @@ print(f"\ncum_nevents col mean: {early.values[:, i_events].mean():8.1f} (two wee
 print(f"gender_female col mean: {early.values[:, i_gender].mean():6.3f}"
       f" -> {late.values[:, i_gender].mean():6.3f} (static, as expected)")
 
-# z-score: fit on one matrix, apply to any other snapshot
-stats = fit_zscore(late)
-z = apply_zscore(late, stats)
+# normalize fits stats of a kind on one matrix and applies them to the
+# targets it is given; apply_norm applies stats, by their own kind, to any
+# other snapshot. z-score first:
+stats, (z,) = normalize(late, [late], "zscore")
 print(f"\nafter z-score, cum_nevents mean {z.values[:, i_events].mean():+.2e}, "
       f"std {z.values[:, i_events].std():.3f}")
 
 # percentile: activity columns become mid-ranks in (0, 1); dummy columns
 # pass through untouched so 0/1 indicators stay 0/1
-pstats = fit_percentile(late)
-p = apply_percentile(late, pstats)
+pstats, (p,) = normalize(late, [late], "percentile")
 col = p.values[:, i_events]
 print(f"after percentile, cum_nevents range [{col.min():.3f}, {col.max():.3f}]")
 print(f"gender_female still binary: {np.unique(p.values[:, i_gender]).tolist()}")
@@ -64,6 +62,6 @@ print(f"gender_female still binary: {np.unique(p.values[:, i_gender]).tolist()}"
 scaled_values = late.values.copy()
 scaled_values[:, i_events] *= 10.0
 scaled = FeatureMatrix(late.student_ids, scaled_values, late.as_of)
-mapped = apply_percentile(scaled, pstats).values[:, i_events]
+mapped = apply_norm(scaled, pstats).values[:, i_events]
 print(f"\nsame students, 10x the clicks, mapped through the trained stats:"
       f" range [{mapped.min():.3f}, {mapped.max():.3f}]")

@@ -22,13 +22,13 @@ from dropoutlab.deepnet import (
     net2wider,
     train_sgd,
 )
-from dropoutlab.features import apply_zscore, build_matrix, fit_zscore, holdout_split
+from dropoutlab.features import build_matrix, holdout_split, normalize
 from dropoutlab.settings import GrowthPlan, SgdConfig
 
 # start with a trained 3-unit network on synthetic course features
 course = synthesize_course(SynthConfig(course_id="GROWx", n_students=240), seed=9)
 m = build_matrix(course, course.meta.t100_date - datetime.timedelta(days=7))
-z = apply_zscore(m, fit_zscore(m))
+z = normalize(m, [m], "zscore")[1][0]
 y = course.certified  # in student-id order, the row order of z
 teacher = train_sgd(init_mlp(66, [3], seed=0), z.values, y, SgdConfig(epochs=5, seed=0))
 

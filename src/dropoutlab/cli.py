@@ -211,7 +211,7 @@ def cmd_train(args) -> int:
         return _usage_error("--week is not read with --kind baseline1, which fits demographics only")
     from .dataset import load_course_dir, week_date
     from .evaluate import auc_values
-    from .features import apply_zscore, build_matrix
+    from .features import apply_norm, build_matrix
     from .linear import (baseline_demographics, fit_course_model, predict_proba, save_model,
                          score_demographics)
     course = load_course_dir(args.course_dir)
@@ -221,7 +221,7 @@ def cmd_train(args) -> int:
     else:
         m = build_matrix(course, week_date(course.meta, getattr(args, "week", 0)))
         model = fit_course_model(course, m, args.reg_c)
-        scores = predict_proba(model, apply_zscore(m, model.norm))
+        scores = predict_proba(model, apply_norm(m, model.norm))
     args.out.parent.mkdir(parents=True, exist_ok=True)
     save_model(model, args.out)
     a = auc_values(scores, course.certified)

@@ -1021,17 +1021,21 @@ def synthesize_course(config: SynthConfig, seed: int) -> CourseData:
     return CourseData(meta, roster, table, grade)
 
 
+def _seeded(task: Callable, seed: int, config: SynthConfig, i: int):
+    """task(config, child seed i): the child seed is drawn from SeedSequence((seed, i))."""
+    return task(config, int(np.random.SeedSequence((seed, i)).generate_state(1)[0]))
+
+
 def _each_course(config: CorpusConfig, seed: int, task: Callable) -> list:
     """task(config.courses[i], child seed i) for each course i, in config order:
     one task of settings.forked each, on one worker per usable core (at most
     one per course; in this process when that makes one). Child seed i is
-    drawn from SeedSequence((seed, i)), so the results do not depend on the
-    core count. Every worker has ended when this returns."""
-    seeds = [int(np.random.SeedSequence((seed, i)).generate_state(1)[0])
-             for i in range(len(config.courses))]
-    workers = min(usable_cores(), len(seeds))
-    with forked(task, workers if workers > 1 else 0) as submit:
-        return [result() for result in [submit(c, s) for c, s in zip(config.courses, seeds)]]
+    drawn from SeedSequence((seed, i)) inside the task, so the results do not
+    depend on the core count, and with workers this process never loads
+    numpy.random. Every worker has ended when this returns."""
+    workers = min(usable_cores(), len(config.courses))
+    with forked(partial(_seeded, task, seed), workers if workers > 1 else 0) as submit:
+        return [result() for result in [submit(c, i) for i, c in enumerate(config.courses)]]
 
 
 def synthesize_corpus(config: CorpusConfig, seed: int) -> list[CourseData]:

@@ -1,4 +1,4 @@
-"""Fixed-width per-student feature matrices and the two normalization schemes.
+"""Fixed-width per-student feature matrices and their normalization.
 
 Every student becomes a 66-column row: 33 demographic dummy variables (age,
 level of education, gender, continent, each with an explicit null slot), the
@@ -16,6 +16,10 @@ recency come from a walk over the activity rows (snapshots). A walk yields
 one course's snapshots at ascending dates and reads each row once, so a
 caller that needs several dates of one course pays for one pass over its
 activity; build_matrix is the walk's one-date case.
+
+normalize fits NormStats of a kind, zscore or percentile, and apply_norm
+applies stats by their own kind, so a model is deployed through the stats it
+carries; percentile_within is in_situ's faster rank of a matrix against itself.
 """
 
 from __future__ import annotations
@@ -263,50 +267,45 @@ def _require_rows(m: FeatureMatrix) -> None:
         raise EmptyMatrixError("cannot fit normalization statistics on an empty matrix")
 
 
-def _require_kind(stats: NormStats, kind: str) -> None:
-    if stats.kind != kind:
-        raise SchemaMismatchError(f"expected {kind} stats, got {stats.kind}")
-
-
-def fit_zscore(train: FeatureMatrix) -> NormStats:
-    """Per-column mean and population standard deviation of the training rows."""
+def normalize(train: FeatureMatrix, targets: Sequence[FeatureMatrix], kind: str):
+    """(stats, [apply_norm(t, stats) for t in targets]), stats of the given kind fit on train."""
     _require_rows(train)
-    return NormStats(kind="zscore", mean=train.values.mean(axis=0), std=train.values.std(axis=0))
+    if kind == "zscore":
+        stats = NormStats(kind="zscore", mean=train.values.mean(axis=0),
+                          std=train.values.std(axis=0))
+    elif kind == "percentile":
+        stats = NormStats(kind="percentile",
+                          references=tuple(np.sort(train.values[:, j]) for j in PERCENTILE_COLUMNS))
+    else:
+        raise BadValueError(f"unknown normalization kind {kind!r}")
+    return stats, [apply_norm(t, stats) for t in targets]
 
 
-def apply_zscore(m: FeatureMatrix, stats: NormStats) -> FeatureMatrix:
-    """Standardize every column; zero-variance columns map to 0 (no clipping)."""
-    _require_kind(stats, "zscore")
-    safe = np.where(stats.std > 0, stats.std, 1.0)
-    values = (m.values - stats.mean) / safe
-    values[:, stats.std == 0] = 0.0
-    return FeatureMatrix(m.student_ids, values, m.as_of)
+def apply_norm(m: FeatureMatrix, stats: NormStats) -> FeatureMatrix:
+    """m normalized by stats, as their kind says.
 
-
-def fit_percentile(train: FeatureMatrix) -> NormStats:
-    """Record sorted training values for the count-like columns."""
-    _require_rows(train)
-    refs = tuple(np.sort(train.values[:, j]) for j in PERCENTILE_COLUMNS)
-    return NormStats(kind="percentile", references=refs)
-
-
-def apply_percentile(m: FeatureMatrix, stats: NormStats) -> FeatureMatrix:
-    """Mid-rank percentile of each value against its training reference.
-
-    value' = (count below + half the count equal) / reference size, which is
-    monotone in the raw value and lands in [0, 1].
+    zscore standardizes every column, a zero-variance column to 0, with no
+    clipping. percentile maps each count-like value to its mid-rank against
+    the training reference, (count below + half the count equal) / reference
+    size, which is monotone in the raw value and lands in [0, 1]; the other
+    columns pass through.
     """
-    _require_kind(stats, "percentile")
-    values = m.values.copy()
-    for j, ref in zip(PERCENTILE_COLUMNS, stats.references):
-        lo = np.searchsorted(ref, values[:, j], side="left")
-        hi = np.searchsorted(ref, values[:, j], side="right")
-        values[:, j] = (lo + 0.5 * (hi - lo)) / len(ref)
+    if stats.kind == "zscore":
+        safe = np.where(stats.std > 0, stats.std, 1.0)
+        values = (m.values - stats.mean) / safe
+        values[:, stats.std == 0] = 0.0
+    else:
+        values = m.values.copy()
+        for j, ref in zip(PERCENTILE_COLUMNS, stats.references):
+            lo = np.searchsorted(ref, values[:, j], side="left")
+            hi = np.searchsorted(ref, values[:, j], side="right")
+            values[:, j] = (lo + 0.5 * (hi - lo)) / len(ref)
     return FeatureMatrix(m.student_ids, values, m.as_of)
 
 
 def percentile_within(m: FeatureMatrix) -> FeatureMatrix:
-    """apply_percentile(m, fit_percentile(m)), bit for bit: each row ranked against its own matrix.
+    """normalize(m, [m], "percentile")'s matrix, bit for bit: each row ranked
+    against its own matrix, in under half the time.
 
     Against its own column, a value's count below plus half its count equal
     is its mid-rank less one half, so each count-like column becomes
@@ -317,17 +316,6 @@ def percentile_within(m: FeatureMatrix) -> FeatureMatrix:
     for j in PERCENTILE_COLUMNS:
         values[:, j] = (_midranks(values[:, j]) - 0.5) / m.n_rows
     return FeatureMatrix(m.student_ids, values, m.as_of)
-
-
-def normalize(train: FeatureMatrix, targets: Sequence[FeatureMatrix], kind: str):
-    """Fit stats of the given kind on train and apply to each target matrix."""
-    if kind == "zscore":
-        stats = fit_zscore(train)
-        return stats, [apply_zscore(t, stats) for t in targets]
-    if kind == "percentile":
-        stats = fit_percentile(train)
-        return stats, [apply_percentile(t, stats) for t in targets]
-    raise BadValueError(f"unknown normalization kind {kind!r}")
 
 
 def holdout_split(

@@ -29,11 +29,13 @@ cell with no source course is recorded as skipped before any fit. Two phases
 of one task per course follow. A course's fit task fits its keys once, in
 date order over one walk of its snapshots, into a table that holds models
 only, never a feature matrix. A target's score task walks its eligible weeks
-once: a week's snapshot is built once and z-scored at most once, and every
-cell scored that week reads it with its keys' models. in_situ and post_hoc
-with holdout > 0 train inside their cells and read no key. With jobs > 1, the
-pool of settings.forked runs the fit tasks and then the score tasks. A cell is skipped
-too when a training set, or the labels it is ranked against, hold one class.
+once: a week's snapshot is built once, and every cell scored that week reads
+it with its keys' models, a course model through the stats it carries
+(apply_norm), multi_course through the snapshot's own z-score, computed at
+most once. in_situ and post_hoc with holdout > 0 train inside their cells and
+read no key. With jobs > 1, the pool of settings.forked runs the fit tasks
+and then the score tasks. A cell is skipped too when a training set, or the
+labels it is ranked against, hold one class.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from .evaluate import EvalReport, EvalRow, auc_values
 from .features import (
     FeatureMatrix,
     _test_size,
-    apply_zscore,
+    apply_norm,
     build_matrix,
     holdout_split,
     normalize,
@@ -250,7 +252,7 @@ def _fit_course_keys(
 
 
 class _Week:
-    """One target week's raw snapshot and, computed on first use, its own z-score."""
+    """One target week's raw snapshot and, on first use, its own z-score (multi_course's)."""
 
     def __init__(self, m: FeatureMatrix):
         self.m = m
@@ -283,15 +285,11 @@ def _score_cell(
             raise model.with_traceback(None)
     y = target.certified
 
-    if kind == "post_hoc" and holdout <= 0.0:
-        # the course model's z-score stats were fit on this very snapshot,
-        # so the week's own z-score has the bits of applying them
-        return predict_proba(fitted[0], week.z), y
-
-    if kind == "same_field":
-        # one course model, deployed with the z-score stats it was fit with
+    if kind == "same_field" or (kind == "post_hoc" and holdout <= 0.0):
+        # one course model, the target's own or its source's, deployed
+        # through the normalization stats it was fit with
         (model,) = fitted
-        return predict_proba(model, apply_zscore(week.m, model.norm)), y
+        return predict_proba(model, apply_norm(week.m, model.norm)), y
 
     if kind == "post_hoc":  # holdout > 0: only the held-out students are scored
         stats, z_train, y_train, z_test, y_test = holdout_split(week.m, y, holdout, seed, "zscore")
@@ -392,7 +390,7 @@ def run_experiment(
     training set has a single class keeps its error, and every cell that
     reads it is skipped with that reason. The score phase walks each target
     course's weeks once and scores every planned cell of a week from one
-    snapshot, z-scored at most once, and its keys' models. jobs > 1 runs both
+    snapshot and its keys' models. jobs > 1 runs both
     phases on one process pool of at most one worker per course (no phase
     has more tasks): first the fit tasks, then the score tasks.
     The table lives only for this call, and the report sorts rows and skipped

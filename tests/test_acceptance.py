@@ -33,7 +33,7 @@ from dropoutlab.deepnet import (
     train_sgd,
 )
 from dropoutlab.evaluate import auc_values
-from dropoutlab.features import apply_zscore, build_matrix, fit_zscore
+from dropoutlab.features import build_matrix, normalize
 from dropoutlab.linear import _minimize, predict_proba, train_logreg
 from dropoutlab.paradigms import (insitu_scores, proxy_labels, run_experiment, run_paradigm,
                                   week_date)
@@ -206,7 +206,7 @@ def test_criterion_3_gradients_match_finite_differences():
 def test_criterion_4_logreg_agrees_with_softmax_net():
     course = synthesize_course(SynthConfig(course_id="FIXx", n_students=500), 4242)
     m = build_matrix(course, course.meta.t100_date)
-    z = apply_zscore(m, fit_zscore(m))
+    z = normalize(m, [m], "zscore")[1][0]
     yv = course.certified
     model = train_logreg(z, yv, C=1.0)
     a_lr = auc_values(predict_proba(model, z), yv)
@@ -289,7 +289,7 @@ def test_criterion_8_growth_sweep_and_xor():
     course = synthesize_course(SynthConfig(course_id="GRWx", n_students=160), 77)
     wd = course.meta.t100_date - datetime.timedelta(days=7)
     m = build_matrix(course, wd)
-    z = apply_zscore(m, fit_zscore(m))
+    z = normalize(m, [m], "zscore")[1][0]
     yv = course.certified
     rng = np.random.default_rng(5)
     order = rng.permutation(len(yv))

@@ -261,6 +261,29 @@ class TestFeaturesAndTrain:
         assert model.weights.shape == (66,)
         assert model.norm is not None
 
+    def test_trained_model_deploys_through_the_stats_it_carries(self, course_dir, tmp_path,
+                                                                capsys):
+        """A model train wrote, read back and applied through its own stats,
+        scores as the model fit in memory scores the z-scored snapshot it was
+        fit on, and those scores give the training AUC train printed."""
+        from dropoutlab.dataset import load_course_dir, week_date
+        from dropoutlab.evaluate import auc_values
+        from dropoutlab.features import apply_norm, build_matrix, normalize
+        from dropoutlab.linear import fit_course_model, load_model, predict_proba
+
+        out = tmp_path / "model.json"
+        assert main(["train", "--course-dir", str(course_dir), "--week", "-2",
+                     "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        course = load_course_dir(course_dir)
+        m = build_matrix(course, week_date(course.meta, -2))
+        model = load_model(out)
+        scores = predict_proba(model, apply_norm(m, model.norm))
+        fitted = fit_course_model(course, m)
+        z = normalize(m, [m], "zscore")[1][0]
+        assert scores.tobytes() == predict_proba(fitted, z).tobytes()
+        assert printed == f"wrote {out} (training AUC {auc_values(scores, course.certified):.4f})\n"
+
     def test_train_baseline1(self, course_dir, tmp_path):
         from dropoutlab.linear import load_model
 

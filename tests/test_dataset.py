@@ -6,8 +6,11 @@ import multiprocessing
 import os
 import pickle
 import re
+import subprocess
+import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -923,6 +926,23 @@ class TestSynthesis:
                 child = int(np.random.SeedSequence((99, i)).generate_state(1)[0])
                 _assert_same_read_only_course(got, synthesize_course(course_cfg, child))
         assert asked == [0, 2 if len(usable) >= 2 else 0]
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or settings.usable_cores() < 2,
+                        reason="needs two usable cores")
+    def test_corpus_on_two_cores_never_loads_numpy_random_here(self):
+        """Each child seed is drawn inside its course's worker, so the process
+        that asks for the corpus never imports numpy.random."""
+        usable = sorted(os.sched_getaffinity(0))[:2]
+        code = ("import sys\n"
+                "from dropoutlab.dataset import default_corpus_config, synthesize_corpus\n"
+                "corpus = synthesize_corpus(default_corpus_config(2, n_students=40), 5)\n"
+                "print(len(corpus), 'numpy.random' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=str(Path(dataset.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120,
+                              preexec_fn=lambda: os.sched_setaffinity(0, usable))
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["2", "False"]
 
     def test_grade_is_problems_answered_over_denominator(self):
         cfg = SynthConfig(course_id="Sx", n_students=70, problems_for_full_grade=9.0)

@@ -25,13 +25,10 @@ from dropoutlab.features import (
     PERCENTILE_COLUMNS,
     WIDTH,
     FeatureMatrix,
-    apply_percentile,
-    apply_zscore,
+    apply_norm,
     build_matrix,
     check_as_of,
     demographic_dummies,
-    fit_percentile,
-    fit_zscore,
     holdout_split,
     norm_stats_to_dict,
     normalize,
@@ -485,9 +482,9 @@ class TestSplit:
             assert np.array_equal(got.values, expect.values)
         assert np.array_equal(y_train, y[train_rows]) and np.array_equal(y_test, y[test_rows])
         # the stats see the train rows alone
-        refit = fit_zscore if kind == "zscore" else fit_percentile
-        assert norm_stats_to_dict(stats) == norm_stats_to_dict(refit(m.take(train_rows)))
-        assert norm_stats_to_dict(stats) != norm_stats_to_dict(refit(m))
+        refit = normalize(m.take(train_rows), [], kind)[0]
+        assert norm_stats_to_dict(stats) == norm_stats_to_dict(refit)
+        assert norm_stats_to_dict(stats) != norm_stats_to_dict(normalize(m, [], kind)[0])
 
     def test_holdout_split_rejects_labels_not_one_per_row(self):
         m = FeatureMatrix(tuple(f"h{i:02d}" for i in range(50)), np.zeros((50, WIDTH)), LAUNCH)
@@ -507,26 +504,26 @@ def _matrix_from_columns(col33, col65, extra_rows=None):
 class TestZscore:
     def test_mean_and_population_std(self):
         m = _matrix_from_columns([1.0, 2.0, 3.0], [0.0, 0.0, 0.0])
-        stats = fit_zscore(m)
+        stats = normalize(m, [], "zscore")[0]
         assert stats.mean[33] == pytest.approx(2.0)
         assert stats.std[33] == pytest.approx(np.sqrt(2.0 / 3.0))
-        z = apply_zscore(m, stats)
+        z = apply_norm(m, stats)
         assert z.values[:, 33] == pytest.approx([-np.sqrt(1.5), 0.0, np.sqrt(1.5)])
         assert np.mean(z.values[:, 33]) == pytest.approx(0.0, abs=1e-15)
 
     def test_constant_column_maps_to_zero(self):
         m = _matrix_from_columns([4.0, 4.0, 4.0], [1.0, 2.0, 3.0])
-        z = apply_zscore(m, fit_zscore(m))
+        z = normalize(m, [m], "zscore")[1][0]
         assert np.all(z.values[:, 33] == 0.0)
 
     def test_single_row(self):
         m = _matrix_from_columns([7.0], [3.0])
-        z = apply_zscore(m, fit_zscore(m))
+        z = normalize(m, [m], "zscore")[1][0]
         assert np.all(z.values == 0.0)
 
     def test_all_columns_standardized(self, tiny_course):
         m = build_matrix(tiny_course, day(9))
-        z = apply_zscore(m, fit_zscore(m))
+        z = normalize(m, [m], "zscore")[1][0]
         mu = z.values.mean(axis=0)
         assert np.max(np.abs(mu)) < 1e-12
         sd = z.values.std(axis=0)
@@ -535,7 +532,7 @@ class TestZscore:
     def test_no_clipping_of_new_extremes(self):
         train = _matrix_from_columns([0.0, 1.0], [0.0, 0.0])
         target = _matrix_from_columns([100.0], [0.0])
-        z = apply_zscore(target, fit_zscore(train))
+        z = apply_norm(target, normalize(train, [], "zscore")[0])
         assert z.values[0, 33] == pytest.approx((100.0 - 0.5) / 0.5)
 
 
@@ -545,14 +542,14 @@ class TestPercentile:
         course = small_corpus[0]
         matrices = [build_matrix(course, course.meta.launch_date),
                     build_matrix(course, course.meta.t100_date)]
-        for n in (1, 2, 7, 150):
+        for n in (1, 2, 7, 150, 2000):  # few distinct values: every column has ties
             values = rng.integers(0, 4, size=(n, WIDTH)) * rng.choice([0.5, 1e-7, 3e5])
             values[rng.random(values.shape) < 0.2] = -0.0
             matrices.append(FeatureMatrix(tuple(f"s{i}" for i in range(n)),
                                           values, LAUNCH))
         for m in matrices:
             assert (percentile_within(m).values.tobytes()
-                    == apply_percentile(m, fit_percentile(m)).values.tobytes())
+                    == normalize(m, [m], "percentile")[1][0].values.tobytes())
 
     def test_within_rejects_an_empty_matrix(self):
         with pytest.raises(EmptyMatrixError):
@@ -560,38 +557,38 @@ class TestPercentile:
 
     def test_mid_rank_examples(self):
         train = _matrix_from_columns([10.0, 20.0, 30.0], [0.0, 0.0, 0.0])
-        stats = fit_percentile(train)
-        t = apply_percentile(train, stats)
+        stats = normalize(train, [], "percentile")[0]
+        t = apply_norm(train, stats)
         assert t.values[:, 33] == pytest.approx([1 / 6, 3 / 6, 5 / 6])
-        probe = apply_percentile(_matrix_from_columns([20.0, 5.0, 35.0, 25.0], [0] * 4), stats)
+        probe = apply_norm(_matrix_from_columns([20.0, 5.0, 35.0, 25.0], [0] * 4), stats)
         assert probe.values[:, 33] == pytest.approx([0.5, 0.0, 1.0, 2 / 3])
 
     def test_ties_share_mid_rank(self):
         train = _matrix_from_columns([5.0, 5.0, 5.0, 9.0], [0.0] * 4)
-        t = apply_percentile(train, fit_percentile(train))
+        t = normalize(train, [train], "percentile")[1][0]
         assert t.values[:, 33] == pytest.approx([3 / 8, 3 / 8, 3 / 8, 7 / 8])
 
     def test_constant_column_maps_to_half(self):
         train = _matrix_from_columns([2.0, 2.0], [0.0, 0.0])
-        t = apply_percentile(train, fit_percentile(train))
+        t = normalize(train, [train], "percentile")[1][0]
         assert np.all(t.values[:, 33] == 0.5)
 
     def test_dummies_pass_through(self, tiny_course):
         m = build_matrix(tiny_course, day(9))
-        t = apply_percentile(m, fit_percentile(m))
+        t = normalize(m, [m], "percentile")[1][0]
         keep = [i for i in range(66) if i not in PERCENTILE_COLUMNS]
         assert np.array_equal(t.values[:, keep], m.values[:, keep])
 
     def test_values_in_unit_interval(self, small_corpus):
         m = build_matrix(small_corpus[0], small_corpus[0].meta.t100_date)
-        t = apply_percentile(m, fit_percentile(m))
+        t = normalize(m, [m], "percentile")[1][0]
         cols = list(PERCENTILE_COLUMNS)
         assert t.values[:, cols].min() >= 0.0
         assert t.values[:, cols].max() <= 1.0
 
     def test_order_preserved(self, small_corpus):
         m = build_matrix(small_corpus[0], small_corpus[0].meta.t100_date)
-        t = apply_percentile(m, fit_percentile(m))
+        t = normalize(m, [m], "percentile")[1][0]
         col = 33 + 5
         a = np.argsort(m.values[:, col], kind="stable")
         assert np.all(np.diff(t.values[a, col]) >= 0)
@@ -602,13 +599,52 @@ class TestNormalizeDispatch:
         m = build_matrix(tiny_course, day(9))
         stats, (z,) = normalize(m, [m], "zscore")
         assert stats.kind == "zscore"
-        assert np.array_equal(z.values, apply_zscore(m, fit_zscore(m)).values)
+        assert np.array_equal(stats.mean, m.values.mean(axis=0))
+        assert np.array_equal(stats.std, m.values.std(axis=0))
+        assert np.array_equal(z.values, apply_norm(m, stats).values)
 
     def test_percentile_kind(self, tiny_course):
         m = build_matrix(tiny_course, day(9))
         stats, (t,) = normalize(m, [m], "percentile")
         assert stats.kind == "percentile"
-        assert np.array_equal(t.values, apply_percentile(m, fit_percentile(m)).values)
+        for j, ref in zip(PERCENTILE_COLUMNS, stats.references):
+            assert np.array_equal(ref, np.sort(m.values[:, j]))
+        assert np.array_equal(t.values, apply_norm(m, stats).values)
+
+    @pytest.mark.parametrize("kind", ["zscore", "percentile"])
+    def test_apply_norm_follows_the_kind_of_its_stats(self, small_corpus, kind):
+        """Stats fit on one course, applied to another's matrix by their own kind."""
+        train, target = (build_matrix(c, c.meta.t100_date) for c in small_corpus[:2])
+        stats = normalize(train, [], kind)[0]
+        got = apply_norm(target, stats)
+        assert got.student_ids == target.student_ids and got.as_of == target.as_of
+        j = PERCENTILE_COLUMNS[0]
+        if kind == "zscore":
+            expect = (target.values[:, j] - stats.mean[j]) / stats.std[j]
+        else:
+            ref, v = stats.references[0], target.values[:, j, None]
+            expect = ((ref < v).sum(axis=1) + 0.5 * (ref == v).sum(axis=1)) / len(ref)
+        assert got.values[:, j].tobytes() == expect.tobytes()
+        other = normalize(train, [], "percentile" if kind == "zscore" else "zscore")[0]
+        assert not np.array_equal(apply_norm(target, other).values, got.values)
+
+    @pytest.mark.parametrize("kind", ["zscore", "percentile"])
+    def test_stats_read_back_reproduce_the_written_matrix(self, small_corpus, tmp_path, kind):
+        from dropoutlab.cli import main
+        from dropoutlab.dataset import load_course_dir, week_date, write_course
+
+        write_course(small_corpus[0], tmp_path / "course")
+        out = tmp_path / "m.csv"
+        assert main(["features", "--course-dir", str(tmp_path / "course"), "--week", "-1",
+                     "--norm", kind, "--out", str(out)]) == 0
+        stats = load_norm_stats(tmp_path / "m.csv.norm.json")
+        assert stats.kind == kind
+        course = load_course_dir(tmp_path / "course")
+        as_of = week_date(course.meta, -1)
+        got = apply_norm(build_matrix(course, as_of), stats)
+        assert got.values.tobytes() == load_matrix(out, as_of).values.tobytes()
+        write_matrix(got, tmp_path / "again.csv")
+        assert (tmp_path / "again.csv").read_bytes() == out.read_bytes()
 
     def test_unknown_kind(self, tiny_course):
         m = build_matrix(tiny_course, day(9))
@@ -678,13 +714,13 @@ class TestSerialization:
 
     def test_norm_stats_round_trip(self, tiny_course, tmp_path):
         m = build_matrix(tiny_course, day(9))
-        for fit, apply in ((fit_zscore, apply_zscore), (fit_percentile, apply_percentile)):
-            stats = fit(m)
+        for kind in ("zscore", "percentile"):
+            stats = normalize(m, [], kind)[0]
             p = tmp_path / f"{stats.kind}.json"
             save_norm_stats(stats, p)
             back = load_norm_stats(p)
             assert back.kind == stats.kind
-            assert apply(m, back).values.tobytes() == apply(m, stats).values.tobytes()
+            assert apply_norm(m, back).values.tobytes() == apply_norm(m, stats).values.tobytes()
 
 
 class TestNormStatsChecks:

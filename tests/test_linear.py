@@ -22,10 +22,9 @@ from dropoutlab.features import (
     DEMOGRAPHIC_BLOCKS,
     FEATURE_NAMES,
     FeatureMatrix,
-    apply_zscore,
+    apply_norm,
     build_matrix,
     demographic_dummies,
-    fit_zscore,
     normalize,
 )
 from dropoutlab.linear import (
@@ -396,14 +395,13 @@ class TestModelSerialization:
 
     def test_round_trip_with_norm(self, tiny_course, tmp_path):
         m = build_matrix(tiny_course, day(9))
-        stats = fit_zscore(m)
-        z = apply_zscore(m, stats)
+        stats, (z,) = normalize(m, [m], "zscore")
         model = train_logreg(z, tiny_course.certified, C=1.0, norm=stats)
         p = tmp_path / "model.json"
         save_model(model, p)
         back = load_model(p)
         assert back.norm is not None
-        assert np.array_equal(apply_zscore(m, back.norm).values, z.values)
+        assert np.array_equal(apply_norm(m, back.norm).values, z.values)
         assert np.array_equal(predict_proba(back, z), predict_proba(model, z))
 
     def test_schema_hash_guard(self, tmp_path):
@@ -436,8 +434,8 @@ class TestModelSerialization:
         import json
 
         m = build_matrix(tiny_course, day(9))
-        stats = fit_zscore(m)
-        model = train_logreg(apply_zscore(m, stats), tiny_course.certified, norm=stats)
+        stats, (z,) = normalize(m, [m], "zscore")
+        model = train_logreg(z, tiny_course.certified, norm=stats)
         p = tmp_path / "model.json"
         save_model(model, p)
         doc = json.loads(p.read_text())

@@ -19,6 +19,11 @@ uint16; every other module reads what it is given.
 The week calendar (week_date) belongs to the course, the course model
 (fit_course_model) to the solver, and the paradigm names (PARADIGMS) to the
 numpy-free settings; the experiment harness, paradigms, imports all three.
+
+Normalization belongs to features: normalize fits stats of a kind and
+apply_norm applies stats by their own kind. So only features.py defines a
+function named for a normalization kind or compares a NormStats kind; every
+other module passes stats to apply_norm, whatever their kind.
 """
 
 import ast
@@ -91,3 +96,38 @@ def test_each_moved_name_is_defined_once_and_reached_from_paradigms(name, home):
     defining = [p.name for p in PACKAGE if name in defined_names(p)]
     assert defining == [Path(home.__file__).name]
     assert getattr(paradigms, name) is getattr(home, name)
+
+
+NORM_KINDS = ("zscore", "percentile")
+
+
+def _names_a_kind(node):
+    """node is a kind literal, or a tuple, list or set holding one."""
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return any(_names_a_kind(e) for e in node.elts)
+    return isinstance(node, ast.Constant) and node.value in NORM_KINDS
+
+
+def _is_stats_kind(node):
+    """node reads the kind of something named for stats or a norm: stats.kind, model.norm.kind."""
+    if not (isinstance(node, ast.Attribute) and node.attr == "kind"):
+        return False
+    base = node.value
+    name = base.id if isinstance(base, ast.Name) else getattr(base, "attr", "")
+    return re.search(r"stats|norm", name) is not None
+
+
+def kind_specific_code(path):
+    """(line, what) of each function named for a normalization kind and each
+    comparison of a NormStats kind in path."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.FunctionDef) and any(k in node.name for k in NORM_KINDS):
+            yield node.lineno, f"def {node.name}"
+        elif isinstance(node, ast.Compare) and any(
+                _names_a_kind(op) or _is_stats_kind(op) for op in (node.left, *node.comparators)):
+            yield node.lineno, "a comparison of a normalization kind"
+
+
+def test_only_features_handles_normalization_kinds():
+    found = {p.name: code for p in PACKAGE if (code := list(kind_specific_code(p)))}
+    assert list(found) == ["features.py"], found

@@ -18,7 +18,7 @@ from dropoutlab.errors import (
     WindowOutOfRangeError,
 )
 from dropoutlab.evaluate import auc_values
-from dropoutlab.features import apply_zscore, build_matrix, fit_zscore, holdout_split, split_rows
+from dropoutlab.features import apply_norm, build_matrix, holdout_split, normalize, split_rows
 from dropoutlab.linear import predict_proba, train_logreg
 from dropoutlab.paradigms import (
     PARADIGMS,
@@ -259,8 +259,7 @@ class TestPostHoc:
         target = handmade_corpus[0]
         scores, labels = run_paradigm(handmade_corpus, "post_hoc", "HCAx", -1)
         m = build_matrix(target, week_date(target.meta, -1))
-        stats = fit_zscore(m)
-        z = apply_zscore(m, stats)
+        stats, (z,) = normalize(m, [m], "zscore")
         model = train_logreg(z, target.certified, 1.0, norm=stats)
         assert np.array_equal(scores, predict_proba(model, z))
         assert np.array_equal(labels, target.certified)
@@ -308,11 +307,10 @@ class TestTransfer:
         target, source = handmade_corpus[0], handmade_corpus[1]
         scores, labels = run_paradigm(handmade_corpus, "same_field", "HCAx", 0)
         m_s = build_matrix(source, week_date(source.meta, 0))
-        stats_s = fit_zscore(m_s)
-        model = train_logreg(apply_zscore(m_s, stats_s), source.certified,
-                             1.0, norm=stats_s)
+        stats_s, (z_s,) = normalize(m_s, [m_s], "zscore")
+        model = train_logreg(z_s, source.certified, 1.0, norm=stats_s)
         m_t = build_matrix(target, week_date(target.meta, 0))
-        assert np.array_equal(scores, predict_proba(model, apply_zscore(m_t, stats_s)))
+        assert np.array_equal(scores, predict_proba(model, apply_norm(m_t, stats_s)))
         assert np.array_equal(labels, target.certified)
 
     def test_source_week_clamped_to_launch(self):
@@ -325,12 +323,11 @@ class TestTransfer:
         scores, _ = run_paradigm(corpus, "same_field", "CLTx", -5)
         source = corpus[1]
         m_s = build_matrix(source, source.meta.launch_date)
-        stats_s = fit_zscore(m_s)
-        model = train_logreg(apply_zscore(m_s, stats_s), source.certified,
-                             1.0, norm=stats_s)
+        stats_s, (z_s,) = normalize(m_s, [m_s], "zscore")
+        model = train_logreg(z_s, source.certified, 1.0, norm=stats_s)
         target = corpus[0]
         m_t = build_matrix(target, week_date(target.meta, -5))
-        assert np.array_equal(scores, predict_proba(model, apply_zscore(m_t, stats_s)))
+        assert np.array_equal(scores, predict_proba(model, apply_norm(m_t, stats_s)))
 
     def test_multi_course_averages_and_uses_target_statistics(self, handmade_corpus):
         from dropoutlab.linear import average_hyperplanes
@@ -341,12 +338,11 @@ class TestTransfer:
         for cid in source_courses(handmade_corpus, "multi_course", "HCBx"):
             src = next(c for c in handmade_corpus if c.meta.course_id == cid)
             m_s = build_matrix(src, week_date(src.meta, 0))
-            stats_s = fit_zscore(m_s)
-            models.append(train_logreg(apply_zscore(m_s, stats_s),
-                                       src.certified, 1.0, norm=stats_s))
+            stats_s, (z_s,) = normalize(m_s, [m_s], "zscore")
+            models.append(train_logreg(z_s, src.certified, 1.0, norm=stats_s))
         avg = average_hyperplanes(models)
         m_t = build_matrix(target, week_date(target.meta, 0))
-        assert np.array_equal(scores, predict_proba(avg, apply_zscore(m_t, fit_zscore(m_t))))
+        assert np.array_equal(scores, predict_proba(avg, normalize(m_t, [m_t], "zscore")[1][0]))
         assert np.array_equal(labels, target.certified)
 
     def test_single_source_average_is_that_model(self):
@@ -357,8 +353,8 @@ class TestTransfer:
         from dropoutlab.linear import average_hyperplanes
 
         m_s = build_matrix(corpus[1], week_date(corpus[1].meta, 0))
-        stats = fit_zscore(m_s)
-        model = train_logreg(apply_zscore(m_s, stats), corpus[1].certified, 1.0)
+        z_s = normalize(m_s, [m_s], "zscore")[1][0]
+        model = train_logreg(z_s, corpus[1].certified, 1.0)
         avg = average_hyperplanes([model])
         assert np.array_equal(avg.weights, model.weights)
         assert avg.intercept == model.intercept
