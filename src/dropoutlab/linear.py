@@ -18,7 +18,6 @@ filter where a hard failure is wanted).
 
 from __future__ import annotations
 
-import hashlib
 import math
 import warnings
 from dataclasses import dataclass
@@ -39,7 +38,6 @@ from .errors import (
 from .features import (
     BLOCKS,
     DEMOGRAPHIC_BLOCKS,
-    FEATURE_NAMES,
     WIDTH,
     FeatureMatrix,
     NormStats,
@@ -261,8 +259,10 @@ def baseline_recency(m: FeatureMatrix) -> np.ndarray:
 # Model files
 # ---------------------------------------------------------------------------
 
-# A model file's fingerprint of the feature layout it was trained on.
-SCHEMA_HASH = hashlib.sha256("\n".join(FEATURE_NAMES).encode("utf-8")).hexdigest()
+# A model file's fingerprint of the feature layout it was trained on: the sha256
+# of the newline-joined FEATURE_NAMES, written as a literal so that no command
+# loads OpenSSL for it. test_linear recomputes it, so it cannot go stale.
+SCHEMA_HASH = "cf183513227b31099bddb60b97176f2e29173137c1714f33104b189a86d63a5e"
 
 
 def save_model(m: LinearModel, path: str | Path) -> None:

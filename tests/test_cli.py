@@ -1066,9 +1066,10 @@ class TestRuntimeDependencies:
 _BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # Modules that only a command's work needs, and `python -m dropoutlab ARGS` that
-# prints, as it exits, which of them were loaded.
-_HEAVY = ("numpy", "concurrent.futures.process", "concurrent.futures.thread",
-          "dropoutlab.deepnet")
+# prints, as it exits, which of them were loaded. numpy.random is needed only to
+# draw random numbers, and it loads OpenSSL (_hashlib) through secrets and hmac.
+_HEAVY = ("numpy", "numpy.random", "_hashlib", "concurrent.futures.process",
+          "concurrent.futures.thread", "dropoutlab.deepnet")
 _LOADED_AT_EXIT = f"""
 import atexit, json, runpy, sys
 atexit.register(lambda: print(json.dumps([m for m in {_HEAVY!r} if m in sys.modules])))
@@ -1096,8 +1097,8 @@ def _loaded(*args, code=0, cpus=None):
 
 
 class TestStartup:
-    """A command loads numpy and a process pool only when it runs work that needs
-    them, and no command loads a thread pool."""
+    """A command loads numpy, numpy.random (and with it OpenSSL) and a process pool
+    only when it runs work that needs them, and no command loads a thread pool."""
 
     @pytest.mark.parametrize("args,code", [
         (["--help"], 0),
@@ -1132,24 +1133,29 @@ class TestStartup:
         assert done.stdout.strip() == "[]"
 
     def test_only_a_pool_loads_the_pool(self, tmp_path):
+        # a course drawn in this process loads numpy.random, and with it OpenSSL;
+        # on two or more usable cores every course is drawn in a forked worker
+        drawn = [] if usable_cores() >= 2 else ["numpy.random", "_hashlib"]
+        pool = ["concurrent.futures.process"]
         manifest = _write_manifest(tmp_path, paradigms=["baseline1"])
-        loaded = _loaded("run", "--manifest", str(manifest), "--jobs", "1")
-        assert "concurrent.futures.thread" not in loaded
-        assert "dropoutlab.deepnet" not in loaded  # run trains no network
+        # run trains no network and starts no thread
+        assert _loaded("run", "--manifest", str(manifest), "--jobs", "1") == (
+            ["numpy", *drawn] if drawn else ["numpy", *pool])
         rows = str(tmp_path / "out" / "rows.csv")
         assert _loaded("report", "--rows", rows, "--out-dir", str(tmp_path / "re")) == ["numpy"]
         # a multi-course synth forks its writers on two or more usable cores and
-        # starts no thread; reading a course loads no pool
+        # starts no thread; reading a course loads no pool and draws nothing
         course = tmp_path / "corpus" / "MAx"
         assert _loaded("synth", "--config", str(tmp_path / "config.json"),
                        "--out", str(course.parent)) == (
-            ["numpy", "concurrent.futures.process"] if usable_cores() >= 2 else ["numpy"])
+            ["numpy", *drawn] if drawn else ["numpy", *pool])
         assert _loaded("features", "--course-dir", str(course),
                        "--out", str(tmp_path / "m.csv")) == ["numpy"]
-        assert _loaded("train", "--course-dir", str(course),
-                       "--out", str(tmp_path / "m.json")) == ["numpy"]
+        for kind in ("post_hoc", "baseline1"):
+            assert _loaded("train", "--course-dir", str(course), "--kind", kind,
+                           "--out", str(tmp_path / "m.json")) == ["numpy"], kind
         assert _loaded("run", "--manifest", str(manifest), "--jobs", "2") == [
-            "numpy", "concurrent.futures.process"]
+            "numpy", *drawn, *pool]
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
     def test_run_jobs_1_forks_its_synthesis_exactly_on_two_usable_cores(self, tmp_path):
@@ -1160,7 +1166,7 @@ class TestStartup:
         for cpus in (usable[:1], usable):
             loaded = _loaded("run", "--manifest", str(manifest), "--jobs", "1", cpus=cpus)
             assert loaded == (["numpy", "concurrent.futures.process"] if len(cpus) >= 2
-                              else ["numpy"]), cpus
+                              else ["numpy", "numpy.random", "_hashlib"]), cpus
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
     def test_grow_loads_the_process_pool_exactly_on_two_usable_cores(self, course_dir,
@@ -1170,8 +1176,9 @@ class TestStartup:
         usable = sorted(os.sched_getaffinity(0))
         for cpus in (usable[:1], usable):
             assert _loaded(*grow, cpus=cpus) == (
-                ["numpy", "concurrent.futures.process", "dropoutlab.deepnet"] if len(cpus) >= 2
-                else ["numpy", "dropoutlab.deepnet"]), cpus
+                ["numpy", "numpy.random", "_hashlib", "concurrent.futures.process",
+                 "dropoutlab.deepnet"] if len(cpus) >= 2
+                else ["numpy", "numpy.random", "_hashlib", "dropoutlab.deepnet"]), cpus
 
     _ENV_AFTER_MAIN = """
 import contextlib, io, json, os, sys

@@ -449,7 +449,7 @@ class TestModelSerialization:
         import json
 
         expected = hashlib.sha256("\n".join(FEATURE_NAMES).encode("utf-8")).hexdigest()
-        assert SCHEMA_HASH == expected
+        assert SCHEMA_HASH == expected, f"the feature layout changed: set SCHEMA_HASH = {expected!r}"
         p = tmp_path / "model.json"
         save_model(LinearModel(weights=np.zeros(66), intercept=0.0, reg_C=1.0), p)
         assert json.loads(p.read_text())["schema_hash"] == expected

@@ -10,7 +10,9 @@ and ended as settings says the dialect joins and ends them. So only
 settings.py may import csv or json, and only settings.py may name
 ProcessPoolExecutor. A module that needs any of them calls settings instead.
 Work runs in parallel in one way, forked worker processes, so only settings.py
-imports concurrent.futures and no module imports threading.
+imports concurrent.futures and no module imports threading. No module imports
+hashlib either: the model file's layout fingerprint is a literal, so no
+command loads OpenSSL for it.
 
 The width each counter column of a course is stored in, uint8 or uint16 (or
 float64), is decided in dataset alone, so only dataset.py names uint8 or
@@ -65,6 +67,10 @@ def test_only_settings_imports_concurrent_futures():
 
 def test_no_module_imports_threading():
     assert importers("threading") == []
+
+
+def test_no_module_imports_hashlib():
+    assert importers("hashlib") == []
 
 
 def test_only_settings_names_the_process_pool():
