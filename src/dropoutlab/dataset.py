@@ -7,7 +7,7 @@ import io
 import math
 from array import array
 from dataclasses import dataclass, field, fields as dc_fields
-from functools import cache, partial
+from functools import cache
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
@@ -1021,11 +1021,6 @@ def synthesize_course(config: SynthConfig, seed: int) -> CourseData:
     return CourseData(meta, roster, table, grade)
 
 
-def _seeded(task: Callable, seed: int, config: SynthConfig, i: int):
-    """task(config, child seed i): the child seed is drawn from SeedSequence((seed, i))."""
-    return task(config, int(np.random.SeedSequence((seed, i)).generate_state(1)[0]))
-
-
 def _each_course(config: CorpusConfig, seed: int, task: Callable) -> list:
     """task(config.courses[i], child seed i) for each course i, in config order:
     one task of settings.forked each, on one worker per usable core (at most
@@ -1033,9 +1028,12 @@ def _each_course(config: CorpusConfig, seed: int, task: Callable) -> list:
     drawn from SeedSequence((seed, i)) inside the task, so the results do not
     depend on the core count, and with workers this process never loads
     numpy.random. Every worker has ended when this returns."""
+    def seeded(i: int):  # a worker inherits it, so a task is sent as its index alone
+        return task(config.courses[i], int(np.random.SeedSequence((seed, i)).generate_state(1)[0]))
+
     workers = min(usable_cores(), len(config.courses))
-    with forked(partial(_seeded, task, seed), workers if workers > 1 else 0) as submit:
-        return [result() for result in [submit(c, i) for i, c in enumerate(config.courses)]]
+    with forked(seeded, workers if workers > 1 else 0) as submit:
+        return [result() for result in [submit(i) for i in range(len(config.courses))]]
 
 
 def synthesize_corpus(config: CorpusConfig, seed: int) -> list[CourseData]:
@@ -1045,10 +1043,6 @@ def synthesize_corpus(config: CorpusConfig, seed: int) -> list[CourseData]:
     write_corpus writes the same courses to files without holding them here."""
     config.validate()
     return _each_course(config, seed, synthesize_course)
-
-
-def _write_synthesized(out: Path, config: SynthConfig, seed: int) -> None:
-    write_course(synthesize_course(config, seed), out / config.course_id)
 
 
 def write_corpus(config: CorpusConfig, seed: int, out_dir: str | Path) -> None:
@@ -1065,7 +1059,8 @@ def write_corpus(config: CorpusConfig, seed: int, out_dir: str | Path) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / "corpus_config.json", corpus_config_to_dict(config), sort_keys=True)
-    _each_course(config, seed, partial(_write_synthesized, out))
+    _each_course(config, seed, lambda course, child_seed: write_course(
+        synthesize_course(course, child_seed), out / course.course_id))
 
 
 def default_corpus_config(n_courses: int = 4, n_students: int = 400) -> CorpusConfig:

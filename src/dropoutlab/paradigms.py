@@ -33,15 +33,16 @@ once: a week's snapshot is built once, and every cell scored that week reads
 it with its keys' models, a course model through the stats it carries
 (apply_norm), multi_course through the snapshot's own z-score, computed at
 most once. in_situ and post_hoc with holdout > 0 train inside their cells and
-read no key. With jobs > 1, the pool of settings.forked runs the fit tasks
-and then the score tasks. A cell is skipped too when a training set, or the
-labels it is ranked against, hold one class.
+read no key. With jobs > 1, the workers of settings.forked run the fit
+tasks, and then workers forked from the complete table run the score tasks.
+A cell is skipped too when a training set, or the labels it is ranked
+against, hold one class.
 """
 
 from __future__ import annotations
 
 import datetime
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
 from typing import Callable, Sequence
@@ -340,21 +341,17 @@ def run_paradigm(
 # Experiment harness
 # ---------------------------------------------------------------------------
 
-def _on_corpus(corpus: list[CourseData], fn: Callable, course_id: str, *args):
-    """fn(the course of corpus named course_id, *args): run_experiment's task."""
-    return fn(_corpus_index(corpus)[course_id], *args)
-
-
 # One target course's share of a run's plan: its cells that can be scored, as
 # (week, paradigm, model keys) in week order, paradigms in run order within a week.
 _Cells = list[tuple[int, str, tuple[ModelKey, ...]]]
 
 
-def _score_course(target: CourseData, cells: list[tuple], C: float, holdout: float,
-                  seed: int) -> tuple[list[tuple], list[tuple]]:
-    """The rows and skipped records of one target's planned cells, each given
-    with its keys' models. One walk over the cells' weeks builds each week's
-    snapshot once, for every cell of that week.
+def _score_course(target: CourseData, cells: _Cells, C: float, holdout: float, seed: int,
+                  table: dict[ModelKey, LinearModel | SingleClassError],
+                  ) -> tuple[list[tuple], list[tuple]]:
+    """The rows and skipped records of one target's planned cells, each scored
+    with its keys' models from table. One walk over the cells' weeks builds
+    each week's snapshot once, for every cell of that week.
     """
     target_id = target.meta.course_id
     weeks = dict.fromkeys(w for w, _, _ in cells)  # in week order, as the cells are
@@ -363,9 +360,10 @@ def _score_course(target: CourseData, cells: list[tuple], C: float, holdout: flo
     skipped: list[tuple] = []
     for w, week_cells in groupby(cells, key=itemgetter(0)):
         week = _Week(next(walk))
-        for _, kind, fitted in week_cells:
+        for _, kind, keys in week_cells:
             try:
-                scores, y = _score_cell(kind, target, w, fitted, C, holdout, seed, week)
+                scores, y = _score_cell(kind, target, w, [table[key] for key in keys], C,
+                                        holdout, seed, week)
                 rows.append((kind, target_id, w, auc_values(scores, y), len(y), int(y.sum())))
             except SingleClassError as e:
                 skipped.append((kind, target_id, w, str(e)))
@@ -390,9 +388,10 @@ def run_experiment(
     training set has a single class keeps its error, and every cell that
     reads it is skipped with that reason. The score phase walks each target
     course's weeks once and scores every planned cell of a week from one
-    snapshot and its keys' models. jobs > 1 runs both
-    phases on one process pool of at most one worker per course (no phase
-    has more tasks): first the fit tasks, then the score tasks.
+    snapshot and its keys' models. jobs > 1 runs each phase on its own
+    forked workers, at most one per course (no phase has more tasks). The
+    score workers are forked once the table is complete, so they inherit it:
+    a task of either phase is sent as its course id alone.
     The table lives only for this call, and the report sorts rows and skipped
     cells, so it is identical for any jobs value. A kind listed twice is
     rejected: its rows would enter every aggregate twice.
@@ -417,14 +416,14 @@ def run_experiment(
     for cid, as_of in dict.fromkeys(key for cells in plan.values() for *_, keys in cells
                                     for key in keys):
         dates.setdefault(cid, []).append(as_of)
-    with forked(partial(_on_corpus, corpus), min(jobs, len(plan)) if jobs > 1 else 0) as submit:
-        table: dict[ModelKey, LinearModel | SingleClassError] = {}
-        for models in [submit(_fit_course_keys, cid, dates[cid], C) for cid in sorted(dates)]:
+    processes = min(jobs, len(plan)) if jobs > 1 else 0
+    table: dict[ModelKey, LinearModel | SingleClassError] = {}
+    with forked(lambda cid: _fit_course_keys(by_id[cid], dates[cid], C), processes) as submit:
+        for models in [submit(cid) for cid in sorted(dates)]:
             table.update(models())
-        results = [submit(_score_course, cid,
-                          [(w, kind, [table[key] for key in keys]) for w, kind, keys in cells],
-                          C, holdout, seed)
-                   for cid, cells in plan.items()]
-        results = [result() for result in results]
+    # forked once the table is complete, each score worker inherits it
+    with forked(lambda cid: _score_course(by_id[cid], plan[cid], C, holdout, seed, table),
+                processes) as submit:
+        results = [result() for result in [submit(cid) for cid in plan]]
     return EvalReport.from_rows([EvalRow(*r) for rows, _ in results for r in rows],
                                 skipped + [s for _, skips in results for s in skips])

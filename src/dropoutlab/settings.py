@@ -4,8 +4,8 @@ growth sweep's settings, so that grow's options can be shown and checked; and
 the one date form (YYYY-MM-DD) that files and options take. Also the
 package's one CSV form (read_csv, write_csv, and csv_cells for a writer that
 assembles its own rows) and one JSON form (read_json, write_json), the usable
-core count that sizes its process pools, and its one way to run work in
-parallel: in forked worker processes (forked)."""
+core count, and its one way to run work in parallel: in worker processes
+forked from this one (forked), so that only each call's args and result are pickled."""
 
 import csv
 import datetime
@@ -14,12 +14,13 @@ import json
 import math
 import os
 import re
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate
+from itertools import accumulate, count
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
 from .errors import (BadConfigError, BadValueError, DropoutLabError, InvalidParadigmError,
                      SchemaMismatchError)
@@ -106,7 +107,10 @@ def parse_date(text: str) -> datetime.date:
 
 
 def usable_cores() -> int:
-    """The cores this process may run on: its CPU affinity where the OS has one, at least 1."""
+    """The cores this process may run on: its CPU affinity where the OS has one, at
+    least 1; and 1 where the OS cannot fork, so no worker would run on the others."""
+    if not hasattr(os, "fork"):
+        return 1
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return cores or 1
 
@@ -194,39 +198,118 @@ def write_json(path: str | Path, doc, *, compact: bool = False, sort_keys: bool 
         f.write("\n")
 
 
-_TASK: Callable | None = None  # forked's task, in each of its workers
+def _send(fd: int, message) -> None:
+    """Write message to the pipe fd, pickled, after the pickle's length in 8 bytes."""
+    import pickle
+
+    data = pickle.dumps(message)
+    for part in (len(data).to_bytes(8, "little"), memoryview(data)):
+        while part:
+            part = part[os.write(fd, part):]
 
 
-def _start_worker(task: Callable) -> None:
-    global _TASK
-    _TASK = task
+def _receive(pipe: BinaryIO):
+    """The next message on the pipe, unpickled; None where the pipe ends first."""
+    import pickle
+
+    size = int.from_bytes(pipe.read(8), "little")
+    data = pipe.read(size)
+    return pickle.loads(data) if size and len(data) == size else None
 
 
-def _run_task(*args):
-    return _TASK(*args)
+def _serve(task: Callable, calls: BinaryIO, results: int) -> None:
+    """Run task on each (index, args) call read from calls until that pipe ends,
+    and write (index, True, its value) or (index, False, its error) to results."""
+    while (call := _receive(calls)) is not None:
+        try:
+            reply = (call[0], True, task(*call[1]))
+        except Exception as e:
+            reply = (call[0], False, e)
+        _send(results, reply)
 
 
 @contextmanager
 def forked(task: Callable, processes: int):
-    """Yield submit(*args), which returns a callable of no arguments that gives task(*args).
+    """Yield submit(*args), which returns a callable of no arguments that gives
+    task(*args) or raises its error.
 
-    With processes >= 1, each call runs on a pool of that many forked worker
-    processes. task reaches them through the pool's initializer, so each fork
-    inherits it and the arrays it holds; only args and results are pickled.
-    Leaving the block joins the workers, also when the block raises; then the
-    calls still queued are cancelled first, so the error is not held back
-    until they have run. With processes 0, a call runs in this process when
-    its result is asked for.
+    With processes >= 1, the calls run on that many worker processes forked
+    from this one as the block starts, so each inherits task and what it holds;
+    only a call's args and its result or error are pickled. A worker that ends
+    during a call raises DropoutLabError naming its pid, the call and how it
+    ended. Leaving the block drops the queued calls and reaps every worker,
+    killed first when the block raises. With processes 0, a call runs in this
+    process when its result is asked for. A fork copies only the thread that
+    forks, so the package starts no thread whose locks a worker could inherit.
     """
     if processes == 0:
         yield lambda *args: partial(task, *args)
         return
-    from concurrent.futures import ProcessPoolExecutor  # loaded only for a pool
+    if not hasattr(os, "fork"):
+        raise BadConfigError(f"{sys.platform} cannot fork worker processes")
+    import select
+    import signal
 
-    with ProcessPoolExecutor(max_workers=processes, initializer=_start_worker,
-                             initargs=(task,)) as pool:
-        try:
-            yield lambda *args: pool.submit(_run_task, *args).result
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+    workers: list[tuple[int, int, BinaryIO]] = []  # (pid, calls pipe, results pipe)
+    # busy: by results pipe, its worker and the index of the call it runs;
+    # queued: (index, args) of each call not handed out; done: by index, (ok, value)
+    busy, queued, done, indices = {}, [], {}, count()
+
+    def hand_out():
+        for worker in workers:
+            if queued and worker[2] not in busy:
+                call = queued.pop(0)
+                _send(worker[1], call)
+                busy[worker[2]] = worker, call[0]
+
+    def submit(*args):
+        queued.append((index := next(indices), args))
+        hand_out()
+        return partial(result, index)
+
+    def result(index):
+        while index not in done:
+            for pipe in select.select(list(busy), [], [])[0]:
+                worker, called = busy.pop(pipe)
+                if (reply := _receive(pipe)) is None:
+                    workers.remove(worker)
+                    os.close(worker[1])
+                    pipe.close()
+                    code = os.waitstatus_to_exitcode(os.waitpid(worker[0], 0)[1])
+                    how = f"exit status {code}" if code >= 0 else f"killed by signal {-code}"
+                    raise DropoutLabError(f"worker process {worker[0]} ended during call "
+                                          f"{called} ({how})")
+                done[called] = reply[1:]
+            hand_out()
+        ok, value = done[index]
+        if not ok:
+            raise value
+        return value
+
+    try:
+        for _ in range(processes):
+            calls, results = os.pipe(), os.pipe()
+            if (pid := os.fork()) == 0:  # a worker never unwinds into the caller's stack
+                try:
+                    for _, fd, pipe in workers:
+                        os.close(fd)
+                        pipe.close()
+                    os.close(calls[1])
+                    os.close(results[0])
+                    _serve(task, open(calls[0], "rb"), results[1])
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(calls[0])
+            os.close(results[1])
+            workers.append((pid, calls[1], open(results[0], "rb")))
+        yield submit
+    except BaseException:
+        for pid, _, _ in workers:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:  # an idle worker ends where its calls pipe ends, a busy one after its call
+        for pid, fd, pipe in workers:
+            os.close(fd)
+            pipe.close()
+            os.waitpid(pid, 0)

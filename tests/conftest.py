@@ -3,6 +3,7 @@
 import csv
 import datetime
 import math
+import os
 from pathlib import Path
 from typing import Mapping, NamedTuple
 
@@ -42,6 +43,12 @@ from dropoutlab.linear import _grad, _loss, _sigmoid
 from dropoutlab.settings import read_csv, read_json
 
 LAUNCH = datetime.date(2014, 1, 6)
+
+
+def assert_no_child_left():
+    """This process has no child process, running or unreaped, forked by any means."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # Row-level course builders: tests write a course as one Student per roster row

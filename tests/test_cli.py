@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-import multiprocessing
 import os
 import re
 import shutil
@@ -19,7 +18,7 @@ from dropoutlab.cli import build_parser, main
 from dropoutlab.paradigms import PARADIGMS
 from dropoutlab.settings import usable_cores
 
-from conftest import load_norm_stats
+from conftest import assert_no_child_left, load_norm_stats
 
 
 def _dir_bytes(root):
@@ -169,7 +168,7 @@ class TestSynth:
                              "--students", "50", "--seed", "4"]) == 0
             finally:
                 os.sched_setaffinity(0, usable)
-            assert multiprocessing.active_children() == []
+            assert_no_child_left()
             found.append(_dir_bytes(tmp_path / str(len(cpus))))
         assert asked == [0, 2 if len(usable) >= 2 else 0]
         assert found[0] == found[1] and len(found[0]) == 13
@@ -1068,8 +1067,9 @@ _BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # Modules that only a command's work needs, and `python -m dropoutlab ARGS` that
 # prints, as it exits, which of them were loaded. numpy.random is needed only to
 # draw random numbers, and it loads OpenSSL (_hashlib) through secrets and hmac.
+# settings.forked forks its workers itself, so no command loads a pool module.
 _HEAVY = ("numpy", "numpy.random", "_hashlib", "concurrent.futures.process",
-          "concurrent.futures.thread", "dropoutlab.deepnet")
+          "concurrent.futures.thread", "multiprocessing", "dropoutlab.deepnet")
 _LOADED_AT_EXIT = f"""
 import atexit, json, runpy, sys
 atexit.register(lambda: print(json.dumps([m for m in {_HEAVY!r} if m in sys.modules])))
@@ -1097,8 +1097,8 @@ def _loaded(*args, code=0, cpus=None):
 
 
 class TestStartup:
-    """A command loads numpy, numpy.random (and with it OpenSSL) and a process pool
-    only when it runs work that needs them, and no command loads a thread pool."""
+    """A command loads numpy and numpy.random (and with it OpenSSL) only when it
+    runs work that needs them, and no command loads a process or a thread pool."""
 
     @pytest.mark.parametrize("args,code", [
         (["--help"], 0),
@@ -1136,49 +1136,59 @@ class TestStartup:
         # a course drawn in this process loads numpy.random, and with it OpenSSL;
         # on two or more usable cores every course is drawn in a forked worker
         drawn = [] if usable_cores() >= 2 else ["numpy.random", "_hashlib"]
-        pool = ["concurrent.futures.process"]
         manifest = _write_manifest(tmp_path, paradigms=["baseline1"])
         # run trains no network and starts no thread
-        assert _loaded("run", "--manifest", str(manifest), "--jobs", "1") == (
-            ["numpy", *drawn] if drawn else ["numpy", *pool])
+        assert _loaded("run", "--manifest", str(manifest), "--jobs", "1") == ["numpy", *drawn]
         rows = str(tmp_path / "out" / "rows.csv")
         assert _loaded("report", "--rows", rows, "--out-dir", str(tmp_path / "re")) == ["numpy"]
         # a multi-course synth forks its writers on two or more usable cores and
         # starts no thread; reading a course loads no pool and draws nothing
         course = tmp_path / "corpus" / "MAx"
         assert _loaded("synth", "--config", str(tmp_path / "config.json"),
-                       "--out", str(course.parent)) == (
-            ["numpy", *drawn] if drawn else ["numpy", *pool])
+                       "--out", str(course.parent)) == ["numpy", *drawn]
         assert _loaded("features", "--course-dir", str(course),
                        "--out", str(tmp_path / "m.csv")) == ["numpy"]
         for kind in ("post_hoc", "baseline1"):
             assert _loaded("train", "--course-dir", str(course), "--kind", kind,
                            "--out", str(tmp_path / "m.json")) == ["numpy"], kind
-        assert _loaded("run", "--manifest", str(manifest), "--jobs", "2") == [
-            "numpy", *drawn, *pool]
+        assert _loaded("run", "--manifest", str(manifest), "--jobs", "2") == ["numpy", *drawn]
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
-    def test_run_jobs_1_forks_its_synthesis_exactly_on_two_usable_cores(self, tmp_path):
+    def test_run_jobs_1_draws_its_corpus_here_exactly_on_one_usable_core(self, tmp_path):
         # the two-course corpus is drawn by one forked worker per course on two
-        # or more usable cores, and in the process itself on one
+        # or more usable cores, so only on one does the process itself load numpy.random
         manifest = _write_manifest(tmp_path, paradigms=["baseline1"])
         usable = sorted(os.sched_getaffinity(0))
         for cpus in (usable[:1], usable):
             loaded = _loaded("run", "--manifest", str(manifest), "--jobs", "1", cpus=cpus)
-            assert loaded == (["numpy", "concurrent.futures.process"] if len(cpus) >= 2
+            assert loaded == (["numpy"] if len(cpus) >= 2
                               else ["numpy", "numpy.random", "_hashlib"]), cpus
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
-    def test_grow_loads_the_process_pool_exactly_on_two_usable_cores(self, course_dir,
-                                                                     tmp_path):
+    def test_grow_trains_its_depth_chain_in_a_worker_exactly_on_two_usable_cores(
+            self, course_dir, tmp_path, monkeypatch):
+        from dropoutlab import deepnet
+
+        run = deepnet.run_cell
+
+        def cell(teacher, phase, value, *args):  # a forked worker inherits the wrapper
+            (tmp_path / f"{phase}-{value}").write_text(str(os.getpid()))
+            return run(teacher, phase, value, *args)
+        monkeypatch.setattr(deepnet, "run_cell", cell)
         grow = ["grow", "--course-dir", str(course_dir), "--width-to", "3", "--depth-to", "2",
-                "--epochs", "1", "--out-dir", str(tmp_path)]
+                "--epochs", "1", "--out-dir", str(tmp_path / "out")]
         usable = sorted(os.sched_getaffinity(0))
         for cpus in (usable[:1], usable):
-            assert _loaded(*grow, cpus=cpus) == (
-                ["numpy", "numpy.random", "_hashlib", "concurrent.futures.process",
-                 "dropoutlab.deepnet"] if len(cpus) >= 2
-                else ["numpy", "numpy.random", "_hashlib", "dropoutlab.deepnet"]), cpus
+            assert _loaded(*grow, cpus=cpus) == [
+                "numpy", "numpy.random", "_hashlib", "dropoutlab.deepnet"], cpus
+            os.sched_setaffinity(0, cpus)
+            try:
+                assert main(grow) == 0
+            finally:
+                os.sched_setaffinity(0, usable)
+            assert_no_child_left()
+            depth = int((tmp_path / "depth-2").read_text())
+            assert (depth == os.getpid()) == (len(cpus) == 1), cpus
 
     _ENV_AFTER_MAIN = """
 import contextlib, io, json, os, sys

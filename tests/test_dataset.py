@@ -2,7 +2,6 @@
 
 import dataclasses
 import datetime
-import multiprocessing
 import os
 import pickle
 import re
@@ -54,6 +53,7 @@ from conftest import (
     Record,
     Student,
     as_vector,
+    assert_no_child_left,
     assert_same_counters,
     certification_labels,
     counter_values,
@@ -920,7 +920,7 @@ class TestSynthesis:
                 corpus = synthesize_corpus(config, 99)
             finally:
                 os.sched_setaffinity(0, usable)
-            assert multiprocessing.active_children() == []
+            assert_no_child_left()
             assert len(corpus) == len(config.courses)
             for i, (got, course_cfg) in enumerate(zip(corpus, config.courses)):
                 child = int(np.random.SeedSequence((99, i)).generate_state(1)[0])

@@ -7,10 +7,10 @@ settings.forked. activity.csv also has a block reader and a block writer in
 dataset, and neither imports csv: the reader splits rows with np.loadtxt, and
 the writer assembles rows from cells that settings.csv_cells quotes, joined
 and ended as settings says the dialect joins and ends them. So only
-settings.py may import csv or json, and only settings.py may name
-ProcessPoolExecutor. A module that needs any of them calls settings instead.
-Work runs in parallel in one way, forked worker processes, so only settings.py
-imports concurrent.futures and no module imports threading. No module imports
+settings.py may import csv or json. A module that needs either calls settings
+instead. Work runs in parallel in one way, worker processes that settings
+forks itself, so only settings.py calls os.fork, and no module imports
+concurrent, multiprocessing or threading. No module imports
 hashlib either: the model file's layout fingerprint is a literal, so no
 command loads OpenSSL for it.
 
@@ -61,8 +61,9 @@ def test_only_settings_imports_json():
     assert importers("json") == ["settings.py"]
 
 
-def test_only_settings_imports_concurrent_futures():
-    assert importers("concurrent") == ["settings.py"]
+def test_no_module_imports_a_process_pool():
+    for pool in ("concurrent", "multiprocessing"):
+        assert importers(pool) == [], pool
 
 
 def test_no_module_imports_threading():
@@ -73,10 +74,10 @@ def test_no_module_imports_hashlib():
     assert importers("hashlib") == []
 
 
-def test_only_settings_names_the_process_pool():
-    naming = [p.name for p in PACKAGE
-              if re.search(r"\bProcessPoolExecutor\b", p.read_text(encoding="utf-8"))]
-    assert naming == ["settings.py"]
+def test_only_settings_forks():
+    forking = [p.name for p in PACKAGE
+               if re.search(r"\bfork\s*\(", p.read_text(encoding="utf-8"))]
+    assert forking == ["settings.py"]
 
 
 def test_only_dataset_names_uint16():

@@ -499,8 +499,9 @@ class TestHarness:
     @pytest.mark.parametrize("jobs,processes", [(1, 0), (2, 2), (4, 4), (5, 4), (64, 4)])
     def test_pool_has_at_most_one_worker_per_course(self, handmade_corpus, monkeypatch,
                                                     jobs, processes):
-        """The pool size that reaches settings.forked is capped at the four
-        courses' tasks; the calls run in this process, so no pool starts."""
+        """The worker count that reaches settings.forked, once for the fit phase
+        and once for the score phase, is capped at the four courses' tasks; the
+        calls run in this process, so no worker starts."""
         asked = []
 
         def forked(task, n):
@@ -510,7 +511,7 @@ class TestHarness:
         kinds = ("post_hoc", "baseline2")
         assert run_experiment(handmade_corpus, kinds, jobs=jobs) == run_experiment(
             handmade_corpus, kinds, jobs=1)
-        assert asked == [processes, 0]
+        assert asked == [processes, processes, 0, 0]
 
     def test_unknown_kind_rejected(self, handmade_corpus):
         with pytest.raises(InvalidParadigmError):
